@@ -5,10 +5,11 @@
 //! ```
 //!
 //! Replaces the old hand-written per-family `grep -q` freshness checks:
-//! every family in [`venice_bench::EXPECTED_FIGURE_IDS`] must be present
-//! in `BENCH_figures.json` with non-empty measured series, and every
-//! emitted family must be registered — so a new figure family cannot be
-//! silently dropped from the perf trajectory in either direction.
+//! every id in [`venice_bench::expected_figure_ids`] — the paper's ids
+//! plus the loadgen family registry's declared ids — must be present in
+//! `BENCH_figures.json` with non-empty measured series, and every
+//! emitted figure must be declared — so a new figure cannot be silently
+//! dropped from the perf trajectory in either direction.
 //! `PATH` defaults to the repo-root artifact the `figures` binary
 //! writes.
 //!
@@ -75,7 +76,7 @@ fn main() -> ExitCode {
     if problems.is_empty() {
         println!(
             "check-figures: {} families valid in {path}",
-            venice_bench::EXPECTED_FIGURE_IDS.len()
+            venice_bench::expected_figure_ids().len()
         );
     }
     if default_path {

@@ -4,9 +4,9 @@
 //! determinism [--out PATH]
 //! ```
 //!
-//! Runs the rayon-parallel elastic/storm/failover/sweep workloads —
-//! every family
-//! whose determinism the test suite asserts — and emits their complete
+//! Runs every family of the loadgen registry
+//! (`venice_loadgen::scenarios::FAMILIES`) at its gate scale, a small
+//! rate sweep, and one traced run, and emits their complete
 //! trace/report JSON. CI runs this binary twice, once with
 //! `RAYON_NUM_THREADS=1` and once with `RAYON_NUM_THREADS=8`, and diffs
 //! the two artifacts **byte for byte**: "bit-identical at any thread
@@ -21,17 +21,13 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use venice_loadgen::scenarios::{self, GATE_REQUESTS};
 use venice_loadgen::sweep::{self, SweepSpec};
-use venice_loadgen::{
-    congestion, economy, elastic, elastic_v2, engine, failover, scenarios, RemoteStack, TenantMix,
-};
+use venice_loadgen::{engine, RemoteStack, TenantMix};
 
 /// Seed for the gate's runs (distinct from every published figure seed,
 /// so the gate can never mask a figure regression by caching).
 const GATE_SEED: u64 = 0xD17E;
-
-/// Requests per elastic comparison run.
-const GATE_REQUESTS: u64 = 6_000;
 
 fn main() -> ExitCode {
     let mut out_path: Option<String> = None;
@@ -53,90 +49,22 @@ fn main() -> ExitCode {
 
     let mut artifact = String::new();
 
-    // 1. The elastic comparison (5 stacks/modes under rayon), reports
-    //    with full lease timelines.
-    let reports = elastic::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "elastic {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
+    // 1. Every registered family at its gate scale: full reports with
+    //    lease timelines, shed and fault counters, one line per row.
+    for family in scenarios::FAMILIES {
+        for run in family.run(GATE_SEED, family.gate_requests) {
+            writeln!(
+                artifact,
+                "{} {} {}",
+                family.id,
+                run.label,
+                serde_json::to_string(&run.report).expect("report serializes")
+            )
+            .unwrap();
+        }
     }
 
-    // 2. The v2 controller comparison (predictive, donor reclaim,
-    //    quotas — the revoke/ledger paths under rayon).
-    let reports = elastic_v2::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "elastic-v2 {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 2b. The v3 lease-economy comparison (donor pressure term,
-    //     pressure-aware revokes, sublease market — the new ledger and
-    //     service-model paths under rayon).
-    let reports = economy::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "economy {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 2c. The congested-fabric placement comparison (per-link window
-    //     accounting, per-dispatch charges, and placement vetoes under
-    //     rayon).
-    let reports = congestion::comparison_reports_scaled(GATE_SEED, GATE_REQUESTS);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "congestion {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 2d. The failover chaos comparison (node crashes, lease failover,
-    //     crash shedding, the revoke storm — the whole fault path under
-    //     rayon). Scaled so the 3.1 s crash instant still lands mid-run:
-    //     the diff must cover the chaos suffix, not just the fault-free
-    //     prefix.
-    let reports = failover::comparison_reports_scaled(GATE_SEED, 150_000);
-    for (label, report) in &reports {
-        writeln!(
-            artifact,
-            "failover {label} {}",
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 3. A storm slice across the three canonical mixes (scaled down).
-    let storm_reports: Vec<_> = scenarios::storm_configs(GATE_SEED)
-        .into_iter()
-        .map(|mut config| {
-            config.requests = 25_000;
-            engine::Run::new(&config).execute().report
-        })
-        .collect();
-    for report in &storm_reports {
-        writeln!(
-            artifact,
-            "storm {} {}",
-            report.mix,
-            serde_json::to_string(report).expect("report serializes")
-        )
-        .unwrap();
-    }
-
-    // 4. The rate sweep (rayon grid) rendered as figure JSON.
+    // 2. The rate sweep (rayon grid) rendered as figure JSON.
     let spec = SweepSpec {
         seed: GATE_SEED,
         meshes: vec![(2, 2, 1)],
@@ -152,9 +80,9 @@ fn main() -> ExitCode {
     )
     .unwrap();
 
-    // 5. A traced elastic run: the per-request JSONL trace itself.
-    let mut config = elastic_v2::predictive_config(GATE_SEED);
-    config.requests = GATE_REQUESTS;
+    // 3. A traced elastic run: the per-request JSONL trace itself.
+    let (_, config, _) =
+        scenarios::family("elastic-v2").row_at("venice-predictive", GATE_SEED, GATE_REQUESTS);
     let out = engine::Run::new(&config).traced().execute();
     let report = out.report;
     let trace = out.trace.expect("traced run captures a trace");

@@ -32,7 +32,7 @@
 use std::process::ExitCode;
 
 use venice_loadgen::telemetry::tenant_labels;
-use venice_loadgen::{elastic, elastic_v2, engine, LoadgenConfig, RemoteStack};
+use venice_loadgen::{engine, scenarios, LoadgenConfig};
 use venice_sim::Time;
 use venice_telemetry::attrib::STAGE_LABELS;
 use venice_telemetry::{export_attrib_jsonl, render_explain, AttribFold};
@@ -139,9 +139,11 @@ fn main() -> ExitCode {
     };
     let tick = Time::from_ms(args.tick_ms);
 
-    let mut base_config = elastic::static_config(elastic_v2::V2_SEED, RemoteStack::VeniceCrma);
+    // The elastic family's static row and the v2 predictive row share
+    // one seed, so both runs see the identical arrival stream.
+    let (_, mut base_config, _) = scenarios::row("elastic", "venice-static");
     base_config.requests = args.requests;
-    let mut cand_config = elastic_v2::predictive_config(elastic_v2::V2_SEED);
+    let (_, mut cand_config, _) = scenarios::row("elastic-v2", "venice-predictive");
     cand_config.requests = args.requests;
     let labels = tenant_labels(&base_config);
     let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
@@ -192,7 +194,7 @@ fn main() -> ExitCode {
 
     let artifact = export_attrib_jsonl(
         "static-vs-predictive",
-        elastic_v2::V2_SEED,
+        cand_config.seed,
         &[("static", &base), ("predictive", &cand)],
         &labels,
     );

@@ -2,14 +2,12 @@
 //! loadgen scenario family.
 //!
 //! ```text
-//! figures [--json[=PATH]] [--no-loadgen] [fig3 fig5 fig6 fig14 fig15
-//!          fig16a fig16b fig17 fig18 table1 cost validation
-//!          loadgen-p99-8n loadgen-tput-8n loadgen-p99-16n loadgen-tput-16n
-//!          loadgen-elastic-8n loadgen-elastic-timeline-8n
-//!          loadgen-elastic-v2-8n loadgen-donor-pressure-8n
-//!          loadgen-donor-benefit-8n loadgen-quota-market-8n
-//!          loadgen-congestion-8n loadgen-failover-8n]
+//! figures [--json[=PATH]] [--no-loadgen] [FIGURE_ID...]
 //! ```
+//!
+//! `--help` lists the ids: the paper's, then the ones the loadgen family
+//! registry declares. An id filter simulates only the loadgen families
+//! that declare a selected id.
 //!
 //! With no arguments, prints all figures as aligned text tables (measured
 //! values next to the paper's published values where the paper reports
@@ -33,8 +31,8 @@ fn print_engine_metrics() {
         "{:<16} {:>10} {:>10} {:>7} {:>11} {:>9} {:>11}",
         "mix", "events", "fused", "fused%", "peak depth", "near-hit%", "slab"
     );
-    for mut config in scenarios::storm_configs(scenarios::SCENARIO_SEED) {
-        config.requests = 40_000;
+    let storm = scenarios::family("storm");
+    for (_, config, _) in storm.rows_at(storm.seed, 40_000) {
         let m = engine::Run::new(&config).execute().metrics;
         let pushes = m.queue.near_hits + m.queue.heap_pushes;
         println!(
@@ -50,6 +48,16 @@ fn print_engine_metrics() {
     }
 }
 
+/// The figure ids a filter can name: the paper's, then the ones the
+/// loadgen family registry declares.
+fn known_ids() -> String {
+    format!(
+        "paper ids: {}\nloadgen ids: {}",
+        venice_bench::PAPER_FIGURE_IDS.join(" "),
+        venice_loadgen::scenarios::figure_ids().join(" ")
+    )
+}
+
 fn main() -> ExitCode {
     let mut json_path: Option<String> = None;
     let mut ids: Vec<String> = Vec::new();
@@ -63,14 +71,8 @@ fn main() -> ExitCode {
             loadgen = false;
         } else if arg == "--help" || arg == "-h" {
             println!(
-                "usage: figures [--json[=PATH]] [--no-loadgen] [FIGURE_ID...]\n\
-                 paper ids: fig3 fig5 fig6 fig14 fig15 fig16a fig16b fig17 \
-                 fig18 table1 cost validation\n\
-                 loadgen ids: loadgen-p99-8n loadgen-tput-8n loadgen-p99-16n \
-                 loadgen-tput-16n loadgen-elastic-8n loadgen-elastic-timeline-8n \
-                 loadgen-elastic-v2-8n loadgen-donor-pressure-8n \
-                 loadgen-donor-benefit-8n loadgen-quota-market-8n \
-                 loadgen-congestion-8n loadgen-failover-8n"
+                "usage: figures [--json[=PATH]] [--no-loadgen] [FIGURE_ID...]\n{}",
+                known_ids()
             );
             return ExitCode::SUCCESS;
         } else {
@@ -79,11 +81,11 @@ fn main() -> ExitCode {
     }
     let mut all = venice::scenarios::all();
     if loadgen {
-        all.extend(venice_loadgen::scenarios::all());
+        all.extend(venice_loadgen::scenarios::figures(&ids));
     }
     let figures = venice_bench::select(all, &ids);
     if figures.is_empty() {
-        eprintln!("no figures match {ids:?}");
+        eprintln!("no figures match {ids:?}\n{}", known_ids());
         return ExitCode::FAILURE;
     }
     print!("{}", venice_bench::render_all(&figures));

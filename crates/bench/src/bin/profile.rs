@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use venice_loadgen::telemetry::EVENT_KIND_LABELS;
-use venice_loadgen::{economy, elastic_v2, engine, failover, scenarios, FaultPlan, LoadgenConfig};
+use venice_loadgen::{engine, scenarios, FaultPlan, LoadgenConfig};
 use venice_sim::Time;
 use venice_telemetry::export_jsonl;
 
@@ -122,31 +122,20 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The scenario grid: every control path the probe can light up —
-/// static storms (pure event-core traffic), the predictive lease
-/// controller (grow/establish/shrink spans), the quota market
-/// (denials, subleases, teardowns), and the failover chaos run
-/// (fault and failover spans through a mid-run node crash).
-fn grid() -> Vec<(String, LoadgenConfig, Option<FaultPlan>)> {
-    let mut out = Vec::new();
-    for config in scenarios::storm_configs(scenarios::SCENARIO_SEED) {
-        out.push((format!("storm-{}", config.mix.name), config, None));
-    }
-    let mut predictive = elastic_v2::predictive_config(elastic_v2::V2_SEED);
-    predictive.requests = 400_000;
-    out.push(("elastic-v2-predictive".to_string(), predictive, None));
-    out.push((
-        "economy-market".to_string(),
-        economy::market_config(economy::ECONOMY_SEED),
-        None,
-    ));
-    out.push((
-        "failover-crash".to_string(),
-        failover::elastic_config(failover::FAILOVER_SEED),
-        Some(failover::crash_plan()),
-    ));
-    out
-}
+/// The scenario grid, `(scenario, family, row label)` of the loadgen
+/// registry: every control path the probe can light up — static storms
+/// (pure event-core traffic), the predictive lease controller
+/// (grow/establish/shrink spans), the quota market (denials, subleases,
+/// teardowns), and the failover chaos run (fault and failover spans
+/// through a mid-run node crash).
+const GRID: &[(&str, &str, &str)] = &[
+    ("storm-web-frontend", "storm", "web-frontend"),
+    ("storm-analytics", "storm", "analytics"),
+    ("storm-messaging", "storm", "messaging"),
+    ("elastic-v2-predictive", "elastic-v2", "venice-predictive"),
+    ("economy-market", "economy", "market"),
+    ("failover-crash", "failover", "elastic-failover"),
+];
 
 /// Starts a run with the scenario's fault plan (if any) armed — both
 /// sides of the perturbation gate carry the same chaos.
@@ -177,7 +166,8 @@ fn main() -> ExitCode {
 
     let mut artifact = String::new();
     let mut worst_overhead_pct = f64::NEG_INFINITY;
-    for (scenario, mut config, plan) in grid() {
+    for &(scenario, family, label) in GRID {
+        let (_, mut config, plan) = scenarios::row(family, label);
         if let Some(n) = args.requests {
             config.requests = n;
         }
@@ -203,7 +193,7 @@ fn main() -> ExitCode {
             noop_report = Some(r);
             let (wall, out) = time_once(|| start(&config).recording(tick, args.cap).execute());
             probed_wall_ms = probed_wall_ms.min(wall);
-            probed = Some((out.profile_text(&scenario), out.report, out.probe));
+            probed = Some((out.profile_text(scenario), out.report, out.probe));
         }
         let noop_report = noop_report.expect("iters >= 1");
         let (text, probed_report, probe) = probed.expect("iters >= 1");
@@ -241,7 +231,7 @@ fn main() -> ExitCode {
         // through `RunOutput::artifact_jsonl` — same rendering path,
         // identical bytes (the loadgen tests pin that equivalence).
         artifact.push_str(&export_jsonl(
-            &scenario,
+            scenario,
             config.seed,
             &probe,
             &EVENT_KIND_LABELS,

@@ -37,7 +37,7 @@ use std::time::Instant;
 use venice_bench::{
     validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V2, SCALING_WIDTHS,
 };
-use venice_loadgen::{elastic_v2, engine, legacy, scenarios, EngineMetrics, LoadgenConfig};
+use venice_loadgen::{engine, legacy, scenarios, EngineMetrics, LoadgenConfig};
 
 /// Default timing iterations (best-of is kept).
 const DEFAULT_ITERS: u32 = 3;
@@ -88,23 +88,23 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The timed `(family, row label)` pairs of the loadgen registry. The
+/// elastic-v2 predictor and donor-reclaim rows cover every v2 control
+/// path (predictive grows, revokes, quotas) without timing
+/// near-duplicate baselines.
+const GRID: &[(&str, &str)] = &[
+    ("storm", "web-frontend"),
+    ("storm", "analytics"),
+    ("storm", "messaging"),
+    ("elastic-v2", "venice-predictive"),
+    ("elastic-v2", "donor-reclaim"),
+];
+
 /// The scenario grid: (family, label, config) at full published scale.
-fn grid() -> Vec<(&'static str, String, LoadgenConfig)> {
-    let mut out = Vec::new();
-    for config in scenarios::storm_configs(scenarios::SCENARIO_SEED) {
-        out.push(("storm", config.mix.name.clone(), config));
-    }
-    for (label, config) in elastic_v2::comparison_configs(elastic_v2::V2_SEED) {
-        // The predictor and the donor-reclaim rows cover every v2
-        // control path (predictive grows, revokes, quotas) without
-        // timing near-duplicate baselines.
-        if label == "venice-predictive" || label == "donor-reclaim" {
-            let mut config = config;
-            config.requests = 400_000;
-            out.push(("elastic-v2", label, config));
-        }
-    }
-    out
+fn grid() -> Vec<(&'static str, &'static str, LoadgenConfig)> {
+    GRID.iter()
+        .map(|&(family, label)| (family, label, scenarios::row(family, label).1))
+        .collect()
 }
 
 /// Worker threads available to this recorder, stamped into the
@@ -302,7 +302,7 @@ fn main() -> ExitCode {
         if let Some(n) = args.requests {
             config.requests = n;
         }
-        match measure(args.iters, family, &label, &config) {
+        match measure(args.iters, family, label, &config) {
             Ok(entry) => {
                 println!(
                     "{family:<10} {label:<18} {:>9} req  typed {:>8.1} ms ({:>5.2} M ev/s)  \
@@ -331,7 +331,7 @@ fn main() -> ExitCode {
         if let Some(n) = args.requests {
             config.requests = n;
         }
-        match measure_scaling(args.iters, family, &label, &config) {
+        match measure_scaling(args.iters, family, label, &config) {
             Ok(curve) => {
                 for point in &curve {
                     println!(

@@ -216,13 +216,8 @@ pub fn to_json(figures: &[Figure]) -> String {
     serde_json::to_string_pretty(figures).expect("figures serialize")
 }
 
-/// Every figure family a full `figures` run must emit, in emission
-/// order. The `check-figures` binary gates CI on this list against the
-/// committed `BENCH_figures.json`, in **both** directions: a family
-/// silently dropped from the generators fails, and a family added to
-/// the generators without being registered here fails too — so the
-/// perf trajectory can never lose coverage unnoticed.
-pub const EXPECTED_FIGURE_IDS: &[&str] = &[
+/// The paper's figure ids (and the ablations), in emission order.
+pub const PAPER_FIGURE_IDS: &[&str] = &[
     "fig3",
     "fig5",
     "fig6",
@@ -241,29 +236,31 @@ pub const EXPECTED_FIGURE_IDS: &[&str] = &[
     "ablation_tltlb",
     "ablation_contention",
     "ablation_double_buffering",
-    "loadgen-p99-8n",
-    "loadgen-tput-8n",
-    "loadgen-p99-16n",
-    "loadgen-tput-16n",
-    "loadgen-elastic-8n",
-    "loadgen-elastic-timeline-8n",
-    "loadgen-elastic-v2-8n",
-    "loadgen-donor-pressure-8n",
-    "loadgen-donor-benefit-8n",
-    "loadgen-quota-market-8n",
-    "loadgen-congestion-8n",
-    "loadgen-failover-8n",
 ];
 
+/// Every figure a full `figures` run must emit, in emission order: the
+/// [`PAPER_FIGURE_IDS`], then the ids the loadgen family registry
+/// declares. The `check-figures` binary gates CI on this list against
+/// the committed `BENCH_figures.json`, in **both** directions: a figure
+/// silently dropped from the generators fails, and a figure emitted
+/// without being declared fails too — so the perf trajectory can never
+/// lose coverage unnoticed.
+pub fn expected_figure_ids() -> Vec<String> {
+    let mut ids: Vec<String> = PAPER_FIGURE_IDS.iter().map(|id| id.to_string()).collect();
+    ids.extend(venice_loadgen::scenarios::figure_ids());
+    ids
+}
+
 /// Validates a committed figure artifact against
-/// [`EXPECTED_FIGURE_IDS`]: every expected family present with at least
+/// [`expected_figure_ids`]: every expected figure present with at least
 /// one measured series (each with at least one value), and no
-/// unregistered families. Returns the list of human-readable problems
+/// undeclared figures. Returns the list of human-readable problems
 /// (empty = valid).
 pub fn validate_figures(figures: &[Figure]) -> Vec<String> {
     let mut problems = Vec::new();
-    for &id in EXPECTED_FIGURE_IDS {
-        match figures.iter().find(|f| f.id == id) {
+    let expected = expected_figure_ids();
+    for id in &expected {
+        match figures.iter().find(|f| &f.id == id) {
             None => problems.push(format!("missing figure family `{id}`")),
             Some(f) if f.measured.is_empty() => {
                 problems.push(format!("figure `{id}` has no measured series"))
@@ -278,10 +275,10 @@ pub fn validate_figures(figures: &[Figure]) -> Vec<String> {
         }
     }
     for f in figures {
-        if !EXPECTED_FIGURE_IDS.contains(&f.id.as_str()) {
+        if !expected.contains(&f.id) {
             problems.push(format!(
-                "figure `{}` is not registered in EXPECTED_FIGURE_IDS \
-                 (add it so it cannot be silently dropped later)",
+                "figure `{}` is not registered (declare it in PAPER_FIGURE_IDS or \
+                 its loadgen family so it cannot be silently dropped later)",
                 f.id
             ));
         }
@@ -650,16 +647,17 @@ mod tests {
 
     #[test]
     fn expected_figure_ids_are_distinct_and_validated() {
-        let mut ids: Vec<&str> = EXPECTED_FIGURE_IDS.to_vec();
+        let expected = expected_figure_ids();
+        let mut ids = expected.clone();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), EXPECTED_FIGURE_IDS.len(), "duplicate ids");
+        assert_eq!(ids.len(), expected.len(), "duplicate ids");
         // A synthetic artifact covering every family passes; dropping a
         // family, emptying one, or adding an unregistered one fails.
-        let mut figs: Vec<Figure> = EXPECTED_FIGURE_IDS
+        let mut figs: Vec<Figure> = expected
             .iter()
             .map(|id| {
-                let mut f = Figure::new(*id, "t", "m");
+                let mut f = Figure::new(id.clone(), "t", "m");
                 f.add_measured(venice::Series::new("s", vec![1.0]));
                 f
             })

@@ -22,15 +22,14 @@
 //! *within* the congested model, where the fabric actually pushes
 //! back.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_fabric::LinkParams;
 use venice_sim::Time;
 
 use crate::elastic;
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::remote::{FabricParams, PlacementPolicy, RemoteModelCfg};
-use crate::report::LoadReport;
+use crate::scenarios::{node_quantile_us, Family, Row, RowRun, GATE_REQUESTS};
 
 /// Seed of the congestion figure family.
 pub const CONGESTION_SEED: u64 = 0xFAB71C;
@@ -60,81 +59,62 @@ pub fn storm_fabric(placement: PlacementPolicy) -> FabricParams {
     )
 }
 
-/// The hot-link storm: a four-user flash crowd sized against the
-/// narrowed links — one crowd node's burst (~215 KB/ms of kv payload,
-/// ~88 % of a direction's window) fits a 2 Gbps link, two crowd
-/// streams sharing a donor-side link oversubscribe it badly. Every
-/// burst triggers a volley of grows whose donor choice is the
-/// experiment.
-pub fn storm_arrival() -> crate::ArrivalProcess {
-    crate::ArrivalProcess::Bursty {
-        base_rps: 6_000.0,
-        burst_rps: 90_000.0,
-        period: Time::from_ms(500),
-        burst_len: Time::from_ms(200),
-        crowd_users: 4,
-        crowd_share: 0.85,
-    }
-}
+/// Requests per row. Longer than the elastic comparison runs: the one
+/// cold-start ramp before the first burst's grows land is
+/// placement-blind, so the run is sized to push it below the p99
+/// population and let steady-state placement set the tail.
+const REQUESTS: u64 = 1_500_000;
 
-/// One storm row under `placement`: the elastic flash-crowd config
-/// with the congested fabric armed.
+/// One storm row under `placement`: the elastic flash-crowd config with
+/// the congested fabric armed. The elastic family's four-user crowd
+/// ([`elastic::bursty_arrival`]) is sized against the narrowed links —
+/// one crowd node's burst (~215 KB/ms of kv payload, ~88 % of a
+/// direction's window) fits a 2 Gbps link, two crowd streams sharing a
+/// donor-side link oversubscribe it badly — so every burst triggers a
+/// volley of grows whose donor choice is the experiment.
 pub fn storm_config(seed: u64, placement: PlacementPolicy) -> LoadgenConfig {
     LoadgenConfig {
-        arrival: storm_arrival(),
+        arrival: elastic::bursty_arrival(),
         remote_model: RemoteModelCfg::Congested(storm_fabric(placement)),
-        // Longer than the elastic comparison runs: the one cold-start
-        // ramp before the first burst's grows land is placement-blind,
-        // so the run is sized to push it below the p99 population and
-        // let steady-state placement set the tail.
-        requests: 1_500_000,
+        requests: REQUESTS,
         ..elastic::elastic_config(seed)
     }
 }
 
 /// The congestion rows, in figure order.
-pub fn configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
+fn rows(seed: u64) -> Vec<Row> {
     vec![
         (
             "scalar-priced".to_string(),
             storm_config(seed, PlacementPolicy::ScalarPriced),
+            None,
         ),
         (
             "congestion-aware".to_string(),
             storm_config(seed, PlacementPolicy::CongestionAware),
+            None,
         ),
     ]
 }
 
-/// Runs both rows in parallel at a custom request count; results in
-/// figure order. The determinism gate runs this scaled down — rayon
-/// determinism does not depend on run length.
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
-}
+/// The `congestion` registry entry. Rows run traced: the cluster
+/// quantiles come from the per-request records, exact rather than
+/// log-bucketed, so the placement delta is not rounded away by
+/// histogram granularity.
+pub const FAMILY: Family = Family {
+    id: "congestion",
+    seed: CONGESTION_SEED,
+    requests: REQUESTS,
+    gate_requests: GATE_REQUESTS,
+    rows,
+    traced: true,
+    figure_ids: &["loadgen-congestion-8n"],
+    build: figures,
+};
 
-/// The congestion figure at `seed`: scalar-priced vs congestion-aware
-/// placement under the identical hot-link storm. Both rows run traced
-/// (rayon): the cluster quantiles come from the per-request records,
-/// exact rather than log-bucketed, so the placement delta is not
-/// rounded away by histogram granularity.
-pub fn congestion_figure(seed: u64) -> Figure {
-    let runs: Vec<(String, LoadReport, crate::trace::Trace)> = configs(seed)
-        .into_par_iter()
-        .map(|(label, config)| {
-            let out = engine::Run::new(&config).traced().execute();
-            let trace = out.trace.expect("traced run captures a trace");
-            (label, out.report, trace)
-        })
-        .collect();
-
+/// The congestion figure: scalar-priced vs congestion-aware placement
+/// under the identical hot-link storm.
+fn figures(runs: &[RowRun]) -> Vec<Figure> {
     let mut fig = Figure::new(
         "loadgen-congestion-8n",
         "Congestion-aware vs scalar-priced lease placement under the hot-link storm, 8-node mesh",
@@ -155,14 +135,16 @@ pub fn congestion_figure(seed: u64) -> Figure {
         .map(|s| s.to_string())
         .collect::<Vec<_>>(),
     );
-    for (label, r, trace) in &runs {
+    for run in runs {
+        let (label, r) = (&run.label, &run.report);
+        let trace = run.trace.as_ref().expect("congestion rows run traced");
         let nodes: Vec<u16> = (0..r.nodes).collect();
         fig.add_measured(Series::new(
             label.clone(),
             vec![
-                crate::economy::node_quantile_us(trace, &nodes, 0.50) / 1_000.0,
-                crate::economy::node_quantile_us(trace, &nodes, 0.99) / 1_000.0,
-                crate::economy::node_quantile_us(trace, &nodes, 0.999) / 1_000.0,
+                node_quantile_us(trace, &nodes, 0.50) / 1_000.0,
+                node_quantile_us(trace, &nodes, 0.99) / 1_000.0,
+                node_quantile_us(trace, &nodes, 0.999) / 1_000.0,
                 r.total.mean_us,
                 r.lease.grows as f64,
                 r.lease.revokes as f64,
@@ -178,17 +160,7 @@ pub fn congestion_figure(seed: u64) -> Figure {
         storm_fabric(PlacementPolicy::ScalarPriced).capacity_bytes >> 10,
         storm_window().as_ps() / 1_000_000_000,
     );
-    fig
-}
-
-/// The congestion figures at `seed`, in registration order.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    vec![congestion_figure(seed)]
-}
-
-/// The published congestion figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(CONGESTION_SEED)
+    vec![fig]
 }
 
 #[cfg(test)]
@@ -197,9 +169,9 @@ mod tests {
 
     #[test]
     fn rows_differ_only_in_the_placement_policy() {
-        let rows = configs(1);
-        let (_, scalar) = &rows[0];
-        let (_, aware) = &rows[1];
+        let rows = rows(1);
+        let (_, scalar, _) = &rows[0];
+        let (_, aware, _) = &rows[1];
         assert_eq!(scalar.arrival, aware.arrival);
         assert_eq!(scalar.mix, aware.mix);
         assert_eq!(scalar.lease, aware.lease);
@@ -230,12 +202,12 @@ mod tests {
 
     #[test]
     fn scaled_rows_congest_and_stay_deterministic() {
-        let a = comparison_reports_scaled(7, 4_000);
-        let b = comparison_reports_scaled(7, 4_000);
+        let a = FAMILY.run(7, 4_000);
+        let b = FAMILY.run(7, 4_000);
         assert_eq!(a, b, "congestion rows are not deterministic");
         assert_eq!(a.len(), 2);
-        for (label, r) in &a {
-            assert!(r.completed > 0, "{label} completed nothing");
+        for r in &a {
+            assert!(r.report.completed > 0, "{} completed nothing", r.label);
         }
     }
 }

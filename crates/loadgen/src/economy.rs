@@ -29,16 +29,15 @@
 //! Both families share the elastic/v2 seed so every row is comparable
 //! with the previously published elastic figures.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_lease::{LeaseConfig, LeaseEventKind, NO_TENANT};
 
 use crate::elastic;
 use crate::elastic_v2;
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::report::LoadReport;
+use crate::scenarios::{node_quantile_us, Family, Row, RowRun, GATE_REQUESTS};
 use crate::tenants::TenantMix;
-use crate::trace::{RequestOutcome, Trace};
 
 /// The shared seed of the economy figures (the elastic/v2 flash-crowd
 /// seed, for row-to-row comparability).
@@ -124,14 +123,6 @@ pub fn pressure_aware_config(seed: u64) -> LoadgenConfig {
     }
 }
 
-/// The donor-benefit rows, in figure order.
-pub fn donor_benefit_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
-    vec![
-        ("watermark-only".to_string(), watermark_only_config(seed)),
-        ("pressure-aware".to_string(), pressure_aware_config(seed)),
-    ]
-}
-
 /// The quota-market tenant mix: web-frontend with the kv tenant capped
 /// at 384 MB (six 64 MB chunks — far below what the flash crowd wants)
 /// and the oltp tenant holding a 2 GB quota it barely uses. The idle
@@ -172,30 +163,37 @@ pub fn market_config(seed: u64) -> LoadgenConfig {
     }
 }
 
-/// The quota-market rows, in figure order.
-pub fn market_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
+/// Every economy row, in figure order: the two donor-benefit rows, then
+/// the two quota-market rows.
+fn rows(seed: u64) -> Vec<Row> {
     vec![
-        ("hard-quota".to_string(), hard_quota_config(seed)),
-        ("market".to_string(), market_config(seed)),
+        (
+            "watermark-only".to_string(),
+            watermark_only_config(seed),
+            None,
+        ),
+        (
+            "pressure-aware".to_string(),
+            pressure_aware_config(seed),
+            None,
+        ),
+        ("hard-quota".to_string(), hard_quota_config(seed), None),
+        ("market".to_string(), market_config(seed), None),
     ]
 }
 
-/// Runs every economy row (both families) in parallel at a custom
-/// request count; results in figure order. The determinism gate runs
-/// this scaled down — rayon determinism does not depend on run length.
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    donor_benefit_configs(seed)
-        .into_iter()
-        .chain(market_configs(seed))
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
-}
+/// The `economy` registry entry. Rows run traced: the donor-benefit
+/// quantiles come from the per-request records.
+pub const FAMILY: Family = Family {
+    id: "economy",
+    seed: ECONOMY_SEED,
+    requests: elastic::FAMILY.requests,
+    gate_requests: GATE_REQUESTS,
+    rows,
+    traced: true,
+    figure_ids: &["loadgen-donor-benefit-8n", "loadgen-quota-market-8n"],
+    build: figures,
+};
 
 /// The *pure donors* of a run: nodes that lent memory but never held
 /// more than one borrowed chunk themselves. Under the donor-benefit
@@ -219,24 +217,6 @@ pub fn pure_donor_nodes(report: &LoadReport) -> Vec<u16> {
         .copied()
         .filter(|&n| peak[n as usize] <= 1)
         .collect()
-}
-
-/// Exact latency quantile (µs) over the completed requests served by
-/// `nodes` — the donor-side tail the summary histograms cannot isolate,
-/// computed offline from the trace.
-pub fn node_quantile_us(trace: &Trace, nodes: &[u16], q: f64) -> f64 {
-    let mut lat: Vec<u64> = trace
-        .records
-        .iter()
-        .filter(|r| r.outcome == RequestOutcome::Completed && nodes.contains(&r.node))
-        .map(|r| r.latency_ns)
-        .collect();
-    if lat.is_empty() {
-        return 0.0;
-    }
-    lat.sort_unstable();
-    let idx = ((lat.len() as f64 - 1.0) * q).round() as usize;
-    lat[idx.min(lat.len() - 1)] as f64 / 1_000.0
 }
 
 /// Reconstructs the subleased-bytes ledger trajectory from the event
@@ -266,24 +246,14 @@ fn sublease_curve(report: &LoadReport, buckets: usize, chunk: u64) -> Vec<f64> {
     out
 }
 
-/// The donor-benefit figure at `seed`. Runs both rows traced (rayon) —
+/// The donor-benefit figure over the two traced donor-benefit rows —
 /// the donor-side quantiles come from the per-request records, over the
 /// union of the two rows' donor sets so both rows are judged on the
 /// same nodes.
-pub fn donor_benefit_figure(seed: u64) -> Figure {
-    let runs: Vec<(String, LoadReport, Trace)> = donor_benefit_configs(seed)
-        .into_par_iter()
-        .map(|(label, config)| {
-            let out = engine::Run::new(&config).traced().execute();
-            let trace = out.trace.expect("traced run captures a trace");
-            (label, out.report, trace)
-        })
-        .collect();
-    // The evaluated donor set: the union of both rows' pure donors, so
-    // each row is judged on the same nodes.
+fn donor_benefit_figure(runs: &[RowRun]) -> Figure {
     let mut donors: Vec<u16> = runs
         .iter()
-        .flat_map(|(_, r, _)| pure_donor_nodes(r))
+        .flat_map(|r| pure_donor_nodes(&r.report))
         .collect();
     donors.sort_unstable();
     donors.dedup();
@@ -307,7 +277,9 @@ pub fn donor_benefit_figure(seed: u64) -> Figure {
         .map(|s| s.to_string())
         .collect::<Vec<_>>(),
     );
-    for (label, r, trace) in &runs {
+    for run in runs {
+        let (label, r) = (&run.label, &run.report);
+        let trace = run.trace.as_ref().expect("economy rows run traced");
         fig.add_measured(Series::new(
             label.clone(),
             vec![
@@ -333,16 +305,9 @@ pub fn donor_benefit_figure(seed: u64) -> Figure {
     fig
 }
 
-/// The quota-market figure at `seed`: hard quotas vs the sublease
-/// market under identical traffic.
-pub fn quota_market_figure(seed: u64) -> Figure {
-    let reports: Vec<(String, LoadReport)> = market_configs(seed)
-        .into_par_iter()
-        .map(|(label, config)| {
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect();
+/// The quota-market figure over the two market rows: hard quotas vs the
+/// sublease market under identical traffic.
+fn quota_market_figure(runs: &[RowRun]) -> Figure {
     let kv_idx = market_mix()
         .classes
         .iter()
@@ -370,7 +335,8 @@ pub fn quota_market_figure(seed: u64) -> Figure {
         .map(|s| s.to_string())
         .collect::<Vec<_>>(),
     );
-    for (label, r) in &reports {
+    for run in runs {
+        let (label, r) = (&run.label, &run.report);
         let denied = r.lease.quota_denials;
         let converted = r.lease.subleases;
         let conversion = if converted + denied > 0 {
@@ -392,16 +358,16 @@ pub fn quota_market_figure(seed: u64) -> Figure {
             ],
         ));
     }
-    let market = &reports
+    let market = runs
         .iter()
-        .find(|(l, _)| l == "market")
-        .expect("market row ran")
-        .1;
-    let chunk = market_config(seed)
+        .find(|r| r.label == "market")
+        .expect("market row ran");
+    let chunk = market
+        .config
         .lease
         .expect("market rows are elastic")
         .chunk_bytes;
-    let curve = sublease_curve(market, 8, chunk);
+    let curve = sublease_curve(&market.report, 8, chunk);
     fig.notes = format!(
         "over half of the hard-quota refusals convert into subleases charged against the \
          oltp tenant's idle headroom, with conservation held on both the manager ledger \
@@ -411,14 +377,10 @@ pub fn quota_market_figure(seed: u64) -> Figure {
     fig
 }
 
-/// The economy figures at `seed`, in registration order.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    vec![donor_benefit_figure(seed), quota_market_figure(seed)]
-}
-
-/// The published economy figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(ECONOMY_SEED)
+/// The economy figures, in registration order.
+fn figures(runs: &[RowRun]) -> Vec<Figure> {
+    let (donor, market) = runs.split_at(2);
+    vec![donor_benefit_figure(donor), quota_market_figure(market)]
 }
 
 #[cfg(test)]
@@ -427,8 +389,9 @@ mod tests {
 
     #[test]
     fn donor_rows_differ_only_in_the_revoke_trigger() {
-        let (_, watermark) = &donor_benefit_configs(1)[0];
-        let (_, aware) = &donor_benefit_configs(1)[1];
+        let rows = rows(1);
+        let (_, watermark, _) = &rows[0];
+        let (_, aware, _) = &rows[1];
         assert_eq!(watermark.arrival, aware.arrival);
         assert_eq!(watermark.mix, aware.mix);
         let w = watermark.lease.unwrap();
@@ -448,8 +411,9 @@ mod tests {
 
     #[test]
     fn market_rows_differ_only_in_the_market_switch() {
-        let (_, hard) = &market_configs(1)[0];
-        let (_, market) = &market_configs(1)[1];
+        let rows = rows(1);
+        let (_, hard, _) = &rows[2];
+        let (_, market, _) = &rows[3];
         assert_eq!(hard.arrival, market.arrival);
         assert_eq!(hard.mix, market.mix);
         assert!(!hard.lease.unwrap().sublease_market);
@@ -462,7 +426,8 @@ mod tests {
 
     #[test]
     fn node_quantiles_read_the_trace_exactly() {
-        use crate::trace::RequestRecord;
+        use crate::scenarios::node_quantile_us;
+        use crate::trace::{RequestOutcome, RequestRecord, Trace};
         let rec = |node: u16, latency_ns: u64, outcome| RequestRecord {
             seq: 0,
             at_ns: 0,

@@ -17,13 +17,13 @@
 //! static run *and* a p99 no worse, because capacity follows the crowd
 //! instead of being spread uniformly.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_lease::LeaseConfig;
 use venice_sim::Time;
 
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::report::LoadReport;
+use crate::scenarios::{Family, Row, RowRun, GATE_REQUESTS};
 use crate::stacks::RemoteStack;
 use crate::tenants::TenantMix;
 use crate::ArrivalProcess;
@@ -98,46 +98,43 @@ pub fn elastic_config(seed: u64) -> LoadgenConfig {
 }
 
 /// The comparison set, in figure order.
-pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
+fn rows(seed: u64) -> Vec<Row> {
     vec![
         (
             "venice-static".to_string(),
             static_config(seed, RemoteStack::VeniceCrma),
+            None,
         ),
-        ("venice-elastic".to_string(), elastic_config(seed)),
+        ("venice-elastic".to_string(), elastic_config(seed), None),
         (
             "sonuma".to_string(),
             static_config(seed, RemoteStack::Sonuma),
+            None,
         ),
         (
             "swap-ib".to_string(),
             static_config(seed, RemoteStack::SwapInfiniband),
+            None,
         ),
         (
             "swap-eth".to_string(),
             static_config(seed, RemoteStack::SwapEthernet),
+            None,
         ),
     ]
 }
 
-/// Runs the full comparison in parallel; results in figure order.
-pub fn comparison_reports(seed: u64) -> Vec<(String, LoadReport)> {
-    comparison_reports_scaled(seed, REQUESTS)
-}
-
-/// As [`comparison_reports`] but at a custom request count (the
-/// thread-count-independence tests use a small one: rayon determinism
-/// does not depend on run length).
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    comparison_configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
-}
+/// The `elastic` registry entry.
+pub const FAMILY: Family = Family {
+    id: "elastic",
+    seed: ELASTIC_SEED,
+    requests: REQUESTS,
+    gate_requests: GATE_REQUESTS,
+    rows,
+    traced: false,
+    figure_ids: &["loadgen-elastic-8n", "loadgen-elastic-timeline-8n"],
+    build: figures,
+};
 
 /// The *minimum* cluster-wide borrowed memory (MB) within each of
 /// `buckets` equal segments of the run, reconstructed from the lease
@@ -175,8 +172,7 @@ fn provisioning_curve(report: &LoadReport, buckets: usize) -> Vec<f64> {
 
 /// The `loadgen-elastic` figures: a summary table and the provisioning
 /// timeline showing capacity following the flash crowd mid-run.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    let reports = comparison_reports(seed);
+fn figures(runs: &[RowRun]) -> Vec<Figure> {
     let mut summary = Figure::new(
         "loadgen-elastic-8n",
         "Static vs elastic provisioning under a flash crowd, 8-node mesh",
@@ -191,7 +187,8 @@ pub fn figures(seed: u64) -> Vec<Figure> {
         "shrinks".to_string(),
         "shed %".to_string(),
     ]);
-    for (label, r) in &reports {
+    for run in runs {
+        let (label, r) = (&run.label, &run.report);
         summary.add_measured(Series::new(
             label.clone(),
             vec![
@@ -216,7 +213,8 @@ pub fn figures(seed: u64) -> Vec<Figure> {
         "minimum cluster-wide borrowed MB within each of 16 equal run segments",
     )
     .with_columns((1..=BUCKETS).map(|b| format!("t{b}")).collect::<Vec<_>>());
-    for (label, r) in &reports {
+    for run in runs {
+        let (label, r) = (&run.label, &run.report);
         if label.starts_with("venice") {
             timeline.add_measured(Series::new(label.clone(), provisioning_curve(r, BUCKETS)));
         }
@@ -228,25 +226,20 @@ pub fn figures(seed: u64) -> Vec<Figure> {
     vec![summary, timeline]
 }
 
-/// The published figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(ELASTIC_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn comparison_covers_all_stacks_and_modes() {
-        let configs = comparison_configs(1);
+        let configs = rows(1);
         assert_eq!(configs.len(), 5);
         assert_eq!(
-            configs.iter().filter(|(_, c)| c.lease.is_some()).count(),
+            configs.iter().filter(|(_, c, _)| c.lease.is_some()).count(),
             1,
             "exactly one elastic config"
         );
-        let labels: Vec<&str> = configs.iter().map(|(l, _)| l.as_str()).collect();
+        let labels: Vec<&str> = configs.iter().map(|(l, _, _)| l.as_str()).collect();
         assert!(labels.contains(&"venice-static"));
         assert!(labels.contains(&"venice-elastic"));
         assert!(labels.contains(&"sonuma"));
@@ -302,6 +295,6 @@ mod tests {
             requests: 200,
             ..LoadgenConfig::new(1, TenantMix::messaging())
         };
-        engine::Run::new(&config).execute().report
+        crate::engine::Run::new(&config).execute().report
     }
 }

@@ -27,13 +27,13 @@
 //! figure's quota column shows grows refused locally (and the tenant
 //! clamped at admission) once its ledger fills.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_lease::{LeaseConfig, LeaseEventKind};
 
 use crate::elastic::{self, ELASTIC_SEED};
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::report::LoadReport;
+use crate::scenarios::{report, Family, Row, RowRun, GATE_REQUESTS};
 use crate::tenants::TenantMix;
 
 /// The flash-crowd seed shared with the `loadgen-elastic` family: the
@@ -64,11 +64,6 @@ pub fn donor_policy() -> LeaseConfig {
         revoke_cooldown_ticks: 60,
         ..predictive_policy()
     }
-}
-
-/// PR 2's reactive elastic run (the baseline row, re-measured).
-pub fn reactive_config(seed: u64) -> LoadgenConfig {
-    elastic::elastic_config(seed)
 }
 
 /// The predictive run: identical traffic, predictor armed.
@@ -119,40 +114,46 @@ pub fn donor_passive_config(seed: u64) -> LoadgenConfig {
     }
 }
 
-/// The four v2 runs, in figure order.
+/// The four v2 runs, in figure order. The reactive row is the elastic
+/// family's run, re-measured.
 ///
 /// The reactive row deliberately re-runs the elastic family's
 /// `venice-elastic` configuration instead of borrowing its report: every
 /// figure family must be regenerable on its own through the `figures`
 /// binary's id filter, so cross-family sharing would trade a sub-second
 /// duplicate simulation for a family that cannot stand alone.
-pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig)> {
+fn rows(seed: u64) -> Vec<Row> {
     vec![
-        ("venice-reactive".to_string(), reactive_config(seed)),
-        ("venice-predictive".to_string(), predictive_config(seed)),
-        ("donor-passive".to_string(), donor_passive_config(seed)),
-        ("donor-reclaim".to_string(), donor_config(seed)),
+        (
+            "venice-reactive".to_string(),
+            elastic::elastic_config(seed),
+            None,
+        ),
+        (
+            "venice-predictive".to_string(),
+            predictive_config(seed),
+            None,
+        ),
+        (
+            "donor-passive".to_string(),
+            donor_passive_config(seed),
+            None,
+        ),
+        ("donor-reclaim".to_string(), donor_config(seed), None),
     ]
 }
 
-/// Runs the full v2 comparison in parallel; results in figure order.
-pub fn comparison_reports(seed: u64) -> Vec<(String, LoadReport)> {
-    comparison_reports_scaled(seed, 400_000)
-}
-
-/// As [`comparison_reports`] but at a custom request count (the
-/// determinism gate uses a small one; rayon determinism does not depend
-/// on run length).
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    comparison_configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config)| {
-            config.requests = requests;
-            let report = engine::Run::new(&config).execute().report;
-            (label, report)
-        })
-        .collect()
-}
+/// The `elastic-v2` registry entry.
+pub const FAMILY: Family = Family {
+    id: "elastic-v2",
+    seed: V2_SEED,
+    requests: elastic::FAMILY.requests,
+    gate_requests: GATE_REQUESTS,
+    rows,
+    traced: false,
+    figure_ids: &["loadgen-elastic-v2-8n", "loadgen-donor-pressure-8n"],
+    build: figures,
+};
 
 /// One summary row per run: latency, provisioning, and the v2 controller
 /// counters (predictive grows, revokes, quota refusals).
@@ -187,16 +188,9 @@ fn summary_columns() -> Vec<String> {
     .collect()
 }
 
-/// The v2 figures at `seed`.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    let reports = comparison_reports(seed);
-    let get = |label: &str| {
-        &reports
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("missing {label}"))
-            .1
-    };
+/// The v2 figures.
+fn figures(runs: &[RowRun]) -> Vec<Figure> {
+    let get = |label: &str| report(runs, label);
 
     let mut v2 = Figure::new(
         "loadgen-elastic-v2-8n",
@@ -238,18 +232,13 @@ pub fn figures(seed: u64) -> Vec<Figure> {
     vec![v2, donor]
 }
 
-/// The published v2 figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(V2_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn comparison_covers_all_controllers() {
-        let configs = comparison_configs(1);
+        let configs = rows(1);
         assert_eq!(configs.len(), 4);
         // Reactive: no predictor, no donor arming.
         let reactive = &configs[0].1.lease.unwrap();
@@ -279,7 +268,8 @@ mod tests {
     #[test]
     fn v2_rows_share_the_elastic_family_seed() {
         assert_eq!(V2_SEED, ELASTIC_SEED);
-        let reactive = reactive_config(V2_SEED);
+        let (label, reactive, _) = &rows(V2_SEED)[0];
+        assert_eq!(label, "venice-reactive");
         let elastic = elastic::elastic_config(ELASTIC_SEED);
         assert_eq!(reactive.seed, elastic.seed);
         assert_eq!(reactive.arrival, elastic.arrival);

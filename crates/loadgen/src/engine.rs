@@ -1,6 +1,6 @@
 //! The traffic engine: a discrete-event load generator over the cluster.
 //!
-//! One [`run`] call builds a real [`Cluster`] (Monitor-Node memory
+//! One [`Run`] builds a real [`Cluster`] (Monitor-Node memory
 //! borrowing included), provisions the remote tier — **statically** at
 //! setup, or **elastically** through a [`venice_lease::LeaseManager`]
 //! that borrows and releases capacity *during* the run as per-node queue
@@ -1939,10 +1939,10 @@ pub struct RunOutput<P: Probe = NoopProbe> {
 
 /// Builder over the engine's single entry point.
 ///
-/// Every way of running the engine — plain, metered, probed, traced,
-/// replaying a recorded trace — is one execution with different
-/// capture options, so they compose instead of multiplying entry
-/// points:
+/// Every way of running the engine — plain, probed, traced, faulted,
+/// sharded, replaying a recorded trace — is one execution with
+/// different capture options, so they compose instead of multiplying
+/// entry points:
 ///
 /// ```
 /// use venice_loadgen::engine::{LoadgenConfig, Run};
@@ -1958,9 +1958,6 @@ pub struct RunOutput<P: Probe = NoopProbe> {
 /// let replayed = Run::new(&config).replay(&trace).execute();
 /// assert_eq!(replayed.report.issued, out.report.issued);
 /// ```
-///
-/// The former free functions (`run`, `run_metered`, `run_probed`,
-/// `run_traced`, `replay`) survive as deprecated one-line wrappers.
 #[derive(Debug)]
 pub struct Run<'c, 't, P: Probe = NoopProbe> {
     config: &'c LoadgenConfig,
@@ -2016,14 +2013,6 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     /// Captures the per-request [`Trace`] into the output.
     pub fn traced(mut self) -> Self {
         self.traced = true;
-        self
-    }
-
-    /// Requests the kernel-level [`EngineMetrics`]. Metrics are always
-    /// collected (they read counters the kernel tracks anyway), so this
-    /// exists purely to let call sites state the intent that
-    /// [`RunOutput::metrics`] is what they are after.
-    pub fn metered(self) -> Self {
         self
     }
 
@@ -2107,64 +2096,6 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
             probe,
         }
     }
-}
-
-/// Runs one complete load-generation experiment.
-///
-/// # Panics
-///
-/// Panics if the configuration is internally inconsistent (zero requests,
-/// zero concurrency, an empty mesh, or elastic leases on a stack without
-/// hot-plug support).
-#[deprecated(note = "use `Run::new(config).execute().report`")]
-pub fn run(config: &LoadgenConfig) -> LoadReport {
-    Run::new(config).execute().report
-}
-
-/// Runs one experiment and additionally returns the kernel-level
-/// [`EngineMetrics`] (events executed, peak event-queue depth) the
-/// `throughput` bench reports.
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).metered().execute()`")]
-pub fn run_metered(config: &LoadgenConfig) -> (LoadReport, EngineMetrics) {
-    let out = Run::new(config).metered().execute();
-    (out.report, out.metrics)
-}
-
-/// Runs one experiment with `probe` threaded through the engine's hook
-/// sites, returning the probe alongside the report.
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).probe(probe).execute()`")]
-pub fn run_probed<P: Probe>(config: &LoadgenConfig, probe: P) -> (LoadReport, P) {
-    let out = Run::new(config).probe(probe).execute();
-    (out.report, out.probe)
-}
-
-/// Runs one experiment and captures the per-request [`Trace`].
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).traced().execute()`")]
-pub fn run_traced(config: &LoadgenConfig) -> (LoadReport, Trace) {
-    let out = Run::new(config).traced().execute();
-    (out.report, out.trace.expect("tracing was requested"))
-}
-
-/// Re-drives a recorded trace through the engine ([`Run::replay`]).
-///
-/// # Panics
-///
-/// As [`Run::execute`].
-#[deprecated(note = "use `Run::new(config).replay(trace).execute().report`")]
-pub fn replay(config: &LoadgenConfig, trace: &Trace) -> LoadReport {
-    Run::new(config).replay(trace).execute().report
 }
 
 /// Topology and per-node transport built once at setup: the composed
@@ -2850,15 +2781,13 @@ mod tests {
         }
     }
 
-    // Local shims over the Run builder; explicit items shadow the
-    // glob-imported deprecated wrappers, so the pre-builder test bodies
-    // below compile unchanged and warning-free.
+    // Local shorthands over the Run builder for the tests below.
     fn run(config: &LoadgenConfig) -> LoadReport {
         Run::new(config).execute().report
     }
 
     fn run_metered(config: &LoadgenConfig) -> (LoadReport, EngineMetrics) {
-        let out = Run::new(config).metered().execute();
+        let out = Run::new(config).execute();
         (out.report, out.metrics)
     }
 
@@ -2885,25 +2814,6 @@ mod tests {
             remote_model: RemoteModelCfg::Congested(params),
             ..small(seed)
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder() {
-        let config = small(19);
-        assert_eq!(super::run(&config), run(&config));
-        let (wrap_report, wrap_metrics) = super::run_metered(&config);
-        let (shim_report, shim_metrics) = run_metered(&config);
-        assert_eq!(wrap_report, shim_report);
-        assert_eq!(wrap_metrics, shim_metrics);
-        let (wrap_report, wrap_trace) = super::run_traced(&config);
-        let (shim_report, shim_trace) = run_traced(&config);
-        assert_eq!(wrap_report, shim_report);
-        assert_eq!(wrap_trace, shim_trace);
-        assert_eq!(
-            super::replay(&config, &wrap_trace),
-            replay(&config, &shim_trace)
-        );
     }
 
     #[test]

@@ -28,14 +28,13 @@
 //! failover re-provisions the crowd's capacity while static stays
 //! degraded.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 use venice_sim::Time;
 
 use crate::elastic;
-use crate::engine::{self, LoadgenConfig};
+use crate::engine::LoadgenConfig;
 use crate::faults::{FaultEvent, FaultPlan};
-use crate::report::LoadReport;
+use crate::scenarios::{Family, Row, RowRun};
 use crate::stacks::RemoteStack;
 
 /// Base seed of the published failover figures.
@@ -107,8 +106,8 @@ pub fn storm_config(seed: u64) -> LoadgenConfig {
     config
 }
 
-/// The comparison set, in figure order: `(label, config, fault plan)`.
-pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig, Option<FaultPlan>)> {
+/// The comparison set, in figure order.
+fn rows(seed: u64) -> Vec<Row> {
     vec![
         (
             "static-crash".to_string(),
@@ -129,32 +128,23 @@ pub fn comparison_configs(seed: u64) -> Vec<(String, LoadgenConfig, Option<Fault
     ]
 }
 
-/// Runs the full comparison in parallel; results in figure order.
-pub fn comparison_reports(seed: u64) -> Vec<(String, LoadReport)> {
-    comparison_reports_scaled(seed, REQUESTS)
-}
-
-/// As [`comparison_reports`] but at a custom request count (the
-/// determinism gates diff a small run at rayon widths 1 and 8; thread
-/// independence does not depend on run length).
-pub fn comparison_reports_scaled(seed: u64, requests: u64) -> Vec<(String, LoadReport)> {
-    comparison_configs(seed)
-        .into_par_iter()
-        .map(|(label, mut config, plan)| {
-            config.requests = requests;
-            let mut run = engine::Run::new(&config);
-            if let Some(plan) = plan {
-                run = run.faults(plan);
-            }
-            (label, run.execute().report)
-        })
-        .collect()
-}
+/// The `failover` registry entry. The gate runs 150k requests
+/// (≈ 3.8 s of traffic) so the 3.1 s crash still lands mid-run and the
+/// diff covers the chaos suffix, not just the fault-free prefix.
+pub const FAMILY: Family = Family {
+    id: "failover",
+    seed: FAILOVER_SEED,
+    requests: REQUESTS,
+    gate_requests: 150_000,
+    rows,
+    traced: false,
+    figure_ids: &["loadgen-failover-8n"],
+    build: figures,
+};
 
 /// The `loadgen-failover-8n` figure: per-row latency, loss, and lease
 /// recovery activity through the crash.
-pub fn figures(seed: u64) -> Vec<Figure> {
-    let reports = comparison_reports(seed);
+fn figures(runs: &[RowRun]) -> Vec<Figure> {
     let mut fig = Figure::new(
         "loadgen-failover-8n",
         "Flash crowd through a mid-run node crash, 8-node mesh",
@@ -169,7 +159,8 @@ pub fn figures(seed: u64) -> Vec<Figure> {
         "grows".to_string(),
         "revokes".to_string(),
     ]);
-    for (label, r) in &reports {
+    for run in runs {
+        let (label, r) = (&run.label, &run.report);
         fig.add_measured(Series::new(
             label.clone(),
             vec![
@@ -192,18 +183,13 @@ pub fn figures(seed: u64) -> Vec<Figure> {
     vec![fig]
 }
 
-/// The published figures at the canonical seed.
-pub fn all() -> Vec<Figure> {
-    figures(FAILOVER_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn comparison_covers_the_advertised_rows() {
-        let configs = comparison_configs(1);
+        let configs = rows(1);
         assert_eq!(configs.len(), 4);
         let labels: Vec<&str> = configs.iter().map(|(l, _, _)| l.as_str()).collect();
         assert_eq!(

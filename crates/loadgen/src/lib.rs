@@ -50,11 +50,11 @@
 //!   leases on a dead donor fail over, in-flight requests on a crashed
 //!   node shed with their own reason slot, and sessions re-route to
 //!   survivors;
-//! * [`scenarios`] / [`elastic`] — the `loadgen` and `loadgen-elastic`
-//!   figure families layered beyond the paper's figures, consumed by the
-//!   `figures` binary. [`failover`] adds the `loadgen-failover-8n`
-//!   family: flash crowd plus a mid-run node crash, elastic-with-failover
-//!   vs static.
+//! * [`scenarios`] — the registry of loadgen figure families layered
+//!   beyond the paper's figures: one [`scenarios::Family`] entry each
+//!   for [`elastic`], [`elastic_v2`], [`economy`], [`congestion`],
+//!   [`failover`], and the storm, run by one rayon runner and consumed
+//!   by every `venice-bench` binary.
 //!
 //! # Example
 //!

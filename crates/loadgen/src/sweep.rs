@@ -45,6 +45,18 @@ impl SweepSpec {
         self.len() == 0
     }
 
+    /// The ids [`figures`] emits for this grid: a p99 and a goodput
+    /// figure per mesh size, in mesh order.
+    pub fn figure_ids(&self) -> Vec<String> {
+        self.meshes
+            .iter()
+            .flat_map(|&m| {
+                let n = mesh_nodes(m);
+                [format!("loadgen-p99-{n}n"), format!("loadgen-tput-{n}n")]
+            })
+            .collect()
+    }
+
     /// Expands the grid into per-point configurations, in grid order
     /// (mesh-major, then mix, then rate, then stack). Every stack in one
     /// (mesh, mix, rate) cell shares that cell's seed, so stack-vs-stack
@@ -72,6 +84,11 @@ impl SweepSpec {
         }
         out
     }
+}
+
+/// Node count of a mesh.
+fn mesh_nodes(mesh: (u16, u16, u16)) -> u32 {
+    mesh.0 as u32 * mesh.1 as u32 * mesh.2 as u32
 }
 
 /// SplitMix64-style derivation of a point seed from the spec seed and the
@@ -139,16 +156,17 @@ pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
         }
     };
     let mut out = Vec::new();
-    for &mesh in &spec.meshes {
-        let n = mesh.0 as u32 * mesh.1 as u32 * mesh.2 as u32;
+    let ids = spec.figure_ids();
+    for (&mesh, ids) in spec.meshes.iter().zip(ids.chunks(2)) {
+        let n = mesh_nodes(mesh);
         let mut p99 = Figure::new(
-            format!("loadgen-p99-{n}n"),
+            ids[0].clone(),
             format!("Tail latency under sustained load, {n}-node mesh"),
             "p99 end-to-end latency (ms) vs offered open-loop rate",
         )
         .with_columns(columns.clone());
         let mut tput = Figure::new(
-            format!("loadgen-tput-{n}n"),
+            ids[1].clone(),
             format!("Achieved throughput, {n}-node mesh"),
             "completed requests per second vs offered open-loop rate",
         )
@@ -215,6 +233,8 @@ mod tests {
     fn figures_have_grid_shape() {
         let figs = figures(&tiny_spec());
         assert_eq!(figs.len(), 2); // p99 + tput for the single mesh
+        let ids: Vec<&str> = figs.iter().map(|f| f.id.as_str()).collect();
+        assert_eq!(ids, tiny_spec().figure_ids());
         for f in &figs {
             assert_eq!(f.columns.len(), 2);
             assert_eq!(f.measured.len(), 2);

@@ -16,7 +16,6 @@ use venice_telemetry::{
 };
 
 use crate::engine::{LoadgenConfig, Run, RunOutput};
-use crate::report::LoadReport;
 
 /// Human labels for the engine's probe event-kind slots, indexed by the
 /// engine event enum's probe slot (kept in step with
@@ -83,73 +82,10 @@ impl RunOutput<AttribProbe> {
     }
 }
 
-/// Runs `config` with a [`RecordingProbe`] sampling every `tick` and
-/// retaining `cap` rows; returns the (probe-invariant) report and the
-/// filled probe.
-///
-/// # Panics
-///
-/// As [`Run::execute`], or if `tick`/`cap` are zero.
-#[deprecated(note = "use `Run::new(config).recording(tick, cap).execute()`")]
-pub fn probed_run(config: &LoadgenConfig, tick: Time, cap: usize) -> (LoadReport, RecordingProbe) {
-    let out = Run::new(config).recording(tick, cap).execute();
-    (out.report, out.probe)
-}
-
-/// Runs `config` probed and renders the `venice-telemetry-v2` JSONL
-/// artifact named `scenario`, alongside the run's report.
-///
-/// # Panics
-///
-/// As [`Run::execute`], or if `tick`/`cap` are zero.
-#[deprecated(
-    note = "use `Run::new(config).recording(tick, cap).execute().artifact_jsonl(scenario)`"
-)]
-pub fn artifact_run(
-    scenario: &str,
-    config: &LoadgenConfig,
-    tick: Time,
-    cap: usize,
-) -> (String, LoadReport) {
-    let out = Run::new(config).recording(tick, cap).execute();
-    (out.artifact_jsonl(scenario), out.report)
-}
-
-/// Runs `config` with an [`AttribProbe`] and returns its
-/// latency-attribution fold alongside the (probe-invariant) report.
-///
-/// # Panics
-///
-/// As [`Run::execute`], or if any request's stage breakdown fails to
-/// sum to its end-to-end latency.
-#[deprecated(note = "use `Run::new(config).attrib(tick, cap).execute().attrib_fold()`")]
-pub fn attrib_run(config: &LoadgenConfig, tick: Time, cap: usize) -> (LoadReport, AttribFold) {
-    let out = Run::new(config).attrib(tick, cap).execute();
-    let fold = out.attrib_fold();
-    (out.report, fold)
-}
-
 /// The mix's tenant labels in class order, for naming attribution
 /// artifacts.
 pub fn tenant_labels(config: &LoadgenConfig) -> Vec<String> {
     config.mix.classes.iter().map(|c| c.name.clone()).collect()
-}
-
-/// Runs `config` probed and renders the text profile report.
-///
-/// # Panics
-///
-/// As [`Run::execute`], or if `tick`/`cap` are zero.
-#[deprecated(note = "use `Run::new(config).recording(tick, cap).execute().profile_text(scenario)`")]
-pub fn profile_run(
-    scenario: &str,
-    config: &LoadgenConfig,
-    tick: Time,
-    cap: usize,
-) -> (String, LoadReport, RecordingProbe) {
-    let out = Run::new(config).recording(tick, cap).execute();
-    let text = out.profile_text(scenario);
-    (text, out.report, out.probe)
 }
 
 #[cfg(test)]
@@ -205,15 +141,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with("{\"kind\":\"header\""));
         assert!(a.lines().last().unwrap().starts_with("{\"kind\":\"end\""));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_helpers_match_the_presets() {
-        let config = small(29);
-        let (a_art, a_report) = artifact_run("unit", &config, Time::from_ms(5), 256);
-        let out = Run::new(&config).recording(Time::from_ms(5), 256).execute();
-        assert_eq!(a_art, out.artifact_jsonl("unit"));
-        assert_eq!(a_report, out.report);
     }
 }

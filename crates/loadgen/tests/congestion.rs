@@ -109,10 +109,7 @@ fn congested_storm_is_identical_at_both_rayon_widths() {
     let mut per_width = Vec::new();
     for width in ["1", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", width);
-        per_width.push(congestion::comparison_reports_scaled(
-            congestion::CONGESTION_SEED,
-            6_000,
-        ));
+        per_width.push(congestion::FAMILY.run(congestion::CONGESTION_SEED, 6_000));
     }
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(

@@ -15,8 +15,19 @@
 use std::collections::BTreeMap;
 
 use venice_lease::{LeaseEventKind, NO_TENANT};
+use venice_loadgen::economy::{self, FAMILY};
 use venice_loadgen::report::LoadReport;
-use venice_loadgen::{economy, engine};
+use venice_loadgen::scenarios::{node_quantile_us, report, run_rows, RowRun};
+
+/// The economy rows whose label is in `labels`, run at full scale.
+fn run_labels(labels: &[&str]) -> Vec<RowRun> {
+    let rows = FAMILY
+        .rows_at(FAMILY.seed, FAMILY.requests)
+        .into_iter()
+        .filter(|(label, _, _)| labels.contains(&label.as_str()))
+        .collect();
+    run_rows(rows, FAMILY.traced)
+}
 
 /// Replays a report's lease timeline and checks the usage-conservation
 /// law: the per-tenant ledger values carried on the events always sum
@@ -86,28 +97,21 @@ fn assert_charges_conserve(label: &str, r: &LoadReport, quotas: &[u64], chunk: u
 
 #[test]
 fn pressure_aware_revoke_improves_donor_p99() {
-    let runs: Vec<(String, LoadReport, venice_loadgen::Trace)> =
-        economy::donor_benefit_configs(economy::ECONOMY_SEED)
-            .into_iter()
-            .map(|(label, config)| {
-                let out = engine::Run::new(&config).traced().execute();
-                let trace = out.trace.expect("traced run captures a trace");
-                (label, out.report, trace)
-            })
-            .collect();
+    let runs = run_labels(&["watermark-only", "pressure-aware"]);
     // The shared pure-donor set — the same function the figure uses.
     let mut donors: Vec<u16> = runs
         .iter()
-        .flat_map(|(_, r, _)| economy::pure_donor_nodes(r))
+        .flat_map(|r| economy::pure_donor_nodes(&r.report))
         .collect();
     donors.sort_unstable();
     donors.dedup();
     assert!(!donors.is_empty(), "storm produced no pure donors");
 
     let p99 = |label: &str| {
-        let (_, r, trace) = runs.iter().find(|(l, _, _)| l == label).unwrap();
+        let run = runs.iter().find(|r| r.label == label).unwrap();
+        let r = &run.report;
         (
-            economy::node_quantile_us(trace, &donors, 0.99),
+            node_quantile_us(run.trace.as_ref().unwrap(), &donors, 0.99),
             r.total.p99_us,
             r.lease.revokes,
         )
@@ -133,7 +137,8 @@ fn pressure_aware_revoke_improves_donor_p99() {
         "pressure-aware all-p99 {pa_all:.1}us regressed past watermark-only {wm_all:.1}us"
     );
     // Conservation holds under the pressure term too.
-    for (label, r, _) in &runs {
+    for run in &runs {
+        let (label, r) = (&run.label, &run.report);
         assert_usage_conserves(label, r);
         assert_eq!(r.lease.subleases, 0, "{label}: no market in this family");
     }
@@ -141,11 +146,8 @@ fn pressure_aware_revoke_improves_donor_p99() {
 
 #[test]
 fn market_converts_denials_and_conserves() {
-    let reports: Vec<(String, LoadReport)> = economy::market_configs(economy::ECONOMY_SEED)
-        .into_iter()
-        .map(|(label, config)| (label, engine::Run::new(&config).execute().report))
-        .collect();
-    let get = |label: &str| &reports.iter().find(|(l, _)| l == label).unwrap().1;
+    let runs = run_labels(&["hard-quota", "market"]);
+    let get = |label: &str| report(&runs, label);
     let hard = get("hard-quota");
     let market = get("market");
     let mix = economy::market_mix();
@@ -199,7 +201,8 @@ fn market_converts_denials_and_conserves() {
     // (c) Both ledgers conserve on both rows.
     let quotas = mix.quotas();
     let chunk = economy::market_config(1).lease.unwrap().chunk_bytes;
-    for (label, r) in &reports {
+    for run in &runs {
+        let (label, r) = (&run.label, &run.report);
         assert_usage_conserves(label, r);
         assert_charges_conserve(label, r, &quotas, chunk);
     }
@@ -210,8 +213,8 @@ fn economy_runs_replay_bit_identically() {
     // (d) Same seed, same rows — including across rayon widths, which
     // the determinism CI gate byte-diffs; here we pin the in-process
     // half at reduced scale.
-    let a = economy::comparison_reports_scaled(economy::ECONOMY_SEED, 8_000);
-    let b = economy::comparison_reports_scaled(economy::ECONOMY_SEED, 8_000);
+    let a = FAMILY.run(FAMILY.seed, 8_000);
+    let b = FAMILY.run(FAMILY.seed, 8_000);
     assert_eq!(a, b);
     assert_eq!(a.len(), 4, "both families, two rows each");
 }

@@ -7,21 +7,18 @@
 //! bit-identically from the same seed.
 
 use venice_lease::LeaseEventKind;
+use venice_loadgen::scenarios::report;
 use venice_loadgen::{elastic, engine};
 
 #[test]
 fn elastic_beats_static_on_peak_memory_at_no_worse_p99() {
-    let reports = elastic::comparison_reports(elastic::ELASTIC_SEED);
-    let get = |label: &str| {
-        &reports
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("missing {label}"))
-            .1
-    };
+    let family = &elastic::FAMILY;
+    let runs = family.run(family.seed, family.requests);
+    let get = |label: &str| report(&runs, label);
     let stat = get("venice-static");
     let elas = get("venice-elastic");
-    for (label, r) in &reports {
+    for run in &runs {
+        let (label, r) = (&run.label, &run.report);
         println!(
             "{label:15} p50 {:8.1}us p99 {:8.1}us peak {:5} MB mean {:5} MB grows {:3} shrinks {:3} denials {:2} shed {:5}",
             r.total.p50_us,

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use venice_lease::LeaseEventKind;
 use venice_loadgen::report::LoadReport;
+use venice_loadgen::scenarios::report;
 use venice_loadgen::{elastic_v2, engine};
 
 /// Replays a report's lease timeline and checks the conservation law:
@@ -29,15 +30,11 @@ fn assert_ledger_conserves(label: &str, r: &LoadReport) {
 
 #[test]
 fn predictive_beats_reactive_and_donors_reclaim() {
-    let reports = elastic_v2::comparison_reports(elastic_v2::V2_SEED);
-    let get = |label: &str| {
-        &reports
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("missing {label}"))
-            .1
-    };
-    for (label, r) in &reports {
+    let family = &elastic_v2::FAMILY;
+    let runs = family.run(family.seed, family.requests);
+    let get = |label: &str| report(&runs, label);
+    for run in &runs {
+        let (label, r) = (&run.label, &run.report);
         println!(
             "{label:18} p50 {:8.1}us p99 {:8.1}us peak {:5} MB grows {:4} (pred {:3}) \
              revokes {:3} quota-denied {:4} shed {:5}",
@@ -97,8 +94,8 @@ fn predictive_beats_reactive_and_donors_reclaim() {
     // (c) Quotas: the kv tenant's ledger never exceeds its 1 GB quota,
     // over-quota grows were refused locally, and the ledger conserves
     // bytes at every event in every elastic run.
-    for (label, r) in &reports {
-        assert_ledger_conserves(label, r);
+    for run in &runs {
+        assert_ledger_conserves(&run.label, &run.report);
     }
     for r in [passive, reclaim] {
         assert!(r.lease.quota_denials > 0, "quota never engaged");

@@ -12,19 +12,16 @@
 mod conformance;
 
 use conformance::Conformance;
+use venice_loadgen::scenarios::report;
 use venice_loadgen::{engine, failover};
 
 #[test]
 fn elastic_failover_beats_static_through_a_node_crash() {
-    let reports = failover::comparison_reports(failover::FAILOVER_SEED);
-    let get = |label: &str| {
-        &reports
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("missing {label}"))
-            .1
-    };
-    for (label, r) in &reports {
+    let family = &failover::FAMILY;
+    let runs = family.run(family.seed, family.requests);
+    let get = |label: &str| report(&runs, label);
+    for run in &runs {
+        let (label, r) = (&run.label, &run.report);
         println!(
             "{label:18} p50 {:8.1}us p99 {:8.1}us shed {:6} (crash {:5}) failovers {:3} grows {:4} revokes {:3}",
             r.total.p50_us,
@@ -43,7 +40,8 @@ fn elastic_failover_beats_static_through_a_node_crash() {
 
     // Every row sees the same traffic, and every request is accounted
     // for: the total conservation law holds under arbitrary fault plans.
-    for (label, r) in &reports {
+    for run in &runs {
+        let (label, r) = (&run.label, &run.report);
         assert_eq!(r.issued, stat.issued, "{label}: different traffic");
         assert_eq!(
             r.issued,
@@ -120,10 +118,7 @@ fn failover_rows_are_identical_at_both_rayon_widths() {
         // 150k requests ≈ 3.8 s of traffic: the 3 s crash still lands
         // mid-run, so the diff covers the chaos path, not just the
         // fault-free prefix.
-        per_width.push(failover::comparison_reports_scaled(
-            failover::FAILOVER_SEED,
-            150_000,
-        ));
+        per_width.push(failover::FAMILY.run(failover::FAILOVER_SEED, 150_000));
     }
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(

@@ -143,12 +143,9 @@ proptest! {
             mesh: (4, 2, 2),
             ..LoadgenConfig::new(seed, TenantMix::analytics())
         };
-        let base = engine::Run::new(&config).metered().execute();
+        let base = engine::Run::new(&config).execute();
         for width in [2usize, 4, 8] {
-            let out = engine::Run::new(&config)
-                .shards(width)
-                .metered()
-                .execute();
+            let out = engine::Run::new(&config).shards(width).execute();
             prop_assert_eq!(
                 out.metrics.events, base.metrics.events,
                 "logical event count diverged at width {}", width

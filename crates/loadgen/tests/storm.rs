@@ -3,6 +3,7 @@
 //! per-tenant tails and throughput, and replaying bit-identically — plus
 //! thread-count independence of the rayon sweep.
 
+use venice_loadgen::scenarios::report;
 use venice_loadgen::sweep::{self, SweepSpec};
 use venice_loadgen::{elastic, engine, scenarios, RemoteStack, TenantMix};
 
@@ -74,10 +75,10 @@ fn figures_are_thread_count_independent_at_any_rayon_width() {
     // really does change the fan-out width of the next run.
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let single = sweep::figures(&spec);
-    let elastic_single = elastic::comparison_reports_scaled(7, 6_000);
+    let elastic_single = elastic::FAMILY.run(7, 6_000);
     std::env::set_var("RAYON_NUM_THREADS", "8");
     let many = sweep::figures(&spec);
-    let elastic_many = elastic::comparison_reports_scaled(7, 6_000);
+    let elastic_many = elastic::FAMILY.run(7, 6_000);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(single, many, "sweep output depends on thread count");
     assert!(!single.is_empty());
@@ -93,11 +94,6 @@ fn figures_are_thread_count_independent_at_any_rayon_width() {
     let mut config = elastic::elastic_config(7);
     config.requests = 6_000;
     let serial = engine::Run::new(&config).execute().report;
-    let parallel = &elastic_many
-        .iter()
-        .find(|(l, _)| l == "venice-elastic")
-        .expect("elastic row present")
-        .1;
-    assert_eq!(&serial, parallel);
+    assert_eq!(&serial, report(&elastic_many, "venice-elastic"));
     assert!(!serial.lease.events.is_empty());
 }
