@@ -63,8 +63,6 @@ pub enum ShedReason {
     RateLimit,
     /// The node's (priority-scaled) in-flight cap is exhausted.
     Overload,
-    /// The target node's credit backlog is full.
-    Backpressure,
 }
 
 /// Admission decision for one arrival.

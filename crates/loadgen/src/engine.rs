@@ -27,6 +27,7 @@
 //! throughput` times the two side by side into `BENCH_perf.json`.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use venice::cluster::Cluster;
 use venice::{MemoryLease, NodeId};
@@ -163,15 +164,15 @@ pub struct EngineMetrics {
 /// per-class tables on the world, not here — the slab entry stays at
 /// 48 bytes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Request {
-    pub(crate) seq: u64,
-    pub(crate) class: u32,
-    pub(crate) user: u64,
-    pub(crate) node: u16,
-    pub(crate) arrival: Time,
-    pub(crate) service: Time,
+struct Request {
+    seq: u64,
+    class: u32,
+    user: u64,
+    node: u16,
+    arrival: Time,
+    service: Time,
     /// Newest lease generation on the serving node at arrival.
-    pub(crate) generation: u64,
+    generation: u64,
 }
 
 /// Free-list slab pooling in-flight [`Request`] state.
@@ -181,13 +182,13 @@ pub(crate) struct Request {
 /// slot index. Freed slots are reused LIFO, so the slab stops growing
 /// once it reaches the peak in-flight population and the steady state
 /// allocates nothing.
-pub(crate) struct RequestSlab {
+struct RequestSlab {
     entries: Vec<Request>,
     free: Vec<u32>,
 }
 
 impl RequestSlab {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         RequestSlab {
             entries: Vec::new(),
             free: Vec::new(),
@@ -196,7 +197,7 @@ impl RequestSlab {
 
     /// Stores `req`, returning its slot.
     #[inline]
-    pub(crate) fn insert(&mut self, req: Request) -> u32 {
+    fn insert(&mut self, req: Request) -> u32 {
         match self.free.pop() {
             Some(slot) => {
                 self.entries[slot as usize] = req;
@@ -212,13 +213,13 @@ impl RequestSlab {
 
     /// Shared access to the request in `slot`.
     #[inline]
-    pub(crate) fn get(&self, slot: u32) -> &Request {
+    fn get(&self, slot: u32) -> &Request {
         &self.entries[slot as usize]
     }
 
     /// Removes and returns the request in `slot`, freeing it for reuse.
     #[inline]
-    pub(crate) fn take(&mut self, slot: u32) -> Request {
+    fn take(&mut self, slot: u32) -> Request {
         self.free.push(slot);
         self.entries[slot as usize]
     }
@@ -254,56 +255,61 @@ struct ReqAttrib {
 }
 
 /// Per-node server state.
-pub(crate) struct Server {
+struct Server {
     /// Edge-gateway → node messaging channel (finite credits).
-    pub(crate) qp: QueuePair,
+    qp: QueuePair,
     /// Busy-until time of each service slot.
-    pub(crate) slots: Vec<Time>,
+    slots: Vec<Time>,
     /// Slab slots of requests waiting for a QPair credit.
-    pub(crate) backlog: VecDeque<u32>,
+    backlog: VecDeque<u32>,
     /// Measured latency context (mutated mid-run by elastic leases).
-    pub(crate) model: NodeModel,
+    model: NodeModel,
     /// Times a request found no credit and had to wait (or was shed).
-    pub(crate) credit_waits: u64,
+    credit_waits: u64,
     /// Dispatched-but-not-finished requests per tenant class; together
     /// with the backlog this is the demand signal lease attribution
     /// reads (the grow trigger counts busy slots, so attribution must
     /// see in-service work too, not just the backlog).
-    pub(crate) inflight_by_class: Vec<u32>,
+    inflight_by_class: Vec<u32>,
     /// Precomputed gateway→node QPair message latency per tenant class
     /// (request payload sizes are class constants, and the latency model
     /// is state-free — hoisting it off the dispatch path is pure
     /// savings).
-    pub(crate) msg_lat_by_class: Vec<Time>,
+    msg_lat_by_class: Vec<Time>,
     /// Each tenant class's service model compiled against this node's
     /// current [`NodeModel`] ([`RequestProfile::compile`]); recompiled
     /// whenever a lease event moves the node's remote tier.
     ///
     /// [`RequestProfile::compile`]: crate::tenants::RequestProfile::compile
-    pub(crate) service_by_class: Vec<CompiledService>,
+    service_by_class: Vec<CompiledService>,
     /// Each class's remote-share model compiled against the same
     /// [`NodeModel`] ([`RequestProfile::compile_attrib`]); empty unless
     /// the probe is enabled, recompiled alongside `service_by_class`.
     ///
     /// [`RequestProfile::compile_attrib`]: crate::tenants::RequestProfile::compile_attrib
-    pub(crate) attrib_by_class: Vec<CompiledAttrib>,
+    attrib_by_class: Vec<CompiledAttrib>,
+    /// Instant of the node's most recent arrival and completion, which
+    /// flag a same-node arrival/finish tie in either firing order (see
+    /// [`World::independent`]).
+    last_arrival: Option<Time>,
+    last_finish: Option<Time>,
 }
 
 /// Per-tenant accumulators.
-pub(crate) struct Stats {
-    pub(crate) hist: LogHistogram,
-    pub(crate) bytes: u64,
-    pub(crate) admitted: u64,
-    pub(crate) shed_rate: u64,
-    pub(crate) shed_overload: u64,
-    pub(crate) shed_backpressure: u64,
+struct Stats {
+    hist: LogHistogram,
+    bytes: u64,
+    admitted: u64,
+    shed_rate: u64,
+    shed_overload: u64,
+    shed_backpressure: u64,
     /// Requests lost to an injected node crash (stays 0 unless a fault
     /// plan is armed).
-    pub(crate) shed_crash: u64,
+    shed_crash: u64,
 }
 
 impl Stats {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Stats {
             hist: LogHistogram::new(),
             bytes: 0,
@@ -318,9 +324,21 @@ impl Stats {
     /// Books one completion in a single call: latency into the histogram,
     /// payload bytes into the goodput ledger.
     #[inline]
-    pub(crate) fn on_complete(&mut self, latency: Time, bytes: u64) {
+    fn on_complete(&mut self, latency: Time, bytes: u64) {
         self.hist.record(latency);
         self.bytes += bytes;
+    }
+
+    /// Adds another shard's accumulators for the same class (histogram
+    /// merges and counter sums are commutative, so shard order is moot).
+    fn absorb(&mut self, other: &Stats) {
+        self.hist.merge(&other.hist);
+        self.bytes += other.bytes;
+        self.admitted += other.admitted;
+        self.shed_rate += other.shed_rate;
+        self.shed_overload += other.shed_overload;
+        self.shed_backpressure += other.shed_backpressure;
+        self.shed_crash += other.shed_crash;
     }
 }
 
@@ -719,7 +737,23 @@ struct ReplayCursor<'a> {
 }
 
 /// The simulated world threaded through every event.
-struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
+///
+/// A world issues the requests routed to the nodes in `owned`: every
+/// node for a sequential run, one node group for a shard of a sharded
+/// run ([`crate::sharded`]). It still draws the **whole** arrival
+/// stream, so every shard sees the sequential run's draws.
+pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
+    /// Nodes whose arrivals this world issues.
+    owned: Range<u16>,
+    /// Tenant class and user of the next open-loop arrival, drawn ahead
+    /// by [`draw_owned_arrival`].
+    next_request: (usize, u64),
+    /// Set once a same-node arrival and completion share an instant.
+    tied: bool,
+    /// Setup counters carried to the report: leases borrowed at setup
+    /// and refused setup borrows.
+    remote_leases: u64,
+    borrow_failures: u64,
     /// Observation hooks ([`venice_telemetry::Probe`]); `NoopProbe` in
     /// every default entry point, so the hooks compile away and the
     /// report stays bit-identical to the unprobed engine.
@@ -815,15 +849,25 @@ struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
 }
 
 impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
-    /// Mutable access to the engine RNG (used to stagger closed-loop
-    /// session starts).
-    fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Total admitted-but-not-completed requests across all nodes.
     fn total_inflight(&self) -> u32 {
         self.admissions.iter().map(|a| a.inflight()).sum()
+    }
+
+    /// Whether this world's run was a pure function of its owned nodes.
+    /// A shard fails this on an admission shed (it drew every foreign
+    /// arrival's service time assuming admission, and the sequential
+    /// engine skips the draw for a shed request) or on a same-node
+    /// arrival/finish tie (the sequential engine orders a tie by global
+    /// insertion history, which no shard can reconstruct). Until the
+    /// first of either anywhere, every shard is exact, so the shard
+    /// holding that first event always reports it.
+    pub(crate) fn independent(&self) -> bool {
+        !self.tied
+            && self
+                .stats
+                .iter()
+                .all(|st| st.shed_rate + st.shed_overload == 0)
     }
 }
 
@@ -926,16 +970,15 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 ) {
     let mut now = s.now();
     loop {
-        issue(w, s, now);
+        let (class, user) = w.next_request;
+        issue_with(w, s, now, class, user);
         if w.issued >= w.target {
             return;
         }
-        let (base, burst) = w.open_gaps.expect("open loop has a rate");
-        // Phase selection mirrors ArrivalProcess::rate_at exactly; the
-        // per-phase mean gaps were precomputed from the same rates.
-        let mean = if w.arrival.in_burst(now) { burst } else { base };
-        let gap = exponential(&mut w.rng, mean);
-        let at = now.checked_add(gap).expect("simulated time overflow");
+        let next = next_open_arrival(w, now);
+        let Some(at) = draw_owned_arrival(w, next) else {
+            return;
+        };
         // Lookahead fusion: when the next arrival lands strictly before
         // every pending event it would be the very next pop anyway —
         // process it in place instead of round-tripping it through the
@@ -960,6 +1003,55 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
+/// The open-loop arrival after the one at `now`, one exponential gap
+/// later at the process's instantaneous rate.
+fn next_open_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'_, P, M, F>,
+    now: Time,
+) -> Time {
+    let (base, burst) = w.open_gaps.expect("open loop has a rate");
+    // Phase selection mirrors ArrivalProcess::rate_at exactly; the
+    // per-phase mean gaps were precomputed from the same rates.
+    let mean = if w.arrival.in_burst(now) { burst } else { base };
+    let gap = exponential(&mut w.rng, mean);
+    now.checked_add(gap).expect("simulated time overflow")
+}
+
+/// Draws the open-loop stream forward from an arrival at `at` until one
+/// routes to an owned node, leaves its class and user in
+/// `next_request`, and returns its instant — `None` once the stream is
+/// exhausted. The engine RNG sees the sequential order (class, user,
+/// gap per arrival) whatever the world owns.
+///
+/// An arrival routed elsewhere belongs to another shard: it only
+/// advances `issued` (so `seq` stays global) and draws its service time
+/// as if admitted, keeping the insulated service stream aligned with
+/// the sequential run's. Static tiers never recompile, so every shard's
+/// compiled models agree; a shed anywhere breaks the assumption and
+/// fails [`World::independent`].
+fn draw_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'_, P, M, F>,
+    mut at: Time,
+) -> Option<Time> {
+    loop {
+        let (class, user) = draw_request(w, at);
+        w.next_request = (class, user);
+        if w.owned.len() == w.servers.len() {
+            return Some(at);
+        }
+        let node = route(w, class, user);
+        if w.owned.contains(&(node as u16)) {
+            return Some(at);
+        }
+        w.servers[node].service_by_class[class].sample_split(&mut w.service_rng);
+        w.issued += 1;
+        if w.issued >= w.target {
+            return None;
+        }
+        at = next_open_arrival(w, at);
+    }
+}
+
 /// Closed-loop session event: issue the session's next request.
 fn session_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
@@ -969,7 +1061,8 @@ fn session_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         return; // session retires
     }
     let now = s.now();
-    issue(w, s, now);
+    let (class, user) = draw_request(w, now);
+    issue_with(w, s, now, class, user);
 }
 
 /// Replay arrival event: re-drive the next recorded request.
@@ -1009,15 +1102,14 @@ fn schedule_next_session<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// Generates one request (tenant class + user) and runs it through
-/// admission. During a bursty process's burst window, a `crowd_share`
-/// fraction of arrivals comes from the flash-crowd population instead of
-/// the mix's Zipf tail.
-fn issue<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+/// Draws one request's tenant class and user for an arrival at `now`.
+/// During a bursty process's burst window, a `crowd_share` fraction of
+/// arrivals comes from the flash-crowd population instead of the mix's
+/// Zipf tail.
+fn draw_request<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<'_, P, M, F>,
     now: Time,
-) {
+) -> (usize, u64) {
     let class = w.rng.weighted_index_with_total(&w.weights, w.weight_total);
     let user = if let ArrivalProcess::Bursty {
         crowd_users,
@@ -1033,7 +1125,7 @@ fn issue<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     } else {
         w.zipf.sample(&mut w.rng)
     };
-    issue_with(w, s, now, class, user);
+    (class, user)
 }
 
 /// Routes `user`'s request: home node by population hash, except that a
@@ -1113,6 +1205,9 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         schedule_next_session(w, s);
         return;
     }
+    let srv = &mut w.servers[node];
+    w.tied |= srv.last_finish == Some(now);
+    srv.last_arrival = Some(now);
     let generation = w
         .elastic
         .as_ref()
@@ -1136,17 +1231,12 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                     st.shed_overload += 1;
                     RequestOutcome::ShedOverload
                 }
-                ShedReason::Backpressure => {
-                    st.shed_backpressure += 1;
-                    RequestOutcome::ShedBackpressure
-                }
             };
             if P::ATTRIB {
                 // Slot order mirrors attrib::SHED_LABELS.
                 let slot = match reason {
                     ShedReason::RateLimit => 0,
                     ShedReason::Overload => 1,
-                    ShedReason::Backpressure => 2,
                 };
                 w.probe.on_shed(class as u16, node as u16, slot, now);
             }
@@ -1368,7 +1458,10 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
     let node = req.node as usize;
     w.admissions[node].on_completion();
-    w.servers[node].inflight_by_class[class] -= 1;
+    let srv = &mut w.servers[node];
+    srv.inflight_by_class[class] -= 1;
+    w.tied |= srv.last_arrival == Some(now);
+    srv.last_finish = Some(now);
     if P::ATTRIB {
         // Telescoping decomposition — every stage is a difference of
         // stamps the engine computed anyway, so the seven stages sum to
@@ -2034,19 +2127,21 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     }
 
     /// Runs the simulation as `n` per-node-group shards on worker
-    /// threads, synchronizing at conservative lookahead barriers
-    /// ([`venice_sim::shard`]). Output is **byte-identical** to the
-    /// default single-shard run for every configuration — the gate the
-    /// `prop_sharded` suite and the CI scaling job enforce — so the only
-    /// observable difference is wall clock.
+    /// threads: each shard is the sequential engine over the nodes it
+    /// owns, and the shards merge once, at the end.
+    /// Output is **byte-identical** to the default single-shard run for
+    /// every configuration — the gate the `prop_sharded` suite and the
+    /// CI throughput job enforce — so the only observable difference is
+    /// wall clock.
     ///
     /// Shard counts are clamped to the node count; `n <= 1` selects the
     /// sequential engine exactly as if this arm were never called.
-    /// Configurations whose cross-shard interactions leave no safe
-    /// lookahead window (elastic leases, modeled fabric paths, fault
-    /// plans, closed-loop sessions, probes, replay) also execute
-    /// sequentially rather than approximately — byte-identity is never
-    /// traded for speed.
+    /// Configurations whose node groups interact (elastic leases,
+    /// modeled fabric paths, fault plans, closed-loop sessions, probes,
+    /// replay), and sharded runs that shed at admission or tie an
+    /// arrival with a completion on one node, execute sequentially
+    /// rather than approximately — byte-identity is never traded for
+    /// speed.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -2098,64 +2193,28 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     }
 }
 
-/// Topology and per-node transport built once at setup: the composed
-/// cluster, its mesh adjacency, one gateway→node [`QueuePair`] per
-/// node, each pair's 64 B control-message latency, and the per-(node,
-/// tenant class) request-message latency table. Extracted so the
-/// sequential engine and the sharded driver ([`crate::sharded`]) build
-/// their worlds through the **same** code — the two can never drift.
-pub(crate) struct Transport {
-    pub(crate) cluster: Cluster,
-    pub(crate) neighbors: Vec<Vec<u16>>,
-    pub(crate) qps: Vec<QueuePair>,
-    pub(crate) qpair_lat: Vec<Time>,
-    pub(crate) msg_lat: Vec<Vec<Time>>,
-}
-
-/// Builds the cluster and the per-node transport (steps 1–2 of a run).
+/// Rejects an internally inconsistent configuration. Every driver calls
+/// it before any work starts, so a sharded run fails with the sequential
+/// engine's messages.
 ///
 /// # Panics
 ///
-/// Panics if the mesh is empty or exceeds the `u16` `NodeId` space.
-pub(crate) fn build_transport(config: &LoadgenConfig) -> Transport {
-    let (dx, dy, dz) = config.mesh;
-    let cluster = Cluster::mesh(dx, dy, dz, 1 << 30, LENDABLE_PER_NODE);
-    let n = cluster.len();
-    let neighbors: Vec<Vec<u16>> = cluster
-        .nodes
-        .iter()
-        .map(|node| node.agent.neighbors.iter().map(|id| id.0).collect())
-        .collect();
-    let gateway = NodeId(0);
-    let path = cluster.path.clone();
-    let mut qpair_lat = Vec::with_capacity(n);
-    let mut qps = Vec::with_capacity(n);
-    let mut msg_lat = Vec::with_capacity(n);
-    for i in 0..n as u16 {
-        let mut qp = QueuePair::new(gateway, NodeId(i), QpairConfig::on_chip());
-        qpair_lat.push(
-            qp.message_latency(&path, 64)
-                .expect("64 B control message fits any qpair"),
+/// Panics on zero requests, zero concurrency, an invalid arrival
+/// process, an empty or oversized mesh, or elastic leases on a stack
+/// without hot-plug support.
+pub(crate) fn validate(config: &LoadgenConfig) {
+    assert!(config.requests > 0, "need at least one request");
+    assert!(config.per_node_concurrency > 0, "need at least one slot");
+    config.arrival.validate();
+    // Overflow-checked and bounded to the NodeId space; panics with a
+    // clear message on a degenerate or oversized mesh.
+    assert!(config.nodes() > 0, "mesh must be non-empty");
+    if config.lease.is_some() {
+        assert!(
+            config.stack.supports_elastic(),
+            "elastic leases require a stack with hot-plug support, not {}",
+            config.stack.label()
         );
-        msg_lat.push(
-            config
-                .mix
-                .classes
-                .iter()
-                .map(|class| {
-                    qp.message_latency(&path, class.profile.request_bytes())
-                        .expect("request payloads are bounded")
-                })
-                .collect::<Vec<Time>>(),
-        );
-        qps.push(qp);
-    }
-    Transport {
-        cluster,
-        neighbors,
-        qps,
-        qpair_lat,
-        msg_lat,
     }
 }
 
@@ -2163,12 +2222,7 @@ pub(crate) fn build_transport(config: &LoadgenConfig) -> Transport {
 /// PR 1 one-shot borrow flow for the Venice stack, or a pre-partitioned
 /// tier at the baseline stack's per-miss cost. Returns the per-node
 /// models plus the `(remote_leases, borrow_failures)` counters.
-///
-/// # Panics
-///
-/// Panics if the config carries an elastic lease policy — the elastic
-/// bootstrap stays inline in the sequential engine.
-pub(crate) fn provision_static<M: RemoteModel>(
+fn provision_static<M: RemoteModel>(
     config: &LoadgenConfig,
     cluster: &mut Cluster,
     qpair_lat: &[Time],
@@ -2239,140 +2293,295 @@ pub(crate) fn provision_static<M: RemoteModel>(
     (models, remote_leases, borrow_failures)
 }
 
-/// Assembles the per-node [`Server`]s: transport pair, service slots,
-/// and each tenant class's service model compiled against the node's
-/// provisioned [`NodeModel`] (step 4 of a run).
-pub(crate) fn build_servers(
-    config: &LoadgenConfig,
-    qps: Vec<QueuePair>,
-    models: &[NodeModel],
-    msg_lat: Vec<Vec<Time>>,
-    attrib: bool,
-) -> Vec<Server> {
-    qps.into_iter()
-        .zip(models)
-        .zip(msg_lat)
-        .map(|((qp, &model), msg_lat_by_class)| Server {
-            qp,
-            slots: vec![Time::ZERO; config.per_node_concurrency as usize],
-            backlog: VecDeque::new(),
-            model,
-            credit_waits: 0,
-            inflight_by_class: vec![0; config.mix.classes.len()],
-            msg_lat_by_class,
-            service_by_class: config
-                .mix
-                .classes
-                .iter()
-                .map(|class| class.profile.compile(&model))
-                .collect(),
-            attrib_by_class: if attrib {
+impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
+    /// Builds a run's world issuing the arrivals routed to the nodes in
+    /// `owned` (steps 1–4 of a run): the cluster and per-node transport,
+    /// the provisioned remote tier, the per-node servers, and the two
+    /// insulated RNG streams. A shard builds the whole mesh exactly as
+    /// the sequential engine does and differs only in `owned`.
+    ///
+    /// `zipf` is the mix's [`TenantMix::user_sampler`]. Its setup sums
+    /// the Zipf normalizer over up to 10^5 ranks — most of a world's
+    /// setup time — so a sharded run builds it once and hands each shard
+    /// a copy.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        config: &LoadgenConfig,
+        replay_trace: Option<&'a Trace>,
+        capture: bool,
+        mut probe: P,
+        mut remote: M,
+        mut faults: F,
+        zipf: ZipfSampler,
+        owned: Range<u16>,
+    ) -> Self {
+        validate(config);
+
+        // 1–2. Build the cluster, mesh adjacency, and per-node transport.
+        //    The per-class request-message latency is precomputed once —
+        //    payload sizes are class constants and the latency model is
+        //    state-free, so the dispatch path just indexes it.
+        let (dx, dy, dz) = config.mesh;
+        let mut cluster = Cluster::mesh(dx, dy, dz, 1 << 30, LENDABLE_PER_NODE);
+        let n = cluster.len();
+        let neighbors: Vec<Vec<u16>> = cluster
+            .nodes
+            .iter()
+            .map(|node| node.agent.neighbors.iter().map(|id| id.0).collect())
+            .collect();
+        let gateway = NodeId(0);
+        let path = cluster.path.clone();
+        let mut qpair_lat = Vec::with_capacity(n);
+        let mut qps = Vec::with_capacity(n);
+        let mut msg_lat = Vec::with_capacity(n);
+        for i in 0..n as u16 {
+            let mut qp = QueuePair::new(gateway, NodeId(i), QpairConfig::on_chip());
+            qpair_lat.push(
+                qp.message_latency(&path, 64)
+                    .expect("64 B control message fits any qpair"),
+            );
+            msg_lat.push(
                 config
                     .mix
                     .classes
                     .iter()
-                    .map(|class| class.profile.compile_attrib(&model))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        })
-        .collect()
-}
+                    .map(|class| {
+                        qp.message_latency(&path, class.profile.request_bytes())
+                            .expect("request payloads are bounded")
+                    })
+                    .collect::<Vec<Time>>(),
+            );
+            qps.push(qp);
+        }
+        if F::ENABLED {
+            // Sizes liveness state and rejects plans naming nodes outside
+            // the mesh, before any event fires.
+            faults.init(n as u16);
+        }
 
-/// The lease summary of a static (never-changing) remote tier.
-pub(crate) fn static_lease_summary(
-    config: &LoadgenConfig,
-    servers: &[Server],
-    borrow_failures: u64,
-) -> LeaseSummary {
-    // A static tier never changes after setup, so the models still hold
-    // exactly what was provisioned — including the power-of-two
-    // rounding the borrow flow applies, which the configured
-    // `remote_memory_per_node` would understate.
-    let granted: u64 = servers.iter().map(|s| s.model.remote_bytes).sum();
-    // Only the Venice stack actually borrows: baseline stacks mount a
-    // pre-partitioned tier without the Monitor-Node flow, so their
-    // summary shows the provisioned footprint (peak/mean) but zero
-    // lease activity.
-    let grows = if config.stack == RemoteStack::VeniceCrma {
-        servers.iter().filter(|s| s.model.has_remote()).count() as u64
-    } else {
-        0
-    };
-    LeaseSummary {
-        denials: borrow_failures,
-        ..LeaseSummary::static_tier(grows, granted)
-    }
-}
+        // 3. Provision the remote tier.
+        let mut remote_leases = 0u64;
+        let mut borrow_failures = 0u64;
+        let mut models = Vec::with_capacity(n);
+        let mut elastic: Option<ElasticTier> = None;
+        match (&config.lease, config.stack) {
+            (Some(lease_config), RemoteStack::VeniceCrma) => {
+                // Elastic: bootstrap every node to the lease floor through
+                // the real borrow flow; the lease_tick event grows/shrinks
+                // from there.
+                let full = if config.remote_memory_per_node > 0 {
+                    config.remote_memory_per_node
+                } else {
+                    lease_config.chunk_bytes * lease_config.max_chunks as u64
+                };
+                for _ in 0..n {
+                    models.push(NodeModel {
+                        local_miss: LOCAL_MISS,
+                        remote_miss: Time::ZERO,
+                        remote_bytes: 0,
+                        full_bytes: full,
+                        lent_bytes: 0,
+                        lendable_bytes: LENDABLE_PER_NODE,
+                        lent_slowdown: lease_config.donor_pressure_slowdown,
+                    });
+                }
+                let mut tier = ElasticTier {
+                    tags: vec![NO_TAG; n],
+                    leases: vec![Vec::new(); n],
+                    manager: LeaseManager::with_quotas(
+                        *lease_config,
+                        n as u16,
+                        config.mix.quotas(),
+                    ),
+                    over_quota: vec![false; config.mix.classes.len()],
+                };
+                let boot = tier.manager.bootstrap();
+                for action in boot {
+                    let LeaseAction::Grow { node, .. } = action else {
+                        unreachable!("bootstrap only grows");
+                    };
+                    // A refused bootstrap grow is already recorded by
+                    // grow_lease as a manager denial (lease.denials);
+                    // borrow_failures stays a static-provisioning counter
+                    // so the two never double-count. Bootstrap capacity is
+                    // unattributed: no tenant's backlog asked for it, so no
+                    // tenant's quota pays for it.
+                    if let Some((generation, lease, lat)) = grow_lease(
+                        &mut cluster,
+                        &mut tier.manager,
+                        Time::ZERO,
+                        node,
+                        NO_TAG,
+                        false,
+                        Priority::Normal,
+                        None,
+                        // Setup happens before any traffic: every fabric
+                        // window is empty, so even congestion-aware
+                        // placement accepts the nearest donor here.
+                        &|d| remote.donor_ok(Time::ZERO, node, d.0),
+                    ) {
+                        // Setup-time provisioning is visible immediately
+                        // (the run starts after setup, like the static
+                        // path).
+                        tier.leases[node as usize].push((generation, lease));
+                        if M::ENABLED {
+                            remote.set_route(node as usize, Some(lease.donor.0));
+                        }
+                        if P::ENABLED {
+                            // Bootstrap capacity is usable from t = 0: its
+                            // active span starts at the epoch, no establish
+                            // phase (setup happens before the clock runs).
+                            probe.span_open(SpanKind::Active, node, generation, Time::ZERO);
+                        }
+                        let model = &mut models[node as usize];
+                        model.remote_bytes += lease.bytes;
+                        model.remote_miss = lat;
+                        remote_leases += 1;
+                        // Bootstrap grants pressure their donors from t = 0
+                        // when the term is armed.
+                        let donor = lease.donor.0 as usize;
+                        if models[donor].lent_slowdown > 0.0 {
+                            models[donor].lent_bytes = cluster.lent_bytes_of(lease.donor);
+                        }
+                    }
+                }
+                elastic = Some(tier);
+            }
+            (None, _) => {
+                // Static provisioning: the one-shot borrow flow for the
+                // Venice stack, or a pre-partitioned baseline tier.
+                (models, remote_leases, borrow_failures) =
+                    provision_static(config, &mut cluster, &qpair_lat, &mut remote);
+            }
+            (Some(_), _) => unreachable!("validated above"),
+        }
 
-/// Rolls the per-tenant accumulators up into the final [`LoadReport`]
-/// (step 6 of a run). Both the sequential engine and the sharded driver
-/// summarize through this one function, so a report field added later
-/// cannot be aggregated two different ways.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_report(
-    config: &LoadgenConfig,
-    nodes: u16,
-    duration: Time,
-    issued: u64,
-    completed: u64,
-    credit_waits: u64,
-    remote_leases: u64,
-    borrow_failures: u64,
-    lease: LeaseSummary,
-    classes: &[TenantClass],
-    stats: &[Stats],
-) -> LoadReport {
-    let mut total_hist = LogHistogram::new();
-    let mut total_bytes = 0u64;
-    let mut admitted = 0u64;
-    let (mut shed_rate, mut shed_overload, mut shed_backpressure, mut shed_crash) =
-        (0u64, 0u64, 0u64, 0u64);
-    let mut tenants = Vec::with_capacity(classes.len());
-    for (class, st) in classes.iter().zip(stats) {
-        total_hist.merge(&st.hist);
-        total_bytes += st.bytes;
-        admitted += st.admitted;
-        shed_rate += st.shed_rate;
-        shed_overload += st.shed_overload;
-        shed_backpressure += st.shed_backpressure;
-        shed_crash += st.shed_crash;
-        tenants.push(TenantReport::from_stats(
-            class.name.clone(),
-            &st.hist,
-            st.admitted,
-            st.shed_rate + st.shed_overload + st.shed_backpressure + st.shed_crash,
-            st.bytes,
-            duration,
-        ));
-    }
-    let total = TenantReport::from_stats(
-        "all",
-        &total_hist,
-        admitted,
-        shed_rate + shed_overload + shed_backpressure + shed_crash,
-        total_bytes,
-        duration,
-    );
-    LoadReport {
-        mix: config.mix.name.clone(),
-        seed: config.seed,
-        nodes,
-        duration,
-        issued,
-        admitted,
-        completed,
-        shed_rate,
-        shed_overload,
-        shed_backpressure,
-        shed_crash,
-        credit_waits,
-        remote_leases,
-        borrow_failures,
-        lease,
-        total,
-        tenants,
+        // 4. Assemble the per-node servers: transport pair, service
+        //    slots, and each tenant class's service model compiled
+        //    against the node's provisioned model.
+        let servers: Vec<Server> = qps
+            .into_iter()
+            .zip(&models)
+            .zip(msg_lat)
+            .map(|((qp, model), msg_lat_by_class)| Server {
+                qp,
+                slots: vec![Time::ZERO; config.per_node_concurrency as usize],
+                backlog: VecDeque::new(),
+                model: *model,
+                credit_waits: 0,
+                inflight_by_class: vec![0; config.mix.classes.len()],
+                msg_lat_by_class,
+                service_by_class: config
+                    .mix
+                    .classes
+                    .iter()
+                    .map(|class| class.profile.compile(model))
+                    .collect(),
+                attrib_by_class: if P::ATTRIB {
+                    config
+                        .mix
+                        .classes
+                        .iter()
+                        .map(|class| class.profile.compile_attrib(model))
+                        .collect()
+                } else {
+                    Vec::new()
+                },
+                last_arrival: None,
+                last_finish: None,
+            })
+            .collect();
+        let mut rng = SimRng::seed(config.seed);
+        let engine_rng = rng.fork(0x10AD);
+        let service_rng = rng.fork(0x5E41);
+        // Replay supplies every arrival from the trace; a closed-loop
+        // config.arrival must not additionally spawn synthetic sessions.
+        let think = match config.arrival {
+            ArrivalProcess::ClosedLoop { think, .. } if replay_trace.is_none() => Some(think),
+            _ => None,
+        };
+        let target = replay_trace
+            .map(|t| t.len() as u64)
+            .unwrap_or(config.requests);
+        // Per-phase mean gaps, computed once with the exact expression the
+        // per-arrival path used to evaluate (`1/rate` through
+        // `Time::from_secs_f64`), so the hoisted values are bit-identical.
+        let open_gaps = match config.arrival {
+            ArrivalProcess::OpenPoisson { rate_rps } => {
+                let gap = Time::from_secs_f64(1.0 / rate_rps);
+                Some((gap, gap))
+            }
+            ArrivalProcess::Bursty {
+                base_rps,
+                burst_rps,
+                ..
+            } => Some((
+                Time::from_secs_f64(1.0 / base_rps),
+                Time::from_secs_f64(1.0 / burst_rps),
+            )),
+            ArrivalProcess::ClosedLoop { .. } => None,
+        };
+        World {
+            owned,
+            next_request: (0, 0),
+            tied: false,
+            remote_leases,
+            borrow_failures,
+            probe,
+            rng: engine_rng,
+            service_rng,
+            classes: config.mix.classes.clone(),
+            weight_total: config.mix.weights().iter().sum(),
+            weights: config.mix.weights(),
+            zipf,
+            admissions: (0..n)
+                .map(|_| AdmissionControl::per_node(config.admission, n as u32))
+                .collect(),
+            servers,
+            requests: RequestSlab::new(),
+            req_bytes_by_class: config
+                .mix
+                .classes
+                .iter()
+                .map(|c| c.profile.request_bytes())
+                .collect(),
+            resp_bytes_by_class: config
+                .mix
+                .classes
+                .iter()
+                .map(|c| c.profile.response_bytes())
+                .collect(),
+            stats: (0..config.mix.classes.len())
+                .map(|_| Stats::new())
+                .collect(),
+            issued: 0,
+            target,
+            completed: 0,
+            fused: 0,
+            end: Time::ZERO,
+            arrival: config.arrival,
+            open_gaps,
+            think,
+            backlog_cap: config.admission.backlog_per_node,
+            cluster,
+            neighbors,
+            elastic,
+            denied_scan: 0,
+            denied_counts: vec![0; config.mix.classes.len()],
+            trace: capture.then(Vec::new),
+            replay: replay_trace.map(|t| ReplayCursor {
+                records: &t.records,
+                next: 0,
+            }),
+            attrib: Vec::new(),
+            pending_grows: if P::ATTRIB { vec![0; n] } else { Vec::new() },
+            remote,
+            fabric_detour: Vec::new(),
+            faults,
+            doomed: Vec::new(),
+            fault_seq: 0,
+            node_fault_seq: if F::ENABLED { vec![0; n] } else { Vec::new() },
+        }
     }
 }
 
@@ -2411,268 +2620,62 @@ pub(crate) fn run_full<P: Probe>(
     }
 }
 
+/// The sequential engine: one world owning every node.
 fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
     capture: bool,
-    mut probe: P,
-    mut remote: M,
-    mut faults: F,
+    probe: P,
+    remote: M,
+    faults: F,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
-    assert!(config.requests > 0, "need at least one request");
-    assert!(config.per_node_concurrency > 0, "need at least one slot");
-    config.arrival.validate();
-    // Overflow-checked and bounded to the NodeId space; panics with a
-    // clear message on a degenerate or oversized mesh.
-    assert!(config.nodes() > 0, "mesh must be non-empty");
-    if config.lease.is_some() {
-        assert!(
-            config.stack.supports_elastic(),
-            "elastic leases require a stack with hot-plug support, not {}",
-            config.stack.label()
-        );
-    }
-
-    // 1–2. Build the cluster, mesh adjacency, and per-node transport
-    //    (the extracted [`build_transport`], shared with the sharded
-    //    driver). The per-class request-message latency is precomputed
-    //    once — payload sizes are class constants and the latency model
-    //    is state-free, so the dispatch path just indexes it.
-    let Transport {
-        mut cluster,
-        neighbors,
-        qps,
-        qpair_lat,
-        msg_lat,
-    } = build_transport(config);
-    let n = cluster.len();
-    if F::ENABLED {
-        // Sizes liveness state and rejects plans naming nodes outside
-        // the mesh, before any event fires.
-        faults.init(n as u16);
-    }
-
-    // 3. Provision the remote tier.
-    let mut remote_leases = 0u64;
-    let mut borrow_failures = 0u64;
-    let mut models = Vec::with_capacity(n);
-    let mut elastic: Option<ElasticTier> = None;
-    match (&config.lease, config.stack) {
-        (Some(lease_config), RemoteStack::VeniceCrma) => {
-            // Elastic: bootstrap every node to the lease floor through the
-            // real borrow flow; the lease_tick event grows/shrinks from
-            // there.
-            let full = if config.remote_memory_per_node > 0 {
-                config.remote_memory_per_node
-            } else {
-                lease_config.chunk_bytes * lease_config.max_chunks as u64
-            };
-            for _ in 0..n {
-                models.push(NodeModel {
-                    local_miss: LOCAL_MISS,
-                    remote_miss: Time::ZERO,
-                    remote_bytes: 0,
-                    full_bytes: full,
-                    lent_bytes: 0,
-                    lendable_bytes: LENDABLE_PER_NODE,
-                    lent_slowdown: lease_config.donor_pressure_slowdown,
-                });
-            }
-            let mut tier = ElasticTier {
-                tags: vec![NO_TAG; n],
-                leases: vec![Vec::new(); n],
-                manager: LeaseManager::with_quotas(*lease_config, n as u16, config.mix.quotas()),
-                over_quota: vec![false; config.mix.classes.len()],
-            };
-            let boot = tier.manager.bootstrap();
-            for action in boot {
-                let LeaseAction::Grow { node, .. } = action else {
-                    unreachable!("bootstrap only grows");
-                };
-                // A refused bootstrap grow is already recorded by
-                // grow_lease as a manager denial (lease.denials);
-                // borrow_failures stays a static-provisioning counter so
-                // the two never double-count. Bootstrap capacity is
-                // unattributed: no tenant's backlog asked for it, so no
-                // tenant's quota pays for it.
-                if let Some((generation, lease, lat)) = grow_lease(
-                    &mut cluster,
-                    &mut tier.manager,
-                    Time::ZERO,
-                    node,
-                    NO_TAG,
-                    false,
-                    Priority::Normal,
-                    None,
-                    // Setup happens before any traffic: every fabric
-                    // window is empty, so even congestion-aware
-                    // placement accepts the nearest donor here.
-                    &|d| remote.donor_ok(Time::ZERO, node, d.0),
-                ) {
-                    // Setup-time provisioning is visible immediately
-                    // (the run starts after setup, like the static
-                    // path).
-                    tier.leases[node as usize].push((generation, lease));
-                    if M::ENABLED {
-                        remote.set_route(node as usize, Some(lease.donor.0));
-                    }
-                    if P::ENABLED {
-                        // Bootstrap capacity is usable from t = 0: its
-                        // active span starts at the epoch, no establish
-                        // phase (setup happens before the clock runs).
-                        probe.span_open(SpanKind::Active, node, generation, Time::ZERO);
-                    }
-                    let model = &mut models[node as usize];
-                    model.remote_bytes += lease.bytes;
-                    model.remote_miss = lat;
-                    remote_leases += 1;
-                    // Bootstrap grants pressure their donors from t = 0
-                    // when the term is armed.
-                    let donor = lease.donor.0 as usize;
-                    if models[donor].lent_slowdown > 0.0 {
-                        models[donor].lent_bytes = cluster.lent_bytes_of(lease.donor);
-                    }
-                }
-            }
-            elastic = Some(tier);
-        }
-        (None, _) => {
-            // Static provisioning (the extracted [`provision_static`],
-            // shared with the sharded driver): the one-shot borrow flow
-            // for the Venice stack, or a pre-partitioned baseline tier.
-            let (m, leases, failures) =
-                provision_static(config, &mut cluster, &qpair_lat, &mut remote);
-            models = m;
-            remote_leases = leases;
-            borrow_failures = failures;
-        }
-        (Some(_), _) => unreachable!("asserted above"),
-    }
-
-    // 4. Assemble the world (the extracted [`build_servers`], shared
-    //    with the sharded driver).
-    let servers: Vec<Server> = build_servers(config, qps, &models, msg_lat, P::ATTRIB);
-    let mut rng = SimRng::seed(config.seed);
-    let engine_rng = rng.fork(0x10AD);
-    let service_rng = rng.fork(0x5E41);
-    // Replay supplies every arrival from the trace; a closed-loop
-    // config.arrival must not additionally spawn synthetic sessions.
-    let think = match config.arrival {
-        ArrivalProcess::ClosedLoop { think, .. } if replay_trace.is_none() => Some(think),
-        _ => None,
-    };
-    let target = replay_trace
-        .map(|t| t.len() as u64)
-        .unwrap_or(config.requests);
-    // Per-phase mean gaps, computed once with the exact expression the
-    // per-arrival path used to evaluate (`1/rate` through
-    // `Time::from_secs_f64`), so the hoisted values are bit-identical.
-    let open_gaps = match config.arrival {
-        ArrivalProcess::OpenPoisson { rate_rps } => {
-            let gap = Time::from_secs_f64(1.0 / rate_rps);
-            Some((gap, gap))
-        }
-        ArrivalProcess::Bursty {
-            base_rps,
-            burst_rps,
-            ..
-        } => Some((
-            Time::from_secs_f64(1.0 / base_rps),
-            Time::from_secs_f64(1.0 / burst_rps),
-        )),
-        ArrivalProcess::ClosedLoop { .. } => None,
-    };
-    let world = World {
+    validate(config);
+    let owned = 0..config.nodes();
+    let zipf = config.mix.user_sampler();
+    let world = World::new(
+        config,
+        replay_trace,
+        capture,
         probe,
-        rng: engine_rng,
-        service_rng,
-        classes: config.mix.classes.clone(),
-        weight_total: config.mix.weights().iter().sum(),
-        weights: config.mix.weights(),
-        zipf: config.mix.user_sampler(),
-        admissions: (0..n)
-            .map(|_| AdmissionControl::per_node(config.admission, n as u32))
-            .collect(),
-        servers,
-        requests: RequestSlab::new(),
-        req_bytes_by_class: config
-            .mix
-            .classes
-            .iter()
-            .map(|c| c.profile.request_bytes())
-            .collect(),
-        resp_bytes_by_class: config
-            .mix
-            .classes
-            .iter()
-            .map(|c| c.profile.response_bytes())
-            .collect(),
-        stats: (0..config.mix.classes.len())
-            .map(|_| Stats::new())
-            .collect(),
-        issued: 0,
-        target,
-        completed: 0,
-        fused: 0,
-        end: Time::ZERO,
-        arrival: config.arrival,
-        open_gaps,
-        think,
-        backlog_cap: config.admission.backlog_per_node,
-        cluster,
-        neighbors,
-        elastic,
-        denied_scan: 0,
-        denied_counts: vec![0; config.mix.classes.len()],
-        trace: capture.then(Vec::new),
-        replay: replay_trace.map(|t| ReplayCursor {
-            records: &t.records,
-            next: 0,
-        }),
-        attrib: Vec::new(),
-        pending_grows: if P::ATTRIB { vec![0; n] } else { Vec::new() },
         remote,
-        fabric_detour: Vec::new(),
         faults,
-        doomed: Vec::new(),
-        fault_seq: 0,
-        node_fault_seq: if F::ENABLED { vec![0; n] } else { Vec::new() },
-    };
+        zipf,
+        owned,
+    );
+    summarize(config, vec![run_world(world)])
+}
 
-    // 5. Seed the event queue and run to completion.
-    let mut kernel: Kernel<World<'_, P, M, F>, EngineEvent> =
-        Kernel::new(world).with_event_limit(target.saturating_mul(8) + 500_000);
-    if kernel.state().replay.is_some() {
-        let first = kernel
-            .state()
-            .replay
-            .as_ref()
-            .and_then(|cur| cur.records.first());
-        let at = first.map(|r| Time::from_ns(r.at_ns)).unwrap_or(Time::ZERO);
+/// Seeds `w`'s event queue and runs it to completion (step 5 of a run),
+/// returning the finished world and its loop counters.
+pub(crate) fn run_world<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: World<'_, P, M, F>,
+) -> (World<'_, P, M, F>, EngineMetrics) {
+    let limit = w.target.saturating_mul(8) + 500_000;
+    let mut kernel = Kernel::new(w).with_event_limit(limit);
+    let replay_start = kernel.state().replay.as_ref().map(|cur| {
+        let first = cur.records.first();
+        first.map(|r| Time::from_ns(r.at_ns)).unwrap_or(Time::ZERO)
+    });
+    if let Some(at) = replay_start {
         kernel.schedule_event(at, EngineEvent::ReplayNext);
     } else {
-        match config.arrival {
+        match kernel.state().arrival {
             ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. } => {
-                kernel.schedule_event(Time::ZERO, EngineEvent::Arrival);
+                if let Some(at) = draw_owned_arrival(kernel.state_mut(), Time::ZERO) {
+                    kernel.schedule_event(at, EngineEvent::Arrival);
+                }
             }
             ArrivalProcess::ClosedLoop { sessions, think } => {
                 assert!(sessions > 0, "closed loop needs at least one session");
                 for _ in 0..sessions {
-                    let start = exponential(kernel.state_mut().rng_mut(), think);
+                    let start = exponential(&mut kernel.state_mut().rng, think);
                     kernel.schedule_event(start, EngineEvent::SessionNext);
                 }
             }
         }
     }
-    if kernel.state().elastic.is_some() {
-        let interval = kernel
-            .state()
-            .elastic
-            .as_ref()
-            .expect("checked above")
-            .manager
-            .config()
-            .tick_interval;
+    if let Some(tier) = &kernel.state().elastic {
+        let interval = tier.manager.config().tick_interval;
         kernel.schedule_event(interval, EngineEvent::LeaseTick);
     }
     if F::ENABLED {
@@ -2689,17 +2692,43 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         slab: kernel.slab_occupancy(),
     };
     if P::ENABLED {
-        let queue_stats = kernel.queue_stats();
-        let slab = kernel.slab_occupancy();
-        let peak = kernel.peak_pending();
-        kernel
-            .state_mut()
-            .probe
-            .on_queue_stats(queue_stats, slab, peak);
+        kernel.state_mut().probe.on_queue_stats(
+            metrics.queue,
+            metrics.slab,
+            metrics.peak_queue_depth,
+        );
     }
+    (kernel.into_state(), metrics)
+}
 
-    // 6. Summarize.
-    let w = kernel.into_state();
+/// Turns finished worlds into the run's report, trace, and loop
+/// counters (step 6 of a run). A sequential run passes its one world; a
+/// sharded run passes one per shard, in node order. Shards own disjoint
+/// nodes, so their per-class accumulators and counters merge by
+/// commutative sums and the report cannot depend on the shard count.
+pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
+    config: &LoadgenConfig,
+    worlds: Vec<(World<'_, P, M, F>, EngineMetrics)>,
+) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
+    let mut worlds = worlds.into_iter();
+    let (mut w, mut metrics) = worlds.next().expect("a run has at least one world");
+    let mut credit_waits: u64 = w.servers.iter().map(|s| s.credit_waits).sum();
+    for (shard, m) in worlds {
+        metrics.events += m.events;
+        metrics.fused_arrivals += m.fused_arrivals;
+        metrics.peak_queue_depth = metrics.peak_queue_depth.max(m.peak_queue_depth);
+        metrics.queue.absorb(m.queue);
+        metrics.slab = (metrics.slab.0 + m.slab.0, metrics.slab.1 + m.slab.1);
+        for (acc, st) in w.stats.iter_mut().zip(&shard.stats) {
+            acc.absorb(st);
+        }
+        w.completed += shard.completed;
+        w.end = w.end.max(shard.end);
+        credit_waits += shard.servers.iter().map(|s| s.credit_waits).sum::<u64>();
+        if let (Some(records), Some(more)) = (&mut w.trace, shard.trace) {
+            records.extend(more);
+        }
+    }
     let duration = w.end;
     let lease = match &w.elastic {
         Some(tier) => {
@@ -2743,7 +2772,26 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
                 events: tier.manager.timeline().iter().map(|(_, e)| *e).collect(),
             }
         }
-        None => static_lease_summary(config, &w.servers, borrow_failures),
+        None => {
+            // A static tier never changes after setup, so the models
+            // still hold exactly what was provisioned — including the
+            // power-of-two rounding the borrow flow applies, which the
+            // configured `remote_memory_per_node` would understate.
+            let granted: u64 = w.servers.iter().map(|s| s.model.remote_bytes).sum();
+            // Only the Venice stack actually borrows: baseline stacks
+            // mount a pre-partitioned tier without the Monitor-Node
+            // flow, so their summary shows the provisioned footprint
+            // (peak/mean) but zero lease activity.
+            let grows = if config.stack == RemoteStack::VeniceCrma {
+                w.servers.iter().filter(|s| s.model.has_remote()).count() as u64
+            } else {
+                0
+            };
+            LeaseSummary {
+                denials: w.borrow_failures,
+                ..LeaseSummary::static_tier(grows, granted)
+            }
+        }
     };
     let trace = w.trace.map(|mut records| {
         // Completions land in finish order; re-sort to issue order so the
@@ -2751,19 +2799,56 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         records.sort_by_key(|r| r.seq);
         Trace { records }
     });
-    let report = assemble_report(
-        config,
-        n as u16,
+    let mut total_hist = LogHistogram::new();
+    let mut total_bytes = 0u64;
+    let mut admitted = 0u64;
+    let (mut shed_rate, mut shed_overload, mut shed_backpressure, mut shed_crash) =
+        (0u64, 0u64, 0u64, 0u64);
+    let mut tenants = Vec::with_capacity(w.classes.len());
+    for (class, st) in w.classes.iter().zip(&w.stats) {
+        total_hist.merge(&st.hist);
+        total_bytes += st.bytes;
+        admitted += st.admitted;
+        shed_rate += st.shed_rate;
+        shed_overload += st.shed_overload;
+        shed_backpressure += st.shed_backpressure;
+        shed_crash += st.shed_crash;
+        tenants.push(TenantReport::from_stats(
+            class.name.clone(),
+            &st.hist,
+            st.admitted,
+            st.shed_rate + st.shed_overload + st.shed_backpressure + st.shed_crash,
+            st.bytes,
+            duration,
+        ));
+    }
+    let total = TenantReport::from_stats(
+        "all",
+        &total_hist,
+        admitted,
+        shed_rate + shed_overload + shed_backpressure + shed_crash,
+        total_bytes,
         duration,
-        w.issued,
-        w.completed,
-        w.servers.iter().map(|s| s.credit_waits).sum(),
-        remote_leases,
-        borrow_failures,
-        lease,
-        &w.classes,
-        &w.stats,
     );
+    let report = LoadReport {
+        mix: config.mix.name.clone(),
+        seed: config.seed,
+        nodes: w.servers.len() as u16,
+        duration,
+        issued: w.issued,
+        admitted,
+        completed: w.completed,
+        shed_rate,
+        shed_overload,
+        shed_backpressure,
+        shed_crash,
+        credit_waits,
+        remote_leases: w.remote_leases,
+        borrow_failures: w.borrow_failures,
+        lease,
+        total,
+        tenants,
+    };
     (report, trace, metrics, w.probe)
 }
 

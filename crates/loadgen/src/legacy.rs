@@ -517,10 +517,6 @@ fn issue_with(w: &mut World, s: &mut Scheduler<World>, now: Time, class: usize, 
                     st.shed_overload += 1;
                     RequestOutcome::ShedOverload
                 }
-                ShedReason::Backpressure => {
-                    st.shed_backpressure += 1;
-                    RequestOutcome::ShedBackpressure
-                }
             };
             record(
                 w,

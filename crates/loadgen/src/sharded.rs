@@ -1,5 +1,5 @@
-//! The sharded parallel driver: per-node-group sub-kernels on rayon
-//! workers, synchronizing at conservative lookahead barriers.
+//! The sharded parallel driver: per-node-group shards on rayon workers,
+//! each one the sequential engine over the nodes it owns.
 //!
 //! # How a run shards
 //!
@@ -8,116 +8,74 @@
 //! donor/recipient pairs), the modeled congested fabric (every dispatch
 //! reads shared per-link utilization windows), fault re-routing (a
 //! crashed node's sessions bounce to survivors), and closed-loop /
-//! replay arrival processes (one global arrival cursor). Each mechanism
-//! contributes its minimum cross-shard latency to a
-//! [`Lookahead`](venice_sim::shard::Lookahead) window; a configuration
-//! that arms **none** of them derives [`Lookahead::Unbounded`] — its
-//! node groups are provably independent for the whole run, which is
-//! exactly the committed `storm` benchmark family (open-loop arrivals,
-//! static provisioning, scalar remote model, no faults).
+//! replay arrival processes (one global arrival cursor). A
+//! configuration that arms **none** of them has node groups that never
+//! influence one another, which is exactly the committed `storm`
+//! benchmark family (open-loop arrivals, static provisioning, scalar
+//! remote model, no faults).
 //!
-//! For such a run the driver splits the work in two phases:
+//! Such a run splits its nodes into contiguous groups ([`partition`]),
+//! and each rayon worker builds the sequential engine's
+//! [`World`](crate::engine) over the whole mesh, owning one group, and
+//! runs it to completion:
 //!
-//! 1. **Front-end (sequential):** the arrival stream is drawn exactly
-//!    as the sequential engine draws it — same two insulated RNG
-//!    streams, same draw order (class, user, service, gap per arrival)
-//!    — and each request is binned to the shard owning its home node
-//!    (`user % nodes`, the static-scalar routing rule).
-//! 2. **Workers (parallel):** each shard replays its slice of the
-//!    stream through an exact mirror of the sequential engine's
-//!    admission/dispatch/finish path on its own
-//!    [`Kernel`](venice_sim::Kernel). Per-node state (admission,
-//!    QPair credits, service slots, backlog) lives wholly inside one
-//!    shard, so every per-node event sequence is identical to the
-//!    sequential run's.
+//! * it draws the **whole** arrival stream in the engine's own RNG
+//!   order (class, user, gap per arrival), so its draws are the
+//!   sequential run's;
+//! * it issues only the arrivals routed to its own nodes, through the
+//!   engine's unchanged admission/dispatch/finish handlers — per-node
+//!   state (admission, QPair credits, service slots, backlog) lives
+//!   wholly inside the owning shard;
+//! * for every other arrival it draws the service time the owning
+//!   shard will draw, as if admitted, keeping the insulated service
+//!   stream aligned.
 //!
-//! The merge is deterministic by construction: servers reassemble in
-//! node order, per-class stats merge through commutative histogram and
-//! counter sums, the trace concatenates and re-sorts by sequence
-//! number, and the report goes through the same
-//! [`assemble_report`](crate::engine) the sequential engine uses. The
-//! result is **byte-identical** to the single-shard run at any shard
-//! count and any thread count.
+//! The shards merge once, in node order, through the engine's one
+//! summarize path: per-class stats merge through commutative histogram
+//! and counter sums, the trace concatenates and re-sorts by sequence
+//! number, and the logical event count (`executed + fused`) counts each
+//! owned arrival and completion exactly once. The result is
+//! **byte-identical** to the sequential run at any shard count and any
+//! thread count.
 //!
-//! # When the optimism fails
+//! # When a shard is not the sequential run
 //!
-//! Two events falsify the independence argument mid-run, and either one
-//! aborts the parallel attempt (a shared flag; every handler bails
-//! cheaply) and re-runs the whole configuration sequentially:
+//! Validity is decided after the run: the driver re-runs the whole
+//! configuration sequentially when any shard
 //!
-//! * **An admission shed.** The front-end pre-draws service times under
-//!   an all-admitted assumption; the sequential engine skips the
-//!   service draw for a shed request, so one shed desynchronizes every
-//!   later draw. Because admission state is per-node and deterministic
-//!   in that node's arrival/completion sequence, a worker reproduces
-//!   the sequential engine's *first* shed exactly — there are no
-//!   spurious aborts, and the committed benchmark families shed
-//!   nothing. (Backlog-overflow drops happen after the service draw and
+//! * **shed a request at admission.** Shards draw foreign service times
+//!   under an all-admitted assumption; the sequential engine skips the
+//!   draw for a shed request, so one shed desynchronizes every later
+//!   draw. (Backlog-overflow drops happen after the service draw and
 //!   are *not* violations.)
-//! * **A same-node arrival/finish timestamp tie.** The sequential
-//!   engine breaks the tie by global insertion order, which a shard
-//!   cannot reconstruct; per-node stamps detect the tie in either
-//!   firing order.
+//! * **stamped a same-node arrival/finish tie.** The sequential engine
+//!   breaks the tie by global insertion order, which a shard cannot
+//!   reconstruct; per-node stamps detect the tie in either firing
+//!   order.
 //!
-//! Configurations that derive a bounded window run sequentially today
-//! (their cross-shard traffic is not yet exchanged at barriers), but
-//! the barrier machinery itself — bounded lookahead fusion plus
-//! repeated `run_until` rounds — is exercised by forcing a window over
-//! an independent world, where it must change nothing.
+//! Up to the first such event anywhere, every shard is exact, so the
+//! shard holding it always reports it. The committed benchmark families
+//! trip neither.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::ops::Range;
 
 use rayon::prelude::*;
-use venice_lease::Priority;
-use venice_sim::{partition, Kernel, Lookahead, QueueStats, Scheduler, SimEvent, SimRng, Time};
+use venice_telemetry::{NoopProbe, Probe};
 
-use crate::admission::{AdmissionControl, Decision};
-use crate::arrival::{exponential, ArrivalProcess};
+use crate::arrival::ArrivalProcess;
 use crate::engine::{
-    assemble_report, build_servers, build_transport, provision_static, run_full,
-    static_lease_summary, EngineMetrics, LoadgenConfig, Request, RequestSlab, Server, Stats,
-    Transport,
+    run_full, run_world, summarize, validate, EngineMetrics, LoadgenConfig, World,
 };
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, NoFaults};
 use crate::remote::{RemoteModelCfg, ScalarCrma};
 use crate::report::LoadReport;
-use crate::trace::{RequestOutcome, RequestRecord, Trace};
-
-/// One pre-drawn arrival, produced by the sequential front-end and
-/// consumed by the shard owning its node.
-#[derive(Debug, Clone, Copy)]
-struct PreRequest {
-    seq: u64,
-    at: Time,
-    class: u32,
-    user: u64,
-    node: u16,
-    /// Service time pre-drawn from the insulated service stream under
-    /// the all-admitted assumption (any admission shed aborts the run).
-    service: Time,
-}
-
-/// Derives the run's conservative lookahead window from every
-/// cross-shard interaction mechanism the configuration arms.
-///
-/// Elastic leases interact at the manager's tick period; the congested
-/// fabric couples shards instantaneously (each dispatch reads shared
-/// link windows), which collapses the window to zero — no safe parallel
-/// progress. A configuration arming neither is unbounded: its shards
-/// never interact.
-pub(crate) fn derived_lookahead(config: &LoadgenConfig) -> Lookahead {
-    let lease_tick = config.lease.as_ref().map(|l| l.tick_interval);
-    let fabric = matches!(config.remote_model, RemoteModelCfg::Congested(_)).then_some(Time::ZERO);
-    Lookahead::from_interactions([lease_tick, fabric])
-}
+use crate::trace::Trace;
 
 /// Entry point behind [`Run::shards`](crate::engine::Run::shards):
-/// attempts the parallel driver when the configuration admits it, and
-/// otherwise (or on a mid-run violation) produces the output through
-/// the sequential engine — so the builder's output is byte-identical
-/// either way.
-pub(crate) fn run_sharded_or_sequential<P: venice_telemetry::Probe>(
+/// runs the shards when the configuration's node groups are independent
+/// and every shard stayed exact, and otherwise the sequential engine —
+/// so the builder's output is byte-identical either way.
+pub(crate) fn run_sharded_or_sequential<P: Probe>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
     capture: bool,
@@ -125,589 +83,80 @@ pub(crate) fn run_sharded_or_sequential<P: venice_telemetry::Probe>(
     faults: Option<FaultPlan>,
     shards: usize,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
-    let open_loop = matches!(
+    // Replay and closed-loop runs drive arrivals through one global
+    // cursor, probes observe the global event stream, fault plans
+    // re-route sessions across node groups, lease ticks move memory
+    // between any two nodes, and the congested fabric charges shared
+    // links: each couples the node groups.
+    let independent = matches!(
         config.arrival,
         ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. }
-    );
-    // Replay and closed-loop runs drive arrivals through one global
-    // cursor, probes observe the global event stream, and fault plans
-    // re-route sessions across node groups: all are zero-lookahead
-    // couplings, on top of whatever window the config itself derives.
-    let eligible = open_loop
-        && replay_trace.is_none()
+    ) && replay_trace.is_none()
         && faults.is_none()
         && !P::ENABLED
         && !P::ATTRIB
-        && derived_lookahead(config) == Lookahead::Unbounded;
-    if eligible && shards > 1 {
-        if let Some((report, trace, metrics)) = run_sharded(config, capture, shards, None) {
+        && config.lease.is_none()
+        && matches!(config.remote_model, RemoteModelCfg::Scalar);
+    if independent {
+        if let Some((report, trace, metrics)) = run_sharded(config, capture, shards) {
             return (report, trace, metrics, probe);
         }
     }
     run_full(config, replay_trace, capture, probe, faults)
 }
 
-/// Runs the parallel driver proper. Returns `None` when the run cannot
-/// be (or could not stay) parallel: a single-node mesh, a zero
-/// lookahead window, or a mid-run violation (admission shed /
-/// same-node timestamp tie) — the caller then re-runs sequentially.
-///
-/// `lookahead` overrides the derived window; tests force a bounded
-/// window here to exercise the barrier rounds, which must not change a
-/// single output byte.
-pub(crate) fn run_sharded(
+/// Runs one shard per node group on rayon workers and merges them.
+/// Returns `None` when the mesh cannot split or any shard's run was not
+/// the sequential one ([`World::independent`]); the caller then re-runs
+/// sequentially.
+fn run_sharded(
     config: &LoadgenConfig,
     capture: bool,
     shards: usize,
-    lookahead: Option<Lookahead>,
 ) -> Option<(LoadReport, Option<Trace>, EngineMetrics)> {
-    assert!(config.requests > 0, "need at least one request");
-    assert!(config.per_node_concurrency > 0, "need at least one slot");
-    config.arrival.validate();
-    assert!(config.nodes() > 0, "mesh must be non-empty");
-    let lookahead = lookahead.unwrap_or_else(|| derived_lookahead(config));
-    if !lookahead.admits_parallelism() {
+    validate(config);
+    let groups = partition(config.nodes(), shards);
+    if groups.len() < 2 {
         return None;
     }
-
-    // Setup: identical to the sequential engine's steps 1–4, through
-    // the same extracted helpers.
-    let Transport {
-        mut cluster,
-        neighbors: _,
-        qps,
-        qpair_lat,
-        msg_lat,
-    } = build_transport(config);
-    let n = cluster.len();
-    let ranges = partition(n as u16, shards);
-    if ranges.len() < 2 {
-        return None;
-    }
-    let mut remote = ScalarCrma;
-    let (models, remote_leases, borrow_failures) =
-        provision_static(config, &mut cluster, &qpair_lat, &mut remote);
-    let servers = build_servers(config, qps, &models, msg_lat, false);
-
-    // Phase A — sequential front-end: replay the engine's exact draw
-    // order (class, user, service, gap per arrival; two insulated
-    // streams) and bin each request to the shard owning its home node.
-    let mut rng = SimRng::seed(config.seed);
-    let mut engine_rng = rng.fork(0x10AD);
-    let mut service_rng = rng.fork(0x5E41);
-    let weights = config.mix.weights();
-    let weight_total: f64 = weights.iter().sum();
     let zipf = config.mix.user_sampler();
-    let open_gaps = match config.arrival {
-        ArrivalProcess::OpenPoisson { rate_rps } => {
-            let gap = Time::from_secs_f64(1.0 / rate_rps);
-            (gap, gap)
-        }
-        ArrivalProcess::Bursty {
-            base_rps,
-            burst_rps,
-            ..
-        } => (
-            Time::from_secs_f64(1.0 / base_rps),
-            Time::from_secs_f64(1.0 / burst_rps),
-        ),
-        ArrivalProcess::ClosedLoop { .. } => unreachable!("caller checked open loop"),
-    };
-    let mut shard_of = vec![0usize; n];
-    for (i, r) in ranges.iter().enumerate() {
-        for node in r.clone() {
-            shard_of[node as usize] = i;
-        }
-    }
-    let target = config.requests;
-    let mut pre: Vec<Vec<PreRequest>> = vec![Vec::new(); ranges.len()];
-    let mut now = Time::ZERO;
-    let mut issued = 0u64;
-    loop {
-        let class = engine_rng.weighted_index_with_total(&weights, weight_total);
-        let user = if let ArrivalProcess::Bursty {
-            crowd_users,
-            crowd_share,
-            ..
-        } = config.arrival
-        {
-            if crowd_users > 0 && config.arrival.in_burst(now) && engine_rng.chance(crowd_share) {
-                engine_rng.gen_range(0..crowd_users)
-            } else {
-                zipf.sample(&mut engine_rng)
-            }
-        } else {
-            zipf.sample(&mut engine_rng)
-        };
-        // Static scalar routing: always the home node.
-        let node = (user % n as u64) as u16;
-        let (service, _is_miss) =
-            servers[node as usize].service_by_class[class].sample_split(&mut service_rng);
-        pre[shard_of[node as usize]].push(PreRequest {
-            seq: issued,
-            at: now,
-            class: class as u32,
-            user,
-            node,
-            service,
-        });
-        issued += 1;
-        if issued >= target {
-            break;
-        }
-        let (base, burst) = open_gaps;
-        let mean = if config.arrival.in_burst(now) {
-            burst
-        } else {
-            base
-        };
-        let gap = exponential(&mut engine_rng, mean);
-        now = now.checked_add(gap).expect("simulated time overflow");
-    }
-
-    // Phase B — parallel workers: one sub-kernel per shard, each an
-    // exact mirror of the sequential per-node event path.
-    let abort = Arc::new(AtomicBool::new(false));
-    let priorities: Vec<Priority> = config.mix.classes.iter().map(|c| c.priority).collect();
-    let req_bytes: Vec<u64> = config
-        .mix
-        .classes
-        .iter()
-        .map(|c| c.profile.request_bytes())
+    let worlds: Vec<_> = groups
+        .into_par_iter()
+        .map(|owned| {
+            let zipf = zipf.clone();
+            let world = World::new(
+                config, None, capture, NoopProbe, ScalarCrma, NoFaults, zipf, owned,
+            );
+            run_world(world)
+        })
         .collect();
-    let resp_bytes: Vec<u64> = config
-        .mix
-        .classes
-        .iter()
-        .map(|c| c.profile.response_bytes())
-        .collect();
-    let mut server_chunks = servers.into_iter();
-    let mut kernels: Vec<Kernel<ShardWorld, ShardEvent>> = Vec::with_capacity(ranges.len());
-    for (range, pre_slice) in ranges.iter().zip(pre) {
-        let len = (range.end - range.start) as usize;
-        let world = ShardWorld {
-            base: range.start,
-            next: 0,
-            servers: server_chunks.by_ref().take(len).collect(),
-            admissions: (0..len)
-                .map(|_| AdmissionControl::per_node(config.admission, n as u32))
-                .collect(),
-            requests: RequestSlab::new(),
-            stats: (0..config.mix.classes.len())
-                .map(|_| Stats::new())
-                .collect(),
-            priorities: priorities.clone(),
-            req_bytes_by_class: req_bytes.clone(),
-            resp_bytes_by_class: resp_bytes.clone(),
-            backlog_cap: config.admission.backlog_per_node,
-            completed: 0,
-            end: Time::ZERO,
-            fused: 0,
-            trace: capture.then(Vec::new),
-            last_arrival: vec![None; len],
-            last_finish: vec![None; len],
-            barrier: Time::MAX,
-            abort: Arc::clone(&abort),
-            pre: pre_slice,
-        };
-        let limit = (world.pre.len() as u64).saturating_mul(8) + 500_000;
-        let mut kernel = Kernel::new(world).with_event_limit(limit);
-        if let Some(first) = kernel.state().pre.first() {
-            let at = first.at;
-            kernel.schedule_event_at(at, ShardEvent::Arrival);
-        }
-        kernels.push(kernel);
-    }
-
-    match lookahead {
-        Lookahead::Unbounded => {
-            // Independent shards synchronize once, at the end.
-            kernels = kernels
-                .into_par_iter()
-                .map(|mut k| {
-                    k.state_mut().barrier = Time::MAX;
-                    k.run();
-                    k
-                })
-                .collect();
-        }
-        Lookahead::Window(window) => {
-            // Barrier rounds: every shard runs to the shared horizon,
-            // then the horizon advances by the window. (Repeated fork/
-            // join instead of an in-round barrier primitive, so the
-            // round count — and the output — is independent of how many
-            // worker threads actually run.)
-            let mut horizon = window;
-            loop {
-                kernels = kernels
-                    .into_par_iter()
-                    .map(|mut k| {
-                        k.state_mut().barrier = horizon;
-                        k.run_until(horizon);
-                        k
-                    })
-                    .collect();
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let live = kernels
-                    .iter()
-                    .any(|k| k.pending() > 0 || k.state().next < k.state().pre.len());
-                if !live {
-                    break;
-                }
-                horizon = horizon
-                    .checked_add(window)
-                    .expect("barrier horizon overflow");
-            }
-        }
-    }
-    if abort.load(Ordering::Relaxed) {
+    if !worlds.iter().all(|(w, _)| w.independent()) {
         return None;
     }
-
-    // Deterministic merge, in fixed shard (= node) order.
-    let mut servers_all: Vec<Server> = Vec::with_capacity(n);
-    let mut stats_all: Vec<Stats> = (0..config.mix.classes.len())
-        .map(|_| Stats::new())
-        .collect();
-    let mut completed = 0u64;
-    let mut end = Time::ZERO;
-    let mut records: Option<Vec<RequestRecord>> = capture.then(Vec::new);
-    let mut events = 0u64;
-    let mut fused = 0u64;
-    let mut peak = 0usize;
-    let mut queue = QueueStats::default();
-    let mut slab = (0usize, 0usize);
-    for kernel in kernels {
-        events += kernel.executed();
-        peak = peak.max(kernel.peak_pending());
-        queue.absorb(kernel.queue_stats());
-        let (live, cap) = kernel.slab_occupancy();
-        slab.0 += live;
-        slab.1 += cap;
-        let w = kernel.into_state();
-        events += w.fused;
-        fused += w.fused;
-        completed += w.completed;
-        end = end.max(w.end);
-        for (acc, st) in stats_all.iter_mut().zip(&w.stats) {
-            acc.hist.merge(&st.hist);
-            acc.bytes += st.bytes;
-            acc.admitted += st.admitted;
-            acc.shed_rate += st.shed_rate;
-            acc.shed_overload += st.shed_overload;
-            acc.shed_backpressure += st.shed_backpressure;
-            acc.shed_crash += st.shed_crash;
-        }
-        if let Some(out) = &mut records {
-            out.extend(w.trace.expect("capture was requested on every shard"));
-        }
-        servers_all.extend(w.servers);
-    }
-    let credit_waits = servers_all.iter().map(|s| s.credit_waits).sum();
-    let lease = static_lease_summary(config, &servers_all, borrow_failures);
-    let report = assemble_report(
-        config,
-        n as u16,
-        end,
-        target,
-        completed,
-        credit_waits,
-        remote_leases,
-        borrow_failures,
-        lease,
-        &config.mix.classes,
-        &stats_all,
-    );
-    let trace = records.map(|mut records| {
-        records.sort_by_key(|r| r.seq);
-        Trace { records }
-    });
-    let metrics = EngineMetrics {
-        events,
-        fused_arrivals: fused,
-        peak_queue_depth: peak,
-        queue,
-        slab,
-    };
+    let (report, trace, metrics, NoopProbe) = summarize(config, worlds);
     Some((report, trace, metrics))
 }
 
-/// One shard's world: the nodes in `base..base + servers.len()`, their
-/// slice of the pre-drawn arrival stream, and mirrors of every
-/// per-node accumulator the sequential engine keeps.
-struct ShardWorld {
-    /// First global node id owned by this shard.
-    base: u16,
-    /// This shard's slice of the arrival stream, ascending by `seq`
-    /// (and therefore by time).
-    pre: Vec<PreRequest>,
-    /// Cursor into `pre`.
-    next: usize,
-    servers: Vec<Server>,
-    admissions: Vec<AdmissionControl>,
-    requests: RequestSlab,
-    stats: Vec<Stats>,
-    priorities: Vec<Priority>,
-    req_bytes_by_class: Vec<u64>,
-    resp_bytes_by_class: Vec<u64>,
-    backlog_cap: usize,
-    completed: u64,
-    end: Time,
-    /// Arrivals absorbed by lookahead fusion instead of the queue.
-    fused: u64,
-    trace: Option<Vec<RequestRecord>>,
-    /// Per-local-node stamp of the most recent arrival, for tie
-    /// detection against a same-time finish.
-    last_arrival: Vec<Option<Time>>,
-    /// Per-local-node stamp of the most recent finish, for the
-    /// opposite firing order of the same tie.
-    last_finish: Vec<Option<Time>>,
-    /// Fusion bound: the arrival chain never advances the clock past
-    /// this instant ([`Time::MAX`] when the lookahead is unbounded,
-    /// making the chain instruction-equal to the sequential engine's).
-    barrier: Time,
-    /// Shared violation flag; once set, every handler bails and the
-    /// whole parallel attempt is discarded.
-    abort: Arc<AtomicBool>,
-}
-
-impl ShardWorld {
-    fn violated(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
+/// Splits node ids `0..nodes` into `shards` contiguous, near-even
+/// ranges, earlier ranges taking the remainder. The split depends only
+/// on `(nodes, shards)` — never on thread count or timing — so a
+/// sharded run's work assignment is deterministic by construction.
+///
+/// `shards` is clamped to `1..=nodes`: asking for more shards than
+/// nodes yields one node per shard, and zero shards means one.
+fn partition(nodes: u16, shards: usize) -> Vec<Range<u16>> {
+    let shards = shards.clamp(1, nodes as usize) as u16;
+    let base = nodes / shards;
+    let rem = nodes % shards;
+    let mut out = Vec::with_capacity(shards as usize);
+    let mut start = 0u16;
+    for i in 0..shards {
+        let len = base + u16::from(i < rem);
+        out.push(start..start + len);
+        start += len;
     }
-
-    fn violate(&mut self) {
-        self.abort.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Shard-local events: the two hot-path event kinds of the sequential
-/// engine. (Lease, replay, session, and fault events never arise — the
-/// eligibility gate excludes the configurations that schedule them.)
-enum ShardEvent {
-    /// Process the next pre-drawn arrival (chained, with bounded
-    /// lookahead fusion).
-    Arrival,
-    /// A dispatched request finishes service; payload is its
-    /// [`RequestSlab`] slot.
-    Finish(u32),
-}
-
-type ShardSched = Scheduler<ShardWorld, ShardEvent>;
-
-impl SimEvent<ShardWorld> for ShardEvent {
-    fn fire(self, w: &mut ShardWorld, s: &mut ShardSched) {
-        match self {
-            ShardEvent::Arrival => arrival_chain(w, s),
-            ShardEvent::Finish(slot) => finish(w, s, slot),
-        }
-    }
-}
-
-/// Mirrors [`open_arrival`](crate::engine)'s fusion loop over the
-/// pre-drawn slice: consecutive arrivals that precede every pending
-/// event (and the barrier) are processed in place; otherwise the next
-/// one is scheduled and the chain resumes when it fires.
-fn arrival_chain(w: &mut ShardWorld, s: &mut ShardSched) {
-    if w.violated() {
-        return;
-    }
-    loop {
-        let pr = w.pre[w.next];
-        w.next += 1;
-        admit(w, s, pr);
-        let Some(next_pr) = w.pre.get(w.next) else {
-            return;
-        };
-        let at = next_pr.at;
-        // Same fusion discipline as the sequential engine (ties go
-        // through the queue), additionally bounded by the barrier so a
-        // windowed round can never run past its horizon. The bound
-        // changes queue traffic only — fusing and scheduling perform
-        // identical state transitions.
-        match s.next_event_time() {
-            Some(next) if at >= next => {
-                s.schedule_event_at(at, ShardEvent::Arrival);
-                return;
-            }
-            _ if at > w.barrier => {
-                s.schedule_event_at(at, ShardEvent::Arrival);
-                return;
-            }
-            _ => {
-                s.advance_to(at);
-                w.fused += 1;
-            }
-        }
-        if w.violated() {
-            return;
-        }
-    }
-}
-
-/// Mirrors the sequential `issue_with` for a pre-drawn request: the
-/// same admission call, the same slab insert, the same dispatch — with
-/// the service time already drawn by the front-end.
-fn admit(w: &mut ShardWorld, s: &mut ShardSched, pr: PreRequest) {
-    let local = (pr.node - w.base) as usize;
-    // A finish on this node at this exact instant: the sequential
-    // engine orders the tie by global insertion history, which no
-    // shard can reconstruct.
-    if w.last_finish[local] == Some(pr.at) {
-        w.violate();
-        return;
-    }
-    w.last_arrival[local] = Some(pr.at);
-    let class = pr.class as usize;
-    match w.admissions[local].on_arrival(pr.at, w.priorities[class], false) {
-        Decision::Shed(_) => {
-            // The front-end drew this request's service time; the
-            // sequential engine would not have. Every later service
-            // draw is now misaligned — abort and re-run sequentially.
-            w.violate();
-        }
-        Decision::Admit => {
-            w.stats[class].admitted += 1;
-            let slot = w.requests.insert(Request {
-                seq: pr.seq,
-                class: pr.class,
-                user: pr.user,
-                node: pr.node,
-                arrival: pr.at,
-                service: pr.service,
-                generation: 0,
-            });
-            dispatch(w, s, slot);
-        }
-    }
-}
-
-/// Appends a trace record if tracing is on. Static runs have no lease
-/// generations, so the field is always zero — as in the sequential
-/// engine, whose `newest_generation` returns 0 without an elastic tier.
-#[allow(clippy::too_many_arguments)]
-fn record(
-    w: &mut ShardWorld,
-    seq: u64,
-    at: Time,
-    class: u32,
-    user: u64,
-    node: u16,
-    outcome: RequestOutcome,
-    latency: Time,
-) {
-    if let Some(trace) = &mut w.trace {
-        trace.push(RequestRecord {
-            seq,
-            at_ns: at.as_ns(),
-            tenant: class,
-            user,
-            node,
-            outcome,
-            latency_ns: latency.as_ns(),
-            lease_generation: 0,
-        });
-    }
-}
-
-/// Mirrors the sequential `dispatch`: post toward the node's QPair, or
-/// park under backpressure (dropping past the backlog bound).
-fn dispatch(w: &mut ShardWorld, s: &mut ShardSched, slot: u32) {
-    let now = s.now();
-    let req = *w.requests.get(slot);
-    let local = (req.node - w.base) as usize;
-    let class = req.class as usize;
-    let srv = &mut w.servers[local];
-    match srv.qp.post_send(w.req_bytes_by_class[class]) {
-        Ok(()) => {
-            let deliver = now + srv.msg_lat_by_class[class];
-            let best_slot = {
-                let slots = &srv.slots;
-                let mut best = 0;
-                for (i, &t) in slots.iter().enumerate() {
-                    if t < slots[best] {
-                        best = i;
-                    }
-                }
-                best
-            };
-            let start = deliver.max(srv.slots[best_slot]);
-            let comp = start + req.service;
-            srv.slots[best_slot] = comp;
-            srv.inflight_by_class[class] += 1;
-            s.schedule_event_at(comp, ShardEvent::Finish(slot));
-        }
-        Err(venice_transport::qpair::QpairError::NoCredit)
-        | Err(venice_transport::qpair::QpairError::QueueFull) => {
-            srv.credit_waits += 1;
-            if srv.backlog.len() < w.backlog_cap {
-                srv.backlog.push_back(slot);
-            } else {
-                let req = w.requests.take(slot);
-                w.stats[class].shed_backpressure += 1;
-                w.admissions[local].on_completion();
-                record(
-                    w,
-                    req.seq,
-                    req.arrival,
-                    req.class,
-                    req.user,
-                    req.node,
-                    RequestOutcome::ShedBackpressure,
-                    Time::ZERO,
-                );
-            }
-        }
-        Err(e) => unreachable!("unexpected qpair error: {e:?}"),
-    }
-}
-
-/// Mirrors the sequential `finish`: account the request, return the
-/// credit, and drain the node's backlog.
-fn finish(w: &mut ShardWorld, s: &mut ShardSched, slot: u32) {
-    if w.violated() {
-        return;
-    }
-    let now = s.now();
-    let req = w.requests.take(slot);
-    let local = (req.node - w.base) as usize;
-    // An arrival on this node at this exact instant — the mirror-image
-    // tie of the one `admit` detects.
-    if w.last_arrival[local] == Some(now) {
-        w.violate();
-        return;
-    }
-    w.last_finish[local] = Some(now);
-    let class = req.class as usize;
-    let latency = now - req.arrival;
-    w.stats[class].on_complete(
-        latency,
-        w.req_bytes_by_class[class] + w.resp_bytes_by_class[class],
-    );
-    w.completed += 1;
-    if now > w.end {
-        w.end = now;
-    }
-    w.admissions[local].on_completion();
-    w.servers[local].inflight_by_class[class] -= 1;
-    record(
-        w,
-        req.seq,
-        req.arrival,
-        req.class,
-        req.user,
-        req.node,
-        RequestOutcome::Completed,
-        latency,
-    );
-    let srv = &mut w.servers[local];
-    srv.qp.drain_one();
-    srv.qp.credit_update(1);
-    if let Some(next) = srv.backlog.pop_front() {
-        dispatch(w, s, next);
-    }
+    debug_assert_eq!(start, nodes);
+    out
 }
 
 #[cfg(test)]
@@ -716,18 +165,19 @@ mod tests {
     use crate::admission::AdmissionConfig;
     use crate::engine::Run;
     use crate::tenants::TenantMix;
+    use venice_sim::Time;
 
     // The storm family's shape (16-node mesh, 120 krps open loop) at a
     // test-sized request count: enough headroom that admission never
-    // sheds, so the optimistic parallel path actually runs.
-    fn storm_like(seed: u64, requests: u64) -> LoadgenConfig {
+    // sheds, so the parallel path actually runs.
+    fn storm_like(seed: u64, mix: TenantMix, requests: u64) -> LoadgenConfig {
         LoadgenConfig {
             mesh: (4, 2, 2),
             arrival: ArrivalProcess::OpenPoisson {
                 rate_rps: 120_000.0,
             },
             requests,
-            ..LoadgenConfig::new(seed, TenantMix::web_frontend())
+            ..LoadgenConfig::new(seed, mix)
         }
     }
 
@@ -740,64 +190,78 @@ mod tests {
 
     #[test]
     fn sharded_run_is_byte_identical_to_sequential() {
-        let config = storm_like(0x51AB, 6_000);
-        let seq = Run::new(&config).traced().execute();
-        for shards in [2usize, 4, 8] {
-            assert!(
-                run_sharded(&config, false, shards, None).is_some(),
-                "the parallel path must actually run, not fall back"
-            );
-            let out = Run::new(&config).traced().shards(shards).execute();
-            assert_eq!(
-                bytes(&out.report, &out.trace),
-                bytes(&seq.report, &seq.trace),
-                "{shards} shards diverged"
-            );
-            assert_eq!(
-                out.metrics.events, seq.metrics.events,
-                "merged event count must equal the sequential count"
-            );
+        let poisson = storm_like(0x51AB, TenantMix::web_frontend(), 6_000);
+        // Bursty arrivals draw the crowd user and the gap by the burst
+        // phase of each arrival, foreign ones included.
+        let bursty = LoadgenConfig {
+            arrival: ArrivalProcess::Bursty {
+                base_rps: 20_000.0,
+                burst_rps: 150_000.0,
+                period: Time::from_ms(20),
+                burst_len: Time::from_ms(5),
+                crowd_users: 4,
+                crowd_share: 0.3,
+            },
+            ..poisson.clone()
+        };
+        for config in [poisson, bursty] {
+            let seq = Run::new(&config).traced().execute();
+            for shards in [2usize, 4, 8] {
+                assert!(
+                    run_sharded(&config, false, shards).is_some(),
+                    "the parallel path must actually run, not fall back"
+                );
+                let out = Run::new(&config).traced().shards(shards).execute();
+                assert_eq!(
+                    bytes(&out.report, &out.trace),
+                    bytes(&seq.report, &seq.trace),
+                    "{shards} shards diverged"
+                );
+                assert_eq!(
+                    out.metrics.events, seq.metrics.events,
+                    "merged event count must equal the sequential count"
+                );
+            }
         }
     }
 
     #[test]
-    fn forced_barrier_window_changes_nothing() {
-        let config = storm_like(0xBA44, 5_000);
-        let seq = Run::new(&config).traced().execute();
-        // A bounded window forces round-based execution: the fusion
-        // bound and repeated run_until rounds must be invisible in the
-        // output.
-        for window in [Time::from_us(50), Time::from_ms(5)] {
-            let (report, trace, metrics) =
-                run_sharded(&config, true, 4, Some(Lookahead::Window(window)))
-                    .expect("independent world stays parallel under a forced window");
-            assert_eq!(bytes(&report, &trace), bytes(&seq.report, &seq.trace));
-            assert_eq!(metrics.events, seq.metrics.events);
+    fn every_storm_mix_runs_in_parallel_and_matches_sequential() {
+        // The `storm-sharded` benchmark workload's rows at a test-sized
+        // request count: each preset must take the parallel path, or the
+        // benchmark would silently time the sequential engine.
+        for mix in TenantMix::presets() {
+            let name = mix.name.clone();
+            let config = storm_like(0x5707, mix, 20_000);
+            let seq = Run::new(&config).traced().execute();
+            for shards in [2usize, 4] {
+                let (report, trace, metrics) = run_sharded(&config, true, shards)
+                    .unwrap_or_else(|| panic!("{name} fell back at {shards} shards"));
+                assert_eq!(
+                    bytes(&report, &trace),
+                    bytes(&seq.report, &seq.trace),
+                    "{name} diverged at {shards} shards"
+                );
+                assert_eq!(metrics.events, seq.metrics.events);
+            }
         }
-    }
-
-    #[test]
-    fn zero_window_refuses_parallelism() {
-        let config = storm_like(0x0, 1_000);
-        assert!(run_sharded(&config, false, 4, Some(Lookahead::Window(Time::ZERO))).is_none());
     }
 
     #[test]
     fn admission_pressure_falls_back_to_sequential_identically() {
-        // A tiny in-flight cap forces admission sheds, which violate
-        // the front-end's all-admitted assumption: the builder must
-        // fall back to the sequential engine and still match it byte
-        // for byte.
+        // A tiny in-flight cap forces admission sheds, which violate the
+        // shards' all-admitted service draws: the builder must fall back
+        // to the sequential engine and still match it byte for byte.
         let config = LoadgenConfig {
             admission: AdmissionConfig {
                 max_inflight: 8,
                 ..AdmissionConfig::default()
             },
-            ..storm_like(0xFA11, 4_000)
+            ..storm_like(0xFA11, TenantMix::web_frontend(), 4_000)
         };
         assert!(
-            run_sharded(&config, false, 4, None).is_none(),
-            "sheds must abort the optimistic parallel attempt"
+            run_sharded(&config, false, 4).is_none(),
+            "sheds must reject the parallel run"
         );
         let seq = Run::new(&config).traced().execute();
         assert!(seq.report.shed_overload > 0, "config must actually shed");
@@ -810,17 +274,12 @@ mod tests {
 
     #[test]
     fn ineligible_configs_run_sequentially_through_the_builder() {
-        // Elastic leases derive a bounded window (the tick period);
-        // the builder collapses to the sequential engine and output is
-        // unchanged.
+        // Elastic leases couple node groups at every tick; the builder
+        // collapses to the sequential engine and output is unchanged.
         let config = LoadgenConfig {
             lease: Some(venice_lease::LeaseConfig::default()),
-            ..storm_like(0xE1A5, 3_000)
+            ..storm_like(0xE1A5, TenantMix::web_frontend(), 3_000)
         };
-        assert_eq!(
-            derived_lookahead(&config),
-            Lookahead::Window(venice_lease::LeaseConfig::default().tick_interval)
-        );
         let seq = Run::new(&config).traced().execute();
         let out = Run::new(&config).traced().shards(8).execute();
         assert_eq!(
@@ -835,7 +294,7 @@ mod tests {
         // sequential engine.
         let config = LoadgenConfig {
             mesh: (1, 1, 1),
-            ..storm_like(0xC1A3, 2_000)
+            ..storm_like(0xC1A3, TenantMix::web_frontend(), 2_000)
         };
         let seq = Run::new(&config).execute();
         let out = Run::new(&config).shards(8).execute();
@@ -843,5 +302,33 @@ mod tests {
             serde_json::to_string(&out.report).unwrap(),
             serde_json::to_string(&seq.report).unwrap()
         );
+    }
+
+    #[test]
+    fn partition_is_contiguous_exhaustive_and_near_even() {
+        for nodes in [1u16, 2, 7, 8, 16, 63] {
+            for shards in [1usize, 2, 3, 4, 8, 100] {
+                let ranges = partition(nodes, shards);
+                assert_eq!(ranges.len(), shards.clamp(1, nodes as usize));
+                // Contiguous and exhaustive.
+                let mut next = 0u16;
+                for r in &ranges {
+                    assert_eq!(r.start, next);
+                    assert!(!r.is_empty());
+                    next = r.end;
+                }
+                assert_eq!(next, nodes);
+                // Near-even: lengths differ by at most one.
+                let lens: Vec<u16> = ranges.iter().map(|r| r.end - r.start).collect();
+                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(max - min <= 1, "{nodes} nodes / {shards} shards: {lens:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn partition_clamps_degenerate_shard_counts() {
+        assert_eq!(partition(4, 0), vec![0..4]);
+        assert_eq!(partition(3, 8), vec![0..1, 1..2, 2..3]);
     }
 }

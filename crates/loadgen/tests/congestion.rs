@@ -35,7 +35,7 @@ fn with_infinite_fabric(config: &LoadgenConfig) -> LoadgenConfig {
 /// The identity gate through the shared conformance driver: both the
 /// scalar and the infinite-fabric configuration pass their own
 /// cross-engine check (sharded 2/4/8 vs sequential — the congested run
-/// derives a bounded lookahead and falls back, which must also be
+/// is ineligible for sharding and falls back, which must also be
 /// byte-invisible), and the two reference outputs are byte-identical
 /// to each other.
 fn assert_infinite_fabric_is_identity(scalar: &LoadgenConfig) {

@@ -5,10 +5,10 @@
 //!
 //! The sharded driver is optimistic: eligible configurations (open-loop
 //! arrivals, scalar remote model, no leases, no faults, no probes) run
-//! as per-node-group sub-kernels on rayon workers and merge
-//! deterministically; anything that could couple shards — or any
-//! detected cross-shard interaction at runtime — falls back to the
-//! sequential engine. Both legs carry the same contract, which is what
+//! as per-node-group shards of the sequential engine on rayon workers
+//! and merge deterministically; anything that could couple shards — or
+//! an admission shed or same-node timestamp tie in any shard — falls
+//! back to the sequential engine. Both legs carry the same contract, which is what
 //! every test here demands: *whatever path was taken, the bytes match*.
 //! The suites below deliberately straddle the eligibility boundary so
 //! both the parallel path and every fallback reason get exercised.
@@ -32,7 +32,10 @@ use venice_sim::Time;
 proptest! {
     /// The heart of the tentpole: open-loop runs — the sharded fast
     /// path — produce identical traces and reports at widths 2/4/8 for
-    /// any seed, rate, request count, mesh size, and tenant mix.
+    /// any seed, rate, request count, mesh size, and tenant mix, under
+    /// Poisson arrivals and under lease-free, fault-free bursty ones
+    /// (whose crowd draw and gap depend on the burst phase of every
+    /// arrival, including the ones a shard only draws ahead past).
     #[test]
     fn sharded_widths_agree_on_open_loop_runs(
         seed in 0u64..100_000,
@@ -41,10 +44,23 @@ proptest! {
         mix_idx in 0usize..3,
         mesh_x in 1u16..5,
         mesh_y in 1u16..3,
+        bursty in any::<bool>(),
     ) {
         let mix = TenantMix::presets().swap_remove(mix_idx);
+        let arrival = if bursty {
+            ArrivalProcess::Bursty {
+                base_rps: rate / 8.0,
+                burst_rps: rate,
+                period: Time::from_ms(4),
+                burst_len: Time::from_ms(1),
+                crowd_users: 4,
+                crowd_share: 0.5,
+            }
+        } else {
+            ArrivalProcess::OpenPoisson { rate_rps: rate }
+        };
         let config = LoadgenConfig {
-            arrival: ArrivalProcess::OpenPoisson { rate_rps: rate },
+            arrival,
             requests,
             mesh: (mesh_x, mesh_y, 2),
             ..LoadgenConfig::new(seed, mix)
@@ -71,8 +87,8 @@ proptest! {
         Conformance::new(&config).assert_engines_agree();
     }
 
-    /// Congested-fabric runs derive a bounded lookahead (fabric charges
-    /// couple shards at every dispatch) and fall back — for arbitrary
+    /// Congested-fabric runs are ineligible (fabric charges couple
+    /// shards at every dispatch) and fall back — for arbitrary
     /// capacity/buffer parameters, including ones tight enough to
     /// saturate, the bytes still match.
     #[test]
@@ -96,7 +112,7 @@ proptest! {
         Conformance::new(&config).assert_engines_agree();
     }
 
-    /// Elastic bursty runs (lease ticks derive a bounded window) and
+    /// Elastic bursty runs (lease ticks couple any two nodes) and
     /// armed fault plans (chaos is ineligible outright) both fall back
     /// byte-invisibly, for arbitrary crash schedules.
     #[test]

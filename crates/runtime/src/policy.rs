@@ -13,7 +13,10 @@ use venice_fabric::NodeId;
 use crate::tables::ResourceRecord;
 
 /// Chooses a donor among candidates that can satisfy a request.
-pub trait DonorPolicy {
+///
+/// Policies are plain configuration, so they are `Send`: a composed
+/// cluster can be built on one worker thread and handed back to another.
+pub trait DonorPolicy: Send {
     /// Picks a donor from `candidates` (each with enough free capacity)
     /// for `recipient`. `None` when the slice is empty.
     fn select(

@@ -430,28 +430,6 @@ impl<S, E: SimEvent<S>> Kernel<S, E> {
             }
         }
     }
-
-    /// Runs until the clock reaches at least `until` (executing every event
-    /// timestamped `<= until`, but never past the horizon), then returns
-    /// the current time.
-    pub fn run_until(&mut self, until: Time) -> Time {
-        loop {
-            match self.sched.queue.peek_time() {
-                Some(at) if at <= until => {
-                    // `step` refuses events beyond the horizon; stop
-                    // rather than re-peeking the same event forever.
-                    if !self.step() {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        if self.sched.now < until {
-            self.sched.now = until;
-        }
-        self.sched.now
-    }
 }
 
 impl<S> Kernel<S> {
@@ -533,25 +511,6 @@ mod tests {
         k.run();
         assert_eq!(*k.state(), 2); // events at 10 and 20 only
         assert_eq!(k.pending(), 3);
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_when_idle() {
-        let mut k: Kernel<()> = Kernel::new(());
-        let t = k.run_until(Time::from_us(7));
-        assert_eq!(t, Time::from_us(7));
-    }
-
-    #[test]
-    fn run_until_terminates_when_horizon_blocks_a_due_event() {
-        // An event due before `until` but beyond the horizon must not
-        // spin the loop forever: run_until stops at the horizon.
-        let mut k = Kernel::new(0u32).with_horizon(Time::from_us(5));
-        k.schedule(Time::from_us(8), |n: &mut u32, _| *n += 1);
-        let t = k.run_until(Time::from_us(10));
-        assert_eq!(*k.state(), 0, "event beyond the horizon must not run");
-        assert_eq!(k.pending(), 1);
-        assert_eq!(t, Time::from_us(10));
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod kernel;
 pub mod queue;
 pub mod rate;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod timeline;
@@ -51,7 +50,6 @@ pub use kernel::{ClosureEvent, Kernel, Scheduler, SimEvent};
 pub use queue::{EventQueue, QueueStats};
 pub use rate::TokenBucket;
 pub use rng::SimRng;
-pub use shard::{partition, Lookahead};
 pub use stats::{Counter, Histogram, LogHistogram, ThroughputMeter};
 pub use time::Time;
 pub use timeline::Timeline;
