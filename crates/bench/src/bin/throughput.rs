@@ -37,7 +37,7 @@ use std::time::Instant;
 use venice_bench::{
     validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V2, SCALING_WIDTHS,
 };
-use venice_loadgen::{engine, legacy, scenarios, EngineMetrics, LoadgenConfig};
+use venice_loadgen::{engine, legacy, scenarios, EngineMetrics, ExecPath, LoadgenConfig};
 
 /// Default timing iterations (best-of is kept).
 const DEFAULT_ITERS: u32 = 3;
@@ -199,7 +199,9 @@ fn measure(
 /// Its own determinism gate rides along: every width's report is
 /// serialized and byte-compared against the single-shard report before
 /// the timing counts, so the curve can only record runs whose output is
-/// bit-identical to the sequential engine's.
+/// bit-identical to the sequential engine's. A width whose run did not
+/// take the sharded path ([`ExecPath`]) is refused outright: its timing
+/// would be the sequential engine's.
 fn measure_scaling(
     iters: u32,
     family: &str,
@@ -216,6 +218,19 @@ fn measure_scaling(
         for (i, &width) in SCALING_WIDTHS.iter().enumerate() {
             let (wall, out) =
                 time_once(|| engine::Run::new(config).shards(width as usize).execute());
+            let expected = match width {
+                1 => ExecPath::Sequential,
+                width => ExecPath::Sharded {
+                    width: width as usize,
+                },
+            };
+            if out.exec_path != expected {
+                return Err(format!(
+                    "{family}/{label}: the {width}-shard run took {:?}, not {expected:?}; \
+                     a fallback would time the sequential engine",
+                    out.exec_path
+                ));
+            }
             walls[i] = walls[i].min(wall);
             events[i] = out.metrics.events;
             reports[i] = Some(out.report);

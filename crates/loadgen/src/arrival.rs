@@ -12,7 +12,12 @@
 //! Every draw comes from a [`SimRng`] stream owned by the caller, so an
 //! identical seed replays an identical arrival trace.
 
+use std::ops::Range;
+
 use venice_sim::{SimRng, Time};
+use venice_workloads::ZipfSampler;
+
+use crate::engine::{seed_streams, LoadgenConfig};
 
 /// How requests enter the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,6 +169,137 @@ pub fn exponential(rng: &mut SimRng, mean: Time) -> Time {
     mean.scale(-(1.0 - u).ln())
 }
 
+/// The engine RNG and the arrival constants it draws against: the one
+/// place an open-loop arrival's gap, class and user are drawn. A
+/// sequential world draws through its own; a sharded run's tape fillers
+/// each draw through a clone (`crate::sharded`).
+#[derive(Debug, Clone)]
+pub(crate) struct ArrivalDraws {
+    rng: SimRng,
+    weights: Vec<f64>,
+    /// `weights.iter().sum()`, hoisted for the per-arrival class draw.
+    weight_total: f64,
+    zipf: ZipfSampler,
+    arrival: ArrivalProcess,
+    /// Precomputed `(off-burst, in-burst)` exponential gap means of the
+    /// open-loop arrival process — the per-arrival division and
+    /// float→[`Time`] conversion hoisted to setup (both halves equal for
+    /// plain Poisson; `None` for closed-loop runs).
+    open_gaps: Option<(Time, Time)>,
+}
+
+impl ArrivalDraws {
+    /// Engine-RNG words one [`OpenPoisson`](ArrivalProcess::OpenPoisson)
+    /// arrival draws after the first: the gap, the class and the user
+    /// each take one `unit()`. The first arrival draws no gap.
+    pub(crate) const POISSON_WORDS: u64 = 3;
+
+    /// The arrival draws of a run of `config`, seeded exactly as every
+    /// world of that run seeds its own. `zipf` is the mix's
+    /// [`TenantMix::user_sampler`](crate::tenants::TenantMix::user_sampler).
+    pub(crate) fn new(config: &LoadgenConfig, zipf: ZipfSampler) -> Self {
+        // Per-phase mean gaps, computed once with the exact expression
+        // the per-arrival path used to evaluate (`1/rate` through
+        // `Time::from_secs_f64`), so the hoisted values are bit-identical.
+        let open_gaps = match config.arrival {
+            ArrivalProcess::OpenPoisson { rate_rps } => {
+                let gap = Time::from_secs_f64(1.0 / rate_rps);
+                Some((gap, gap))
+            }
+            ArrivalProcess::Bursty {
+                base_rps,
+                burst_rps,
+                ..
+            } => Some((
+                Time::from_secs_f64(1.0 / base_rps),
+                Time::from_secs_f64(1.0 / burst_rps),
+            )),
+            ArrivalProcess::ClosedLoop { .. } => None,
+        };
+        ArrivalDraws {
+            rng: seed_streams(config.seed).0,
+            weight_total: config.mix.weights().iter().sum(),
+            weights: config.mix.weights(),
+            zipf,
+            arrival: config.arrival,
+            open_gaps,
+        }
+    }
+
+    /// The exponential gap from an open-loop arrival at `now` to the
+    /// next, at the process's rate at `now`.
+    #[inline]
+    pub(crate) fn gap(&mut self, now: Time) -> Time {
+        let (base, burst) = self.open_gaps.expect("open loop has a rate");
+        // Phase selection mirrors ArrivalProcess::rate_at exactly; the
+        // per-phase mean gaps were precomputed from the same rates.
+        let mean = if self.arrival.in_burst(now) {
+            burst
+        } else {
+            base
+        };
+        exponential(&mut self.rng, mean)
+    }
+
+    /// Draws one request's tenant class and user for an arrival at
+    /// `now`. During a bursty process's burst window, a `crowd_share`
+    /// fraction of arrivals comes from the flash-crowd population
+    /// instead of the mix's Zipf tail.
+    #[inline]
+    pub(crate) fn request(&mut self, now: Time) -> (usize, u64) {
+        let class = self
+            .rng
+            .weighted_index_with_total(&self.weights, self.weight_total);
+        let user = if let ArrivalProcess::Bursty {
+            crowd_users,
+            crowd_share,
+            ..
+        } = self.arrival
+        {
+            if crowd_users > 0 && self.arrival.in_burst(now) && self.rng.chance(crowd_share) {
+                self.rng.gen_range(0..crowd_users)
+            } else {
+                self.zipf.sample(&mut self.rng)
+            }
+        } else {
+            self.zipf.sample(&mut self.rng)
+        };
+        (class, user)
+    }
+
+    /// Steps over the engine-RNG words of `arrivals` without drawing
+    /// them. Valid only for Poisson arrivals, whose word count is fixed
+    /// ([`Self::POISSON_WORDS`]).
+    pub(crate) fn skip(&mut self, arrivals: Range<u64>) {
+        if arrivals.is_empty() {
+            return;
+        }
+        debug_assert!(self.fixed_stride(), "only Poisson arrivals skip by stride");
+        let words =
+            Self::POISSON_WORDS * (arrivals.end - arrivals.start) - u64::from(arrivals.start == 0);
+        for _ in 0..words {
+            self.rng.next_u64();
+        }
+    }
+
+    /// Whether every arrival draws the same number of words, so tape
+    /// fillers can split an epoch by stride.
+    pub(crate) fn fixed_stride(&self) -> bool {
+        matches!(self.arrival, ArrivalProcess::OpenPoisson { .. })
+    }
+
+    /// The arrival process drawn.
+    pub(crate) fn process(&self) -> ArrivalProcess {
+        self.arrival
+    }
+
+    /// A closed-loop session's think time: one exponential draw of mean
+    /// `mean` from the same stream, interleaved with its arrival draws.
+    pub(crate) fn think(&mut self, mean: Time) -> Time {
+        exponential(&mut self.rng, mean)
+    }
+}
+
 /// A deterministic Poisson interarrival stream.
 #[derive(Debug, Clone)]
 pub struct PoissonArrivals {
@@ -211,6 +347,34 @@ impl PoissonArrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn poisson_arrivals_draw_a_fixed_word_count() {
+        // Tape fillers split a Poisson epoch by stride: every arrival
+        // draws exactly POISSON_WORDS engine-RNG words, the first one
+        // fewer (it draws no gap), so skipping a range of arrivals lands
+        // where drawing them does.
+        let config = LoadgenConfig {
+            requests: 1_000,
+            ..LoadgenConfig::new(0x57D1, crate::tenants::TenantMix::web_frontend())
+        };
+        assert!(matches!(config.arrival, ArrivalProcess::OpenPoisson { .. }));
+        let mut drawn = ArrivalDraws::new(&config, config.mix.user_sampler());
+        let mut stepped = drawn.clone();
+        let mut now = Time::ZERO;
+        for i in 0..1_000u64 {
+            if i > 0 {
+                now = now.checked_add(drawn.gap(now)).unwrap();
+            }
+            drawn.request(now);
+            if i == 400 {
+                stepped.skip(0..401);
+                assert_eq!(drawn.clone().rng.next_u64(), stepped.clone().rng.next_u64());
+            }
+        }
+        stepped.skip(401..1_000);
+        assert_eq!(drawn.rng.next_u64(), stepped.rng.next_u64());
+    }
 
     #[test]
     fn exponential_mean_converges() {

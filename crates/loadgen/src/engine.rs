@@ -43,10 +43,11 @@ use venice_transport::{QpairConfig, QueuePair};
 use venice_workloads::ZipfSampler;
 
 use crate::admission::{AdmissionConfig, AdmissionControl, Decision, ShedReason};
-use crate::arrival::{exponential, ArrivalProcess};
+use crate::arrival::{ArrivalDraws, ArrivalProcess};
 use crate::faults::{FaultModel, FaultPlan, FaultTransition, NoFaults};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::{LeaseSummary, LoadReport, TenantReport};
+use crate::sharded::TapeEntry;
 use crate::stacks::RemoteStack;
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
@@ -290,7 +291,7 @@ struct Server {
     attrib_by_class: Vec<CompiledAttrib>,
     /// Instant of the node's most recent arrival and completion, which
     /// flag a same-node arrival/finish tie in either firing order (see
-    /// [`World::independent`]).
+    /// [`World::violation`]).
     last_arrival: Option<Time>,
     last_finish: Option<Time>,
 }
@@ -740,14 +741,18 @@ struct ReplayCursor<'a> {
 ///
 /// A world issues the requests routed to the nodes in `owned`: every
 /// node for a sequential run, one node group for a shard of a sharded
-/// run ([`crate::sharded`]). It still draws the **whole** arrival
-/// stream, so every shard sees the sequential run's draws.
+/// run ([`crate::sharded`]). A sequential world draws its arrivals
+/// inline; a shard reads them off the shared arrival tape through its
+/// `feed`.
 pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Nodes whose arrivals this world issues.
     owned: Range<u16>,
     /// Tenant class and user of the next open-loop arrival, drawn ahead
-    /// by [`draw_owned_arrival`].
+    /// by [`next_owned_arrival`].
     next_request: (usize, u64),
+    /// A shard's scan of the arrival tape; empty and never touched on a
+    /// sequential world.
+    feed: TapeFeed,
     /// Set once a same-node arrival and completion share an instant.
     tied: bool,
     /// Setup counters carried to the report: leases borrowed at setup
@@ -758,21 +763,17 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// every default entry point, so the hooks compile away and the
     /// report stays bit-identical to the unprobed engine.
     probe: P,
-    /// Arrival-side randomness: interarrival gaps, tenant classes, users.
-    /// Kept separate from `service_rng` so two *open-loop* (Poisson or
-    /// bursty) runs with the same seed but different stacks/configs see
-    /// the identical arrival stream even after their admission decisions
-    /// diverge. Closed-loop runs are not insulated: think-time draws
-    /// interleave with arrival draws at completion times, which are
-    /// stack-dependent.
-    rng: SimRng,
+    /// Arrival-side randomness (interarrival gaps, tenant classes,
+    /// users) and the constants it draws against. Kept separate from
+    /// `service_rng` so two *open-loop* (Poisson or bursty) runs with the
+    /// same seed but different stacks/configs see the identical arrival
+    /// stream even after their admission decisions diverge. Closed-loop
+    /// runs are not insulated: think-time draws interleave with arrival
+    /// draws at completion times, which are stack-dependent.
+    draws: ArrivalDraws,
     /// Service-side randomness: cache hit/miss draws, service jitter.
     service_rng: SimRng,
     classes: Vec<TenantClass>,
-    weights: Vec<f64>,
-    /// `weights.iter().sum()`, hoisted for the per-arrival class draw.
-    weight_total: f64,
-    zipf: ZipfSampler,
     /// One admission controller per node.
     admissions: Vec<AdmissionControl>,
     servers: Vec<Server>,
@@ -790,12 +791,6 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Arrivals processed by lookahead fusion instead of the queue.
     fused: u64,
     end: Time,
-    arrival: ArrivalProcess,
-    /// Precomputed `(off-burst, in-burst)` exponential gap means of the
-    /// open-loop arrival process — the per-arrival division and
-    /// float→[`Time`] conversion hoisted to setup (both halves equal for
-    /// plain Poisson; `None` for closed-loop/replay runs).
-    open_gaps: Option<(Time, Time)>,
     /// Mean think time when the arrival process is closed-loop.
     think: Option<Time>,
     backlog_cap: usize,
@@ -854,20 +849,27 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
         self.admissions.iter().map(|a| a.inflight()).sum()
     }
 
-    /// Whether this world's run was a pure function of its owned nodes.
-    /// A shard fails this on an admission shed (it drew every foreign
-    /// arrival's service time assuming admission, and the sequential
-    /// engine skips the draw for a shed request) or on a same-node
+    /// Why this world's run was not a pure function of its owned nodes,
+    /// or `None` if it was. A shard fails this on a same-node
     /// arrival/finish tie (the sequential engine orders a tie by global
-    /// insertion history, which no shard can reconstruct). Until the
-    /// first of either anywhere, every shard is exact, so the shard
-    /// holding that first event always reports it.
-    pub(crate) fn independent(&self) -> bool {
-        !self.tied
-            && self
-                .stats
-                .iter()
-                .all(|st| st.shed_rate + st.shed_overload == 0)
+    /// insertion history, which no shard can reconstruct) or on an
+    /// admission shed (it skipped every foreign arrival's service draws
+    /// assuming admission, and the sequential engine skips the draws for
+    /// a shed request). Until the first of either anywhere, every shard
+    /// is exact, so the shard holding that first event always reports
+    /// it.
+    pub(crate) fn violation(&self) -> Option<FallbackReason> {
+        if self.tied {
+            Some(FallbackReason::Tie)
+        } else if self
+            .stats
+            .iter()
+            .any(|st| st.shed_rate + st.shed_overload > 0)
+        {
+            Some(FallbackReason::Shed)
+        } else {
+            None
+        }
     }
 }
 
@@ -975,8 +977,7 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         if w.issued >= w.target {
             return;
         }
-        let next = next_open_arrival(w, now);
-        let Some(at) = draw_owned_arrival(w, next) else {
+        let Some(at) = next_owned_arrival(w, now) else {
             return;
         };
         // Lookahead fusion: when the next arrival lands strictly before
@@ -1003,53 +1004,87 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// The open-loop arrival after the one at `now`, one exponential gap
-/// later at the process's instantaneous rate.
-fn next_open_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
+/// The next arrival this world issues after the one at `now`: leaves its
+/// class and user in `next_request` and returns its instant. A
+/// sequential world draws it inline; a shard takes it off the tape.
+fn next_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'_, P, M, F>,
     now: Time,
-) -> Time {
-    let (base, burst) = w.open_gaps.expect("open loop has a rate");
-    // Phase selection mirrors ArrivalProcess::rate_at exactly; the
-    // per-phase mean gaps were precomputed from the same rates.
-    let mean = if w.arrival.in_burst(now) { burst } else { base };
-    let gap = exponential(&mut w.rng, mean);
-    now.checked_add(gap).expect("simulated time overflow")
+) -> Option<Time> {
+    if w.owned.len() == w.servers.len() {
+        let at = now
+            .checked_add(w.draws.gap(now))
+            .expect("simulated time overflow");
+        w.next_request = w.draws.request(at);
+        return Some(at);
+    }
+    next_on_tape(w)
 }
 
-/// Draws the open-loop stream forward from an arrival at `at` until one
-/// routes to an owned node, leaves its class and user in
-/// `next_request`, and returns its instant — `None` once the stream is
-/// exhausted. The engine RNG sees the sequential order (class, user,
-/// gap per arrival) whatever the world owns.
-///
-/// An arrival routed elsewhere belongs to another shard: it only
-/// advances `issued` (so `seq` stays global) and draws its service time
-/// as if admitted, keeping the insulated service stream aligned with
-/// the sequential run's. Static tiers never recompile, so every shard's
-/// compiled models agree; a shed anywhere breaks the assumption and
-/// fails [`World::independent`].
-fn draw_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
+/// A shard's next owned arrival off the tape it has scanned
+/// ([`TapeFeed`]), or `None` when the scanned tape holds no more: its
+/// arrival chain pauses until [`Shard::advance`] scans the next epoch.
+fn next_on_tape<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'_, P, M, F>,
-    mut at: Time,
 ) -> Option<Time> {
-    loop {
-        let (class, user) = draw_request(w, at);
-        w.next_request = (class, user);
-        if w.owned.len() == w.servers.len() {
-            return Some(at);
-        }
-        let node = route(w, class, user);
-        if w.owned.contains(&(node as u16)) {
-            return Some(at);
-        }
-        w.servers[node].service_by_class[class].sample_split(&mut w.service_rng);
-        w.issued += 1;
-        if w.issued >= w.target {
-            return None;
-        }
-        at = next_open_arrival(w, at);
+    let feed = &mut w.feed;
+    let Some(&next) = feed.owned.get(feed.next) else {
+        feed.paused = true;
+        return None;
+    };
+    feed.next += 1;
+    // The foreign arrivals since the previous owned one: the sequential
+    // engine draws their service times here, in arrival order.
+    for _ in 0..next.skip {
+        w.service_rng.next_u64();
     }
+    w.next_request = (next.class as usize, next.user);
+    w.issued = feed.base + u64::from(next.offset);
+    Some(next.at)
+}
+
+/// The engine's two insulated streams, forked from the run seed in a
+/// fixed order: `(arrival, service)`.
+pub(crate) fn seed_streams(seed: u64) -> (SimRng, SimRng) {
+    let mut root = SimRng::seed(seed);
+    let arrival = root.fork(0x10AD);
+    (arrival, root.fork(0x5E41))
+}
+
+/// One arrival a shard owns, found by its scan of the tape.
+#[derive(Debug, Clone, Copy)]
+struct OwnedArrival {
+    at: Time,
+    user: u64,
+    /// Service-stream words the foreign arrivals between the previous
+    /// owned arrival and this one draw in the sequential run.
+    skip: u64,
+    /// Position in its epoch: its sequence number less the epoch's base.
+    offset: u32,
+    class: u32,
+}
+
+/// A shard's scan of the arrival tape: the owned arrivals of the epoch
+/// scanned last, and where the scan stands in the global stream.
+#[derive(Debug, Default)]
+struct TapeFeed {
+    /// The current epoch's owned arrivals, in arrival order.
+    owned: Vec<OwnedArrival>,
+    /// Index of the next one to issue.
+    next: usize,
+    /// Instant of the last arrival scanned: the horizon a paused shard
+    /// runs its kernel to.
+    clock: Time,
+    /// Global sequence number of the current epoch's first entry.
+    base: u64,
+    /// Global sequence number of the next tape entry.
+    seq: u64,
+    /// Service-stream words of the foreign arrivals scanned since the
+    /// last owned one.
+    skip: u64,
+    /// Set while the arrival chain waits for the next epoch: the last
+    /// owned arrival issued found no successor on the scanned tape.
+    paused: bool,
 }
 
 /// Closed-loop session event: issue the session's next request.
@@ -1061,7 +1096,7 @@ fn session_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         return; // session retires
     }
     let now = s.now();
-    let (class, user) = draw_request(w, now);
+    let (class, user) = w.draws.request(now);
     issue_with(w, s, now, class, user);
 }
 
@@ -1096,36 +1131,10 @@ fn schedule_next_session<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 ) {
     if let Some(think) = w.think {
         if w.issued < w.target {
-            let gap = exponential(&mut w.rng, think);
+            let gap = w.draws.think(think);
             s.schedule_event_in(gap, EngineEvent::SessionNext);
         }
     }
-}
-
-/// Draws one request's tenant class and user for an arrival at `now`.
-/// During a bursty process's burst window, a `crowd_share` fraction of
-/// arrivals comes from the flash-crowd population instead of the mix's
-/// Zipf tail.
-fn draw_request<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    now: Time,
-) -> (usize, u64) {
-    let class = w.rng.weighted_index_with_total(&w.weights, w.weight_total);
-    let user = if let ArrivalProcess::Bursty {
-        crowd_users,
-        crowd_share,
-        ..
-    } = w.arrival
-    {
-        if crowd_users > 0 && w.arrival.in_burst(now) && w.rng.chance(crowd_share) {
-            w.rng.gen_range(0..crowd_users)
-        } else {
-            w.zipf.sample(&mut w.rng)
-        }
-    } else {
-        w.zipf.sample(&mut w.rng)
-    };
-    (class, user)
 }
 
 /// Routes `user`'s request: home node by population hash, except that a
@@ -2028,6 +2037,42 @@ pub struct RunOutput<P: Probe = NoopProbe> {
     /// The probe threaded through the run, carrying whatever it
     /// observed ([`NoopProbe`] unless [`Run::probe`] armed another).
     pub probe: P,
+    /// Which engine path produced the output. Every path yields the
+    /// same bytes; this says only how the run spent its wall clock.
+    pub exec_path: ExecPath,
+}
+
+/// The execution path a [`Run`] took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecPath {
+    /// The sequential engine, as asked for ([`Run::shards`] at most 1).
+    Sequential,
+    /// The sharded kernel, at `width` shards (the requested count
+    /// clamped to the node count).
+    Sharded {
+        /// Shards that ran.
+        width: usize,
+    },
+    /// Shards were asked for, but the sequential engine produced the
+    /// output.
+    Fallback {
+        /// Why the sharded kernel did not.
+        reason: FallbackReason,
+    },
+}
+
+/// Why a run asked to shard fell back to the sequential engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FallbackReason {
+    /// The configuration couples node groups (closed-loop or replayed
+    /// arrivals, leases, the congested fabric, faults, an enabled
+    /// probe), or the mesh has a single node.
+    Ineligible,
+    /// A shard shed a request at admission.
+    Shed,
+    /// A shard saw an arrival and a completion on one node at the same
+    /// instant.
+    Tie,
 }
 
 /// Builder over the engine's single entry point.
@@ -2166,7 +2211,7 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
                 );
             }
         }
-        let (report, trace, metrics, probe) = if self.shards > 1 {
+        let ((report, trace, metrics, probe), exec_path) = if self.shards > 1 {
             crate::sharded::run_sharded_or_sequential(
                 self.config,
                 self.replay,
@@ -2176,19 +2221,21 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
                 self.shards,
             )
         } else {
-            run_full(
+            let out = run_full(
                 self.config,
                 self.replay,
                 self.traced,
                 self.probe,
                 self.faults,
-            )
+            );
+            (out, ExecPath::Sequential)
         };
         RunOutput {
             report,
             trace,
             metrics,
             probe,
+            exec_path,
         }
     }
 }
@@ -2491,9 +2538,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                 last_finish: None,
             })
             .collect();
-        let mut rng = SimRng::seed(config.seed);
-        let engine_rng = rng.fork(0x10AD);
-        let service_rng = rng.fork(0x5E41);
+        let (_, service_rng) = seed_streams(config.seed);
         // Replay supplies every arrival from the trace; a closed-loop
         // config.arrival must not additionally spawn synthetic sessions.
         let think = match config.arrival {
@@ -2503,37 +2548,17 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         let target = replay_trace
             .map(|t| t.len() as u64)
             .unwrap_or(config.requests);
-        // Per-phase mean gaps, computed once with the exact expression the
-        // per-arrival path used to evaluate (`1/rate` through
-        // `Time::from_secs_f64`), so the hoisted values are bit-identical.
-        let open_gaps = match config.arrival {
-            ArrivalProcess::OpenPoisson { rate_rps } => {
-                let gap = Time::from_secs_f64(1.0 / rate_rps);
-                Some((gap, gap))
-            }
-            ArrivalProcess::Bursty {
-                base_rps,
-                burst_rps,
-                ..
-            } => Some((
-                Time::from_secs_f64(1.0 / base_rps),
-                Time::from_secs_f64(1.0 / burst_rps),
-            )),
-            ArrivalProcess::ClosedLoop { .. } => None,
-        };
         World {
             owned,
             next_request: (0, 0),
+            feed: TapeFeed::default(),
             tied: false,
             remote_leases,
             borrow_failures,
             probe,
-            rng: engine_rng,
+            draws: ArrivalDraws::new(config, zipf),
             service_rng,
             classes: config.mix.classes.clone(),
-            weight_total: config.mix.weights().iter().sum(),
-            weights: config.mix.weights(),
-            zipf,
             admissions: (0..n)
                 .map(|_| AdmissionControl::per_node(config.admission, n as u32))
                 .collect(),
@@ -2559,8 +2584,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             completed: 0,
             fused: 0,
             end: Time::ZERO,
-            arrival: config.arrival,
-            open_gaps,
             think,
             backlog_cap: config.admission.backlog_per_node,
             cluster,
@@ -2642,14 +2665,20 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
         zipf,
         owned,
     );
-    summarize(config, vec![run_world(world)])
+    let mut kernel = start_world(world);
+    kernel.run();
+    summarize(config, vec![finish_world(kernel)])
 }
 
-/// Seeds `w`'s event queue and runs it to completion (step 5 of a run),
-/// returning the finished world and its loop counters.
-pub(crate) fn run_world<P: Probe, M: RemoteModel, F: FaultModel>(
+/// The engine's kernel flavor: typed events over the world.
+type EngineKernel<'a, P, M, F> = Kernel<World<'a, P, M, F>, EngineEvent>;
+
+/// Seeds `w`'s event queue (step 5 of a run) and hands it to a kernel.
+/// A shard's open-loop arrival chain starts paused: its first arrival
+/// comes off the tape ([`Shard::advance`]).
+fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
     w: World<'_, P, M, F>,
-) -> (World<'_, P, M, F>, EngineMetrics) {
+) -> EngineKernel<'_, P, M, F> {
     let limit = w.target.saturating_mul(8) + 500_000;
     let mut kernel = Kernel::new(w).with_event_limit(limit);
     let replay_start = kernel.state().replay.as_ref().map(|cur| {
@@ -2659,16 +2688,20 @@ pub(crate) fn run_world<P: Probe, M: RemoteModel, F: FaultModel>(
     if let Some(at) = replay_start {
         kernel.schedule_event(at, EngineEvent::ReplayNext);
     } else {
-        match kernel.state().arrival {
+        let w = kernel.state_mut();
+        match w.draws.process() {
             ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. } => {
-                if let Some(at) = draw_owned_arrival(kernel.state_mut(), Time::ZERO) {
-                    kernel.schedule_event(at, EngineEvent::Arrival);
+                if w.owned.len() == w.servers.len() {
+                    w.next_request = w.draws.request(Time::ZERO);
+                    kernel.schedule_event(Time::ZERO, EngineEvent::Arrival);
+                } else {
+                    w.feed.paused = true;
                 }
             }
             ArrivalProcess::ClosedLoop { sessions, think } => {
                 assert!(sessions > 0, "closed loop needs at least one session");
                 for _ in 0..sessions {
-                    let start = exponential(&mut kernel.state_mut().rng, think);
+                    let start = kernel.state_mut().draws.think(think);
                     kernel.schedule_event(start, EngineEvent::SessionNext);
                 }
             }
@@ -2683,7 +2716,14 @@ pub(crate) fn run_world<P: Probe, M: RemoteModel, F: FaultModel>(
             kernel.schedule_event(at, EngineEvent::FaultTick);
         }
     }
-    kernel.run();
+    kernel
+}
+
+/// The finished world of a kernel that ran to completion, with its loop
+/// counters.
+fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
+    mut kernel: EngineKernel<'_, P, M, F>,
+) -> (World<'_, P, M, F>, EngineMetrics) {
     let metrics = EngineMetrics {
         events: kernel.executed() + kernel.state().fused,
         fused_arrivals: kernel.state().fused,
@@ -2699,6 +2739,104 @@ pub(crate) fn run_world<P: Probe, M: RemoteModel, F: FaultModel>(
         );
     }
     (kernel.into_state(), metrics)
+}
+
+/// A world of a sharded run: the sequential engine over one node group.
+type ShardWorld = World<'static, NoopProbe, ScalarCrma, NoFaults>;
+
+/// One shard of a sharded run ([`crate::sharded`]): the sequential
+/// engine's kernel over a world owning one node group, advanced one
+/// epoch of the shared arrival tape at a time.
+pub(crate) struct Shard {
+    kernel: Kernel<ShardWorld, EngineEvent>,
+}
+
+impl Shard {
+    /// Builds the shard owning `owned` exactly as the sequential engine
+    /// builds its world; `zipf` is the mix's
+    /// [`TenantMix::user_sampler`], computed once per run.
+    pub(crate) fn new(
+        config: &LoadgenConfig,
+        capture: bool,
+        zipf: ZipfSampler,
+        owned: Range<u16>,
+    ) -> Self {
+        let world = World::new(
+            config, None, capture, NoopProbe, ScalarCrma, NoFaults, zipf, owned,
+        );
+        Shard {
+            kernel: start_world(world),
+        }
+    }
+
+    /// Scans one epoch of the tape, resumes a paused arrival chain, and
+    /// runs the kernel up to the epoch's last arrival — or to completion
+    /// once the whole stream is scanned. Stopping there is exact: every
+    /// arrival still to come lands at or after it.
+    pub(crate) fn advance<'t>(&mut self, epoch: impl IntoIterator<Item = &'t TapeEntry>) {
+        let w = self.kernel.state_mut();
+        w.scan(epoch);
+        if w.feed.paused {
+            w.feed.paused = false;
+            if let Some(at) = next_on_tape(w) {
+                self.kernel.schedule_event_at(at, EngineEvent::Arrival);
+            }
+        }
+        let w = self.kernel.state();
+        let horizon = if w.feed.seq >= w.target {
+            Time::MAX
+        } else {
+            w.feed.clock
+        };
+        self.kernel.set_horizon(horizon);
+        self.kernel.run();
+    }
+
+    /// The finished world and its loop counters, once every epoch has
+    /// been advanced through.
+    pub(crate) fn finish(mut self) -> (ShardWorld, EngineMetrics) {
+        let w = self.kernel.state_mut();
+        debug_assert_eq!(w.feed.seq, w.target, "the whole tape was scanned");
+        // Every arrival of the stream was issued by some shard.
+        w.issued = w.target;
+        finish_world(self.kernel)
+    }
+}
+
+impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
+    /// Scans one epoch of the arrival tape: stamps each entry's instant
+    /// with a running sum of the gaps, keeps the arrivals routed to an
+    /// owned node, and counts the service-stream words of the rest.
+    /// Sharded runs have no leases or faults, so an arrival routes to
+    /// its home node and every node's compiled service is static.
+    fn scan<'t>(&mut self, epoch: impl IntoIterator<Item = &'t TapeEntry>) {
+        let feed = &mut self.feed;
+        debug_assert_eq!(feed.next, feed.owned.len(), "the previous epoch drained");
+        feed.owned.clear();
+        feed.next = 0;
+        feed.base = feed.seq;
+        let (mut clock, mut skip) = (feed.clock, feed.skip);
+        for (offset, entry) in epoch.into_iter().enumerate() {
+            clock = clock
+                .checked_add(entry.gap)
+                .expect("simulated time overflow");
+            if self.owned.contains(&entry.node) {
+                feed.owned.push(OwnedArrival {
+                    at: clock,
+                    user: entry.user,
+                    skip,
+                    offset: u32::try_from(offset).expect("an epoch fits u32 offsets"),
+                    class: entry.class,
+                });
+                skip = 0;
+            } else {
+                let service = &self.servers[entry.node as usize].service_by_class;
+                skip += service[entry.class as usize].draws();
+            }
+            feed.seq += 1;
+        }
+        (feed.clock, feed.skip) = (clock, skip);
+    }
 }
 
 /// Turns finished worlds into the run's report, trace, and loop

@@ -386,6 +386,18 @@ impl CompiledService {
         };
         (base.scale(0.9 + 0.2 * rng.unit()), is_miss)
     }
+
+    /// Raw words [`sample_split`](Self::sample_split) takes from its
+    /// stream: the jitter draw, plus the miss draw of a
+    /// [`Coin`](CompiledService::Coin). A sharded run steps a foreign
+    /// arrival's service draws by this count instead of sampling them.
+    #[inline]
+    pub fn draws(&self) -> u64 {
+        match self {
+            CompiledService::Fixed(_) => 1,
+            CompiledService::Coin { .. } => 2,
+        }
+    }
 }
 
 /// The remote-CRMA share of a compiled service time, in per-mille, per
@@ -931,6 +943,36 @@ mod tests {
                             interp.as_ps(),
                             fast.as_ps(),
                             "{} sample {i} diverged",
+                            class.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draws_count_the_words_sample_split_takes() {
+        // A sharded run steps a foreign arrival's service draws by
+        // `draws()` instead of sampling them: the count must be exactly
+        // the raw words `sample_split` consumes, on a node with a remote
+        // tier and on one without, for every preset profile.
+        let nodes = [NodeModel::local_only(Time::from_ns(100)), node()];
+        for mix in TenantMix::presets() {
+            for class in &mix.classes {
+                for node in &nodes {
+                    let compiled = class.profile.compile(node);
+                    let mut sampled = SimRng::seed(0xD4A5);
+                    let mut stepped = sampled.clone();
+                    for i in 0..500 {
+                        compiled.sample_split(&mut sampled);
+                        for _ in 0..compiled.draws() {
+                            stepped.next_u64();
+                        }
+                        assert_eq!(
+                            sampled.next_u64(),
+                            stepped.next_u64(),
+                            "{} draw {i}: {compiled:?} takes a different word count",
                             class.name
                         );
                     }

@@ -332,6 +332,14 @@ impl<S, E> Kernel<S, E> {
         self
     }
 
+    /// Moves the horizon of a kernel already in use: a later
+    /// [`run`](Kernel::run) stops once the clock would pass `horizon`.
+    /// A driver that feeds a kernel in batches pauses it this way at the
+    /// last instant its batch covers.
+    pub fn set_horizon(&mut self, horizon: Time) {
+        self.sched.horizon = horizon;
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.sched.now()

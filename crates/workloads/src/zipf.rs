@@ -29,7 +29,6 @@ pub struct ZipfSampler {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
     /// `0.5^theta`, hoisted out of [`ZipfSampler::sample`]: the rank-1
     /// threshold is a constant of the distribution, and `powf` per draw
     /// was the sampler's single largest cost on the loadgen hot path.
@@ -70,7 +69,6 @@ impl ZipfSampler {
             alpha,
             zetan,
             eta,
-            zeta2: zeta2.max(0.0),
             half_pow_theta: 0.5f64.powf(theta),
         }
     }
@@ -83,7 +81,6 @@ impl ZipfSampler {
     /// Draws an item rank in `[0, n)`; rank 0 is the most popular.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        let _ = self.zeta2;
         let u = rng.unit();
         let uz = u * self.zetan;
         if uz < 1.0 {
