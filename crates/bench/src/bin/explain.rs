@@ -24,10 +24,10 @@
 //!   byte-compares them; `check-figures` re-validates the committed
 //!   artifact's internal sums).
 //!
-//! Like `BENCH_telemetry.jsonl`, the committed artifact is regenerated
-//! manually (`cargo run --release -p venice-bench --bin explain`): its
-//! bytes are machine-independent, but regeneration is only meaningful
-//! when the engine's event flow changes.
+//! Like `BENCH_telemetry.jsonl`, the committed artifact is the default
+//! run's output (`cargo run --release -p venice-bench --bin explain`):
+//! its bytes are machine-independent, and CI regenerates it at full
+//! scale and `git diff --exit-code`s it.
 
 use std::process::ExitCode;
 

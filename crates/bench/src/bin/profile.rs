@@ -30,11 +30,11 @@
 //!
 //! Sampling cadence is `--tick-ms` (sim time) with a ring retaining the
 //! last `--cap` rows per scenario, so artifact size is bounded no
-//! matter the request count. Like `BENCH_perf.json`, the committed
-//! artifact is regenerated manually (`cargo run --release -p
-//! venice-bench --bin profile`), not freshness-diffed: its byte content
-//! is machine-independent, but regeneration is only meaningful when the
-//! engine's event flow changes.
+//! matter the request count. The committed artifact is the default
+//! run's output (`cargo run --release -p venice-bench --bin profile`);
+//! its bytes are machine-independent, and CI regenerates it at full
+//! scale and `git diff --exit-code`s it, so an engine change that moves
+//! the event flow or lease attribution must re-commit it.
 
 use std::process::ExitCode;
 use std::time::Instant;

@@ -200,8 +200,12 @@ fn measure(
 /// serialized and byte-compared against the single-shard report before
 /// the timing counts, so the curve can only record runs whose output is
 /// bit-identical to the sequential engine's. A width whose run did not
-/// take the sharded path ([`ExecPath`]) is refused outright: its timing
-/// would be the sequential engine's.
+/// take the sharded path ([`ExecPath`]) is refused outright, its error
+/// printing the path it took (a fallback's reason, down to an
+/// ineligible run's [`IneligibleKind`]): its timing would be the
+/// sequential engine's.
+///
+/// [`IneligibleKind`]: venice_loadgen::IneligibleKind
 fn measure_scaling(
     iters: u32,
     family: &str,

@@ -27,6 +27,7 @@
 //! throughput` times the two side by side into `BENCH_perf.json`.
 
 use std::collections::VecDeque;
+use std::mem;
 use std::ops::Range;
 
 use venice::cluster::Cluster;
@@ -268,10 +269,14 @@ struct Server {
     /// Times a request found no credit and had to wait (or was shed).
     credit_waits: u64,
     /// Dispatched-but-not-finished requests per tenant class; together
-    /// with the backlog this is the demand signal lease attribution
-    /// reads (the grow trigger counts busy slots, so attribution must
-    /// see in-service work too, not just the backlog).
+    /// with `queued_by_class` this is the demand signal lease
+    /// attribution reads (the grow trigger counts busy slots, so
+    /// attribution must see in-service work too, not just the backlog).
     inflight_by_class: Vec<u32>,
+    /// Backlogged requests per tenant class: `backlog` counted by class,
+    /// kept in step at every park and pop so a lease tick reads the
+    /// node's queued demand without touching the backlog or the slab.
+    queued_by_class: Vec<u32>,
     /// Precomputed gateway→node QPair message latency per tenant class
     /// (request payload sizes are class constants, and the latency model
     /// is state-free — hoisting it off the dispatch path is pure
@@ -359,6 +364,10 @@ struct ElasticTier {
     /// class's ledger sits at its byte quota, which collapses its
     /// admission share (over-quota tenants shed first).
     over_quota: Vec<bool>,
+    /// Each lease tick's per-node signals and lent bytes, kept between
+    /// ticks so a tick reuses their capacity instead of allocating.
+    signals: Vec<NodeSignal>,
+    lent_bytes: Vec<u64>,
 }
 
 impl ElasticTier {
@@ -847,6 +856,31 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
     /// Total admitted-but-not-completed requests across all nodes.
     fn total_inflight(&self) -> u32 {
         self.admissions.iter().map(|a| a.inflight()).sum()
+    }
+
+    /// Pops `node`'s oldest backlogged slot, keeping the node's
+    /// `queued_by_class` in step.
+    fn pop_backlog(&mut self, node: usize) -> Option<u32> {
+        let srv = &mut self.servers[node];
+        let slot = srv.backlog.pop_front()?;
+        srv.queued_by_class[self.requests.get(slot).class as usize] -= 1;
+        Some(slot)
+    }
+
+    /// Asserts that every node's `queued_by_class` equals a recount of
+    /// its backlog. Checked at each lease tick and at run end.
+    #[cfg(debug_assertions)]
+    fn audit_queued(&self) {
+        for (node, srv) in self.servers.iter().enumerate() {
+            let mut recount = vec![0u32; srv.queued_by_class.len()];
+            for &slot in &srv.backlog {
+                recount[self.requests.get(slot).class as usize] += 1;
+            }
+            assert_eq!(
+                srv.queued_by_class, recount,
+                "node {node}: queued_by_class drifted from its backlog"
+            );
+        }
     }
 
     /// Why this world's run was not a pure function of its owned nodes,
@@ -1383,6 +1417,7 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                     w.attrib[slot as usize].stalled = true;
                 }
                 srv.backlog.push_back(slot);
+                srv.queued_by_class[req.class as usize] += 1;
             } else {
                 // The node is saturated beyond its backlog: drop the
                 // request and free its in-flight slot.
@@ -1447,7 +1482,7 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         let srv = &mut w.servers[node];
         srv.qp.drain_one();
         srv.qp.credit_update(1);
-        if let Some(next) = srv.backlog.pop_front() {
+        if let Some(next) = w.pop_backlog(node) {
             dispatch(w, s, next);
         }
         schedule_next_session(w, s);
@@ -1534,33 +1569,25 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     let srv = &mut w.servers[node];
     srv.qp.drain_one();
     srv.qp.credit_update(1);
-    if let Some(next) = srv.backlog.pop_front() {
+    if let Some(next) = w.pop_backlog(node) {
         dispatch(w, s, next);
     }
     schedule_next_session(w, s);
 }
 
 /// The tenant class with the most queued *and in-service* work on
-/// `node` (ties to the lowest index), used to attribute a lease to the
+/// `srv` (ties to the lowest index), used to attribute a lease to the
 /// tenant driving it. Must mirror the grow trigger's demand signal —
 /// backlog plus busy slots — or grows fired by pure in-service pressure
 /// would have no class to attribute to.
 ///
-/// The argmax is computed in place — per class, in-flight count plus a
-/// scan of the (bounded) backlog — instead of cloning
-/// `inflight_by_class` into a scratch `Vec` every lease tick.
-fn dominant_class<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &World<'_, P, M, F>,
-    node: usize,
-) -> Option<usize> {
-    let srv = &w.servers[node];
+/// Reads only the per-class counters (`inflight_by_class` plus
+/// `queued_by_class`), so a tick costs O(classes) per node whatever
+/// the backlog depth.
+fn dominant_class(srv: &Server) -> Option<usize> {
     let mut best: Option<(usize, u32)> = None;
-    for (class, &inflight) in srv.inflight_by_class.iter().enumerate() {
-        let queued = srv
-            .backlog
-            .iter()
-            .filter(|&&slot| w.requests.get(slot).class as usize == class)
-            .count() as u32;
+    let counts = srv.inflight_by_class.iter().zip(&srv.queued_by_class);
+    for (class, (&inflight, &queued)) in counts.enumerate() {
         let count = inflight + queued;
         if count > 0 && best.map(|(_, b)| count > b).unwrap_or(true) {
             best = Some((class, count));
@@ -1696,7 +1723,7 @@ fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
     // Backlogged requests were admitted but never cleared the credit
     // gate: they die with the node, holding no transport credit.
-    while let Some(slot) = w.servers[node].backlog.pop_front() {
+    while let Some(slot) = w.pop_backlog(node) {
         let req = w.requests.take(slot);
         let class = req.class as usize;
         w.stats[class].shed_crash += 1;
@@ -1888,37 +1915,45 @@ fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     if w.issued >= w.target && w.total_inflight() == 0 {
         return;
     }
+    #[cfg(debug_assertions)]
+    w.audit_queued();
     let now = s.now();
-    // Chunks and bytes each node has lent out, from the cluster's live
-    // ledger (includes grants still in their recipient-side establish
-    // flow — the donor's memory is committed either way).
-    let mut lent = vec![0u32; w.servers.len()];
-    let mut lent_bytes = vec![0u64; w.servers.len()];
+    // The signal and lent-bytes buffers live in the tier between ticks;
+    // taking them out lets `apply_grow` borrow the world mutably while
+    // the signals stay readable, and they go back before returning.
+    let tier = w.elastic.as_mut().expect("lease tick without elastic tier");
+    let mut signals = mem::take(&mut tier.signals);
+    let mut lent_bytes = mem::take(&mut tier.lent_bytes);
+    signals.clear();
+    signals.extend(w.servers.iter().map(|srv| {
+        let busy = srv.slots.iter().filter(|&&t| t > now).count();
+        let tenant = dominant_class(srv).map(|c| c as u32).unwrap_or(NO_TAG);
+        NodeSignal {
+            depth: (srv.backlog.len() + busy) as u32,
+            lent_chunks: 0,
+            lent_pressure: 0.0,
+            tenant,
+            priority: if tenant == NO_TAG {
+                Priority::Normal
+            } else {
+                w.classes[tenant as usize].priority
+            },
+        }
+    }));
+    // Chunks and bytes each node has lent out, from one pass over the
+    // cluster's live ledger (includes grants still in their
+    // recipient-side establish flow — the donor's memory is committed
+    // either way).
+    lent_bytes.clear();
+    lent_bytes.resize(w.servers.len(), 0);
     for lease in w.cluster.active_leases() {
-        lent[lease.donor.0 as usize] += 1;
+        signals[lease.donor.0 as usize].lent_chunks += 1;
         lent_bytes[lease.donor.0 as usize] += lease.bytes;
     }
-    let signals: Vec<NodeSignal> = w
-        .servers
-        .iter()
-        .enumerate()
-        .map(|(i, srv)| {
-            let busy = srv.slots.iter().filter(|&&t| t > now).count();
-            let tenant = dominant_class(w, i).map(|c| c as u32).unwrap_or(NO_TAG);
-            NodeSignal {
-                depth: (srv.backlog.len() + busy) as u32,
-                lent_chunks: lent[i],
-                lent_pressure: (lent_bytes[i] as f64 / LENDABLE_PER_NODE as f64).min(1.0),
-                tenant,
-                priority: if tenant == NO_TAG {
-                    Priority::Normal
-                } else {
-                    w.classes[tenant as usize].priority
-                },
-            }
-        })
-        .collect();
-    let tier = w.elastic.as_mut().expect("lease tick without elastic tier");
+    for (signal, &bytes) in signals.iter_mut().zip(&lent_bytes) {
+        signal.lent_pressure = (bytes as f64 / LENDABLE_PER_NODE as f64).min(1.0);
+    }
+    let tier = w.elastic.as_mut().expect("checked above");
     let actions = tier.manager.tick(now, &signals);
     for action in actions {
         match action {
@@ -2004,6 +2039,8 @@ fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     // class at its byte quota is clamped to the over-quota share until
     // its ledger drains (shrinks/revokes repay it).
     let tier = w.elastic.as_mut().expect("checked above");
+    tier.signals = signals;
+    tier.lent_bytes = lent_bytes;
     for (class, flag) in tier.over_quota.iter_mut().enumerate() {
         *flag = tier.manager.quota_blocks(class as u32);
     }
@@ -2064,15 +2101,36 @@ pub enum ExecPath {
 /// Why a run asked to shard fell back to the sequential engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// The configuration couples node groups (closed-loop or replayed
-    /// arrivals, leases, the congested fabric, faults, an enabled
-    /// probe), or the mesh has a single node.
-    Ineligible,
+    /// The run cannot split into independent node groups, for the
+    /// first reason found in [`IneligibleKind`] order.
+    Ineligible(IneligibleKind),
     /// A shard shed a request at admission.
     Shed,
     /// A shard saw an arrival and a completion on one node at the same
     /// instant.
     Tie,
+}
+
+/// What kept a run from splitting into independent node groups. The
+/// sharded driver checks the kinds in declaration order and reports the
+/// first that holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IneligibleKind {
+    /// Closed-loop sessions: each completion schedules the session's
+    /// next request, which may route to any node.
+    ClosedLoop,
+    /// Replayed arrivals: one global cursor drives every node.
+    Replay,
+    /// A fault plan: crashes re-route sessions across node groups.
+    Faults,
+    /// An enabled probe: it observes the global event stream.
+    Probe,
+    /// Elastic leases: a tick moves memory between any two nodes.
+    Leases,
+    /// The congested fabric: its links are shared by every node group.
+    CongestedFabric,
+    /// The mesh split into fewer than two node groups.
+    SingleGroup,
 }
 
 /// Builder over the engine's single entry point.
@@ -2441,6 +2499,8 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                         config.mix.quotas(),
                     ),
                     over_quota: vec![false; config.mix.classes.len()],
+                    signals: Vec::with_capacity(n),
+                    lent_bytes: Vec::with_capacity(n),
                 };
                 let boot = tier.manager.bootstrap();
                 for action in boot {
@@ -2517,6 +2577,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                 model: *model,
                 credit_waits: 0,
                 inflight_by_class: vec![0; config.mix.classes.len()],
+                queued_by_class: vec![0; config.mix.classes.len()],
                 msg_lat_by_class,
                 service_by_class: config
                     .mix
@@ -2724,6 +2785,8 @@ fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
 fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
     mut kernel: EngineKernel<'_, P, M, F>,
 ) -> (World<'_, P, M, F>, EngineMetrics) {
+    #[cfg(debug_assertions)]
+    kernel.state().audit_queued();
     let metrics = EngineMetrics {
         events: kernel.executed() + kernel.state().fused,
         fused_arrivals: kernel.state().fused,
@@ -2993,6 +3056,7 @@ pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultEvent;
     use crate::remote::{FabricParams, PlacementPolicy};
     use crate::tenants::TenantMix;
     use venice_fabric::LinkParams;
@@ -3036,6 +3100,60 @@ mod tests {
         LoadgenConfig {
             remote_model: RemoteModelCfg::Congested(params),
             ..small(seed)
+        }
+    }
+
+    #[test]
+    fn backlog_counters_survive_sheds_and_crash_drains() {
+        // The elastic family's bursty traffic with a 16-slot backlog,
+        // node 0 crashing 100 ms into the third burst: bursts overflow
+        // backlogs into backpressure sheds, and the crash drains a full
+        // one. Debug builds audit `queued_by_class` against a recount at
+        // every lease tick and at run end; here every counter must also
+        // return to zero once the run drains.
+        let crash_at = Time::from_ms(1_100);
+        let config = LoadgenConfig {
+            requests: 60_000,
+            admission: AdmissionConfig {
+                backlog_per_node: 16,
+                ..AdmissionConfig::default()
+            },
+            ..crate::elastic::elastic_config(0xB4C)
+        };
+        let plan = FaultPlan::new(vec![FaultEvent::NodeCrash {
+            node: 0,
+            at: crash_at,
+            recover_at: Time::from_ms(1_300),
+        }]);
+        let owned = 0..config.nodes();
+        let zipf = config.mix.user_sampler();
+        let world = World::new(
+            &config, None, false, NoopProbe, ScalarCrma, plan, zipf, owned,
+        );
+        let mut kernel = start_world(world);
+        kernel.set_horizon(crash_at - Time::from_ps(1));
+        kernel.run();
+        let parked = kernel.state().servers[0].backlog.len();
+        assert!(parked > 0, "node 0's backlog is empty at the crash");
+        let shed_crash = |w: &World<'_, NoopProbe, ScalarCrma, FaultPlan>| {
+            w.stats.iter().map(|st| st.shed_crash).sum::<u64>()
+        };
+        let before = shed_crash(kernel.state());
+        kernel.set_horizon(crash_at);
+        kernel.run();
+        assert!(kernel.state().servers[0].backlog.is_empty());
+        assert!(shed_crash(kernel.state()) >= before + parked as u64);
+        kernel.set_horizon(Time::MAX);
+        kernel.run();
+        let (w, _) = finish_world(kernel);
+        assert!(
+            w.stats.iter().any(|st| st.shed_backpressure > 0),
+            "no backlog overflowed"
+        );
+        for srv in &w.servers {
+            assert!(srv.backlog.is_empty());
+            assert!(srv.queued_by_class.iter().all(|&n| n == 0));
+            assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
         }
     }
 

@@ -93,7 +93,9 @@ pub mod trace;
 
 pub use admission::AdmissionConfig;
 pub use arrival::ArrivalProcess;
-pub use engine::{EngineMetrics, ExecPath, FallbackReason, LoadgenConfig, Run, RunOutput};
+pub use engine::{
+    EngineMetrics, ExecPath, FallbackReason, IneligibleKind, LoadgenConfig, Run, RunOutput,
+};
 pub use faults::{FaultEvent, FaultModel, FaultPlan, NoFaults};
 pub use remote::{FabricParams, PlacementPolicy, RemoteModelCfg};
 pub use report::{LeaseSummary, LoadReport, TenantReport};

@@ -107,7 +107,8 @@ use venice_telemetry::{NoopProbe, Probe};
 
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
 use crate::engine::{
-    run_full, summarize, validate, EngineMetrics, ExecPath, FallbackReason, LoadgenConfig, Shard,
+    run_full, summarize, validate, EngineMetrics, ExecPath, FallbackReason, IneligibleKind,
+    LoadgenConfig, Shard,
 };
 use crate::faults::FaultPlan;
 use crate::remote::RemoteModelCfg;
@@ -152,29 +153,35 @@ pub(crate) fn run_sharded_or_sequential<P: Probe>(
     faults: Option<FaultPlan>,
     shards: usize,
 ) -> ((LoadReport, Option<Trace>, EngineMetrics, P), ExecPath) {
-    // Replay and closed-loop runs drive arrivals through one global
-    // cursor, probes observe the global event stream, fault plans
-    // re-route sessions across node groups, lease ticks move memory
-    // between any two nodes, and the congested fabric charges shared
-    // links: each couples the node groups.
-    let independent = matches!(
-        config.arrival,
-        ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. }
-    ) && replay_trace.is_none()
-        && faults.is_none()
-        && !P::ENABLED
-        && !P::ATTRIB
-        && config.lease.is_none()
-        && matches!(config.remote_model, RemoteModelCfg::Scalar);
-    let reason = if independent {
-        match run_sharded(config, capture, shards, EPOCH, rayon::current_num_threads()) {
+    // Each condition couples the node groups (see `IneligibleKind`);
+    // the first that holds, in declaration order, is the reason.
+    let coupling = [
+        (
+            !matches!(
+                config.arrival,
+                ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. }
+            ),
+            IneligibleKind::ClosedLoop,
+        ),
+        (replay_trace.is_some(), IneligibleKind::Replay),
+        (faults.is_some(), IneligibleKind::Faults),
+        (P::ENABLED || P::ATTRIB, IneligibleKind::Probe),
+        (config.lease.is_some(), IneligibleKind::Leases),
+        (
+            !matches!(config.remote_model, RemoteModelCfg::Scalar),
+            IneligibleKind::CongestedFabric,
+        ),
+    ]
+    .into_iter()
+    .find_map(|(coupled, kind)| coupled.then_some(kind));
+    let reason = match coupling {
+        Some(kind) => FallbackReason::Ineligible(kind),
+        None => match run_sharded(config, capture, shards, EPOCH, rayon::current_num_threads()) {
             Ok(((report, trace, metrics), width)) => {
                 return ((report, trace, metrics, probe), ExecPath::Sharded { width })
             }
             Err(reason) => reason,
-        }
-    } else {
-        FallbackReason::Ineligible
+        },
     };
     let out = run_full(config, replay_trace, capture, probe, faults);
     (out, ExecPath::Fallback { reason })
@@ -196,7 +203,7 @@ fn run_sharded(
     let groups = partition(config.nodes(), shards);
     let width = groups.len();
     if width < 2 {
-        return Err(FallbackReason::Ineligible);
+        return Err(FallbackReason::Ineligible(IneligibleKind::SingleGroup));
     }
     let threads = threads.clamp(1, width);
     let zipf = config.mix.user_sampler();
@@ -644,20 +651,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ineligible_configs_run_sequentially_through_the_builder() {
-        // Elastic leases couple node groups at every tick; the builder
-        // collapses to the sequential engine and output is unchanged.
-        let config = LoadgenConfig {
-            lease: Some(venice_lease::LeaseConfig::default()),
-            ..storm_like(0xE1A5, TenantMix::web_frontend(), 3_000)
-        };
-        let seq = Run::new(&config).traced().execute();
-        let out = Run::new(&config).traced().shards(8).execute();
+    /// Runs `run` sequentially and at 4 shards: the sharded request must
+    /// fall back for `kind` and still match the sequential bytes.
+    fn falls_back<'c, 't, P: Probe>(run: impl Fn() -> Run<'c, 't, P>, kind: IneligibleKind) {
+        let seq = run().traced().execute();
+        let out = run().traced().shards(4).execute();
         assert_eq!(
             out.exec_path,
             ExecPath::Fallback {
-                reason: FallbackReason::Ineligible
+                reason: FallbackReason::Ineligible(kind)
             }
         );
         assert_eq!(
@@ -666,26 +668,89 @@ mod tests {
         );
     }
 
+    fn small() -> LoadgenConfig {
+        storm_like(0xE1A5, TenantMix::web_frontend(), 2_000)
+    }
+
+    #[test]
+    fn closed_loop_is_ineligible() {
+        let config = LoadgenConfig {
+            arrival: ArrivalProcess::ClosedLoop {
+                sessions: 64,
+                think: Time::from_us(200),
+            },
+            // Leases too: the first coupling in kind order is reported.
+            lease: Some(venice_lease::LeaseConfig::default()),
+            ..small()
+        };
+        falls_back(|| Run::new(&config), IneligibleKind::ClosedLoop);
+    }
+
+    #[test]
+    fn replay_is_ineligible() {
+        let config = small();
+        let trace = Run::new(&config).traced().execute().trace.unwrap();
+        falls_back(|| Run::new(&config).replay(&trace), IneligibleKind::Replay);
+    }
+
+    #[test]
+    fn faults_are_ineligible() {
+        let config = small();
+        let plan = FaultPlan::new(vec![crate::faults::FaultEvent::NodeCrash {
+            node: 1,
+            at: Time::from_ms(5),
+            recover_at: Time::from_ms(10),
+        }]);
+        falls_back(
+            || Run::new(&config).faults(plan.clone()),
+            IneligibleKind::Faults,
+        );
+    }
+
+    #[test]
+    fn probes_are_ineligible() {
+        let config = small();
+        falls_back(
+            || Run::new(&config).recording(Time::from_ms(1), 64),
+            IneligibleKind::Probe,
+        );
+    }
+
+    #[test]
+    fn ineligible_configs_run_sequentially_through_the_builder() {
+        // Elastic leases couple node groups at every tick; the builder
+        // collapses to the sequential engine and output is unchanged.
+        let config = LoadgenConfig {
+            lease: Some(venice_lease::LeaseConfig::default()),
+            ..small()
+        };
+        falls_back(|| Run::new(&config), IneligibleKind::Leases);
+    }
+
+    #[test]
+    fn congested_fabric_is_ineligible() {
+        let link = venice_fabric::LinkParams::venice_prototype();
+        let params = crate::remote::FabricParams::from_link(
+            link,
+            Time::from_ms(1),
+            crate::remote::PlacementPolicy::ScalarPriced,
+        );
+        let config = LoadgenConfig {
+            remote_model: RemoteModelCfg::Congested(params),
+            ..small()
+        };
+        falls_back(|| Run::new(&config), IneligibleKind::CongestedFabric);
+    }
+
     #[test]
     fn shards_clamp_to_the_mesh() {
         // A 1-node mesh cannot split; the builder quietly runs the
         // sequential engine.
         let config = LoadgenConfig {
             mesh: (1, 1, 1),
-            ..storm_like(0xC1A3, TenantMix::web_frontend(), 2_000)
+            ..small()
         };
-        let seq = Run::new(&config).execute();
-        let out = Run::new(&config).shards(8).execute();
-        assert_eq!(
-            out.exec_path,
-            ExecPath::Fallback {
-                reason: FallbackReason::Ineligible
-            }
-        );
-        assert_eq!(
-            serde_json::to_string(&out.report).unwrap(),
-            serde_json::to_string(&seq.report).unwrap()
-        );
+        falls_back(|| Run::new(&config), IneligibleKind::SingleGroup);
     }
 
     #[test]
