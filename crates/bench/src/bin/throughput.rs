@@ -13,6 +13,11 @@
 //! configurations, and writes the measured trajectory to
 //! `BENCH_perf.json`: wall time (best of `--iters`), events/sec,
 //! requests/sec, peak event-queue depth, and the per-scenario speedup.
+//! With a second rayon thread, the typed engine draws a sequential run's
+//! open-loop arrivals on it while the boxed baseline draws them inline,
+//! so on such a recorder the typed/boxed ratio is not like-for-like. Each
+//! row prints which way its arrivals were drawn and how often the
+//! simulation thread waited for a block of them.
 //!
 //! Two gates ride along:
 //!
@@ -133,12 +138,14 @@ fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64() * 1e3, r)
 }
 
+/// Times `config` through both engines, returning the entry and the
+/// typed engine's loop counters.
 fn measure(
     iters: u32,
     family: &str,
     label: &str,
     config: &LoadgenConfig,
-) -> Result<PerfEntry, String> {
+) -> Result<(PerfEntry, EngineMetrics), String> {
     // The two engines are timed in *interleaved* iterations (typed,
     // boxed, typed, boxed, …) and each keeps its best wall time:
     // background load on a shared machine then degrades both sides of a
@@ -176,7 +183,7 @@ fn measure(
 
     let eps = |wall_ms: f64| metrics.events as f64 / (wall_ms / 1e3);
     let rps = |wall_ms: f64| typed_report.issued as f64 / (wall_ms / 1e3);
-    Ok(PerfEntry {
+    let entry = PerfEntry {
         family: family.to_string(),
         label: label.to_string(),
         requests: typed_report.issued,
@@ -189,7 +196,8 @@ fn measure(
         boxed_events_per_sec: eps(boxed_wall_ms),
         boxed_requests_per_sec: rps(boxed_wall_ms),
         speedup: boxed_wall_ms / typed_wall_ms,
-    })
+    };
+    Ok((entry, metrics))
 }
 
 /// Measures the sharded kernel's scaling curve on one storm
@@ -322,16 +330,22 @@ fn main() -> ExitCode {
             config.requests = n;
         }
         match measure(args.iters, family, label, &config) {
-            Ok(entry) => {
+            Ok((entry, metrics)) => {
                 println!(
                     "{family:<10} {label:<18} {:>9} req  typed {:>8.1} ms ({:>5.2} M ev/s)  \
-                     boxed {:>8.1} ms  speedup {:.2}x  peak depth {}",
+                     boxed {:>8.1} ms  speedup {:.2}x  peak depth {}  arrivals {} ({} waits)",
                     entry.requests,
                     entry.typed_wall_ms,
                     entry.typed_events_per_sec / 1e6,
                     entry.boxed_wall_ms,
                     entry.speedup,
                     entry.peak_queue_depth,
+                    if metrics.arrivals_pipelined {
+                        "pipelined"
+                    } else {
+                        "inline"
+                    },
+                    metrics.arrival_waits,
                 );
                 entries.push(entry);
             }

@@ -170,9 +170,11 @@ pub fn exponential(rng: &mut SimRng, mean: Time) -> Time {
 }
 
 /// The engine RNG and the arrival constants it draws against: the one
-/// place an open-loop arrival's gap, class and user are drawn. A
-/// sequential world draws through its own; a sharded run's tape fillers
-/// each draw through a clone (`crate::sharded`).
+/// place an arrival's gap, class and user are drawn. Open-loop arrivals
+/// are drawn ahead by a filler over a copy (`crate::sharded::Filler`),
+/// for a sharded run's tape or a sequential run's arrival pipe
+/// (`crate::pipe`); a closed-loop world draws its sessions through its
+/// own.
 #[derive(Debug, Clone)]
 pub(crate) struct ArrivalDraws {
     rng: SimRng,

@@ -46,9 +46,10 @@ use venice_workloads::ZipfSampler;
 use crate::admission::{AdmissionConfig, AdmissionControl, Decision, ShedReason};
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
 use crate::faults::{FaultModel, FaultPlan, FaultTransition, NoFaults};
+use crate::pipe::{self, ArrivalPipe, Drawer};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::{LeaseSummary, LoadReport, TenantReport};
-use crate::sharded::TapeEntry;
+use crate::sharded::{Filler, TapeEntry};
 use crate::stacks::RemoteStack;
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
@@ -159,6 +160,14 @@ pub struct EngineMetrics {
     /// End-of-run `(live, capacity)` occupancy of the kernel's event
     /// slab.
     pub slab: (usize, usize),
+    /// Times the simulation thread asked for the next block of drawn
+    /// open-loop arrivals before the producer thread had drawn it (0
+    /// unless [`Self::arrivals_pipelined`]).
+    pub arrival_waits: u64,
+    /// Whether a producer thread drew the open-loop arrivals ahead of the
+    /// simulation thread, on a spare core, instead of the simulation
+    /// thread drawing them itself.
+    pub arrivals_pipelined: bool,
 }
 
 /// One in-flight request (plain data; pooled in [`RequestSlab`]).
@@ -750,15 +759,18 @@ struct ReplayCursor<'a> {
 ///
 /// A world issues the requests routed to the nodes in `owned`: every
 /// node for a sequential run, one node group for a shard of a sharded
-/// run ([`crate::sharded`]). A sequential world draws its arrivals
-/// inline; a shard reads them off the shared arrival tape through its
-/// `feed`.
+/// run ([`crate::sharded`]). A sequential open-loop world reads its
+/// arrivals off its arrival pipe ([`crate::pipe`]); a shard reads them
+/// off the shared arrival tape through its `feed`.
 pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Nodes whose arrivals this world issues.
     owned: Range<u16>,
     /// Tenant class and user of the next open-loop arrival, drawn ahead
     /// by [`next_owned_arrival`].
     next_request: (usize, u64),
+    /// A sequential open-loop world's pre-drawn arrivals; `None` on a
+    /// shard, a closed-loop world and a replay.
+    pipe: Option<ArrivalPipe>,
     /// A shard's scan of the arrival tape; empty and never touched on a
     /// sequential world.
     feed: TapeFeed,
@@ -772,13 +784,15 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// every default entry point, so the hooks compile away and the
     /// report stays bit-identical to the unprobed engine.
     probe: P,
-    /// Arrival-side randomness (interarrival gaps, tenant classes,
-    /// users) and the constants it draws against. Kept separate from
-    /// `service_rng` so two *open-loop* (Poisson or bursty) runs with the
-    /// same seed but different stacks/configs see the identical arrival
-    /// stream even after their admission decisions diverge. Closed-loop
-    /// runs are not insulated: think-time draws interleave with arrival
-    /// draws at completion times, which are stack-dependent.
+    /// Closed-loop arrival randomness (think times, tenant classes,
+    /// users) and the constants it draws against. Open-loop arrivals
+    /// come off the pipe or the tape, drawn from a copy of the same
+    /// stream. Kept separate from `service_rng` so two *open-loop*
+    /// (Poisson or bursty) runs with the same seed but different
+    /// stacks/configs see the identical arrival stream even after their
+    /// admission decisions diverge. Closed-loop runs are not insulated:
+    /// think-time draws interleave with arrival draws at completion
+    /// times, which are stack-dependent.
     draws: ArrivalDraws,
     /// Service-side randomness: cache hit/miss draws, service jitter.
     service_rng: SimRng,
@@ -1038,21 +1052,20 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// The next arrival this world issues after the one at `now`: leaves its
-/// class and user in `next_request` and returns its instant. A
-/// sequential world draws it inline; a shard takes it off the tape.
+/// The next arrival this world issues after the one at `now` (or the
+/// first, at `now` zero): leaves its class and user in `next_request` and
+/// returns its instant. A sequential world takes it off its arrival
+/// pipe; a shard takes it off the tape.
 fn next_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'_, P, M, F>,
     now: Time,
 ) -> Option<Time> {
-    if w.owned.len() == w.servers.len() {
-        let at = now
-            .checked_add(w.draws.gap(now))
-            .expect("simulated time overflow");
-        w.next_request = w.draws.request(at);
-        return Some(at);
-    }
-    next_on_tape(w)
+    let Some(pipe) = &mut w.pipe else {
+        return next_on_tape(w);
+    };
+    let entry = pipe.next();
+    w.next_request = (entry.class as usize, entry.user);
+    Some(now.checked_add(entry.gap).expect("simulated time overflow"))
 }
 
 /// A shard's next owned arrival off the tape it has scanned
@@ -2285,6 +2298,7 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
                 self.traced,
                 self.probe,
                 self.faults,
+                Drawer::for_run(self.config.requests),
             );
             (out, ExecPath::Sequential)
         };
@@ -2408,7 +2422,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
     /// `zipf` is the mix's [`TenantMix::user_sampler`]. Its setup sums
     /// the Zipf normalizer over up to 10^5 ranks — most of a world's
     /// setup time — so a sharded run builds it once and hands each shard
-    /// a copy.
+    /// a copy. `pipe` carries a sequential open-loop world's arrivals.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         config: &LoadgenConfig,
@@ -2419,6 +2433,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         mut faults: F,
         zipf: ZipfSampler,
         owned: Range<u16>,
+        pipe: Option<ArrivalPipe>,
     ) -> Self {
         validate(config);
 
@@ -2612,6 +2627,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         World {
             owned,
             next_request: (0, 0),
+            pipe,
             feed: TapeFeed::default(),
             tied: false,
             remote_leases,
@@ -2674,20 +2690,34 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
 /// (`ENABLED = false`, every fabric hook compiled away), the congested
 /// path compiles the mesh's all-pairs path table and per-class wire
 /// footprints once and instantiates with [`CongestedFabric`].
+/// `drawer` draws an open-loop run's arrivals.
 pub(crate) fn run_full<P: Probe>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
     capture: bool,
     probe: P,
     faults: Option<FaultPlan>,
+    drawer: Drawer,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
     match (&config.remote_model, faults) {
-        (RemoteModelCfg::Scalar, None) => {
-            run_typed(config, replay_trace, capture, probe, ScalarCrma, NoFaults)
-        }
-        (RemoteModelCfg::Scalar, Some(plan)) => {
-            run_typed(config, replay_trace, capture, probe, ScalarCrma, plan)
-        }
+        (RemoteModelCfg::Scalar, None) => run_typed(
+            config,
+            replay_trace,
+            capture,
+            probe,
+            ScalarCrma,
+            NoFaults,
+            drawer,
+        ),
+        (RemoteModelCfg::Scalar, Some(plan)) => run_typed(
+            config,
+            replay_trace,
+            capture,
+            probe,
+            ScalarCrma,
+            plan,
+            drawer,
+        ),
         (RemoteModelCfg::Congested(params), faults) => {
             let wire = config
                 .mix
@@ -2697,14 +2727,23 @@ pub(crate) fn run_full<P: Probe>(
                 .collect();
             let fabric = CongestedFabric::new(params.clone(), config.mesh, wire);
             match faults {
-                None => run_typed(config, replay_trace, capture, probe, fabric, NoFaults),
-                Some(plan) => run_typed(config, replay_trace, capture, probe, fabric, plan),
+                None => run_typed(
+                    config,
+                    replay_trace,
+                    capture,
+                    probe,
+                    fabric,
+                    NoFaults,
+                    drawer,
+                ),
+                Some(plan) => run_typed(config, replay_trace, capture, probe, fabric, plan, drawer),
             }
         }
     }
 }
 
-/// The sequential engine: one world owning every node.
+/// The sequential engine: one world owning every node. An open-loop
+/// run reads its arrivals off a pipe drawn by `drawer`.
 fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
@@ -2712,23 +2751,33 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     probe: P,
     remote: M,
     faults: F,
+    drawer: Drawer,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
     validate(config);
-    let owned = 0..config.nodes();
     let zipf = config.mix.user_sampler();
-    let world = World::new(
-        config,
-        replay_trace,
-        capture,
-        probe,
-        remote,
-        faults,
-        zipf,
-        owned,
-    );
-    let mut kernel = start_world(world);
-    kernel.run();
-    summarize(config, vec![finish_world(kernel)])
+    let open =
+        replay_trace.is_none() && !matches!(config.arrival, ArrivalProcess::ClosedLoop { .. });
+    let filler = open.then(|| Filler::new(ArrivalDraws::new(config, zipf.clone()), config.nodes()));
+    let run = |pipe| {
+        let world = World::new(
+            config,
+            replay_trace,
+            capture,
+            probe,
+            remote,
+            faults,
+            zipf,
+            0..config.nodes(),
+            pipe,
+        );
+        let mut kernel = start_world(world);
+        kernel.run();
+        summarize(config, vec![finish_world(kernel)])
+    };
+    match filler {
+        Some(filler) => pipe::drive(filler, config.requests, drawer, |pipe| run(Some(pipe))),
+        None => run(None),
+    }
 }
 
 /// The engine's kernel flavor: typed events over the world.
@@ -2752,11 +2801,8 @@ fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
         let w = kernel.state_mut();
         match w.draws.process() {
             ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. } => {
-                if w.owned.len() == w.servers.len() {
-                    w.next_request = w.draws.request(Time::ZERO);
-                    kernel.schedule_event(Time::ZERO, EngineEvent::Arrival);
-                } else {
-                    w.feed.paused = true;
+                if let Some(at) = next_owned_arrival(w, Time::ZERO) {
+                    kernel.schedule_event(at, EngineEvent::Arrival);
                 }
             }
             ArrivalProcess::ClosedLoop { sessions, think } => {
@@ -2793,6 +2839,12 @@ fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
         peak_queue_depth: kernel.peak_pending(),
         queue: kernel.queue_stats(),
         slab: kernel.slab_occupancy(),
+        arrival_waits: kernel.state().pipe.as_ref().map_or(0, ArrivalPipe::waits),
+        arrivals_pipelined: kernel
+            .state()
+            .pipe
+            .as_ref()
+            .is_some_and(ArrivalPipe::pipelined),
     };
     if P::ENABLED {
         kernel.state_mut().probe.on_queue_stats(
@@ -2825,7 +2877,7 @@ impl Shard {
         owned: Range<u16>,
     ) -> Self {
         let world = World::new(
-            config, None, capture, NoopProbe, ScalarCrma, NoFaults, zipf, owned,
+            config, None, capture, NoopProbe, ScalarCrma, NoFaults, zipf, owned, None,
         );
         Shard {
             kernel: start_world(world),
@@ -2917,6 +2969,8 @@ pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
     for (shard, m) in worlds {
         metrics.events += m.events;
         metrics.fused_arrivals += m.fused_arrivals;
+        metrics.arrival_waits += m.arrival_waits;
+        metrics.arrivals_pipelined |= m.arrivals_pipelined;
         metrics.peak_queue_depth = metrics.peak_queue_depth.max(m.peak_queue_depth);
         metrics.queue.absorb(m.queue);
         metrics.slab = (metrics.slab.0 + m.slab.0, metrics.slab.1 + m.slab.1);
@@ -3127,34 +3181,45 @@ mod tests {
         }]);
         let owned = 0..config.nodes();
         let zipf = config.mix.user_sampler();
-        let world = World::new(
-            &config, None, false, NoopProbe, ScalarCrma, plan, zipf, owned,
-        );
-        let mut kernel = start_world(world);
-        kernel.set_horizon(crash_at - Time::from_ps(1));
-        kernel.run();
-        let parked = kernel.state().servers[0].backlog.len();
-        assert!(parked > 0, "node 0's backlog is empty at the crash");
-        let shed_crash = |w: &World<'_, NoopProbe, ScalarCrma, FaultPlan>| {
-            w.stats.iter().map(|st| st.shed_crash).sum::<u64>()
-        };
-        let before = shed_crash(kernel.state());
-        kernel.set_horizon(crash_at);
-        kernel.run();
-        assert!(kernel.state().servers[0].backlog.is_empty());
-        assert!(shed_crash(kernel.state()) >= before + parked as u64);
-        kernel.set_horizon(Time::MAX);
-        kernel.run();
-        let (w, _) = finish_world(kernel);
-        assert!(
-            w.stats.iter().any(|st| st.shed_backpressure > 0),
-            "no backlog overflowed"
-        );
-        for srv in &w.servers {
-            assert!(srv.backlog.is_empty());
-            assert!(srv.queued_by_class.iter().all(|&n| n == 0));
-            assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
-        }
+        let filler = Filler::new(ArrivalDraws::new(&config, zipf.clone()), config.nodes());
+        pipe::drive(filler, config.requests, Drawer::Inline, |pipe| {
+            let world = World::new(
+                &config,
+                None,
+                false,
+                NoopProbe,
+                ScalarCrma,
+                plan,
+                zipf,
+                owned,
+                Some(pipe),
+            );
+            let mut kernel = start_world(world);
+            kernel.set_horizon(crash_at - Time::from_ps(1));
+            kernel.run();
+            let parked = kernel.state().servers[0].backlog.len();
+            assert!(parked > 0, "node 0's backlog is empty at the crash");
+            let shed_crash = |w: &World<'_, NoopProbe, ScalarCrma, FaultPlan>| {
+                w.stats.iter().map(|st| st.shed_crash).sum::<u64>()
+            };
+            let before = shed_crash(kernel.state());
+            kernel.set_horizon(crash_at);
+            kernel.run();
+            assert!(kernel.state().servers[0].backlog.is_empty());
+            assert!(shed_crash(kernel.state()) >= before + parked as u64);
+            kernel.set_horizon(Time::MAX);
+            kernel.run();
+            let (w, _) = finish_world(kernel);
+            assert!(
+                w.stats.iter().any(|st| st.shed_backpressure > 0),
+                "no backlog overflowed"
+            );
+            for srv in &w.servers {
+                assert!(srv.backlog.is_empty());
+                assert!(srv.queued_by_class.iter().all(|&n| n == 0));
+                assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
+            }
+        });
     }
 
     #[test]

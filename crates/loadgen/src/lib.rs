@@ -81,6 +81,7 @@ pub mod engine;
 pub mod failover;
 pub mod faults;
 pub mod legacy;
+mod pipe;
 pub mod remote;
 pub mod report;
 pub mod scenarios;

@@ -111,6 +111,7 @@ use crate::engine::{
     LoadgenConfig, Shard,
 };
 use crate::faults::FaultPlan;
+use crate::pipe::Drawer;
 use crate::remote::RemoteModelCfg;
 use crate::report::LoadReport;
 use crate::trace::Trace;
@@ -127,7 +128,8 @@ const CHUNKS: u64 = 8;
 /// or a counter update, which cannot panic.
 const UNPOISONED: &str = "tape and barrier locks guard no panicking code";
 
-/// One open-loop arrival on the shared tape.
+/// One open-loop arrival, as drawn ahead: an entry of the shared tape,
+/// and of the sequential engine's arrival pipe ([`crate::pipe`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TapeEntry {
     /// Gap from the previous arrival (zero for the first).
@@ -183,7 +185,8 @@ pub(crate) fn run_sharded_or_sequential<P: Probe>(
             Err(reason) => reason,
         },
     };
-    let out = run_full(config, replay_trace, capture, probe, faults);
+    let drawer = Drawer::for_run(config.requests);
+    let out = run_full(config, replay_trace, capture, probe, faults, drawer);
     (out, ExecPath::Fallback { reason })
 }
 
@@ -216,13 +219,8 @@ fn run_sharded(
     let work = |t: usize| {
         // A bursty arrival's word count depends on its instant, so only
         // thread 0 fills those, every chunk in order.
-        let mut filler = (t == 0 || draws.fixed_stride()).then(|| Filler {
-            draws: draws.clone(),
-            clock: Time::ZERO,
-            next: 0,
-            nodes: u64::from(config.nodes()),
-            spare: Vec::new(),
-        });
+        let mut filler =
+            (t == 0 || draws.fixed_stride()).then(|| Filler::new(draws.clone(), config.nodes()));
         let mut shards = Vec::new();
         let mut failure = None;
         guarded(&mut failure, || {
@@ -306,11 +304,12 @@ struct Barrier {
     woken: Condvar,
 }
 
-impl Barrier {
-    /// Yields before a waiter sleeps: 0.5–0.7 ms on a 2-core VM, longer
-    /// than a typical epoch's imbalance between threads.
-    const SPINS: u32 = 2_000;
+/// Yields before a waiter sleeps, here and in the arrival pipe's ring:
+/// 0.5–0.7 ms on a 2-core VM, longer than a typical epoch's imbalance
+/// between threads.
+pub(crate) const SPINS: u32 = 2_000;
 
+impl Barrier {
     fn new(threads: usize) -> Self {
         Barrier {
             threads,
@@ -337,7 +336,7 @@ impl Barrier {
             return;
         }
         drop(arrived);
-        for _ in 0..Self::SPINS {
+        for _ in 0..SPINS {
             if self.round.load(Ordering::Acquire) != round {
                 return;
             }
@@ -430,8 +429,9 @@ impl Tape {
     }
 }
 
-/// One thread's share of filling the tape.
-struct Filler {
+/// One thread's share of filling the tape, or the whole of an arrival
+/// pipe's stream.
+pub(crate) struct Filler {
     /// This thread's own clone of the engine RNG and arrival constants.
     draws: ArrivalDraws,
     /// Running sum of the gaps this filler drew: the absolute instant of
@@ -447,9 +447,21 @@ struct Filler {
 }
 
 impl Filler {
+    /// A filler standing at the first arrival of `draws`' stream, routing
+    /// users over `nodes` nodes.
+    pub(crate) fn new(draws: ArrivalDraws, nodes: u16) -> Self {
+        Filler {
+            draws,
+            clock: Time::ZERO,
+            next: 0,
+            nodes: u64::from(nodes),
+            spare: Vec::new(),
+        }
+    }
+
     /// Draws `arrivals` into `out`, first stepping over the words of the
     /// arrivals other threads drew since this filler's last chunk.
-    fn draw(&mut self, arrivals: Range<u64>, out: &mut Vec<TapeEntry>) {
+    pub(crate) fn draw(&mut self, arrivals: Range<u64>, out: &mut Vec<TapeEntry>) {
         self.draws.skip(self.next..arrivals.start.max(self.next));
         out.clear();
         for i in arrivals.clone() {

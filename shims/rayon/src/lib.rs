@@ -21,6 +21,20 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
+thread_local! {
+    /// This thread's index among the workers of the parallel call it
+    /// serves; `None` on every other thread.
+    static WORKER_INDEX: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// The calling thread's index among the shim's workers, or `None` when
+/// called from outside one, mirroring upstream rayon. Code that would
+/// start threads of its own can check it so that work already fanned out
+/// one item per worker does not multiply its thread count.
+pub fn current_thread_index() -> Option<usize> {
+    WORKER_INDEX.with(|index| index.get())
+}
+
 pub mod iter {
     //! Parallel iterator traits.
 
@@ -118,8 +132,9 @@ pub mod iter {
                 chunks.push(items.by_ref().take(chunk).collect());
             }
             std::thread::scope(|scope| {
-                for (slot, chunk_items) in slots.iter_mut().zip(chunks) {
+                for (index, (slot, chunk_items)) in slots.iter_mut().zip(chunks).enumerate() {
                     scope.spawn(move || {
+                        super::WORKER_INDEX.with(|cell| cell.set(Some(index)));
                         *slot = Some(chunk_items.into_iter().map(f).collect());
                     });
                 }
@@ -161,5 +176,18 @@ mod tests {
             .map(|x| x * 3)
             .collect();
         assert_eq!(zs, vec![3, 6, 9, 12, 15, 18, 21]);
+    }
+
+    #[test]
+    fn thread_index_is_set_inside_workers_only() {
+        assert_eq!(crate::current_thread_index(), None);
+        let n = crate::current_num_threads().min(4);
+        let indices: Vec<Option<usize>> = (0..n)
+            .into_par_iter()
+            .map(|_| crate::current_thread_index())
+            .collect();
+        // One item per worker: item i runs on worker i.
+        assert_eq!(indices, (0..n).map(Some).collect::<Vec<_>>());
+        assert_eq!(crate::current_thread_index(), None);
     }
 }
