@@ -27,12 +27,11 @@
 //! throughput` times the two side by side into `BENCH_perf.json`.
 
 use std::collections::VecDeque;
-use std::mem;
 use std::ops::Range;
 
 use venice::cluster::Cluster;
-use venice::{MemoryLease, NodeId};
-use venice_lease::{LeaseAction, LeaseConfig, LeaseManager, NodeSignal, Priority, NO_TENANT};
+use venice::NodeId;
+use venice_lease::{LeaseAction, LeaseConfig, LeaseManager, Priority, NO_TENANT};
 use venice_sim::{Kernel, LogHistogram, QueueStats, Scheduler, SimEvent, SimRng, Time};
 use venice_telemetry::attrib::{
     StageBreakdown, STAGE_DETOUR, STAGE_ESTABLISH_STALL, STAGE_QUEUE_WAIT, STAGE_SERVICE_LOCAL,
@@ -45,7 +44,7 @@ use venice_workloads::ZipfSampler;
 
 use crate::admission::{AdmissionConfig, AdmissionControl, Decision, ShedReason};
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
-use crate::faults::{FaultModel, FaultPlan, FaultTransition, NoFaults};
+use crate::faults::{FaultModel, FaultPlan, NoFaults};
 use crate::pipe::{self, ArrivalPipe, Drawer};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::{LeaseSummary, LoadReport, TenantReport};
@@ -53,6 +52,13 @@ use crate::sharded::{Filler, TapeEntry};
 use crate::stacks::RemoteStack;
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
+
+mod control;
+
+use control::{
+    fault_tick, grow_lease, lease_established, lease_tick, measure_crma, revoke_torndown,
+    ElasticTier, LeaseEstablish, RevokeTeardown,
+};
 
 /// Local DRAM miss latency used for the non-borrowed tier.
 const LOCAL_MISS: Time = Time::from_ns(100);
@@ -357,194 +363,6 @@ impl Stats {
     }
 }
 
-/// Elastic-tier state threaded through lease ticks.
-struct ElasticTier {
-    manager: LeaseManager,
-    /// Tenant class whose backlog drove each node's newest lease.
-    tags: Vec<u32>,
-    /// Each node's *visible* leases (generation, lease), oldest first.
-    /// A mid-run grow joins only after its Fig 2 establish flow
-    /// completes; shrinks pop from this stack, so an in-flight grow can
-    /// never be released before it lands. Revokes may remove from the
-    /// middle (the donor demands *its* newest grant, not the
-    /// recipient's newest borrow).
-    leases: Vec<Vec<(u64, MemoryLease)>>,
-    /// Per-class quota flags refreshed each lease tick: `true` while the
-    /// class's ledger sits at its byte quota, which collapses its
-    /// admission share (over-quota tenants shed first).
-    over_quota: Vec<bool>,
-    /// Each lease tick's per-node signals and lent bytes, kept between
-    /// ticks so a tick reuses their capacity instead of allocating.
-    signals: Vec<NodeSignal>,
-    lent_bytes: Vec<u64>,
-}
-
-impl ElasticTier {
-    /// The newest visible lease generation on `node` (0 = none).
-    fn newest_generation(&self, node: usize) -> u64 {
-        self.leases[node].last().map(|&(g, _)| g).unwrap_or(0)
-    }
-
-    /// The newest *visible* lease lent by `donor`, as
-    /// `(recipient, stack index, generation)` — the revoke target under
-    /// recipient-side LIFO preference. Leases still in their establish
-    /// flow are not on any stack yet and cannot be revoked.
-    fn newest_visible_from(&self, donor: u16) -> Option<(usize, usize, u64)> {
-        let mut best: Option<(usize, usize, u64)> = None;
-        for (recipient, stack) in self.leases.iter().enumerate() {
-            for (idx, &(generation, lease)) in stack.iter().enumerate() {
-                if lease.donor.0 == donor && best.map(|(_, _, g)| generation > g).unwrap_or(true) {
-                    best = Some((recipient, idx, generation));
-                }
-            }
-        }
-        best
-    }
-}
-
-/// Warms the TLTLB with a throwaway read, then measures the steady-state
-/// CRMA read latency of a freshly mapped window — the cold first access
-/// pays a one-time translation-miss penalty that must not be charged to
-/// every request. The single measurement protocol for static and elastic
-/// provisioning alike.
-fn measure_crma(cluster: &mut Cluster, node: NodeId, local_base: u64) -> Time {
-    cluster
-        .crma_read(node, local_base + 64)
-        .expect("freshly mapped window is readable");
-    cluster
-        .crma_read(node, local_base + 64)
-        .expect("freshly mapped window is readable")
-}
-
-/// Borrows one chunk for `node` through the Monitor-Node flow and
-/// measures its CRMA latency. On success returns the new lease's
-/// generation, the lease, and the measured latency; on refusal records
-/// the denial and returns `None`. Shared by the setup bootstrap and the
-/// mid-run lease tick so the borrow/measure/confirm protocol cannot
-/// drift apart — the two callers differ only in *when* the capacity
-/// becomes visible (instantly at setup; after the lease's establish
-/// flow mid-run).
-///
-/// With `lessor` set the chunk is a market match: the manager confirms
-/// it as a sublease and the cluster annotates the grant with the
-/// lessor→tenant chain, so the two ledgers can be reconciled at end of
-/// run.
-///
-/// `donor_ok` is the caller's placement veto, threaded into the Monitor
-/// Node's handshake ([`Cluster::borrow_memory_filtered`]): a vetoed
-/// donor is consumed from the candidate set and the retry loop falls
-/// through to the next-nearest one. Congestion-aware placement passes
-/// the fabric model's hot-path test; everyone else passes always-true.
-#[allow(clippy::too_many_arguments)]
-fn grow_lease(
-    cluster: &mut Cluster,
-    manager: &mut LeaseManager,
-    now: Time,
-    node: u16,
-    tenant: u32,
-    predictive: bool,
-    priority: Priority,
-    lessor: Option<u32>,
-    donor_ok: &dyn Fn(NodeId) -> bool,
-) -> Option<(u64, MemoryLease, Time)> {
-    let chunk = manager.config().chunk_bytes;
-    match cluster.borrow_memory_filtered(NodeId(node), chunk, donor_ok) {
-        Ok(lease) => {
-            let lat = measure_crma(cluster, NodeId(node), lease.local_base);
-            let generation = match lessor {
-                Some(lessor) => {
-                    let generation = manager.confirm_sublease(now, node, tenant, lessor, priority);
-                    cluster
-                        .mark_sublease(lease.grant_id, lessor, tenant)
-                        .expect("fresh grant accepts its sublease chain");
-                    generation
-                }
-                None => manager.confirm_grow(now, node, tenant, predictive, priority),
-            };
-            Some((generation, lease, lat))
-        }
-        Err(_) => {
-            manager.deny_grow(now, node, tenant, priority);
-            None
-        }
-    }
-}
-
-/// Applies a mid-run `Grow` or `Sublease` decision: borrow through the
-/// shared flow, schedule the Fig 2 establish completion — the borrowed
-/// capacity must not serve requests before the flow completes, or the
-/// elastic-vs-static comparison would credit elastic with instant
-/// provisioning — and bump the donor's lent pressure (its memory is
-/// committed at borrow time, even though the recipient's visibility
-/// waits on the establish flow). `lessor` marks a market match.
-fn apply_grow<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-    now: Time,
-    signals: &[NodeSignal],
-    node: u16,
-    predictive: bool,
-    lessor: Option<u32>,
-) {
-    let tenant = signals[node as usize].tenant;
-    let priority = signals[node as usize].priority;
-    // Under congestion-aware placement the fabric model vetoes donors
-    // whose node↔donor path is currently backlogged; with a fault plan
-    // armed, dead nodes are vetoed unconditionally — a crashed donor
-    // cannot map memory (2021-edition closures capture the `remote` and
-    // `faults` fields alone, so these shared borrows coexist with the
-    // mutable cluster/manager borrows below).
-    let donor_ok =
-        |d: NodeId| (!F::ENABLED || w.faults.node_up(d.0)) && w.remote.donor_ok(now, node, d.0);
-    let tier = w.elastic.as_mut().expect("elastic run");
-    if let Some((generation, lease, lat)) = grow_lease(
-        &mut w.cluster,
-        &mut tier.manager,
-        now,
-        node,
-        tenant,
-        predictive,
-        priority,
-        lessor,
-        &donor_ok,
-    ) {
-        s.schedule_event_in(
-            lease.setup_time,
-            EngineEvent::LeaseEstablished(Box::new(LeaseEstablish {
-                node,
-                generation,
-                lease,
-                class_tag: tenant,
-                lat,
-                failover_of: 0,
-            })),
-        );
-        sync_donor_pressure(w, lease.donor.0);
-        if P::ENABLED {
-            w.probe
-                .span_open(SpanKind::Establish, node, generation, now);
-        }
-        if P::ATTRIB {
-            w.pending_grows[node as usize] += 1;
-        }
-    }
-}
-
-/// Refreshes `donor`'s lent-memory pressure from the cluster ledger and
-/// recompiles its service models — called wherever a grant involving the
-/// donor is established or torn down. A no-op unless the pressure term
-/// is armed, so untouched configurations never recompile here.
-fn sync_donor_pressure<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    donor: u16,
-) {
-    if w.servers[donor as usize].model.lent_slowdown > 0.0 {
-        let lent = w.cluster.lent_bytes_of(NodeId(donor));
-        w.servers[donor as usize].model.lent_bytes = lent;
-        recompile_service(w, donor as usize);
-    }
-}
-
 /// One scheduled occurrence in the typed engine: a plain enum value,
 /// scheduled by value and fired through a single `match` — no `Box`, no
 /// vtable on the per-request path. The hot variants (arrivals,
@@ -594,38 +412,6 @@ impl EngineEvent {
     }
 }
 
-/// Payload of [`EngineEvent::LeaseEstablished`].
-struct LeaseEstablish {
-    /// Recipient node.
-    node: u16,
-    /// Lease generation assigned by the manager at confirm time.
-    generation: u64,
-    /// The established lease.
-    lease: MemoryLease,
-    /// Tenant class that drove the grow (`NO_TAG` = unattributed).
-    class_tag: u32,
-    /// Measured CRMA latency of the new window.
-    lat: Time,
-    /// Generation of the lease this grow replaces after its donor died
-    /// (0 = an ordinary grow): landing it closes the recipient's
-    /// failover span.
-    failover_of: u64,
-}
-
-/// Payload of [`EngineEvent::RevokeTorndown`].
-struct RevokeTeardown {
-    /// Pressured donor demanding its memory back.
-    donor: u16,
-    /// Node the chunk is reclaimed from.
-    recipient: u16,
-    /// Generation of the revoked lease.
-    generation: u64,
-    /// The lease being torn down.
-    lease: MemoryLease,
-    /// Priority carried on the revoke decision.
-    priority: Priority,
-}
-
 /// The engine's scheduler flavor: typed events over the world.
 type Sched<'a, P, M, F> = Scheduler<World<'a, P, M, F>, EngineEvent>;
 
@@ -640,109 +426,8 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
             EngineEvent::ReplayNext => replay_arrival(w, s),
             EngineEvent::Finish(slot) => finish(w, s, slot),
             EngineEvent::LeaseTick => lease_tick(w, s),
-            EngineEvent::LeaseEstablished(est) => {
-                let LeaseEstablish {
-                    node,
-                    generation,
-                    lease,
-                    class_tag,
-                    lat,
-                    failover_of,
-                } = *est;
-                if P::ATTRIB {
-                    w.pending_grows[node as usize] -= 1;
-                }
-                let now = s.now();
-                // The Fig 2 handshake needs both ends alive when it
-                // lands: if either died mid-flow, the grant is lost —
-                // ledgers unwind without a teardown (no one is left to
-                // run one) and the chunk never becomes visible. A crash
-                // window the flow straddled entirely (crash *and*
-                // recovery before landing) leaves the grant intact.
-                if F::ENABLED && (!w.faults.node_up(lease.donor.0) || !w.faults.node_up(node)) {
-                    w.cluster
-                        .purge(lease.grant_id)
-                        .expect("in-flight grant is still on the cluster ledger");
-                    let tier = w.elastic.as_mut().expect("elastic run");
-                    tier.manager.confirm_failover(
-                        now,
-                        lease.donor.0,
-                        node,
-                        generation,
-                        Priority::Normal,
-                    );
-                    sync_donor_pressure(w, lease.donor.0);
-                    if P::ENABLED {
-                        w.probe
-                            .span_close(SpanKind::Establish, node, generation, now);
-                    }
-                    return;
-                }
-                let tier = w.elastic.as_mut().expect("elastic run");
-                tier.leases[node as usize].push((generation, lease));
-                if class_tag != NO_TAG {
-                    tier.tags[node as usize] = class_tag;
-                }
-                let model = &mut w.servers[node as usize].model;
-                model.remote_bytes += lease.bytes;
-                model.remote_miss = lat;
-                recompile_service(w, node as usize);
-                sync_fabric_route(w, node as usize);
-                if P::ENABLED {
-                    w.probe
-                        .span_close(SpanKind::Establish, node, generation, now);
-                    w.probe.span_open(SpanKind::Active, node, generation, now);
-                    if F::ENABLED && failover_of != 0 {
-                        // The replacement chunk is live: the recipient's
-                        // degraded window ends here.
-                        w.probe
-                            .span_close(SpanKind::Failover, node, failover_of, now);
-                    }
-                }
-            }
-            EngineEvent::RevokeTorndown(rev) => {
-                let RevokeTeardown {
-                    donor,
-                    recipient,
-                    generation,
-                    lease,
-                    priority,
-                } = *rev;
-                let now = s.now();
-                // A teardown handshake cannot execute against a dead
-                // end: the chunk is written off as a failover instead —
-                // ledger unwound, no latency charged, no donor repaid
-                // by an unmap nobody can run.
-                if F::ENABLED && (!w.faults.node_up(donor) || !w.faults.node_up(recipient)) {
-                    w.cluster
-                        .purge(lease.grant_id)
-                        .expect("revoke-pending grant is still on the cluster ledger");
-                    let tier = w.elastic.as_mut().expect("elastic run");
-                    tier.manager
-                        .confirm_failover(now, donor, recipient, generation, priority);
-                    let model = &mut w.servers[recipient as usize].model;
-                    model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-                    recompile_service(w, recipient as usize);
-                    sync_fabric_route(w, recipient as usize);
-                    sync_donor_pressure(w, donor);
-                    if P::ENABLED {
-                        w.probe
-                            .span_close(SpanKind::Teardown, recipient, generation, now);
-                        w.probe
-                            .span_close(SpanKind::Active, recipient, generation, now);
-                    }
-                    return;
-                }
-                apply_revoke(
-                    w,
-                    now,
-                    donor,
-                    recipient as usize,
-                    generation,
-                    lease,
-                    priority,
-                );
-            }
+            EngineEvent::LeaseEstablished(est) => lease_established(w, s, *est),
+            EngineEvent::RevokeTorndown(rev) => revoke_torndown(w, s, *rev),
             EngineEvent::FaultTick => fault_tick(w, s),
         }
     }
@@ -1586,489 +1271,6 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         dispatch(w, s, next);
     }
     schedule_next_session(w, s);
-}
-
-/// The tenant class with the most queued *and in-service* work on
-/// `srv` (ties to the lowest index), used to attribute a lease to the
-/// tenant driving it. Must mirror the grow trigger's demand signal —
-/// backlog plus busy slots — or grows fired by pure in-service pressure
-/// would have no class to attribute to.
-///
-/// Reads only the per-class counters (`inflight_by_class` plus
-/// `queued_by_class`), so a tick costs O(classes) per node whatever
-/// the backlog depth.
-fn dominant_class(srv: &Server) -> Option<usize> {
-    let mut best: Option<(usize, u32)> = None;
-    let counts = srv.inflight_by_class.iter().zip(&srv.queued_by_class);
-    for (class, (&inflight, &queued)) in counts.enumerate() {
-        let count = inflight + queued;
-        if count > 0 && best.map(|(_, b)| count > b).unwrap_or(true) {
-            best = Some((class, count));
-        }
-    }
-    best.map(|(class, _)| class)
-}
-
-/// Recompiles every tenant class's service model against `node`'s
-/// current [`NodeModel`]. Called from the three places a node's remote
-/// tier moves (establish lands, shrink, revoke lands) — rare events, so
-/// the per-request path never re-derives model constants.
-fn recompile_service<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    node: usize,
-) {
-    let model = w.servers[node].model;
-    for (class, slot) in w
-        .classes
-        .iter()
-        .zip(w.servers[node].service_by_class.iter_mut())
-    {
-        *slot = class.profile.compile(&model);
-    }
-    if P::ATTRIB {
-        // The remote share moves with the same node state; keep the
-        // attribution model in lockstep with the service model.
-        let srv = &mut w.servers[node];
-        for (class, slot) in w.classes.iter().zip(srv.attrib_by_class.iter_mut()) {
-            *slot = class.profile.compile_attrib(&model);
-        }
-    }
-}
-
-/// Re-points `node`'s fabric route at its newest visible lease's donor
-/// (`None` when the node holds no remote tier) — the compiled-path
-/// analog of [`recompile_service`], called from the same places a
-/// node's remote tier moves so the congested model always charges the
-/// path the node is actually serving from. A no-op (compiled away)
-/// under the scalar model.
-fn sync_fabric_route<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    node: usize,
-) {
-    if !M::ENABLED {
-        return;
-    }
-    let donor = w
-        .elastic
-        .as_ref()
-        .and_then(|t| t.leases[node].last())
-        .map(|&(_, lease)| lease.donor.0);
-    w.remote.set_route(node, donor);
-}
-
-/// Applies a donor-demanded revoke once its modeled teardown flow
-/// completes: the grant is pulled back through the real Monitor–Node
-/// path ([`Cluster::revoke`]), the manager's ledger is repaid, and the
-/// recipient's visible capacity drops. Until this fires the recipient
-/// keeps serving from the window — a revoke notice takes effect when the
-/// unmap lands, not when the donor asks.
-#[allow(clippy::too_many_arguments)]
-fn apply_revoke<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    now: Time,
-    donor: u16,
-    recipient: usize,
-    generation: u64,
-    lease: MemoryLease,
-    priority: Priority,
-) {
-    w.cluster
-        .revoke(NodeId(donor), lease.grant_id)
-        .expect("revoked lease releases cleanly");
-    let tier = w.elastic.as_mut().expect("elastic run");
-    tier.manager
-        .confirm_revoke(now, donor, recipient as u16, generation, priority);
-    let model = &mut w.servers[recipient].model;
-    model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-    recompile_service(w, recipient);
-    sync_fabric_route(w, recipient);
-    // The reclaimed pool speeds the donor back up — the whole point of
-    // a cost-aware revoke.
-    sync_donor_pressure(w, donor);
-    if P::ENABLED {
-        let node = recipient as u16;
-        w.probe
-            .span_close(SpanKind::Teardown, node, generation, now);
-        w.probe.span_close(SpanKind::Active, node, generation, now);
-    }
-}
-
-/// Drains every fault transition due now and applies it, then schedules
-/// the next tick at the plan's next edge. Reached only when a
-/// [`FaultPlan`] is armed — `NoFaults` never schedules a `FaultTick`.
-fn fault_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-) {
-    let now = s.now();
-    while let Some(tr) = w.faults.pop_due(now) {
-        match tr {
-            FaultTransition::NodeDown(n) => crash_node(w, s, n as usize),
-            FaultTransition::NodeUp(n) => recover_node(w, n as usize, now),
-            FaultTransition::LinkDown(a, b) => w.remote.set_link_state(a, b, false),
-            FaultTransition::LinkUp(a, b) => w.remote.set_link_state(a, b, true),
-            FaultTransition::Loss(a, b, per_mille) => w.remote.set_link_loss(a, b, per_mille),
-        }
-    }
-    if let Some(at) = w.faults.next_at() {
-        s.schedule_event_at(at, EngineEvent::FaultTick);
-    }
-}
-
-/// Fail-stops `node`: sheds its backlog, dooms its in-service requests
-/// (their `Finish` events account as crash sheds when they fire), wipes
-/// its service slots, and fails over every lease touching it — the
-/// cluster purges the grants without executing a teardown on the dead
-/// node, the manager unwinds its ledgers, and surviving recipients
-/// immediately re-establish on a live donor, paying the full modeled
-/// establish latency.
-fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-    node: usize,
-) {
-    let now = s.now();
-    w.fault_seq += 1;
-    w.node_fault_seq[node] = w.fault_seq;
-    if P::ENABLED {
-        w.probe
-            .span_open(SpanKind::Fault, node as u16, w.fault_seq, now);
-    }
-    // Backlogged requests were admitted but never cleared the credit
-    // gate: they die with the node, holding no transport credit.
-    while let Some(slot) = w.pop_backlog(node) {
-        let req = w.requests.take(slot);
-        let class = req.class as usize;
-        w.stats[class].shed_crash += 1;
-        w.admissions[node].on_completion();
-        if P::ATTRIB {
-            w.probe.on_shed(class as u16, node as u16, 3, now);
-        }
-        record(
-            w,
-            req.seq,
-            req.arrival,
-            class,
-            req.user,
-            node,
-            RequestOutcome::ShedCrash,
-            Time::ZERO,
-            req.generation,
-        );
-        schedule_next_session(w, s);
-    }
-    // In-service requests cannot be unscheduled — their Finish events
-    // are already in the queue — so they are doomed in place and
-    // account as crash sheds when they fire.
-    for slot in w.requests.live_slots_on(node as u16) {
-        if w.doomed.len() <= slot as usize {
-            w.doomed.resize(slot as usize + 1, false);
-        }
-        w.doomed[slot as usize] = true;
-    }
-    // The reboot clears the machine: whatever occupancy the slots held
-    // died with it.
-    for t in w.servers[node].slots.iter_mut() {
-        *t = now;
-    }
-    if w.elastic.is_some() {
-        // Every *visible* grant touching the dead node fails over. A
-        // grant still mid-establish or mid-teardown is not on any
-        // stack; its own completion event settles it against the
-        // liveness state at fire time.
-        let tier = w.elastic.as_mut().expect("checked above");
-        let mut lost: Vec<(usize, u64, MemoryLease)> = Vec::new();
-        for recipient in 0..tier.leases.len() {
-            let mut idx = 0;
-            while idx < tier.leases[recipient].len() {
-                let (generation, lease) = tier.leases[recipient][idx];
-                if lease.donor.0 as usize == node || recipient == node {
-                    tier.leases[recipient].remove(idx);
-                    lost.push((recipient, generation, lease));
-                } else {
-                    idx += 1;
-                }
-            }
-        }
-        for (recipient, generation, lease) in lost {
-            let donor = lease.donor.0;
-            w.cluster
-                .purge(lease.grant_id)
-                .expect("visible grant is on the cluster ledger");
-            let tier = w.elastic.as_mut().expect("checked above");
-            let tag = tier.tags[recipient];
-            let priority = if tag == NO_TAG {
-                Priority::Normal
-            } else {
-                w.classes[tag as usize].priority
-            };
-            tier.manager
-                .confirm_failover(now, donor, recipient as u16, generation, priority);
-            let model = &mut w.servers[recipient].model;
-            model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-            recompile_service(w, recipient);
-            sync_fabric_route(w, recipient);
-            sync_donor_pressure(w, donor);
-            if P::ENABLED {
-                w.probe
-                    .span_close(SpanKind::Active, recipient as u16, generation, now);
-            }
-            if recipient != node {
-                // A surviving recipient lost its donor: open its
-                // degraded window and re-establish on a live donor
-                // right away (the dead node's own chunks wait for the
-                // ordinary lease tick after it reboots).
-                if P::ENABLED {
-                    w.probe
-                        .span_open(SpanKind::Failover, recipient as u16, generation, now);
-                }
-                regrow_after_failover(w, s, now, recipient as u16, generation);
-            }
-        }
-    } else {
-        // Static provisioning has no manager to re-establish through:
-        // the Venice-stack grants touching the dead node are purged and
-        // the affected tiers stay degraded — the gap the
-        // elastic-with-failover comparison measures. Baseline stacks
-        // never borrowed through the Monitor-Node flow, so the purge
-        // finds nothing and their pre-partitioned tiers ride through.
-        let purged = w
-            .cluster
-            .purge_node(venice::NodeId(node as u16))
-            .expect("purging a node's grants cannot fail");
-        for lease in purged {
-            let recipient = lease.recipient.0 as usize;
-            let model = &mut w.servers[recipient].model;
-            model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-            recompile_service(w, recipient);
-            sync_fabric_route(w, recipient);
-        }
-    }
-}
-
-/// Reboots `node` empty: the fault span closes, and capacity returns
-/// through the ordinary paths — routing starts offering it traffic
-/// again immediately, and (under elastic leases) the next lease tick
-/// re-grows its remote tier from the floor.
-fn recover_node<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    node: usize,
-    now: Time,
-) {
-    if P::ENABLED {
-        w.probe
-            .span_close(SpanKind::Fault, node as u16, w.node_fault_seq[node], now);
-    }
-}
-
-/// Re-establishes a replacement for a lease lost to its donor's crash:
-/// the ordinary borrow/measure/confirm flow against a *live* donor,
-/// paying the full modeled establish latency before the replacement
-/// becomes visible. On refusal the denial is recorded and the next
-/// lease tick retries through the watermark path.
-fn regrow_after_failover<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-    now: Time,
-    node: u16,
-    lost_generation: u64,
-) {
-    let tenant = w.elastic.as_ref().expect("elastic run").tags[node as usize];
-    let priority = if tenant == NO_TAG {
-        Priority::Normal
-    } else {
-        w.classes[tenant as usize].priority
-    };
-    let donor_ok = |d: venice::NodeId| w.faults.node_up(d.0) && w.remote.donor_ok(now, node, d.0);
-    let tier = w.elastic.as_mut().expect("elastic run");
-    if let Some((generation, lease, lat)) = grow_lease(
-        &mut w.cluster,
-        &mut tier.manager,
-        now,
-        node,
-        tenant,
-        false,
-        priority,
-        None,
-        &donor_ok,
-    ) {
-        s.schedule_event_in(
-            lease.setup_time,
-            EngineEvent::LeaseEstablished(Box::new(LeaseEstablish {
-                node,
-                generation,
-                lease,
-                class_tag: tenant,
-                lat,
-                failover_of: lost_generation,
-            })),
-        );
-        sync_donor_pressure(w, lease.donor.0);
-        if P::ENABLED {
-            w.probe
-                .span_open(SpanKind::Establish, node, generation, now);
-        }
-        if P::ATTRIB {
-            w.pending_grows[node as usize] += 1;
-        }
-    }
-}
-
-/// Periodic elastic-lease control tick: sample per-node queue depth and
-/// donor pressure, let the manager decide, and apply
-/// grows/shrinks/revokes against the live cluster.
-fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-) {
-    // A tick scheduled while the last requests were in flight can fire
-    // after the final completion; acting there would put lease events
-    // past the report's duration (skewing the time-weighted mean), so a
-    // finished run's trailing tick is a no-op.
-    if w.issued >= w.target && w.total_inflight() == 0 {
-        return;
-    }
-    #[cfg(debug_assertions)]
-    w.audit_queued();
-    let now = s.now();
-    // The signal and lent-bytes buffers live in the tier between ticks;
-    // taking them out lets `apply_grow` borrow the world mutably while
-    // the signals stay readable, and they go back before returning.
-    let tier = w.elastic.as_mut().expect("lease tick without elastic tier");
-    let mut signals = mem::take(&mut tier.signals);
-    let mut lent_bytes = mem::take(&mut tier.lent_bytes);
-    signals.clear();
-    signals.extend(w.servers.iter().map(|srv| {
-        let busy = srv.slots.iter().filter(|&&t| t > now).count();
-        let tenant = dominant_class(srv).map(|c| c as u32).unwrap_or(NO_TAG);
-        NodeSignal {
-            depth: (srv.backlog.len() + busy) as u32,
-            lent_chunks: 0,
-            lent_pressure: 0.0,
-            tenant,
-            priority: if tenant == NO_TAG {
-                Priority::Normal
-            } else {
-                w.classes[tenant as usize].priority
-            },
-        }
-    }));
-    // Chunks and bytes each node has lent out, from one pass over the
-    // cluster's live ledger (includes grants still in their
-    // recipient-side establish flow — the donor's memory is committed
-    // either way).
-    lent_bytes.clear();
-    lent_bytes.resize(w.servers.len(), 0);
-    for lease in w.cluster.active_leases() {
-        signals[lease.donor.0 as usize].lent_chunks += 1;
-        lent_bytes[lease.donor.0 as usize] += lease.bytes;
-    }
-    for (signal, &bytes) in signals.iter_mut().zip(&lent_bytes) {
-        signal.lent_pressure = (bytes as f64 / LENDABLE_PER_NODE as f64).min(1.0);
-    }
-    let tier = w.elastic.as_mut().expect("checked above");
-    let actions = tier.manager.tick(now, &signals);
-    for action in actions {
-        match action {
-            LeaseAction::Grow { node, predictive } => {
-                apply_grow(w, s, now, &signals, node, predictive, None);
-            }
-            // A market match borrows through the identical flow; it
-            // differs only in whose quota the confirm charges.
-            LeaseAction::Sublease { node, lessor } => {
-                apply_grow(w, s, now, &signals, node, false, Some(lessor));
-            }
-            LeaseAction::Shrink { node } => {
-                let tier = w.elastic.as_mut().expect("checked above");
-                let tag = tier.tags[node as usize];
-                let priority = if tag == NO_TAG {
-                    Priority::Normal
-                } else {
-                    w.classes[tag as usize].priority
-                };
-                // Only a *visible* lease can be released — a grow still
-                // in its establish flow is not on the stack yet, and a
-                // revoke-pending chunk is already off this stack. The
-                // popped lease's generation names the chunk for the
-                // manager: its own newest may be the revoke-pending one.
-                if let Some((generation, lease)) = tier.leases[node as usize].pop() {
-                    w.cluster
-                        .release(lease)
-                        .expect("visible lease releases cleanly");
-                    tier.manager.confirm_shrink(now, node, generation, priority);
-                    let model = &mut w.servers[node as usize].model;
-                    model.remote_bytes = model.remote_bytes.saturating_sub(lease.bytes);
-                    recompile_service(w, node as usize);
-                    sync_fabric_route(w, node as usize);
-                    // The release repays the donor's pool immediately.
-                    sync_donor_pressure(w, lease.donor.0);
-                    if P::ENABLED {
-                        w.probe.span_close(SpanKind::Active, node, generation, now);
-                    }
-                }
-                // When nothing is visible (the node's only chunks are
-                // still establishing) the decision is surrendered: the
-                // manager keeps its chunk count and a later calm spell
-                // re-triggers the release.
-            }
-            LeaseAction::Revoke { donor } => {
-                // The pressured donor demands its newest *visible* lent
-                // chunk back. A grant still establishing on its
-                // recipient cannot be torn down mid-flow: the demand is
-                // denied — on the timeline, since the revoke cooldown
-                // was already charged — and donor pressure re-triggers
-                // it once something lands.
-                let tier = w.elastic.as_mut().expect("checked above");
-                let Some((recipient, idx, generation)) = tier.newest_visible_from(donor) else {
-                    tier.manager
-                        .deny_revoke(now, donor, signals[donor as usize].priority);
-                    continue;
-                };
-                // Off the visible stack immediately — the recipient may
-                // not release (or double-revoke) a chunk already being
-                // reclaimed — but the capacity and the ledger move only
-                // when the modeled teardown flow completes.
-                let (_, lease) = tier.leases[recipient].remove(idx);
-                let teardown = w.cluster.flow.teardown(lease.bytes);
-                let priority = signals[donor as usize].priority;
-                s.schedule_event_in(
-                    teardown,
-                    EngineEvent::RevokeTorndown(Box::new(RevokeTeardown {
-                        donor,
-                        recipient: recipient as u16,
-                        generation,
-                        lease,
-                        priority,
-                    })),
-                );
-                if P::ENABLED {
-                    w.probe
-                        .span_open(SpanKind::Teardown, recipient as u16, generation, now);
-                }
-            }
-        }
-    }
-    // Refresh the per-class quota flags the admission layer reads: a
-    // class at its byte quota is clamped to the over-quota share until
-    // its ledger drains (shrinks/revokes repay it).
-    let tier = w.elastic.as_mut().expect("checked above");
-    tier.signals = signals;
-    tier.lent_bytes = lent_bytes;
-    for (class, flag) in tier.over_quota.iter_mut().enumerate() {
-        *flag = tier.manager.quota_blocks(class as u32);
-    }
-    // Keep ticking while the run is alive (arrivals pending or requests
-    // in flight); afterwards the queue drains and the kernel stops.
-    if w.issued < w.target || w.total_inflight() > 0 {
-        let interval = w
-            .elastic
-            .as_ref()
-            .expect("checked above")
-            .manager
-            .config()
-            .tick_interval;
-        s.schedule_event_in(interval, EngineEvent::LeaseTick);
-    }
 }
 
 /// Everything one engine execution produced: the report, plus whatever
