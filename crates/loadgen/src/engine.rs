@@ -31,13 +31,13 @@ use std::ops::Range;
 
 use venice::cluster::Cluster;
 use venice::NodeId;
-use venice_lease::{LeaseAction, LeaseConfig, LeaseManager, Priority, NO_TENANT};
+use venice_lease::{LeaseConfig, LeaseManager, NO_TENANT};
 use venice_sim::{Kernel, LogHistogram, QueueStats, Scheduler, SimEvent, SimRng, Time};
 use venice_telemetry::attrib::{
     StageBreakdown, STAGE_DETOUR, STAGE_ESTABLISH_STALL, STAGE_QUEUE_WAIT, STAGE_SERVICE_LOCAL,
     STAGE_SERVICE_REMOTE, STAGE_SLOT_WAIT, STAGE_TRANSPORT,
 };
-use venice_telemetry::{NodeGauges, NoopProbe, Probe, SampleRow, SpanKind, TenantCounters};
+use venice_telemetry::{NodeGauges, NoopProbe, Probe, SampleRow, TenantCounters};
 use venice_transport::qpair::QpairError;
 use venice_transport::{QpairConfig, QueuePair};
 use venice_workloads::ZipfSampler;
@@ -56,8 +56,8 @@ use crate::trace::{RequestOutcome, RequestRecord, Trace};
 mod control;
 
 use control::{
-    fault_tick, grow_lease, lease_established, lease_tick, measure_crma, revoke_torndown,
-    ElasticTier, LeaseEstablish, RevokeTeardown,
+    bootstrap, crash_shed, fault_tick, lease_established, lease_tick, measure_crma,
+    revoke_torndown, ElasticTier, LeaseEstablish, RevokeTeardown,
 };
 
 /// Local DRAM miss latency used for the non-borrowed tier.
@@ -1157,27 +1157,10 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     // work died with the node.
     if F::ENABLED && w.doomed.get(slot as usize).copied().unwrap_or(false) {
         w.doomed[slot as usize] = false;
-        let req = w.requests.take(slot);
-        let class = req.class as usize;
+        let req = crash_shed(w, slot, s.now());
         let node = req.node as usize;
-        w.stats[class].shed_crash += 1;
-        w.admissions[node].on_completion();
-        w.servers[node].inflight_by_class[class] -= 1;
-        if P::ATTRIB {
-            w.probe.on_shed(class as u16, node as u16, 3, s.now());
-        }
-        record(
-            w,
-            req.seq,
-            req.arrival,
-            class,
-            req.user,
-            node,
-            RequestOutcome::ShedCrash,
-            Time::ZERO,
-            req.generation,
-        );
         let srv = &mut w.servers[node];
+        srv.inflight_by_class[req.class as usize] -= 1;
         srv.qp.drain_one();
         srv.qp.credit_update(1);
         if let Some(next) = w.pop_backlog(node) {
@@ -1630,7 +1613,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         config: &LoadgenConfig,
         replay_trace: Option<&'a Trace>,
         capture: bool,
-        mut probe: P,
+        probe: P,
         mut remote: M,
         mut faults: F,
         zipf: ZipfSampler,
@@ -1688,9 +1671,10 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         let mut elastic: Option<ElasticTier> = None;
         match (&config.lease, config.stack) {
             (Some(lease_config), RemoteStack::VeniceCrma) => {
-                // Elastic: bootstrap every node to the lease floor through
-                // the real borrow flow; the lease_tick event grows/shrinks
-                // from there.
+                // Elastic: every node starts empty, and once the world
+                // exists the bootstrap borrows each node's lease floor
+                // through the real borrow flow; the lease_tick event
+                // grows/shrinks from there.
                 let full = if config.remote_memory_per_node > 0 {
                     config.remote_memory_per_node
                 } else {
@@ -1707,7 +1691,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                         lent_slowdown: lease_config.donor_pressure_slowdown,
                     });
                 }
-                let mut tier = ElasticTier {
+                elastic = Some(ElasticTier {
                     tags: vec![NO_TAG; n],
                     leases: vec![Vec::new(); n],
                     manager: LeaseManager::with_quotas(
@@ -1718,58 +1702,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                     over_quota: vec![false; config.mix.classes.len()],
                     signals: Vec::with_capacity(n),
                     lent_bytes: Vec::with_capacity(n),
-                };
-                let boot = tier.manager.bootstrap();
-                for action in boot {
-                    let LeaseAction::Grow { node, .. } = action else {
-                        unreachable!("bootstrap only grows");
-                    };
-                    // A refused bootstrap grow is already recorded by
-                    // grow_lease as a manager denial (lease.denials);
-                    // borrow_failures stays a static-provisioning counter
-                    // so the two never double-count. Bootstrap capacity is
-                    // unattributed: no tenant's backlog asked for it, so no
-                    // tenant's quota pays for it.
-                    if let Some((generation, lease, lat)) = grow_lease(
-                        &mut cluster,
-                        &mut tier.manager,
-                        Time::ZERO,
-                        node,
-                        NO_TAG,
-                        false,
-                        Priority::Normal,
-                        None,
-                        // Setup happens before any traffic: every fabric
-                        // window is empty, so even congestion-aware
-                        // placement accepts the nearest donor here.
-                        &|d| remote.donor_ok(Time::ZERO, node, d.0),
-                    ) {
-                        // Setup-time provisioning is visible immediately
-                        // (the run starts after setup, like the static
-                        // path).
-                        tier.leases[node as usize].push((generation, lease));
-                        if M::ENABLED {
-                            remote.set_route(node as usize, Some(lease.donor.0));
-                        }
-                        if P::ENABLED {
-                            // Bootstrap capacity is usable from t = 0: its
-                            // active span starts at the epoch, no establish
-                            // phase (setup happens before the clock runs).
-                            probe.span_open(SpanKind::Active, node, generation, Time::ZERO);
-                        }
-                        let model = &mut models[node as usize];
-                        model.remote_bytes += lease.bytes;
-                        model.remote_miss = lat;
-                        remote_leases += 1;
-                        // Bootstrap grants pressure their donors from t = 0
-                        // when the term is armed.
-                        let donor = lease.donor.0 as usize;
-                        if models[donor].lent_slowdown > 0.0 {
-                            models[donor].lent_bytes = cluster.lent_bytes_of(lease.donor);
-                        }
-                    }
-                }
-                elastic = Some(tier);
+                });
             }
             (None, _) => {
                 // Static provisioning: the one-shot borrow flow for the
@@ -1826,7 +1759,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         let target = replay_trace
             .map(|t| t.len() as u64)
             .unwrap_or(config.requests);
-        World {
+        let mut w = World {
             owned,
             next_request: (0, 0),
             pipe,
@@ -1883,7 +1816,11 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             doomed: Vec::new(),
             fault_seq: 0,
             node_fault_seq: if F::ENABLED { vec![0; n] } else { Vec::new() },
+        };
+        if w.elastic.is_some() {
+            bootstrap(&mut w);
         }
+        w
     }
 }
 
