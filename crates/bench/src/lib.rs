@@ -11,16 +11,13 @@ use serde::{Deserialize, Serialize};
 use venice::Figure;
 
 /// Schema tag stamped into `BENCH_perf.json` so the validator can
-/// reject artifacts written by an incompatible harness version.
-pub const PERF_SCHEMA: &str = "venice-perf-v1";
-
-/// The v2 schema tag: identical to v1 plus a `scaling` section holding
-/// the sharded kernel's 1/2/4/8-shard curve on the storm family. The
-/// validator accepts both tags, but a v2 artifact must carry a
-/// complete curve (see [`SCALING_WIDTHS`]).
+/// reject artifacts written by an incompatible harness version. The
+/// artifact carries a `scaling` section holding the sharded kernel's
+/// 1/2/4/8-shard curve on the storm family, which must be complete
+/// (see [`SCALING_WIDTHS`]).
 pub const PERF_SCHEMA_V2: &str = "venice-perf-v2";
 
-/// Shard widths a v2 artifact's scaling curve must cover.
+/// Shard widths the artifact's scaling curve must cover.
 pub const SCALING_WIDTHS: &[u32] = &[1, 2, 4, 8];
 
 /// Scenario families the wall-clock perf trajectory must cover. The
@@ -86,7 +83,7 @@ pub struct ScalingEntry {
 /// The whole `BENCH_perf.json` artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfReport {
-    /// [`PERF_SCHEMA`] or [`PERF_SCHEMA_V2`].
+    /// [`PERF_SCHEMA_V2`].
     pub schema: String,
     /// Timing iterations per scenario (best-of-N wall time is kept).
     pub iters: u32,
@@ -95,10 +92,10 @@ pub struct PerfReport {
     pub requests_override: Option<u64>,
     /// One row per timed scenario.
     pub entries: Vec<PerfEntry>,
-    /// Sharded-kernel scaling curve (v2; must be empty under v1).
+    /// Sharded-kernel scaling curve.
     pub scaling: Vec<ScalingEntry>,
     /// Worker threads available to the recorder (`RAYON_NUM_THREADS`
-    /// if set, else the machine's available parallelism; v2). The
+    /// if set, else the machine's available parallelism). The
     /// scaling curve is only expected to show wall-clock speedup when
     /// this is ≥ 2 — a single-core recorder runs the shards
     /// back-to-back and can only measure the sharding overhead.
@@ -106,57 +103,53 @@ pub struct PerfReport {
 }
 
 /// Validates a perf artifact: schema tag, every family of
-/// [`PERF_FAMILIES`] present, and every row internally sane (positive
-/// finite times and rates, speedup consistent with the recorded walls).
+/// [`PERF_FAMILIES`] present, the full scaling curve, and every row
+/// internally sane (positive finite times and rates, speedup consistent
+/// with the recorded walls).
 /// Returns human-readable problems (empty = valid). Deliberately does
 /// **not** enforce a speedup floor: smoke runs on loaded CI machines
 /// time whatever they time — the floor is asserted on the committed
 /// full-scale artifact by the test suite instead.
 pub fn validate_perf(report: &PerfReport) -> Vec<String> {
     let mut problems = Vec::new();
-    if report.schema != PERF_SCHEMA && report.schema != PERF_SCHEMA_V2 {
+    if report.schema != PERF_SCHEMA_V2 {
         problems.push(format!(
-            "schema `{}` is neither `{PERF_SCHEMA}` nor `{PERF_SCHEMA_V2}`",
+            "schema `{}` is not `{PERF_SCHEMA_V2}`",
             report.schema
         ));
     }
-    if report.schema == PERF_SCHEMA && !report.scaling.is_empty() {
-        problems.push("v1 artifact carries a scaling section (stamp v2)".to_string());
+    for &width in SCALING_WIDTHS {
+        if !report
+            .scaling
+            .iter()
+            .any(|s| s.family == "storm" && s.shards == width)
+        {
+            problems.push(format!("scaling curve missing storm width {width}"));
+        }
     }
-    if report.schema == PERF_SCHEMA_V2 {
-        for &width in SCALING_WIDTHS {
-            if !report
-                .scaling
-                .iter()
-                .any(|s| s.family == "storm" && s.shards == width)
-            {
-                problems.push(format!("scaling curve missing storm width {width}"));
+    for s in &report.scaling {
+        let tag = format!("scaling {}/{} @{}", s.family, s.label, s.shards);
+        if s.shards == 0 {
+            problems.push(format!("{tag}: zero shard width"));
+        }
+        for (name, x) in [
+            ("wall_ms", s.wall_ms),
+            ("events_per_sec", s.events_per_sec),
+            ("speedup_vs_single", s.speedup_vs_single),
+        ] {
+            if !(x.is_finite() && x > 0.0) {
+                problems.push(format!("{tag}: {name} = {x} is not positive finite"));
             }
         }
-        for s in &report.scaling {
-            let tag = format!("scaling {}/{} @{}", s.family, s.label, s.shards);
-            if s.shards == 0 {
-                problems.push(format!("{tag}: zero shard width"));
-            }
-            for (name, x) in [
-                ("wall_ms", s.wall_ms),
-                ("events_per_sec", s.events_per_sec),
-                ("speedup_vs_single", s.speedup_vs_single),
-            ] {
-                if !(x.is_finite() && x > 0.0) {
-                    problems.push(format!("{tag}: {name} = {x} is not positive finite"));
-                }
-            }
-            // No speedup floor here for the same reason as the typed/
-            // boxed speedup: smoke runs on loaded machines time
-            // whatever they time. The committed artifact's floor is
-            // asserted by the test suite.
-            if s.shards == 1 && (s.speedup_vs_single - 1.0).abs() > 1e-9 {
-                problems.push(format!(
-                    "{tag}: width 1 must define speedup 1.0, got {}",
-                    s.speedup_vs_single
-                ));
-            }
+        // No speedup floor here for the same reason as the typed/
+        // boxed speedup: smoke runs on loaded machines time
+        // whatever they time. The committed artifact's floor is
+        // asserted by the test suite.
+        if s.shards == 1 && (s.speedup_vs_single - 1.0).abs() > 1e-9 {
+            problems.push(format!(
+                "{tag}: width 1 must define speedup 1.0, got {}",
+                s.speedup_vs_single
+            ));
         }
     }
     if report.iters == 0 {
@@ -706,20 +699,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn perf_validation_accepts_a_sane_artifact_and_round_trips() {
-        let report = PerfReport {
-            schema: PERF_SCHEMA.to_string(),
+    /// A valid artifact: both families timed and the full storm curve.
+    fn sane_report() -> PerfReport {
+        PerfReport {
+            schema: PERF_SCHEMA_V2.to_string(),
             iters: 3,
             requests_override: None,
             entries: vec![
                 perf_entry("storm", "web-frontend"),
                 perf_entry("elastic-v2", "venice-predictive"),
             ],
-            scaling: Vec::new(),
+            scaling: SCALING_WIDTHS.iter().map(|&w| scaling_entry(w)).collect(),
             threads: 8,
-        };
-        assert!(validate_perf(&report).is_empty());
+        }
+    }
+
+    #[test]
+    fn perf_validation_accepts_a_sane_artifact_and_round_trips() {
+        let report = sane_report();
+        assert_eq!(validate_perf(&report), Vec::<String>::new());
+        // The artifact round-trips through JSON with its curve intact.
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: PerfReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
@@ -727,49 +726,14 @@ mod tests {
     }
 
     #[test]
-    fn perf_validation_accepts_a_v2_artifact_with_a_full_curve() {
-        let report = PerfReport {
-            schema: PERF_SCHEMA_V2.to_string(),
-            iters: 3,
-            requests_override: None,
-            entries: vec![
-                perf_entry("storm", "web-frontend"),
-                perf_entry("elastic-v2", "venice-predictive"),
-            ],
-            scaling: SCALING_WIDTHS.iter().map(|&w| scaling_entry(w)).collect(),
-            threads: 8,
-        };
-        assert_eq!(validate_perf(&report), Vec::<String>::new());
-        // A v2 artifact round-trips through JSON with its curve intact.
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: PerfReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
-    }
-
-    #[test]
     fn perf_validation_catches_scaling_curve_problems() {
-        let good = PerfReport {
-            schema: PERF_SCHEMA_V2.to_string(),
-            iters: 3,
-            requests_override: None,
-            entries: vec![
-                perf_entry("storm", "web-frontend"),
-                perf_entry("elastic-v2", "venice-predictive"),
-            ],
-            scaling: SCALING_WIDTHS.iter().map(|&w| scaling_entry(w)).collect(),
-            threads: 8,
-        };
-        assert!(validate_perf(&good).is_empty());
+        let good = sane_report();
         // Dropping a width from the curve fails.
         let mut short = good.clone();
         short.scaling.retain(|s| s.shards != 4);
         assert!(validate_perf(&short)
             .iter()
             .any(|p| p.contains("missing storm width 4")));
-        // A v1 artifact must not carry a curve.
-        let mut v1 = good.clone();
-        v1.schema = PERF_SCHEMA.to_string();
-        assert!(validate_perf(&v1).iter().any(|p| p.contains("stamp v2")));
         // Non-positive wall time fails.
         let mut wall = good.clone();
         wall.scaling[1].wall_ms = 0.0;
@@ -786,27 +750,19 @@ mod tests {
 
     #[test]
     fn perf_validation_catches_coverage_and_sanity_problems() {
-        let good = PerfReport {
-            schema: PERF_SCHEMA.to_string(),
-            iters: 3,
-            requests_override: None,
-            entries: vec![
-                perf_entry("storm", "web-frontend"),
-                perf_entry("elastic-v2", "venice-predictive"),
-            ],
-            scaling: Vec::new(),
-            threads: 8,
-        };
+        let good = sane_report();
         // Dropping a family fails.
         let mut dropped = good.clone();
         dropped.entries.retain(|e| e.family != "elastic-v2");
         assert!(validate_perf(&dropped)
             .iter()
             .any(|p| p.contains("missing scenario family `elastic-v2`")));
-        // A wrong schema tag fails.
+        // A wrong schema tag fails, the retired v1 tag included.
         let mut schema = good.clone();
-        schema.schema = "venice-perf-v0".to_string();
-        assert!(!validate_perf(&schema).is_empty());
+        schema.schema = "venice-perf-v1".to_string();
+        assert!(validate_perf(&schema)
+            .iter()
+            .any(|p| p.contains("is not `venice-perf-v2`")));
         // A non-positive wall time fails.
         let mut wall = good.clone();
         wall.entries[0].typed_wall_ms = 0.0;
