@@ -158,7 +158,7 @@ pub(super) fn bootstrap<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<'
         let LeaseAction::Grow { node, .. } = action else {
             unreachable!("bootstrap only grows");
         };
-        if let Some(est) = grow_lease(w, Time::ZERO, node, NO_TAG, false, None, 0) {
+        if let Some(est) = grow_lease(w, Time::ZERO, node, NO_TAG, false, None) {
             land(w, Time::ZERO, &est);
             w.remote_leases += 1;
         }
@@ -169,8 +169,8 @@ pub(super) fn bootstrap<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<'
 /// its CRMA latency, confirms it with the manager, and bumps the donor's
 /// lent pressure (its memory is committed at borrow time, even though
 /// the recipient's visibility waits on the establish flow). Returns the
-/// chunk ready to land; on refusal records the denial and returns
-/// `None`. Setup ([`bootstrap`]) and mid-run grows ([`start_grow`])
+/// chunk ready to land, as an ordinary grow; on refusal records the
+/// denial and returns `None`. Setup ([`bootstrap`]) and mid-run grows ([`start_grow`])
 /// share it, so the borrow/measure/confirm protocol cannot drift apart —
 /// the two callers differ only in *when* the capacity becomes visible.
 ///
@@ -193,7 +193,6 @@ fn grow_lease<P: Probe, M: RemoteModel, F: FaultModel>(
     tenant: u32,
     predictive: bool,
     lessor: Option<u32>,
-    failover_of: u64,
 ) -> Option<LeaseEstablish> {
     let priority = w.tag_priority(tenant);
     // 2021-edition closures capture the `remote` and `faults` fields
@@ -228,7 +227,7 @@ fn grow_lease<P: Probe, M: RemoteModel, F: FaultModel>(
         lease,
         class_tag: tenant,
         lat,
-        failover_of,
+        failover_of: 0,
     })
 }
 
@@ -249,9 +248,10 @@ fn start_grow<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     failover_of: u64,
 ) {
     let now = s.now();
-    let Some(est) = grow_lease(w, now, node, tenant, predictive, lessor, failover_of) else {
+    let Some(est) = grow_lease(w, now, node, tenant, predictive, lessor) else {
         return;
     };
+    let est = LeaseEstablish { failover_of, ..est };
     let generation = est.generation;
     s.schedule_event_in(
         est.lease.setup_time,
