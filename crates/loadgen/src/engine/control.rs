@@ -170,9 +170,10 @@ pub(super) fn bootstrap<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<'
 /// lent pressure (its memory is committed at borrow time, even though
 /// the recipient's visibility waits on the establish flow). Returns the
 /// chunk ready to land, as an ordinary grow; on refusal records the
-/// denial and returns `None`. Setup ([`bootstrap`]) and mid-run grows ([`start_grow`])
-/// share it, so the borrow/measure/confirm protocol cannot drift apart —
-/// the two callers differ only in *when* the capacity becomes visible.
+/// denial and returns `None`. Setup ([`bootstrap`]) and mid-run grows
+/// ([`start_grow`]) share it, so the borrow/measure/confirm protocol
+/// cannot drift apart — the two callers differ only in *when* the
+/// capacity becomes visible.
 ///
 /// With `lessor` set the chunk is a market match: the manager confirms
 /// it as a sublease and the cluster annotates the grant with the
