@@ -239,6 +239,12 @@ fn grow_lease<P: Probe, M: RemoteModel, F: FaultModel>(
 /// with instant provisioning. The one path for the lease tick's `Grow`
 /// and `Sublease` decisions (`lessor` marks a market match) and for a
 /// failover's replacement (`failover_of` names the lost generation).
+///
+/// A crashed recipient borrows nothing while it is down: the decision
+/// is dropped, the way a `Shrink` with nothing visible is surrendered,
+/// and the first tick after the reboot re-grows its floor. Without this
+/// the manager's floor rule would re-grow the dead node every cooldown,
+/// holding donor memory for each establish flow only to write it off.
 fn start_grow<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -248,6 +254,9 @@ fn start_grow<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     lessor: Option<u32>,
     failover_of: u64,
 ) {
+    if F::ENABLED && !w.faults.node_up(node) {
+        return;
+    }
     let now = s.now();
     let Some(est) = grow_lease(w, now, node, tenant, predictive, lessor) else {
         return;

@@ -162,15 +162,11 @@ fn failover_crash_rows() {
         requests: REQUESTS,
         ..failover::elastic_config(failover::FAILOVER_SEED)
     };
-    let o = characterize(&elastic, Some(plan.clone()), 0x87e0_c9f2_0974_91cb);
+    let o = characterize(&elastic, Some(plan.clone()), 0x6c45_5c1a_20fa_e56e);
     assert!(
         o.events(LeaseEventKind::FailedOver)
             .any(|e| o.crashes.contains(&e.at)),
         "no visible grant failed over at the crash"
-    );
-    assert!(
-        o.failed_over_after(SpanKind::Establish),
-        "no grant lost mid-establish"
     );
     assert!(
         o.spans(SpanKind::Failover).any(|s| s.end.is_some()),
@@ -198,7 +194,7 @@ fn revoke_storm_row() {
         requests: REQUESTS,
         ..failover::storm_config(failover::FAILOVER_SEED)
     };
-    let o = characterize(&config, Some(plan), 0xf0ce_e0fb_60fb_6bff);
+    let o = characterize(&config, Some(plan), 0x3b71_f961_76db_a324);
     assert!(
         o.events(LeaseEventKind::Revoked).count() > 0,
         "no revoke under the storm"
@@ -206,6 +202,12 @@ fn revoke_storm_row() {
     assert!(
         o.events(LeaseEventKind::FailedOver).count() > 0,
         "no failover under the storm"
+    );
+    // Three donors die at once, stranding grants still in their
+    // establish flow.
+    assert!(
+        o.failed_over_after(SpanKind::Establish),
+        "no grant lost mid-establish"
     );
 }
 
@@ -219,9 +221,57 @@ fn crash_into_a_revoke_teardown() {
     // its 25 ms teardown lands at 87 ms: crashing node 0 at 70 ms
     // strands that teardown against a dead recipient.
     let plan = FaultPlan::new(vec![crash(0, 70, 300)]);
-    let o = characterize(&config, Some(plan), 0x4f96_edeb_8e92_799a);
+    let o = characterize(&config, Some(plan), 0xec0c_91ab_0eb2_6828);
     assert!(
         o.failed_over_after(SpanKind::Teardown),
         "no grant lost mid-teardown"
+    );
+}
+
+/// A crashed node borrows nothing while it is down: no grow, predictive
+/// grow or sublease is confirmed for it, and no establish flow starts on
+/// it, between its crash and its reboot. Its floor comes back through
+/// the first lease tick after the reboot.
+#[test]
+fn a_crashed_recipient_stops_borrowing() {
+    let (crash_at, recover_at) = (Time::from_ms(600), Time::from_ms(900));
+    let node = failover::CRASHED_NODE;
+    let config = LoadgenConfig {
+        requests: REQUESTS,
+        ..failover::elastic_config(failover::FAILOVER_SEED)
+    };
+    let out = engine::Run::new(&config)
+        .recording(Time::from_ms(50), 16)
+        .faults(FaultPlan::new(vec![crash(node, 600, 300)]))
+        .execute();
+    let down = |at: Time| at >= crash_at && at < recover_at;
+    let grown: Vec<_> = out
+        .report
+        .lease
+        .events
+        .iter()
+        .filter(|e| e.node == node && e.kind.opens_chunk() && down(e.at))
+        .collect();
+    assert!(grown.is_empty(), "the dead node borrowed: {grown:?}");
+    let spans = out.probe.spans();
+    let establishing: Vec<Span> = spans
+        .closed()
+        .iter()
+        .map(|&(_, s)| s)
+        .chain(spans.open_spans())
+        .filter(|s| s.kind == SpanKind::Establish && s.node == node && down(s.start))
+        .collect();
+    assert!(
+        establishing.is_empty(),
+        "establish flows started on the dead node: {establishing:?}"
+    );
+    // The reboot restores the floor through the ordinary tick.
+    assert!(
+        out.report
+            .lease
+            .events
+            .iter()
+            .any(|e| e.node == node && e.kind.opens_chunk() && e.at >= recover_at),
+        "the rebooted node never re-grew"
     );
 }
