@@ -685,6 +685,86 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "later");
     }
 
+    #[test]
+    fn golden_interleaving_pins_counters_occupancy_and_pop_order() {
+        // A fixed pseudo-random simulation-shaped workload: pushes land a
+        // short or a long hop past the last popped time, a third of the
+        // steps pop, and the queue is cleared twice mid-stream. The
+        // expected values were recorded from the slab-backed queue this
+        // one replaced, so counters, occupancy and pop order are pinned
+        // across representation changes.
+        let mut x = 0x2545F4914F6CDD1Du64;
+        let mut step = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut q = EventQueue::new();
+        let (mut now, mut hash, mut pops) = (0u64, 0xcbf29ce484222325u64, 0u64);
+        let fold = |hash: &mut u64, word: u64| {
+            for b in word.to_le_bytes() {
+                *hash = (*hash ^ b as u64).wrapping_mul(0x100000001b3);
+            }
+        };
+        let mut occupancy = Vec::new();
+        for i in 0..30_000u64 {
+            if i == 10_000 || i == 20_000 {
+                occupancy.push(q.slab_occupancy());
+                q.clear();
+                occupancy.push(q.slab_occupancy());
+            }
+            let r = step();
+            if r % 3 == 0 && !q.is_empty() {
+                let (at, v) = q.pop().unwrap();
+                now = at.as_ns();
+                fold(&mut hash, now);
+                fold(&mut hash, v);
+                pops += 1;
+            } else {
+                let hop = if r % 5 == 0 {
+                    step() % 50_000
+                } else {
+                    step() % 40
+                };
+                q.push(Time::from_ns(now + hop), i);
+            }
+        }
+        occupancy.push(q.slab_occupancy());
+        while let Some((at, v)) = q.pop() {
+            fold(&mut hash, at.as_ns());
+            fold(&mut hash, v);
+            pops += 1;
+        }
+        occupancy.push(q.slab_occupancy());
+        let s = q.stats();
+        assert_eq!(
+            s,
+            QueueStats {
+                near_hits: 2399,
+                heap_pushes: 17561,
+                near_spills: 924,
+                near_pops: 1451,
+                heap_pops: 11915,
+            }
+        );
+        assert_eq!(
+            occupancy,
+            vec![
+                (3236, 3236),
+                (0, 0),
+                (3334, 3340),
+                (0, 0),
+                (3316, 3316),
+                (0, 3316)
+            ]
+        );
+        assert_eq!(
+            (q.peak_len(), pops, hash),
+            (3345, 13366, 0x7b87b54d6d866574)
+        );
+    }
+
     /// Drives `q` with a deterministic workload over `events` pushes,
     /// interleaving pops, and returns the drained pop sequence.
     fn drive(q: &mut EventQueue<u64>, items: &[(u64, u64)]) -> Vec<(u64, u64)> {
