@@ -84,6 +84,9 @@ pub const OVER_QUOTA_SHARE: f64 = 0.35;
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     config: AdmissionConfig,
+    /// In-flight caps indexed `[priority as usize][over_quota as usize]`,
+    /// fixed at construction so an arrival reads a table entry.
+    caps: [[u32; 2]; 3],
     tokens: f64,
     last_refill: Time,
     inflight: u32,
@@ -93,7 +96,13 @@ impl AdmissionControl {
     /// Creates a controller with a full bucket over `config` taken
     /// verbatim (single-node semantics; used by tests and tools).
     pub fn new(config: AdmissionConfig) -> Self {
+        let cap = |share: f64| ((config.max_inflight as f64 * share).floor() as u32).max(1);
+        let caps = [Priority::Low, Priority::Normal, Priority::High].map(|priority| {
+            let share = priority.capacity_share();
+            [cap(share), cap(share.min(OVER_QUOTA_SHARE))]
+        });
         AdmissionControl {
+            caps,
             tokens: config.burst as f64,
             config,
             last_refill: Time::ZERO,
@@ -128,13 +137,9 @@ impl AdmissionControl {
 
     /// The in-flight cap as seen by `priority` (clamped to
     /// [`OVER_QUOTA_SHARE`] when the tenant is at its lease quota).
+    #[inline]
     fn cap_for(&self, priority: Priority, over_quota: bool) -> u32 {
-        let share = if over_quota {
-            priority.capacity_share().min(OVER_QUOTA_SHARE)
-        } else {
-            priority.capacity_share()
-        };
-        ((self.config.max_inflight as f64 * share).floor() as u32).max(1)
+        self.caps[priority as usize][over_quota as usize]
     }
 
     /// Judges an arrival of a `priority`-class request at simulated time
@@ -274,6 +279,31 @@ mod tests {
         );
         assert_eq!(tiny.config().burst, 1);
         assert_eq!(tiny.config().max_inflight, 1);
+    }
+
+    #[test]
+    fn cached_caps_match_the_share_formula() {
+        for max_inflight in 1..=512u32 {
+            let ac = AdmissionControl::new(AdmissionConfig {
+                max_inflight,
+                ..AdmissionConfig::default()
+            });
+            for priority in [Priority::Low, Priority::Normal, Priority::High] {
+                for over_quota in [false, true] {
+                    let share = if over_quota {
+                        priority.capacity_share().min(OVER_QUOTA_SHARE)
+                    } else {
+                        priority.capacity_share()
+                    };
+                    let expect = ((max_inflight as f64 * share).floor() as u32).max(1);
+                    assert_eq!(
+                        ac.cap_for(priority, over_quota),
+                        expect,
+                        "{max_inflight} {priority:?} {over_quota}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! throughput` times the two side by side into `BENCH_perf.json`.
 
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 use std::ops::Range;
 
 use venice::cluster::Cluster;
@@ -163,8 +164,8 @@ pub struct EngineMetrics {
     /// Cumulative event-queue traffic counters (near-buffer hits vs
     /// heap sifts).
     pub queue: QueueStats,
-    /// End-of-run `(live, capacity)` occupancy of the kernel's event
-    /// slab.
+    /// End-of-run `(live, high-water)` occupancy of the kernel queue's
+    /// heap.
     pub slab: (usize, usize),
     /// Times the simulation thread asked for the next block of drawn
     /// open-loop arrivals before the producer thread had drawn it (0
@@ -1056,6 +1057,21 @@ fn record<P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
+/// The service slot that frees earliest, as `(index, free time)`; a tie
+/// keeps the lowest index. A running minimum held in locals: which slot
+/// wins is data-dependent, so the selects are marked unpredictable and
+/// compile to conditional moves rather than a branch per slot.
+#[inline]
+fn earliest_slot(slots: &[Time]) -> (usize, Time) {
+    let (mut best, mut best_t) = (0, slots[0]);
+    for (i, &t) in slots.iter().enumerate().skip(1) {
+        let earlier = t < best_t;
+        best = select_unpredictable(earlier, i, best);
+        best_t = select_unpredictable(earlier, t, best_t);
+    }
+    (best, best_t)
+}
+
 /// Sends an admitted request toward its node, or parks it under
 /// backpressure. `slot` indexes the request slab.
 fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
@@ -1090,17 +1106,8 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                 Time::ZERO
             };
             let deliver = now + srv.msg_lat_by_class[req.class as usize];
-            let best_slot = {
-                let slots = &srv.slots;
-                let mut best = 0;
-                for (i, &t) in slots.iter().enumerate() {
-                    if t < slots[best] {
-                        best = i;
-                    }
-                }
-                best
-            };
-            let start = deliver.max(srv.slots[best_slot]);
+            let (best_slot, free_at) = earliest_slot(&srv.slots);
+            let start = deliver.max(free_at);
             let comp = start + req.service + fab;
             srv.slots[best_slot] = comp;
             srv.inflight_by_class[req.class as usize] += 1;
@@ -2278,6 +2285,16 @@ mod tests {
 
     fn replay(config: &LoadgenConfig, trace: &Trace) -> LoadReport {
         Run::new(config).replay(trace).execute().report
+    }
+
+    #[test]
+    fn earliest_slot_picks_the_minimum_and_the_lowest_index_on_a_tie() {
+        let t = Time::from_ns;
+        assert_eq!(earliest_slot(&[t(7)]), (0, t(7)));
+        assert_eq!(earliest_slot(&[t(9), t(4), t(6), t(4)]), (1, t(4)));
+        assert_eq!(earliest_slot(&[t(3), t(5), t(3), t(3)]), (0, t(3)));
+        assert_eq!(earliest_slot(&[t(8), t(8), t(2)]), (2, t(2)));
+        assert_eq!(earliest_slot(&[Time::ZERO; 8]), (0, Time::ZERO));
     }
 
     /// A congested-fabric variant of [`small`] with a deliberately

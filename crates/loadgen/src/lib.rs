@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # venice-loadgen: deterministic traffic generation for the Venice cluster
 //!

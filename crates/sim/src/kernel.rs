@@ -158,8 +158,9 @@ impl<S, E> Scheduler<S, E> {
         self.queue.stats()
     }
 
-    /// `(live, capacity)` of the heap's event slab: entries currently
-    /// holding a pending heap event versus slots ever allocated.
+    /// `(live, high-water)` heap occupancy: pending events in the
+    /// queue's heap proper versus the most it has held; see
+    /// [`EventQueue::slab_occupancy`].
     pub fn slab_occupancy(&self) -> (usize, usize) {
         self.queue.slab_occupancy()
     }
@@ -397,7 +398,7 @@ impl<S, E> Kernel<S, E> {
         self.sched.queue_stats()
     }
 
-    /// `(live, capacity)` of the heap's event slab.
+    /// `(live, high-water)` occupancy of the queue's heap.
     pub fn slab_occupancy(&self) -> (usize, usize) {
         self.sched.slab_occupancy()
     }

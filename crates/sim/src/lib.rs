@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Deterministic discrete-event simulation kernel for the Venice
 //! reproduction.

@@ -1,4 +1,4 @@
-//! Indexed, insertion-stable priority queue of timestamped events.
+//! Insertion-stable priority queue of timestamped events.
 //!
 //! Four representation choices keep the hot path allocation-free and
 //! cache-friendly:
@@ -9,11 +9,12 @@
 //!   can diverge. Every entry carries a monotonically increasing
 //!   sequence number that breaks ties, making `(at, seq)` a *total*
 //!   order: any correct heap pops the exact same sequence.
-//! * **Indexing.** Events live in a slab (a `Vec` with a LIFO free
-//!   list) and never move after insertion; the heap itself is an
-//!   implicit **4-ary heap of small fixed-size keys**. Sifts shuffle
-//!   keys instead of fat event payloads, and freed slots are reused so
-//!   a steady-state simulation stops allocating entirely.
+//! * **Inline entries.** Each entry is a `(packed key, event)` pair
+//!   stored directly in an implicit **4-ary heap**; sifts swap whole
+//!   entries. The engine's events are a few bytes, so an entry is 32
+//!   bytes and a pop reads its event from the heap line it already
+//!   touched, with no side table to index. The heap's `Vec` keeps its
+//!   capacity, so a steady-state simulation stops allocating entirely.
 //! * **Packed comparisons.** The `(at, seq)` pair is packed into one
 //!   `u128` (`at` picoseconds in the high half, `seq` in the low), so a
 //!   sift comparison is a single integer compare, and the sift-down
@@ -36,27 +37,16 @@ use crate::time::Time;
 /// Heap arity: each node has up to four children, selected pairwise.
 const ARITY: usize = 4;
 
-/// Everything a sift comparison or a pop needs, kept small so heap
-/// operations never touch the event slab.
-#[derive(Clone, Copy)]
-struct Key {
-    /// `(at_ps << 64) | seq`: one compare orders by time, then
-    /// insertion.
-    packed: u128,
-    /// Index of the event in the slab.
-    slot: u32,
+/// `(at_ps << 64) | seq`: one compare orders by time, then insertion.
+#[inline]
+fn pack(at: Time, seq: u64) -> u128 {
+    ((at.as_ps() as u128) << 64) | seq as u128
 }
 
-impl Key {
-    #[inline]
-    fn pack(at: Time, seq: u64) -> u128 {
-        ((at.as_ps() as u128) << 64) | seq as u128
-    }
-
-    #[inline]
-    fn at(&self) -> Time {
-        Time::from_ps((self.packed >> 64) as u64)
-    }
+/// The fire time packed in the high half of a key.
+#[inline]
+fn time_of(packed: u128) -> Time {
+    Time::from_ps((packed >> 64) as u64)
 }
 
 /// Capacity of the near buffer: big enough to absorb the engine's
@@ -142,15 +132,14 @@ impl QueueStats {
 pub struct EventQueue<E> {
     /// The soonest few entries, kept sorted (descending, minimum last)
     /// outside the heap — see below.
-    near: Vec<(Key, E)>,
-    /// Implicit 4-ary min-heap of keys (root at index 0).
-    heap: Vec<Key>,
-    /// Event storage; keys point into this and events never move.
-    slab: Vec<Option<E>>,
-    /// Freed slab indices, reused LIFO.
-    free: Vec<u32>,
+    near: Vec<(u128, E)>,
+    /// Implicit 4-ary min-heap of entries (root at index 0).
+    heap: Vec<(u128, E)>,
     next_seq: u64,
     peak: usize,
+    /// High-water mark of `heap.len()` since creation or the last
+    /// [`clear`](Self::clear).
+    heap_peak: usize,
     stats: QueueStats,
 }
 
@@ -175,43 +164,34 @@ impl<E> EventQueue<E> {
         EventQueue {
             near: Vec::with_capacity(NEAR_CAP + 1),
             heap: Vec::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
             peak: 0,
+            heap_peak: 0,
             stats: QueueStats::default(),
         }
     }
 
     /// Inserts `event` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue would exceed `u32::MAX - 1` pending events.
     pub fn push(&mut self, at: Time, event: E) {
-        let packed = Key::pack(at, self.next_seq);
+        let packed = pack(at, self.next_seq);
         self.next_seq += 1;
-        let key = Key {
-            packed,
-            slot: u32::MAX,
-        };
         // Only an event that beats the buffer's current maximum may
         // enter it (or any event while it is empty): the buffer
         // converges on the genuinely-soonest entries instead of echoing
         // far-future completions through an insert-then-spill cycle.
-        if self.near.is_empty() || packed < self.near[0].0.packed {
+        if self.near.is_empty() || packed < self.near[0].0 {
             // Into the sorted buffer (descending; minimum at the end).
-            let pos = self.near.partition_point(|(k, _)| k.packed > packed);
-            self.near.insert(pos, (key, event));
+            let pos = self.near.partition_point(|&(k, _)| k > packed);
+            self.near.insert(pos, (packed, event));
             self.stats.near_hits += 1;
             if self.near.len() > NEAR_CAP {
                 // Spill the buffer's largest into the heap.
-                let (k, e) = self.near.remove(0);
-                self.heap_push(k.packed, e);
+                let entry = self.near.remove(0);
+                self.heap_push(entry);
                 self.stats.near_spills += 1;
             }
         } else {
-            self.heap_push(packed, event);
+            self.heap_push((packed, event));
             self.stats.heap_pushes += 1;
         }
         let pending = self.heap.len() + self.near.len();
@@ -220,65 +200,35 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pushes an entry into the heap proper (slab + sift).
-    fn heap_push(&mut self, packed: u128, event: E) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("event queue slab overflow");
-                self.slab.push(Some(event));
-                slot
-            }
-        };
-        self.heap.push(Key { packed, slot });
+    /// Pushes an entry into the heap proper and sifts it up.
+    fn heap_push(&mut self, entry: (u128, E)) {
+        self.heap.push(entry);
+        self.heap_peak = self.heap_peak.max(self.heap.len());
         self.sift_up(self.heap.len() - 1);
     }
 
     /// Removes and returns the earliest event, breaking timestamp ties in
     /// insertion order.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        match (self.near.last(), self.heap.first()) {
-            (Some((nk, _)), Some(root)) if root.packed < nk.packed => {
-                self.stats.heap_pops += 1;
-                self.heap_pop()
-            }
-            (Some(_), _) => {
-                let (key, event) = self.near.pop().expect("checked occupied");
-                self.stats.near_pops += 1;
-                Some((key.at(), event))
-            }
-            (None, Some(_)) => {
-                self.stats.heap_pops += 1;
-                self.heap_pop()
-            }
-            (None, None) => None,
-        }
+        self.pop_at_or_before(Time::MAX)
     }
 
-    /// Pops the heap's root entry.
-    fn heap_pop(&mut self) -> Option<(Time, E)> {
-        let root = *self.heap.first()?;
-        let last = self.heap.pop().expect("peeked entry vanished");
-        if !self.heap.is_empty() {
-            self.sift_down_from_root(last);
-        }
-        let event = self.slab[root.slot as usize]
-            .take()
-            .expect("heap key points at a free slot");
-        self.free.push(root.slot);
-        Some((root.at(), event))
+    /// Pops the (non-empty) heap's root event.
+    fn heap_pop(&mut self) -> E {
+        self.stats.heap_pops += 1;
+        let (_, event) = self.heap.swap_remove(0);
+        self.sift_down_from_root();
+        event
     }
 
-    /// The packed key of the earliest entry.
+    /// The packed key of the earliest entry, and whether it is the
+    /// heap's root (else the near buffer's minimum).
     #[inline]
-    fn min_packed(&self) -> Option<u128> {
+    fn front(&self) -> Option<(u128, bool)> {
         match (self.near.last(), self.heap.first()) {
-            (Some((nk, _)), Some(root)) => Some(nk.packed.min(root.packed)),
-            (Some((nk, _)), None) => Some(nk.packed),
-            (None, Some(root)) => Some(root.packed),
+            (Some(&(nk, _)), Some(&(root, _))) if root < nk => Some((root, true)),
+            (Some(&(nk, _)), _) => Some((nk, false)),
+            (None, Some(&(root, _))) => Some((root, true)),
             (None, None) => None,
         }
     }
@@ -287,48 +237,50 @@ impl<E> EventQueue<E> {
     /// not exceed `horizon`. One key access serves both the horizon
     /// check and the pop — the kernel's hot loop, fused.
     pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, E)> {
-        if (self.min_packed()? >> 64) as u64 > horizon.as_ps() {
+        let (packed, from_heap) = self.front()?;
+        // Every key stamped at or before `horizon` packs to at most this.
+        if packed > pack(horizon, u64::MAX) {
             return None;
         }
-        self.pop()
+        let event = if from_heap {
+            self.heap_pop()
+        } else {
+            self.stats.near_pops += 1;
+            self.near.pop().expect("front is in the near buffer").1
+        };
+        Some((time_of(packed), event))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.min_packed()
-            .map(|packed| Time::from_ps((packed >> 64) as u64))
+        self.front().map(|(packed, _)| time_of(packed))
     }
 
     /// The `(earliest, latest)` timestamps among pending events, or
     /// `None` when empty.
     ///
     /// Every key already packs its fire time in the high 64 bits (the
-    /// heap orders by it), so the span costs one scan of the key arrays
-    /// and never touches the event slab — the lookahead horizon a
-    /// profiler needs ("how far into the simulated future has the run
-    /// committed work") without instrumenting push/pop.
+    /// heap orders by it), so the span costs one scan of the entries'
+    /// keys — the lookahead horizon a profiler needs ("how far into the
+    /// simulated future has the run committed work") without
+    /// instrumenting push/pop.
     pub fn pending_time_span(&self) -> Option<(Time, Time)> {
-        let min = self.min_packed()?;
+        let (min, _) = self.front()?;
         // The near buffer is sorted descending, so its maximum is the
         // first entry; the heap's maximum can sit in any leaf.
-        let near_max = self.near.first().map(|(k, _)| k.packed);
-        let heap_max = self.heap.iter().map(|k| k.packed).max();
+        let near_max = self.near.first().map(|&(k, _)| k);
+        let heap_max = self.heap.iter().map(|&(k, _)| k).max();
         let max = near_max.max(heap_max).expect("non-empty queue has a max");
-        Some((
-            Time::from_ps((min >> 64) as u64),
-            Time::from_ps((max >> 64) as u64),
-        ))
+        Some((time_of(min), time_of(max)))
     }
 
-    /// Timestamps of all pending events, in no particular order. Visits
-    /// the packed keys only (the event payloads stay untouched); the
-    /// caller sorts or folds as needed.
+    /// Timestamps of all pending events, in no particular order. Reads
+    /// the packed keys only; the caller sorts or folds as needed.
     pub fn pending_times(&self) -> impl Iterator<Item = Time> + '_ {
         self.near
             .iter()
-            .map(|(k, _)| k)
             .chain(self.heap.iter())
-            .map(|k| k.at())
+            .map(|&(k, _)| time_of(k))
     }
 
     /// Number of pending events.
@@ -353,63 +305,68 @@ impl<E> EventQueue<E> {
         self.stats
     }
 
-    /// Live slab occupancy as `(live, capacity)`: events currently
-    /// resident in the heap slab, and the slab's high-water footprint
-    /// (allocated entries, free or live).
+    /// Heap occupancy as `(live, high-water)`: entries currently in the
+    /// heap proper (the near buffer excluded), and the most it has held
+    /// since creation or the last [`clear`](Self::clear). Telemetry
+    /// exports these as `slab_live`/`slab_cap`.
     pub fn slab_occupancy(&self) -> (usize, usize) {
-        (self.slab.len() - self.free.len(), self.slab.len())
+        (self.heap.len(), self.heap_peak)
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
         self.near.clear();
         self.heap.clear();
-        self.slab.clear();
-        self.free.clear();
+        self.heap_peak = 0;
     }
 
     /// Restores the heap property upward from `i` after a push.
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
-        let key = self.heap[i];
+        let key = self.heap[i].0;
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if key.packed < self.heap[parent].packed {
-                self.heap[i] = self.heap[parent];
+            if key < self.heap[parent].0 {
+                self.heap.swap(i, parent);
                 i = parent;
             } else {
                 break;
             }
         }
-        self.heap[i] = key;
     }
 
-    /// Re-sinks `key` from the root after a pop (hole technique: the
-    /// displaced key is written exactly once, at its final position).
+    /// Re-sinks the root entry after a pop moved the last entry there.
     /// Full 4-child groups — the overwhelmingly common case away from
     /// the heap's last level — pick their minimum with a pairwise
-    /// min-tree of three data-independent compares.
+    /// min-tree of three data-independent compares. Each shape keeps
+    /// its own compare against `key`: merged into one, the min-tree's
+    /// last select compiles to an unpredictable branch instead of
+    /// conditional moves.
     #[inline]
-    fn sift_down_from_root(&mut self, key: Key) {
-        let len = self.heap.len();
+    fn sift_down_from_root(&mut self) {
+        let heap = &mut self.heap[..];
+        let len = heap.len();
+        let Some(&(key, _)) = heap.first() else {
+            return;
+        };
         let mut i = 0usize;
         loop {
             let first = i * ARITY + 1;
             if first + ARITY <= len {
-                let c = &self.heap[first..first + ARITY];
-                let (a, ka) = if c[0].packed < c[1].packed {
-                    (first, c[0].packed)
+                let c = &heap[first..first + ARITY];
+                let (a, ka) = if c[0].0 < c[1].0 {
+                    (first, c[0].0)
                 } else {
-                    (first + 1, c[1].packed)
+                    (first + 1, c[1].0)
                 };
-                let (b, kb) = if c[2].packed < c[3].packed {
-                    (first + 2, c[2].packed)
+                let (b, kb) = if c[2].0 < c[3].0 {
+                    (first + 2, c[2].0)
                 } else {
-                    (first + 3, c[3].packed)
+                    (first + 3, c[3].0)
                 };
                 let (best, best_k) = if ka < kb { (a, ka) } else { (b, kb) };
-                if best_k < key.packed {
-                    self.heap[i] = self.heap[best];
+                if best_k < key {
+                    heap.swap(i, best);
                     i = best;
                     continue;
                 }
@@ -418,24 +375,21 @@ impl<E> EventQueue<E> {
             if first >= len {
                 break;
             }
-            // Partial last group: serial scan over what exists.
+            // Partial last group: serial scan over what exists. Its
+            // children are past the end, so the walk stops here.
             let mut best = first;
-            let mut best_k = self.heap[first].packed;
-            for child in first + 1..len {
-                let k = self.heap[child].packed;
+            let mut best_k = heap[first].0;
+            for (child, &(k, _)) in heap.iter().enumerate().skip(first + 1) {
                 if k < best_k {
                     best = child;
                     best_k = k;
                 }
             }
-            if best_k < key.packed {
-                self.heap[i] = self.heap[best];
-                i = best;
-            } else {
-                break;
+            if best_k < key {
+                heap.swap(i, best);
             }
+            break;
         }
-        self.heap[i] = key;
     }
 }
 
@@ -515,9 +469,10 @@ mod tests {
                 assert_eq!(q.pop().unwrap().1, round * 8 + i);
             }
         }
-        // Steady-state churn never grows the slab past its high-water
+        // Steady-state churn never grows the heap past its high-water
         // occupancy.
-        assert!(q.slab.len() <= 8, "slab grew to {}", q.slab.len());
+        let cap = q.slab_occupancy().1;
+        assert!(cap <= 8, "heap grew to {cap}");
         assert_eq!(q.peak_len(), 8);
     }
 
@@ -628,14 +583,14 @@ mod tests {
     fn slab_occupancy_tracks_live_heap_entries() {
         let mut q = EventQueue::new();
         assert_eq!(q.slab_occupancy(), (0, 0));
-        q.push(Time::from_ns(1), 1u64); // near buffer: no slab entry
+        q.push(Time::from_ns(1), 1u64); // near buffer: not in the heap
         assert_eq!(q.slab_occupancy(), (0, 0));
         q.push(Time::from_ns(100), 2);
         q.push(Time::from_ns(200), 3);
         assert_eq!(q.slab_occupancy(), (2, 2));
         q.pop();
         q.pop();
-        // One live heap entry; the freed slot stays allocated.
+        // One live heap entry; the high-water mark stays at two.
         assert_eq!(q.slab_occupancy(), (1, 2));
     }
 
@@ -690,9 +645,8 @@ mod tests {
         // A fixed pseudo-random simulation-shaped workload: pushes land a
         // short or a long hop past the last popped time, a third of the
         // steps pop, and the queue is cleared twice mid-stream. The
-        // expected values were recorded from the slab-backed queue this
-        // one replaced, so counters, occupancy and pop order are pinned
-        // across representation changes.
+        // expected counters, occupancy and pop-order hash are pinned, so
+        // a change of representation must reproduce them exactly.
         let mut x = 0x2545F4914F6CDD1Du64;
         let mut step = move || {
             x ^= x << 13;
