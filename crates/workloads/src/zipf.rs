@@ -6,6 +6,9 @@
 //! analytically computable hit-rate helper, so capacity sweeps do not need
 //! millions of samples.
 
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
+
 use venice_sim::SimRng;
 
 /// Zipfian sampler over `n` items with skew `theta` (0 = uniform-ish,
@@ -35,10 +38,34 @@ pub struct ZipfSampler {
     half_pow_theta: f64,
 }
 
+/// Largest `n` whose normalizer is summed term by term; larger `n` add
+/// an Euler–Maclaurin tail, which keeps setup cheap at the paper's
+/// dataset sizes.
+const EXACT: u64 = 100_000;
+
+/// The normalizer `zeta(n, theta)`, memoized process-wide by
+/// `(n, theta bits)`: every sweep row and run builds samplers over the
+/// same few populations, and the exact head sum is most of a row's setup.
+/// The value is computed once by [`zeta_uncached`], so it is bit-identical
+/// to an uncached call whichever thread computes it first.
 fn zeta(n: u64, theta: f64) -> f64 {
-    // Exact for small n; Euler–Maclaurin tail for large n keeps setup
-    // cheap at the paper's dataset sizes.
-    const EXACT: u64 = 100_000;
+    static MEMO: OnceLock<Mutex<HashMap<(u64, u64), f64>>> = OnceLock::new();
+    let memo = MEMO.get_or_init(Default::default);
+    let key = (n, theta.to_bits());
+    if let Some(&z) = memo.lock().expect("zeta memo poisoned").get(&key) {
+        return z;
+    }
+    // Computed outside the lock so rows with different keys do not
+    // serialize; a racing duplicate computes the same bits.
+    let z = zeta_uncached(n, theta);
+    *memo
+        .lock()
+        .expect("zeta memo poisoned")
+        .entry(key)
+        .or_insert(z)
+}
+
+fn zeta_uncached(n: u64, theta: f64) -> f64 {
     if n <= EXACT {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     } else {
@@ -173,6 +200,38 @@ mod tests {
         for _ in 0..100 {
             assert!(z.sample(&mut rng) < 100_000_000);
         }
+    }
+
+    #[test]
+    fn memoized_zeta_is_bit_equal_to_the_uncached_sum() {
+        for n in [1, 2, 999, EXACT - 1, EXACT, EXACT + 1, 4_000_000] {
+            for theta in [0.0, 0.5, 0.99] {
+                let want = zeta_uncached(n, theta).to_bits();
+                // First call fills the memo, the second reads it.
+                assert_eq!(zeta(n, theta).to_bits(), want, "n={n} theta={theta}");
+                assert_eq!(zeta(n, theta).to_bits(), want, "n={n} theta={theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_calls_agree_bit_for_bit() {
+        use rayon::prelude::*;
+        use std::sync::Barrier;
+        // A key no other test uses, so every worker races on an empty
+        // memo entry; the barrier lines the first calls up.
+        let (n, theta) = (EXACT + 12_345, 0.8125);
+        let workers = rayon::current_num_threads();
+        let barrier = Barrier::new(workers);
+        let bits: Vec<u64> = (0..workers)
+            .into_par_iter()
+            .map(|_| {
+                barrier.wait();
+                ZipfSampler::new(n, theta).zetan.to_bits()
+            })
+            .collect();
+        let want = zeta_uncached(n, theta).to_bits();
+        assert!(bits.iter().all(|&b| b == want), "{bits:x?} vs {want:x}");
     }
 
     #[test]
