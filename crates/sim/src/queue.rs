@@ -11,7 +11,7 @@
 //!   order: any correct heap pops the exact same sequence.
 //! * **Inline entries.** Each entry is a `(packed key, event)` pair
 //!   stored directly in an implicit **4-ary heap**; sifts swap whole
-//!   entries. The engine's events are a few bytes, so an entry is 32
+//!   entries. The engine's events are 16 bytes, so an entry is 32
 //!   bytes and a pop reads its event from the heap line it already
 //!   touched, with no side table to index. The heap's `Vec` keeps its
 //!   capacity, so a steady-state simulation stops allocating entirely.
