@@ -54,6 +54,8 @@ use crate::stacks::RemoteStack;
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
 
+#[cfg(test)]
+mod characterization;
 mod control;
 
 use control::{

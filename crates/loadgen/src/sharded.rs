@@ -766,6 +766,42 @@ mod tests {
     }
 
     #[test]
+    fn every_registry_row_takes_its_pinned_path_at_two_shards() {
+        // The statically provisioned elastic rows shed at admission, so
+        // their shards stop being the sequential run; every other
+        // family but the storm arms leases or a fault plan.
+        let shedding = ["venice-static", "sonuma", "swap-ib", "swap-eth"];
+        for family in crate::scenarios::FAMILIES {
+            for (label, config, plan) in family.rows_at(family.seed, family.gate_requests) {
+                let mut run = Run::new(&config).shards(2);
+                if let Some(plan) = plan {
+                    run = run.faults(plan);
+                }
+                let path = run.execute().exec_path;
+                let at = format!("{}/{label}: {path:?}", family.id);
+                if family.id == "storm" {
+                    assert_eq!(path, ExecPath::Sharded { width: 2 }, "{at}");
+                } else if shedding.contains(&label.as_str()) {
+                    let reason = FallbackReason::Shed;
+                    assert_eq!(path, ExecPath::Fallback { reason }, "{at}");
+                } else {
+                    assert!(
+                        matches!(
+                            path,
+                            ExecPath::Fallback {
+                                reason: FallbackReason::Ineligible(
+                                    IneligibleKind::Leases | IneligibleKind::Faults
+                                )
+                            }
+                        ),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn partition_is_contiguous_exhaustive_and_near_even() {
         for nodes in [1u16, 2, 7, 8, 16, 63] {
             for shards in [1usize, 2, 3, 4, 8, 100] {
