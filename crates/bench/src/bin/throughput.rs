@@ -13,11 +13,11 @@
 //! configurations, and writes the measured trajectory to
 //! `BENCH_perf.json`: wall time (best of `--iters`), events/sec,
 //! requests/sec, peak event-queue depth, and the per-scenario speedup.
-//! With a second rayon thread, the typed engine draws a sequential run's
-//! open-loop arrivals on it while the boxed baseline draws them inline,
-//! so on such a recorder the typed/boxed ratio is not like-for-like. Each
-//! row prints which way its arrivals were drawn and how often the
-//! simulation thread waited for a block of them.
+//! With a second rayon thread, the typed engine fills a sequential run's
+//! arrival tape on it, one epoch ahead, while the boxed baseline draws
+//! its arrivals inline, so on such a recorder the typed/boxed ratio is
+//! not like-for-like. Each row prints which way its arrivals were drawn
+//! and how many epochs of them the simulation thread waited for.
 //!
 //! Two gates ride along:
 //!

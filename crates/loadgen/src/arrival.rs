@@ -171,10 +171,9 @@ pub fn exponential(rng: &mut SimRng, mean: Time) -> Time {
 
 /// The engine RNG and the arrival constants it draws against: the one
 /// place an arrival's gap, class and user are drawn. Open-loop arrivals
-/// are drawn ahead by a filler over a copy (`crate::sharded::Filler`),
-/// for a sharded run's tape or a sequential run's arrival pipe
-/// (`crate::pipe`); a closed-loop world draws its sessions through its
-/// own.
+/// are drawn ahead onto the arrival tape by a filler over a copy
+/// (`crate::tape::Filler`), for a sharded or a sequential run; a
+/// closed-loop world draws its sessions through its own.
 #[derive(Debug, Clone)]
 pub(crate) struct ArrivalDraws {
     rng: SimRng,

@@ -29,6 +29,7 @@
 use std::collections::VecDeque;
 use std::hint::select_unpredictable;
 use std::ops::Range;
+use std::sync::Arc;
 
 use venice::cluster::Cluster;
 use venice::NodeId;
@@ -46,11 +47,10 @@ use venice_workloads::ZipfSampler;
 use crate::admission::{AdmissionConfig, AdmissionControl, Decision, ShedReason};
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
 use crate::faults::{FaultModel, FaultPlan, NoFaults};
-use crate::pipe::{self, ArrivalPipe, Drawer};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::{LeaseSummary, LoadReport, TenantReport};
-use crate::sharded::{Filler, TapeEntry};
 use crate::stacks::RemoteStack;
+use crate::tape::{self, Chunk, Drawer, Filler, Reader, Stream};
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
 
@@ -169,13 +169,13 @@ pub struct EngineMetrics {
     /// End-of-run `(live, high-water)` occupancy of the kernel queue's
     /// heap.
     pub slab: (usize, usize),
-    /// Times the simulation thread asked for the next block of drawn
-    /// open-loop arrivals before the producer thread had drawn it (0
-    /// unless [`Self::arrivals_pipelined`]).
+    /// Epochs of the arrival tape the simulation thread reached before
+    /// the producer thread had filled them (0 unless
+    /// [`Self::arrivals_pipelined`]).
     pub arrival_waits: u64,
-    /// Whether a producer thread drew the open-loop arrivals ahead of the
-    /// simulation thread, on a spare core, instead of the simulation
-    /// thread drawing them itself.
+    /// Whether a producer thread filled the arrival tape one epoch ahead
+    /// of the simulation thread, on a spare core, instead of the
+    /// simulation thread filling each epoch itself.
     pub arrivals_pipelined: bool,
 }
 
@@ -374,13 +374,11 @@ impl Stats {
 /// rare lease-flow completions (a few hundred per run, vs millions of
 /// requests) box their fat payloads rather than inflating every event.
 enum EngineEvent {
-    /// Open-loop arrival: issue one request, schedule the next at the
-    /// process's instantaneous rate.
+    /// Open-loop or replayed arrival: issue one request, schedule the
+    /// next off the arrival tape.
     Arrival,
     /// Closed-loop session fires its next request.
     SessionNext,
-    /// Replay cursor re-drives the next recorded request.
-    ReplayNext,
     /// A dispatched request finishes service; payload is its
     /// [`RequestSlab`] slot.
     Finish(u32),
@@ -400,12 +398,12 @@ enum EngineEvent {
 
 impl EngineEvent {
     /// Stable probe slot for this event kind; must stay in step with
-    /// [`crate::telemetry::EVENT_KIND_LABELS`].
+    /// [`crate::telemetry::EVENT_KIND_LABELS`], whose slot 2 no event
+    /// fires.
     fn kind(&self) -> u8 {
         match self {
             EngineEvent::Arrival => 0,
             EngineEvent::SessionNext => 1,
-            EngineEvent::ReplayNext => 2,
             EngineEvent::Finish(_) => 3,
             EngineEvent::LeaseTick => 4,
             EngineEvent::LeaseEstablished(_) => 5,
@@ -426,7 +424,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
         match self {
             EngineEvent::Arrival => open_arrival(w, s),
             EngineEvent::SessionNext => session_arrival(w, s),
-            EngineEvent::ReplayNext => replay_arrival(w, s),
             EngineEvent::Finish(slot) => finish(w, s, slot),
             EngineEvent::LeaseTick => lease_tick(w, s),
             EngineEvent::LeaseEstablished(est) => lease_established(w, s, *est),
@@ -436,31 +433,25 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
     }
 }
 
-/// Replay input: a borrowed record stream plus a cursor — the trace is
-/// **not** cloned into the world.
-struct ReplayCursor<'a> {
-    records: &'a [RequestRecord],
-    next: usize,
-}
-
 /// The simulated world threaded through every event.
 ///
 /// A world issues the requests routed to the nodes in `owned`: every
 /// node for a sequential run, one node group for a shard of a sharded
-/// run ([`crate::sharded`]). A sequential open-loop world reads its
-/// arrivals off its arrival pipe ([`crate::pipe`]); a shard reads them
-/// off the shared arrival tape through its `feed`.
+/// run ([`crate::sharded`]). Every open-loop or replayed arrival comes
+/// off an arrival tape ([`crate::tape`]) through the world's `feed`: a
+/// sequential world reads the next epoch through its `reader` when its
+/// feed runs out, a shard is handed each epoch by the sharded driver.
 pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Nodes whose arrivals this world issues.
     owned: Range<u16>,
-    /// Tenant class and user of the next open-loop arrival, drawn ahead
-    /// by [`next_owned_arrival`].
+    /// Tenant class and user of the next open-loop arrival, taken off
+    /// the feed by [`next_owned_arrival`].
     next_request: (usize, u64),
-    /// A sequential open-loop world's pre-drawn arrivals; `None` on a
-    /// shard, a closed-loop world and a replay.
-    pipe: Option<ArrivalPipe>,
-    /// A shard's scan of the arrival tape; empty and never touched on a
-    /// sequential world.
+    /// A sequential open-loop or replaying world's end of its arrival
+    /// tape; `None` on a shard and a closed-loop world.
+    reader: Option<Reader<'a>>,
+    /// The world's cursor on the arrival tape; empty and never touched
+    /// on a closed-loop world.
     feed: TapeFeed,
     /// Set once a same-node arrival and completion share an instant.
     tied: bool,
@@ -474,11 +465,11 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     probe: P,
     /// Closed-loop arrival randomness (think times, tenant classes,
     /// users) and the constants it draws against. Open-loop arrivals
-    /// come off the pipe or the tape, drawn from a copy of the same
-    /// stream. Kept separate from `service_rng` so two *open-loop*
-    /// (Poisson or bursty) runs with the same seed but different
-    /// stacks/configs see the identical arrival stream even after their
-    /// admission decisions diverge. Closed-loop runs are not insulated:
+    /// come off the tape, drawn from a copy of the same stream. Kept
+    /// separate from `service_rng` so two *open-loop* (Poisson or
+    /// bursty) runs with the same seed but different stacks/configs see
+    /// the identical arrival stream even after their admission
+    /// decisions diverge. Closed-loop runs are not insulated:
     /// think-time draws interleave with arrival draws at completion
     /// times, which are stack-dependent.
     draws: ArrivalDraws,
@@ -518,8 +509,6 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     denied_counts: Vec<u64>,
     /// Per-request records when tracing.
     trace: Option<Vec<RequestRecord>>,
-    /// Recorded arrivals to re-drive instead of drawing fresh traffic.
-    replay: Option<ReplayCursor<'a>>,
     /// Attribution side slab paralleling `requests` by slot; empty (and
     /// never touched) unless the probe is enabled.
     attrib: Vec<ReqAttrib>,
@@ -713,7 +702,7 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         if w.issued >= w.target {
             return;
         }
-        let Some(at) = next_owned_arrival(w, now) else {
+        let Some(at) = next_owned_arrival(w) else {
             return;
         };
         // Lookahead fusion: when the next arrival lands strictly before
@@ -740,42 +729,55 @@ fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// The next arrival this world issues after the one at `now` (or the
-/// first, at `now` zero): leaves its class and user in `next_request` and
-/// returns its instant. A sequential world takes it off its arrival
-/// pipe; a shard takes it off the tape.
+/// The next arrival this world issues off the tape it was handed
+/// ([`TapeFeed`]): leaves its class and user in `next_request` and
+/// returns its instant. The feed walks the tape one entry at a time,
+/// stepping the service stream over the arrivals routed to nodes the
+/// world does not own, as the sequential engine draws their service
+/// times. A sequential world whose handed chunks ran out takes the next
+/// chunk of the tape here, in the arrival handler, and never pauses. A
+/// shard returns `None` instead: its arrival chain pauses until
+/// [`Shard::advance`] hands it the next epoch.
 fn next_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    now: Time,
-) -> Option<Time> {
-    let Some(pipe) = &mut w.pipe else {
-        return next_on_tape(w);
-    };
-    let entry = pipe.next();
-    w.next_request = (entry.class as usize, entry.user);
-    Some(now.checked_add(entry.gap).expect("simulated time overflow"))
-}
-
-/// A shard's next owned arrival off the tape it has scanned
-/// ([`TapeFeed`]), or `None` when the scanned tape holds no more: its
-/// arrival chain pauses until [`Shard::advance`] scans the next epoch.
-fn next_on_tape<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'_, P, M, F>,
 ) -> Option<Time> {
     let feed = &mut w.feed;
-    let Some(&next) = feed.owned.get(feed.next) else {
-        feed.paused = true;
-        return None;
-    };
-    feed.next += 1;
-    // The foreign arrivals since the previous owned one: the sequential
-    // engine draws their service times here, in arrival order.
-    for _ in 0..next.skip {
-        w.service_rng.next_u64();
+    loop {
+        let Some(chunk) = feed.chunks.get(feed.chunk) else {
+            let Some(reader) = &mut w.reader else {
+                feed.paused = true;
+                return None;
+            };
+            // Release the spent chunk before the barrier round that lets
+            // the producer refill it.
+            feed.chunks.clear();
+            feed.chunks.push(reader.next_chunk());
+            feed.chunk = 0;
+            continue;
+        };
+        let Some(&entry) = chunk.entries.get(feed.pos) else {
+            feed.chunk += 1;
+            feed.pos = 0;
+            continue;
+        };
+        feed.pos += 1;
+        feed.clock = feed
+            .clock
+            .checked_add(entry.gap)
+            .expect("simulated time overflow");
+        feed.seq += 1;
+        let node = entry.node as usize;
+        if !w.owned.contains(&entry.node) {
+            feed.skip += w.servers[node].service_by_class[entry.class as usize].draws();
+            continue;
+        }
+        for _ in 0..std::mem::take(&mut feed.skip) {
+            w.service_rng.next_u64();
+        }
+        w.next_request = (entry.class as usize, entry.user);
+        w.issued = feed.seq - 1;
+        return Some(feed.clock);
     }
-    w.next_request = (next.class as usize, next.user);
-    w.issued = feed.base + u64::from(next.offset);
-    Some(next.at)
 }
 
 /// The engine's two insulated streams, forked from the run seed in a
@@ -786,39 +788,28 @@ pub(crate) fn seed_streams(seed: u64) -> (SimRng, SimRng) {
     (arrival, root.fork(0x5E41))
 }
 
-/// One arrival a shard owns, found by its scan of the tape.
-#[derive(Debug, Clone, Copy)]
-struct OwnedArrival {
-    at: Time,
-    user: u64,
-    /// Service-stream words the foreign arrivals between the previous
-    /// owned arrival and this one draw in the sequential run.
-    skip: u64,
-    /// Position in its epoch: its sequence number less the epoch's base.
-    offset: u32,
-    class: u32,
-}
-
-/// A shard's scan of the arrival tape: the owned arrivals of the epoch
-/// scanned last, and where the scan stands in the global stream.
+/// A world's cursor on the arrival tape: the chunks handed to it, and
+/// where the cursor stands in them and in the global stream.
 #[derive(Debug, Default)]
 struct TapeFeed {
-    /// The current epoch's owned arrivals, in arrival order.
-    owned: Vec<OwnedArrival>,
-    /// Index of the next one to issue.
-    next: usize,
-    /// Instant of the last arrival scanned: the horizon a paused shard
-    /// runs its kernel to.
+    /// Chunks handed to this world: a sequential world's current one, a
+    /// shard's current epoch.
+    chunks: Vec<Arc<Chunk>>,
+    /// Index of the chunk the cursor is in, and of its next entry.
+    chunk: usize,
+    pos: usize,
+    /// Instant of the last entry the cursor passed.
     clock: Time,
-    /// Global sequence number of the current epoch's first entry.
-    base: u64,
-    /// Global sequence number of the next tape entry.
+    /// Global sequence number of the next entry.
     seq: u64,
-    /// Service-stream words of the foreign arrivals scanned since the
+    /// Service-stream words of the foreign arrivals passed since the
     /// last owned one.
     skip: u64,
+    /// Instant of a shard's last handed entry: the horizon a paused
+    /// shard runs its kernel to.
+    end: Time,
     /// Set while the arrival chain waits for the next epoch: the last
-    /// owned arrival issued found no successor on the scanned tape.
+    /// owned arrival issued found no successor on the handed tape.
     paused: bool,
 }
 
@@ -833,30 +824,6 @@ fn session_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     let now = s.now();
     let (class, user) = w.draws.request(now);
     issue_with(w, s, now, class, user);
-}
-
-/// Replay arrival event: re-drive the next recorded request.
-fn replay_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-) {
-    let now = s.now();
-    let Some(rec) = w.replay.as_mut().and_then(|cur| {
-        let rec = cur.records.get(cur.next).copied();
-        cur.next += 1;
-        rec
-    }) else {
-        return;
-    };
-    issue_with(w, s, now, rec.tenant as usize, rec.user);
-    let next = w
-        .replay
-        .as_ref()
-        .and_then(|cur| cur.records.get(cur.next))
-        .map(|r| Time::from_ns(r.at_ns));
-    if let Some(at) = next {
-        s.schedule_event_at(at.max(now), EngineEvent::ReplayNext);
-    }
 }
 
 /// Schedules the closed-loop session's next request, if any remain.
@@ -1326,7 +1293,8 @@ pub enum IneligibleKind {
     /// Closed-loop sessions: each completion schedules the session's
     /// next request, which may route to any node.
     ClosedLoop,
-    /// Replayed arrivals: one global cursor drives every node.
+    /// Replayed arrivals: the sharded driver fills its tape only with
+    /// freshly drawn arrivals.
     Replay,
     /// A fault plan: crashes re-route sessions across node groups.
     Faults,
@@ -1616,18 +1584,18 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
     /// `zipf` is the mix's [`TenantMix::user_sampler`]. Its setup sums
     /// the Zipf normalizer over up to 10^5 ranks — most of a world's
     /// setup time — so a sharded run builds it once and hands each shard
-    /// a copy. `pipe` carries a sequential open-loop world's arrivals.
+    /// a copy. `reader` carries a sequential open-loop or replaying
+    /// world's arrivals.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         config: &LoadgenConfig,
-        replay_trace: Option<&'a Trace>,
         capture: bool,
         probe: P,
         mut remote: M,
         mut faults: F,
         zipf: ZipfSampler,
         owned: Range<u16>,
-        pipe: Option<ArrivalPipe>,
+        reader: Option<Reader<'a>>,
     ) -> Self {
         validate(config);
 
@@ -1759,19 +1727,17 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             })
             .collect();
         let (_, service_rng) = seed_streams(config.seed);
-        // Replay supplies every arrival from the trace; a closed-loop
-        // config.arrival must not additionally spawn synthetic sessions.
+        // A replay's tape supplies every arrival from the trace; a
+        // closed-loop config.arrival must not additionally spawn sessions.
         let think = match config.arrival {
-            ArrivalProcess::ClosedLoop { think, .. } if replay_trace.is_none() => Some(think),
+            ArrivalProcess::ClosedLoop { think, .. } if reader.is_none() => Some(think),
             _ => None,
         };
-        let target = replay_trace
-            .map(|t| t.len() as u64)
-            .unwrap_or(config.requests);
+        let target = reader.as_ref().map_or(config.requests, Reader::requests);
         let mut w = World {
             owned,
             next_request: (0, 0),
-            pipe,
+            reader,
             feed: TapeFeed::default(),
             tied: false,
             remote_leases,
@@ -1813,10 +1779,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             denied_scan: 0,
             denied_counts: vec![0; config.mix.classes.len()],
             trace: capture.then(Vec::new),
-            replay: replay_trace.map(|t| ReplayCursor {
-                records: &t.records,
-                next: 0,
-            }),
             attrib: Vec::new(),
             pending_grows: if P::ATTRIB { vec![0; n] } else { Vec::new() },
             remote,
@@ -1890,8 +1852,8 @@ pub(crate) fn run_full<P: Probe>(
     }
 }
 
-/// The sequential engine: one world owning every node. An open-loop
-/// run reads its arrivals off a pipe drawn by `drawer`.
+/// The sequential engine: one world owning every node. An open-loop run
+/// or a replay reads its arrivals off a tape filled by `drawer`.
 fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
@@ -1903,27 +1865,33 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
     validate(config);
     let zipf = config.mix.user_sampler();
-    let open =
-        replay_trace.is_none() && !matches!(config.arrival, ArrivalProcess::ClosedLoop { .. });
-    let filler = open.then(|| Filler::new(ArrivalDraws::new(config, zipf.clone()), config.nodes()));
-    let run = |pipe| {
+    let nodes = config.nodes();
+    let stream = match replay_trace {
+        Some(trace) => Some(Stream::Replayed(&trace.records)),
+        None => (!matches!(config.arrival, ArrivalProcess::ClosedLoop { .. }))
+            .then(|| Stream::Drawn(ArrivalDraws::new(config, zipf.clone()))),
+    };
+    let run = |reader: Option<Reader<'_>>| {
         let world = World::new(
             config,
-            replay_trace,
             capture,
             probe,
             remote,
             faults,
             zipf,
-            0..config.nodes(),
-            pipe,
+            0..nodes,
+            reader,
         );
         let mut kernel = start_world(world);
         kernel.run();
         summarize(config, vec![finish_world(kernel)])
     };
-    match filler {
-        Some(filler) => pipe::drive(filler, config.requests, drawer, |pipe| run(Some(pipe))),
+    match stream {
+        Some(stream) => {
+            let requests = replay_trace.map_or(config.requests, |t| t.len() as u64);
+            let filler = Filler::new(stream, nodes);
+            tape::drive(filler, requests, drawer, |reader| run(Some(reader)))
+        }
         None => run(None),
     }
 }
@@ -1932,33 +1900,25 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
 type EngineKernel<'a, P, M, F> = Kernel<World<'a, P, M, F>, EngineEvent>;
 
 /// Seeds `w`'s event queue (step 5 of a run) and hands it to a kernel.
-/// A shard's open-loop arrival chain starts paused: its first arrival
-/// comes off the tape ([`Shard::advance`]).
+/// A shard's arrival chain starts paused: its first arrival comes off
+/// the tape ([`Shard::advance`]).
 fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
     w: World<'_, P, M, F>,
 ) -> EngineKernel<'_, P, M, F> {
     let limit = w.target.saturating_mul(8) + 500_000;
     let mut kernel = Kernel::new(w).with_event_limit(limit);
-    let replay_start = kernel.state().replay.as_ref().map(|cur| {
-        let first = cur.records.first();
-        first.map(|r| Time::from_ns(r.at_ns)).unwrap_or(Time::ZERO)
-    });
-    if let Some(at) = replay_start {
-        kernel.schedule_event(at, EngineEvent::ReplayNext);
-    } else {
-        let w = kernel.state_mut();
-        match w.draws.process() {
-            ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. } => {
-                if let Some(at) = next_owned_arrival(w, Time::ZERO) {
-                    kernel.schedule_event(at, EngineEvent::Arrival);
-                }
+    let w = kernel.state_mut();
+    match (w.think, w.draws.process()) {
+        (Some(think), ArrivalProcess::ClosedLoop { sessions, .. }) => {
+            assert!(sessions > 0, "closed loop needs at least one session");
+            for _ in 0..sessions {
+                let start = kernel.state_mut().draws.think(think);
+                kernel.schedule_event(start, EngineEvent::SessionNext);
             }
-            ArrivalProcess::ClosedLoop { sessions, think } => {
-                assert!(sessions > 0, "closed loop needs at least one session");
-                for _ in 0..sessions {
-                    let start = kernel.state_mut().draws.think(think);
-                    kernel.schedule_event(start, EngineEvent::SessionNext);
-                }
+        }
+        _ => {
+            if let Some(at) = next_owned_arrival(w) {
+                kernel.schedule_event(at, EngineEvent::Arrival);
             }
         }
     }
@@ -1981,18 +1941,15 @@ fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
 ) -> (World<'_, P, M, F>, EngineMetrics) {
     #[cfg(debug_assertions)]
     kernel.state().audit_queued();
+    let reader = kernel.state().reader.as_ref();
     let metrics = EngineMetrics {
         events: kernel.executed() + kernel.state().fused,
         fused_arrivals: kernel.state().fused,
         peak_queue_depth: kernel.peak_pending(),
         queue: kernel.queue_stats(),
         slab: kernel.slab_occupancy(),
-        arrival_waits: kernel.state().pipe.as_ref().map_or(0, ArrivalPipe::waits),
-        arrivals_pipelined: kernel
-            .state()
-            .pipe
-            .as_ref()
-            .is_some_and(ArrivalPipe::pipelined),
+        arrival_waits: reader.map_or(0, |r| r.waits),
+        arrivals_pipelined: reader.is_some_and(Reader::pipelined),
     };
     if P::ENABLED {
         kernel.state_mut().probe.on_queue_stats(
@@ -2025,80 +1982,57 @@ impl Shard {
         owned: Range<u16>,
     ) -> Self {
         let world = World::new(
-            config, None, capture, NoopProbe, ScalarCrma, NoFaults, zipf, owned, None,
+            config, capture, NoopProbe, ScalarCrma, NoFaults, zipf, owned, None,
         );
         Shard {
             kernel: start_world(world),
         }
     }
 
-    /// Scans one epoch of the tape, resumes a paused arrival chain, and
-    /// runs the kernel up to the epoch's last arrival — or to completion
-    /// once the whole stream is scanned. Stopping there is exact: every
+    /// Hands the shard one epoch of the tape, resumes a paused arrival
+    /// chain, and runs the kernel up to the epoch's last arrival — or to
+    /// completion after the `last` epoch. Stopping there is exact: every
     /// arrival still to come lands at or after it.
-    pub(crate) fn advance<'t>(&mut self, epoch: impl IntoIterator<Item = &'t TapeEntry>) {
+    pub(crate) fn advance(&mut self, epoch: &[Arc<Chunk>], last: bool) {
         let w = self.kernel.state_mut();
-        w.scan(epoch);
+        debug_assert!(w.feed.chunks.is_empty(), "the previous epoch drained");
+        w.feed.chunks.extend_from_slice(epoch);
+        for chunk in epoch {
+            let end = w.feed.end.checked_add(chunk.span);
+            w.feed.end = end.expect("simulated time overflow");
+        }
+        let horizon = if last { Time::MAX } else { w.feed.end };
         if w.feed.paused {
             w.feed.paused = false;
-            if let Some(at) = next_on_tape(w) {
+            if let Some(at) = next_owned_arrival(w) {
                 self.kernel.schedule_event_at(at, EngineEvent::Arrival);
             }
         }
-        let w = self.kernel.state();
-        let horizon = if w.feed.seq >= w.target {
-            Time::MAX
-        } else {
-            w.feed.clock
-        };
         self.kernel.set_horizon(horizon);
         self.kernel.run();
+        // Every arrival up to the horizon has been passed, so the epoch's
+        // chunks go back to the tape for the filler to reuse.
+        let feed = &mut self.kernel.state_mut().feed;
+        if feed.chunk == feed.chunks.len() {
+            feed.chunks.clear();
+            feed.chunk = 0;
+        }
+    }
+
+    /// Why this shard stopped being the sequential run, if it did
+    /// ([`World::violation`]).
+    pub(crate) fn violation(&self) -> Option<FallbackReason> {
+        self.kernel.state().violation()
     }
 
     /// The finished world and its loop counters, once every epoch has
     /// been advanced through.
     pub(crate) fn finish(mut self) -> (ShardWorld, EngineMetrics) {
         let w = self.kernel.state_mut();
-        debug_assert_eq!(w.feed.seq, w.target, "the whole tape was scanned");
+        debug_assert_eq!(w.feed.seq, w.target, "the whole tape was passed");
         // Every arrival of the stream was issued by some shard.
         w.issued = w.target;
         finish_world(self.kernel)
-    }
-}
-
-impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
-    /// Scans one epoch of the arrival tape: stamps each entry's instant
-    /// with a running sum of the gaps, keeps the arrivals routed to an
-    /// owned node, and counts the service-stream words of the rest.
-    /// Sharded runs have no leases or faults, so an arrival routes to
-    /// its home node and every node's compiled service is static.
-    fn scan<'t>(&mut self, epoch: impl IntoIterator<Item = &'t TapeEntry>) {
-        let feed = &mut self.feed;
-        debug_assert_eq!(feed.next, feed.owned.len(), "the previous epoch drained");
-        feed.owned.clear();
-        feed.next = 0;
-        feed.base = feed.seq;
-        let (mut clock, mut skip) = (feed.clock, feed.skip);
-        for (offset, entry) in epoch.into_iter().enumerate() {
-            clock = clock
-                .checked_add(entry.gap)
-                .expect("simulated time overflow");
-            if self.owned.contains(&entry.node) {
-                feed.owned.push(OwnedArrival {
-                    at: clock,
-                    user: entry.user,
-                    skip,
-                    offset: u32::try_from(offset).expect("an epoch fits u32 offsets"),
-                    class: entry.class,
-                });
-                skip = 0;
-            } else {
-                let service = &self.servers[entry.node as usize].service_by_class;
-                skip += service[entry.class as usize].draws();
-            }
-            feed.seq += 1;
-        }
-        (feed.clock, feed.skip) = (clock, skip);
     }
 }
 
@@ -2117,8 +2051,6 @@ pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
     for (shard, m) in worlds {
         metrics.events += m.events;
         metrics.fused_arrivals += m.fused_arrivals;
-        metrics.arrival_waits += m.arrival_waits;
-        metrics.arrivals_pipelined |= m.arrivals_pipelined;
         metrics.peak_queue_depth = metrics.peak_queue_depth.max(m.peak_queue_depth);
         metrics.queue.absorb(m.queue);
         metrics.slab = (metrics.slab.0 + m.slab.0, metrics.slab.1 + m.slab.1);
@@ -2339,18 +2271,18 @@ mod tests {
         }]);
         let owned = 0..config.nodes();
         let zipf = config.mix.user_sampler();
-        let filler = Filler::new(ArrivalDraws::new(&config, zipf.clone()), config.nodes());
-        pipe::drive(filler, config.requests, Drawer::Inline, |pipe| {
+        let draws = Stream::Drawn(ArrivalDraws::new(&config, zipf.clone()));
+        let filler = Filler::new(draws, config.nodes());
+        tape::drive(filler, config.requests, Drawer::Inline, |reader| {
             let world = World::new(
                 &config,
-                None,
                 false,
                 NoopProbe,
                 ScalarCrma,
                 plan,
                 zipf,
                 owned,
-                Some(pipe),
+                Some(reader),
             );
             let mut kernel = start_world(world);
             kernel.set_horizon(crash_at - Time::from_ps(1));

@@ -82,13 +82,13 @@ pub mod engine;
 pub mod failover;
 pub mod faults;
 pub mod legacy;
-mod pipe;
 pub mod remote;
 pub mod report;
 pub mod scenarios;
 mod sharded;
 pub mod stacks;
 pub mod sweep;
+mod tape;
 pub mod telemetry;
 pub mod tenants;
 pub mod trace;

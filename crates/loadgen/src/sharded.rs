@@ -8,12 +8,13 @@
 //! mechanisms: elastic lease ticks (grants move bytes between arbitrary
 //! donor/recipient pairs), the modeled congested fabric (every dispatch
 //! reads shared per-link utilization windows), fault re-routing (a
-//! crashed node's sessions bounce to survivors), and closed-loop /
-//! replay arrival processes (one global arrival cursor). A
-//! configuration that arms **none** of them has node groups that never
-//! influence one another, which is exactly the committed `storm`
-//! benchmark family (open-loop arrivals, static provisioning, scalar
-//! remote model, no faults).
+//! crashed node's sessions bounce to survivors), and closed-loop
+//! sessions (a completion schedules its session's next request, on any
+//! node). A configuration that arms **none** of them has node groups
+//! that never influence one another, which is exactly the committed
+//! `storm` benchmark family (open-loop arrivals, static provisioning,
+//! scalar remote model, no faults). Replays run sequentially too: this
+//! driver fills its tape only with freshly drawn arrivals.
 //!
 //! Such a run splits its nodes into contiguous groups ([`partition`]).
 //! Each group is a [`Shard`]: the sequential engine's world over the
@@ -30,43 +31,38 @@
 //!           +----+----+-- .. --+----+        +----+----+-- .. --+----+
 //!                 every chunk, in order               ^ claimed chunks
 //!                        |                            |
-//!  thread 0: shards 0, 2, ..: scan epoch k, run to its end -> fill -> barrier
-//!  thread 1: shards 1, 3, ..: scan epoch k, run to its end -> fill -> barrier
+//!  thread 0: shards 0, 2, ..: run epoch k to its end -> fill -> barrier
+//!  thread 1: shards 1, 3, ..: run epoch k to its end -> fill -> barrier
 //! ```
 //!
-//! * **The tape.** The stream is cut into epochs of [`EPOCH`]
-//!   arrivals. Each [`TapeEntry`] holds an arrival's gap from its
-//!   predecessor, its tenant class, its user and its home node. The
-//!   tape is double buffered: while the shards scan epoch `k`, the
-//!   threads fill epoch `k + 1` into the other buffer.
+//! * **The tape** ([`crate::tape`]). Each entry holds an arrival's gap
+//!   from its predecessor, its tenant class, its user and its home node.
+//!   While the shards run epoch `k`, the threads fill epoch `k + 1`.
 //! * **The stride split.** A Poisson arrival draws exactly
 //!   [`ArrivalDraws::POISSON_WORDS`] engine-RNG words (the first draws
 //!   no gap), so any chunk of the stream starts a known number of words
 //!   in. Every thread keeps its own clone of the engine RNG: it steps
 //!   over the chunks other threads fill with raw words and draws only
-//!   its own. An epoch is [`CHUNKS`] chunks, claimed from one atomic
+//!   its own. An epoch is a handful of chunks, claimed from one atomic
 //!   counter by each thread once its shards have run the current epoch,
 //!   so a thread with lighter shards fills more. A bursty arrival's
 //!   word count depends on the burst phase of its instant, so thread 0
 //!   fills bursty epochs whole, in order.
-//! * **The scan.** A shard turns the gaps into instants with a running
-//!   sum, keeps the arrivals routed to its own nodes, and steps its
-//!   service stream over every other arrival's service draws
+//! * **The walk.** A shard walks the tape as the sequential world does,
+//!   turning the gaps into instants with a running sum; it issues the
+//!   arrivals routed to its own nodes and steps its service stream over
+//!   every other arrival's service draws
 //!   ([`CompiledService::draws`](crate::tenants::CompiledService::draws))
 //!   instead of sampling them. Its engine RNG and its service stream
 //!   therefore see the sequential run's draws.
-//! * **The pause.** An epoch ends at its last arrival's instant. A
-//!   shard runs its kernel up to that instant and stops: every later
-//!   arrival lands at or after it. At the next epoch it scans the new
-//!   tape and resumes its arrival chain before it pops any event.
+//! * **The pause.** An epoch ends at its last arrival's instant, the sum
+//!   of its chunks' spans. A shard runs its kernel up to that instant
+//!   and stops: every later arrival lands at or after it. At the next
+//!   epoch it resumes its arrival chain before it pops any event.
 //! * **The barrier.** The shards run on `min(rayon::current_num_threads(),
 //!   shards)` threads: the calling thread and scoped workers. Every
 //!   thread advances its shards and claims chunks at every epoch, then
-//!   waits on one [`Barrier`], so no count of threads can deadlock. The
-//!   barrier also separates each buffer's writers from its readers, so
-//!   the per-chunk locks never contend. Its waiters yield for about
-//!   half a millisecond before they sleep, so the common short wait
-//!   never pays a wake-up.
+//!   waits on one [`Barrier`], so no count of threads can deadlock.
 //!
 //! The shards merge once, in node order, through the engine's one
 //! summarize path: per-class stats merge through commutative histogram
@@ -78,31 +74,32 @@
 //!
 //! # When a shard is not the sequential run
 //!
-//! Validity is decided after the run: the driver re-runs the whole
-//! configuration sequentially when any shard
+//! A shard stops being the sequential run when it
 //!
-//! * **shed a request at admission.** Shards step over foreign service
+//! * **sheds a request at admission.** Shards step over foreign service
 //!   draws under an all-admitted assumption; the sequential engine
 //!   skips the draws for a shed request, so one shed desynchronizes
 //!   every later draw. (Backlog-overflow drops happen after the service
 //!   draw and are *not* violations.)
-//! * **stamped a same-node arrival/finish tie.** The sequential engine
+//! * **stamps a same-node arrival/finish tie.** The sequential engine
 //!   breaks the tie by global insertion order, which a shard cannot
 //!   reconstruct; per-node stamps detect the tie in either firing
 //!   order.
 //!
 //! Up to the first such event anywhere, every shard is exact, so the
-//! shard holding it always reports it. The committed benchmark families
-//! trip neither. [`ExecPath`] reports which path ran and why.
+//! shard holding it always reports it. Each thread checks its shards
+//! after every epoch; one that finds a violation stops and hangs up the
+//! barrier, every thread stops at that round, and the driver re-runs
+//! the configuration sequentially, reporting the first violation in
+//! shard order. The storm family trips neither at its benchmark rates;
+//! the statically provisioned `elastic` rows shed at admission and fall
+//! back after the epoch of their first shed. [`ExecPath`] reports which
+//! path ran and why.
 
-use std::any::Any;
 use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use std::panic;
 use std::thread;
 
-use venice_sim::Time;
 use venice_telemetry::{NoopProbe, Probe};
 
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
@@ -111,34 +108,10 @@ use crate::engine::{
     LoadgenConfig, Shard,
 };
 use crate::faults::FaultPlan;
-use crate::pipe::Drawer;
 use crate::remote::RemoteModelCfg;
 use crate::report::LoadReport;
+use crate::tape::{Barrier, Drawer, Filler, HangUpOnDrop, Stream, Tape, EPOCH};
 use crate::trace::Trace;
-
-/// Arrivals per tape epoch. Both buffers of 24-byte entries together
-/// take under 100 KB, and a 350k-request run crosses 171 barriers.
-const EPOCH: u64 = 2048;
-
-/// Fill chunks per epoch: the unit a thread claims, so a thread whose
-/// shards finish an epoch early fills more of the next one.
-const CHUNKS: u64 = 8;
-
-/// Why no lock here is ever poisoned: each is held only across a swap
-/// or a counter update, which cannot panic.
-const UNPOISONED: &str = "tape and barrier locks guard no panicking code";
-
-/// One open-loop arrival, as drawn ahead: an entry of the shared tape,
-/// and of the sequential engine's arrival pipe ([`crate::pipe`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TapeEntry {
-    /// Gap from the previous arrival (zero for the first).
-    pub(crate) gap: Time,
-    pub(crate) user: u64,
-    pub(crate) class: u32,
-    /// The node the arrival routes to: its user's home node.
-    pub(crate) node: u16,
-}
 
 /// A run's report, trace and loop counters.
 type Output = (LoadReport, Option<Trace>, EngineMetrics);
@@ -192,9 +165,9 @@ pub(crate) fn run_sharded_or_sequential<P: Probe>(
 
 /// Runs one shard per node group on at most `threads` threads,
 /// feeding them a tape of `epoch` arrivals per epoch, and merges them
-/// with the shard count. Fails when the mesh cannot split or any
-/// shard's run was not the sequential one ([`FallbackReason`]); the
-/// caller then re-runs sequentially.
+/// with the shard count. Fails when the mesh cannot split or a shard
+/// stopped being the sequential run ([`FallbackReason`]); the caller
+/// then re-runs sequentially.
 fn run_sharded(
     config: &LoadgenConfig,
     capture: bool,
@@ -216,275 +189,82 @@ fn run_sharded(
     let barrier = Barrier::new(threads);
     // Thread `t` runs shards t, t + threads, ...: each builds its own
     // worlds, fills its share of the tape, and advances its shards.
-    let work = |t: usize| {
+    let mut finished = lockstep(threads, &barrier, |t| {
         // A bursty arrival's word count depends on its instant, so only
         // thread 0 fills those, every chunk in order.
-        let mut filler =
-            (t == 0 || draws.fixed_stride()).then(|| Filler::new(draws.clone(), config.nodes()));
-        let mut shards = Vec::new();
-        let mut failure = None;
-        guarded(&mut failure, || {
-            shards = (t..width)
-                .step_by(threads)
-                .map(|i| {
-                    (
-                        i,
-                        Shard::new(config, capture, zipf.clone(), groups[i].clone()),
-                    )
-                })
-                .collect();
-            tape.fill(0, filler.as_mut());
-        });
-        barrier.wait();
+        let mut filler = (t == 0 || draws.fixed_stride())
+            .then(|| Filler::new(Stream::Drawn(draws.clone()), config.nodes()));
+        let mut shards: Vec<_> = (t..width)
+            .step_by(threads)
+            .map(|i| {
+                let shard = Shard::new(config, capture, zipf.clone(), groups[i].clone());
+                (i, shard)
+            })
+            .collect();
+        tape.fill(0, filler.as_mut());
         for k in 0..epochs {
-            guarded(&mut failure, || {
-                let chunks = tape.read(k);
-                let entries = chunks.iter().flat_map(|chunk| chunk.iter());
-                for (_, shard) in &mut shards {
-                    shard.advance(entries.clone());
-                }
-                drop(chunks);
-                if k + 1 < epochs {
-                    tape.fill(k + 1, filler.as_mut());
-                }
-            });
-            barrier.wait();
-        }
-        if let Some(panic) = failure {
-            panic::resume_unwind(panic);
+            if barrier.wait().is_err() {
+                break;
+            }
+            let chunks = tape.read(k);
+            for (_, shard) in &mut shards {
+                shard.advance(&chunks, k + 1 == epochs);
+            }
+            drop(chunks);
+            if shards.iter().any(|(_, shard)| shard.violation().is_some()) {
+                break;
+            }
+            if k + 1 < epochs {
+                tape.fill(k + 1, filler.as_mut());
+            }
         }
         shards
-            .into_iter()
-            .map(|(i, shard)| (i, shard.finish()))
-            .collect::<Vec<_>>()
+    });
+    finished.sort_by_key(|&(i, _)| i);
+    if let Some(reason) = finished.iter().find_map(|(_, shard)| shard.violation()) {
+        return Err(reason);
+    }
+    let worlds = finished
+        .into_iter()
+        .map(|(_, shard)| shard.finish())
+        .collect();
+    let (report, trace, metrics, NoopProbe) = summarize(config, worlds);
+    Ok(((report, trace, metrics), width))
+}
+
+/// Runs `work(t)` for every thread `t < threads` and concatenates what
+/// they return, in thread order. The calling thread is thread 0, so a
+/// 2-thread run spawns one thread, not two, and the caller does not sit
+/// idle in `join`. A thread that stops early, by returning or by
+/// unwinding, hangs up `barrier`, so its peers stop at the same round
+/// instead of waiting for it; the first panic in thread order then
+/// surfaces with its own payload.
+fn lockstep<T: Send>(
+    threads: usize,
+    barrier: &Barrier,
+    work: impl Fn(usize) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let work = |t| {
+        let _stop = HangUpOnDrop(barrier);
+        work(t)
     };
-    let mut finished = thread::scope(|scope| {
-        // The calling thread is worker 0, so a 2-thread run spawns one
-        // thread, not two, and the caller does not sit idle in `join`.
+    thread::scope(|scope| {
         let others: Vec<_> = (1..threads)
             .map(|t| {
                 let work = &work;
                 scope.spawn(move || work(t))
             })
             .collect();
-        let mut finished = work(0);
+        let mut all = work(0);
         for worker in others {
-            finished.extend(
+            all.extend(
                 worker
                     .join()
                     .unwrap_or_else(|panic| panic::resume_unwind(panic)),
             );
         }
-        finished
-    });
-    finished.sort_by_key(|&(i, _)| i);
-    let worlds: Vec<_> = finished.into_iter().map(|(_, world)| world).collect();
-    if let Some(reason) = worlds.iter().find_map(|(w, _)| w.violation()) {
-        return Err(reason);
-    }
-    let (report, trace, metrics, NoopProbe) = summarize(config, worlds);
-    Ok(((report, trace, metrics), width))
-}
-
-/// A barrier whose waiters yield the processor for a while before they
-/// sleep. Epochs are short and their waits mostly shorter still. A
-/// newly spawned worker can start on its caller's core (observed on a
-/// 2-core VM); if the two then took turns sleeping at every barrier,
-/// that core's run queue would never hold two tasks and the scheduler
-/// would never move one to the idle core. Yielding keeps both runnable,
-/// so the idle core pulls one, and it skips the wake-up a sleeper
-/// needs. Sleeping after the spin keeps a long wait (a peer descheduled
-/// by the host, more threads than cores) from burning a processor.
-struct Barrier {
-    threads: usize,
-    /// Threads arrived in the current round.
-    arrived: Mutex<usize>,
-    /// The round number; it moves only under `arrived`'s lock.
-    round: AtomicU64,
-    woken: Condvar,
-}
-
-/// Yields before a waiter sleeps, here and in the arrival pipe's ring:
-/// 0.5–0.7 ms on a 2-core VM, longer than a typical epoch's imbalance
-/// between threads.
-pub(crate) const SPINS: u32 = 2_000;
-
-impl Barrier {
-    fn new(threads: usize) -> Self {
-        Barrier {
-            threads,
-            arrived: Mutex::new(0),
-            round: AtomicU64::new(0),
-            woken: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every thread has called `wait` for this round.
-    /// Everything a thread wrote before its call happens before
-    /// everything any thread does after the round: through the lock for
-    /// a sleeper, and through the `round` store (`Release`) and load
-    /// (`Acquire`) for a spinner.
-    fn wait(&self) {
-        let mut arrived = self.arrived.lock().expect(UNPOISONED);
-        let round = self.round.load(Ordering::Relaxed);
-        *arrived += 1;
-        if *arrived == self.threads {
-            *arrived = 0;
-            self.round.store(round + 1, Ordering::Release);
-            drop(arrived);
-            self.woken.notify_all();
-            return;
-        }
-        drop(arrived);
-        for _ in 0..SPINS {
-            if self.round.load(Ordering::Acquire) != round {
-                return;
-            }
-            thread::yield_now();
-        }
-        let mut arrived = self.arrived.lock().expect(UNPOISONED);
-        while self.round.load(Ordering::Relaxed) == round {
-            arrived = self.woken.wait(arrived).expect(UNPOISONED);
-        }
-    }
-}
-
-/// Runs `step` unless an earlier step on this thread panicked, keeping
-/// that panic for the end of the run: a thread must still reach every
-/// barrier, or its peers would wait forever.
-fn guarded(failure: &mut Option<Box<dyn Any + Send>>, step: impl FnOnce()) {
-    if failure.is_none() {
-        if let Err(panic) = panic::catch_unwind(AssertUnwindSafe(step)) {
-            *failure = Some(panic);
-        }
-    }
-}
-
-/// The double-buffered arrival tape: epoch `k` lives in buffer `k % 2`,
-/// cut into chunks that threads claim and fill in any order.
-struct Tape {
-    requests: u64,
-    epoch: u64,
-    /// Arrivals per chunk.
-    chunk: u64,
-    /// One lock per chunk. The barrier separates a buffer's writers
-    /// from its readers, so no lock ever waits.
-    buffers: [Vec<RwLock<Vec<TapeEntry>>>; 2],
-    /// The next unclaimed chunk, numbered across epochs.
-    next: AtomicU64,
-}
-
-impl Tape {
-    fn new(requests: u64, epoch: u64) -> Self {
-        let chunk = epoch.div_ceil(CHUNKS);
-        let chunks = epoch.div_ceil(chunk) as usize;
-        Tape {
-            requests,
-            epoch,
-            chunk,
-            buffers: [(); 2].map(|()| (0..chunks).map(|_| RwLock::default()).collect()),
-            next: AtomicU64::new(0),
-        }
-    }
-
-    fn epochs(&self) -> u64 {
-        self.requests.div_ceil(self.epoch)
-    }
-
-    /// Claims and fills chunks of epoch `k` until none is left (a
-    /// thread without a filler fills nothing).
-    fn fill(&self, k: u64, filler: Option<&mut Filler>) {
-        let Some(filler) = filler else {
-            return;
-        };
-        let chunks = self.buffers[0].len() as u64;
-        let end = (k + 1) * chunks;
-        // The counter publishes no data: a chunk's entries reach its
-        // readers through its lock and the barrier, so `Relaxed` does.
-        while let Ok(ticket) = self
-            .next
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                (t < end).then_some(t + 1)
-            })
-        {
-            let start = k * self.epoch + (ticket % chunks) * self.chunk;
-            let stop = (start + self.chunk).min((k + 1) * self.epoch);
-            let arrivals = start.min(self.requests)..stop.min(self.requests);
-            let slot = &self.buffers[k as usize % 2][(ticket % chunks) as usize];
-            // Drawing into a thread-private vector and swapping it in
-            // keeps the push loop off the cache line the chunk's lock
-            // shares with its neighbors.
-            let mut chunk = std::mem::take(&mut filler.spare);
-            filler.draw(arrivals, &mut chunk);
-            filler.spare = std::mem::replace(&mut *slot.write().expect(UNPOISONED), chunk);
-        }
-    }
-
-    /// Read access to every chunk of epoch `k`, in arrival order.
-    fn read(&self, k: u64) -> Vec<RwLockReadGuard<'_, Vec<TapeEntry>>> {
-        self.buffers[k as usize % 2]
-            .iter()
-            .map(|chunk| chunk.read().expect(UNPOISONED))
-            .collect()
-    }
-}
-
-/// One thread's share of filling the tape, or the whole of an arrival
-/// pipe's stream.
-pub(crate) struct Filler {
-    /// This thread's own clone of the engine RNG and arrival constants.
-    draws: ArrivalDraws,
-    /// Running sum of the gaps this filler drew: the absolute instant of
-    /// its last arrival when it draws every chunk (bursty), which the
-    /// burst phase needs; Poisson draws never read it.
-    clock: Time,
-    /// The arrival the RNG clone stands at.
-    next: u64,
-    nodes: u64,
-    /// The vector swapped out of the last chunk filled, reused for the
-    /// next.
-    spare: Vec<TapeEntry>,
-}
-
-impl Filler {
-    /// A filler standing at the first arrival of `draws`' stream, routing
-    /// users over `nodes` nodes.
-    pub(crate) fn new(draws: ArrivalDraws, nodes: u16) -> Self {
-        Filler {
-            draws,
-            clock: Time::ZERO,
-            next: 0,
-            nodes: u64::from(nodes),
-            spare: Vec::new(),
-        }
-    }
-
-    /// Draws `arrivals` into `out`, first stepping over the words of the
-    /// arrivals other threads drew since this filler's last chunk.
-    pub(crate) fn draw(&mut self, arrivals: Range<u64>, out: &mut Vec<TapeEntry>) {
-        self.draws.skip(self.next..arrivals.start.max(self.next));
-        out.clear();
-        for i in arrivals.clone() {
-            let gap = if i == 0 {
-                Time::ZERO
-            } else {
-                self.draws.gap(self.clock)
-            };
-            self.clock = self
-                .clock
-                .checked_add(gap)
-                .expect("simulated time overflow");
-            let (class, user) = self.draws.request(self.clock);
-            out.push(TapeEntry {
-                gap,
-                user,
-                class: class as u32,
-                // The home node, hashed as the engine's router hashes it.
-                node: (user % self.nodes) as u16,
-            });
-        }
-        self.next = self.next.max(arrivals.end);
-    }
+        all
+    })
 }
 
 /// Splits node ids `0..nodes` into `shards` contiguous, near-even
@@ -511,9 +291,12 @@ fn partition(nodes: u16, shards: usize) -> Vec<Range<u16>> {
 
 #[cfg(test)]
 mod tests {
+    use venice_sim::Time;
+
     use super::*;
     use crate::admission::AdmissionConfig;
     use crate::engine::Run;
+    use crate::tape::panic_message;
     use crate::tenants::TenantMix;
 
     // The storm family's shape (16-node mesh, 120 krps open loop) at a
@@ -798,6 +581,48 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_spawned_shard_thread_surfaces_without_hanging() {
+        // Thread 2 fails mid-run while threads 0 and 1 wait for it at the
+        // barrier, and also once both have gone to sleep there.
+        for (failing_round, asleep) in [(3u32, 0usize), (5, 2)] {
+            let barrier = Barrier::new(3);
+            let outcome = panic::catch_unwind(|| {
+                lockstep(3, &barrier, |t| {
+                    for round in 0..20u32 {
+                        if t == 2 && round == failing_round {
+                            while barrier.sleepers() < asleep {
+                                thread::yield_now();
+                            }
+                            panic!("shard thread {t} failed");
+                        }
+                        if barrier.wait().is_err() {
+                            return vec![round];
+                        }
+                    }
+                    vec![20]
+                })
+            });
+            let panic = outcome.expect_err("the panic surfaces");
+            assert_eq!(panic_message(panic), "shard thread 2 failed");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_sharded_run_surfaces_at_every_thread_count() {
+        // A mean gap of 4,000 s overflows the picosecond clock after
+        // about 4,600 arrivals, in the third epoch, on every shard.
+        let config = LoadgenConfig {
+            arrival: ArrivalProcess::OpenPoisson { rate_rps: 2.5e-4 },
+            ..storm_like(0x0F11, TenantMix::web_frontend(), 5 * EPOCH)
+        };
+        for threads in [1usize, 2, 3] {
+            let outcome = panic::catch_unwind(|| run_sharded(&config, false, 4, EPOCH, threads));
+            let panic = outcome.expect_err("the clock overflows");
+            assert_eq!(panic_message(panic), "simulated time overflow", "{threads}");
         }
     }
 

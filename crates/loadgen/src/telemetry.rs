@@ -19,7 +19,9 @@ use crate::engine::{LoadgenConfig, Run, RunOutput};
 
 /// Human labels for the engine's probe event-kind slots, indexed by the
 /// engine event enum's probe slot (kept in step with
-/// `EngineEvent::kind` in the engine).
+/// `EngineEvent::kind` in the engine). No event fires slot 2 (a
+/// replayed arrival is an `arrival`); its label stays so exported
+/// artifacts keep their shape.
 pub const EVENT_KIND_LABELS: [&str; 8] = [
     "arrival",
     "session-next",
