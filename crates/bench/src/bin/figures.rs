@@ -19,8 +19,8 @@
 use std::process::ExitCode;
 
 /// Appends a text-only engine-metrics table (events executed, lookahead
-/// fusion rate, peak event-queue depth, near-buffer hit ratio, slab
-/// occupancy) for a reduced-count run of each storm mix. Deliberately
+/// fusion rate, peak event-queue depth, share of pushes into the event
+/// queue's sorted run, slab occupancy) for a reduced-count run of each storm mix. Deliberately
 /// not part of the JSON artifact: these are loop-level counters, and
 /// `BENCH_figures.json`'s shape is frozen by the freshness diff.
 fn print_engine_metrics() {
@@ -29,7 +29,7 @@ fn print_engine_metrics() {
     println!("\n== engine metrics (storm mixes, 40k requests each) ==");
     println!(
         "{:<16} {:>10} {:>10} {:>7} {:>11} {:>9} {:>11}",
-        "mix", "events", "fused", "fused%", "peak depth", "near-hit%", "slab"
+        "mix", "events", "fused", "fused%", "peak depth", "run-push%", "slab"
     );
     let storm = scenarios::family("storm");
     for (_, config, _) in storm.rows_at(storm.seed, 40_000) {

@@ -163,11 +163,11 @@ pub struct EngineMetrics {
     /// Peak number of simultaneously pending events (peak event-queue
     /// depth).
     pub peak_queue_depth: usize,
-    /// Cumulative event-queue traffic counters (near-buffer hits vs
-    /// heap sifts).
+    /// Cumulative event-queue traffic counters (sorted-run versus ring
+    /// pushes and pops); see [`QueueStats`].
     pub queue: QueueStats,
     /// End-of-run `(live, high-water)` occupancy of the kernel queue's
-    /// heap.
+    /// entry slab (entries filed in the ring or its far list).
     pub slab: (usize, usize),
     /// Epochs of the arrival tape the simulation thread reached before
     /// the producer thread had filled them (0 unless

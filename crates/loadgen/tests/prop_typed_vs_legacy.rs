@@ -4,7 +4,7 @@
 //! The `crate::legacy` module preserves the seed engine (boxed `FnOnce`
 //! events on `venice_sim::boxed`, per-request model re-derivation,
 //! per-tick clones). Every optimization in the typed engine — enum
-//! events, the indexed near-buffer queue, compiled service models,
+//! events, the slot-ring event queue, compiled service models,
 //! lookahead arrival fusion, the request slab, the sharded parallel
 //! kernel — claims to be *pure speed*: these tests pin that claim
 //! through the shared [`conformance`] driver, demanding

@@ -152,14 +152,14 @@ impl<S, E> Scheduler<S, E> {
         self.queue.peak_len()
     }
 
-    /// Cumulative event-queue traffic counters (near-buffer hits, heap
-    /// sifts, pops); see [`QueueStats`].
+    /// Cumulative event-queue traffic counters (sorted-run and ring
+    /// pushes, refills, far-list promotions); see [`QueueStats`].
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
 
-    /// `(live, high-water)` heap occupancy: pending events in the
-    /// queue's heap proper versus the most it has held; see
+    /// `(live, high-water)` entry-slab occupancy: pending events filed
+    /// in the queue's ring or far list versus the most it has held; see
     /// [`EventQueue::slab_occupancy`].
     pub fn slab_occupancy(&self) -> (usize, usize) {
         self.queue.slab_occupancy()
@@ -392,13 +392,13 @@ impl<S, E> Kernel<S, E> {
         self.sched.peak_pending()
     }
 
-    /// Cumulative event-queue traffic counters (near-buffer hits, heap
-    /// sifts, pops); see [`QueueStats`].
+    /// Cumulative event-queue traffic counters (sorted-run and ring
+    /// pushes, refills, far-list promotions); see [`QueueStats`].
     pub fn queue_stats(&self) -> QueueStats {
         self.sched.queue_stats()
     }
 
-    /// `(live, high-water)` occupancy of the queue's heap.
+    /// `(live, high-water)` occupancy of the queue's entry slab.
     pub fn slab_occupancy(&self) -> (usize, usize) {
         self.sched.slab_occupancy()
     }

@@ -1,46 +1,57 @@
-//! Insertion-stable priority queue of timestamped events.
+//! Insertion-stable priority queue of timestamped events: a ring of
+//! time slots (a calendar queue, Brown 1988; a timing wheel, Varghese &
+//! Lauck 1987).
 //!
-//! Four representation choices keep the hot path allocation-free and
-//! cache-friendly:
+//! * **Order.** Same-timestamp events pop in insertion order, so runs
+//!   with the same seed cannot diverge: each entry's fire time and
+//!   sequence number pack into one `u128` key (`at` picoseconds high,
+//!   `seq` low), a *total* order any correct queue pops identically.
+//! * **Slots.** A slot is `at_ps >> 22`, about 4.19 µs; the ring has
+//!   4,096 slot heads, a 17.2 ms span. A push into a later slot files
+//!   its entry at the head of that slot's list in O(1). The lists thread
+//!   one entry slab by `u32` index, with a free list, so a steady-state
+//!   simulation stops allocating. An occupancy bitmap plus a summary word
+//!   finds the next occupied slot in two `trailing_zeros`.
+//! * **The sorted run.** The current slot's entries, and any push at or
+//!   before the current slot (including pushes into the past, which
+//!   standalone users make), sit in a run sorted descending. A non-empty
+//!   queue always has a non-empty run, so a pop or peek reads its last
+//!   entry; the pop that empties it moves the next occupied slot in.
+//! * **The far list.** Entries beyond the ring's span wait on a far list
+//!   that caches its minimum slot, and move into the ring once its span
+//!   reaches them, before any later slot pops.
 //!
-//! * **Stability.** `std::collections::BinaryHeap` is not stable for
-//!   equal keys, but a deterministic simulator must pop same-timestamp
-//!   events in insertion order — otherwise two runs with the same seed
-//!   can diverge. Every entry carries a monotonically increasing
-//!   sequence number that breaks ties, making `(at, seq)` a *total*
-//!   order: any correct heap pops the exact same sequence.
-//! * **Inline entries.** Each entry is a `(packed key, event)` pair
-//!   stored directly in an implicit **4-ary heap**; sifts swap whole
-//!   entries. The engine's events are 16 bytes, so an entry is 32
-//!   bytes and a pop reads its event from the heap line it already
-//!   touched, with no side table to index. The heap's `Vec` keeps its
-//!   capacity, so a steady-state simulation stops allocating entirely.
-//! * **Packed comparisons.** The `(at, seq)` pair is packed into one
-//!   `u128` (`at` picoseconds in the high half, `seq` in the low), so a
-//!   sift comparison is a single integer compare, and the sift-down
-//!   picks the minimum of a full 4-child group with a pairwise
-//!   min-tree (three data-independent compares) instead of a serial
-//!   dependent scan. Measured on the loadgen storm's queue depths this
-//!   is what makes the 4-ary shape actually pay: the naive serial scan
-//!   was slower than a binary `BinaryHeap`, the pairwise variant is
-//!   ~25% faster.
-//! * **A near buffer.** The soonest few entries live outside the heap
-//!   in a tiny insertion-sorted buffer, so short-horizon event chains
-//!   (open-loop arrivals, sub-gap completions) circulate without ever
-//!   paying a sift — see the block comment on the struct.
+//! The constants fit the push-ahead distances recorded from every push
+//! of one full pass of the repo benchmark's `storm` (1.59 M pushes) and
+//! `flash-crash` (1.36 M) workloads:
 //!
-//! The queue also tracks its high-water mark ([`EventQueue::peak_len`])
-//! so a benchmark can report peak event-queue depth without sampling.
+//! | workload | pushes | land ahead by |
+//! |---|---|---|
+//! | `storm` | arrivals (46%) | 4–33 µs: one to eight slots |
+//! | `storm` | completions | 67 µs–4.3 ms, none beyond |
+//! | `flash-crash` | 99.9% | within 8.6 ms: inside the span |
+//! | `flash-crash` | lease flows, fault ticks | up to 4.4 s: the far list |
+
+use std::cmp::Reverse;
 
 use crate::time::Time;
 
-/// Heap arity: each node has up to four children, selected pairwise.
-const ARITY: usize = 4;
+/// log2 of a slot's width in picoseconds: 2^22 ps ≈ 4.19 µs.
+const SLOT_SHIFT: u32 = 22;
+
+/// Slot heads in the ring: 4,096 slots span ≈ 17.2 ms.
+const SLOTS: usize = 4096;
+
+/// Occupancy words, one bit per slot head.
+const WORDS: usize = SLOTS / 64;
+
+/// End of a slab list.
+const NIL: u32 = u32::MAX;
 
 /// `(at_ps << 64) | seq`: one compare orders by time, then insertion.
 #[inline]
-fn pack(at: Time, seq: u64) -> u128 {
-    ((at.as_ps() as u128) << 64) | seq as u128
+fn pack(at_ps: u64, seq: u64) -> u128 {
+    ((at_ps as u128) << 64) | seq as u128
 }
 
 /// The fire time packed in the high half of a key.
@@ -49,38 +60,27 @@ fn time_of(packed: u128) -> Time {
     Time::from_ps((packed >> 64) as u64)
 }
 
-/// Capacity of the near buffer: big enough to absorb the engine's
-/// "next few microseconds" of traffic (an arrival plus the short
-/// completions racing it), small enough that an insertion shift is a
-/// single cache line's worth of moves.
-const NEAR_CAP: usize = 16;
-
 /// Passive work counters of one [`EventQueue`], exposed for telemetry.
 ///
-/// These are cheap whole-operation counters (one increment per push or
-/// pop, the same cost class as the existing peak-depth tracking), **not**
-/// per-sift-step instrumentation — the queue's hot loops are untouched.
-/// They answer the profile questions the near-buffer design raises: how
-/// much traffic circulates sift-free through the buffer versus paying a
-/// real heap sift, and how often the buffer spills.
+/// One increment per push or pop. The field names predate the slot
+/// ring: `near_*` counts the sorted run, `heap_*` the ring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Pushes absorbed by the near buffer (no heap sift on entry).
+    /// Pushes into the sorted run (at or before the current slot, or
+    /// into an empty queue).
     pub near_hits: u64,
-    /// Pushes that went straight into the heap (one sift-up each).
+    /// Pushes filed in a later slot or on the far list.
     pub heap_pushes: u64,
-    /// Near-buffer overflows: the buffer's largest entry was spilled
-    /// into the heap (one sift-up each, on top of `heap_pushes`).
+    /// Far-list promotions into the ring.
     pub near_spills: u64,
-    /// Pops served from the near buffer (no sift).
+    /// Pops that needed no refill.
     pub near_pops: u64,
-    /// Pops served from the heap (one sift-down each).
+    /// Pops that emptied the run and refilled it from the ring.
     pub heap_pops: u64,
 }
 
 impl QueueStats {
-    /// Total sift operations performed (heap pushes + spills + heap
-    /// pops) — the work the near buffer exists to avoid.
+    /// Ring operations: ring pushes, far-list promotions and refills.
     pub fn sifts(&self) -> u64 {
         self.heap_pushes + self.near_spills + self.heap_pops
     }
@@ -90,21 +90,16 @@ impl QueueStats {
         self.near_pops + self.heap_pops
     }
 
-    /// Total pushes accepted (near-buffer entries + direct heap
-    /// entries). Equal to [`pops`](Self::pops) once a queue drains.
+    /// Total pushes accepted. Equal to [`pops`](Self::pops) once a queue
+    /// drains.
     pub fn pushes(&self) -> u64 {
         self.near_hits + self.heap_pushes
     }
 
-    /// Folds another queue's counters into this one, field by field.
-    ///
-    /// This is how a sharded run reports queue traffic: each sub-kernel
-    /// owns a private [`EventQueue`], and the per-shard counters are
-    /// plain sums, so merging them preserves every conservation law the
-    /// single-queue counters satisfy (`pushes == pops` on drained
-    /// queues, `near_spills <= near_hits`). The merge is commutative
-    /// and associative — the merged totals cannot depend on shard
-    /// count or merge order.
+    /// Folds another queue's counters into this one, field by field: how
+    /// a sharded run sums its sub-kernels' traffic. Plain sums keep every
+    /// conservation law (`pushes == pops` on drained queues) and cannot
+    /// depend on shard count or merge order.
     pub fn absorb(&mut self, other: QueueStats) {
         self.near_hits += other.near_hits;
         self.heap_pushes += other.heap_pushes;
@@ -112,6 +107,15 @@ impl QueueStats {
         self.near_pops += other.near_pops;
         self.heap_pops += other.heap_pops;
     }
+}
+
+/// A slab node on a slot list, the far list or (`event: None`) the free
+/// list; `next` links it to the rest of its list.
+struct Node<E> {
+    at_ps: u64,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
 }
 
 /// A time-ordered, insertion-stable event queue.
@@ -130,81 +134,105 @@ impl QueueStats {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// The soonest few entries, kept sorted (descending, minimum last)
-    /// outside the heap — see below.
-    near: Vec<(u128, E)>,
-    /// Implicit 4-ary min-heap of entries (root at index 0).
-    heap: Vec<(u128, E)>,
+    /// Entries at or before slot `cur`, sorted descending by packed key
+    /// (minimum last). Non-empty whenever the queue is.
+    run: Vec<(u128, E)>,
+    /// The run's slot. Ring entries lie in slots `cur + 1 ..
+    /// cur + SLOTS`, far entries at `cur + SLOTS` or later.
+    cur: u64,
+    /// Slot list heads, indexed by `slot % SLOTS`; `bits` marks the
+    /// non-empty ones and `summary` the non-zero words of `bits`.
+    heads: Box<[u32; SLOTS]>,
+    bits: [u64; WORDS],
+    summary: u64,
+    /// Far list head and minimum slot (`u64::MAX` when empty).
+    far: u32,
+    far_min: u64,
+    slab: Vec<Node<E>>,
+    /// Free list head.
+    free: u32,
+    len: usize,
     next_seq: u64,
     peak: usize,
-    /// High-water mark of `heap.len()` since creation or the last
-    /// [`clear`](Self::clear).
-    heap_peak: usize,
     stats: QueueStats,
 }
-
-// # The near buffer
-//
-// `near` is a tiny insertion-sorted buffer holding up to [`NEAR_CAP`]
-// entries; a push that beats the buffer's largest key slots in with a
-// short shift (spilling the largest into the heap if full), and a pop
-// takes the buffer's minimum or the heap root, whichever is smaller.
-// Correctness is immediate — every comparison uses the same total-order
-// packed key, so the pop sequence is identical to a plain heap's — but
-// the work changes shape: event chains that schedule into the next few
-// microseconds (the loadgen arrival process, and short service
-// completions racing it) circulate entirely through the buffer, and the
-// full sift-down a plain heap would run on every such pop disappears.
-// Only far-future events (long service tails, lease flows) pay heap
-// sifts, and those are a minority of the traffic.
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            near: Vec::with_capacity(NEAR_CAP + 1),
-            heap: Vec::new(),
+            run: Vec::new(),
+            cur: 0,
+            heads: Box::new([NIL; SLOTS]),
+            bits: [0; WORDS],
+            summary: 0,
+            far: NIL,
+            far_min: u64::MAX,
+            slab: Vec::new(),
+            free: NIL,
+            len: 0,
             next_seq: 0,
             peak: 0,
-            heap_peak: 0,
             stats: QueueStats::default(),
         }
     }
 
     /// Inserts `event` to fire at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let packed = pack(at, self.next_seq);
+        let (at_ps, seq) = (at.as_ps(), self.next_seq);
         self.next_seq += 1;
-        // Only an event that beats the buffer's current maximum may
-        // enter it (or any event while it is empty): the buffer
-        // converges on the genuinely-soonest entries instead of echoing
-        // far-future completions through an insert-then-spill cycle.
-        if self.near.is_empty() || packed < self.near[0].0 {
-            // Into the sorted buffer (descending; minimum at the end).
-            let pos = self.near.partition_point(|&(k, _)| k > packed);
-            self.near.insert(pos, (packed, event));
+        let slot = at_ps >> SLOT_SHIFT;
+        if self.len == 0 {
+            // Ring and far list are empty: the run may start anywhere.
+            self.cur = slot;
+        }
+        if slot <= self.cur {
+            let key = pack(at_ps, seq);
+            let pos = self.run.partition_point(|&(k, _)| k > key);
+            self.run.insert(pos, (key, event));
             self.stats.near_hits += 1;
-            if self.near.len() > NEAR_CAP {
-                // Spill the buffer's largest into the heap.
-                let entry = self.near.remove(0);
-                self.heap_push(entry);
-                self.stats.near_spills += 1;
-            }
         } else {
-            self.heap_push((packed, event));
+            let i = self.alloc(at_ps, seq, event);
+            self.link(i, slot);
             self.stats.heap_pushes += 1;
         }
-        let pending = self.heap.len() + self.near.len();
-        if pending > self.peak {
-            self.peak = pending;
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+    }
+
+    /// Takes a slab node for a live, not yet linked entry.
+    fn alloc(&mut self, at_ps: u64, seq: u64, event: E) -> u32 {
+        let node = Node {
+            at_ps,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free == NIL {
+            assert!(self.slab.len() < NIL as usize, "event queue slab overflow");
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.slab[i as usize].next;
+            self.slab[i as usize] = node;
+            i
         }
     }
 
-    /// Pushes an entry into the heap proper and sifts it up.
-    fn heap_push(&mut self, entry: (u128, E)) {
-        self.heap.push(entry);
-        self.heap_peak = self.heap_peak.max(self.heap.len());
-        self.sift_up(self.heap.len() - 1);
+    /// Files slab node `i`, due in `slot` (after `cur`), at the head of
+    /// its slot's list or, beyond the ring's span, of the far list.
+    fn link(&mut self, i: u32, slot: u64) {
+        let head = if slot - self.cur < SLOTS as u64 {
+            let h = slot as usize % SLOTS;
+            self.bits[h / 64] |= 1 << (h % 64);
+            self.summary |= 1 << (h / 64);
+            &mut self.heads[h]
+        } else {
+            self.far_min = self.far_min.min(slot);
+            &mut self.far
+        };
+        self.slab[i as usize].next = std::mem::replace(head, i);
     }
 
     /// Removes and returns the earliest event, breaking timestamp ties in
@@ -213,84 +241,120 @@ impl<E> EventQueue<E> {
         self.pop_at_or_before(Time::MAX)
     }
 
-    /// Pops the (non-empty) heap's root event.
-    fn heap_pop(&mut self) -> E {
-        self.stats.heap_pops += 1;
-        let (_, event) = self.heap.swap_remove(0);
-        self.sift_down_from_root();
-        event
-    }
-
-    /// The packed key of the earliest entry, and whether it is the
-    /// heap's root (else the near buffer's minimum).
-    #[inline]
-    fn front(&self) -> Option<(u128, bool)> {
-        match (self.near.last(), self.heap.first()) {
-            (Some(&(nk, _)), Some(&(root, _))) if root < nk => Some((root, true)),
-            (Some(&(nk, _)), _) => Some((nk, false)),
-            (None, Some(&(root, _))) => Some((root, true)),
-            (None, None) => None,
-        }
-    }
-
     /// Removes and returns the earliest event **iff** its timestamp does
     /// not exceed `horizon`. One key access serves both the horizon
     /// check and the pop — the kernel's hot loop, fused.
     pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, E)> {
-        let (packed, from_heap) = self.front()?;
-        // Every key stamped at or before `horizon` packs to at most this.
-        if packed > pack(horizon, u64::MAX) {
+        let at = time_of(self.run.last()?.0);
+        if at > horizon {
             return None;
         }
-        let event = if from_heap {
-            self.heap_pop()
+        let (_, event) = self.run.pop()?;
+        self.len -= 1;
+        if self.run.is_empty() && self.len > 0 {
+            self.refill();
+            self.stats.heap_pops += 1;
         } else {
             self.stats.near_pops += 1;
-            self.near.pop().expect("front is in the near buffer").1
+        }
+        Some((at, event))
+    }
+
+    /// Moves the next occupied slot into the (empty) run, first promoting
+    /// the far entries the ring's span reaches from there. Every ring
+    /// slot is below `cur + SLOTS` and every far slot at or above it, so
+    /// the far list only supplies the next slot when the ring is empty.
+    fn refill(&mut self) {
+        let next = self.next_ring_slot().unwrap_or(self.far_min);
+        self.cur = next;
+        if self.far_min - next < SLOTS as u64 {
+            self.promote_far();
+        }
+        let h = next as usize % SLOTS;
+        let mut i = std::mem::replace(&mut self.heads[h], NIL);
+        self.bits[h / 64] &= !(1 << (h % 64));
+        if self.bits[h / 64] == 0 {
+            self.summary &= !(1 << (h / 64));
+        }
+        while i != NIL {
+            let node = &mut self.slab[i as usize];
+            let event = node.event.take().expect("a listed node is live");
+            self.run.push((pack(node.at_ps, node.seq), event));
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = i;
+            i = next;
+        }
+        // Lists are filed newest first, so a slot pushed in time order
+        // arrives already descending.
+        self.run.sort_unstable_by_key(|&(k, _)| Reverse(k));
+    }
+
+    /// The earliest occupied ring slot. Every ring slot lies in
+    /// `cur + 1 .. cur + SLOTS`, so it is the first occupied head at or
+    /// after `cur`'s, cyclically.
+    fn next_ring_slot(&self) -> Option<u64> {
+        if self.summary == 0 {
+            return None;
+        }
+        let start = self.cur as usize % SLOTS;
+        let (w, b) = (start / 64, start % 64);
+        let here = self.bits[w] & (!0u64 << b);
+        let found = if here != 0 {
+            w * 64 + here.trailing_zeros() as usize
+        } else {
+            // Words after `w`, else wrap to the lowest occupied word.
+            let later = self.summary & (!1u64 << w);
+            let word = if later != 0 { later } else { self.summary }.trailing_zeros() as usize;
+            word * 64 + self.bits[word].trailing_zeros() as usize
         };
-        Some((time_of(packed), event))
+        Some(self.cur + ((found + SLOTS - start) % SLOTS) as u64)
+    }
+
+    /// Re-files the far list: entries within the ring's span move into
+    /// their slots, the rest rebuild the list and its minimum.
+    fn promote_far(&mut self) {
+        let mut i = std::mem::replace(&mut self.far, NIL);
+        self.far_min = u64::MAX;
+        while i != NIL {
+            let Node { at_ps, next, .. } = self.slab[i as usize];
+            let slot = at_ps >> SLOT_SHIFT;
+            self.stats.near_spills += u64::from(slot - self.cur < SLOTS as u64);
+            self.link(i, slot);
+            i = next;
+        }
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.front().map(|(packed, _)| time_of(packed))
+        self.run.last().map(|&(k, _)| time_of(k))
     }
 
     /// The `(earliest, latest)` timestamps among pending events, or
-    /// `None` when empty.
-    ///
-    /// Every key already packs its fire time in the high 64 bits (the
-    /// heap orders by it), so the span costs one scan of the entries'
-    /// keys — the lookahead horizon a profiler needs ("how far into the
-    /// simulated future has the run committed work") without
-    /// instrumenting push/pop.
+    /// `None` when empty: the lookahead horizon a profiler needs ("how
+    /// far into the simulated future has the run committed work"), at
+    /// the cost of one scan of the pending entries.
     pub fn pending_time_span(&self) -> Option<(Time, Time)> {
-        let (min, _) = self.front()?;
-        // The near buffer is sorted descending, so its maximum is the
-        // first entry; the heap's maximum can sit in any leaf.
-        let near_max = self.near.first().map(|&(k, _)| k);
-        let heap_max = self.heap.iter().map(|&(k, _)| k).max();
-        let max = near_max.max(heap_max).expect("non-empty queue has a max");
-        Some((time_of(min), time_of(max)))
+        Some((self.peek_time()?, self.pending_times().max()?))
     }
 
     /// Timestamps of all pending events, in no particular order. Reads
-    /// the packed keys only; the caller sorts or folds as needed.
+    /// the keys only; the caller sorts or folds as needed.
     pub fn pending_times(&self) -> impl Iterator<Item = Time> + '_ {
-        self.near
+        let slab = self.slab.iter().filter(|n| n.event.is_some());
+        self.run
             .iter()
-            .chain(self.heap.iter())
             .map(|&(k, _)| time_of(k))
+            .chain(slab.map(|n| Time::from_ps(n.at_ps)))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.near.len()
+        self.len
     }
 
     /// Whether the queue holds no events.
     pub fn is_empty(&self) -> bool {
-        self.near.is_empty() && self.heap.is_empty()
+        self.len == 0
     }
 
     /// High-water mark of [`len`](Self::len) over the queue's lifetime
@@ -299,97 +363,29 @@ impl<E> EventQueue<E> {
         self.peak
     }
 
-    /// Work counters accumulated over the queue's lifetime (near-buffer
-    /// hits, heap sifts, spills; not reset by [`clear`](Self::clear)).
+    /// Work counters accumulated over the queue's lifetime (not reset by
+    /// [`clear`](Self::clear)); see [`QueueStats`].
     pub fn stats(&self) -> QueueStats {
         self.stats
     }
 
-    /// Heap occupancy as `(live, high-water)`: entries currently in the
-    /// heap proper (the near buffer excluded), and the most it has held
+    /// Entry-slab occupancy as `(live, high-water)`: entries in the ring
+    /// or the far list (not the run), and the most the slab has held
     /// since creation or the last [`clear`](Self::clear). Telemetry
     /// exports these as `slab_live`/`slab_cap`.
     pub fn slab_occupancy(&self) -> (usize, usize) {
-        (self.heap.len(), self.heap_peak)
+        (self.len - self.run.len(), self.slab.len())
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
-        self.near.clear();
-        self.heap.clear();
-        self.heap_peak = 0;
-    }
-
-    /// Restores the heap property upward from `i` after a push.
-    #[inline]
-    fn sift_up(&mut self, mut i: usize) {
-        let key = self.heap[i].0;
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if key < self.heap[parent].0 {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Re-sinks the root entry after a pop moved the last entry there.
-    /// Full 4-child groups — the overwhelmingly common case away from
-    /// the heap's last level — pick their minimum with a pairwise
-    /// min-tree of three data-independent compares. Each shape keeps
-    /// its own compare against `key`: merged into one, the min-tree's
-    /// last select compiles to an unpredictable branch instead of
-    /// conditional moves.
-    #[inline]
-    fn sift_down_from_root(&mut self) {
-        let heap = &mut self.heap[..];
-        let len = heap.len();
-        let Some(&(key, _)) = heap.first() else {
-            return;
+        let (next_seq, peak, stats) = (self.next_seq, self.peak, self.stats);
+        *self = EventQueue {
+            next_seq,
+            peak,
+            stats,
+            ..Self::new()
         };
-        let mut i = 0usize;
-        loop {
-            let first = i * ARITY + 1;
-            if first + ARITY <= len {
-                let c = &heap[first..first + ARITY];
-                let (a, ka) = if c[0].0 < c[1].0 {
-                    (first, c[0].0)
-                } else {
-                    (first + 1, c[1].0)
-                };
-                let (b, kb) = if c[2].0 < c[3].0 {
-                    (first + 2, c[2].0)
-                } else {
-                    (first + 3, c[3].0)
-                };
-                let (best, best_k) = if ka < kb { (a, ka) } else { (b, kb) };
-                if best_k < key {
-                    heap.swap(i, best);
-                    i = best;
-                    continue;
-                }
-                break;
-            }
-            if first >= len {
-                break;
-            }
-            // Partial last group: serial scan over what exists. Its
-            // children are past the end, so the walk stops here.
-            let mut best = first;
-            let mut best_k = heap[first].0;
-            for (child, &(k, _)) in heap.iter().enumerate().skip(first + 1) {
-                if k < best_k {
-                    best = child;
-                    best_k = k;
-                }
-            }
-            if best_k < key {
-                heap.swap(i, best);
-            }
-            break;
-        }
     }
 }
 
@@ -463,16 +459,16 @@ mod tests {
         let mut q = EventQueue::new();
         for round in 0..50u64 {
             for i in 0..8u64 {
-                q.push(Time::from_ns(round * 100 + i), round * 8 + i);
+                q.push(Time::from_us(round * 100 + i), round * 8 + i);
             }
             for i in 0..8u64 {
                 assert_eq!(q.pop().unwrap().1, round * 8 + i);
             }
         }
-        // Steady-state churn never grows the heap past its high-water
-        // occupancy.
+        // Steady-state churn reuses freed slab nodes: the slab never
+        // grows past the most entries filed in the ring at once.
         let cap = q.slab_occupancy().1;
-        assert!(cap <= 8, "heap grew to {cap}");
+        assert!(cap <= 8, "slab grew to {cap}");
         assert_eq!(q.peak_len(), 8);
     }
 
@@ -533,9 +529,10 @@ mod tests {
 
     #[test]
     fn stats_split_near_buffer_and_heap_traffic() {
+        // `near_*` counts the sorted run, `heap_*` the ring.
         let mut q = EventQueue::new();
-        // Descending pushes each beat the buffer's max, so a short chain
-        // circulates entirely through the near buffer.
+        // Pushes within the current slot circulate through the run
+        // alone: no ring traffic.
         for i in (0..8u64).rev() {
             q.push(Time::from_ns(i), i);
         }
@@ -547,51 +544,87 @@ mod tests {
         assert_eq!(s.near_pops, 8);
         assert_eq!(s.heap_pushes, 0);
         assert_eq!(s.heap_pops, 0);
-        assert_eq!(s.sifts(), 0, "short chains must be sift-free");
+        assert_eq!(s.sifts(), 0, "one-slot chains never touch the ring");
         assert_eq!(s.pops(), 8);
 
-        // Push far-future events behind a near-buffer occupant: they go
-        // straight to the heap and pop through it.
+        // Events in later slots are filed in the ring behind a run
+        // occupant; every pop that empties the run refills it from the
+        // next slot, except the one that empties the queue.
         q.push(Time::from_ns(10), 0);
         for i in 0..4u64 {
-            q.push(Time::from_ns(1_000 + i), i);
+            q.push(Time::from_us(10 * (i + 1)), i);
         }
         while q.pop().is_some() {}
         let s = q.stats();
+        assert_eq!(s.near_hits, 9);
         assert_eq!(s.heap_pushes, 4);
         assert_eq!(s.heap_pops, 4);
+        assert_eq!(s.near_pops, 9);
         assert_eq!(s.pops(), 13);
     }
 
     #[test]
     fn stats_count_near_spills() {
+        // `near_spills` counts far-list promotions: entries beyond the
+        // ring's 17.2 ms span wait on the far list and move into the
+        // ring one by one as its span reaches them.
         let mut q = EventQueue::new();
-        // Descending pushes all enter the near buffer; once it is full,
-        // every further push spills the buffer's largest into the heap.
-        for i in (0..NEAR_CAP as u64 + 5).rev() {
-            q.push(Time::from_ns(i), i);
+        q.push(Time::ZERO, 0u64);
+        for i in 1..=5u64 {
+            q.push(Time::from_ms(20 * i), i);
         }
+        q.push(Time::from_us(100), 6);
         let s = q.stats();
-        assert_eq!(s.near_hits, NEAR_CAP as u64 + 5);
-        assert_eq!(s.near_spills, 5);
-        // Everything still pops in time order.
+        assert_eq!((s.near_hits, s.heap_pushes, s.near_spills), (1, 6, 0));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..NEAR_CAP as u64 + 5).collect::<Vec<_>>());
+        assert_eq!(order, vec![0, 6, 1, 2, 3, 4, 5]);
+        assert_eq!(q.stats().near_spills, 5);
+        assert_eq!(q.stats().heap_pops, 6);
+    }
+
+    #[test]
+    fn a_far_event_pops_in_order_after_a_microsecond_stream() {
+        // A 30 ms lease flow, pushed before a stream of µs-scale events,
+        // waits on the far list and pops exactly where its time falls.
+        const LEASE: u64 = u64::MAX;
+        let mut q = EventQueue::new();
+        q.push(Time::ZERO, 0u64);
+        q.push(Time::from_ms(30), LEASE);
+        let mut last = Time::ZERO;
+        let mut lease_at = None;
+        while let Some((at, v)) = q.pop() {
+            assert!(at >= last, "time went back from {last} to {at}");
+            last = at;
+            if v == LEASE {
+                lease_at = Some(at);
+            } else if at < Time::from_ms(40) {
+                // Each stream event schedules the next 7 µs later.
+                q.push(at + Time::from_us(7), v + 1);
+            }
+        }
+        assert_eq!(lease_at, Some(Time::from_ms(30)));
+        let s = q.stats();
+        assert_eq!(s.near_spills, 1, "the lease waited on the far list");
+        assert_eq!(s.pushes(), s.pops());
     }
 
     #[test]
     fn slab_occupancy_tracks_live_heap_entries() {
         let mut q = EventQueue::new();
         assert_eq!(q.slab_occupancy(), (0, 0));
-        q.push(Time::from_ns(1), 1u64); // near buffer: not in the heap
+        q.push(Time::from_ns(1), 1u64); // the run: not in the slab
         assert_eq!(q.slab_occupancy(), (0, 0));
-        q.push(Time::from_ns(100), 2);
-        q.push(Time::from_ns(200), 3);
+        q.push(Time::from_us(100), 2); // a later slot
+        q.push(Time::from_ms(200), 3); // the far list
         assert_eq!(q.slab_occupancy(), (2, 2));
         q.pop();
-        q.pop();
-        // One live heap entry; the high-water mark stays at two.
+        // The refill moved the 100 µs entry into the run; its node is
+        // free and the high-water mark stays at two.
         assert_eq!(q.slab_occupancy(), (1, 2));
+        q.push(Time::from_us(300), 4); // reuses the freed node
+        assert_eq!(q.slab_occupancy(), (2, 2));
+        q.clear();
+        assert_eq!(q.slab_occupancy(), (0, 0));
     }
 
     #[test]
@@ -625,6 +658,14 @@ mod tests {
         // Popping the minimum tightens the lower edge.
         q.pop();
         assert_eq!(q.pending_time_span().unwrap().0, Time::from_ns(50));
+        // Entries filed in a later slot and on the far list count too.
+        q.push(Time::from_us(40), 10);
+        q.push(Time::from_secs(2), 11);
+        assert_eq!(
+            q.pending_time_span(),
+            Some((Time::from_ns(50), Time::from_secs(2)))
+        );
+        assert_eq!(q.pending_times().count(), 9);
     }
 
     #[test]
@@ -644,9 +685,10 @@ mod tests {
     fn golden_interleaving_pins_counters_occupancy_and_pop_order() {
         // A fixed pseudo-random simulation-shaped workload: pushes land a
         // short or a long hop past the last popped time, a third of the
-        // steps pop, and the queue is cleared twice mid-stream. The
-        // expected counters, occupancy and pop-order hash are pinned, so
-        // a change of representation must reproduce them exactly.
+        // steps pop, and the queue is cleared twice mid-stream. The pop
+        // order hash, pop count and peak depth are pinned for any
+        // representation; the counters and slab occupancy are the slot
+        // ring's.
         let mut x = 0x2545F4914F6CDD1Du64;
         let mut step = move || {
             x ^= x << 13;
@@ -691,31 +733,32 @@ mod tests {
             pops += 1;
         }
         occupancy.push(q.slab_occupancy());
-        let s = q.stats();
-        assert_eq!(
-            s,
-            QueueStats {
-                near_hits: 2399,
-                heap_pushes: 17561,
-                near_spills: 924,
-                near_pops: 1451,
-                heap_pops: 11915,
-            }
-        );
-        assert_eq!(
-            occupancy,
-            vec![
-                (3236, 3236),
-                (0, 0),
-                (3334, 3340),
-                (0, 0),
-                (3316, 3316),
-                (0, 3316)
-            ]
-        );
+        // Representation-independent: the pop order, pop count and peak
+        // depth any correct queue reproduces.
         assert_eq!(
             (q.peak_len(), pops, hash),
             (3345, 13366, 0x7b87b54d6d866574)
+        );
+        // The slot ring's own counters and slab occupancy.
+        assert_eq!(
+            (q.stats(), occupancy),
+            (
+                QueueStats {
+                    near_hits: 17142,
+                    heap_pushes: 2818,
+                    near_spills: 0,
+                    near_pops: 13353,
+                    heap_pops: 13,
+                },
+                vec![
+                    (814, 814),
+                    (0, 0),
+                    (928, 928),
+                    (0, 0),
+                    (1072, 1072),
+                    (0, 1072)
+                ]
+            )
         );
     }
 

@@ -1,7 +1,15 @@
 //! Property tests for the simulation kernel's invariants.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use venice_sim::{EventQueue, Kernel, Time, TokenBucket};
+
+/// Width of one event-queue slot in picoseconds (about 4.19 µs).
+const SLOT_PS: u64 = 1 << 22;
+
+/// Span of the event queue's slot ring in picoseconds (about 17.2 ms).
+const SPAN_PS: u64 = SLOT_PS * 4096;
 
 proptest! {
     /// The event queue pops in nondecreasing time order, and equal
@@ -23,6 +31,71 @@ proptest! {
                 prop_assert!(w[0].1 < w[1].1, "stability violated");
             }
         }
+    }
+
+    /// The event queue pops exactly what a `BTreeSet<(Time, seq)>` pops
+    /// over random push/pop interleavings whose hops cross its slot
+    /// ring's edges: zero, within a slot, across slots, past the ring's
+    /// span, whole seconds, `Time::MAX`, and pushes earlier than the
+    /// current slot. Horizon pops look inside and beyond the next slot,
+    /// and the queue is cleared mid-stream. `peek_time`, `len` and the
+    /// pending span agree with the model after every operation.
+    #[test]
+    fn event_queue_matches_an_ordered_set_across_ring_edges(
+        ops in prop::collection::vec((0u8..16, 0u64..u64::MAX), 1..600),
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeSet<(Time, u64)> = BTreeSet::new();
+        // `now` follows the pops, as a simulator's clock does; popping a
+        // `Time::MAX` entry leaves it where it was.
+        let (mut now, mut seq) = (0u64, 0u64);
+        for (op, raw) in ops {
+            let push_at = match op {
+                0 => Some(now),
+                1 => Some(now.saturating_add(raw % SLOT_PS)),
+                2 | 3 => Some(now.saturating_add(raw % (16 * SLOT_PS))),
+                4 => Some(now.saturating_add(raw % SPAN_PS)),
+                5 => Some(now.saturating_add(SPAN_PS + raw % (4 * SPAN_PS))),
+                6 => Some(now.saturating_add((1 + raw % 4) * 1_000_000_000_000)),
+                7 => Some(if raw % 2 == 0 { u64::MAX } else { now }),
+                8 => Some(now.saturating_sub(raw % (8 * SLOT_PS))),
+                _ => None,
+            };
+            if let Some(at) = push_at {
+                q.push(Time::from_ps(at), seq);
+                model.insert((Time::from_ps(at), seq));
+                seq += 1;
+            } else if op == 15 && raw % 8 == 0 {
+                q.clear();
+                model.clear();
+            } else {
+                let horizon = match op {
+                    12 => now.saturating_add(raw % SLOT_PS),
+                    13 => now.saturating_add(raw % (2 * SPAN_PS)),
+                    14 => now.saturating_sub(raw % SLOT_PS),
+                    _ => u64::MAX,
+                };
+                let horizon = Time::from_ps(horizon);
+                let want = model.first().copied().filter(|&(at, _)| at <= horizon);
+                if let Some(entry) = want {
+                    model.remove(&entry);
+                }
+                let got = q.pop_at_or_before(horizon);
+                prop_assert_eq!(got, want);
+                if let Some((at, _)) = got.filter(|&(at, _)| at < Time::MAX) {
+                    now = at.as_ps();
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.first().map(|&(at, _)| at));
+            let span = model.first().zip(model.last()).map(|(a, b)| (a.0, b.0));
+            prop_assert_eq!(q.pending_time_span(), span);
+        }
+        while let Some(entry) = model.pop_first() {
+            prop_assert_eq!(q.pop(), Some(entry));
+        }
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(q.pop(), None);
     }
 
     /// Running a kernel executes every scheduled event exactly once and

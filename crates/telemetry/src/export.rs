@@ -7,7 +7,7 @@
 //!
 //! 1. `header` — schema id, scenario, seed, tick, ring shape.
 //! 2. `counters` — per-kind event counts and attributed sim time,
-//!    fused arrivals, queue traffic stats, heap occupancy, peak depth.
+//!    fused arrivals, queue traffic stats, slab occupancy, peak depth.
 //! 3. `sample`* — the retained time-series rows, oldest first.
 //! 4. `span`* — closed lease spans in close order, then still-open
 //!    spans (null `end_ps`) in key order.

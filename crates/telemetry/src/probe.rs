@@ -75,7 +75,7 @@ pub trait Probe {
     fn span_close(&mut self, _kind: SpanKind, _node: u16, _generation: u64, _at: Time) {}
 
     /// End-of-run kernel queue counters: cumulative traffic stats,
-    /// `(live, high-water)` heap occupancy, and peak pending depth.
+    /// `(live, high-water)` slab occupancy, and peak pending depth.
     fn on_queue_stats(&mut self, _stats: QueueStats, _slab: (usize, usize), _peak_depth: usize) {}
 
     /// A request completed: its per-stage latency breakdown, which must
@@ -182,7 +182,7 @@ impl<const ATTRIB: bool> RecordingProbe<ATTRIB> {
         self.queue_stats
     }
 
-    /// End-of-run `(live, high-water)` queue-heap occupancy.
+    /// End-of-run `(live, high-water)` queue-slab occupancy.
     pub fn slab(&self) -> (usize, usize) {
         self.slab
     }

@@ -73,7 +73,7 @@ pub fn render_profile(scenario: &str, probe: &RecordingProbe, labels: &[&str]) -
     let (slab_live, slab_cap) = probe.slab();
     writeln!(
         out,
-        "queue: {} near-hits ({} of pushes), {} sifts ({} spills, {} heap pushes, {} heap pops), peak depth {}, slab {}/{} live",
+        "queue: {} run pushes ({} of pushes), {} ring ops ({} far promotions, {} ring pushes, {} refills), peak depth {}, slab {}/{} live",
         q.near_hits,
         pct(permille(q.near_hits, q.near_hits + q.heap_pushes)),
         q.sifts(),

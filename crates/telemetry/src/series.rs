@@ -64,7 +64,8 @@ pub struct SampleRow {
     /// congestion; empty under the scalar CRMA model, which keeps the
     /// exported artifact byte-identical to pre-congestion runs.
     pub links: Vec<LinkGauge>,
-    /// Live entries in the kernel queue's heap at the sample.
+    /// Live entries in the kernel queue's slab (ring and far list) at
+    /// the sample.
     pub slab_live: u32,
     /// Events pending in the kernel queue at the sample.
     pub pending_events: u32,
