@@ -13,7 +13,7 @@
 //! distinct [`LinkId`]s, so per-direction bandwidth accounting (upload
 //! vs download congestion) falls out of indexing alone.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use venice_sim::Time;
 
@@ -99,19 +99,25 @@ impl PathTable {
 
     /// Recompiles the per-pair routes with the given *directed* links
     /// marked down, detouring over the routing layer's productive
-    /// fallback ([`crate::routing::forward_path_with_fallback`]).
+    /// fallback ([`crate::routing::forward_path_with_fallback`]). A
+    /// pair the down set cuts along every minimal route takes the
+    /// shortest path over up links instead, found by breadth-first
+    /// search in [`Mesh3d::neighbors`] order, so the detour is
+    /// deterministic.
     ///
     /// [`LinkId`] assignments are **stable**: every link keeps the id
     /// the original compile gave it, so per-link congestion windows and
-    /// gauges survive the reroute untouched. Pairs the down set
-    /// partitions along every minimal route keep their stale
-    /// precompiled path (a partition-grade failure has no honest
-    /// detour; the caller's loss model is the one still charging it).
-    /// An empty `down` set reproduces the original table exactly.
+    /// gauges survive the reroute untouched. Only a pair the down set
+    /// truly partitions (no path over up links at all) keeps its stale
+    /// precompiled path: it has no honest detour, and the caller's loss
+    /// model is the one still charging it. An empty `down` set
+    /// reproduces the original table exactly.
     ///
     /// # Panics
     ///
-    /// Panics if a down endpoint is out of the compiled node range.
+    /// Panics if a down endpoint is out of the compiled node range, a
+    /// down link's endpoints are not mesh neighbors, or `down` lists a
+    /// link twice.
     pub fn recompile_with_down(&self, mesh: &Mesh3d, down: &[(NodeId, NodeId)]) -> PathTable {
         let mut tables: Vec<RoutingTable> = mesh
             .nodes()
@@ -135,7 +141,9 @@ impl PathTable {
         for src in mesh.nodes() {
             for dst in mesh.nodes() {
                 let off = u32::try_from(links.len()).expect("path table overflow");
-                match forward_path_with_fallback(mesh, &tables, src, dst) {
+                let path = forward_path_with_fallback(mesh, &tables, src, dst)
+                    .or_else(|| shortest_up_path(mesh, down, src, dst));
+                match path {
                     Some(path) => {
                         let mut prev = src;
                         for hop in path {
@@ -218,6 +226,40 @@ impl PathTable {
     }
 }
 
+/// The shortest path from `src` to `dst` over the mesh's up directed
+/// links (every link not in `down`), as the hops after `src`; `None`
+/// when `down` partitions the pair. Breadth-first in
+/// [`Mesh3d::neighbors`] order, so ties break the same way every time.
+fn shortest_up_path(
+    mesh: &Mesh3d,
+    down: &[(NodeId, NodeId)],
+    src: NodeId,
+    dst: NodeId,
+) -> Option<Vec<NodeId>> {
+    let mut parent: Vec<Option<NodeId>> = vec![None; mesh.len()];
+    parent[src.0 as usize] = Some(src);
+    let mut frontier = VecDeque::from([src]);
+    while let Some(cur) = frontier.pop_front() {
+        if cur == dst {
+            let mut path = Vec::new();
+            let mut at = dst;
+            while at != src {
+                path.push(at);
+                at = parent[at.0 as usize].expect("visited nodes have a parent");
+            }
+            path.reverse();
+            return Some(path);
+        }
+        for next in mesh.neighbors(cur) {
+            if parent[next.0 as usize].is_none() && !down.contains(&(cur, next)) {
+                parent[next.0 as usize] = Some(cur);
+                frontier.push_back(next);
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,12 +316,23 @@ mod tests {
         let mesh = Mesh3d::prototype();
         let table = PathTable::compile(&mesh);
         // Down both directions of the 0<->1 cable (a flapped cable dies
-        // whole). 0->1 itself is partitioned along its only minimal
-        // route and keeps the stale path; 0->3 detours via +y.
+        // whole). 0->1 is cut along its only minimal route and takes the
+        // shortest path over up links, 0->2->3->1; 0->3 detours via +y.
         let down = [(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))];
         let rerouted = table.recompile_with_down(&mesh, &down);
-        let direct: Vec<_> = rerouted.links(NodeId(0), NodeId(1)).to_vec();
-        assert_eq!(direct, table.links(NodeId(0), NodeId(1)).to_vec());
+        let direct: Vec<_> = rerouted
+            .links(NodeId(0), NodeId(1))
+            .iter()
+            .map(|&link| rerouted.endpoints(link))
+            .collect();
+        assert_eq!(
+            direct,
+            [
+                (NodeId(0), NodeId(2)),
+                (NodeId(2), NodeId(3)),
+                (NodeId(3), NodeId(1))
+            ]
+        );
         let detour = rerouted.links(NodeId(0), NodeId(3));
         assert_eq!(detour.len(), 2, "productive detours stay minimal");
         assert_eq!(rerouted.endpoints(detour[0]), (NodeId(0), NodeId(2)));

@@ -1,13 +1,93 @@
 //! Property tests for fabric invariants: routing, flow control, and
 //! reliable delivery.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 use venice_fabric::datalink::{CreditCounter, DatalinkRx, DatalinkTx, RxVerdict};
+use venice_fabric::paths::PathTable;
 use venice_fabric::routing::{forward_path, RoutingTable};
 use venice_fabric::topology::{Mesh3d, NodeId};
 use venice_fabric::{crc::Crc32, Packet, PacketKind};
 
+/// Hop distance from `src` to every node over the links not in `down`
+/// (`None` where `down` cuts the node off).
+fn up_distances(mesh: &Mesh3d, down: &[(NodeId, NodeId)], src: NodeId) -> Vec<Option<u32>> {
+    let mut dist = vec![None; mesh.len()];
+    dist[src.0 as usize] = Some(0);
+    let mut frontier = VecDeque::from([src]);
+    while let Some(cur) = frontier.pop_front() {
+        let d = dist[cur.0 as usize].unwrap();
+        for next in mesh.neighbors(cur) {
+            if dist[next.0 as usize].is_none() && !down.contains(&(cur, next)) {
+                dist[next.0 as usize] = Some(d + 1);
+                frontier.push_back(next);
+            }
+        }
+    }
+    dist
+}
+
 proptest! {
+    /// A recompiled path table never routes over a down link. For any
+    /// flap set on a 2x2x2 or 4x2x2 mesh, every pair the up links still
+    /// connect gets a path that walks adjacent up links from source to
+    /// destination in the fewest hops the up links allow; only a truly
+    /// partitioned pair keeps its stale path. Link ids stay stable, and
+    /// an empty flap set reproduces the table.
+    #[test]
+    fn recompiled_paths_avoid_down_links(
+        wide in any::<bool>(),
+        flaps in prop::collection::vec((0u16..16, 0usize..6, any::<bool>()), 0..8),
+    ) {
+        let mesh = if wide { Mesh3d::new(4, 2, 2) } else { Mesh3d::prototype() };
+        let n = mesh.len() as u16;
+        let mut down = Vec::new();
+        for (node, pick, both) in flaps {
+            let a = NodeId(node % n);
+            let neighbors = mesh.neighbors(a);
+            let b = neighbors[pick % neighbors.len()];
+            let cut = if both { vec![(a, b), (b, a)] } else { vec![(a, b)] };
+            for link in cut {
+                if !down.contains(&link) {
+                    down.push(link);
+                }
+            }
+        }
+        let table = PathTable::compile(&mesh);
+        let rerouted = table.recompile_with_down(&mesh, &down);
+        for id in 0..table.link_count() as u32 {
+            prop_assert_eq!(table.endpoints(id), rerouted.endpoints(id));
+        }
+        for a in mesh.nodes() {
+            let dist = up_distances(&mesh, &down, a);
+            for b in mesh.nodes() {
+                let links = rerouted.links(a, b);
+                let Some(d) = dist[b.0 as usize] else {
+                    prop_assert_eq!(links, table.links(a, b), "partitioned {}->{}", a, b);
+                    continue;
+                };
+                prop_assert_eq!(links.len() as u32, d, "{}->{} is not shortest", a, b);
+                let mut at = a;
+                for &link in links {
+                    let (from, to) = rerouted.endpoints(link);
+                    prop_assert_eq!(from, at);
+                    prop_assert_eq!(mesh.hops(from, to), 1);
+                    prop_assert!(!down.contains(&(from, to)), "{}->{} crosses {}->{}", a, b, from, to);
+                    at = to;
+                }
+                prop_assert_eq!(at, b);
+            }
+        }
+        let again = table.recompile_with_down(&mesh, &[]);
+        prop_assert_eq!(again.link_count(), table.link_count());
+        for a in mesh.nodes() {
+            for b in mesh.nodes() {
+                prop_assert_eq!(again.links(a, b), table.links(a, b));
+            }
+        }
+    }
+
     /// Dimension-ordered routing always reaches the destination in
     /// exactly the Manhattan hop count, for arbitrary mesh shapes.
     #[test]

@@ -1,15 +1,14 @@
 //! Arrival processes.
 //!
-//! Two canonical load shapes drive the engine:
+//! Every load shape is open loop: requests arrive independent of
+//! completions (an internet-facing front door, where overload is
+//! possible and admission control matters), either by a Poisson process
+//! at a fixed rate or by a Poisson process whose rate switches between
+//! a base and a burst phase.
 //!
-//! * **open loop** — requests arrive by a Poisson process at a configured
-//!   rate, independent of completions (models an internet-facing front
-//!   door; overload is possible and admission control matters);
-//! * **closed loop** — a fixed population of concurrent sessions, each
-//!   issuing its next request one exponential think time after the
-//!   previous one completes (models connected clients; load self-limits).
-//!
-//! Every draw comes from a [`SimRng`] stream owned by the caller, so an
+//! `ArrivalDraws` is the one place an arrival's gap, class and user
+//! are drawn, from the run's arrival stream; the tape fillers
+//! (`crate::tape`) draw every run's arrivals through it, so an
 //! identical seed replays an identical arrival trace.
 
 use std::ops::Range;
@@ -26,15 +25,6 @@ pub enum ArrivalProcess {
     OpenPoisson {
         /// Offered load in requests per second.
         rate_rps: f64,
-    },
-    /// Closed-loop: `sessions` concurrent users, each waiting an
-    /// exponential think time of mean `think` between its completion and
-    /// its next request.
-    ClosedLoop {
-        /// Concurrent sessions.
-        sessions: u32,
-        /// Mean think time.
-        think: Time,
     },
     /// Bursty open-loop arrivals: a Poisson process whose rate switches
     /// between `base_rps` and `burst_rps` on a fixed cycle (a modulated
@@ -62,27 +52,8 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Short human-readable label for figures.
-    pub fn label(&self) -> String {
-        match self {
-            ArrivalProcess::OpenPoisson { rate_rps } => {
-                format!("poisson {rate_rps:.0}rps")
-            }
-            ArrivalProcess::ClosedLoop { sessions, think } => {
-                format!("closed {sessions}x think {think}")
-            }
-            ArrivalProcess::Bursty {
-                base_rps,
-                burst_rps,
-                ..
-            } => {
-                format!("bursty {base_rps:.0}->{burst_rps:.0}rps")
-            }
-        }
-    }
-
-    /// Whether `now` falls inside a burst window (always `false` for the
-    /// non-bursty processes).
+    /// Whether `now` falls inside a burst window (always `false` for
+    /// plain Poisson arrivals).
     pub fn in_burst(&self, now: Time) -> bool {
         match self {
             ArrivalProcess::Bursty {
@@ -98,9 +69,9 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive or non-finite rates, a zero-session closed
-    /// loop, a zero burst period, a burst filling (or exceeding) its
-    /// period, or a crowd share outside `[0, 1]`.
+    /// Panics on non-positive or non-finite rates, a zero burst period,
+    /// a burst filling (or exceeding) its period, or a crowd share
+    /// outside `[0, 1]`.
     pub fn validate(&self) {
         match self {
             ArrivalProcess::OpenPoisson { rate_rps } => {
@@ -108,9 +79,6 @@ impl ArrivalProcess {
                     rate_rps.is_finite() && *rate_rps > 0.0,
                     "arrival rate must be positive, got {rate_rps}"
                 );
-            }
-            ArrivalProcess::ClosedLoop { sessions, .. } => {
-                assert!(*sessions > 0, "closed loop needs at least one session");
             }
             ArrivalProcess::Bursty {
                 base_rps,
@@ -141,12 +109,13 @@ impl ArrivalProcess {
         }
     }
 
-    /// The instantaneous open-loop rate at `now`, or `None` for
-    /// closed-loop processes.
+    /// The instantaneous offered rate at `now`; always `Some`, since
+    /// every process has a rate. The `Option` stays in the signature
+    /// because callers outside this workspace (the benchmark crate)
+    /// unwrap it.
     pub fn rate_at(&self, now: Time) -> Option<f64> {
         match self {
             ArrivalProcess::OpenPoisson { rate_rps } => Some(*rate_rps),
-            ArrivalProcess::ClosedLoop { .. } => None,
             ArrivalProcess::Bursty {
                 base_rps,
                 burst_rps,
@@ -170,10 +139,9 @@ pub fn exponential(rng: &mut SimRng, mean: Time) -> Time {
 }
 
 /// The engine RNG and the arrival constants it draws against: the one
-/// place an arrival's gap, class and user are drawn. Open-loop arrivals
-/// are drawn ahead onto the arrival tape by a filler over a copy
-/// (`crate::tape::Filler`), for a sharded or a sequential run; a
-/// closed-loop world draws its sessions through its own.
+/// place an arrival's gap, class and user are drawn. Arrivals are drawn
+/// ahead onto the arrival tape by a filler over a copy
+/// (`crate::tape::Filler`), for a sharded or a sequential run.
 #[derive(Debug, Clone)]
 pub(crate) struct ArrivalDraws {
     rng: SimRng,
@@ -183,10 +151,10 @@ pub(crate) struct ArrivalDraws {
     zipf: ZipfSampler,
     arrival: ArrivalProcess,
     /// Precomputed `(off-burst, in-burst)` exponential gap means of the
-    /// open-loop arrival process — the per-arrival division and
-    /// float→[`Time`] conversion hoisted to setup (both halves equal for
-    /// plain Poisson; `None` for closed-loop runs).
-    open_gaps: Option<(Time, Time)>,
+    /// arrival process — the per-arrival division and float→[`Time`]
+    /// conversion hoisted to setup (both halves equal for plain
+    /// Poisson).
+    gaps: (Time, Time),
 }
 
 impl ArrivalDraws {
@@ -195,43 +163,41 @@ impl ArrivalDraws {
     /// each take one `unit()`. The first arrival draws no gap.
     pub(crate) const POISSON_WORDS: u64 = 3;
 
-    /// The arrival draws of a run of `config`, seeded exactly as every
-    /// world of that run seeds its own. `zipf` is the mix's
-    /// [`TenantMix::user_sampler`](crate::tenants::TenantMix::user_sampler).
-    pub(crate) fn new(config: &LoadgenConfig, zipf: ZipfSampler) -> Self {
+    /// The arrival draws of a run of `config`, from the arrival stream
+    /// of its seed ([`seed_streams`]).
+    pub(crate) fn new(config: &LoadgenConfig) -> Self {
         // Per-phase mean gaps, computed once with the exact expression
         // the per-arrival path used to evaluate (`1/rate` through
         // `Time::from_secs_f64`), so the hoisted values are bit-identical.
-        let open_gaps = match config.arrival {
+        let gaps = match config.arrival {
             ArrivalProcess::OpenPoisson { rate_rps } => {
                 let gap = Time::from_secs_f64(1.0 / rate_rps);
-                Some((gap, gap))
+                (gap, gap)
             }
             ArrivalProcess::Bursty {
                 base_rps,
                 burst_rps,
                 ..
-            } => Some((
+            } => (
                 Time::from_secs_f64(1.0 / base_rps),
                 Time::from_secs_f64(1.0 / burst_rps),
-            )),
-            ArrivalProcess::ClosedLoop { .. } => None,
+            ),
         };
         ArrivalDraws {
             rng: seed_streams(config.seed).0,
             weight_total: config.mix.weights().iter().sum(),
             weights: config.mix.weights(),
-            zipf,
+            zipf: config.mix.user_sampler(),
             arrival: config.arrival,
-            open_gaps,
+            gaps,
         }
     }
 
-    /// The exponential gap from an open-loop arrival at `now` to the
-    /// next, at the process's rate at `now`.
+    /// The exponential gap from an arrival at `now` to the next, at the
+    /// process's rate at `now`.
     #[inline]
     pub(crate) fn gap(&mut self, now: Time) -> Time {
-        let (base, burst) = self.open_gaps.expect("open loop has a rate");
+        let (base, burst) = self.gaps;
         // Phase selection mirrors ArrivalProcess::rate_at exactly; the
         // per-phase mean gaps were precomputed from the same rates.
         let mean = if self.arrival.in_burst(now) {
@@ -288,61 +254,6 @@ impl ArrivalDraws {
     pub(crate) fn fixed_stride(&self) -> bool {
         matches!(self.arrival, ArrivalProcess::OpenPoisson { .. })
     }
-
-    /// The arrival process drawn.
-    pub(crate) fn process(&self) -> ArrivalProcess {
-        self.arrival
-    }
-
-    /// A closed-loop session's think time: one exponential draw of mean
-    /// `mean` from the same stream, interleaved with its arrival draws.
-    pub(crate) fn think(&mut self, mean: Time) -> Time {
-        exponential(&mut self.rng, mean)
-    }
-}
-
-/// A deterministic Poisson interarrival stream.
-#[derive(Debug, Clone)]
-pub struct PoissonArrivals {
-    mean_gap: Time,
-    rng: SimRng,
-}
-
-impl PoissonArrivals {
-    /// Creates a stream at `rate_rps` drawing from `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate_rps` is not strictly positive and finite.
-    pub fn new(rate_rps: f64, rng: SimRng) -> Self {
-        assert!(
-            rate_rps.is_finite() && rate_rps > 0.0,
-            "arrival rate must be positive, got {rate_rps}"
-        );
-        PoissonArrivals {
-            mean_gap: Time::from_secs_f64(1.0 / rate_rps),
-            rng,
-        }
-    }
-
-    /// Next interarrival gap.
-    pub fn next_gap(&mut self) -> Time {
-        exponential(&mut self.rng, self.mean_gap)
-    }
-
-    /// Generates the first `n` absolute arrival instants. Identical seeds
-    /// produce bit-identical traces — the property the loadgen test suite
-    /// pins down.
-    pub fn trace(rate_rps: f64, seed: u64, n: usize) -> Vec<Time> {
-        let mut s = PoissonArrivals::new(rate_rps, SimRng::seed(seed));
-        let mut t = Time::ZERO;
-        (0..n)
-            .map(|_| {
-                t += s.next_gap();
-                t
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +271,7 @@ mod tests {
             ..LoadgenConfig::new(0x57D1, crate::tenants::TenantMix::web_frontend())
         };
         assert!(matches!(config.arrival, ArrivalProcess::OpenPoisson { .. }));
-        let mut drawn = ArrivalDraws::new(&config, config.mix.user_sampler());
+        let mut drawn = ArrivalDraws::new(&config);
         let mut stepped = drawn.clone();
         let mut now = Time::ZERO;
         for i in 0..1_000u64 {
@@ -385,34 +296,6 @@ mod tests {
         let total: Time = (0..n).map(|_| exponential(&mut rng, mean)).sum();
         let avg_us = total.as_us_f64() / n as f64;
         assert!((45.0..55.0).contains(&avg_us), "avg {avg_us}us");
-    }
-
-    #[test]
-    fn trace_is_monotone_and_seeded() {
-        let a = PoissonArrivals::trace(10_000.0, 7, 500);
-        let b = PoissonArrivals::trace(10_000.0, 7, 500);
-        assert_eq!(a, b);
-        assert!(a.windows(2).all(|w| w[0] <= w[1]));
-        let c = PoissonArrivals::trace(10_000.0, 8, 500);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn rate_matches_trace_density() {
-        let rate = 100_000.0;
-        let tr = PoissonArrivals::trace(rate, 3, 50_000);
-        let span = tr.last().unwrap().as_secs_f64();
-        let measured = tr.len() as f64 / span;
-        assert!(
-            (measured - rate).abs() / rate < 0.05,
-            "measured {measured} rps"
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_rate_rejected() {
-        PoissonArrivals::new(0.0, SimRng::seed(0));
     }
 
     #[test]
@@ -460,15 +343,9 @@ mod tests {
         assert!(a.in_burst(Time::from_ms(100))); // next cycle
         assert_eq!(a.rate_at(Time::from_ms(10)), Some(80_000.0));
         assert_eq!(a.rate_at(Time::from_ms(50)), Some(10_000.0));
-        assert!(a.label().contains("bursty"));
         // Non-bursty processes never burst.
         let open = ArrivalProcess::OpenPoisson { rate_rps: 1.0 };
         assert!(!open.in_burst(Time::from_ms(5)));
         assert_eq!(open.rate_at(Time::ZERO), Some(1.0));
-        let closed = ArrivalProcess::ClosedLoop {
-            sessions: 1,
-            think: Time::from_ms(1),
-        };
-        assert_eq!(closed.rate_at(Time::ZERO), None);
     }
 }

@@ -42,7 +42,6 @@ use venice_telemetry::attrib::{
 use venice_telemetry::{NodeGauges, NoopProbe, Probe, SampleRow, TenantCounters};
 use venice_transport::qpair::QpairError;
 use venice_transport::{QpairConfig, QueuePair};
-use venice_workloads::ZipfSampler;
 
 use crate::admission::{AdmissionConfig, AdmissionControl, Decision, ShedReason};
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
@@ -374,11 +373,9 @@ impl Stats {
 /// rare lease-flow completions (a few hundred per run, vs millions of
 /// requests) box their fat payloads rather than inflating every event.
 enum EngineEvent {
-    /// Open-loop or replayed arrival: issue one request, schedule the
-    /// next off the arrival tape.
+    /// Drawn or replayed arrival: issue one request, schedule the next
+    /// off the arrival tape.
     Arrival,
-    /// Closed-loop session fires its next request.
-    SessionNext,
     /// A dispatched request finishes service; payload is its
     /// [`RequestSlab`] slot.
     Finish(u32),
@@ -398,12 +395,12 @@ enum EngineEvent {
 
 impl EngineEvent {
     /// Stable probe slot for this event kind; must stay in step with
-    /// [`crate::telemetry::EVENT_KIND_LABELS`], whose slot 2 no event
-    /// fires.
+    /// [`crate::telemetry::EVENT_KIND_LABELS`]. No event fires slots 1
+    /// and 2; the numbering is kept so probe consumers that index the
+    /// slots (perfbench reads `finish` as slot 3) stay valid.
     fn kind(&self) -> u8 {
         match self {
             EngineEvent::Arrival => 0,
-            EngineEvent::SessionNext => 1,
             EngineEvent::Finish(_) => 3,
             EngineEvent::LeaseTick => 4,
             EngineEvent::LeaseEstablished(_) => 5,
@@ -423,7 +420,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
         }
         match self {
             EngineEvent::Arrival => open_arrival(w, s),
-            EngineEvent::SessionNext => session_arrival(w, s),
             EngineEvent::Finish(slot) => finish(w, s, slot),
             EngineEvent::LeaseTick => lease_tick(w, s),
             EngineEvent::LeaseEstablished(est) => lease_established(w, s, *est),
@@ -437,21 +433,19 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
 ///
 /// A world issues the requests routed to the nodes in `owned`: every
 /// node for a sequential run, one node group for a shard of a sharded
-/// run ([`crate::sharded`]). Every open-loop or replayed arrival comes
+/// run ([`crate::sharded`]). Every arrival, drawn or replayed, comes
 /// off an arrival tape ([`crate::tape`]) through the world's `feed`: a
-/// sequential world reads the next epoch through its `reader` when its
+/// sequential world reads the next chunk through its `reader` when its
 /// feed runs out, a shard is handed each epoch by the sharded driver.
 pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Nodes whose arrivals this world issues.
     owned: Range<u16>,
-    /// Tenant class and user of the next open-loop arrival, taken off
-    /// the feed by [`next_owned_arrival`].
+    /// Tenant class and user of the next owned arrival, taken off the
+    /// feed by [`next_owned_arrival`].
     next_request: (usize, u64),
-    /// A sequential open-loop or replaying world's end of its arrival
-    /// tape; `None` on a shard and a closed-loop world.
+    /// A sequential world's end of its arrival tape; `None` on a shard.
     reader: Option<Reader<'a>>,
-    /// The world's cursor on the arrival tape; empty and never touched
-    /// on a closed-loop world.
+    /// The world's cursor on the arrival tape.
     feed: TapeFeed,
     /// Set once a same-node arrival and completion share an instant.
     tied: bool,
@@ -463,17 +457,11 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// every default entry point, so the hooks compile away and the
     /// report stays bit-identical to the unprobed engine.
     probe: P,
-    /// Closed-loop arrival randomness (think times, tenant classes,
-    /// users) and the constants it draws against. Open-loop arrivals
-    /// come off the tape, drawn from a copy of the same stream. Kept
-    /// separate from `service_rng` so two *open-loop* (Poisson or
-    /// bursty) runs with the same seed but different stacks/configs see
-    /// the identical arrival stream even after their admission
-    /// decisions diverge. Closed-loop runs are not insulated:
-    /// think-time draws interleave with arrival draws at completion
-    /// times, which are stack-dependent.
-    draws: ArrivalDraws,
     /// Service-side randomness: cache hit/miss draws, service jitter.
+    /// Arrivals come off the tape, drawn from a separate stream
+    /// ([`seed_streams`]), so two runs with the same seed but different
+    /// stacks or configs see the identical arrival stream even after
+    /// their admission decisions diverge.
     service_rng: SimRng,
     classes: Vec<TenantClass>,
     /// One admission controller per node.
@@ -493,8 +481,6 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Arrivals processed by lookahead fusion instead of the queue.
     fused: u64,
     end: Time,
-    /// Mean think time when the arrival process is closed-loop.
-    think: Option<Time>,
     backlog_cap: usize,
     /// The composed cluster, kept live so elastic ticks can borrow and
     /// release against the real Monitor-Node flow mid-run.
@@ -688,9 +674,9 @@ fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// Open-loop arrival event: issue one request, schedule the next at the
-/// process's instantaneous rate (constant for Poisson, phase-dependent
-/// for bursty traffic).
+/// Arrival event: issue one request, then take the next owned arrival
+/// off the tape ([`next_owned_arrival`]), issuing it in place when it
+/// precedes every pending event.
 fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
@@ -813,32 +799,6 @@ struct TapeFeed {
     paused: bool,
 }
 
-/// Closed-loop session event: issue the session's next request.
-fn session_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-) {
-    if w.issued >= w.target {
-        return; // session retires
-    }
-    let now = s.now();
-    let (class, user) = w.draws.request(now);
-    issue_with(w, s, now, class, user);
-}
-
-/// Schedules the closed-loop session's next request, if any remain.
-fn schedule_next_session<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-) {
-    if let Some(think) = w.think {
-        if w.issued < w.target {
-            let gap = w.draws.think(think);
-            s.schedule_event_in(gap, EngineEvent::SessionNext);
-        }
-    }
-}
-
 /// Routes `user`'s request: home node by population hash, except that a
 /// home node whose remote tier is empty defers to a mesh neighbor already
 /// holding a lease driven by this tenant (locality: follow the memory).
@@ -913,7 +873,6 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
             Time::ZERO,
             0,
         );
-        schedule_next_session(w, s);
         return;
     }
     let srv = &mut w.servers[node];
@@ -962,9 +921,6 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                 Time::ZERO,
                 generation,
             );
-            // A shed closed-loop client backs off one think time and
-            // retries with a fresh request.
-            schedule_next_session(w, s);
         }
         Decision::Admit => {
             w.stats[class].admitted += 1;
@@ -1112,7 +1068,6 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
                     Time::ZERO,
                     req.generation,
                 );
-                schedule_next_session(w, s);
             }
         }
         Err(e) => unreachable!("unexpected qpair error: {e:?}"),
@@ -1142,7 +1097,6 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         if let Some(next) = w.pop_backlog(node) {
             dispatch(w, s, next);
         }
-        schedule_next_session(w, s);
         return;
     }
     let req = w.requests.take(slot);
@@ -1229,7 +1183,6 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     if let Some(next) = w.pop_backlog(node) {
         dispatch(w, s, next);
     }
-    schedule_next_session(w, s);
 }
 
 /// Everything one engine execution produced: the report, plus whatever
@@ -1290,9 +1243,6 @@ pub enum FallbackReason {
 /// first that holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IneligibleKind {
-    /// Closed-loop sessions: each completion schedules the session's
-    /// next request, which may route to any node.
-    ClosedLoop,
     /// Replayed arrivals: the sharded driver fills its tape only with
     /// freshly drawn arrivals.
     Replay,
@@ -1415,11 +1365,10 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     /// Shard counts are clamped to the node count; `n <= 1` selects the
     /// sequential engine exactly as if this arm were never called.
     /// Configurations whose node groups interact (elastic leases,
-    /// modeled fabric paths, fault plans, closed-loop sessions, probes,
-    /// replay), and sharded runs that shed at admission or tie an
-    /// arrival with a completion on one node, execute sequentially
-    /// rather than approximately — byte-identity is never traded for
-    /// speed.
+    /// modeled fabric paths, fault plans, probes, replay), and sharded
+    /// runs that shed at admission or tie an arrival with a completion
+    /// on one node, execute sequentially rather than approximately —
+    /// byte-identity is never traded for speed.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -1581,19 +1530,13 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
     /// insulated RNG streams. A shard builds the whole mesh exactly as
     /// the sequential engine does and differs only in `owned`.
     ///
-    /// `zipf` is the mix's [`TenantMix::user_sampler`]. Its setup sums
-    /// the Zipf normalizer over up to 10^5 ranks — most of a world's
-    /// setup time — so a sharded run builds it once and hands each shard
-    /// a copy. `reader` carries a sequential open-loop or replaying
-    /// world's arrivals.
-    #[allow(clippy::too_many_arguments)]
+    /// `reader` carries a sequential world's arrivals; a shard has none.
     pub(crate) fn new(
         config: &LoadgenConfig,
         capture: bool,
         probe: P,
         mut remote: M,
         mut faults: F,
-        zipf: ZipfSampler,
         owned: Range<u16>,
         reader: Option<Reader<'a>>,
     ) -> Self {
@@ -1727,12 +1670,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             })
             .collect();
         let (_, service_rng) = seed_streams(config.seed);
-        // A replay's tape supplies every arrival from the trace; a
-        // closed-loop config.arrival must not additionally spawn sessions.
-        let think = match config.arrival {
-            ArrivalProcess::ClosedLoop { think, .. } if reader.is_none() => Some(think),
-            _ => None,
-        };
         let target = reader.as_ref().map_or(config.requests, Reader::requests);
         let mut w = World {
             owned,
@@ -1743,7 +1680,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             remote_leases,
             borrow_failures,
             probe,
-            draws: ArrivalDraws::new(config, zipf),
             service_rng,
             classes: config.mix.classes.clone(),
             admissions: (0..n)
@@ -1771,7 +1707,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             completed: 0,
             fused: 0,
             end: Time::ZERO,
-            think,
             backlog_cap: config.admission.backlog_per_node,
             cluster,
             neighbors,
@@ -1800,7 +1735,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
 /// (`ENABLED = false`, every fabric hook compiled away), the congested
 /// path compiles the mesh's all-pairs path table and per-class wire
 /// footprints once and instantiates with [`CongestedFabric`].
-/// `drawer` draws an open-loop run's arrivals.
+/// `drawer` fills the run's arrival tape.
 pub(crate) fn run_full<P: Probe>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
@@ -1852,8 +1787,8 @@ pub(crate) fn run_full<P: Probe>(
     }
 }
 
-/// The sequential engine: one world owning every node. An open-loop run
-/// or a replay reads its arrivals off a tape filled by `drawer`.
+/// The sequential engine: one world owning every node, reading its
+/// arrivals, drawn or replayed, off a tape filled by `drawer`.
 fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
@@ -1864,36 +1799,26 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     drawer: Drawer,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
     validate(config);
-    let zipf = config.mix.user_sampler();
     let nodes = config.nodes();
-    let stream = match replay_trace {
-        Some(trace) => Some(Stream::Replayed(&trace.records)),
-        None => (!matches!(config.arrival, ArrivalProcess::ClosedLoop { .. }))
-            .then(|| Stream::Drawn(ArrivalDraws::new(config, zipf.clone()))),
+    let (stream, requests) = match replay_trace {
+        Some(trace) => (Stream::Replayed(&trace.records), trace.len() as u64),
+        None => (Stream::Drawn(ArrivalDraws::new(config)), config.requests),
     };
-    let run = |reader: Option<Reader<'_>>| {
+    let filler = Filler::new(stream, nodes);
+    tape::drive(filler, requests, drawer, |reader| {
         let world = World::new(
             config,
             capture,
             probe,
             remote,
             faults,
-            zipf,
             0..nodes,
-            reader,
+            Some(reader),
         );
         let mut kernel = start_world(world);
         kernel.run();
         summarize(config, vec![finish_world(kernel)])
-    };
-    match stream {
-        Some(stream) => {
-            let requests = replay_trace.map_or(config.requests, |t| t.len() as u64);
-            let filler = Filler::new(stream, nodes);
-            tape::drive(filler, requests, drawer, |reader| run(Some(reader)))
-        }
-        None => run(None),
-    }
+    })
 }
 
 /// The engine's kernel flavor: typed events over the world.
@@ -1907,20 +1832,8 @@ fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
 ) -> EngineKernel<'_, P, M, F> {
     let limit = w.target.saturating_mul(8) + 500_000;
     let mut kernel = Kernel::new(w).with_event_limit(limit);
-    let w = kernel.state_mut();
-    match (w.think, w.draws.process()) {
-        (Some(think), ArrivalProcess::ClosedLoop { sessions, .. }) => {
-            assert!(sessions > 0, "closed loop needs at least one session");
-            for _ in 0..sessions {
-                let start = kernel.state_mut().draws.think(think);
-                kernel.schedule_event(start, EngineEvent::SessionNext);
-            }
-        }
-        _ => {
-            if let Some(at) = next_owned_arrival(w) {
-                kernel.schedule_event(at, EngineEvent::Arrival);
-            }
-        }
+    if let Some(at) = next_owned_arrival(kernel.state_mut()) {
+        kernel.schedule_event(at, EngineEvent::Arrival);
     }
     if let Some(tier) = &kernel.state().elastic {
         let interval = tier.manager.config().tick_interval;
@@ -1973,16 +1886,10 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Builds the shard owning `owned` exactly as the sequential engine
-    /// builds its world; `zipf` is the mix's
-    /// [`TenantMix::user_sampler`], computed once per run.
-    pub(crate) fn new(
-        config: &LoadgenConfig,
-        capture: bool,
-        zipf: ZipfSampler,
-        owned: Range<u16>,
-    ) -> Self {
+    /// builds its world.
+    pub(crate) fn new(config: &LoadgenConfig, capture: bool, owned: Range<u16>) -> Self {
         let world = World::new(
-            config, capture, NoopProbe, ScalarCrma, NoFaults, zipf, owned, None,
+            config, capture, NoopProbe, ScalarCrma, NoFaults, owned, None,
         );
         Shard {
             kernel: start_world(world),
@@ -2270,8 +2177,7 @@ mod tests {
             recover_at: Time::from_ms(1_300),
         }]);
         let owned = 0..config.nodes();
-        let zipf = config.mix.user_sampler();
-        let draws = Stream::Drawn(ArrivalDraws::new(&config, zipf.clone()));
+        let draws = Stream::Drawn(ArrivalDraws::new(&config));
         let filler = Filler::new(draws, config.nodes());
         tape::drive(filler, config.requests, Drawer::Inline, |reader| {
             let world = World::new(
@@ -2280,7 +2186,6 @@ mod tests {
                 NoopProbe,
                 ScalarCrma,
                 plan,
-                zipf,
                 owned,
                 Some(reader),
             );
@@ -2393,23 +2298,6 @@ mod tests {
                 assert!(t.p99_us <= t.p999_us + 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn closed_loop_self_limits() {
-        let config = LoadgenConfig {
-            arrival: ArrivalProcess::ClosedLoop {
-                sessions: 64,
-                think: Time::from_ms(1),
-            },
-            requests: 2_000,
-            ..LoadgenConfig::new(5, TenantMix::messaging())
-        };
-        let r = run(&config);
-        assert_eq!(r.issued, 2_000);
-        // A 64-session closed loop cannot overload the per-node caps.
-        assert_eq!(r.shed_overload, 0);
-        assert_eq!(r.completed, r.admitted);
     }
 
     #[test]
@@ -2544,25 +2432,6 @@ mod tests {
             ..LoadgenConfig::new(3, TenantMix::messaging())
         };
         replay(&config, &trace);
-    }
-
-    #[test]
-    fn closed_loop_replay_does_not_spawn_sessions() {
-        // config.arrival is documented as ignored during replay: the
-        // trace supplies every arrival, so a closed-loop config must not
-        // add synthetic session traffic on top.
-        let config = LoadgenConfig {
-            arrival: ArrivalProcess::ClosedLoop {
-                sessions: 16,
-                think: Time::from_ms(1),
-            },
-            requests: 500,
-            ..LoadgenConfig::new(5, TenantMix::messaging())
-        };
-        let (report, trace) = run_traced(&config);
-        let replayed = replay(&config, &trace);
-        assert_eq!(replayed.issued, report.issued);
-        assert_eq!(replayed.issued, trace.len() as u64);
     }
 
     #[test]

@@ -29,10 +29,7 @@ use venice_lease::{LeaseAction, LeaseManager, NodeSignal, Priority};
 use venice_sim::Time;
 use venice_telemetry::{Probe, SpanKind};
 
-use super::{
-    record, schedule_next_session, EngineEvent, Request, Sched, Server, World, LENDABLE_PER_NODE,
-    NO_TAG,
-};
+use super::{record, EngineEvent, Request, Sched, Server, World, LENDABLE_PER_NODE, NO_TAG};
 use crate::faults::{FaultModel, FaultTransition};
 use crate::remote::RemoteModel;
 use crate::trace::RequestOutcome;
@@ -684,7 +681,6 @@ fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     // gate: they die with the node, holding no transport credit.
     while let Some(slot) = w.pop_backlog(node) {
         crash_shed(w, slot, now);
-        schedule_next_session(w, s);
     }
     // In-service requests cannot be unscheduled — their Finish events
     // are already in the queue — so they are doomed in place and
@@ -756,8 +752,7 @@ fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// Sheds the admitted request in `slot` to its node's crash: frees the
 /// slot, closes its admission, and books and traces it as a crash loss.
 /// Shared by the crash's backlog drain and a doomed request's `Finish`;
-/// the caller returns whatever transport credit the request held and
-/// schedules the closed-loop retry.
+/// the caller returns whatever transport credit the request held.
 pub(super) fn crash_shed<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'_, P, M, F>,
     slot: u32,

@@ -346,12 +346,9 @@ fn grow_lease(
 /// The simulated world threaded through every event.
 struct World {
     /// Arrival-side randomness: interarrival gaps, tenant classes, users.
-    /// Kept separate from `service_rng` so two *open-loop* (Poisson or
-    /// bursty) runs with the same seed but different stacks/configs see
-    /// the identical arrival stream even after their admission decisions
-    /// diverge. Closed-loop runs are not insulated: think-time draws
-    /// interleave with arrival draws at completion times, which are
-    /// stack-dependent.
+    /// Kept separate from `service_rng` so two runs with the same seed
+    /// but different stacks/configs see the identical arrival stream
+    /// even after their admission decisions diverge.
     rng: SimRng,
     /// Service-side randomness: cache hit/miss draws, service jitter.
     service_rng: SimRng,
@@ -368,8 +365,6 @@ struct World {
     completed: u64,
     end: Time,
     arrival: ArrivalProcess,
-    /// Mean think time when the arrival process is closed-loop.
-    think: Option<Time>,
     backlog_cap: usize,
     /// The composed cluster, kept live so elastic ticks can borrow and
     /// release against the real Monitor-Node flow mid-run.
@@ -384,12 +379,6 @@ struct World {
 }
 
 impl World {
-    /// Mutable access to the engine RNG (used to stagger closed-loop
-    /// session starts).
-    fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Total admitted-but-not-completed requests across all nodes.
     fn total_inflight(&self) -> u32 {
         self.admissions.iter().map(|a| a.inflight()).sum()
@@ -409,15 +398,6 @@ fn open_arrival(w: &mut World, s: &mut Scheduler<World>) {
     }
 }
 
-/// Closed-loop session event: issue the session's next request.
-fn session_arrival(w: &mut World, s: &mut Scheduler<World>) {
-    if w.issued >= w.target {
-        return; // session retires
-    }
-    let now = s.now();
-    issue(w, s, now);
-}
-
 /// Replay arrival event: re-drive the next recorded request.
 fn replay_arrival(w: &mut World, s: &mut Scheduler<World>) {
     let now = s.now();
@@ -432,16 +412,6 @@ fn replay_arrival(w: &mut World, s: &mut Scheduler<World>) {
         .map(|r| Time::from_ns(r.at_ns));
     if let Some(at) = next {
         s.schedule_at(at.max(now), replay_arrival);
-    }
-}
-
-/// Schedules the closed-loop session's next request, if any remain.
-fn schedule_next_session(w: &mut World, s: &mut Scheduler<World>) {
-    if let Some(think) = w.think {
-        if w.issued < w.target {
-            let gap = exponential_seed(&mut w.rng, think);
-            s.schedule_in(gap, session_arrival);
-        }
     }
 }
 
@@ -529,9 +499,6 @@ fn issue_with(w: &mut World, s: &mut Scheduler<World>, now: Time, class: usize, 
                 Time::ZERO,
                 generation,
             );
-            // A shed closed-loop client backs off one think time and
-            // retries with a fresh request.
-            schedule_next_session(w, s);
         }
         Decision::Admit => {
             w.stats[class].admitted += 1;
@@ -631,7 +598,6 @@ fn dispatch(w: &mut World, s: &mut Scheduler<World>, req: Request) {
                     Time::ZERO,
                     req.generation,
                 );
-                schedule_next_session(w, s);
             }
         }
         Err(e) => unreachable!("unexpected qpair error: {e:?}"),
@@ -669,7 +635,6 @@ fn finish(w: &mut World, s: &mut Scheduler<World>, req: Request) {
     if let Some(next) = w.servers[node].backlog.pop_front() {
         dispatch(w, s, next);
     }
-    schedule_next_session(w, s);
 }
 
 /// The tenant class with the most queued *and in-service* work on
@@ -1093,12 +1058,6 @@ fn run_core(
     let mut rng = SimRng::seed(config.seed);
     let engine_rng = rng.fork(0x10AD);
     let service_rng = rng.fork(0x5E41);
-    // Replay supplies every arrival from the trace; a closed-loop
-    // config.arrival must not additionally spawn synthetic sessions.
-    let think = match config.arrival {
-        ArrivalProcess::ClosedLoop { think, .. } if replay_trace.is_none() => Some(think),
-        _ => None,
-    };
     let target = replay_trace
         .as_ref()
         .map(|t| t.len() as u64)
@@ -1122,7 +1081,6 @@ fn run_core(
         completed: 0,
         end: Time::ZERO,
         arrival: config.arrival,
-        think,
         backlog_cap: config.admission.backlog_per_node,
         cluster,
         neighbors,
@@ -1138,18 +1096,7 @@ fn run_core(
         let at = first.map(|r| Time::from_ns(r.at_ns)).unwrap_or(Time::ZERO);
         kernel.schedule(at, replay_arrival);
     } else {
-        match config.arrival {
-            ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. } => {
-                kernel.schedule(Time::ZERO, open_arrival);
-            }
-            ArrivalProcess::ClosedLoop { sessions, think } => {
-                assert!(sessions > 0, "closed loop needs at least one session");
-                for _ in 0..sessions {
-                    let start = exponential_seed(kernel.state_mut().rng_mut(), think);
-                    kernel.schedule(start, session_arrival);
-                }
-            }
-        }
+        kernel.schedule(Time::ZERO, open_arrival);
     }
     if kernel.state().elastic.is_some() {
         let interval = kernel

@@ -10,9 +10,9 @@
 //!
 //! The pieces compose as follows:
 //!
-//! * [`arrival`] — open-loop Poisson and closed-loop think-time arrival
-//!   processes, seeded through [`venice_sim::SimRng`] so identical seeds
-//!   replay identical traces bit for bit;
+//! * [`arrival`] — open-loop Poisson and bursty arrival processes,
+//!   drawn onto the arrival tape through [`venice_sim::SimRng`] so
+//!   identical seeds replay identical traces bit for bit;
 //! * [`tenants`] — [`tenants::TenantMix`]: weighted tenant classes wrapping
 //!   the calibrated `venice-workloads` request models (KV cache, OLTP,
 //!   PageRank, iperf) over a Zipf-skewed population of millions of

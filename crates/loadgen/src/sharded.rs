@@ -7,14 +7,13 @@
 //! Nodes interact with one another only through a handful of
 //! mechanisms: elastic lease ticks (grants move bytes between arbitrary
 //! donor/recipient pairs), the modeled congested fabric (every dispatch
-//! reads shared per-link utilization windows), fault re-routing (a
-//! crashed node's sessions bounce to survivors), and closed-loop
-//! sessions (a completion schedules its session's next request, on any
-//! node). A configuration that arms **none** of them has node groups
-//! that never influence one another, which is exactly the committed
-//! `storm` benchmark family (open-loop arrivals, static provisioning,
-//! scalar remote model, no faults). Replays run sequentially too: this
-//! driver fills its tape only with freshly drawn arrivals.
+//! reads shared per-link utilization windows) and fault re-routing (a
+//! crashed node's requests bounce to survivors). A configuration that
+//! arms **none** of them has node groups that never influence one
+//! another, which is exactly the committed `storm` benchmark family
+//! (static provisioning, scalar remote model, no faults). Replays run
+//! sequentially too: this driver fills its tape only with freshly drawn
+//! arrivals.
 //!
 //! Such a run splits its nodes into contiguous groups ([`partition`]).
 //! Each group is a [`Shard`]: the sequential engine's world over the
@@ -102,7 +101,7 @@ use std::thread;
 
 use venice_telemetry::{NoopProbe, Probe};
 
-use crate::arrival::{ArrivalDraws, ArrivalProcess};
+use crate::arrival::ArrivalDraws;
 use crate::engine::{
     run_full, summarize, validate, EngineMetrics, ExecPath, FallbackReason, IneligibleKind,
     LoadgenConfig, Shard,
@@ -131,13 +130,6 @@ pub(crate) fn run_sharded_or_sequential<P: Probe>(
     // Each condition couples the node groups (see `IneligibleKind`);
     // the first that holds, in declaration order, is the reason.
     let coupling = [
-        (
-            !matches!(
-                config.arrival,
-                ArrivalProcess::OpenPoisson { .. } | ArrivalProcess::Bursty { .. }
-            ),
-            IneligibleKind::ClosedLoop,
-        ),
         (replay_trace.is_some(), IneligibleKind::Replay),
         (faults.is_some(), IneligibleKind::Faults),
         (P::ENABLED || P::ATTRIB, IneligibleKind::Probe),
@@ -182,8 +174,7 @@ fn run_sharded(
         return Err(FallbackReason::Ineligible(IneligibleKind::SingleGroup));
     }
     let threads = threads.clamp(1, width);
-    let zipf = config.mix.user_sampler();
-    let draws = ArrivalDraws::new(config, zipf.clone());
+    let draws = ArrivalDraws::new(config);
     let tape = Tape::new(config.requests, epoch);
     let epochs = tape.epochs();
     let barrier = Barrier::new(threads);
@@ -196,10 +187,7 @@ fn run_sharded(
             .then(|| Filler::new(Stream::Drawn(draws.clone()), config.nodes()));
         let mut shards: Vec<_> = (t..width)
             .step_by(threads)
-            .map(|i| {
-                let shard = Shard::new(config, capture, zipf.clone(), groups[i].clone());
-                (i, shard)
-            })
+            .map(|i| (i, Shard::new(config, capture, groups[i].clone())))
             .collect();
         tape.fill(0, filler.as_mut());
         for k in 0..epochs {
@@ -295,6 +283,7 @@ mod tests {
 
     use super::*;
     use crate::admission::AdmissionConfig;
+    use crate::arrival::ArrivalProcess;
     use crate::engine::Run;
     use crate::tape::panic_message;
     use crate::tenants::TenantMix;
@@ -468,22 +457,12 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_is_ineligible() {
+    fn replay_is_ineligible() {
         let config = LoadgenConfig {
-            arrival: ArrivalProcess::ClosedLoop {
-                sessions: 64,
-                think: Time::from_us(200),
-            },
             // Leases too: the first coupling in kind order is reported.
             lease: Some(venice_lease::LeaseConfig::default()),
             ..small()
         };
-        falls_back(|| Run::new(&config), IneligibleKind::ClosedLoop);
-    }
-
-    #[test]
-    fn replay_is_ineligible() {
-        let config = small();
         let trace = Run::new(&config).traced().execute().trace.unwrap();
         falls_back(|| Run::new(&config).replay(&trace), IneligibleKind::Replay);
     }

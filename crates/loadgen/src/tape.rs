@@ -1,7 +1,7 @@
 //! The arrival tape: the one way a drawn or replayed arrival reaches a
 //! world.
 //!
-//! A [`Filler`] draws an open-loop run's arrivals, or copies a trace's
+//! A [`Filler`] draws a run's arrivals, or copies a trace's
 //! records, onto a [`Tape`] of [`TapeEntry`]s cut into epochs of
 //! [`EPOCH`] arrivals and each epoch into [`Chunk`]s. The tape is double
 //! buffered, so epoch `k + 1` can be filled while worlds read epoch `k`,
@@ -189,7 +189,7 @@ impl Tape {
 
 /// What a [`Filler`] copies onto the tape.
 pub(crate) enum Stream<'t> {
-    /// Fresh open-loop arrivals from a clone of the engine RNG.
+    /// Fresh arrivals from a clone of the engine RNG.
     Drawn(ArrivalDraws),
     /// A recorded trace's arrivals, in record order.
     Replayed(&'t [RequestRecord]),
@@ -651,7 +651,7 @@ mod tests {
     }
 
     fn filler(config: &LoadgenConfig) -> Filler<'static> {
-        let draws = ArrivalDraws::new(config, config.mix.user_sampler());
+        let draws = ArrivalDraws::new(config);
         Filler::new(Stream::Drawn(draws), config.nodes())
     }
 

@@ -19,9 +19,10 @@ use crate::engine::{LoadgenConfig, Run, RunOutput};
 
 /// Human labels for the engine's probe event-kind slots, indexed by the
 /// engine event enum's probe slot (kept in step with
-/// `EngineEvent::kind` in the engine). No event fires slot 2 (a
-/// replayed arrival is an `arrival`); its label stays so exported
-/// artifacts keep their shape.
+/// `EngineEvent::kind` in the engine). No event fires slots 1 and 2
+/// (every arrival, drawn or replayed, is an `arrival`); their labels
+/// stay so exported artifacts keep their shape and consumers that index
+/// the slots (perfbench reads `finish` as slot 3) stay valid.
 pub const EVENT_KIND_LABELS: [&str; 8] = [
     "arrival",
     "session-next",

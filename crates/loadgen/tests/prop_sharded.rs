@@ -3,8 +3,8 @@
 //! arbitrary seeds, arrival shapes, tenant mixes, congested-fabric
 //! parameters, and fault plans.
 //!
-//! The sharded driver is optimistic: eligible configurations (open-loop
-//! arrivals, scalar remote model, no leases, no faults, no probes) run
+//! The sharded driver is optimistic: eligible configurations (freshly
+//! drawn arrivals, scalar remote model, no leases, no faults, no probes) run
 //! as per-node-group shards of the sequential engine on rayon workers
 //! and merge deterministically; anything that could couple shards — or
 //! an admission shed or same-node timestamp tie in any shard — falls
@@ -20,9 +20,10 @@
 
 mod conformance;
 
-use conformance::Conformance;
+use conformance::{fingerprint, Conformance, SHARD_WIDTHS};
 use proptest::prelude::*;
 use venice_lease::LeaseConfig;
+use venice_loadgen::engine::{ExecPath, FallbackReason, IneligibleKind};
 use venice_loadgen::{
     engine, ArrivalProcess, FabricParams, FaultEvent, FaultPlan, LoadgenConfig, RemoteModelCfg,
     TenantMix,
@@ -30,8 +31,7 @@ use venice_loadgen::{
 use venice_sim::Time;
 
 proptest! {
-    /// The heart of the tentpole: open-loop runs — the sharded fast
-    /// path — produce identical traces and reports at widths 2/4/8 for
+    /// Drawn-arrival runs — the sharded fast path — produce identical traces and reports at widths 2/4/8 for
     /// any seed, rate, request count, mesh size, and tenant mix, under
     /// Poisson arrivals and under lease-free, fault-free bursty ones
     /// (whose crowd draw and gap depend on the burst phase of every
@@ -68,23 +68,42 @@ proptest! {
         Conformance::new(&config).assert_engines_agree();
     }
 
-    /// Closed-loop arrivals are ineligible (sessions couple the whole
-    /// mesh); the builder must fall back byte-invisibly.
+    /// Replays are ineligible (the sharded driver fills its tape only
+    /// with freshly drawn arrivals): for any seed, rate, mix and mesh, a
+    /// replay asked to shard at widths 2/4/8 falls back for `Replay` and
+    /// matches the sequential replay's report and trace bytes.
     #[test]
-    fn sharded_widths_agree_on_closed_loop_runs(
+    fn sharded_widths_agree_on_replays(
         seed in 0u64..100_000,
-        sessions in 1u32..48,
-        think_us in 50u64..5_000,
+        rate in 2_000.0f64..400_000.0,
+        requests in 100u64..600,
+        mix_idx in 0usize..3,
+        mesh_x in 1u16..5,
+        mesh_y in 1u16..3,
     ) {
         let config = LoadgenConfig {
-            arrival: ArrivalProcess::ClosedLoop {
-                sessions,
-                think: Time::from_us(think_us),
-            },
-            requests: 400,
-            ..LoadgenConfig::new(seed, TenantMix::messaging())
+            arrival: ArrivalProcess::OpenPoisson { rate_rps: rate },
+            requests,
+            mesh: (mesh_x, mesh_y, 2),
+            ..LoadgenConfig::new(seed, TenantMix::presets().swap_remove(mix_idx))
         };
-        Conformance::new(&config).assert_engines_agree();
+        let trace = engine::Run::new(&config).traced().execute().trace.unwrap();
+        let seq = engine::Run::new(&config).replay(&trace).traced().execute();
+        let want = fingerprint(&seq.report, seq.trace.as_ref());
+        for &width in SHARD_WIDTHS {
+            let out = engine::Run::new(&config)
+                .replay(&trace)
+                .traced()
+                .shards(width)
+                .execute();
+            prop_assert_eq!(
+                out.exec_path,
+                ExecPath::Fallback {
+                    reason: FallbackReason::Ineligible(IneligibleKind::Replay),
+                }
+            );
+            prop_assert_eq!(fingerprint(&out.report, out.trace.as_ref()), want.clone());
+        }
     }
 
     /// Congested-fabric runs are ineligible (fabric charges couple

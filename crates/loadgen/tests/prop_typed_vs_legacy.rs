@@ -45,29 +45,6 @@ proptest! {
         );
     }
 
-    /// Closed-loop runs: session staggering and think-time draws come
-    /// from the same rng stream in every flavor. (The sharded kernel
-    /// refuses closed-loop arrivals and falls back; the byte contract
-    /// must hold regardless.)
-    #[test]
-    fn typed_and_legacy_agree_on_closed_loop_runs(
-        seed in 0u64..100_000,
-        sessions in 1u32..64,
-        think_us in 50u64..5_000,
-        mix_idx in 0usize..3,
-    ) {
-        let mix = TenantMix::presets().swap_remove(mix_idx);
-        let config = LoadgenConfig {
-            arrival: ArrivalProcess::ClosedLoop {
-                sessions,
-                think: Time::from_us(think_us),
-            },
-            requests: 400,
-            ..LoadgenConfig::new(seed, mix)
-        };
-        Conformance::new(&config).legacy().assert_engines_agree();
-    }
-
     /// Elastic runs under bursty traffic: lease ticks, establish flows,
     /// revokes, and quota bookkeeping all land on identical timelines.
     #[test]

@@ -1,6 +1,6 @@
 //! Drive the Venice cluster at production scale: a million-request,
-//! multi-tenant traffic storm, plus a closed-loop session run and an
-//! overload experiment showing admission control and QPair backpressure.
+//! multi-tenant traffic storm, plus an overload experiment showing
+//! admission control and QPair backpressure.
 //!
 //! ```text
 //! cargo run --release --example traffic_storm
@@ -9,7 +9,6 @@
 use venice_loadgen::{
     engine, scenarios, AdmissionConfig, ArrivalProcess, LoadgenConfig, TenantMix,
 };
-use venice_sim::Time;
 
 fn main() {
     // 1. The headline storm: >1M seeded requests across three tenant
@@ -27,20 +26,7 @@ fn main() {
         start.elapsed()
     );
 
-    // 2. Closed loop: 256 connected sessions with 500 us think time —
-    //    load self-limits, nothing sheds.
-    println!("=== closed loop: 256 sessions ===\n");
-    let closed = LoadgenConfig {
-        arrival: ArrivalProcess::ClosedLoop {
-            sessions: 256,
-            think: Time::from_us(500),
-        },
-        requests: 100_000,
-        ..LoadgenConfig::new(7, TenantMix::messaging())
-    };
-    println!("{}", engine::Run::new(&closed).execute().report.render());
-
-    // 3. Overload: 2 Mrps offered against a policed front door — watch
+    // 2. Overload: 2 Mrps offered against a policed front door — watch
     //    the rate limiter and per-node credit backpressure engage.
     println!("=== overload: 2 Mrps against a 150 krps policer ===\n");
     let overload = LoadgenConfig {
