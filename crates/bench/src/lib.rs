@@ -10,6 +10,8 @@
 use serde::{Deserialize, Serialize};
 use venice::Figure;
 
+pub mod golden;
+
 /// Schema tag stamped into `BENCH_perf.json` so the validator can
 /// reject artifacts written by an incompatible harness version. The
 /// artifact carries a `scaling` section holding the sharded kernel's

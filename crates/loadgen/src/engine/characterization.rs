@@ -21,6 +21,7 @@
 //! split between executed and fused events, never the run.
 
 use super::*;
+use crate::trace::fnv1a;
 
 /// Request counts around the feed's edges, and a run of many epochs.
 #[rustfmt::skip]
@@ -65,17 +66,6 @@ const BURSTY: [Row; 11] = [
 
 /// `(hash, events)` of the replay of a traced Poisson run.
 const REPLAY: (u64, u64) = (0xefedd69df0deafad, 6000);
-
-/// 64-bit FNV-1a over `bytes` (stable across toolchains, unlike std's
-/// hasher).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn poisson(requests: u64) -> LoadgenConfig {
     LoadgenConfig {

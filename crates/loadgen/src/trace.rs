@@ -13,6 +13,17 @@
 
 use serde::{Deserialize, Serialize};
 
+/// 64-bit FNV-1a over `bytes`: the hash every pinned fingerprint of a
+/// report or trace uses (stable across toolchains, unlike std's hasher).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// Terminal outcome of one generated request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RequestOutcome {

@@ -19,23 +19,13 @@ mod conformance;
 
 use conformance::{fingerprint, Conformance};
 use venice_lease::LeaseEventKind;
+use venice_loadgen::trace::fnv1a;
 use venice_loadgen::{
     economy, elastic_v2, engine, failover, FaultEvent, FaultPlan, LoadReport, LoadgenConfig,
     RemoteStack,
 };
 use venice_sim::Time;
 use venice_telemetry::{Span, SpanKind};
-
-/// 64-bit FNV-1a over `bytes` (stable across toolchains, unlike std's
-/// hasher).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One characterized run: its report and every lifecycle span the
 /// recording probe saw (closed and still open).
