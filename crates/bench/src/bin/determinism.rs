@@ -4,10 +4,9 @@
 //! determinism [--out PATH]
 //! ```
 //!
-//! Runs every configuration of the corpus at one shard and at
-//! `golden::SHARD_WIDTH` shards and prints the corpus, or writes it to
-//! `PATH`. Exits non-zero, writing nothing, if any configuration's two
-//! widths differ. CI regenerates `BENCH_golden.jsonl` with
+//! Runs every configuration of the corpus at one shard and at four
+//! shards and prints the corpus, or writes it to `PATH`. Exits
+//! non-zero, writing nothing, if any configuration's two widths differ. CI regenerates `BENCH_golden.jsonl` with
 //! `RAYON_NUM_THREADS=1` and again with `=8` and `git diff`s it after
 //! each run, so thread-count independence and the committed bytes are
 //! one merge gate. (The workspace's rayon shim re-reads

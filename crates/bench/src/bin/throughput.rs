@@ -1,4 +1,4 @@
-//! Wall-clock throughput of the event core: typed vs boxed, measured.
+//! Wall-clock throughput of the event core, measured.
 //!
 //! ```text
 //! throughput [--out PATH] [--requests N] [--iters K]
@@ -7,27 +7,25 @@
 //!
 //! Runs the storm scenarios (three tenant mixes, ≥ 1 M requests total at
 //! full scale) and the elastic-v2 controller scenarios (predictive
-//! growth, donor reclaim) through **both** engines — the typed
-//! zero-allocation event core (`venice_loadgen::engine`) and the frozen
-//! boxed-closure baseline (`venice_loadgen::legacy`) — on identical
-//! configurations, and writes the measured trajectory to
-//! `BENCH_perf.json`: wall time (best of `--iters`), events/sec,
-//! requests/sec, peak event-queue depth, and the per-scenario speedup.
-//! With a second rayon thread, the typed engine fills a sequential run's
-//! arrival tape on it, one epoch ahead, while the boxed baseline draws
-//! its arrivals inline, so on such a recorder the typed/boxed ratio is
-//! not like-for-like. Each row prints which way its arrivals were drawn
-//! and how many epochs of them the simulation thread waited for.
+//! growth, donor reclaim) through the engine and writes the measured
+//! trajectory to `BENCH_perf.json`: wall time (best of `--iters`),
+//! events/sec, requests/sec and peak event-queue depth per scenario,
+//! then the sharded kernel's 1/2/4/8-shard curve on the first storm
+//! mix. With a second rayon thread, the engine fills a sequential run's
+//! arrival tape on it, one epoch ahead; each row prints which way its
+//! arrivals were drawn and how many epochs of them the simulation
+//! thread waited for.
 //!
 //! Two gates ride along:
 //!
-//! * **Determinism.** For every scenario the two engines' reports are
-//!   serialized and byte-compared; any divergence fails the run. The
-//!   perf numbers are only comparable because the work is bit-identical.
+//! * **Shard-width identity.** Every width of the scaling curve must
+//!   take the sharded path and reproduce the single-shard report bytes
+//!   and logical event count; any divergence fails the run. The curve
+//!   is only comparable because the work is bit-identical.
 //! * **Validation.** The artifact is checked against
 //!   [`venice_bench::validate_perf`] before it is written, and
 //!   `--check PATH` re-validates a committed artifact (CI runs this on
-//!   a reduced-count smoke artifact; the speedup floor is asserted on
+//!   a reduced-count smoke artifact; the scaling floor is asserted on
 //!   the committed full-scale file by the test suite, not here — smoke
 //!   machines time whatever they time).
 //!
@@ -40,9 +38,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use venice_bench::{
-    validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V2, SCALING_WIDTHS,
+    validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V3, SCALING_WIDTHS,
 };
-use venice_loadgen::{engine, legacy, scenarios, EngineMetrics, ExecPath, LoadgenConfig};
+use venice_loadgen::{engine, scenarios, EngineMetrics, ExecPath, LoadgenConfig};
 
 /// Default timing iterations (best-of is kept).
 const DEFAULT_ITERS: u32 = 3;
@@ -138,66 +136,34 @@ fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64() * 1e3, r)
 }
 
-/// Times `config` through both engines, returning the entry and the
-/// typed engine's loop counters.
+/// Times `config` through the engine, returning the entry and the
+/// engine's loop counters.
 fn measure(
     iters: u32,
     family: &str,
     label: &str,
     config: &LoadgenConfig,
-) -> Result<(PerfEntry, EngineMetrics), String> {
-    // The two engines are timed in *interleaved* iterations (typed,
-    // boxed, typed, boxed, …) and each keeps its best wall time:
-    // background load on a shared machine then degrades both sides of a
-    // pair instead of silently skewing whichever engine ran during the
-    // noisy window.
-    let mut typed_wall_ms = f64::INFINITY;
-    let mut boxed_wall_ms = f64::INFINITY;
-    let mut typed_result: Option<(_, EngineMetrics)> = None;
-    let mut boxed_result = None;
+) -> (PerfEntry, EngineMetrics) {
+    let mut wall_ms = f64::INFINITY;
+    let mut result = None;
     for _ in 0..iters {
-        let (wall, r) = time_once(|| {
-            let out = engine::Run::new(config).execute();
-            (out.report, out.metrics)
-        });
-        typed_wall_ms = typed_wall_ms.min(wall);
-        typed_result = Some(r);
-        let (wall, r) = time_once(|| legacy::run(config));
-        boxed_wall_ms = boxed_wall_ms.min(wall);
-        boxed_result = Some(r);
+        let (wall, out) = time_once(|| engine::Run::new(config).execute());
+        wall_ms = wall_ms.min(wall);
+        result = Some(out);
     }
-    let (typed_report, metrics) = typed_result.expect("iters >= 1");
-    let boxed_report = boxed_result.expect("iters >= 1");
-
-    // The determinism gate: identical configurations must produce
-    // byte-identical report JSON through both event cores.
-    let typed_json = serde_json::to_string(&typed_report).expect("report serializes");
-    let boxed_json = serde_json::to_string(&boxed_report).expect("report serializes");
-    if typed_json != boxed_json {
-        return Err(format!(
-            "{family}/{label}: typed and boxed engines diverged (typed {} bytes, boxed {} bytes)",
-            typed_json.len(),
-            boxed_json.len()
-        ));
-    }
-
-    let eps = |wall_ms: f64| metrics.events as f64 / (wall_ms / 1e3);
-    let rps = |wall_ms: f64| typed_report.issued as f64 / (wall_ms / 1e3);
+    let out = result.expect("iters >= 1");
+    let metrics = out.metrics;
     let entry = PerfEntry {
         family: family.to_string(),
         label: label.to_string(),
-        requests: typed_report.issued,
+        requests: out.report.issued,
         events: metrics.events,
         peak_queue_depth: metrics.peak_queue_depth as u64,
-        typed_wall_ms,
-        typed_events_per_sec: eps(typed_wall_ms),
-        typed_requests_per_sec: rps(typed_wall_ms),
-        boxed_wall_ms,
-        boxed_events_per_sec: eps(boxed_wall_ms),
-        boxed_requests_per_sec: rps(boxed_wall_ms),
-        speedup: boxed_wall_ms / typed_wall_ms,
+        typed_wall_ms: wall_ms,
+        typed_events_per_sec: metrics.events as f64 / (wall_ms / 1e3),
+        typed_requests_per_sec: out.report.issued as f64 / (wall_ms / 1e3),
     };
-    Ok((entry, metrics))
+    (entry, metrics)
 }
 
 /// Measures the sharded kernel's scaling curve on one storm
@@ -223,9 +189,8 @@ fn measure_scaling(
     let mut walls = vec![f64::INFINITY; SCALING_WIDTHS.len()];
     let mut reports = vec![None; SCALING_WIDTHS.len()];
     let mut events = vec![0u64; SCALING_WIDTHS.len()];
-    // Interleave widths within each iteration for the same reason the
-    // typed/boxed pair interleaves: shared-machine noise degrades the
-    // whole curve instead of one width.
+    // Interleave widths within each iteration: shared-machine noise then
+    // degrades the whole curve instead of one width.
     for _ in 0..iters {
         for (i, &width) in SCALING_WIDTHS.iter().enumerate() {
             let (wall, out) =
@@ -329,31 +294,22 @@ fn main() -> ExitCode {
         if let Some(n) = args.requests {
             config.requests = n;
         }
-        match measure(args.iters, family, label, &config) {
-            Ok((entry, metrics)) => {
-                println!(
-                    "{family:<10} {label:<18} {:>9} req  typed {:>8.1} ms ({:>5.2} M ev/s)  \
-                     boxed {:>8.1} ms  speedup {:.2}x  peak depth {}  arrivals {} ({} waits)",
-                    entry.requests,
-                    entry.typed_wall_ms,
-                    entry.typed_events_per_sec / 1e6,
-                    entry.boxed_wall_ms,
-                    entry.speedup,
-                    entry.peak_queue_depth,
-                    if metrics.arrivals_pipelined {
-                        "pipelined"
-                    } else {
-                        "inline"
-                    },
-                    metrics.arrival_waits,
-                );
-                entries.push(entry);
-            }
-            Err(e) => {
-                eprintln!("throughput: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let (entry, metrics) = measure(args.iters, family, label, &config);
+        println!(
+            "{family:<10} {label:<18} {:>9} req  {:>8.1} ms ({:>5.2} M ev/s)  \
+             peak depth {}  arrivals {} ({} waits)",
+            entry.requests,
+            entry.typed_wall_ms,
+            entry.typed_events_per_sec / 1e6,
+            entry.peak_queue_depth,
+            if metrics.arrivals_pipelined {
+                "pipelined"
+            } else {
+                "inline"
+            },
+            metrics.arrival_waits,
+        );
+        entries.push(entry);
     }
 
     // The scaling curve: the first storm configuration at every shard
@@ -386,7 +342,7 @@ fn main() -> ExitCode {
     }
 
     let report = PerfReport {
-        schema: PERF_SCHEMA_V2.to_string(),
+        schema: PERF_SCHEMA_V3.to_string(),
         iters: args.iters,
         requests_override: args.requests,
         entries,
@@ -401,14 +357,6 @@ fn main() -> ExitCode {
         }
         return ExitCode::FAILURE;
     }
-    let storm_min = report
-        .entries
-        .iter()
-        .filter(|e| e.family == "storm")
-        .map(|e| e.speedup)
-        .fold(f64::INFINITY, f64::min);
-    println!("minimum storm speedup: {storm_min:.2}x");
-
     let path = args.out.unwrap_or_else(|| "BENCH_perf.json".to_string());
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     if let Err(e) = std::fs::write(&path, json + "\n") {

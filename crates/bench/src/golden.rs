@@ -4,31 +4,30 @@
 //! One JSON object per line, in this order:
 //!
 //! * `family` — every row of [`scenarios::FAMILIES`] at its
-//!   `gate_requests` and [`GATE_SEED`], run traced with its fault plan,
-//!   holding the full report JSON. The `elastic-v2` /
+//!   `gate_requests` and the gate seed `0xD17E`, run traced with its
+//!   fault plan, holding the full report JSON. The `elastic-v2` /
 //!   `venice-predictive` line is the traced run whose trace the
 //!   determinism gate used to print in full;
-//! * `open-loop` and `elastic-bursty` — [`CASES`] generated
-//!   configurations each, drawn from the proptest shim's deterministic
-//!   case streams ([`TestRng::for_case`]) by the strategies below. Each
-//!   `open-loop` line also pins the replay of its own trace;
+//! * `open-loop` and `elastic-bursty` — 64 generated configurations
+//!   each, drawn from the proptest shim's deterministic case streams
+//!   ([`TestRng::for_case`]) by the strategies below. Each `open-loop`
+//!   line also pins the replay of its own trace;
 //! * `preset` — the three preset mixes at 2,000 requests, and `small` —
 //!   3,000 web-frontend requests at seed 77, with its replay;
 //! * `sweep` — the figure JSON of a small rate sweep.
 //!
 //! Every run line carries its configuration's seed, mix, request count
 //! and arrival parameters, so it can be re-run by hand; the logical
-//! event count; the execution path at [`SHARD_WIDTH`] shards; and the
-//! FNV-1a hash and record count of the trace JSONL. Generated lines
-//! hold the report JSON's hash in place of the report.
+//! event count; the execution path at four shards; and the FNV-1a hash
+//! and record count of the trace JSONL. Generated lines hold the report
+//! JSON's hash in place of the report.
 //!
-//! [`corpus`] runs every configuration at one shard and at
-//! [`SHARD_WIDTH`] shards and fails if the two differ in any pinned
-//! byte. The `determinism` bin writes the corpus; CI regenerates it at
-//! one and at eight rayon threads and `git diff`s it against the
-//! committed file, as `golden_corpus_is_fresh` does under `cargo test`.
-//! A change to the engine's bytes is therefore a reviewed diff of the
-//! corpus.
+//! [`corpus`] runs every configuration at one shard and at four shards
+//! and fails if the two differ in any pinned byte. The `determinism` bin
+//! writes the corpus; CI regenerates it at one and at eight rayon
+//! threads and `git diff`s it against the committed file, as
+//! `golden_corpus_is_fresh` does under `cargo test`. A change to the
+//! engine's bytes is therefore a reviewed diff of the corpus.
 
 use std::fmt::Write as _;
 
@@ -45,13 +44,13 @@ use venice_sim::Time;
 
 /// Seed of every registry row in the corpus (distinct from every
 /// published figure seed).
-pub const GATE_SEED: u64 = 0xD17E;
+const GATE_SEED: u64 = 0xD17E;
 
 /// The shard width each configuration runs at next to one shard.
-pub const SHARD_WIDTH: usize = 4;
+const SHARD_WIDTH: usize = 4;
 
 /// Generated configurations per case stream.
-pub const CASES: u64 = 64;
+const CASES: u64 = 64;
 
 /// A 64-bit hash as the corpus writes it.
 fn hex(hash: u64) -> String {
@@ -109,13 +108,13 @@ impl Entry {
                 ",\"replay_events\":{},\"replay_report_fnv\":\"{hash}\"",
                 replayed.events
             )
-            .unwrap();
+            .expect("a String takes any write");
         }
         if self.full_report {
-            write!(line, ",\"report\":{}}}", out.report).unwrap();
+            write!(line, ",\"report\":{}}}", out.report).expect("a String takes any write");
         } else {
             let hash = hex(fnv1a(out.report.as_bytes()));
-            write!(line, ",\"report_fnv\":\"{hash}\"}}").unwrap();
+            write!(line, ",\"report_fnv\":\"{hash}\"}}").expect("a String takes any write");
         }
         Ok(line)
     }
@@ -152,7 +151,7 @@ struct Pinned {
     events: u64,
 }
 
-/// Runs `run` at one shard and at [`SHARD_WIDTH`] shards. Returns the
+/// Runs `run` at one shard and at `SHARD_WIDTH` shards. Returns the
 /// one-shard output, its trace, and the wider run's execution path, or
 /// an error naming `what` if the two outputs differ.
 fn at_both_widths(
@@ -282,7 +281,7 @@ fn entries() -> Vec<Entry> {
 ///
 /// # Errors
 ///
-/// Names the first configuration whose [`SHARD_WIDTH`]-shard run
+/// Names the first configuration whose `SHARD_WIDTH`-shard run
 /// differs from its one-shard run.
 pub fn corpus() -> Result<String, String> {
     let lines: Vec<Result<String, String>> = entries().into_par_iter().map(|e| e.line()).collect();
@@ -300,7 +299,8 @@ pub fn corpus() -> Result<String, String> {
         requests_per_point: 1_500,
     };
     let figures = serde_json::to_string(&sweep::figures(&sweep)).expect("figures serialize");
-    writeln!(corpus, "{{\"kind\":\"sweep\",\"figures\":{figures}}}").unwrap();
+    writeln!(corpus, "{{\"kind\":\"sweep\",\"figures\":{figures}}}")
+        .expect("a String takes any write");
     Ok(corpus)
 }
 
@@ -313,90 +313,33 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_golden.jsonl");
         let committed = std::fs::read_to_string(path).expect("BENCH_golden.jsonl is committed");
         let fresh = corpus().expect("every line agrees across shard widths");
-        let short = |l: &str| l.chars().take(240).collect::<String>();
-        let stale = committed
-            .lines()
-            .zip(fresh.lines())
-            .position(|(want, got)| want != got);
-        if let Some(i) = stale {
-            panic!(
-                "line {} of BENCH_golden.jsonl is stale; regenerate it with `cargo run \
-                 --release -p venice-bench --bin determinism -- --out BENCH_golden.jsonl`\n\
-                 committed: {}\n\
-                 fresh:     {}",
-                i + 1,
-                short(committed.lines().nth(i).unwrap()),
-                short(fresh.lines().nth(i).unwrap())
-            );
+        for (i, (want, got)) in committed.lines().zip(fresh.lines()).enumerate() {
+            if want != got {
+                // Show the lines from a little before their first
+                // differing byte.
+                let at = want
+                    .bytes()
+                    .zip(got.bytes())
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                let from = |l: &str| -> String {
+                    let tail = String::from_utf8_lossy(&l.as_bytes()[at.saturating_sub(80)..]);
+                    tail.chars().take(160).collect()
+                };
+                panic!(
+                    "line {} of BENCH_golden.jsonl is stale at byte {at}; regenerate it \
+                     with `cargo run --release -p venice-bench --bin determinism -- --out \
+                     BENCH_golden.jsonl`\ncommitted: {}\nfresh:     {}",
+                    i + 1,
+                    from(want),
+                    from(got)
+                );
+            }
         }
         assert_eq!(
             fresh.lines().count(),
             committed.lines().count(),
             "BENCH_golden.jsonl has a stale line count"
-        );
-    }
-
-    /// Legacy predates fault plans, the congested fabric, donor
-    /// pressure and the sublease market.
-    fn legacy_runs(entry: &Entry) -> bool {
-        let c = &entry.config;
-        entry.plan.is_none()
-            && c.remote_model == venice_loadgen::RemoteModelCfg::Scalar
-            && c.lease.as_ref().is_none_or(|l| {
-                !l.sublease_market
-                    && l.donor_pressure_weight == 0.0
-                    && l.donor_pressure_slowdown == 0.0
-            })
-    }
-
-    #[test]
-    fn every_legacy_runnable_line_matches_the_legacy_engine() {
-        use venice_loadgen::legacy;
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_golden.jsonl");
-        let committed = std::fs::read_to_string(path).expect("BENCH_golden.jsonl is committed");
-        let mut covered = Vec::new();
-        for entry in entries().iter().filter(|e| legacy_runs(e)) {
-            let open = format!("{{{},", entry.key);
-            let line = committed
-                .lines()
-                .find(|l| l.starts_with(&open))
-                .unwrap_or_else(|| panic!("no corpus line opens with {open}"));
-            let (report, trace) = legacy::run_traced(&entry.config);
-            let report = serde_json::to_string(&report).expect("report serializes");
-            let mut want = vec![
-                format!("\"trace_records\":{},", trace.len()),
-                format!(
-                    "\"trace_fnv\":\"{}\"",
-                    hex(fnv1a(trace.to_jsonl().as_bytes()))
-                ),
-                if entry.full_report {
-                    format!(",\"report\":{report}}}")
-                } else {
-                    format!("\"report_fnv\":\"{}\"", hex(fnv1a(report.as_bytes())))
-                },
-            ];
-            if entry.replay {
-                let replayed = legacy::replay(&entry.config, &trace);
-                let replayed = serde_json::to_string(&replayed).expect("report serializes");
-                want.push(format!(
-                    "\"replay_report_fnv\":\"{}\"",
-                    hex(fnv1a(replayed.as_bytes()))
-                ));
-            }
-            for field in want {
-                assert!(
-                    line.contains(&field),
-                    "{}: legacy has {}",
-                    entry.key,
-                    field.chars().take(200).collect::<String>()
-                );
-            }
-            covered.push(entry.key.clone());
-        }
-        println!(
-            "legacy cross-checked {} corpus lines:\n{}",
-            covered.len(),
-            covered.join("\n")
         );
     }
 }

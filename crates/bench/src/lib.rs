@@ -17,19 +17,18 @@ pub mod golden;
 /// artifact carries a `scaling` section holding the sharded kernel's
 /// 1/2/4/8-shard curve on the storm family, which must be complete
 /// (see [`SCALING_WIDTHS`]).
-pub const PERF_SCHEMA_V2: &str = "venice-perf-v2";
+pub const PERF_SCHEMA_V3: &str = "venice-perf-v3";
 
 /// Shard widths the artifact's scaling curve must cover.
 pub const SCALING_WIDTHS: &[u32] = &[1, 2, 4, 8];
 
 /// Scenario families the wall-clock perf trajectory must cover. The
-/// `throughput` bin times each family on both event cores; a
-/// `BENCH_perf.json` missing a family fails validation, so the
-/// trajectory can never silently lose coverage.
+/// `throughput` bin times each family; a `BENCH_perf.json` missing a
+/// family fails validation, so the trajectory can never silently lose
+/// coverage.
 pub const PERF_FAMILIES: &[&str] = &["storm", "elastic-v2"];
 
-/// One timed scenario in `BENCH_perf.json`: the same configuration run
-/// through the typed event core and the boxed-closure baseline.
+/// One timed scenario in `BENCH_perf.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfEntry {
     /// Scenario family (one of [`PERF_FAMILIES`]).
@@ -38,8 +37,7 @@ pub struct PerfEntry {
     pub label: String,
     /// Requests issued by the run.
     pub requests: u64,
-    /// Kernel events executed (identical across the two cores — their
-    /// event streams are bit-identical, which the bin gates on).
+    /// Logical events the run processed.
     pub events: u64,
     /// Peak event-queue depth over the run.
     pub peak_queue_depth: u64,
@@ -49,15 +47,6 @@ pub struct PerfEntry {
     pub typed_events_per_sec: f64,
     /// Typed-core requests per wall-clock second.
     pub typed_requests_per_sec: f64,
-    /// Best wall time of the boxed-closure baseline, milliseconds.
-    pub boxed_wall_ms: f64,
-    /// Baseline events per wall-clock second.
-    pub boxed_events_per_sec: f64,
-    /// Baseline requests per wall-clock second.
-    pub boxed_requests_per_sec: f64,
-    /// `boxed_wall_ms / typed_wall_ms` — how much faster the typed core
-    /// ran this scenario.
-    pub speedup: f64,
 }
 
 /// One point of the sharded kernel's scaling curve: the same storm
@@ -85,7 +74,7 @@ pub struct ScalingEntry {
 /// The whole `BENCH_perf.json` artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfReport {
-    /// [`PERF_SCHEMA_V2`].
+    /// [`PERF_SCHEMA_V3`].
     pub schema: String,
     /// Timing iterations per scenario (best-of-N wall time is kept).
     pub iters: u32,
@@ -106,17 +95,16 @@ pub struct PerfReport {
 
 /// Validates a perf artifact: schema tag, every family of
 /// [`PERF_FAMILIES`] present, the full scaling curve, and every row
-/// internally sane (positive finite times and rates, speedup consistent
-/// with the recorded walls).
+/// internally sane (positive finite times and rates).
 /// Returns human-readable problems (empty = valid). Deliberately does
 /// **not** enforce a speedup floor: smoke runs on loaded CI machines
-/// time whatever they time — the floor is asserted on the committed
-/// full-scale artifact by the test suite instead.
+/// time whatever they time — the scaling floor is asserted on the
+/// committed full-scale artifact by the test suite instead.
 pub fn validate_perf(report: &PerfReport) -> Vec<String> {
     let mut problems = Vec::new();
-    if report.schema != PERF_SCHEMA_V2 {
+    if report.schema != PERF_SCHEMA_V3 {
         problems.push(format!(
-            "schema `{}` is not `{PERF_SCHEMA_V2}`",
+            "schema `{}` is not `{PERF_SCHEMA_V3}`",
             report.schema
         ));
     }
@@ -143,8 +131,7 @@ pub fn validate_perf(report: &PerfReport) -> Vec<String> {
                 problems.push(format!("{tag}: {name} = {x} is not positive finite"));
             }
         }
-        // No speedup floor here for the same reason as the typed/
-        // boxed speedup: smoke runs on loaded machines time
+        // No speedup floor here: smoke runs on loaded machines time
         // whatever they time. The committed artifact's floor is
         // asserted by the test suite.
         if s.shards == 1 && (s.speedup_vs_single - 1.0).abs() > 1e-9 {
@@ -177,21 +164,10 @@ pub fn validate_perf(report: &PerfReport) -> Vec<String> {
             ("typed_wall_ms", e.typed_wall_ms),
             ("typed_events_per_sec", e.typed_events_per_sec),
             ("typed_requests_per_sec", e.typed_requests_per_sec),
-            ("boxed_wall_ms", e.boxed_wall_ms),
-            ("boxed_events_per_sec", e.boxed_events_per_sec),
-            ("boxed_requests_per_sec", e.boxed_requests_per_sec),
-            ("speedup", e.speedup),
         ] {
             if !(x.is_finite() && x > 0.0) {
                 problems.push(format!("{tag}: {name} = {x} is not positive finite"));
             }
-        }
-        let implied = e.boxed_wall_ms / e.typed_wall_ms;
-        if e.speedup > 0.0 && (implied - e.speedup).abs() > 0.01 * e.speedup.max(1.0) {
-            problems.push(format!(
-                "{tag}: speedup {:.3} inconsistent with walls ({implied:.3})",
-                e.speedup
-            ));
         }
     }
     problems
@@ -683,10 +659,6 @@ mod tests {
             typed_wall_ms: 10.0,
             typed_events_per_sec: 250_000.0,
             typed_requests_per_sec: 100_000.0,
-            boxed_wall_ms: 16.0,
-            boxed_events_per_sec: 156_250.0,
-            boxed_requests_per_sec: 62_500.0,
-            speedup: 1.6,
         }
     }
 
@@ -704,7 +676,7 @@ mod tests {
     /// A valid artifact: both families timed and the full storm curve.
     fn sane_report() -> PerfReport {
         PerfReport {
-            schema: PERF_SCHEMA_V2.to_string(),
+            schema: PERF_SCHEMA_V3.to_string(),
             iters: 3,
             requests_override: None,
             entries: vec![
@@ -759,24 +731,18 @@ mod tests {
         assert!(validate_perf(&dropped)
             .iter()
             .any(|p| p.contains("missing scenario family `elastic-v2`")));
-        // A wrong schema tag fails, the retired v1 tag included.
+        // A wrong schema tag fails, the retired v2 tag included.
         let mut schema = good.clone();
-        schema.schema = "venice-perf-v1".to_string();
+        schema.schema = "venice-perf-v2".to_string();
         assert!(validate_perf(&schema)
             .iter()
-            .any(|p| p.contains("is not `venice-perf-v2`")));
+            .any(|p| p.contains("is not `venice-perf-v3`")));
         // A non-positive wall time fails.
         let mut wall = good.clone();
         wall.entries[0].typed_wall_ms = 0.0;
         assert!(validate_perf(&wall)
             .iter()
             .any(|p| p.contains("typed_wall_ms")));
-        // A speedup inconsistent with the recorded walls fails.
-        let mut skewed = good.clone();
-        skewed.entries[0].speedup = 9.0;
-        assert!(validate_perf(&skewed)
-            .iter()
-            .any(|p| p.contains("inconsistent")));
         // An unregistered family fails.
         let mut rogue = good;
         rogue.entries.push(perf_entry("warmup", "x"));
@@ -790,9 +756,9 @@ mod tests {
         // BENCH_perf.json is the recorded wall-clock trajectory; unlike
         // BENCH_figures.json it cannot be freshness-diffed (wall times
         // are machine-dependent), so this test pins the *committed*
-        // numbers instead: the artifact must parse, validate, and show
-        // the typed event core >= 1.5x the boxed-closure baseline on
-        // every storm entry. A refresh that regresses below the bar
+        // numbers instead: the artifact must parse, validate, time the
+        // storm at production scale, and show the sharded kernel beating
+        // the sequential engine. A refresh that regresses below the bar
         // fails here and needs investigating, not committing.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
         let text = std::fs::read_to_string(path).expect("BENCH_perf.json is committed");
@@ -810,16 +776,7 @@ mod tests {
         assert!(storm.len() >= 3, "all three storm mixes recorded");
         let total: u64 = storm.iter().map(|e| e.requests).sum();
         assert!(total >= 1_000_000, "storm below production scale: {total}");
-        for e in &storm {
-            assert!(
-                e.speedup >= 1.5,
-                "storm/{} speedup {:.2} below the 1.5x bar",
-                e.label,
-                e.speedup
-            );
-            assert!(e.typed_events_per_sec >= 1.5 * e.boxed_events_per_sec);
-        }
-        // The committed artifact is v2: it must carry the sharded
+        // The committed artifact is v3: it must carry the sharded
         // kernel's full scaling curve. When the recording machine had
         // ≥ 2 worker threads, every parallel width must actually beat
         // the sequential engine; a single-core recorder runs the shard
@@ -827,7 +784,7 @@ mod tests {
         // overhead bound — the two-phase split must stay within 25% of
         // sequential (byte-identity is gated unconditionally, in the
         // bin and in the conformance suites).
-        assert_eq!(report.schema, PERF_SCHEMA_V2, "committed artifact is v2");
+        assert_eq!(report.schema, PERF_SCHEMA_V3, "committed artifact is v3");
         for &width in SCALING_WIDTHS {
             let point = report
                 .scaling

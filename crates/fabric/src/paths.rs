@@ -115,15 +115,18 @@ impl PathTable {
     ///
     /// # Panics
     ///
-    /// Panics if a down endpoint is out of the compiled node range, a
-    /// down link's endpoints are not mesh neighbors, or `down` lists a
-    /// link twice.
+    /// Panics if a down endpoint is out of the compiled node range or a
+    /// down link's endpoints are not mesh neighbors.
     pub fn recompile_with_down(&self, mesh: &Mesh3d, down: &[(NodeId, NodeId)]) -> PathTable {
         let mut tables: Vec<RoutingTable> = mesh
             .nodes()
             .map(|node| RoutingTable::for_mesh(mesh, node))
             .collect();
-        for &(from, to) in down {
+        for (i, &(from, to)) in down.iter().enumerate() {
+            // A link listed twice is already down.
+            if down[..i].contains(&(from, to)) {
+                continue;
+            }
             let port = tables[from.0 as usize]
                 .lookup(to)
                 .expect("down link endpoints must be mesh neighbors");

@@ -21,10 +21,10 @@
 //! so a `Finish` event carries a 4-byte slot index instead of the whole
 //! request, steady-state traffic performs **zero allocations per
 //! request**, and per-request transport latency is precomputed per
-//! (node, tenant class) instead of re-derived on every dispatch. The
-//! pre-rewrite closure engine is preserved bit-for-bit compatible in
-//! [`crate::legacy`]; `cargo run --release -p venice-bench --bin
-//! throughput` times the two side by side into `BENCH_perf.json`.
+//! (node, tenant class) instead of re-derived on every dispatch.
+//! `cargo run --release -p venice-bench --bin throughput` times it
+//! into `BENCH_perf.json`, and the golden corpus (`BENCH_golden.jsonl`)
+//! pins its bytes.
 
 use std::collections::VecDeque;
 use std::hint::select_unpredictable;
@@ -147,15 +147,16 @@ impl LoadgenConfig {
 /// Side-channel counters from one engine run.
 ///
 /// Kept out of [`LoadReport`] deliberately: the report's JSON shape is
-/// frozen by the determinism gate (its serialization is byte-diffed
-/// across thread counts and against the legacy engine), while these
-/// loop-level counters exist for the `throughput` bench.
+/// frozen by the golden corpus (its serialization is byte-diffed across
+/// thread counts and shard widths), while these loop-level counters
+/// exist for the `throughput` bench.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineMetrics {
-    /// Logical events processed over the whole run: kernel-dispatched
-    /// events plus arrivals absorbed by lookahead fusion. This equals
-    /// the event count the boxed-closure engine executes for the same
-    /// configuration, so events/sec is comparable across the two cores.
+    /// Logical events processed over the whole run: the events the
+    /// kernel dispatched plus the arrivals lookahead fusion absorbed in
+    /// place, each of which is one event the run did not enqueue. The
+    /// count does not depend on how the run executed, so it is the same
+    /// at every shard width.
     pub events: u64,
     /// Arrivals processed in place by lookahead fusion (never enqueued).
     pub fused_arrivals: u64,
@@ -2532,23 +2533,5 @@ mod tests {
         // completions.
         assert!(metrics.events > report.issued);
         assert!(metrics.peak_queue_depth > 0);
-    }
-
-    #[test]
-    fn typed_engine_matches_the_legacy_oracle_bit_for_bit() {
-        // The headline differential check at unit-test granularity (the
-        // property test sweeps arbitrary configs; CI byte-diffs the
-        // bench bin): same seed, same config → identical report AND
-        // identical trace through both event cores.
-        let config = small(77);
-        let (typed_report, typed_trace) = run_traced(&config);
-        let (legacy_report, legacy_trace) = crate::legacy::run_traced(&config);
-        assert_eq!(typed_report, legacy_report);
-        assert_eq!(typed_trace, legacy_trace);
-        // And replay agrees on the borrowed-trace path too.
-        assert_eq!(
-            replay(&config, &typed_trace),
-            crate::legacy::replay(&config, &legacy_trace)
-        );
     }
 }

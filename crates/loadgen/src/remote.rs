@@ -2,10 +2,10 @@
 //! congestion-real fabric.
 //!
 //! The paper prices every remote access with a per-node measured CRMA
-//! scalar. That is the frozen differential baseline — [`ScalarCrma`]
-//! keeps it bit-for-bit, the same way [`crate::legacy`] freezes the
-//! boxed-closure event core — but it makes CRMA latency a constant,
-//! independent of *where* the bytes travel. [`CongestedFabric`] routes
+//! scalar. That is the default model — [`ScalarCrma`] keeps it
+//! bit-for-bit, as the golden corpus (`BENCH_golden.jsonl`) pins — but
+//! it makes CRMA latency a constant, independent of *where* the bytes
+//! travel. [`CongestedFabric`] routes
 //! each request's remote bytes over the real mesh instead: it compiles
 //! the all-pairs path table once ([`venice_fabric::PathTable`], built
 //! from `Mesh3d` + per-node `RoutingTable`s through table-driven
@@ -103,10 +103,6 @@ impl FabricParams {
 }
 
 /// Which remote-transfer model a [`crate::LoadgenConfig`] arms.
-///
-/// Only the typed engine models congestion; [`crate::legacy`] ignores
-/// this field (it predates the fabric-in-hot-path work and exists as a
-/// frozen oracle for the default scalar configuration).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RemoteModelCfg {
     /// The measured per-node CRMA scalar (the frozen baseline and the

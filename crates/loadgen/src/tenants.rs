@@ -263,8 +263,8 @@ impl RequestProfile {
     /// land), so the typed engine compiles per (node, class) at setup
     /// and recompiles the affected node when its tier moves; the
     /// per-request path collapses to at most one Bernoulli draw plus the
-    /// jitter draw. The equivalence is pinned by a property test and by
-    /// the engine-level typed-vs-legacy differential gates.
+    /// jitter draw. The equivalence is pinned by a unit test against
+    /// [`service_time`](Self::service_time).
     pub fn compile(&self, node: &NodeModel) -> CompiledService {
         let compiled = match self {
             RequestProfile::Kv {

@@ -12,22 +12,21 @@
 //!   [`SHARD_WIDTHS`] (which transparently falls back to the
 //!   sequential engine for ineligible configurations — the byte
 //!   contract holds either way),
-//! * optionally the frozen **boxed-closure legacy** baseline (only for
-//!   configurations the pre-chaos seed engine supports),
 //!
 //! — and byte-compares the serialized report and the JSONL trace of
 //! each against the reference. Individual suites then layer their own
 //! scenario-specific assertions on the returned reference output.
 //!
 //! Comparison is on *bytes*, not `PartialEq`: the serialized artifact
-//! is what CI diffs and what `BENCH_perf.json`'s in-bin gate compares,
-//! so this harness pins the exact same contract.
+//! is what CI diffs (`BENCH_golden.jsonl`) and what the `throughput`
+//! bin's shard-width gate compares, so this harness pins the exact same
+//! contract.
 
 // Each test binary compiles its own copy of this module and uses a
-// different subset of the driver (legacy leg, fault leg, fingerprint).
+// different subset of the driver (fault leg, fingerprint).
 #![allow(dead_code)]
 
-use venice_loadgen::{engine, legacy, FaultPlan, LoadReport, LoadgenConfig, Trace};
+use venice_loadgen::{engine, FaultPlan, LoadReport, LoadgenConfig, Trace};
 
 /// Shard widths every conformance run exercises (width 1 is the
 /// reference itself; the bench curve covers `[1, 2, 4, 8]`).
@@ -45,31 +44,21 @@ pub fn fingerprint(report: &LoadReport, trace: Option<&Trace>) -> String {
 }
 
 /// One configuration's cross-engine conformance check. Build with
-/// [`Conformance::new`], opt into extra flavors, then call
+/// [`Conformance::new`], optionally arm a fault plan, then call
 /// [`Conformance::assert_engines_agree`].
 pub struct Conformance<'a> {
     config: &'a LoadgenConfig,
     faults: Option<FaultPlan>,
-    legacy: bool,
 }
 
 impl<'a> Conformance<'a> {
     /// A conformance check over `config`: typed reference plus every
-    /// sharded width. Legacy is opt-in ([`Self::legacy`]).
+    /// sharded width.
     pub fn new(config: &'a LoadgenConfig) -> Self {
         Conformance {
             config,
             faults: None,
-            legacy: false,
         }
-    }
-
-    /// Also drives the frozen boxed-closure baseline and demands it
-    /// match. Only valid for configurations the seed engine supports
-    /// (no fault plans — chaos postdates the frozen baseline).
-    pub fn legacy(mut self) -> Self {
-        self.legacy = true;
-        self
     }
 
     /// Arms `plan` on every flavor of the run.
@@ -104,18 +93,6 @@ impl<'a> Conformance<'a> {
                 fingerprint(&r, Some(&t)),
                 want,
                 "sharded engine at width {width} diverged from the sequential reference"
-            );
-        }
-        if self.legacy {
-            assert!(
-                self.faults.is_none(),
-                "the frozen legacy baseline predates fault injection"
-            );
-            let (r, t) = legacy::run_traced(self.config);
-            assert_eq!(
-                fingerprint(&r, Some(&t)),
-                want,
-                "boxed-closure legacy baseline diverged from the typed engine"
             );
         }
         (report, trace)

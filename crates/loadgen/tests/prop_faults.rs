@@ -5,8 +5,9 @@
 //! (`ENABLED = true`, every guard live) is behaviorally invisible until
 //! a transition actually fires, which pins the frozen-baseline claim
 //! from the enabled side. (The disabled side — `NoFaults` ≡ the
-//! pre-chaos engine — is pinned by `prop_typed_vs_legacy`, since the
-//! frozen legacy oracle predates fault injection entirely.)
+//! pre-chaos engine — is pinned by the golden corpus,
+//! `BENCH_golden.jsonl`, whose fault-free lines were checked against
+//! the pre-chaos engine when they were recorded.)
 //!
 //! **Parity through chaos**: under *generated* fault plans — arbitrary
 //! crashes, flaps, and loss onsets at arbitrary instants — every

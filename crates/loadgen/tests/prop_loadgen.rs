@@ -114,3 +114,43 @@ proptest! {
     }
 
 }
+
+/// The rayon dimension: a sweep of the three preset mixes run at one
+/// and at eight rayon threads yields identical reports. All env mutation
+/// lives in this single (non-proptest) test because the variable is
+/// process-global; the workspace's rayon shim re-reads
+/// `RAYON_NUM_THREADS` on every parallel call, so each `set_var` really
+/// changes the fan-out width. The golden corpus pins the bytes of these
+/// three configurations.
+#[test]
+fn reports_match_at_both_rayon_thread_counts() {
+    let configs: Vec<LoadgenConfig> = TenantMix::presets()
+        .into_iter()
+        .enumerate()
+        .map(|(i, mix)| LoadgenConfig {
+            arrival: ArrivalProcess::OpenPoisson {
+                rate_rps: 30_000.0 + 40_000.0 * i as f64,
+            },
+            requests: 2_000,
+            ..LoadgenConfig::new(0xD1FF + i as u64, mix)
+        })
+        .collect();
+    let mut per_width = Vec::new();
+    for width in ["1", "8"] {
+        std::env::set_var("RAYON_NUM_THREADS", width);
+        let reports: Vec<_> = {
+            use rayon::prelude::*;
+            configs
+                .clone()
+                .into_par_iter()
+                .map(|config| engine::Run::new(&config).execute().report)
+                .collect()
+        };
+        per_width.push(reports);
+    }
+    std::env::remove_var("RAYON_NUM_THREADS");
+    assert_eq!(
+        per_width[0], per_width[1],
+        "engine output depends on rayon width"
+    );
+}

@@ -8,13 +8,13 @@
 //! * **Typed events** (the fast path): `E` is a plain enum implementing
 //!   [`SimEvent`]. Events are scheduled *by value* — no heap allocation,
 //!   no virtual dispatch — and fired through a monomorphic `match`. This
-//!   is what the loadgen engine runs on; see `BENCH_perf.json` for the
-//!   measured gap versus the boxed path.
-//! * **Boxed closures** (the compatibility layer): the original
+//!   is what the loadgen engine runs on.
+//! * **Boxed closures** (the compatibility layer): the
 //!   `FnOnce(&mut S, &mut Scheduler<S>)` API, wrapped in
-//!   [`ClosureEvent`] — which itself just implements [`SimEvent`]. All
-//!   pre-existing callers (`Kernel<S>` with closure `schedule`) compile
-//!   unchanged because `E` defaults to `ClosureEvent<S>`.
+//!   [`ClosureEvent`] — which itself just implements [`SimEvent`].
+//!   `E` defaults to `ClosureEvent<S>`, so `Kernel<S>` with a closure
+//!   `schedule` is all a caller writes; the fabric's packet simulator
+//!   (`venice_fabric::netsim`) and the runtime tests do.
 //!
 //! The split between [`Kernel`] (owns state, runs the loop) and
 //! [`Scheduler`] (owns the queue and clock) is what lets an event borrow

@@ -15,9 +15,7 @@
 //! plain enum implementing [`SimEvent`], scheduled by value with zero
 //! heap allocation (the hot path; see [`kernel`]) — and the original
 //! **boxed closures**, kept as a thin compatibility layer (the default
-//! `Kernel<S>` below). The pre-rewrite closure core survives unchanged
-//! in [`boxed`] as the measured perf baseline and differential-testing
-//! oracle.
+//! `Kernel<S>` below) for callers that schedule closures.
 //!
 //! # Example
 //!
@@ -38,7 +36,6 @@
 //! assert_eq!(kernel.now(), Time::from_us(10));
 //! ```
 
-pub mod boxed;
 pub mod kernel;
 pub mod queue;
 pub mod rate;

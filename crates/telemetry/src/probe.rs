@@ -5,7 +5,7 @@
 //! is a compile-time `false`, so the entire observability layer
 //! monomorphizes away — the disabled engine is instruction-for-
 //! instruction the pre-telemetry engine, which is what keeps the
-//! typed==legacy bit-identity gate and the determinism artifact green.
+//! golden corpus (`BENCH_golden.jsonl`) byte-identical.
 //!
 //! [`RecordingProbe`] is the batteries-included implementation: event
 //! counters with sim-time attribution, a ring-buffered series recorder,
