@@ -18,8 +18,10 @@
 //!
 //! Every run line carries its configuration's seed, mix, request count
 //! and arrival parameters, so it can be re-run by hand; the logical
-//! event count; the execution path at four shards; and the FNV-1a hash
-//! and record count of the trace JSONL. Generated lines hold the report
+//! event count; the wrapping sum of its completions' latencies in
+//! picoseconds, which sees changes the nanosecond trace and the
+//! bucketed report round away; the execution path at four shards; and
+//! the FNV-1a hash and record count of the trace JSONL. Generated lines hold the report
 //! JSON's hash in place of the report.
 //!
 //! [`corpus`] runs every configuration at one shard and at four shards
@@ -90,11 +92,12 @@ impl Entry {
         })?;
         let (trace_fnv, records) = out.trace.expect("corpus runs are traced");
         let mut line = format!(
-            "{{{},{},\"exec_path\":\"{path:?}\",\"events\":{},\"trace_records\":{records},\
-             \"trace_fnv\":\"{}\"",
+            "{{{},{},\"exec_path\":\"{path:?}\",\"events\":{},\"latency_ps\":{},\
+             \"trace_records\":{records},\"trace_fnv\":\"{}\"",
             self.key,
             params(&self.config),
             out.events,
+            out.latency_ps,
             hex(trace_fnv)
         );
         if self.replay {
@@ -105,8 +108,8 @@ impl Entry {
             let hash = hex(fnv1a(replayed.report.as_bytes()));
             write!(
                 line,
-                ",\"replay_events\":{},\"replay_report_fnv\":\"{hash}\"",
-                replayed.events
+                ",\"replay_events\":{},\"replay_latency_ps\":{},\"replay_report_fnv\":\"{hash}\"",
+                replayed.events, replayed.latency_ps
             )
             .expect("a String takes any write");
         }
@@ -149,6 +152,8 @@ struct Pinned {
     /// Trace JSONL hash and record count.
     trace: Option<(u64, usize)>,
     events: u64,
+    /// Wrapping sum of the completions' latencies in picoseconds.
+    latency_ps: u64,
 }
 
 /// Runs `run` at one shard and at `SHARD_WIDTH` shards. Returns the
@@ -165,6 +170,7 @@ fn at_both_widths(
             .as_ref()
             .map(|t| (fnv1a(t.to_jsonl().as_bytes()), t.len())),
         events: out.metrics.events,
+        latency_ps: out.metrics.latency_ps,
     };
     let one = run(1);
     let wide = run(SHARD_WIDTH);

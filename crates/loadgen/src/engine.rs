@@ -177,6 +177,10 @@ pub struct EngineMetrics {
     /// of the simulation thread, on a spare core, instead of the
     /// simulation thread filling each epoch itself.
     pub arrivals_pipelined: bool,
+    /// Wrapping sum of every completed request's latency in picoseconds.
+    /// Reports and traces round latencies to histogram buckets and whole
+    /// nanoseconds; this sum sees a one-picosecond change to any of them.
+    pub latency_ps: u64,
 }
 
 /// One in-flight request (plain data; pooled in [`RequestSlab`]).
@@ -479,6 +483,8 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     issued: u64,
     target: u64,
     completed: u64,
+    /// Wrapping sum of the completed requests' latencies in picoseconds.
+    latency_ps: u64,
     /// Arrivals processed by lookahead fusion instead of the queue.
     fused: u64,
     end: Time,
@@ -1109,6 +1115,7 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         w.req_bytes_by_class[class] + w.resp_bytes_by_class[class],
     );
     w.completed += 1;
+    w.latency_ps = w.latency_ps.wrapping_add(latency.as_ps());
     if now > w.end {
         w.end = now;
     }
@@ -1706,6 +1713,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             issued: 0,
             target,
             completed: 0,
+            latency_ps: 0,
             fused: 0,
             end: Time::ZERO,
             backlog_cap: config.admission.backlog_per_node,
@@ -1864,6 +1872,7 @@ fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
         slab: kernel.slab_occupancy(),
         arrival_waits: reader.map_or(0, |r| r.waits),
         arrivals_pipelined: reader.is_some_and(Reader::pipelined),
+        latency_ps: kernel.state().latency_ps,
     };
     if P::ENABLED {
         kernel.state_mut().probe.on_queue_stats(
@@ -1959,6 +1968,7 @@ pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
     for (shard, m) in worlds {
         metrics.events += m.events;
         metrics.fused_arrivals += m.fused_arrivals;
+        metrics.latency_ps = metrics.latency_ps.wrapping_add(m.latency_ps);
         metrics.peak_queue_depth = metrics.peak_queue_depth.max(m.peak_queue_depth);
         metrics.queue.absorb(m.queue);
         metrics.slab = (metrics.slab.0 + m.slab.0, metrics.slab.1 + m.slab.1);
