@@ -53,19 +53,25 @@ fn bench_figures(c: &mut Criterion) {
 }
 
 fn bench_substrates(c: &mut Criterion) {
-    use venice_sim::{Kernel, SimRng, Time};
+    use venice_sim::{Kernel, Scheduler, SimEvent, SimRng, Time};
+
+    /// Counts to 100,000, one event every 10 ns.
+    struct Tick;
+
+    impl SimEvent<u64> for Tick {
+        fn fire(self, n: &mut u64, s: &mut Scheduler<u64, Tick>) {
+            *n += 1;
+            if *n < 100_000 {
+                s.schedule_event_in(Time::from_ns(10), Tick);
+            }
+        }
+    }
 
     let mut g = c.benchmark_group("substrates");
     g.bench_function("des_kernel_100k_events", |b| {
         b.iter(|| {
             let mut k = Kernel::new(0u64);
-            fn tick(n: &mut u64, s: &mut venice_sim::Scheduler<u64>) {
-                *n += 1;
-                if *n < 100_000 {
-                    s.schedule_in(Time::from_ns(10), tick);
-                }
-            }
-            k.schedule(Time::ZERO, tick);
+            k.schedule_event(Time::ZERO, Tick);
             black_box(k.run())
         })
     });

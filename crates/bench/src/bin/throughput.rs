@@ -297,17 +297,17 @@ fn main() -> ExitCode {
         let (entry, metrics) = measure(args.iters, family, label, &config);
         println!(
             "{family:<10} {label:<18} {:>9} req  {:>8.1} ms ({:>5.2} M ev/s)  \
-             peak depth {}  arrivals {} ({} waits)",
+             peak depth {}  tape {} ({} epoch waits)",
             entry.requests,
             entry.typed_wall_ms,
             entry.typed_events_per_sec / 1e6,
             entry.peak_queue_depth,
-            if metrics.arrivals_pipelined {
-                "pipelined"
+            if metrics.tape_producer {
+                "producer"
             } else {
                 "inline"
             },
-            metrics.arrival_waits,
+            metrics.tape_epoch_waits,
         );
         entries.push(entry);
     }

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use venice_sim::{Kernel, Scheduler, Time, TokenBucket};
+use venice_sim::{Kernel, Scheduler, SimEvent, Time, TokenBucket};
 
 use crate::phy::LinkParams;
 use crate::switch::SwitchParams;
@@ -100,6 +100,27 @@ struct NetState {
     /// Busy-until time of each directed link (a, b).
     link_busy: HashMap<(u16, u16), Time>,
     stats: Vec<FlowStats>,
+    /// Each flow's route, source first.
+    routes: Vec<Vec<NodeId>>,
+    /// Each flow's wire bytes per packet.
+    wire: Vec<u64>,
+    link: LinkParams,
+    switch_transit: Time,
+}
+
+/// One packet reaching hop `hop` of flow `flow`'s route (hop 0 is its
+/// injection at the source).
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    flow: u32,
+    hop: u32,
+    injected_at: Time,
+}
+
+impl SimEvent<NetState> for Hop {
+    fn fire(self, st: &mut NetState, s: &mut Scheduler<NetState, Hop>) {
+        forward(st, s, self);
+    }
 }
 
 /// A packet-level simulator over a 3D mesh with dimension-ordered
@@ -164,14 +185,21 @@ impl NetworkSim {
         let state = NetState {
             link_busy: HashMap::new(),
             stats: vec![FlowStats::default(); flows.len()],
+            routes: flows
+                .iter()
+                .map(|f| {
+                    std::iter::once(f.src)
+                        .chain(mesh.route(f.src, f.dst))
+                        .collect()
+                })
+                .collect(),
+            wire: flows.iter().map(FlowSpec::wire_bytes).collect(),
+            link,
+            switch_transit: switch.transit_latency,
         };
         let mut kernel = Kernel::new(state).with_event_limit(50_000_000);
-        let mesh = std::rc::Rc::new(mesh);
-        let link = std::rc::Rc::new(link);
         for (fid, f) in flows.iter().enumerate() {
-            let route: Vec<NodeId> = std::iter::once(f.src)
-                .chain(mesh.route(f.src, f.dst))
-                .collect();
+            let flow = u32::try_from(fid).expect("flow count fits u32");
             let mut shaper = f
                 .rate_cap_gbps
                 .map(|gbps| TokenBucket::new(gbps, f.wire_bytes().max(1)));
@@ -180,13 +208,12 @@ impl NetworkSim {
                 if let Some(tb) = shaper.as_mut() {
                     at = tb.reserve(at, f.wire_bytes());
                 }
-                let route = route.clone();
-                let link = std::rc::Rc::clone(&link);
-                let wire = f.wire_bytes();
-                let switch_transit = switch.transit_latency;
-                kernel.schedule(at, move |st: &mut NetState, s| {
-                    forward(st, s, fid, route, 0, wire, &link, switch_transit, s.now());
-                });
+                let hop = Hop {
+                    flow,
+                    hop: 0,
+                    injected_at: at,
+                };
+                kernel.schedule_event(at, hop);
             }
         }
         let end = kernel.run();
@@ -197,18 +224,9 @@ impl NetworkSim {
 
 /// Advances one packet from `route[hop]` to `route[hop+1]`, modeling the
 /// link as a serialization resource (FIFO occupancy) plus propagation.
-#[allow(clippy::too_many_arguments)]
-fn forward(
-    st: &mut NetState,
-    s: &mut Scheduler<NetState>,
-    fid: usize,
-    route: Vec<NodeId>,
-    hop: usize,
-    wire: u64,
-    link: &std::rc::Rc<LinkParams>,
-    switch_transit: Time,
-    injected_at: Time,
-) {
+fn forward(st: &mut NetState, s: &mut Scheduler<NetState, Hop>, pkt: Hop) {
+    let (fid, hop) = (pkt.flow as usize, pkt.hop as usize);
+    let route = &st.routes[fid];
     if hop + 1 >= route.len() {
         // Delivered.
         let stats = &mut st.stats[fid];
@@ -218,34 +236,29 @@ fn forward(
         }
         stats.delivered += 1;
         stats.last_delivery = now;
-        stats.total_latency += now.saturating_sub(injected_at);
+        stats.total_latency += now.saturating_sub(pkt.injected_at);
         return;
     }
     let (a, b) = (route[hop].0, route[hop + 1].0);
     let now = s.now();
     let busy = st.link_busy.get(&(a, b)).copied().unwrap_or(Time::ZERO);
     let start = busy.max(now);
-    let ser = link.serialize(wire);
+    let ser = st.link.serialize(st.wire[fid]);
     st.link_busy.insert((a, b), start + ser);
     // Arrival: queueing (start - now) + serialization + PHY/cable flight
     // (+ a switch transit at intermediate hops).
-    let flight = link.phy_latency * 2 + link.cable_delay;
-    let extra = if hop > 0 { switch_transit } else { Time::ZERO };
+    let flight = st.link.phy_latency * 2 + st.link.cable_delay;
+    let extra = if hop > 0 {
+        st.switch_transit
+    } else {
+        Time::ZERO
+    };
     let arrive_in = (start - now) + ser + flight + extra;
-    let link = std::rc::Rc::clone(link);
-    s.schedule_in(arrive_in, move |st: &mut NetState, s| {
-        forward(
-            st,
-            s,
-            fid,
-            route,
-            hop + 1,
-            wire,
-            &link,
-            switch_transit,
-            injected_at,
-        );
-    });
+    let next = Hop {
+        hop: pkt.hop + 1,
+        ..pkt
+    };
+    s.schedule_event_in(arrive_in, next);
 }
 
 impl NetworkRun {

@@ -25,6 +25,16 @@
 //! `cargo run --release -p venice-bench --bin throughput` times it
 //! into `BENCH_perf.json`, and the golden corpus (`BENCH_golden.jsonl`)
 //! pins its bytes.
+//!
+//! # One arrival loop
+//!
+//! Arrivals never enter the event queue. Every world, sequential or a
+//! shard of a sharded run, replayed or drawn, runs one loop
+//! (`run_arrivals`): take the next owned arrival off the arrival tape
+//! (`crate::tape`), run the kernel up to its instant, inclusive, and
+//! issue it in place. The caller owns the clock and moves it to each
+//! arrival, so at any instant every queued event fires before that
+//! instant's arrival, and a shard reads that order off its own nodes.
 
 use std::collections::VecDeque;
 use std::hint::select_unpredictable;
@@ -49,7 +59,7 @@ use crate::faults::{FaultModel, FaultPlan, NoFaults};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::{LeaseSummary, LoadReport, TenantReport};
 use crate::stacks::RemoteStack;
-use crate::tape::{self, Chunk, Drawer, Filler, Reader, Stream};
+use crate::tape::{self, Chunk, Drawer, Filler, Reader, Stream, TapeEntry};
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
 
@@ -153,12 +163,12 @@ impl LoadgenConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Logical events processed over the whole run: the events the
-    /// kernel dispatched plus the arrivals lookahead fusion absorbed in
-    /// place, each of which is one event the run did not enqueue. The
-    /// count does not depend on how the run executed, so it is the same
-    /// at every shard width.
+    /// kernel dispatched plus the arrivals the arrival loop issued in
+    /// place. The count does not depend on how the run executed, so it
+    /// is the same at every shard width.
     pub events: u64,
-    /// Arrivals processed in place by lookahead fusion (never enqueued).
+    /// Arrivals issued in place by the arrival loop: every arrival,
+    /// since none enters the event queue.
     pub fused_arrivals: u64,
     /// Peak number of simultaneously pending events (peak event-queue
     /// depth).
@@ -171,12 +181,12 @@ pub struct EngineMetrics {
     pub slab: (usize, usize),
     /// Epochs of the arrival tape the simulation thread reached before
     /// the producer thread had filled them (0 unless
-    /// [`Self::arrivals_pipelined`]).
-    pub arrival_waits: u64,
+    /// [`Self::tape_producer`]).
+    pub tape_epoch_waits: u64,
     /// Whether a producer thread filled the arrival tape one epoch ahead
     /// of the simulation thread, on a spare core, instead of the
     /// simulation thread filling each epoch itself.
-    pub arrivals_pipelined: bool,
+    pub tape_producer: bool,
     /// Wrapping sum of every completed request's latency in picoseconds.
     /// Reports and traces round latencies to histogram buckets and whole
     /// nanoseconds; this sum sees a one-picosecond change to any of them.
@@ -316,11 +326,6 @@ struct Server {
     ///
     /// [`RequestProfile::compile_attrib`]: crate::tenants::RequestProfile::compile_attrib
     attrib_by_class: Vec<CompiledAttrib>,
-    /// Instant of the node's most recent arrival and completion, which
-    /// flag a same-node arrival/finish tie in either firing order (see
-    /// [`World::violation`]).
-    last_arrival: Option<Time>,
-    last_finish: Option<Time>,
 }
 
 /// Per-tenant accumulators.
@@ -372,15 +377,14 @@ impl Stats {
 
 /// One scheduled occurrence in the typed engine: a plain enum value,
 /// scheduled by value and fired through a single `match` — no `Box`, no
-/// vtable on the per-request path. The hot variants (arrivals,
-/// completions, ticks) carry at most a 4-byte slab slot, keeping the
-/// enum at 16 bytes so queue pushes and pops move almost nothing; the
-/// rare lease-flow completions (a few hundred per run, vs millions of
+/// vtable on the per-request path. The hot variants (completions,
+/// ticks) carry at most a 4-byte slab slot, keeping the enum at 16
+/// bytes so queue pushes and pops move almost nothing; the rare
+/// lease-flow completions (a few hundred per run, vs millions of
 /// requests) box their fat payloads rather than inflating every event.
+/// Arrivals are not events: the arrival loop ([`run_arrivals`]) issues
+/// each one off the tape in place.
 enum EngineEvent {
-    /// Drawn or replayed arrival: issue one request, schedule the next
-    /// off the arrival tape.
-    Arrival,
     /// A dispatched request finishes service; payload is its
     /// [`RequestSlab`] slot.
     Finish(u32),
@@ -400,12 +404,12 @@ enum EngineEvent {
 
 impl EngineEvent {
     /// Stable probe slot for this event kind; must stay in step with
-    /// [`crate::telemetry::EVENT_KIND_LABELS`]. No event fires slots 1
-    /// and 2; the numbering is kept so probe consumers that index the
-    /// slots (perfbench reads `finish` as slot 3) stay valid.
+    /// [`crate::telemetry::EVENT_KIND_LABELS`]. No event fires slots 0
+    /// to 2 (arrivals report through [`Probe::on_fused_arrival`]); the
+    /// numbering is kept so probe consumers that index the slots
+    /// (perfbench reads `finish` as slot 3) stay valid.
     fn kind(&self) -> u8 {
         match self {
-            EngineEvent::Arrival => 0,
             EngineEvent::Finish(_) => 3,
             EngineEvent::LeaseTick => 4,
             EngineEvent::LeaseEstablished(_) => 5,
@@ -424,7 +428,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
             pulse(w, s, self.kind());
         }
         match self {
-            EngineEvent::Arrival => open_arrival(w, s),
             EngineEvent::Finish(slot) => finish(w, s, slot),
             EngineEvent::LeaseTick => lease_tick(w, s),
             EngineEvent::LeaseEstablished(est) => lease_established(w, s, *est),
@@ -439,21 +442,17 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
 /// A world issues the requests routed to the nodes in `owned`: every
 /// node for a sequential run, one node group for a shard of a sharded
 /// run ([`crate::sharded`]). Every arrival, drawn or replayed, comes
-/// off an arrival tape ([`crate::tape`]) through the world's `feed`: a
-/// sequential world reads the next chunk through its `reader` when its
-/// feed runs out, a shard is handed each epoch by the sharded driver.
+/// off an arrival tape ([`crate::tape`]) through the world's `feed`,
+/// and [`run_arrivals`] issues it: a sequential world reads the next
+/// chunk through its `reader` when its feed runs out, a shard is handed
+/// each epoch by the sharded driver.
 pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     /// Nodes whose arrivals this world issues.
     owned: Range<u16>,
-    /// Tenant class and user of the next owned arrival, taken off the
-    /// feed by [`next_owned_arrival`].
-    next_request: (usize, u64),
     /// A sequential world's end of its arrival tape; `None` on a shard.
     reader: Option<Reader<'a>>,
     /// The world's cursor on the arrival tape.
     feed: TapeFeed,
-    /// Set once a same-node arrival and completion share an instant.
-    tied: bool,
     /// Setup counters carried to the report: leases borrowed at setup
     /// and refused setup borrows.
     remote_leases: u64,
@@ -485,8 +484,8 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     completed: u64,
     /// Wrapping sum of the completed requests' latencies in picoseconds.
     latency_ps: u64,
-    /// Arrivals processed by lookahead fusion instead of the queue.
-    fused: u64,
+    /// Arrivals this world issued.
+    arrivals: u64,
     end: Time,
     backlog_cap: usize,
     /// The composed cluster, kept live so elastic ticks can borrow and
@@ -568,26 +567,16 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
     }
 
     /// Why this world's run was not a pure function of its owned nodes,
-    /// or `None` if it was. A shard fails this on a same-node
-    /// arrival/finish tie (the sequential engine orders a tie by global
-    /// insertion history, which no shard can reconstruct) or on an
-    /// admission shed (it skipped every foreign arrival's service draws
-    /// assuming admission, and the sequential engine skips the draws for
-    /// a shed request). Until the first of either anywhere, every shard
-    /// is exact, so the shard holding that first event always reports
-    /// it.
+    /// or `None` if it was. A shard fails this on an admission shed: it
+    /// stepped over every foreign arrival's service draws assuming
+    /// admission, and the sequential engine skips the draws for a shed
+    /// request. Until the first shed anywhere, every shard is exact, so
+    /// the shard holding it always reports it.
     pub(crate) fn violation(&self) -> Option<FallbackReason> {
-        if self.tied {
-            Some(FallbackReason::Tie)
-        } else if self
-            .stats
+        self.stats
             .iter()
             .any(|st| st.shed_rate + st.shed_overload > 0)
-        {
-            Some(FallbackReason::Shed)
-        } else {
-            None
-        }
+            .then_some(FallbackReason::Shed)
     }
 }
 
@@ -681,66 +670,52 @@ fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// Arrival event: issue one request, then take the next owned arrival
-/// off the tape ([`next_owned_arrival`]), issuing it in place when it
-/// precedes every pending event.
-fn open_arrival<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
-) {
-    let mut now = s.now();
-    loop {
-        let (class, user) = w.next_request;
-        issue_with(w, s, now, class, user);
-        if w.issued >= w.target {
-            return;
-        }
-        let Some(at) = next_owned_arrival(w) else {
-            return;
-        };
-        // Lookahead fusion: when the next arrival lands strictly before
-        // every pending event it would be the very next pop anyway —
-        // process it in place instead of round-tripping it through the
-        // queue. (Strictly: on a timestamp tie the pending event's older
-        // sequence number wins, so a tied arrival must be enqueued.)
-        // The RNG draw order and all model state transitions are
-        // identical either way; only the queue traffic disappears.
-        match s.next_event_time() {
-            Some(next) if at >= next => {
-                s.schedule_event_at(at, EngineEvent::Arrival);
-                return;
-            }
-            _ => {
-                s.advance_to(at);
-                w.fused += 1;
-                if P::ENABLED {
-                    w.probe.on_fused_arrival(at);
-                }
-                now = at;
-            }
-        }
+/// The arrival loop every world runs: takes each owned arrival off the
+/// tape ([`next_owned_arrival`]), runs the kernel up to its instant,
+/// inclusive, and issues it in place. So every event queued for an
+/// instant fires before that instant's arrival, an order each shard
+/// computes from its own nodes. Returns once the tape runs out: at the
+/// end of the run, or at the end of a shard's handed epoch.
+fn run_arrivals<P: Probe, M: RemoteModel, F: FaultModel>(kernel: &mut EngineKernel<'_, P, M, F>) {
+    while let Some(arrival) = next_owned_arrival(kernel.state_mut()) {
+        issue_arrival(kernel, arrival);
     }
 }
 
+/// Runs the kernel up to `at`, inclusive, and issues the tape arrival
+/// `entry` there.
+fn issue_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
+    kernel: &mut EngineKernel<'_, P, M, F>,
+    (at, entry): (Time, TapeEntry),
+) {
+    kernel.run_until(at);
+    let (w, s) = kernel.parts_mut();
+    w.arrivals += 1;
+    if P::ENABLED {
+        w.probe.on_fused_arrival(at);
+    }
+    issue_with(w, s, at, entry.class as usize, entry.user);
+}
+
 /// The next arrival this world issues off the tape it was handed
-/// ([`TapeFeed`]): leaves its class and user in `next_request` and
-/// returns its instant. The feed walks the tape one entry at a time,
-/// stepping the service stream over the arrivals routed to nodes the
-/// world does not own, as the sequential engine draws their service
-/// times. A sequential world whose handed chunks ran out takes the next
-/// chunk of the tape here, in the arrival handler, and never pauses. A
-/// shard returns `None` instead: its arrival chain pauses until
-/// [`Shard::advance`] hands it the next epoch.
+/// ([`TapeFeed`]), with its instant. The feed walks the tape one entry
+/// at a time, stepping the service stream over the arrivals routed to
+/// nodes the world does not own, as the sequential engine draws their
+/// service times. A sequential world whose handed chunks ran out takes the next
+/// chunk of the tape here, and returns `None` only past the run's last
+/// arrival. A shard returns `None` once its handed epoch runs out.
 fn next_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'_, P, M, F>,
-) -> Option<Time> {
+) -> Option<(Time, TapeEntry)> {
     let feed = &mut w.feed;
     loop {
         let Some(chunk) = feed.chunks.get(feed.chunk) else {
             let Some(reader) = &mut w.reader else {
-                feed.paused = true;
                 return None;
             };
+            if feed.seq == w.target {
+                return None;
+            }
             // Release the spent chunk before the barrier round that lets
             // the producer refill it.
             feed.chunks.clear();
@@ -767,9 +742,8 @@ fn next_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
         for _ in 0..std::mem::take(&mut feed.skip) {
             w.service_rng.next_u64();
         }
-        w.next_request = (entry.class as usize, entry.user);
         w.issued = feed.seq - 1;
-        return Some(feed.clock);
+        return Some((feed.clock, entry));
     }
 }
 
@@ -798,12 +772,6 @@ struct TapeFeed {
     /// Service-stream words of the foreign arrivals passed since the
     /// last owned one.
     skip: u64,
-    /// Instant of a shard's last handed entry: the horizon a paused
-    /// shard runs its kernel to.
-    end: Time,
-    /// Set while the arrival chain waits for the next epoch: the last
-    /// owned arrival issued found no successor on the handed tape.
-    paused: bool,
 }
 
 /// Routes `user`'s request: home node by population hash, except that a
@@ -882,9 +850,6 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         );
         return;
     }
-    let srv = &mut w.servers[node];
-    w.tied |= srv.last_finish == Some(now);
-    srv.last_arrival = Some(now);
     let generation = w
         .elastic
         .as_ref()
@@ -1121,10 +1086,7 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     }
     let node = req.node as usize;
     w.admissions[node].on_completion();
-    let srv = &mut w.servers[node];
-    srv.inflight_by_class[class] -= 1;
-    w.tied |= srv.last_arrival == Some(now);
-    srv.last_finish = Some(now);
+    w.servers[node].inflight_by_class[class] -= 1;
     if P::ATTRIB {
         // Telescoping decomposition — every stage is a difference of
         // stamps the engine computed anyway, so the seven stages sum to
@@ -1241,9 +1203,6 @@ pub enum FallbackReason {
     Ineligible(IneligibleKind),
     /// A shard shed a request at admission.
     Shed,
-    /// A shard saw an arrival and a completion on one node at the same
-    /// instant.
-    Tie,
 }
 
 /// What kept a run from splitting into independent node groups. The
@@ -1374,9 +1333,8 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     /// sequential engine exactly as if this arm were never called.
     /// Configurations whose node groups interact (elastic leases,
     /// modeled fabric paths, fault plans, probes, replay), and sharded
-    /// runs that shed at admission or tie an arrival with a completion
-    /// on one node, execute sequentially rather than approximately —
-    /// byte-identity is never traded for speed.
+    /// runs that shed at admission, execute sequentially rather than
+    /// approximately — byte-identity is never traded for speed.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -1673,18 +1631,14 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                 } else {
                     Vec::new()
                 },
-                last_arrival: None,
-                last_finish: None,
             })
             .collect();
         let (_, service_rng) = seed_streams(config.seed);
         let target = reader.as_ref().map_or(config.requests, Reader::requests);
         let mut w = World {
             owned,
-            next_request: (0, 0),
             reader,
             feed: TapeFeed::default(),
-            tied: false,
             remote_leases,
             borrow_failures,
             probe,
@@ -1714,7 +1668,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             target,
             completed: 0,
             latency_ps: 0,
-            fused: 0,
+            arrivals: 0,
             end: Time::ZERO,
             backlog_cap: config.admission.backlog_per_node,
             cluster,
@@ -1825,6 +1779,7 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
             Some(reader),
         );
         let mut kernel = start_world(world);
+        run_arrivals(&mut kernel);
         kernel.run();
         summarize(config, vec![finish_world(kernel)])
     })
@@ -1833,17 +1788,14 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
 /// The engine's kernel flavor: typed events over the world.
 type EngineKernel<'a, P, M, F> = Kernel<World<'a, P, M, F>, EngineEvent>;
 
-/// Seeds `w`'s event queue (step 5 of a run) and hands it to a kernel.
-/// A shard's arrival chain starts paused: its first arrival comes off
-/// the tape ([`Shard::advance`]).
+/// Seeds `w`'s event queue with its ticks (step 5 of a run) and hands
+/// it to a kernel. Arrivals never enter the queue: [`run_arrivals`]
+/// issues them.
 fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
     w: World<'_, P, M, F>,
 ) -> EngineKernel<'_, P, M, F> {
     let limit = w.target.saturating_mul(8) + 500_000;
     let mut kernel = Kernel::new(w).with_event_limit(limit);
-    if let Some(at) = next_owned_arrival(kernel.state_mut()) {
-        kernel.schedule_event(at, EngineEvent::Arrival);
-    }
     if let Some(tier) = &kernel.state().elastic {
         let interval = tier.manager.config().tick_interval;
         kernel.schedule_event(interval, EngineEvent::LeaseTick);
@@ -1865,13 +1817,13 @@ fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
     kernel.state().audit_queued();
     let reader = kernel.state().reader.as_ref();
     let metrics = EngineMetrics {
-        events: kernel.executed() + kernel.state().fused,
-        fused_arrivals: kernel.state().fused,
+        events: kernel.executed() + kernel.state().arrivals,
+        fused_arrivals: kernel.state().arrivals,
         peak_queue_depth: kernel.peak_pending(),
         queue: kernel.queue_stats(),
         slab: kernel.slab_occupancy(),
-        arrival_waits: reader.map_or(0, |r| r.waits),
-        arrivals_pipelined: reader.is_some_and(Reader::pipelined),
+        tape_epoch_waits: reader.map_or(0, |r| r.waits),
+        tape_producer: reader.is_some_and(Reader::pipelined),
         latency_ps: kernel.state().latency_ps,
     };
     if P::ENABLED {
@@ -1906,34 +1858,23 @@ impl Shard {
         }
     }
 
-    /// Hands the shard one epoch of the tape, resumes a paused arrival
-    /// chain, and runs the kernel up to the epoch's last arrival — or to
-    /// completion after the `last` epoch. Stopping there is exact: every
-    /// arrival still to come lands at or after it.
+    /// Hands the shard one epoch of the tape and runs the arrival loop
+    /// over it, then, after the `last` epoch, the kernel to completion.
+    /// Between epochs the shard simply waits: each arrival runs the
+    /// kernel up to its own instant, so no event fires early.
     pub(crate) fn advance(&mut self, epoch: &[Arc<Chunk>], last: bool) {
-        let w = self.kernel.state_mut();
-        debug_assert!(w.feed.chunks.is_empty(), "the previous epoch drained");
-        w.feed.chunks.extend_from_slice(epoch);
-        for chunk in epoch {
-            let end = w.feed.end.checked_add(chunk.span);
-            w.feed.end = end.expect("simulated time overflow");
-        }
-        let horizon = if last { Time::MAX } else { w.feed.end };
-        if w.feed.paused {
-            w.feed.paused = false;
-            if let Some(at) = next_owned_arrival(w) {
-                self.kernel.schedule_event_at(at, EngineEvent::Arrival);
-            }
-        }
-        self.kernel.set_horizon(horizon);
-        self.kernel.run();
-        // Every arrival up to the horizon has been passed, so the epoch's
-        // chunks go back to the tape for the filler to reuse.
         let feed = &mut self.kernel.state_mut().feed;
-        if feed.chunk == feed.chunks.len() {
-            feed.chunks.clear();
-            feed.chunk = 0;
+        debug_assert!(feed.chunks.is_empty(), "the previous epoch drained");
+        feed.chunks.extend_from_slice(epoch);
+        run_arrivals(&mut self.kernel);
+        if last {
+            self.kernel.run();
         }
+        // Every handed entry has been passed, so the epoch's chunks go
+        // back to the tape for the filler to reuse.
+        let feed = &mut self.kernel.state_mut().feed;
+        feed.chunks.clear();
+        feed.chunk = 0;
     }
 
     /// Why this shard stopped being the sequential run, if it did
@@ -2200,20 +2141,28 @@ mod tests {
                 owned,
                 Some(reader),
             );
+            // The arrival loop, paused at the crash: issue the arrivals
+            // before it, then fire the events before it and at it.
             let mut kernel = start_world(world);
-            kernel.set_horizon(crash_at - Time::from_ps(1));
-            kernel.run();
+            let mut next = next_owned_arrival(kernel.state_mut());
+            while let Some(arrival) = next.filter(|&(at, _)| at < crash_at) {
+                issue_arrival(&mut kernel, arrival);
+                next = next_owned_arrival(kernel.state_mut());
+            }
+            kernel.run_until(crash_at - Time::from_ps(1));
             let parked = kernel.state().servers[0].backlog.len();
             assert!(parked > 0, "node 0's backlog is empty at the crash");
             let shed_crash = |w: &World<'_, NoopProbe, ScalarCrma, FaultPlan>| {
                 w.stats.iter().map(|st| st.shed_crash).sum::<u64>()
             };
             let before = shed_crash(kernel.state());
-            kernel.set_horizon(crash_at);
-            kernel.run();
+            kernel.run_until(crash_at);
             assert!(kernel.state().servers[0].backlog.is_empty());
             assert!(shed_crash(kernel.state()) >= before + parked as u64);
-            kernel.set_horizon(Time::MAX);
+            if let Some(arrival) = next {
+                issue_arrival(&mut kernel, arrival);
+            }
+            run_arrivals(&mut kernel);
             kernel.run();
             let (w, _) = finish_world(kernel);
             assert!(
@@ -2226,6 +2175,68 @@ mod tests {
                 assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
             }
         });
+    }
+
+    #[test]
+    fn a_finish_fires_before_an_arrival_at_its_instant_at_every_width() {
+        // Node 0's first request finishes at the very instant of node 0's
+        // next tape arrival. With an in-flight cap of one per node, that
+        // arrival is admitted only if the finish fires first. One world
+        // owning both nodes (the sequential run) and two shards owning
+        // one node each must both fire it first and agree byte for byte,
+        // and neither shard may report a violation: that is what makes
+        // the sharded driver return `ExecPath::Sharded`.
+        let config = LoadgenConfig {
+            mesh: (2, 1, 1),
+            requests: 3,
+            admission: AdmissionConfig {
+                max_inflight: 2,
+                ..AdmissionConfig::default()
+            },
+            ..LoadgenConfig::new(0x71E, TenantMix::web_frontend())
+        };
+        let entry = |gap, user: u64| TapeEntry {
+            gap,
+            user,
+            class: 0,
+            node: (user % 2) as u16,
+        };
+        let finish_at = {
+            let mut world = Shard::new(&config, false, 0..2);
+            let first = Chunk {
+                entries: vec![entry(Time::ZERO, 0)],
+            };
+            world.advance(&[Arc::new(first)], false);
+            let (at, _) = world.kernel.pending_time_span().expect("in service");
+            at
+        };
+        let half = Time::from_ps(finish_at.as_ps() / 2);
+        let tape = [Arc::new(Chunk {
+            entries: vec![
+                entry(Time::ZERO, 0),
+                entry(half, 1),
+                entry(finish_at - half, 0),
+            ],
+        })];
+        // `width` worlds, splitting the two nodes evenly.
+        let run = |width: u16| {
+            let worlds = (0..width)
+                .map(|i| {
+                    let owned = i * 2 / width..(i + 1) * 2 / width;
+                    let mut shard = Shard::new(&config, true, owned.clone());
+                    shard.advance(&tape, true);
+                    assert_eq!(shard.violation(), None, "nodes {owned:?}");
+                    shard.finish()
+                })
+                .collect();
+            let (report, trace, metrics, NoopProbe) = summarize(&config, worlds);
+            (report, trace.expect("traced"), metrics.events)
+        };
+        let sequential = run(1);
+        let at_finish = &sequential.1.records[2];
+        assert_eq!((at_finish.seq, at_finish.node), (2, 0));
+        assert_eq!(at_finish.outcome, RequestOutcome::Completed);
+        assert_eq!(run(2), sequential);
     }
 
     #[test]

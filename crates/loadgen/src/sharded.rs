@@ -47,17 +47,19 @@
 //!   so a thread with lighter shards fills more. A bursty arrival's
 //!   word count depends on the burst phase of its instant, so thread 0
 //!   fills bursty epochs whole, in order.
-//! * **The walk.** A shard walks the tape as the sequential world does,
-//!   turning the gaps into instants with a running sum; it issues the
-//!   arrivals routed to its own nodes and steps its service stream over
-//!   every other arrival's service draws
+//! * **The walk.** A shard runs the sequential world's arrival loop: it
+//!   walks the tape, turning the gaps into instants with a running sum,
+//!   and issues each arrival routed to its own nodes once its kernel has
+//!   fired every event up to that instant, inclusive. It steps its
+//!   service stream over every other arrival's service draws
 //!   ([`CompiledService::draws`](crate::tenants::CompiledService::draws))
 //!   instead of sampling them. Its engine RNG and its service stream
-//!   therefore see the sequential run's draws.
-//! * **The pause.** An epoch ends at its last arrival's instant, the sum
-//!   of its chunks' spans. A shard runs its kernel up to that instant
-//!   and stops: every later arrival lands at or after it. At the next
-//!   epoch it resumes its arrival chain before it pops any event.
+//!   therefore see the sequential run's draws, and its events fire in
+//!   the sequential order: at any instant, every queued event before
+//!   the arrival, an order a shard reads off its own nodes.
+//! * **The pause.** A shard pauses when its handed tape runs out, and
+//!   resumes the same loop on the next epoch: no event fires before the
+//!   arrival loop reaches its instant, so nothing runs early.
 //! * **The barrier.** The shards run on `min(rayon::current_num_threads(),
 //!   shards)` threads: the calling thread and scoped workers. Every
 //!   thread advances its shards and claims chunks at every epoch, then
@@ -73,27 +75,21 @@
 //!
 //! # When a shard is not the sequential run
 //!
-//! A shard stops being the sequential run when it
+//! A shard stops being the sequential run when it **sheds a request at
+//! admission**. Shards step over foreign service draws under an
+//! all-admitted assumption; the sequential engine skips the draws for a
+//! shed request, so one shed desynchronizes every later draw.
+//! (Backlog-overflow drops happen after the service draw and do not
+//! count.)
 //!
-//! * **sheds a request at admission.** Shards step over foreign service
-//!   draws under an all-admitted assumption; the sequential engine
-//!   skips the draws for a shed request, so one shed desynchronizes
-//!   every later draw. (Backlog-overflow drops happen after the service
-//!   draw and are *not* violations.)
-//! * **stamps a same-node arrival/finish tie.** The sequential engine
-//!   breaks the tie by global insertion order, which a shard cannot
-//!   reconstruct; per-node stamps detect the tie in either firing
-//!   order.
-//!
-//! Up to the first such event anywhere, every shard is exact, so the
-//! shard holding it always reports it. Each thread checks its shards
-//! after every epoch; one that finds a violation stops and hangs up the
-//! barrier, every thread stops at that round, and the driver re-runs
-//! the configuration sequentially, reporting the first violation in
-//! shard order. The storm family trips neither at its benchmark rates;
-//! the statically provisioned `elastic` rows shed at admission and fall
-//! back after the epoch of their first shed. [`ExecPath`] reports which
-//! path ran and why.
+//! Up to the first shed anywhere, every shard is exact, so the shard
+//! holding it always reports it. Each thread checks its shards after
+//! every epoch; one that finds a shed stops and hangs up the barrier,
+//! every thread stops at that round, and the driver re-runs the
+//! configuration sequentially. The storm family never sheds at its
+//! benchmark rates; the statically provisioned `elastic` rows do, and
+//! fall back after the epoch of their first shed. [`ExecPath`] reports
+//! which path ran and why.
 
 use std::ops::Range;
 use std::panic;

@@ -7,8 +7,9 @@
 //! buffered, so epoch `k + 1` can be filled while worlds read epoch `k`,
 //! and one [`Barrier`] round separates each epoch's writers from its
 //! readers. A world holds shared handles to the chunks it was handed and
-//! walks them one entry per arrival (`next_owned_arrival`), so the
-//! reads of lines another core wrote hide between events.
+//! its arrival loop walks them one entry per arrival, running the kernel
+//! up to each arrival's instant before it issues it, so the reads of
+//! lines another core wrote hide between events.
 //!
 //! ```text
 //!  simulation thread: barrier -> walk the chunks of epoch k, one per arrival -> barrier
@@ -16,11 +17,12 @@
 //! ```
 //!
 //! * **Sequential runs** ([`drive`]) take chunks from a [`Reader`],
-//!   inside the arrival handler, once their handed chunks run out, so a
+//!   inside the arrival loop, once their handed chunks run out, so a
 //!   world takes each next arrival at the same moment whoever fills the
-//!   tape, and never pauses; [`Drawer::for_run`] picks who fills it. A
-//!   sharded run's threads fill one tape and hand each shard every
-//!   epoch ([`crate::sharded`]).
+//!   tape; [`Drawer::for_run`] picks who fills it. A sharded run's
+//!   threads fill one tape and hand each shard every epoch
+//!   ([`crate::sharded`]); a shard's loop pauses when its epoch runs
+//!   out.
 //! * **Replays** copy each record with the gap from the previous
 //!   arrival's instant, never negative: a record out of order arrives at
 //!   once, as the engine always replayed it.
@@ -97,12 +99,10 @@ impl Drawer {
     }
 }
 
-/// One chunk of the tape: its arrivals, and how far they move the clock.
+/// One chunk of the tape: a run of consecutive arrivals.
 #[derive(Debug, Default)]
 pub(crate) struct Chunk {
     pub(crate) entries: Vec<TapeEntry>,
-    /// The sum of the entries' gaps.
-    pub(crate) span: Time,
 }
 
 /// The double-buffered arrival tape: epoch `k` lives in buffer `k % 2`,
@@ -164,7 +164,6 @@ impl Tape {
                 Some(spare) if Arc::strong_count(&spare) == 1 => spare,
                 _ => Arc::new(Chunk {
                     entries: Vec::with_capacity(self.chunk as usize),
-                    span: Time::ZERO,
                 }),
             };
             let unshared = Arc::get_mut(&mut chunk).expect("only this filler holds it");
@@ -228,7 +227,7 @@ impl<'t> Filler<'t> {
     pub(crate) fn draw(&mut self, arrivals: Range<u64>, chunk: &mut Chunk) {
         let skipped = self.next..arrivals.start.max(self.next);
         self.next = self.next.max(arrivals.end);
-        let (out, start) = (&mut chunk.entries, self.clock);
+        let out = &mut chunk.entries;
         out.clear();
         let nodes = self.nodes;
         // The home node, hashed as the engine's router hashes it.
@@ -264,7 +263,6 @@ impl<'t> Filler<'t> {
                 }
             }
         }
-        chunk.span = self.clock - start;
     }
 }
 
@@ -582,9 +580,9 @@ mod tests {
     /// `drawer`, checking the metrics name that drawer.
     fn run<P: Probe>(config: &LoadgenConfig, probe: P, drawer: Drawer) -> (Bytes, P) {
         let (report, trace, metrics, probe) = run_full(config, None, true, probe, None, drawer);
-        assert_eq!(metrics.arrivals_pipelined, drawer == Drawer::Producer);
+        assert_eq!(metrics.tape_producer, drawer == Drawer::Producer);
         if drawer == Drawer::Inline {
-            assert_eq!(metrics.arrival_waits, 0);
+            assert_eq!(metrics.tape_epoch_waits, 0);
         }
         (bytes(&report, &trace, &metrics), probe)
     }
@@ -639,13 +637,13 @@ mod tests {
         assert_eq!(Drawer::for_run(long), expected);
         let config = poisson(0xD4A7, long);
         assert_eq!(
-            Run::new(&config).execute().metrics.arrivals_pipelined,
+            Run::new(&config).execute().metrics.tape_producer,
             spare_core
         );
         // A row already running on a rayon worker draws its own arrivals.
         let on_worker: Vec<bool> = vec![config]
             .into_par_iter()
-            .map(|config| Run::new(&config).execute().metrics.arrivals_pipelined)
+            .map(|config| Run::new(&config).execute().metrics.tape_producer)
             .collect();
         assert_eq!(on_worker, vec![false]);
     }

@@ -19,10 +19,12 @@ use crate::engine::{LoadgenConfig, Run, RunOutput};
 
 /// Human labels for the engine's probe event-kind slots, indexed by the
 /// engine event enum's probe slot (kept in step with
-/// `EngineEvent::kind` in the engine). No event fires slots 1 and 2
-/// (every arrival, drawn or replayed, is an `arrival`); their labels
-/// stay so exported artifacts keep their shape and consumers that index
-/// the slots (perfbench reads `finish` as slot 3) stay valid.
+/// `EngineEvent::kind` in the engine). No event fires slots 0 to 2:
+/// arrivals are not kernel events, and each reports through
+/// [`Probe::on_fused_arrival`](venice_telemetry::Probe::on_fused_arrival)
+/// instead. The labels stay so exported artifacts keep their shape and
+/// consumers that index the slots (perfbench reads `finish` as slot 3)
+/// stay valid.
 pub const EVENT_KIND_LABELS: [&str; 8] = [
     "arrival",
     "session-next",

@@ -7,8 +7,8 @@
 //! drawn arrivals, scalar remote model, no leases, no faults, no probes) run
 //! as per-node-group shards of the sequential engine on rayon workers
 //! and merge deterministically; anything that could couple shards — or
-//! an admission shed or same-node timestamp tie in any shard — falls
-//! back to the sequential engine. Both legs carry the same contract, which is what
+//! an admission shed in any shard — falls back to the sequential
+//! engine. Both legs carry the same contract, which is what
 //! every test here demands: *whatever path was taken, the bytes match*.
 //! The suites below deliberately straddle the eligibility boundary so
 //! both the parallel path and every fallback reason get exercised.

@@ -1,24 +1,18 @@
-//! The event loop: typed events over user state, with a boxed-closure
-//! compatibility layer.
+//! The event loop: typed events over user state.
 //!
 //! Every Venice experiment is a `Kernel<S, E>` where `S` holds the
-//! modeled world (nodes, channels, tables) and `E` is the event type.
-//! Two flavors share one loop:
-//!
-//! * **Typed events** (the fast path): `E` is a plain enum implementing
-//!   [`SimEvent`]. Events are scheduled *by value* — no heap allocation,
-//!   no virtual dispatch — and fired through a monomorphic `match`. This
-//!   is what the loadgen engine runs on.
-//! * **Boxed closures** (the compatibility layer): the
-//!   `FnOnce(&mut S, &mut Scheduler<S>)` API, wrapped in
-//!   [`ClosureEvent`] — which itself just implements [`SimEvent`].
-//!   `E` defaults to `ClosureEvent<S>`, so `Kernel<S>` with a closure
-//!   `schedule` is all a caller writes; the fabric's packet simulator
-//!   (`venice_fabric::netsim`) and the runtime tests do.
+//! modeled world (nodes, channels, tables) and `E` is the event type: a
+//! plain enum implementing [`SimEvent`]. Events are scheduled *by value*
+//! — no heap allocation, no virtual dispatch — and fired through a
+//! monomorphic `match`.
 //!
 //! The split between [`Kernel`] (owns state, runs the loop) and
 //! [`Scheduler`] (owns the queue and clock) is what lets an event borrow
-//! the state mutably while still enqueueing new events.
+//! the state mutably while still enqueueing new events. A caller that
+//! owns a stream of its own, such as the loadgen engine's arrival tape,
+//! drives the clock itself: [`Kernel::run_until`] fires every event due
+//! by the stream's next instant, and [`Kernel::parts_mut`] then lets the
+//! caller act on the world at that instant.
 
 use std::marker::PhantomData;
 
@@ -65,27 +59,9 @@ pub trait SimEvent<S>: Sized {
     fn fire(self, state: &mut S, sched: &mut Scheduler<S, Self>);
 }
 
-/// A boxed-closure event: the compatibility layer over [`SimEvent`].
-///
-/// This is the original event representation — one heap allocation and
-/// one indirect call per event (except for zero-sized closures, which
-/// `Box` stores without allocating). New simulations should define a
-/// typed event enum instead; this wrapper exists so the large body of
-/// closure-based models and tests keeps working unchanged.
-pub struct ClosureEvent<S>(BoxedHandler<S>);
-
-/// The boxed closure a [`ClosureEvent`] wraps.
-type BoxedHandler<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
-
-impl<S> SimEvent<S> for ClosureEvent<S> {
-    fn fire(self, state: &mut S, sched: &mut Scheduler<S, Self>) {
-        (self.0)(state, sched)
-    }
-}
-
 /// Clock plus pending-event queue; handed to every event so it can
 /// schedule follow-ups.
-pub struct Scheduler<S, E = ClosureEvent<S>> {
+pub struct Scheduler<S, E> {
     now: Time,
     queue: EventQueue<E>,
     executed: u64,
@@ -171,64 +147,6 @@ impl<S, E> Scheduler<S, E> {
     pub fn pending_time_span(&self) -> Option<(Time, Time)> {
         self.queue.pending_time_span()
     }
-
-    /// Timestamp of the next pending event, if any.
-    ///
-    /// Together with [`advance_to`](Self::advance_to) this enables
-    /// **lookahead fusion**: a handler that knows its own follow-up time
-    /// `t` may process the follow-up immediately — skipping the queue
-    /// round-trip — when `t` lies *strictly* before every pending event
-    /// (a later-scheduled event never outranks pending ties, so strict
-    /// inequality preserves the exact pop order).
-    #[inline]
-    pub fn next_event_time(&self) -> Option<Time> {
-        self.queue.peek_time()
-    }
-
-    /// Advances the clock to `at` without executing an event, for
-    /// lookahead fusion (see [`next_event_time`](Self::next_event_time)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past, beyond a pending event, or beyond
-    /// the run horizon — any of which would break event ordering.
-    #[inline]
-    pub fn advance_to(&mut self, at: Time) {
-        assert!(at >= self.now, "cannot advance into the past");
-        assert!(
-            self.queue
-                .peek_time()
-                .map(|next| at <= next)
-                .unwrap_or(true),
-            "cannot advance past a pending event"
-        );
-        assert!(at <= self.horizon, "cannot advance past the horizon");
-        self.now = at;
-    }
-}
-
-impl<S> Scheduler<S> {
-    /// Schedules closure `f` to run `delay` after the current time
-    /// (compatibility path; allocates unless `f` is zero-sized).
-    pub fn schedule_in<F>(&mut self, delay: Time, f: F)
-    where
-        F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    {
-        self.schedule_event_in(delay, ClosureEvent(Box::new(f)));
-    }
-
-    /// Schedules closure `f` at absolute time `at` (compatibility path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time (events may not run
-    /// in the past).
-    pub fn schedule_at<F>(&mut self, at: Time, f: F)
-    where
-        F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    {
-        self.schedule_event_at(at, ClosureEvent(Box::new(f)));
-    }
 }
 
 impl<S, E> std::fmt::Debug for Scheduler<S, E> {
@@ -241,22 +159,10 @@ impl<S, E> std::fmt::Debug for Scheduler<S, E> {
     }
 }
 
-/// A discrete-event simulation: user state plus the event loop.
+/// A discrete-event simulation: user state plus the event loop over
+/// typed events `E: SimEvent<S>`.
 ///
-/// `Kernel<S>` is the closure-compatible flavor; `Kernel<S, E>` with a
-/// typed `E: SimEvent<S>` is the zero-allocation fast path.
-///
-/// # Example: closures (compat flavor)
-///
-/// ```
-/// use venice_sim::{Kernel, Time};
-/// let mut k = Kernel::new(0u32);
-/// k.schedule(Time::from_ns(1), |n: &mut u32, _| *n += 1);
-/// k.run();
-/// assert_eq!(*k.state(), 1);
-/// ```
-///
-/// # Example: a minimal typed-event simulation
+/// # Example: a minimal simulation
 ///
 /// A tiny server: arrivals every 10 µs, a fixed 25 µs service time, one
 /// slot — a request either starts service immediately or queues behind
@@ -305,7 +211,7 @@ impl<S, E> std::fmt::Debug for Scheduler<S, E> {
 /// // Arrivals outpace the 25 µs service: the last departure is at 100 µs.
 /// assert_eq!(k.now(), Time::from_us(100));
 /// ```
-pub struct Kernel<S, E = ClosureEvent<S>> {
+pub struct Kernel<S, E> {
     state: S,
     sched: Scheduler<S, E>,
 }
@@ -333,14 +239,6 @@ impl<S, E> Kernel<S, E> {
         self
     }
 
-    /// Moves the horizon of a kernel already in use: a later
-    /// [`run`](Kernel::run) stops once the clock would pass `horizon`.
-    /// A driver that feeds a kernel in batches pauses it this way at the
-    /// last instant its batch covers.
-    pub fn set_horizon(&mut self, horizon: Time) {
-        self.sched.horizon = horizon;
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.sched.now()
@@ -354,6 +252,14 @@ impl<S, E> Kernel<S, E> {
     /// Exclusive access to the user state.
     pub fn state_mut(&mut self) -> &mut S {
         &mut self.state
+    }
+
+    /// The state and the scheduler at once, for a caller that acts on
+    /// the world between events: after [`run_until`](Kernel::run_until)
+    /// it can change the state and schedule follow-ups at the instant it
+    /// ran to.
+    pub fn parts_mut(&mut self) -> (&mut S, &mut Scheduler<S, E>) {
+        (&mut self.state, &mut self.sched)
     }
 
     /// Consumes the kernel, returning the final state.
@@ -425,7 +331,28 @@ impl<S, E: SimEvent<S>> Kernel<S, E> {
     /// Executes a single event. Returns `false` when the queue is empty or
     /// the next event lies beyond the horizon.
     pub fn step(&mut self) -> bool {
-        match self.sched.queue.pop_at_or_before(self.sched.horizon) {
+        self.step_until(self.sched.horizon)
+    }
+
+    /// Fires every pending event due at or before `at`, in time order,
+    /// then moves the clock to `at`, whatever the horizon. A caller that
+    /// feeds the world a stream of its own calls this at each item's
+    /// instant and then acts through [`parts_mut`](Kernel::parts_mut):
+    /// every event due by then, one at `at` itself included, has fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time, or if the
+    /// configured event limit is exceeded.
+    pub fn run_until(&mut self, at: Time) {
+        assert!(at >= self.sched.now, "cannot run into the past");
+        while self.step_until(at) {}
+        self.sched.now = at;
+    }
+
+    /// Executes the next event if it is due at or before `limit`.
+    fn step_until(&mut self, limit: Time) -> bool {
+        match self.sched.queue.pop_at_or_before(limit) {
             None => false,
             Some((at, event)) => {
                 self.sched.now = at;
@@ -438,17 +365,6 @@ impl<S, E: SimEvent<S>> Kernel<S, E> {
                 true
             }
         }
-    }
-}
-
-impl<S> Kernel<S> {
-    /// Schedules closure `f` to run `delay` after the current time
-    /// (compatibility path).
-    pub fn schedule<F>(&mut self, delay: Time, f: F)
-    where
-        F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
-    {
-        self.sched.schedule_in(delay, f);
     }
 }
 
@@ -466,84 +382,7 @@ impl<S: std::fmt::Debug, E> std::fmt::Debug for Kernel<S, E> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn events_run_in_time_order() {
-        let mut k = Kernel::new(Vec::new());
-        k.schedule(Time::from_ns(30), |v: &mut Vec<u32>, _| v.push(3));
-        k.schedule(Time::from_ns(10), |v: &mut Vec<u32>, _| v.push(1));
-        k.schedule(Time::from_ns(20), |v: &mut Vec<u32>, _| v.push(2));
-        let end = k.run();
-        assert_eq!(k.state(), &vec![1, 2, 3]);
-        assert_eq!(end, Time::from_ns(30));
-    }
-
-    #[test]
-    fn events_can_chain() {
-        let mut k = Kernel::new(0u64);
-        fn tick(n: &mut u64, s: &mut Scheduler<u64>) {
-            *n += 1;
-            if *n < 5 {
-                s.schedule_in(Time::from_ns(10), tick);
-            }
-        }
-        k.schedule(Time::ZERO, tick);
-        k.run();
-        assert_eq!(*k.state(), 5);
-        assert_eq!(k.now(), Time::from_ns(40));
-        assert_eq!(k.executed(), 5);
-    }
-
-    #[test]
-    fn pending_time_span_tracks_the_committed_future() {
-        let mut k = Kernel::new(0u32);
-        assert_eq!(k.pending_time_span(), None);
-        for i in 1..=5 {
-            k.schedule(Time::from_ns(i * 10), |n: &mut u32, _| *n += 1);
-        }
-        assert_eq!(
-            k.pending_time_span(),
-            Some((Time::from_ns(10), Time::from_ns(50)))
-        );
-        k.step();
-        assert_eq!(
-            k.pending_time_span(),
-            Some((Time::from_ns(20), Time::from_ns(50)))
-        );
-    }
-
-    #[test]
-    fn horizon_stops_the_loop() {
-        let mut k = Kernel::new(0u32).with_horizon(Time::from_ns(25));
-        for i in 1..=5 {
-            k.schedule(Time::from_ns(i * 10), |n: &mut u32, _| *n += 1);
-        }
-        k.run();
-        assert_eq!(*k.state(), 2); // events at 10 and 20 only
-        assert_eq!(k.pending(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "event limit")]
-    fn event_limit_catches_runaways() {
-        let mut k = Kernel::new(()).with_event_limit(100);
-        fn forever(_: &mut (), s: &mut Scheduler<()>) {
-            s.schedule_in(Time::from_ns(1), forever);
-        }
-        k.schedule(Time::ZERO, forever);
-        k.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn scheduling_into_past_panics() {
-        let mut k = Kernel::new(());
-        k.schedule(Time::from_ns(10), |_, s| {
-            s.schedule_at(Time::from_ns(5), |_, _| {});
-        });
-        k.run();
-    }
-
-    /// A typed counter event used by the generic-path tests below.
+    /// A typed counter event used by the tests below.
     enum CounterEv {
         Bump(u32),
         Chain { left: u32, gap: Time },
@@ -567,6 +406,105 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Appends its value to a log when it fires.
+    struct Push(u32);
+
+    impl SimEvent<Vec<u32>> for Push {
+        fn fire(self, v: &mut Vec<u32>, _: &mut Scheduler<Vec<u32>, Push>) {
+            v.push(self.0);
+        }
+    }
+
+    /// Schedules itself forever, one nanosecond apart.
+    struct Forever;
+
+    impl SimEvent<()> for Forever {
+        fn fire(self, _: &mut (), s: &mut Scheduler<(), Forever>) {
+            s.schedule_event_in(Time::from_ns(1), Forever);
+        }
+    }
+
+    /// Schedules a follow-up earlier than itself.
+    struct Backwards;
+
+    impl SimEvent<()> for Backwards {
+        fn fire(self, _: &mut (), s: &mut Scheduler<(), Backwards>) {
+            s.schedule_event_at(Time::from_ns(5), Backwards);
+        }
+    }
+
+    #[test]
+    fn events_run_in_time_order() {
+        let mut k = Kernel::new(Vec::new());
+        k.schedule_event(Time::from_ns(30), Push(3));
+        k.schedule_event(Time::from_ns(10), Push(1));
+        k.schedule_event(Time::from_ns(20), Push(2));
+        let end = k.run();
+        assert_eq!(k.state(), &vec![1, 2, 3]);
+        assert_eq!(end, Time::from_ns(30));
+    }
+
+    #[test]
+    fn events_can_chain() {
+        let mut k = Kernel::new(0u32);
+        k.schedule_event(
+            Time::ZERO,
+            CounterEv::Chain {
+                left: 5,
+                gap: Time::from_ns(10),
+            },
+        );
+        k.run();
+        assert_eq!(*k.state(), 5);
+        assert_eq!(k.now(), Time::from_ns(40));
+        assert_eq!(k.executed(), 5);
+    }
+
+    #[test]
+    fn pending_time_span_tracks_the_committed_future() {
+        let mut k = Kernel::new(0u32);
+        assert_eq!(k.pending_time_span(), None);
+        for i in 1..=5 {
+            k.schedule_event(Time::from_ns(i * 10), CounterEv::Bump(1));
+        }
+        assert_eq!(
+            k.pending_time_span(),
+            Some((Time::from_ns(10), Time::from_ns(50)))
+        );
+        k.step();
+        assert_eq!(
+            k.pending_time_span(),
+            Some((Time::from_ns(20), Time::from_ns(50)))
+        );
+    }
+
+    #[test]
+    fn horizon_stops_the_loop() {
+        let mut k = Kernel::new(0u32).with_horizon(Time::from_ns(25));
+        for i in 1..=5 {
+            k.schedule_event(Time::from_ns(i * 10), CounterEv::Bump(1));
+        }
+        k.run();
+        assert_eq!(*k.state(), 2); // events at 10 and 20 only
+        assert_eq!(k.pending(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "event limit")]
+    fn event_limit_catches_runaways() {
+        let mut k = Kernel::new(()).with_event_limit(100);
+        k.schedule_event(Time::ZERO, Forever);
+        k.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn scheduling_into_past_panics() {
+        let mut k = Kernel::new(());
+        k.schedule_event(Time::from_ns(10), Backwards);
+        k.run();
     }
 
     #[test]
@@ -599,31 +537,59 @@ mod tests {
     }
 
     #[test]
-    fn typed_and_closure_kernels_agree() {
-        // The same chain model through both event representations lands
-        // on identical state, clock, and executed-event counts.
-        let mut typed: Kernel<u32, CounterEv> = Kernel::new(0);
-        typed.schedule_event(
-            Time::ZERO,
-            CounterEv::Chain {
-                left: 100,
-                gap: Time::from_ns(7),
-            },
-        );
-        typed.run();
+    fn run_until_fires_every_event_due_by_its_instant() {
+        // Every 4 ns a stream item lands that bumps the counter by 100
+        // and queues a bump of 1 one nanosecond later; a chain of 1s
+        // runs every 2 ns beside it, so every item ties with a chain
+        // event. Fed through `run_until`, each item sees every event due
+        // at or before its instant fired, its own tie included, exactly
+        // as stepping the kernel by hand up to that instant does.
+        let items: Vec<Time> = (0..50).map(|i| Time::from_ns(4 * i)).collect();
+        let chain = || CounterEv::Chain {
+            left: 100,
+            gap: Time::from_ns(2),
+        };
 
-        let mut boxed = Kernel::new(0u32);
-        fn chain(n: &mut u32, s: &mut Scheduler<u32>) {
-            *n += 1;
-            if *n < 100 {
-                s.schedule_in(Time::from_ns(7), chain);
-            }
+        let mut driven: Kernel<u32, CounterEv> = Kernel::new(0);
+        driven.schedule_event(Time::ZERO, chain());
+        let mut driven_log = Vec::new();
+        for &at in &items {
+            driven.run_until(at);
+            assert_eq!(driven.now(), at);
+            assert!(driven.pending_time_span().is_none_or(|(t, _)| t > at));
+            let (n, s) = driven.parts_mut();
+            *n += 100;
+            s.schedule_event_in(Time::from_ns(1), CounterEv::Bump(1));
+            driven_log.push(*n);
         }
-        boxed.schedule(Time::ZERO, chain);
-        boxed.run();
+        driven.run();
 
-        assert_eq!(typed.state(), boxed.state());
-        assert_eq!(typed.now(), boxed.now());
-        assert_eq!(typed.executed(), boxed.executed());
+        let mut stepped: Kernel<u32, CounterEv> = Kernel::new(0);
+        stepped.schedule_event(Time::ZERO, chain());
+        let mut stepped_log = Vec::new();
+        for &at in &items {
+            while stepped.pending_time_span().is_some_and(|(t, _)| t <= at) {
+                stepped.step();
+            }
+            let n = stepped.state_mut();
+            *n += 100;
+            stepped_log.push(*n);
+            stepped.schedule_event_at(at + Time::from_ns(1), CounterEv::Bump(1));
+        }
+        stepped.run();
+
+        assert_eq!(driven_log, stepped_log);
+        assert_eq!(driven.state(), stepped.state());
+        assert_eq!(driven.now(), stepped.now());
+        assert_eq!(driven.executed(), stepped.executed());
+        assert_eq!(*driven.state(), 100 + 50 * 100 + 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "into the past")]
+    fn run_until_rejects_the_past() {
+        let mut k: Kernel<u32, CounterEv> = Kernel::new(0);
+        k.run_until(Time::from_ns(10));
+        k.run_until(Time::from_ns(5));
     }
 }

@@ -11,26 +11,31 @@
 //! randomness, and the measurement utilities (counters, histograms,
 //! throughput meters, rate limiters) the evaluation harness needs.
 //!
-//! Events come in two flavors sharing one loop: **typed events** — a
-//! plain enum implementing [`SimEvent`], scheduled by value with zero
-//! heap allocation (the hot path; see [`kernel`]) — and the original
-//! **boxed closures**, kept as a thin compatibility layer (the default
-//! `Kernel<S>` below) for callers that schedule closures.
+//! Events are **typed**: a plain enum implementing [`SimEvent`],
+//! scheduled by value with zero heap allocation (see [`kernel`]).
 //!
 //! # Example
 //!
 //! ```
-//! use venice_sim::{Kernel, Time};
+//! use venice_sim::{Kernel, Scheduler, SimEvent, Time};
 //!
 //! // State threaded through every event.
 //! struct World { pings: u32 }
 //!
+//! enum Ev { Ping }
+//!
+//! impl SimEvent<World> for Ev {
+//!     fn fire(self, w: &mut World, s: &mut Scheduler<World, Ev>) {
+//!         w.pings += 1;
+//!         // Events may schedule further events.
+//!         if w.pings < 2 {
+//!             s.schedule_event_in(Time::from_us(5), Ev::Ping);
+//!         }
+//!     }
+//! }
+//!
 //! let mut kernel = Kernel::new(World { pings: 0 });
-//! kernel.schedule(Time::from_us(5), |w: &mut World, s| {
-//!     w.pings += 1;
-//!     // Events may schedule further events.
-//!     s.schedule_in(Time::from_us(5), |w: &mut World, _| w.pings += 1);
-//! });
+//! kernel.schedule_event(Time::from_us(5), Ev::Ping);
 //! kernel.run();
 //! assert_eq!(kernel.state().pings, 2);
 //! assert_eq!(kernel.now(), Time::from_us(10));
@@ -44,7 +49,7 @@ pub mod stats;
 pub mod time;
 pub mod timeline;
 
-pub use kernel::{ClosureEvent, Kernel, Scheduler, SimEvent};
+pub use kernel::{Kernel, Scheduler, SimEvent};
 pub use queue::{EventQueue, QueueStats};
 pub use rate::TokenBucket;
 pub use rng::SimRng;

@@ -23,11 +23,14 @@
 //!
 //! The constants fit the push-ahead distances recorded from every push
 //! of one full pass of the repo benchmark's `storm` (1.59 M pushes) and
-//! `flash-crash` (1.36 M) workloads:
+//! `flash-crash` (1.36 M) workloads. The loadgen engine has since taken
+//! arrivals out of the queue (its caller issues them between
+//! [`Kernel::run_until`](crate::Kernel::run_until) calls), so `storm`
+//! now pushes only its completions:
 //!
 //! | workload | pushes | land ahead by |
 //! |---|---|---|
-//! | `storm` | arrivals (46%) | 4–33 µs: one to eight slots |
+//! | `storm` | arrivals (46%; no longer pushed) | 4–33 µs: one to eight slots |
 //! | `storm` | completions | 67 µs–4.3 ms, none beyond |
 //! | `flash-crash` | 99.9% | within 8.6 ms: inside the span |
 //! | `flash-crash` | lease flows, fault ticks | up to 4.4 s: the far list |

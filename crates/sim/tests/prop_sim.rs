@@ -3,13 +3,22 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use venice_sim::{EventQueue, Kernel, Time, TokenBucket};
+use venice_sim::{EventQueue, Kernel, Scheduler, SimEvent, Time, TokenBucket};
 
 /// Width of one event-queue slot in picoseconds (about 4.19 µs).
 const SLOT_PS: u64 = 1 << 22;
 
 /// Span of the event queue's slot ring in picoseconds (about 17.2 ms).
 const SPAN_PS: u64 = SLOT_PS * 4096;
+
+/// Appends its delay to the log when it fires.
+struct Log(u64);
+
+impl SimEvent<Vec<u64>> for Log {
+    fn fire(self, v: &mut Vec<u64>, _: &mut Scheduler<Vec<u64>, Log>) {
+        v.push(self.0);
+    }
+}
 
 proptest! {
     /// The event queue pops in nondecreasing time order, and equal
@@ -105,7 +114,7 @@ proptest! {
         let mut k = Kernel::new(Vec::<u64>::new());
         let max = *delays.iter().max().unwrap();
         for &d in &delays {
-            k.schedule(Time::from_ns(d), move |v: &mut Vec<u64>, _| v.push(d));
+            k.schedule_event(Time::from_ns(d), Log(d));
         }
         let end = k.run();
         prop_assert_eq!(k.state().len(), delays.len());

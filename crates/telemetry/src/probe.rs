@@ -52,9 +52,10 @@ pub trait Probe {
     /// [`EVENT_KIND_SLOTS`]) fired at `now`.
     fn on_event(&mut self, _kind: u8, _now: Time) {}
 
-    /// An arrival was absorbed by lookahead fusion at `now` instead of
-    /// round-tripping through the queue (it does *not* also reach
-    /// [`on_event`](Self::on_event)).
+    /// An arrival was issued in place at `now`, without a round trip
+    /// through the event queue (it does *not* also reach
+    /// [`on_event`](Self::on_event)). The loadgen engine reports every
+    /// arrival here.
     fn on_fused_arrival(&mut self, _now: Time) {}
 
     /// Asks whether a sample tick boundary has been crossed by `now`;
@@ -162,7 +163,7 @@ impl<const ATTRIB: bool> RecordingProbe<ATTRIB> {
         self.events_by_kind.iter().sum()
     }
 
-    /// Arrivals absorbed by lookahead fusion.
+    /// Arrivals issued in place, without a queue round trip.
     pub fn fused(&self) -> u64 {
         self.fused
     }

@@ -6,7 +6,7 @@ use venice_fabric::topology::Topology;
 use venice_fabric::{Mesh3d, NodeId};
 use venice_runtime::tables::ResourceKind;
 use venice_runtime::{DistancePolicy, MonitorNode, NodeAgent};
-use venice_sim::{Kernel, Time};
+use venice_sim::{Kernel, Scheduler, SimEvent, Time};
 
 struct World {
     monitor: MonitorNode,
@@ -16,20 +16,34 @@ struct World {
     dead_node: Option<NodeId>,
 }
 
-fn schedule_heartbeat(idx: usize, s: &mut venice_sim::Scheduler<World>) {
-    s.schedule_in(Time::from_ms(100), move |w: &mut World, s| {
-        if Some(w.agents[idx].node()) == w.dead_node {
-            return; // dead nodes stop heartbeating (and never reschedule)
-        }
-        let now = s.now();
-        let faulty = now >= w.fault_at;
-        let hb = w.agents[idx].heartbeat(now, |to| !(faulty && idx == 0 && to == NodeId(1)));
-        w.monitor.on_heartbeat(&hb);
-        schedule_heartbeat(idx, s);
-    });
+/// A node agent's heartbeat timer: `Start` arms it at time zero, and
+/// every `Beat` 100 ms later sends one heartbeat and re-arms it.
+enum Heartbeat {
+    Start(usize),
+    Beat(usize),
 }
 
-fn build() -> Kernel<World> {
+impl SimEvent<World> for Heartbeat {
+    fn fire(self, w: &mut World, s: &mut Scheduler<World, Heartbeat>) {
+        let idx = match self {
+            Heartbeat::Start(idx) => idx,
+            Heartbeat::Beat(idx) => {
+                if Some(w.agents[idx].node()) == w.dead_node {
+                    return; // dead nodes stop heartbeating (and never reschedule)
+                }
+                let now = s.now();
+                let faulty = now >= w.fault_at;
+                let hb =
+                    w.agents[idx].heartbeat(now, |to| !(faulty && idx == 0 && to == NodeId(1)));
+                w.monitor.on_heartbeat(&hb);
+                idx
+            }
+        };
+        s.schedule_event_in(Time::from_ms(100), Heartbeat::Beat(idx));
+    }
+}
+
+fn build() -> Kernel<World, Heartbeat> {
     let mesh = Mesh3d::prototype();
     let monitor = MonitorNode::new(Topology::Mesh(mesh.clone()), Box::new(DistancePolicy));
     let agents: Vec<NodeAgent> = mesh
@@ -50,9 +64,7 @@ fn build() -> Kernel<World> {
         dead_node: None,
     });
     for idx in 0..n {
-        kernel.schedule(Time::ZERO, move |_w: &mut World, s| {
-            schedule_heartbeat(idx, s)
-        });
+        kernel.schedule_event(Time::ZERO, Heartbeat::Start(idx));
     }
     kernel
 }
