@@ -24,9 +24,12 @@
 //!   at rayon widths 1 and 8 and byte-compares them).
 //!
 //! With `--gate-overhead PCT`, the no-op and probed runs are also timed
-//! in interleaved best-of-`--iters` pairs and the run fails if the
-//! probed engine's best wall time exceeds the no-op best by more than
-//! `PCT` percent — the "cheap enough to leave on" claim, measured.
+//! in `--iters` interleaved pairs, alternating which side runs first,
+//! and the run fails if the median of the per-pair probed/no-op wall
+//! ratios exceeds 1 by more than `PCT` percent — the "cheap enough to
+//! leave on" claim, measured. A pair's two runs share the machine's
+//! load of the moment, so their ratio cancels it, and the median keeps
+//! one noisy pair from deciding the gate.
 //!
 //! Sampling cadence is `--tick-ms` (sim time) with a ring retaining the
 //! last `--cap` rows per scenario, so artifact size is bounded no
@@ -44,8 +47,8 @@ use venice_loadgen::{engine, scenarios, FaultPlan, LoadgenConfig};
 use venice_sim::Time;
 use venice_telemetry::export_jsonl;
 
-/// Default timing iterations for the overhead gate (best-of is kept).
-const DEFAULT_ITERS: u32 = 3;
+/// Default timing pairs for the overhead gate.
+const DEFAULT_ITERS: u32 = 9;
 /// Default sim-time sampling tick, in milliseconds.
 const DEFAULT_TICK_MS: u64 = 25;
 /// Default ring capacity (retained sample rows per scenario).
@@ -147,6 +150,21 @@ fn start_run<'c>(config: &'c LoadgenConfig, plan: &Option<FaultPlan>) -> engine:
     run
 }
 
+/// The median of `xs` (the mean of the middle two for an even count).
+///
+/// # Panics
+///
+/// Panics if `xs` is empty.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
+}
+
 /// One timed call of `f`, in milliseconds.
 fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
@@ -173,26 +191,30 @@ fn main() -> ExitCode {
         }
         let start = |config| start_run(config, &plan);
 
-        // Timing iterations are interleaved (no-op, probed, no-op,
-        // probed, …), each side keeping its best wall time, so shared-
-        // machine noise degrades both sides of a pair instead of
-        // skewing whichever ran in the noisy window. The reports come
-        // from the final iteration; every iteration is bit-identical.
+        // Timing pairs run back to back, the no-op side first in even
+        // pairs and second in odd ones, so neither side always runs
+        // into a warm or a freshly loaded machine. The reports come
+        // from the final pair; every pair is bit-identical.
         let iters = if args.gate_overhead_pct.is_some() {
             args.iters
         } else {
             1
         };
-        let mut noop_wall_ms = f64::INFINITY;
-        let mut probed_wall_ms = f64::INFINITY;
+        let mut walls = Vec::with_capacity(iters as usize);
         let mut noop_report = None;
         let mut probed = None;
-        for _ in 0..iters {
-            let (wall, r) = time_once(|| start(&config).execute().report);
-            noop_wall_ms = noop_wall_ms.min(wall);
+        for i in 0..iters {
+            let noop = || time_once(|| start(&config).execute().report);
+            let probe = || time_once(|| start(&config).recording(tick, args.cap).execute());
+            let ((noop_ms, r), (probed_ms, out)) = if i.is_multiple_of(2) {
+                let n = noop();
+                (n, probe())
+            } else {
+                let p = probe();
+                (noop(), p)
+            };
+            walls.push((noop_ms, probed_ms));
             noop_report = Some(r);
-            let (wall, out) = time_once(|| start(&config).recording(tick, args.cap).execute());
-            probed_wall_ms = probed_wall_ms.min(wall);
             probed = Some((out.profile_text(scenario), out.report, out.probe));
         }
         let noop_report = noop_report.expect("iters >= 1");
@@ -218,11 +240,14 @@ fn main() -> ExitCode {
             noop_json.len()
         );
         if args.gate_overhead_pct.is_some() {
-            let overhead_pct = (probed_wall_ms / noop_wall_ms - 1.0) * 100.0;
+            let ratio = median(walls.iter().map(|(noop, probed)| probed / noop).collect());
+            let overhead_pct = (ratio - 1.0) * 100.0;
             worst_overhead_pct = worst_overhead_pct.max(overhead_pct);
             println!(
-                "timing: no-op {noop_wall_ms:.1} ms, probed {probed_wall_ms:.1} ms \
-                 (overhead {overhead_pct:+.1}%, best of {iters})"
+                "timing: median no-op {:.1} ms, probed {:.1} ms, per-pair ratio {ratio:.3} \
+                 (overhead {overhead_pct:+.1}%, median of {iters} pairs)",
+                median(walls.iter().map(|w| w.0).collect()),
+                median(walls.iter().map(|w| w.1).collect()),
             );
         }
         println!();

@@ -14,7 +14,8 @@
 //!   line also pins the replay of its own trace;
 //! * `preset` — the three preset mixes at 2,000 requests, and `small` —
 //!   3,000 web-frontend requests at seed 77, with its replay;
-//! * `sweep` — the figure JSON of a small rate sweep.
+//! * `sweep` — the figure JSON of a small rate sweep, whose points also
+//!   run at four shards.
 //!
 //! Every run line carries its configuration's seed, mix, request count
 //! and arrival parameters, so it can be re-run by hand; the logical
@@ -24,12 +25,13 @@
 //! the FNV-1a hash and record count of the trace JSONL. Generated lines hold the report
 //! JSON's hash in place of the report.
 //!
-//! [`corpus`] runs every configuration at one shard and at four shards
-//! and fails if the two differ in any pinned byte. The `determinism` bin
-//! writes the corpus; CI regenerates it at one and at eight rayon
-//! threads and `git diff`s it against the committed file, as
-//! `golden_corpus_is_fresh` does under `cargo test`. A change to the
-//! engine's bytes is therefore a reviewed diff of the corpus.
+//! [`corpus`] runs every configuration, the sweep's included, at one
+//! shard and at four shards and fails if the two differ in any pinned
+//! byte. The `determinism` bin writes the corpus; CI regenerates it at
+//! one and at eight rayon threads and `git diff`s it against the
+//! committed file, as `golden_corpus_is_fresh` does under `cargo test`.
+//! A change to the engine's bytes is therefore a reviewed diff of the
+//! corpus.
 
 use std::fmt::Write as _;
 
@@ -288,7 +290,7 @@ fn entries() -> Vec<Entry> {
 /// # Errors
 ///
 /// Names the first configuration whose `SHARD_WIDTH`-shard run
-/// differs from its one-shard run.
+/// differs from its one-shard run, sweep points included.
 pub fn corpus() -> Result<String, String> {
     let lines: Vec<Result<String, String>> = entries().into_par_iter().map(|e| e.line()).collect();
     let mut corpus = String::new();
@@ -304,6 +306,11 @@ pub fn corpus() -> Result<String, String> {
         stacks: vec![RemoteStack::VeniceCrma, RemoteStack::Sonuma],
         requests_per_point: 1_500,
     };
+    for (i, config) in sweep.configs().iter().enumerate() {
+        at_both_widths(&format!("sweep point {i}"), |w| {
+            Run::new(config).shards(w).execute()
+        })?;
+    }
     let figures = serde_json::to_string(&sweep::figures(&sweep)).expect("figures serialize");
     writeln!(corpus, "{{\"kind\":\"sweep\",\"figures\":{figures}}}")
         .expect("a String takes any write");

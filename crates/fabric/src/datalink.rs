@@ -61,6 +61,7 @@ impl CreditCounter {
     }
 
     /// Consumes one credit if available; returns whether it succeeded.
+    #[inline]
     pub fn try_consume(&mut self) -> bool {
         if self.credits > 0 {
             self.credits -= 1;
@@ -76,6 +77,7 @@ impl CreditCounter {
     ///
     /// Panics if the grant would exceed the pool size — that indicates a
     /// protocol bug (double-granting).
+    #[inline]
     pub fn grant(&mut self, n: u32) {
         assert!(
             self.credits + n <= self.max,

@@ -197,6 +197,7 @@ impl PathTable {
     /// # Panics
     ///
     /// Panics if either node is out of range.
+    #[inline]
     pub fn links(&self, src: NodeId, dst: NodeId) -> &[LinkId] {
         let (off, len) = self.ranges[src.0 as usize * self.nodes as usize + dst.0 as usize];
         &self.links[off as usize..off as usize + len as usize]

@@ -87,6 +87,7 @@ impl LinkParams {
     }
 
     /// Serialization delay for `bytes` on this link.
+    #[inline]
     pub fn serialize(&self, bytes: u64) -> Time {
         Time::serialize_bytes(bytes, self.gbps)
     }

@@ -146,6 +146,7 @@ impl AdmissionControl {
     /// `now`. `over_quota` marks a tenant sitting at its elastic-lease
     /// byte quota: its effective in-flight share collapses to
     /// [`OVER_QUOTA_SHARE`], so it is shed first as the node fills.
+    #[inline]
     pub fn on_arrival(&mut self, now: Time, priority: Priority, over_quota: bool) -> Decision {
         if self.config.rate_limit_rps.is_finite() {
             let elapsed = now.saturating_sub(self.last_refill).as_secs_f64();
@@ -171,6 +172,7 @@ impl AdmissionControl {
     /// # Panics
     ///
     /// Panics if there is nothing in flight (accounting bug).
+    #[inline]
     pub fn on_completion(&mut self) {
         assert!(self.inflight > 0, "completion without admission");
         self.inflight -= 1;

@@ -43,6 +43,7 @@ use std::sync::Arc;
 
 use venice::cluster::Cluster;
 use venice::NodeId;
+use venice_fabric::CreditCounter;
 use venice_lease::{LeaseConfig, LeaseManager, NO_TENANT};
 use venice_sim::{Kernel, LogHistogram, QueueStats, Scheduler, SimEvent, SimRng, Time};
 use venice_telemetry::attrib::{
@@ -50,7 +51,6 @@ use venice_telemetry::attrib::{
     STAGE_SERVICE_REMOTE, STAGE_SLOT_WAIT, STAGE_TRANSPORT,
 };
 use venice_telemetry::{NodeGauges, NoopProbe, Probe, SampleRow, TenantCounters};
-use venice_transport::qpair::QpairError;
 use venice_transport::{QpairConfig, QueuePair};
 
 use crate::admission::{AdmissionConfig, AdmissionControl, Decision, ShedReason};
@@ -290,8 +290,11 @@ struct ReqAttrib {
 
 /// Per-node server state.
 struct Server {
-    /// Edge-gateway → node messaging channel (finite credits).
-    qp: QueuePair,
+    /// Free receiver credits of the edge-gateway → node QPair
+    /// ([`QpairConfig::credits`]): a dispatch takes one and its finish
+    /// returns it. The pair's send queue is deeper than its credits, so
+    /// credits are the only gate.
+    credits: CreditCounter,
     /// Busy-until time of each service slot.
     slots: Vec<Time>,
     /// Slab slots of requests waiting for a QPair credit.
@@ -694,7 +697,7 @@ fn issue_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
     if P::ENABLED {
         w.probe.on_fused_arrival(at);
     }
-    issue_with(w, s, at, entry.class as usize, entry.user);
+    issue_with(w, s, at, entry);
 }
 
 /// The next arrival this world issues off the tape it was handed
@@ -774,9 +777,11 @@ struct TapeFeed {
     skip: u64,
 }
 
-/// Routes `user`'s request: home node by population hash, except that a
-/// home node whose remote tier is empty defers to a mesh neighbor already
-/// holding a lease driven by this tenant (locality: follow the memory).
+/// Routes a request of tenant `class` whose user's home node is `home`
+/// (the population hash, `user % nodes`, which the tape stores with each
+/// arrival), except that a home node whose remote tier is empty defers
+/// to a mesh neighbor already holding a lease driven by this tenant
+/// (locality: follow the memory).
 ///
 /// With a fault plan armed, a *down* home node is skipped entirely: the
 /// session re-routes to the first live mesh neighbor (adjacency order),
@@ -787,10 +792,9 @@ struct TapeFeed {
 fn route<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &World<'_, P, M, F>,
     class: usize,
-    user: u64,
+    home: usize,
 ) -> usize {
     let n = w.servers.len();
-    let home = (user % n as u64) as usize;
     if F::ENABLED && !w.faults.node_up(home as u16) {
         for &nb in &w.neighbors[home] {
             if w.faults.node_up(nb) {
@@ -819,17 +823,17 @@ fn route<P: Probe, M: RemoteModel, F: FaultModel>(
     home
 }
 
-/// Runs one generated request through per-node admission and dispatch.
+/// Runs one tape arrival through per-node admission and dispatch.
 fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<'a, P, M, F>,
     s: &mut Sched<'a, P, M, F>,
     now: Time,
-    class: usize,
-    user: u64,
+    entry: TapeEntry,
 ) {
+    let (class, user) = (entry.class as usize, entry.user);
     let seq = w.issued;
     w.issued += 1;
-    let node = route(w, class, user);
+    let node = route(w, class, entry.node as usize);
     // Total outage: every node is down, so the front door itself is
     // gone — the request is a crash loss, not an admission decision.
     if F::ENABLED && !w.faults.node_up(node as u16) {
@@ -982,67 +986,63 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
     // One bounds-checked server borrow for the whole hot path (the
     // other touched fields are disjoint, so the borrows coexist).
     let srv = &mut w.servers[node];
-    match srv.qp.post_send(w.req_bytes_by_class[req.class as usize]) {
-        Ok(()) => {
+    if srv.credits.try_consume() {
+        if P::ATTRIB {
+            // The request clears the credit gate now; everything
+            // since arrival was queue wait (or establish stall).
+            w.attrib[slot as usize].dispatch_at = now;
+        }
+        let fab = if M::ENABLED {
+            // Congestion queueing delay over the node↔donor fabric
+            // path, charged exactly once — here, when the request
+            // actually dispatches, not when a backlogged one parks.
+            let fab = w.remote.charge(now, node, req.class as usize);
+            if w.fabric_detour.len() <= slot as usize {
+                w.fabric_detour.resize(slot as usize + 1, 0);
+            }
+            w.fabric_detour[slot as usize] = fab.as_ps();
+            fab
+        } else {
+            Time::ZERO
+        };
+        let deliver = now + srv.msg_lat_by_class[req.class as usize];
+        let (best_slot, free_at) = earliest_slot(&srv.slots);
+        let start = deliver.max(free_at);
+        let comp = start + req.service + fab;
+        srv.slots[best_slot] = comp;
+        srv.inflight_by_class[req.class as usize] += 1;
+        s.schedule_event_at(comp, EngineEvent::Finish(slot));
+    } else {
+        srv.credit_waits += 1;
+        if srv.backlog.len() < w.backlog_cap {
+            if P::ATTRIB && w.pending_grows[node] > 0 {
+                // The node is waiting on a grow's establish flow:
+                // classify this park as a lease-establish stall.
+                w.attrib[slot as usize].stalled = true;
+            }
+            srv.backlog.push_back(slot);
+            srv.queued_by_class[req.class as usize] += 1;
+        } else {
+            // The node is saturated beyond its backlog: drop the
+            // request and free its in-flight slot.
+            let req = w.requests.take(slot);
+            w.stats[req.class as usize].shed_backpressure += 1;
+            w.admissions[node].on_completion();
             if P::ATTRIB {
-                // The request clears the credit gate now; everything
-                // since arrival was queue wait (or establish stall).
-                w.attrib[slot as usize].dispatch_at = now;
+                w.probe.on_shed(req.class as u16, node as u16, 2, now);
             }
-            let fab = if M::ENABLED {
-                // Congestion queueing delay over the node↔donor fabric
-                // path, charged exactly once — here, when the request
-                // actually dispatches, not when a backlogged one parks.
-                let fab = w.remote.charge(now, node, req.class as usize);
-                if w.fabric_detour.len() <= slot as usize {
-                    w.fabric_detour.resize(slot as usize + 1, 0);
-                }
-                w.fabric_detour[slot as usize] = fab.as_ps();
-                fab
-            } else {
-                Time::ZERO
-            };
-            let deliver = now + srv.msg_lat_by_class[req.class as usize];
-            let (best_slot, free_at) = earliest_slot(&srv.slots);
-            let start = deliver.max(free_at);
-            let comp = start + req.service + fab;
-            srv.slots[best_slot] = comp;
-            srv.inflight_by_class[req.class as usize] += 1;
-            s.schedule_event_at(comp, EngineEvent::Finish(slot));
+            record(
+                w,
+                req.seq,
+                req.arrival,
+                req.class as usize,
+                req.user,
+                node,
+                RequestOutcome::ShedBackpressure,
+                Time::ZERO,
+                req.generation,
+            );
         }
-        Err(QpairError::NoCredit) | Err(QpairError::QueueFull) => {
-            srv.credit_waits += 1;
-            if srv.backlog.len() < w.backlog_cap {
-                if P::ATTRIB && w.pending_grows[node] > 0 {
-                    // The node is waiting on a grow's establish flow:
-                    // classify this park as a lease-establish stall.
-                    w.attrib[slot as usize].stalled = true;
-                }
-                srv.backlog.push_back(slot);
-                srv.queued_by_class[req.class as usize] += 1;
-            } else {
-                // The node is saturated beyond its backlog: drop the
-                // request and free its in-flight slot.
-                let req = w.requests.take(slot);
-                w.stats[req.class as usize].shed_backpressure += 1;
-                w.admissions[node].on_completion();
-                if P::ATTRIB {
-                    w.probe.on_shed(req.class as u16, node as u16, 2, now);
-                }
-                record(
-                    w,
-                    req.seq,
-                    req.arrival,
-                    req.class as usize,
-                    req.user,
-                    node,
-                    RequestOutcome::ShedBackpressure,
-                    Time::ZERO,
-                    req.generation,
-                );
-            }
-        }
-        Err(e) => unreachable!("unexpected qpair error: {e:?}"),
     }
 }
 
@@ -1064,8 +1064,7 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         let node = req.node as usize;
         let srv = &mut w.servers[node];
         srv.inflight_by_class[req.class as usize] -= 1;
-        srv.qp.drain_one();
-        srv.qp.credit_update(1);
+        srv.credits.grant(1);
         if let Some(next) = w.pop_backlog(node) {
             dispatch(w, s, next);
         }
@@ -1147,9 +1146,7 @@ fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
         latency,
         req.generation,
     );
-    let srv = &mut w.servers[node];
-    srv.qp.drain_one();
-    srv.qp.credit_update(1);
+    w.servers[node].credits.grant(1);
     if let Some(next) = w.pop_backlog(node) {
         dispatch(w, s, next);
     }
@@ -1523,10 +1520,10 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         let gateway = NodeId(0);
         let path = cluster.path.clone();
         let mut qpair_lat = Vec::with_capacity(n);
-        let mut qps = Vec::with_capacity(n);
         let mut msg_lat = Vec::with_capacity(n);
+        let qpair = QpairConfig::on_chip();
         for i in 0..n as u16 {
-            let mut qp = QueuePair::new(gateway, NodeId(i), QpairConfig::on_chip());
+            let mut qp = QueuePair::new(gateway, NodeId(i), qpair.clone());
             qpair_lat.push(
                 qp.message_latency(&path, 64)
                     .expect("64 B control message fits any qpair"),
@@ -1542,7 +1539,6 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                     })
                     .collect::<Vec<Time>>(),
             );
-            qps.push(qp);
         }
         if F::ENABLED {
             // Sizes liveness state and rejects plans naming nodes outside
@@ -1599,15 +1595,14 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             (Some(_), _) => unreachable!("validated above"),
         }
 
-        // 4. Assemble the per-node servers: transport pair, service
+        // 4. Assemble the per-node servers: QPair credits, service
         //    slots, and each tenant class's service model compiled
         //    against the node's provisioned model.
-        let servers: Vec<Server> = qps
-            .into_iter()
-            .zip(&models)
+        let servers: Vec<Server> = models
+            .iter()
             .zip(msg_lat)
-            .map(|((qp, model), msg_lat_by_class)| Server {
-                qp,
+            .map(|(model, msg_lat_by_class)| Server {
+                credits: CreditCounter::new(qpair.credits),
                 slots: vec![Time::ZERO; config.per_node_concurrency as usize],
                 backlog: VecDeque::new(),
                 model: *model,

@@ -230,7 +230,7 @@ impl<'t> Filler<'t> {
         let out = &mut chunk.entries;
         out.clear();
         let nodes = self.nodes;
-        // The home node, hashed as the engine's router hashes it.
+        // The user's home node, which the engine's router starts from.
         let entry = |gap, class, user: u64| TapeEntry {
             gap,
             user,

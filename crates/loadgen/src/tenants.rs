@@ -277,11 +277,11 @@ impl RequestProfile {
                     CacheMemory::Local
                 };
                 let capacity = (cache.local_floor_bytes + node.remote_bytes).min(*capacity_bytes);
-                CompiledService::Coin {
-                    miss_rate: cache.miss_rate(capacity),
-                    miss: cache.backend_cost,
-                    hit: cache.hit_time(capacity, memory),
-                }
+                CompiledService::coin(
+                    cache.miss_rate(capacity),
+                    cache.backend_cost,
+                    cache.hit_time(capacity, memory),
+                )
             }
             RequestProfile::Oltp {
                 workload,
@@ -321,11 +321,11 @@ impl RequestProfile {
         match compiled {
             CompiledService::Fixed(t) => CompiledService::Fixed(t.scale(factor)),
             CompiledService::Coin {
-                miss_rate,
+                miss_below,
                 miss,
                 hit,
             } => CompiledService::Coin {
-                miss_rate,
+                miss_below,
                 miss: miss.scale(factor),
                 hit: hit.scale(factor),
             },
@@ -344,8 +344,10 @@ pub enum CompiledService {
     /// KV cache: one Bernoulli miss draw selects between two
     /// precomputed costs.
     Coin {
-        /// Miss probability at the node's current cache capacity.
-        miss_rate: f64,
+        /// The miss probability at the node's current cache capacity as
+        /// a threshold on a draw's top 53 bits: the draw misses when
+        /// they fall below it ([`CompiledService::coin`]).
+        miss_below: u64,
         /// Cost of a miss (backend query).
         miss: Time,
         /// Cost of a hit at the node's current capacity/memory.
@@ -354,6 +356,28 @@ pub enum CompiledService {
 }
 
 impl CompiledService {
+    /// A [`Coin`](CompiledService::Coin) that misses with probability
+    /// `miss_rate` (clamped to `[0, 1]`), draw for draw as
+    /// [`SimRng::chance`] decides it.
+    ///
+    /// `chance(p)` draws `k = next_u64() >> 11` and misses when
+    /// `k · 2^-53 < p`. Scaling by a power of two is exact, so that is
+    /// `k < p · 2^53`, and for an integer `k` that is
+    /// `k < ceil(p · 2^53)`: one integer compare per draw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `miss_rate` is NaN, as the draw itself would.
+    pub fn coin(miss_rate: f64, miss: Time, hit: Time) -> Self {
+        assert!(!miss_rate.is_nan(), "miss rate is NaN");
+        let scaled = miss_rate.clamp(0.0, 1.0) * (1u64 << 53) as f64;
+        CompiledService::Coin {
+            miss_below: scaled.ceil() as u64,
+            miss,
+            hit,
+        }
+    }
+
     /// Draws one service time; bit-identical to
     /// [`RequestProfile::service_time`] on the node this was compiled
     /// against (same draws from `rng`, same arithmetic).
@@ -373,11 +397,11 @@ impl CompiledService {
         let (base, is_miss) = match self {
             CompiledService::Fixed(t) => (*t, false),
             CompiledService::Coin {
-                miss_rate,
+                miss_below,
                 miss,
                 hit,
             } => {
-                if rng.chance(*miss_rate) {
+                if rng.next_u64() >> 11 < *miss_below {
                     (*miss, true)
                 } else {
                     (*hit, false)
@@ -857,6 +881,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn coin_threshold_matches_chance_draw_for_draw() {
+        // Every preset KV class's miss rate, with and without a remote
+        // tier, plus the clamp's edges.
+        let mut rates = vec![0.0, 1.0, 1e-300, 0.5, -0.25, 1.25];
+        for mix in TenantMix::presets() {
+            for class in &mix.classes {
+                if let RequestProfile::Kv {
+                    cache,
+                    capacity_bytes,
+                } = &class.profile
+                {
+                    for n in [NodeModel::local_only(Time::from_ns(100)), node()] {
+                        let capacity =
+                            (cache.local_floor_bytes + n.remote_bytes).min(*capacity_bytes);
+                        rates.push(cache.miss_rate(capacity));
+                    }
+                }
+            }
+        }
+        assert!(rates.len() > 6, "the presets carry KV classes");
+        let (miss, hit) = (Time::from_us(900), Time::from_us(3));
+        for p in rates {
+            let coin = CompiledService::coin(p, miss, hit);
+            let mut a = SimRng::seed(0x5EED);
+            let mut b = a.clone();
+            for i in 0..20_000 {
+                let (t, is_miss) = coin.sample_split(&mut a);
+                let want = b.chance(p);
+                let base = if want { miss } else { hit };
+                assert_eq!(is_miss, want, "p = {p:e}, draw {i}");
+                assert_eq!(t, base.scale(0.9 + 0.2 * b.unit()), "p = {p:e}, draw {i}");
+            }
+        }
+        // Only the all-zero draw misses at 1e-300, which 20,000 draws
+        // will not meet: pin the thresholds themselves.
+        let below = |p| match CompiledService::coin(p, miss, hit) {
+            CompiledService::Coin { miss_below, .. } => miss_below,
+            CompiledService::Fixed(_) => unreachable!("coin builds a Coin"),
+        };
+        assert_eq!(below(0.0), 0);
+        assert_eq!(below(1e-300), 1);
+        assert_eq!(below(1.0), 1 << 53);
+        assert_eq!(below(0.5), 1 << 52);
+    }
+
+    #[test]
+    #[should_panic(expected = "miss rate is NaN")]
+    fn coin_rejects_a_nan_miss_rate() {
+        CompiledService::coin(f64::NAN, Time::from_us(900), Time::from_us(3));
     }
 
     #[test]

@@ -247,6 +247,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event **iff** its timestamp does
     /// not exceed `horizon`. One key access serves both the horizon
     /// check and the pop — the kernel's hot loop, fused.
+    #[inline]
     pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, E)> {
         let at = time_of(self.run.last()?.0);
         if at > horizon {

@@ -241,6 +241,7 @@ impl LogHistogram {
     }
 
     /// Bucket index for a raw picosecond value.
+    #[inline]
     fn index_of(&self, ps: u64) -> usize {
         let sub = self.sub_bits;
         if ps < (1 << sub) {

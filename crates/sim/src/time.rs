@@ -6,6 +6,18 @@
 //! time — far beyond any experiment in the paper — while keeping exact
 //! arithmetic for serialization delays such as "64 bytes at 5 Gbps"
 //! (102.4 ns, not representable in integer nanoseconds).
+//!
+//! # Rounding
+//!
+//! Every float-to-`Time` conversion ([`Time::from_secs_f64`],
+//! [`Time::serialize_bytes`], [`Time::from_cycles`], [`Time::scale`])
+//! rounds to the nearest picosecond, ties away from zero, and saturates
+//! at [`Time::MAX`]: exactly `f64::round(x) as u64` for every picosecond
+//! count `x` they compute, which their argument checks keep non-negative.
+//! They do so with one float add and the float's bits (`round_ps`),
+//! because on the baseline x86-64 target, which has no rounding
+//! instruction, `f64::round` is an out-of-line soft-float call, and
+//! `Time::scale` runs once per request.
 
 use std::fmt;
 use std::iter::Sum;
@@ -75,7 +87,7 @@ impl Time {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time in seconds: {s}");
-        Time((s * 1e12).round() as u64)
+        Time(round_ps(s * 1e12))
     }
 
     /// Raw picosecond count.
@@ -132,11 +144,12 @@ impl Time {
     /// # Panics
     ///
     /// Panics if `gbps` is not strictly positive.
+    #[inline]
     pub fn serialize_bytes(bytes: u64, gbps: f64) -> Time {
         assert!(gbps > 0.0, "bandwidth must be positive, got {gbps}");
         // bits / (gbits/s) = ns; work in ps for precision.
         let ps = (bytes as f64 * 8.0) / gbps * 1_000.0;
-        Time(ps.round() as u64)
+        Time(round_ps(ps))
     }
 
     /// Duration of `cycles` cycles at `mhz` megahertz.
@@ -147,7 +160,7 @@ impl Time {
     pub fn from_cycles(cycles: u64, mhz: f64) -> Time {
         assert!(mhz > 0.0, "frequency must be positive, got {mhz}");
         let ps = cycles as f64 * 1e6 / mhz;
-        Time(ps.round() as u64)
+        Time(round_ps(ps))
     }
 
     /// Scales the time by a dimensionless factor.
@@ -158,7 +171,7 @@ impl Time {
     #[inline]
     pub fn scale(self, f: f64) -> Time {
         assert!(f.is_finite() && f >= 0.0, "invalid scale factor {f}");
-        Time((self.0 as f64 * f).round() as u64)
+        Time(round_ps(self.0 as f64 * f))
     }
 
     /// Ratio of two durations as `f64`; returns 0 when `rhs` is zero.
@@ -169,6 +182,30 @@ impl Time {
             self.0 as f64 / rhs.0 as f64
         }
     }
+}
+
+/// `x.round() as u64` for `x >= 0` (`-0.0` and `+∞` included) without
+/// the soft-float call: the nearest integer, ties away from zero,
+/// saturating at `u64::MAX`.
+///
+/// An `f64` at or above 2^52 is already an integer, so the cast is
+/// exact. Below it, adding 2^52 rounds `x` to the nearest integer `k`,
+/// ties to even, and leaves `2^52 + k` in the float, whose bits are
+/// `2^52`'s bits plus `k`: no float-to-integer conversion at all. Both
+/// subtractions in `x - ((x + 2^52) - 2^52)` are exact (Sterbenz), so
+/// the difference is exactly 0.5 only at a tie that went down, which
+/// goes up instead. The common `(x + 0.5) as u64` is not exact: it
+/// rounds `0.49999999999999994` up.
+#[inline]
+fn round_ps(x: f64) -> u64 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    debug_assert!(x >= 0.0, "round_ps takes non-negative values, got {x}");
+    if x >= TWO_52 {
+        return x as u64;
+    }
+    let shifted = x + TWO_52;
+    let k = shifted.to_bits() - TWO_52.to_bits();
+    k + u64::from(x - (shifted - TWO_52) == 0.5)
 }
 
 impl Add for Time {
@@ -245,6 +282,7 @@ impl fmt::Display for Time {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn conversions_round_trip() {
@@ -315,5 +353,84 @@ mod tests {
     #[should_panic]
     fn negative_seconds_panics() {
         let _ = Time::from_secs_f64(-1.0);
+    }
+
+    /// `round_ps` must be `f64::round` followed by the saturating cast.
+    fn check_round(x: f64) {
+        assert_eq!(
+            round_ps(x),
+            x.round() as u64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_ps_matches_f64_round_on_its_edges() {
+        const TWO_52: f64 = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            1_000_000.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            TWO_52 - 0.5,
+            TWO_52 - 1.0,
+            TWO_52,
+            TWO_52 + 0.5,
+            TWO_52 + 1.0,
+            2.0 * TWO_52 + 1.0,
+            2.0 * TWO_52 + 2.0,
+            18_446_744_073_709_551_616.0, // 2^64
+            f64::MAX,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+        ] {
+            check_round(x);
+        }
+        assert_eq!(round_ps(0.49999999999999994), 0);
+        assert_eq!(round_ps(2.5), 3);
+        assert_eq!(round_ps(TWO_52 - 0.5), 1 << 52);
+        assert_eq!(round_ps(f64::INFINITY), u64::MAX);
+    }
+
+    proptest! {
+        /// Every non-negative finite `f64`: 1,024 consecutive bit
+        /// patterns from a uniform start.
+        #[test]
+        fn round_ps_matches_f64_round_on_every_bit_pattern(
+            start in 0u64..0x7FF0_0000_0000_0000,
+        ) {
+            for bits in start..(start + 1024).min(0x7FF0_0000_0000_0000) {
+                check_round(f64::from_bits(bits));
+            }
+        }
+
+        /// The same, below 2^53, where the fraction decides.
+        #[test]
+        fn round_ps_matches_f64_round_below_two_to_the_53(
+            start in 0u64..0x4340_0000_0000_0000,
+        ) {
+            for bits in start..start + 1024 {
+                check_round(f64::from_bits(bits));
+            }
+        }
+
+        /// Service jitter: `base · (0.9 + 0.2u)` over a run of unit draws
+        /// `u = k / 2^53`, the product [`Time::scale`] rounds.
+        #[test]
+        fn round_ps_matches_f64_round_on_service_jitter(
+            base in 0u64..1 << 44,
+            k in 0u64..1 << 53,
+        ) {
+            for k in k..(k + 1024).min(1 << 53) {
+                let u = k as f64 * (1.0 / (1u64 << 53) as f64);
+                check_round(base as f64 * (0.9 + 0.2 * u));
+            }
+        }
     }
 }
