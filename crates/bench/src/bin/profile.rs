@@ -25,11 +25,15 @@
 //!
 //! With `--gate-overhead PCT`, the no-op and probed runs are also timed
 //! in `--iters` interleaved pairs, alternating which side runs first,
-//! and the run fails if the median of the per-pair probed/no-op wall
-//! ratios exceeds 1 by more than `PCT` percent — the "cheap enough to
-//! leave on" claim, measured. A pair's two runs share the machine's
-//! load of the moment, so their ratio cancels it, and the median keeps
-//! one noisy pair from deciding the gate.
+//! and the run fails if the median of the per-pair probed/no-op ratios
+//! of on-CPU time exceeds 1 by more than `PCT` percent — the "cheap
+//! enough to leave on" claim, measured. The time is the calling
+//! thread's, read from `/proc/thread-self/schedstat`: a run of one
+//! world does all its work there unless a fill helper starts, and at
+//! `RAYON_NUM_THREADS=1` none does. On-CPU time leaves out the time the
+//! thread waits for a core, which wall time on a loaded machine counts;
+//! the median keeps one noisy pair from deciding the gate. The gate
+//! fails, naming the file, if it cannot be read.
 //!
 //! Sampling cadence is `--tick-ms` (sim time) with a ring retaining the
 //! last `--cap` rows per scenario, so artifact size is bounded no
@@ -40,7 +44,7 @@
 //! the event flow or lease attribution must re-commit it.
 
 use std::process::ExitCode;
-use std::time::Instant;
+use std::thread;
 
 use venice_loadgen::telemetry::EVENT_KIND_LABELS;
 use venice_loadgen::{engine, scenarios, FaultPlan, LoadgenConfig};
@@ -165,11 +169,33 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-/// One timed call of `f`, in milliseconds.
-fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
+/// Where the calling thread's on-CPU time is read from.
+const SCHEDSTAT: &str = "/proc/thread-self/schedstat";
+
+/// The calling thread's on-CPU time in nanoseconds, the first field of
+/// [`SCHEDSTAT`]. The kernel brings that field up to date only at
+/// scheduler events, at worst once a timer tick (4 ms at 250 Hz), so
+/// this yields first: the yield is such an event.
+fn thread_cpu_ns() -> Result<u64, String> {
+    thread::yield_now();
+    let text =
+        std::fs::read_to_string(SCHEDSTAT).map_err(|e| format!("cannot read {SCHEDSTAT}: {e}"))?;
+    text.split_whitespace()
+        .next()
+        .and_then(|field| field.parse().ok())
+        .ok_or_else(|| format!("{SCHEDSTAT}: no on-CPU time in {text:?}"))
+}
+
+/// One call of `f`, with the calling thread's on-CPU milliseconds over
+/// it when `timed` (and 0 otherwise).
+fn run_once<T>(timed: bool, f: impl FnOnce() -> T) -> Result<(f64, T), String> {
+    if !timed {
+        return Ok((0.0, f()));
+    }
+    let start = thread_cpu_ns()?;
     let r = f();
-    (start.elapsed().as_secs_f64() * 1e3, r)
+    let ns = thread_cpu_ns()?.saturating_sub(start);
+    Ok((ns as f64 / 1e6, r))
 }
 
 fn main() -> ExitCode {
@@ -195,25 +221,27 @@ fn main() -> ExitCode {
         // pairs and second in odd ones, so neither side always runs
         // into a warm or a freshly loaded machine. The reports come
         // from the final pair; every pair is bit-identical.
-        let iters = if args.gate_overhead_pct.is_some() {
-            args.iters
-        } else {
-            1
-        };
-        let mut walls = Vec::with_capacity(iters as usize);
+        let timed = args.gate_overhead_pct.is_some();
+        let iters = if timed { args.iters } else { 1 };
+        let mut cpu = Vec::with_capacity(iters as usize);
         let mut noop_report = None;
         let mut probed = None;
         for i in 0..iters {
-            let noop = || time_once(|| start(&config).execute().report);
-            let probe = || time_once(|| start(&config).recording(tick, args.cap).execute());
-            let ((noop_ms, r), (probed_ms, out)) = if i.is_multiple_of(2) {
-                let n = noop();
-                (n, probe())
+            let noop = || run_once(timed, || start(&config).execute().report);
+            let probe = || run_once(timed, || start(&config).recording(tick, args.cap).execute());
+            let pair = if i.is_multiple_of(2) {
+                noop().and_then(|n| Ok((n, probe()?)))
             } else {
-                let p = probe();
-                (noop(), p)
+                probe().and_then(|p| Ok((noop()?, p)))
             };
-            walls.push((noop_ms, probed_ms));
+            let ((noop_ms, r), (probed_ms, out)) = match pair {
+                Ok(pair) => pair,
+                Err(e) => {
+                    eprintln!("profile: probe overhead gate FAILED: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            cpu.push((noop_ms, probed_ms));
             noop_report = Some(r);
             probed = Some((out.profile_text(scenario), out.report, out.probe));
         }
@@ -239,15 +267,15 @@ fn main() -> ExitCode {
             "gate: probed report matches the no-op report byte for byte ({} bytes)",
             noop_json.len()
         );
-        if args.gate_overhead_pct.is_some() {
-            let ratio = median(walls.iter().map(|(noop, probed)| probed / noop).collect());
+        if timed {
+            let ratio = median(cpu.iter().map(|(noop, probed)| probed / noop).collect());
             let overhead_pct = (ratio - 1.0) * 100.0;
             worst_overhead_pct = worst_overhead_pct.max(overhead_pct);
             println!(
-                "timing: median no-op {:.1} ms, probed {:.1} ms, per-pair ratio {ratio:.3} \
-                 (overhead {overhead_pct:+.1}%, median of {iters} pairs)",
-                median(walls.iter().map(|w| w.0).collect()),
-                median(walls.iter().map(|w| w.1).collect()),
+                "timing: median on-CPU no-op {:.1} ms, probed {:.1} ms, per-pair ratio \
+                 {ratio:.3} (overhead {overhead_pct:+.1}%, median of {iters} pairs)",
+                median(cpu.iter().map(|c| c.0).collect()),
+                median(cpu.iter().map(|c| c.1).collect()),
             );
         }
         println!();

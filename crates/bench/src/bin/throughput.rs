@@ -295,6 +295,11 @@ fn main() -> ExitCode {
             config.requests = n;
         }
         let (entry, metrics) = measure(args.iters, family, label, &config);
+        // A sequential run is the arrival driver at width 1: `helper`
+        // when a fill helper thread, which owns no world, filled the tape
+        // beside the world, `inline` when the world's own thread filled
+        // it; the epoch waits are the barrier rounds the world's thread
+        // reached first.
         println!(
             "{family:<10} {label:<18} {:>9} req  {:>8.1} ms ({:>5.2} M ev/s)  \
              peak depth {}  tape {} ({} epoch waits)",
@@ -303,7 +308,7 @@ fn main() -> ExitCode {
             entry.typed_events_per_sec / 1e6,
             entry.peak_queue_depth,
             if metrics.tape_producer {
-                "producer"
+                "helper"
             } else {
                 "inline"
             },

@@ -26,7 +26,7 @@
 //! into `BENCH_perf.json`, and the golden corpus (`BENCH_golden.jsonl`)
 //! pins its bytes.
 //!
-//! # One arrival loop
+//! # One arrival loop, one driver
 //!
 //! Arrivals never enter the event queue. Every world, sequential or a
 //! shard of a sharded run, replayed or drawn, runs one loop
@@ -35,6 +35,9 @@
 //! issue it in place. The caller owns the clock and moves it to each
 //! arrival, so at any instant every queued event fires before that
 //! instant's arrival, and a shard reads that order off its own nodes.
+//! One driver (`crate::sharded`) hands every world its arrivals, one
+//! tape epoch at a time: a sequential run is that driver at width 1,
+//! one world owning every node.
 
 use std::collections::VecDeque;
 use std::hint::select_unpredictable;
@@ -58,8 +61,9 @@ use crate::arrival::{ArrivalDraws, ArrivalProcess};
 use crate::faults::{FaultModel, FaultPlan, NoFaults};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::{LeaseSummary, LoadReport, TenantReport};
+use crate::sharded::{self, Lockstep};
 use crate::stacks::RemoteStack;
-use crate::tape::{self, Chunk, Drawer, Filler, Reader, Stream, TapeEntry};
+use crate::tape::{Chunk, Stream, TapeEntry};
 use crate::tenants::{CompiledAttrib, CompiledService, NodeModel, TenantClass, TenantMix};
 use crate::trace::{RequestOutcome, RequestRecord, Trace};
 
@@ -179,13 +183,13 @@ pub struct EngineMetrics {
     /// End-of-run `(live, high-water)` occupancy of the kernel queue's
     /// entry slab (entries filed in the ring or its far list).
     pub slab: (usize, usize),
-    /// Epochs of the arrival tape the simulation thread reached before
-    /// the producer thread had filled them (0 unless
-    /// [`Self::tape_producer`]).
+    /// Barrier rounds of the arrival driver that the calling thread
+    /// reached first, waiting for another thread to finish its part of
+    /// the round (0 when it runs alone).
     pub tape_epoch_waits: u64,
-    /// Whether a producer thread filled the arrival tape one epoch ahead
-    /// of the simulation thread, on a spare core, instead of the
-    /// simulation thread filling each epoch itself.
+    /// Whether a thread that owns no world, the fill helper of a
+    /// sequential run, filled the arrival tape on a spare core, one
+    /// epoch ahead of the world.
     pub tape_producer: bool,
     /// Wrapping sum of every completed request's latency in picoseconds.
     /// Reports and traces round latencies to histogram buckets and whole
@@ -423,10 +427,11 @@ impl EngineEvent {
 }
 
 /// The engine's scheduler flavor: typed events over the world.
-type Sched<'a, P, M, F> = Scheduler<World<'a, P, M, F>, EngineEvent>;
+type Sched<P, M, F> = Scheduler<World<P, M, F>, EngineEvent>;
 
-impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> for EngineEvent {
-    fn fire(self, w: &mut World<'a, P, M, F>, s: &mut Sched<'a, P, M, F>) {
+impl<P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<P, M, F>> for EngineEvent {
+    #[inline]
+    fn fire(self, w: &mut World<P, M, F>, s: &mut Sched<P, M, F>) {
         if P::ENABLED {
             pulse(w, s, self.kind());
         }
@@ -444,16 +449,13 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> SimEvent<World<'a, P, M, F>> f
 ///
 /// A world issues the requests routed to the nodes in `owned`: every
 /// node for a sequential run, one node group for a shard of a sharded
-/// run ([`crate::sharded`]). Every arrival, drawn or replayed, comes
-/// off an arrival tape ([`crate::tape`]) through the world's `feed`,
-/// and [`run_arrivals`] issues it: a sequential world reads the next
-/// chunk through its `reader` when its feed runs out, a shard is handed
-/// each epoch by the sharded driver.
-pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
+/// run. Every arrival, drawn or replayed, comes off an arrival tape
+/// ([`crate::tape`]) through the world's `feed`, which the arrival
+/// driver ([`crate::sharded`]) hands one epoch at a time, and
+/// [`run_arrivals`] issues it.
+pub(crate) struct World<P: Probe, M: RemoteModel, F: FaultModel> {
     /// Nodes whose arrivals this world issues.
     owned: Range<u16>,
-    /// A sequential world's end of its arrival tape; `None` on a shard.
-    reader: Option<Reader<'a>>,
     /// The world's cursor on the arrival tape.
     feed: TapeFeed,
     /// Setup counters carried to the report: leases borrowed at setup
@@ -538,7 +540,7 @@ pub(crate) struct World<'a, P: Probe, M: RemoteModel, F: FaultModel> {
     node_fault_seq: Vec<u64>,
 }
 
-impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
+impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
     /// Total admitted-but-not-completed requests across all nodes.
     fn total_inflight(&self) -> u32 {
         self.admissions.iter().map(|a| a.inflight()).sum()
@@ -546,6 +548,7 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
 
     /// Pops `node`'s oldest backlogged slot, keeping the node's
     /// `queued_by_class` in step.
+    #[inline]
     fn pop_backlog(&mut self, node: usize) -> Option<u32> {
         let srv = &mut self.servers[node];
         let slot = srv.backlog.pop_front()?;
@@ -574,12 +577,15 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
     /// stepped over every foreign arrival's service draws assuming
     /// admission, and the sequential engine skips the draws for a shed
     /// request. Until the first shed anywhere, every shard is exact, so
-    /// the shard holding it always reports it.
+    /// the shard holding it always reports it. A world owning every node
+    /// steps over nothing, so it never fails.
     pub(crate) fn violation(&self) -> Option<FallbackReason> {
-        self.stats
+        let partial = self.owned.len() < self.servers.len();
+        let shed = self
+            .stats
             .iter()
-            .any(|st| st.shed_rate + st.shed_overload > 0)
-            .then_some(FallbackReason::Shed)
+            .any(|st| st.shed_rate + st.shed_overload > 0);
+        (partial && shed).then_some(FallbackReason::Shed)
     }
 }
 
@@ -588,9 +594,10 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
 /// Called only under `if P::ENABLED`, and never from the no-op path —
 /// sampling piggybacks on events the kernel was executing anyway, so
 /// the probed event stream is the unprobed one, exactly.
-fn pulse<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+#[inline]
+fn pulse<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     kind: u8,
 ) {
     let now = s.now();
@@ -605,7 +612,7 @@ fn pulse<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// Reads the same ledgers the report reads (cluster byte positions,
 /// admission stats, the lease timeline) — observation only.
 fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     pending: usize,
     slab_live: usize,
 ) -> SampleRow {
@@ -679,7 +686,8 @@ fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
 /// instant fires before that instant's arrival, an order each shard
 /// computes from its own nodes. Returns once the tape runs out: at the
 /// end of the run, or at the end of a shard's handed epoch.
-fn run_arrivals<P: Probe, M: RemoteModel, F: FaultModel>(kernel: &mut EngineKernel<'_, P, M, F>) {
+#[inline]
+fn run_arrivals<P: Probe, M: RemoteModel, F: FaultModel>(kernel: &mut EngineKernel<P, M, F>) {
     while let Some(arrival) = next_owned_arrival(kernel.state_mut()) {
         issue_arrival(kernel, arrival);
     }
@@ -687,8 +695,9 @@ fn run_arrivals<P: Probe, M: RemoteModel, F: FaultModel>(kernel: &mut EngineKern
 
 /// Runs the kernel up to `at`, inclusive, and issues the tape arrival
 /// `entry` there.
+#[inline]
 fn issue_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
-    kernel: &mut EngineKernel<'_, P, M, F>,
+    kernel: &mut EngineKernel<P, M, F>,
     (at, entry): (Time, TapeEntry),
 ) {
     kernel.run_until(at);
@@ -701,31 +710,17 @@ fn issue_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
 }
 
 /// The next arrival this world issues off the tape it was handed
-/// ([`TapeFeed`]), with its instant. The feed walks the tape one entry
-/// at a time, stepping the service stream over the arrivals routed to
-/// nodes the world does not own, as the sequential engine draws their
-/// service times. A sequential world whose handed chunks ran out takes the next
-/// chunk of the tape here, and returns `None` only past the run's last
-/// arrival. A shard returns `None` once its handed epoch runs out.
+/// ([`TapeFeed`]), with its instant, or `None` once the handed epoch
+/// runs out. The feed walks the tape one entry at a time, stepping the
+/// service stream over the arrivals routed to nodes the world does not
+/// own, as the sequential engine draws their service times.
+#[inline]
 fn next_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
 ) -> Option<(Time, TapeEntry)> {
     let feed = &mut w.feed;
     loop {
-        let Some(chunk) = feed.chunks.get(feed.chunk) else {
-            let Some(reader) = &mut w.reader else {
-                return None;
-            };
-            if feed.seq == w.target {
-                return None;
-            }
-            // Release the spent chunk before the barrier round that lets
-            // the producer refill it.
-            feed.chunks.clear();
-            feed.chunks.push(reader.next_chunk());
-            feed.chunk = 0;
-            continue;
-        };
+        let chunk = feed.chunks.get(feed.chunk)?;
         let Some(&entry) = chunk.entries.get(feed.pos) else {
             feed.chunk += 1;
             feed.pos = 0;
@@ -762,8 +757,7 @@ pub(crate) fn seed_streams(seed: u64) -> (SimRng, SimRng) {
 /// where the cursor stands in them and in the global stream.
 #[derive(Debug, Default)]
 struct TapeFeed {
-    /// Chunks handed to this world: a sequential world's current one, a
-    /// shard's current epoch.
+    /// Chunks handed to this world: the current epoch's.
     chunks: Vec<Arc<Chunk>>,
     /// Index of the chunk the cursor is in, and of its next entry.
     chunk: usize,
@@ -790,7 +784,7 @@ struct TapeFeed {
 /// down does the home stand (the caller sheds the request as a crash
 /// loss before admission).
 fn route<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &World<'_, P, M, F>,
+    w: &World<P, M, F>,
     class: usize,
     home: usize,
 ) -> usize {
@@ -824,9 +818,10 @@ fn route<P: Probe, M: RemoteModel, F: FaultModel>(
 }
 
 /// Runs one tape arrival through per-node admission and dispatch.
-fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+#[inline]
+fn issue_with<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     now: Time,
     entry: TapeEntry,
 ) {
@@ -934,7 +929,7 @@ fn issue_with<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// Appends a trace record if tracing is on.
 #[allow(clippy::too_many_arguments)]
 fn record<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     seq: u64,
     at: Time,
     class: usize,
@@ -975,9 +970,10 @@ fn earliest_slot(slots: &[Time]) -> (usize, Time) {
 
 /// Sends an admitted request toward its node, or parks it under
 /// backpressure. `slot` indexes the request slab.
-fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+#[inline]
+fn dispatch<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     slot: u32,
 ) {
     let now = s.now();
@@ -1048,9 +1044,10 @@ fn dispatch<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 
 /// Completion event: account the request, return the credit, and drain
 /// the node's backlog.
-fn finish<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+#[inline]
+fn finish<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     slot: u32,
 ) {
     // A request doomed by its node's crash still fires its Finish on
@@ -1357,7 +1354,7 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
             }
         }
         let ((report, trace, metrics, probe), exec_path) = if self.shards > 1 {
-            crate::sharded::run_sharded_or_sequential(
+            sharded::run_sharded_or_sequential(
                 self.config,
                 self.replay,
                 self.traced,
@@ -1372,7 +1369,7 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
                 self.traced,
                 self.probe,
                 self.faults,
-                Drawer::for_run(self.config.requests),
+                Lockstep::pool(),
             );
             (out, ExecPath::Sequential)
         };
@@ -1486,14 +1483,13 @@ fn provision_static<M: RemoteModel>(
     (models, remote_leases, borrow_failures)
 }
 
-impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
-    /// Builds a run's world issuing the arrivals routed to the nodes in
-    /// `owned` (steps 1–4 of a run): the cluster and per-node transport,
-    /// the provisioned remote tier, the per-node servers, and the two
-    /// insulated RNG streams. A shard builds the whole mesh exactly as
-    /// the sequential engine does and differs only in `owned`.
-    ///
-    /// `reader` carries a sequential world's arrivals; a shard has none.
+impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
+    /// Builds a world of a run of `requests` arrivals issuing those
+    /// routed to the nodes in `owned` (steps 1–4 of a run): the cluster
+    /// and per-node transport, the provisioned remote tier, the per-node
+    /// servers, and the two insulated RNG streams. A shard builds the
+    /// whole mesh exactly as the sequential engine does and differs only
+    /// in `owned`.
     pub(crate) fn new(
         config: &LoadgenConfig,
         capture: bool,
@@ -1501,7 +1497,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
         mut remote: M,
         mut faults: F,
         owned: Range<u16>,
-        reader: Option<Reader<'a>>,
+        requests: u64,
     ) -> Self {
         validate(config);
 
@@ -1629,10 +1625,8 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
             })
             .collect();
         let (_, service_rng) = seed_streams(config.seed);
-        let target = reader.as_ref().map_or(config.requests, Reader::requests);
         let mut w = World {
             owned,
-            reader,
             feed: TapeFeed::default(),
             remote_leases,
             borrow_failures,
@@ -1660,7 +1654,7 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
                 .map(|_| Stats::new())
                 .collect(),
             issued: 0,
-            target,
+            target: requests,
             completed: 0,
             latency_ps: 0,
             arrivals: 0,
@@ -1693,14 +1687,14 @@ impl<'a, P: Probe, M: RemoteModel, F: FaultModel> World<'a, P, M, F> {
 /// (`ENABLED = false`, every fabric hook compiled away), the congested
 /// path compiles the mesh's all-pairs path table and per-class wire
 /// footprints once and instantiates with [`CongestedFabric`].
-/// `drawer` fills the run's arrival tape.
+/// `pace` sets the arrival driver's epoch and thread count.
 pub(crate) fn run_full<P: Probe>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
     capture: bool,
     probe: P,
     faults: Option<FaultPlan>,
-    drawer: Drawer,
+    pace: Lockstep,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
     match (&config.remote_model, faults) {
         (RemoteModelCfg::Scalar, None) => run_typed(
@@ -1710,17 +1704,11 @@ pub(crate) fn run_full<P: Probe>(
             probe,
             ScalarCrma,
             NoFaults,
-            drawer,
+            pace,
         ),
-        (RemoteModelCfg::Scalar, Some(plan)) => run_typed(
-            config,
-            replay_trace,
-            capture,
-            probe,
-            ScalarCrma,
-            plan,
-            drawer,
-        ),
+        (RemoteModelCfg::Scalar, Some(plan)) => {
+            run_typed(config, replay_trace, capture, probe, ScalarCrma, plan, pace)
+        }
         (RemoteModelCfg::Congested(params), faults) => {
             let wire = config
                 .mix
@@ -1730,23 +1718,16 @@ pub(crate) fn run_full<P: Probe>(
                 .collect();
             let fabric = CongestedFabric::new(params.clone(), config.mesh, wire);
             match faults {
-                None => run_typed(
-                    config,
-                    replay_trace,
-                    capture,
-                    probe,
-                    fabric,
-                    NoFaults,
-                    drawer,
-                ),
-                Some(plan) => run_typed(config, replay_trace, capture, probe, fabric, plan, drawer),
+                None => run_typed(config, replay_trace, capture, probe, fabric, NoFaults, pace),
+                Some(plan) => run_typed(config, replay_trace, capture, probe, fabric, plan, pace),
             }
         }
     }
 }
 
-/// The sequential engine: one world owning every node, reading its
-/// arrivals, drawn or replayed, off a tape filled by `drawer`.
+/// The sequential engine: the arrival driver at width 1, with one world
+/// owning every node, built on the calling thread, its arrivals drawn
+/// or replayed.
 fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     config: &LoadgenConfig,
     replay_trace: Option<&Trace>,
@@ -1754,41 +1735,30 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     probe: P,
     remote: M,
     faults: F,
-    drawer: Drawer,
+    pace: Lockstep,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
     validate(config);
-    let nodes = config.nodes();
     let (stream, requests) = match replay_trace {
         Some(trace) => (Stream::Replayed(&trace.records), trace.len() as u64),
         None => (Stream::Drawn(ArrivalDraws::new(config)), config.requests),
     };
-    let filler = Filler::new(stream, nodes);
-    tape::drive(filler, requests, drawer, |reader| {
-        let world = World::new(
-            config,
-            capture,
-            probe,
-            remote,
-            faults,
-            0..nodes,
-            Some(reader),
-        );
-        let mut kernel = start_world(world);
-        run_arrivals(&mut kernel);
-        kernel.run();
-        summarize(config, vec![finish_world(kernel)])
+    let owned = 0..config.nodes();
+    sharded::run_one(config, stream, requests, pace, || {
+        Shard::new(World::new(
+            config, capture, probe, remote, faults, owned, requests,
+        ))
     })
 }
 
 /// The engine's kernel flavor: typed events over the world.
-type EngineKernel<'a, P, M, F> = Kernel<World<'a, P, M, F>, EngineEvent>;
+type EngineKernel<P, M, F> = Kernel<World<P, M, F>, EngineEvent>;
 
 /// Seeds `w`'s event queue with its ticks (step 5 of a run) and hands
 /// it to a kernel. Arrivals never enter the queue: [`run_arrivals`]
 /// issues them.
 fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: World<'_, P, M, F>,
-) -> EngineKernel<'_, P, M, F> {
+    w: World<P, M, F>,
+) -> EngineKernel<P, M, F> {
     let limit = w.target.saturating_mul(8) + 500_000;
     let mut kernel = Kernel::new(w).with_event_limit(limit);
     if let Some(tier) = &kernel.state().elastic {
@@ -1804,21 +1774,20 @@ fn start_world<P: Probe, M: RemoteModel, F: FaultModel>(
 }
 
 /// The finished world of a kernel that ran to completion, with its loop
-/// counters.
+/// counters. The arrival driver fills in the tape counters.
 fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
-    mut kernel: EngineKernel<'_, P, M, F>,
-) -> (World<'_, P, M, F>, EngineMetrics) {
+    mut kernel: EngineKernel<P, M, F>,
+) -> (World<P, M, F>, EngineMetrics) {
     #[cfg(debug_assertions)]
     kernel.state().audit_queued();
-    let reader = kernel.state().reader.as_ref();
     let metrics = EngineMetrics {
         events: kernel.executed() + kernel.state().arrivals,
         fused_arrivals: kernel.state().arrivals,
         peak_queue_depth: kernel.peak_pending(),
         queue: kernel.queue_stats(),
         slab: kernel.slab_occupancy(),
-        tape_epoch_waits: reader.map_or(0, |r| r.waits),
-        tape_producer: reader.is_some_and(Reader::pipelined),
+        tape_epoch_waits: 0,
+        tape_producer: false,
         latency_ps: kernel.state().latency_ps,
     };
     if P::ENABLED {
@@ -1831,31 +1800,26 @@ fn finish_world<P: Probe, M: RemoteModel, F: FaultModel>(
     (kernel.into_state(), metrics)
 }
 
-/// A world of a sharded run: the sequential engine over one node group.
-type ShardWorld = World<'static, NoopProbe, ScalarCrma, NoFaults>;
-
-/// One shard of a sharded run ([`crate::sharded`]): the sequential
-/// engine's kernel over a world owning one node group, advanced one
-/// epoch of the shared arrival tape at a time.
-pub(crate) struct Shard {
-    kernel: Kernel<ShardWorld, EngineEvent>,
+/// One world of the arrival driver ([`crate::sharded`]): the engine's
+/// kernel over a world owning every node (a sequential run) or one node
+/// group (a shard of a sharded run, over the default type parameters),
+/// advanced one epoch of the arrival tape at a time.
+pub(crate) struct Shard<P: Probe = NoopProbe, M: RemoteModel = ScalarCrma, F: FaultModel = NoFaults>
+{
+    kernel: EngineKernel<P, M, F>,
 }
 
-impl Shard {
-    /// Builds the shard owning `owned` exactly as the sequential engine
-    /// builds its world.
-    pub(crate) fn new(config: &LoadgenConfig, capture: bool, owned: Range<u16>) -> Self {
-        let world = World::new(
-            config, capture, NoopProbe, ScalarCrma, NoFaults, owned, None,
-        );
+impl<P: Probe, M: RemoteModel, F: FaultModel> Shard<P, M, F> {
+    /// Seeds `world`'s event queue and hands it to a kernel.
+    pub(crate) fn new(world: World<P, M, F>) -> Self {
         Shard {
             kernel: start_world(world),
         }
     }
 
-    /// Hands the shard one epoch of the tape and runs the arrival loop
+    /// Hands the world one epoch of the tape and runs the arrival loop
     /// over it, then, after the `last` epoch, the kernel to completion.
-    /// Between epochs the shard simply waits: each arrival runs the
+    /// Between epochs the world simply waits: each arrival runs the
     /// kernel up to its own instant, so no event fires early.
     pub(crate) fn advance(&mut self, epoch: &[Arc<Chunk>], last: bool) {
         let feed = &mut self.kernel.state_mut().feed;
@@ -1872,7 +1836,7 @@ impl Shard {
         feed.chunk = 0;
     }
 
-    /// Why this shard stopped being the sequential run, if it did
+    /// Why this world stopped being the sequential run, if it did
     /// ([`World::violation`]).
     pub(crate) fn violation(&self) -> Option<FallbackReason> {
         self.kernel.state().violation()
@@ -1880,10 +1844,10 @@ impl Shard {
 
     /// The finished world and its loop counters, once every epoch has
     /// been advanced through.
-    pub(crate) fn finish(mut self) -> (ShardWorld, EngineMetrics) {
+    pub(crate) fn finish(mut self) -> (World<P, M, F>, EngineMetrics) {
         let w = self.kernel.state_mut();
         debug_assert_eq!(w.feed.seq, w.target, "the whole tape was passed");
-        // Every arrival of the stream was issued by some shard.
+        // Every arrival of the stream was issued by some world.
         w.issued = w.target;
         finish_world(self.kernel)
     }
@@ -1896,7 +1860,7 @@ impl Shard {
 /// commutative sums and the report cannot depend on the shard count.
 pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
     config: &LoadgenConfig,
-    worlds: Vec<(World<'_, P, M, F>, EngineMetrics)>,
+    worlds: Vec<(World<P, M, F>, EngineMetrics)>,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
     let mut worlds = worlds.into_iter();
     let (mut w, mut metrics) = worlds.next().expect("a run has at least one world");
@@ -2046,6 +2010,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultEvent;
     use crate::remote::{FabricParams, PlacementPolicy};
+    use crate::tape::Filler;
     use crate::tenants::TenantMix;
     use venice_fabric::LinkParams;
 
@@ -2123,53 +2088,47 @@ mod tests {
             at: crash_at,
             recover_at: Time::from_ms(1_300),
         }]);
-        let owned = 0..config.nodes();
+        // The whole tape in one chunk, handed to a world owning every
+        // node.
+        let mut tape = Chunk::default();
         let draws = Stream::Drawn(ArrivalDraws::new(&config));
-        let filler = Filler::new(draws, config.nodes());
-        tape::drive(filler, config.requests, Drawer::Inline, |reader| {
-            let world = World::new(
-                &config,
-                false,
-                NoopProbe,
-                ScalarCrma,
-                plan,
-                owned,
-                Some(reader),
-            );
-            // The arrival loop, paused at the crash: issue the arrivals
-            // before it, then fire the events before it and at it.
-            let mut kernel = start_world(world);
-            let mut next = next_owned_arrival(kernel.state_mut());
-            while let Some(arrival) = next.filter(|&(at, _)| at < crash_at) {
-                issue_arrival(&mut kernel, arrival);
-                next = next_owned_arrival(kernel.state_mut());
-            }
-            kernel.run_until(crash_at - Time::from_ps(1));
-            let parked = kernel.state().servers[0].backlog.len();
-            assert!(parked > 0, "node 0's backlog is empty at the crash");
-            let shed_crash = |w: &World<'_, NoopProbe, ScalarCrma, FaultPlan>| {
-                w.stats.iter().map(|st| st.shed_crash).sum::<u64>()
-            };
-            let before = shed_crash(kernel.state());
-            kernel.run_until(crash_at);
-            assert!(kernel.state().servers[0].backlog.is_empty());
-            assert!(shed_crash(kernel.state()) >= before + parked as u64);
-            if let Some(arrival) = next {
-                issue_arrival(&mut kernel, arrival);
-            }
-            run_arrivals(&mut kernel);
-            kernel.run();
-            let (w, _) = finish_world(kernel);
-            assert!(
-                w.stats.iter().any(|st| st.shed_backpressure > 0),
-                "no backlog overflowed"
-            );
-            for srv in &w.servers {
-                assert!(srv.backlog.is_empty());
-                assert!(srv.queued_by_class.iter().all(|&n| n == 0));
-                assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
-            }
-        });
+        Filler::new(draws, config.nodes()).draw(0..config.requests, &mut tape);
+        let (owned, requests) = (0..config.nodes(), config.requests);
+        let world = World::new(&config, false, NoopProbe, ScalarCrma, plan, owned, requests);
+        let mut kernel = start_world(world);
+        kernel.state_mut().feed.chunks.push(Arc::new(tape));
+        // The arrival loop, paused at the crash: issue the arrivals
+        // before it, then fire the events before it and at it.
+        let mut next = next_owned_arrival(kernel.state_mut());
+        while let Some(arrival) = next.filter(|&(at, _)| at < crash_at) {
+            issue_arrival(&mut kernel, arrival);
+            next = next_owned_arrival(kernel.state_mut());
+        }
+        kernel.run_until(crash_at - Time::from_ps(1));
+        let parked = kernel.state().servers[0].backlog.len();
+        assert!(parked > 0, "node 0's backlog is empty at the crash");
+        let shed_crash = |w: &World<NoopProbe, ScalarCrma, FaultPlan>| {
+            w.stats.iter().map(|st| st.shed_crash).sum::<u64>()
+        };
+        let before = shed_crash(kernel.state());
+        kernel.run_until(crash_at);
+        assert!(kernel.state().servers[0].backlog.is_empty());
+        assert!(shed_crash(kernel.state()) >= before + parked as u64);
+        if let Some(arrival) = next {
+            issue_arrival(&mut kernel, arrival);
+        }
+        run_arrivals(&mut kernel);
+        kernel.run();
+        let (w, _) = finish_world(kernel);
+        assert!(
+            w.stats.iter().any(|st| st.shed_backpressure > 0),
+            "no backlog overflowed"
+        );
+        for srv in &w.servers {
+            assert!(srv.backlog.is_empty());
+            assert!(srv.queued_by_class.iter().all(|&n| n == 0));
+            assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
+        }
     }
 
     #[test]
@@ -2196,8 +2155,12 @@ mod tests {
             class: 0,
             node: (user % 2) as u16,
         };
+        let shard = |capture, owned| {
+            let world = World::new(&config, capture, NoopProbe, ScalarCrma, NoFaults, owned, 3);
+            Shard::new(world)
+        };
         let finish_at = {
-            let mut world = Shard::new(&config, false, 0..2);
+            let mut world = shard(false, 0..2);
             let first = Chunk {
                 entries: vec![entry(Time::ZERO, 0)],
             };
@@ -2218,7 +2181,7 @@ mod tests {
             let worlds = (0..width)
                 .map(|i| {
                     let owned = i * 2 / width..(i + 1) * 2 / width;
-                    let mut shard = Shard::new(&config, true, owned.clone());
+                    let mut shard = shard(true, owned.clone());
                     shard.advance(&tape, true);
                     assert_eq!(shard.violation(), None, "nodes {owned:?}");
                     shard.finish()

@@ -2,7 +2,8 @@
 //!
 //! Open-loop runs at request counts on either side of every arrival-feed
 //! edge (blocks of 256, a ring of four blocks, epochs of 2,048) and one
-//! run of many epochs, Poisson and bursty, each through both drawers.
+//! run of many epochs, Poisson and bursty, each on one thread and on
+//! two (where a fill helper fills the tape beside the world).
 //! Every run pins a 64-bit FNV-1a hash of its report JSON and trace
 //! JSONL together with its loop counters: logical events, arrivals
 //! issued in place, peak queue depth, event-queue traffic and slab
@@ -96,9 +97,14 @@ fn hash(report: &LoadReport, trace: &Option<Trace>) -> u64 {
     fnv1a(bytes.as_bytes())
 }
 
-/// Runs `config`, traced, replaying `replay` if given, through `drawer`.
-fn run(config: &LoadgenConfig, replay: Option<&Trace>, drawer: Drawer) -> (Row, Option<Trace>) {
-    let (report, trace, m, NoopProbe) = run_full(config, replay, true, NoopProbe, None, drawer);
+/// Runs `config`, traced, replaying `replay` if given, on `threads`
+/// threads.
+fn run(config: &LoadgenConfig, replay: Option<&Trace>, threads: usize) -> (Row, Option<Trace>) {
+    let pace = Lockstep {
+        epoch: crate::tape::EPOCH,
+        threads,
+    };
+    let (report, trace, m, NoopProbe) = run_full(config, replay, true, NoopProbe, None, pace);
     let q = m.queue;
     let row = (
         hash(&report, &trace),
@@ -128,9 +134,9 @@ fn sequential_open_loop_runs_match_their_pinned_rows() {
         actual.push_str(&format!("const {name}: [Row; 11] = [\n"));
         for (&requests, want) in COUNTS.iter().zip(pinned) {
             let config = make(requests);
-            let (inline, _) = run(&config, None, Drawer::Inline);
-            let (producer, _) = run(&config, None, Drawer::Producer);
-            assert_eq!(producer, inline, "{name} {requests}: drawers disagree");
+            let (inline, _) = run(&config, None, 1);
+            let (helped, _) = run(&config, None, 2);
+            assert_eq!(helped, inline, "{name} {requests}: thread counts disagree");
             if (inline.0, inline.1) != (want.0, want.1) {
                 mismatched.push(format!("{name} {requests}: run"));
             } else if inline != *want {
@@ -153,10 +159,14 @@ fn sequential_open_loop_runs_match_their_pinned_rows() {
 #[test]
 fn a_replay_matches_its_pinned_report_trace_and_events() {
     let config = poisson(3_000);
-    let (_, trace) = run(&config, None, Drawer::Inline);
+    let (_, trace) = run(&config, None, 1);
     let trace = trace.expect("the run is traced");
-    for drawer in [Drawer::Inline, Drawer::Producer] {
-        let ((h, events, ..), _) = run(&config, Some(&trace), drawer);
-        assert_eq!((h, events), REPLAY, "{drawer:?}: now ({h:#018x}, {events})");
+    for threads in [1, 2] {
+        let ((h, events, ..), _) = run(&config, Some(&trace), threads);
+        assert_eq!(
+            (h, events),
+            REPLAY,
+            "{threads} threads: now ({h:#018x}, {events})"
+        );
     }
 }

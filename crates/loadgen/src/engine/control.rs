@@ -111,7 +111,7 @@ pub(super) struct RevokeTeardown {
     priority: Priority,
 }
 
-impl<P: Probe, M: RemoteModel, F: FaultModel> World<'_, P, M, F> {
+impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
     /// The priority a lease decision attributed to `tag` carries: the
     /// tenant class's priority, or `Normal` for unattributed capacity
     /// ([`NO_TAG`]).
@@ -149,7 +149,7 @@ pub(super) fn measure_crma(cluster: &mut Cluster, node: NodeId, local_base: u64)
 /// capacity is unattributed: no tenant's backlog asked for it, so no
 /// tenant's quota pays for it. Every fabric window is still empty, so
 /// even congestion-aware placement accepts the nearest donor here.
-pub(super) fn bootstrap<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<'_, P, M, F>) {
+pub(super) fn bootstrap<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<P, M, F>) {
     let boot = w.elastic.as_ref().expect("elastic run").manager.bootstrap();
     for action in boot {
         let LeaseAction::Grow { node, .. } = action else {
@@ -185,7 +185,7 @@ pub(super) fn bootstrap<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<'
 /// fault plan armed, dead nodes are vetoed unconditionally — a crashed
 /// donor cannot map memory.
 fn grow_lease<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     now: Time,
     node: u16,
     tenant: u32,
@@ -242,9 +242,9 @@ fn grow_lease<P: Probe, M: RemoteModel, F: FaultModel>(
 /// and the first tick after the reboot re-grows its floor. Without this
 /// the manager's floor rule would re-grow the dead node every cooldown,
 /// holding donor memory for each establish flow only to write it off.
-fn start_grow<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+fn start_grow<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     node: u16,
     tenant: u32,
     predictive: bool,
@@ -275,9 +275,9 @@ fn start_grow<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 
 /// A mid-run grow's Fig 2 establish flow completes: the chunk lands —
 /// unless an end of the handshake died mid-flow.
-pub(super) fn lease_established<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+pub(super) fn lease_established<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     est: LeaseEstablish,
 ) {
     let (node, generation, lease) = (est.node, est.generation, est.lease);
@@ -312,7 +312,7 @@ pub(super) fn lease_established<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// recipient's lease stack, into its remote tier and service model, and
 /// onto its fabric route.
 fn land<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     now: Time,
     est: &LeaseEstablish,
 ) {
@@ -338,7 +338,7 @@ fn land<P: Probe, M: RemoteModel, F: FaultModel>(
 /// pool, which speeds the donor back up when lending pressure is
 /// modeled. The caller has already settled the grant's ledgers.
 fn lose_chunk<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     recipient: usize,
     lease: MemoryLease,
 ) {
@@ -353,7 +353,7 @@ fn lose_chunk<P: Probe, M: RemoteModel, F: FaultModel>(
 /// is dead: the cluster purges it and the manager unwinds its ledgers as
 /// a failover. No latency is charged and no unmap runs.
 fn write_off<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     now: Time,
     recipient: u16,
     generation: u64,
@@ -376,9 +376,9 @@ fn write_off<P: Probe, M: RemoteModel, F: FaultModel>(
 /// recipient's visible capacity drops. Until this fires the recipient
 /// keeps serving from the window — a revoke notice takes effect when the
 /// unmap lands, not when the donor asks.
-pub(super) fn revoke_torndown<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+pub(super) fn revoke_torndown<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     rev: RevokeTeardown,
 ) {
     let RevokeTeardown {
@@ -417,7 +417,7 @@ pub(super) fn revoke_torndown<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// donor is established or torn down. A no-op unless the pressure term
 /// is armed, so untouched configurations never recompile here.
 fn sync_donor_pressure<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     donor: u16,
 ) {
     if w.servers[donor as usize].model.lent_slowdown > 0.0 {
@@ -431,10 +431,7 @@ fn sync_donor_pressure<P: Probe, M: RemoteModel, F: FaultModel>(
 /// current [`NodeModel`](crate::tenants::NodeModel). Called wherever a
 /// node's remote tier or lent pressure moves — rare events, so the
 /// per-request path never re-derives model constants.
-fn recompile_service<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    node: usize,
-) {
+fn recompile_service<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<P, M, F>, node: usize) {
     let model = w.servers[node].model;
     for (class, slot) in w
         .classes
@@ -459,10 +456,7 @@ fn recompile_service<P: Probe, M: RemoteModel, F: FaultModel>(
 /// node's remote tier moves so the congested model always charges the
 /// path the node is actually serving from. A no-op (compiled away)
 /// under the scalar model.
-fn sync_fabric_route<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
-    node: usize,
-) {
+fn sync_fabric_route<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<P, M, F>, node: usize) {
     if !M::ENABLED {
         return;
     }
@@ -498,9 +492,9 @@ fn dominant_class(srv: &Server) -> Option<usize> {
 /// Periodic elastic-lease control tick: sample per-node queue depth and
 /// donor pressure, let the manager decide, and apply
 /// grows/shrinks/revokes against the live cluster.
-pub(super) fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+pub(super) fn lease_tick<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
 ) {
     // A tick scheduled while the last requests were in flight can fire
     // after the final completion; acting there would put lease events
@@ -639,9 +633,9 @@ pub(super) fn lease_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// the next tick at the plan's next edge. Reached only when a
 /// [`FaultPlan`](crate::faults::FaultPlan) is armed — `NoFaults` never
 /// schedules a `FaultTick`.
-pub(super) fn fault_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+pub(super) fn fault_tick<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
 ) {
     let now = s.now();
     while let Some(tr) = w.faults.pop_due(now) {
@@ -665,9 +659,9 @@ pub(super) fn fault_tick<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// node, the manager unwinds its ledgers, and surviving recipients
 /// immediately re-establish on a live donor, paying the full modeled
 /// establish latency.
-fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'a, P, M, F>,
-    s: &mut Sched<'a, P, M, F>,
+fn crash_node<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    s: &mut Sched<P, M, F>,
     node: usize,
 ) {
     let now = s.now();
@@ -754,7 +748,7 @@ fn crash_node<'a, P: Probe, M: RemoteModel, F: FaultModel>(
 /// Shared by the crash's backlog drain and a doomed request's `Finish`;
 /// the caller returns whatever transport credit the request held.
 pub(super) fn crash_shed<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     slot: u32,
     now: Time,
 ) -> Request {
@@ -785,7 +779,7 @@ pub(super) fn crash_shed<P: Probe, M: RemoteModel, F: FaultModel>(
 /// again immediately, and (under elastic leases) the next lease tick
 /// re-grows its remote tier from the floor.
 fn recover_node<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<'_, P, M, F>,
+    w: &mut World<P, M, F>,
     node: usize,
     now: Time,
 ) {

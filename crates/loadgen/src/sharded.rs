@@ -1,8 +1,83 @@
-//! The sharded parallel driver: per-node-group shards, each one the
-//! sequential engine over the nodes it owns, fed by one shared arrival
-//! tape.
+//! The arrival driver: the one way any world gets its arrivals. A
+//! sequential run, drawn or replayed, is the driver at width 1; a
+//! sharded run is the driver at width 2 or more, one per-node-group
+//! shard per world, each the sequential engine over the nodes it owns.
 //!
-//! # How a run shards
+//! # The lockstep loop
+//!
+//! Every world is a [`Shard`]: the engine's world over the whole mesh,
+//! owning a range of nodes, driven by the engine's unchanged
+//! admission/dispatch/finish handlers. What the worlds share is the
+//! arrival stream, and they share it the way Venice nodes share a
+//! resource pool: it is produced once, onto one tape ([`crate::tape`]).
+//! Each thread builds its worlds, fills its claimed chunks of epoch
+//! `k + 1`, waits at the barrier, advances each world over epoch `k`,
+//! and stops early if a world stopped being the sequential run.
+//!
+//! ```text
+//!             buffer k % 2: epoch k            buffer (k+1) % 2: epoch k+1
+//!           +----+----+-- .. --+----+        +----+----+-- .. --+----+
+//!  tape     | c0 | c1 |        | c7 |        | c0 | c1 |        | c7 |
+//!           +----+----+-- .. --+----+        +----+----+-- .. --+----+
+//!                 every chunk, in order               ^ claimed chunks
+//!                        |                            |
+//!  thread 0: worlds 0, 2, ..: run epoch k to its end -> fill -> barrier
+//!  thread 1: worlds 1, 3, .. (or none: a fill helper)  -> fill -> barrier
+//! ```
+//!
+//! * **Width 1** ([`run_one`]). One world owns `0..nodes`. It is generic
+//!   over the probe, remote model and fault plan, and is built on the
+//!   calling thread, so none of them leaves it. At most one more thread
+//!   runs: a fill helper that owns no world and only fills, started when
+//!   the rayon pool has a second thread, the run spans more than one
+//!   epoch and the caller is not a rayon worker
+//!   ([`EngineMetrics::tape_producer`]).
+//! * **Width 2 or more** ([`run_sharded`]). The shards run on
+//!   `min(rayon::current_num_threads(), shards)` threads: the calling
+//!   thread and scoped workers, each building its own shards.
+//! * **The tape.** Each entry holds an arrival's gap from its
+//!   predecessor, its tenant class, its user and its home node. While
+//!   the worlds run epoch `k`, the threads fill epoch `k + 1`.
+//! * **The stride split.** A Poisson arrival draws exactly
+//!   [`ArrivalDraws::POISSON_WORDS`] engine-RNG words (the first draws
+//!   no gap), so any chunk of the stream starts a known number of words
+//!   in. Every thread then fills: each keeps its own clone of the engine
+//!   RNG, steps over the chunks other threads fill with raw words and
+//!   draws only its own. Chunks are claimed from one atomic counter by
+//!   each thread once its worlds have run the current epoch, so a thread
+//!   with lighter worlds, or none, fills more. A bursty arrival's word
+//!   count depends on the burst phase of its instant, and a replay
+//!   copies records in order, so the last thread fills those epochs
+//!   whole, in order.
+//! * **The walk.** A world runs the engine's arrival loop: it walks the
+//!   tape, turning the gaps into instants with a running sum, and issues
+//!   each arrival routed to its own nodes once its kernel has fired
+//!   every event up to that instant, inclusive. A shard steps its
+//!   service stream over every other arrival's service draws
+//!   ([`CompiledService::draws`](crate::tenants::CompiledService::draws))
+//!   instead of sampling them. Its engine RNG and its service stream
+//!   therefore see the sequential run's draws, and its events fire in
+//!   the sequential order: at any instant, every queued event before
+//!   the arrival, an order a shard reads off its own nodes.
+//! * **The pause.** A world pauses when its handed epoch runs out, and
+//!   resumes the same loop on the next one: no event fires before the
+//!   arrival loop reaches its instant, so nothing runs early.
+//! * **The barrier.** Every thread advances its worlds and claims chunks
+//!   at every epoch, then waits on one [`Barrier`], so no count of
+//!   threads can deadlock. A thread that stops early, by returning or
+//!   by panicking, hangs the barrier up; its peers stop at the same
+//!   round, and a panic surfaces on the calling thread with its own
+//!   payload.
+//!
+//! The worlds merge once, in node order, through the engine's one
+//! summarize path: per-class stats merge through commutative histogram
+//! and counter sums, the trace concatenates and re-sorts by sequence
+//! number, and the logical event count (`executed + fused`) counts each
+//! owned arrival and completion exactly once. The result is
+//! **byte-identical** to the sequential run at any shard count, thread
+//! count and epoch length.
+//!
+//! # When a run shards
 //!
 //! Nodes interact with one another only through a handful of
 //! mechanisms: elastic lease ticks (grants move bytes between arbitrary
@@ -12,66 +87,9 @@
 //! arms **none** of them has node groups that never influence one
 //! another, which is exactly the committed `storm` benchmark family
 //! (static provisioning, scalar remote model, no faults). Replays run
-//! sequentially too: this driver fills its tape only with freshly drawn
-//! arrivals.
-//!
-//! Such a run splits its nodes into contiguous groups ([`partition`]).
-//! Each group is a [`Shard`]: the sequential engine's world over the
-//! whole mesh, owning one group, driven by the engine's unchanged
-//! admission/dispatch/finish handlers. Per-node state (admission, QPair
-//! credits, service slots, backlog) lives wholly inside the owning
-//! shard. What the shards share is the arrival stream, and they share
-//! it the way Venice nodes share a resource pool: it is produced once.
-//!
-//! ```text
-//!             buffer k % 2: epoch k            buffer (k+1) % 2: epoch k+1
-//!           +----+----+-- .. --+----+        +----+----+-- .. --+----+
-//!  tape     | c0 | c1 |        | c7 |        | c0 | c1 |        | c7 |
-//!           +----+----+-- .. --+----+        +----+----+-- .. --+----+
-//!                 every chunk, in order               ^ claimed chunks
-//!                        |                            |
-//!  thread 0: shards 0, 2, ..: run epoch k to its end -> fill -> barrier
-//!  thread 1: shards 1, 3, ..: run epoch k to its end -> fill -> barrier
-//! ```
-//!
-//! * **The tape** ([`crate::tape`]). Each entry holds an arrival's gap
-//!   from its predecessor, its tenant class, its user and its home node.
-//!   While the shards run epoch `k`, the threads fill epoch `k + 1`.
-//! * **The stride split.** A Poisson arrival draws exactly
-//!   [`ArrivalDraws::POISSON_WORDS`] engine-RNG words (the first draws
-//!   no gap), so any chunk of the stream starts a known number of words
-//!   in. Every thread keeps its own clone of the engine RNG: it steps
-//!   over the chunks other threads fill with raw words and draws only
-//!   its own. An epoch is a handful of chunks, claimed from one atomic
-//!   counter by each thread once its shards have run the current epoch,
-//!   so a thread with lighter shards fills more. A bursty arrival's
-//!   word count depends on the burst phase of its instant, so thread 0
-//!   fills bursty epochs whole, in order.
-//! * **The walk.** A shard runs the sequential world's arrival loop: it
-//!   walks the tape, turning the gaps into instants with a running sum,
-//!   and issues each arrival routed to its own nodes once its kernel has
-//!   fired every event up to that instant, inclusive. It steps its
-//!   service stream over every other arrival's service draws
-//!   ([`CompiledService::draws`](crate::tenants::CompiledService::draws))
-//!   instead of sampling them. Its engine RNG and its service stream
-//!   therefore see the sequential run's draws, and its events fire in
-//!   the sequential order: at any instant, every queued event before
-//!   the arrival, an order a shard reads off its own nodes.
-//! * **The pause.** A shard pauses when its handed tape runs out, and
-//!   resumes the same loop on the next epoch: no event fires before the
-//!   arrival loop reaches its instant, so nothing runs early.
-//! * **The barrier.** The shards run on `min(rayon::current_num_threads(),
-//!   shards)` threads: the calling thread and scoped workers. Every
-//!   thread advances its shards and claims chunks at every epoch, then
-//!   waits on one [`Barrier`], so no count of threads can deadlock.
-//!
-//! The shards merge once, in node order, through the engine's one
-//! summarize path: per-class stats merge through commutative histogram
-//! and counter sums, the trace concatenates and re-sorts by sequence
-//! number, and the logical event count (`executed + fused`) counts each
-//! owned arrival and completion exactly once. The result is
-//! **byte-identical** to the sequential run at any shard count, thread
-//! count and epoch length.
+//! at width 1: the sharded arm fills its tape only with freshly drawn
+//! arrivals. Such a run splits its nodes into contiguous groups
+//! ([`partition`]), one shard each.
 //!
 //! # When a shard is not the sequential run
 //!
@@ -80,13 +98,14 @@
 //! all-admitted assumption; the sequential engine skips the draws for a
 //! shed request, so one shed desynchronizes every later draw.
 //! (Backlog-overflow drops happen after the service draw and do not
-//! count.)
+//! count.) A world owning every node steps over nothing, so this never
+//! happens at width 1.
 //!
 //! Up to the first shed anywhere, every shard is exact, so the shard
 //! holding it always reports it. Each thread checks its shards after
 //! every epoch; one that finds a shed stops and hangs up the barrier,
 //! every thread stops at that round, and the driver re-runs the
-//! configuration sequentially. The storm family never sheds at its
+//! configuration at width 1. The storm family never sheds at its
 //! benchmark rates; the statically provisioned `elastic` rows do, and
 //! fall back after the epoch of their first shed. [`ExecPath`] reports
 //! which path ran and why.
@@ -100,16 +119,37 @@ use venice_telemetry::{NoopProbe, Probe};
 use crate::arrival::ArrivalDraws;
 use crate::engine::{
     run_full, summarize, validate, EngineMetrics, ExecPath, FallbackReason, IneligibleKind,
-    LoadgenConfig, Shard,
+    LoadgenConfig, Shard, World,
 };
-use crate::faults::FaultPlan;
-use crate::remote::RemoteModelCfg;
+use crate::faults::{FaultModel, FaultPlan, NoFaults};
+use crate::remote::{RemoteModel, RemoteModelCfg, ScalarCrma};
 use crate::report::LoadReport;
-use crate::tape::{Barrier, Drawer, Filler, HangUpOnDrop, Stream, Tape, EPOCH};
+use crate::tape::{Barrier, Filler, HangUpOnDrop, Stream, Tape, EPOCH};
 use crate::trace::Trace;
 
 /// A run's report, trace and loop counters.
 type Output = (LoadReport, Option<Trace>, EngineMetrics);
+
+/// A thread's worlds, each with its index in node order.
+type Worlds<P = NoopProbe, M = ScalarCrma, F = NoFaults> = Vec<(usize, Shard<P, M, F>)>;
+
+/// The driver's pace: arrivals per tape epoch, and the threads it may
+/// run on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lockstep {
+    pub(crate) epoch: u64,
+    pub(crate) threads: usize,
+}
+
+impl Lockstep {
+    /// Epochs of [`EPOCH`] arrivals on the rayon pool's width.
+    pub(crate) fn pool() -> Self {
+        Lockstep {
+            epoch: EPOCH,
+            threads: rayon::current_num_threads(),
+        }
+    }
+}
 
 /// Entry point behind [`Run::shards`](crate::engine::Run::shards):
 /// runs the shards when the configuration's node groups are independent
@@ -139,29 +179,33 @@ pub(crate) fn run_sharded_or_sequential<P: Probe>(
     .find_map(|(coupled, kind)| coupled.then_some(kind));
     let reason = match coupling {
         Some(kind) => FallbackReason::Ineligible(kind),
-        None => match run_sharded(config, capture, shards, EPOCH, rayon::current_num_threads()) {
+        None => match run_sharded(config, capture, shards, Lockstep::pool()) {
             Ok(((report, trace, metrics), width)) => {
                 return ((report, trace, metrics, probe), ExecPath::Sharded { width })
             }
             Err(reason) => reason,
         },
     };
-    let drawer = Drawer::for_run(config.requests);
-    let out = run_full(config, replay_trace, capture, probe, faults, drawer);
+    let out = run_full(
+        config,
+        replay_trace,
+        capture,
+        probe,
+        faults,
+        Lockstep::pool(),
+    );
     (out, ExecPath::Fallback { reason })
 }
 
-/// Runs one shard per node group on at most `threads` threads,
-/// feeding them a tape of `epoch` arrivals per epoch, and merges them
-/// with the shard count. Fails when the mesh cannot split or a shard
-/// stopped being the sequential run ([`FallbackReason`]); the caller
-/// then re-runs sequentially.
+/// Runs one shard per node group on at most `pace.threads` threads and
+/// merges them with the shard count. Fails when the mesh cannot split or
+/// a shard stopped being the sequential run ([`FallbackReason`]); the
+/// caller then re-runs at width 1.
 fn run_sharded(
     config: &LoadgenConfig,
     capture: bool,
     shards: usize,
-    epoch: u64,
-    threads: usize,
+    pace: Lockstep,
 ) -> Result<(Output, usize), FallbackReason> {
     validate(config);
     let groups = partition(config.nodes(), shards);
@@ -169,41 +213,31 @@ fn run_sharded(
     if width < 2 {
         return Err(FallbackReason::Ineligible(IneligibleKind::SingleGroup));
     }
-    let threads = threads.clamp(1, width);
-    let draws = ArrivalDraws::new(config);
-    let tape = Tape::new(config.requests, epoch);
-    let epochs = tape.epochs();
-    let barrier = Barrier::new(threads);
-    // Thread `t` runs shards t, t + threads, ...: each builds its own
-    // worlds, fills its share of the tape, and advances its shards.
-    let mut finished = lockstep(threads, &barrier, |t| {
-        // A bursty arrival's word count depends on its instant, so only
-        // thread 0 fills those, every chunk in order.
-        let mut filler = (t == 0 || draws.fixed_stride())
-            .then(|| Filler::new(Stream::Drawn(draws.clone()), config.nodes()));
-        let mut shards: Vec<_> = (t..width)
+    let threads = pace.threads.clamp(1, width);
+    let tape = Tape::new(config.requests, pace.epoch);
+    let stream = Stream::Drawn(ArrivalDraws::new(config));
+    // Thread `t` runs shards t, t + threads, ...
+    let shards_of = |t: usize| -> Worlds {
+        (t..width)
             .step_by(threads)
-            .map(|i| (i, Shard::new(config, capture, groups[i].clone())))
-            .collect();
-        tape.fill(0, filler.as_mut());
-        for k in 0..epochs {
-            if barrier.wait().is_err() {
-                break;
-            }
-            let chunks = tape.read(k);
-            for (_, shard) in &mut shards {
-                shard.advance(&chunks, k + 1 == epochs);
-            }
-            drop(chunks);
-            if shards.iter().any(|(_, shard)| shard.violation().is_some()) {
-                break;
-            }
-            if k + 1 < epochs {
-                tape.fill(k + 1, filler.as_mut());
-            }
-        }
-        shards
-    });
+            .map(|i| {
+                let (owned, requests) = (groups[i].clone(), config.requests);
+                let world = World::new(
+                    config, capture, NoopProbe, ScalarCrma, NoFaults, owned, requests,
+                );
+                (i, Shard::new(world))
+            })
+            .collect()
+    };
+    let (mut finished, theirs, waits) = drive(
+        &tape,
+        &stream,
+        config.nodes(),
+        &Barrier::new(threads),
+        || shards_of(0),
+        shards_of,
+    );
+    finished.extend(theirs);
     finished.sort_by_key(|&(i, _)| i);
     if let Some(reason) = finished.iter().find_map(|(_, shard)| shard.violation()) {
         return Err(reason);
@@ -212,42 +246,143 @@ fn run_sharded(
         .into_iter()
         .map(|(_, shard)| shard.finish())
         .collect();
-    let (report, trace, metrics, NoopProbe) = summarize(config, worlds);
+    let (report, trace, mut metrics, NoopProbe) = summarize(config, worlds);
+    metrics.tape_epoch_waits = waits;
     Ok(((report, trace, metrics), width))
 }
 
-/// Runs `work(t)` for every thread `t < threads` and concatenates what
-/// they return, in thread order. The calling thread is thread 0, so a
-/// 2-thread run spawns one thread, not two, and the caller does not sit
-/// idle in `join`. A thread that stops early, by returning or by
-/// unwinding, hangs up `barrier`, so its peers stop at the same round
-/// instead of waiting for it; the first panic in thread order then
-/// surfaces with its own payload.
-fn lockstep<T: Send>(
+/// A sequential run: the driver at width 1, over a tape of `requests`
+/// arrivals from `stream`. `world` builds the one world, owning every
+/// node, on the calling thread, so its probe, remote model and fault
+/// plan never leave it. A fill helper, a second thread that owns no
+/// world, fills the tape beside it when the run spans more than one
+/// epoch, `pace` allows a second thread and the caller is not a rayon
+/// worker (sweeps and figure families already run one row per worker).
+pub(crate) fn run_one<P: Probe, M: RemoteModel, F: FaultModel>(
+    config: &LoadgenConfig,
+    stream: Stream<'_>,
+    requests: u64,
+    pace: Lockstep,
+    world: impl FnOnce() -> Shard<P, M, F>,
+) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
+    let tape = Tape::new(requests, pace.epoch);
+    let helper = pace.threads >= 2 && tape.epochs() > 1 && rayon::current_thread_index().is_none();
+    let (mut mine, _, waits) = drive(
+        &tape,
+        &stream,
+        config.nodes(),
+        &Barrier::new(1 + usize::from(helper)),
+        || vec![(0, world())],
+        |_| Vec::new(),
+    );
+    let (_, world) = mine.pop().expect("the calling thread owns the world");
+    let (report, trace, mut metrics, probe) = summarize(config, vec![world.finish()]);
+    metrics.tape_epoch_waits = waits;
+    metrics.tape_producer = helper;
+    (report, trace, metrics, probe)
+}
+
+/// The lockstep loop over `tape` on as many threads as `barrier` joins:
+/// the calling thread runs the worlds `mine` builds there, thread
+/// `t >= 1` those `theirs(t)` builds. Every thread fills a Poisson
+/// stream; the last thread fills any other, whole epochs in order.
+/// Returns each side's worlds with their indices, and the barrier
+/// rounds the calling thread reached first. A thread that panics stops
+/// every other one at the next round, and its panic surfaces here.
+pub(crate) fn drive<P: Probe, M: RemoteModel, F: FaultModel>(
+    tape: &Tape,
+    stream: &Stream<'_>,
+    nodes: u16,
+    barrier: &Barrier,
+    mine: impl FnOnce() -> Worlds<P, M, F>,
+    theirs: impl Fn(usize) -> Worlds + Sync,
+) -> (Worlds<P, M, F>, Worlds, u64) {
+    let threads = barrier.threads();
+    let filler = |t: usize| {
+        (stream.fixed_stride() || t + 1 == threads).then(|| Filler::new(stream.clone(), nodes))
+    };
+    let ((mine, waits), theirs) = lockstep(
+        threads,
+        barrier,
+        || advance_epochs(tape, barrier, filler(0), mine),
+        |t| advance_epochs(tape, barrier, filler(t), || theirs(t)).0,
+    );
+    (mine, theirs.into_iter().flatten().collect(), waits)
+}
+
+/// One thread's part of the lockstep loop: builds its worlds, fills its
+/// claims of epoch 0, then for each epoch `k` waits at the barrier,
+/// advances every world over `k`, stops early if one stopped being the
+/// sequential run, and fills its claims of `k + 1`. Returns the worlds
+/// and the rounds this thread reached first.
+fn advance_epochs<P: Probe, M: RemoteModel, F: FaultModel>(
+    tape: &Tape,
+    barrier: &Barrier,
+    mut filler: Option<Filler<'_>>,
+    build: impl FnOnce() -> Worlds<P, M, F>,
+) -> (Worlds<P, M, F>, u64) {
+    let mut worlds = build();
+    let epochs = tape.epochs();
+    let mut waits = 0;
+    tape.fill(0, filler.as_mut());
+    for k in 0..epochs {
+        match barrier.wait() {
+            Ok(waited) => waits += u64::from(waited),
+            Err(_) => break,
+        }
+        let chunks = tape.read(k);
+        for (_, world) in &mut worlds {
+            world.advance(&chunks, k + 1 == epochs);
+        }
+        drop(chunks);
+        if worlds.iter().any(|(_, world)| world.violation().is_some()) {
+            break;
+        }
+        if k + 1 < epochs {
+            tape.fill(k + 1, filler.as_mut());
+        }
+    }
+    (worlds, waits)
+}
+
+/// Runs `first` on the calling thread and `rest(t)` on a scoped thread
+/// for every `t` in `1..threads`, and returns what they return, the
+/// others in thread order. The calling thread works too, so a 2-thread
+/// run spawns one thread, not two, and what `first` builds never leaves
+/// it. A thread that stops early, by returning or by unwinding, hangs up
+/// `barrier`, so its peers stop at the same round instead of waiting
+/// for it; the first panic in thread order then surfaces with its own
+/// payload.
+fn lockstep<T, U: Send>(
     threads: usize,
     barrier: &Barrier,
-    work: impl Fn(usize) -> Vec<T> + Sync,
-) -> Vec<T> {
-    let work = |t| {
+    first: impl FnOnce() -> T,
+    rest: impl Fn(usize) -> U + Sync,
+) -> (T, Vec<U>) {
+    let rest = |t| {
         let _stop = HangUpOnDrop(barrier);
-        work(t)
+        rest(t)
     };
     thread::scope(|scope| {
         let others: Vec<_> = (1..threads)
             .map(|t| {
-                let work = &work;
-                scope.spawn(move || work(t))
+                let rest = &rest;
+                scope.spawn(move || rest(t))
             })
             .collect();
-        let mut all = work(0);
-        for worker in others {
-            all.extend(
+        let mine = {
+            let _stop = HangUpOnDrop(barrier);
+            first()
+        };
+        let theirs = others
+            .into_iter()
+            .map(|worker| {
                 worker
                     .join()
-                    .unwrap_or_else(|panic| panic::resume_unwind(panic)),
-            );
-        }
-        all
+                    .unwrap_or_else(|panic| panic::resume_unwind(panic))
+            })
+            .collect();
+        (mine, theirs)
     })
 }
 
@@ -352,25 +487,60 @@ mod tests {
     fn epoch_length_and_thread_count_change_nothing() {
         // Short epochs put arrivals on every epoch boundary, leave shards
         // with no owned arrival in many epochs, and leave threads with
-        // no chunk to fill; three threads split no width evenly.
+        // no chunk to fill; three threads split no width evenly. At
+        // width 1 the one world pauses at every epoch boundary too, with
+        // a fill helper beside it from two threads on; a replay of the
+        // Poisson run pauses the same way.
         let poisson = storm_like(0xE90C, TenantMix::analytics(), 1_500);
         let bursty = bursty(&poisson);
-        for config in [poisson, bursty] {
-            let seq = Run::new(&config).traced().execute();
+        let recorded = Run::new(&poisson).traced().execute().trace.unwrap();
+        let runs = [
+            (&poisson, None),
+            (&bursty, None),
+            (&poisson, Some(&recorded)),
+        ];
+        for (config, replay) in runs {
+            let mut seq = Run::new(config).traced();
+            if let Some(trace) = replay {
+                seq = seq.replay(trace);
+            }
+            let seq = seq.execute();
+            let want = (
+                bytes(&seq.report, &seq.trace),
+                seq.metrics.events,
+                seq.metrics.fused_arrivals,
+            );
             for epoch in [1u64, 2, 3, 7] {
-                for shards in [2usize, 3, 8] {
-                    for threads in [1usize, 2, 3] {
+                for threads in [1usize, 2, 3] {
+                    let pace = Lockstep { epoch, threads };
+                    let at = format!(
+                        "epoch {epoch}, {threads} threads, replay {}",
+                        replay.is_some()
+                    );
+                    let (report, trace, metrics, NoopProbe) =
+                        run_full(config, replay, true, NoopProbe, None, pace);
+                    assert_eq!(metrics.tape_producer, threads >= 2, "{at}: helper");
+                    let got = (
+                        bytes(&report, &trace),
+                        metrics.events,
+                        metrics.fused_arrivals,
+                    );
+                    assert_eq!(got, want, "{at}: width 1 diverged");
+                    if replay.is_some() {
+                        continue;
+                    }
+                    for shards in [2usize, 3, 8] {
                         let ((report, trace, metrics), width) =
-                            run_sharded(&config, true, shards, epoch, threads)
+                            run_sharded(config, true, shards, pace)
                                 .expect("the parallel path runs");
                         assert_eq!(width, shards);
-                        let at = format!("epoch {epoch}, {shards} shards, {threads} threads");
-                        assert_eq!(
+                        let at = format!("{at}, {shards} shards");
+                        let got = (
                             bytes(&report, &trace),
-                            bytes(&seq.report, &seq.trace),
-                            "{at}: bytes diverged"
+                            metrics.events,
+                            metrics.fused_arrivals,
                         );
-                        assert_eq!(metrics.events, seq.metrics.events, "{at}: events");
+                        assert_eq!(got, want, "{at}: diverged");
                     }
                 }
             }
@@ -565,22 +735,21 @@ mod tests {
         // barrier, and also once both have gone to sleep there.
         for (failing_round, asleep) in [(3u32, 0usize), (5, 2)] {
             let barrier = Barrier::new(3);
-            let outcome = panic::catch_unwind(|| {
-                lockstep(3, &barrier, |t| {
-                    for round in 0..20u32 {
-                        if t == 2 && round == failing_round {
-                            while barrier.sleepers() < asleep {
-                                thread::yield_now();
-                            }
-                            panic!("shard thread {t} failed");
+            let work = |t| {
+                for round in 0..20u32 {
+                    if t == 2 && round == failing_round {
+                        while barrier.sleepers() < asleep {
+                            thread::yield_now();
                         }
-                        if barrier.wait().is_err() {
-                            return vec![round];
-                        }
+                        panic!("shard thread {t} failed");
                     }
-                    vec![20]
-                })
-            });
+                    if barrier.wait().is_err() {
+                        return round;
+                    }
+                }
+                20
+            };
+            let outcome = panic::catch_unwind(|| lockstep(3, &barrier, || work(0), work));
             let panic = outcome.expect_err("the panic surfaces");
             assert_eq!(panic_message(panic), "shard thread 2 failed");
         }
@@ -595,7 +764,11 @@ mod tests {
             ..storm_like(0x0F11, TenantMix::web_frontend(), 5 * EPOCH)
         };
         for threads in [1usize, 2, 3] {
-            let outcome = panic::catch_unwind(|| run_sharded(&config, false, 4, EPOCH, threads));
+            let pace = Lockstep {
+                epoch: EPOCH,
+                threads,
+            };
+            let outcome = panic::catch_unwind(|| run_sharded(&config, false, 4, pace));
             let panic = outcome.expect_err("the clock overflows");
             assert_eq!(panic_message(panic), "simulated time overflow", "{threads}");
         }

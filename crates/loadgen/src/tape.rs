@@ -1,42 +1,43 @@
 //! The arrival tape: the one way a drawn or replayed arrival reaches a
 //! world.
 //!
-//! A [`Filler`] draws a run's arrivals, or copies a trace's
-//! records, onto a [`Tape`] of [`TapeEntry`]s cut into epochs of
-//! [`EPOCH`] arrivals and each epoch into [`Chunk`]s. The tape is double
-//! buffered, so epoch `k + 1` can be filled while worlds read epoch `k`,
-//! and one [`Barrier`] round separates each epoch's writers from its
-//! readers. A world holds shared handles to the chunks it was handed and
-//! its arrival loop walks them one entry per arrival, running the kernel
-//! up to each arrival's instant before it issues it, so the reads of
-//! lines another core wrote hide between events.
+//! This module holds the tape's three parts. A [`Filler`] draws a run's
+//! arrivals, or copies a trace's records, onto a [`Tape`] of
+//! [`TapeEntry`]s cut into epochs of [`EPOCH`] arrivals and each epoch
+//! into [`Chunk`]s. The tape is double buffered, so epoch `k + 1` can be
+//! filled while worlds read epoch `k`, and one [`Barrier`] round
+//! separates each epoch's writers from its readers.
+//!
+//! The arrival driver ([`crate::sharded`]) is the tape's one user, for a
+//! sequential run (one world) and a sharded one alike. Its threads claim
+//! and fill chunks, wait at the barrier, and hand each world every chunk
+//! of the epoch just published. A world holds shared handles to those
+//! chunks and its arrival loop walks them one entry per arrival, running
+//! the kernel up to each arrival's instant before it issues it, so the
+//! reads of lines another core wrote hide between events.
 //!
 //! ```text
-//!  simulation thread: barrier -> walk the chunks of epoch k, one per arrival -> barrier
-//!  producer thread:   barrier -> fill epoch k+1 into buffer (k+1) % 2 -------> barrier
+//!  calling thread: barrier -> walk the chunks of epoch k, one per arrival -> fill -> barrier
+//!  fill helper:    barrier -> fill epoch k+1 into buffer (k+1) % 2 ---------------> barrier
 //! ```
 //!
-//! * **Sequential runs** ([`drive`]) take chunks from a [`Reader`],
-//!   inside the arrival loop, once their handed chunks run out, so a
-//!   world takes each next arrival at the same moment whoever fills the
-//!   tape; [`Drawer::for_run`] picks who fills it. A sharded run's
-//!   threads fill one tape and hand each shard every epoch
-//!   ([`crate::sharded`]); a shard's loop pauses when its epoch runs
-//!   out.
+//! * **Claims.** Threads claim chunks from one counter, so whichever
+//!   thread gets to an epoch first fills most of it. A Poisson filler
+//!   steps over the chunks others claimed; every other stream is filled
+//!   whole, in order, by one filler.
 //! * **Replays** copy each record with the gap from the previous
 //!   arrival's instant, never negative: a record out of order arrives at
 //!   once, as the engine always replayed it.
 //! * **Failures.** A thread that stops early hangs up the barrier, and
-//!   every peer stops at the same round instead of waiting forever. A
-//!   producer keeps its panic for the simulation thread to resume.
+//!   every peer stops at the same round instead of waiting forever.
 //!
 //! The arrival stream has an RNG stream of its own that no simulated
 //! node reads, so filling it ahead cannot change the event order: every
 //! report, trace and event count is byte-identical whoever fills it.
 
+#[cfg(test)]
 use std::any::Any;
 use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -71,32 +72,6 @@ pub(crate) struct TapeEntry {
     pub(crate) class: u32,
     /// The node the arrival routes to: its user's home node.
     pub(crate) node: u16,
-}
-
-/// Who fills a sequential run's tape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Drawer {
-    /// The simulation thread, one epoch whenever it runs out.
-    Inline,
-    /// A scoped producer thread, one epoch ahead.
-    Producer,
-}
-
-impl Drawer {
-    /// The producer when a run of `requests` arrivals spans more than one
-    /// epoch, the rayon pool has a second thread, and the caller is not a
-    /// rayon worker (sweeps and figure families already run one row per
-    /// worker); otherwise the simulation thread.
-    pub(crate) fn for_run(requests: u64) -> Drawer {
-        if requests > EPOCH
-            && rayon::current_num_threads() >= 2
-            && rayon::current_thread_index().is_none()
-        {
-            Drawer::Producer
-        } else {
-            Drawer::Inline
-        }
-    }
 }
 
 /// One chunk of the tape: a run of consecutive arrivals.
@@ -175,23 +150,29 @@ impl Tape {
 
     /// Every chunk of epoch `k`, in arrival order.
     pub(crate) fn read(&self, k: u64) -> Vec<Arc<Chunk>> {
-        (0..self.buffers[0].len())
-            .map(|c| self.read_chunk(k, c))
+        self.buffers[k as usize % 2]
+            .iter()
+            .map(|slot| Arc::clone(&slot.lock().expect(UNPOISONED)))
             .collect()
-    }
-
-    /// Chunk `c` of epoch `k`.
-    fn read_chunk(&self, k: u64, c: usize) -> Arc<Chunk> {
-        Arc::clone(&self.buffers[k as usize % 2][c].lock().expect(UNPOISONED))
     }
 }
 
 /// What a [`Filler`] copies onto the tape.
+#[derive(Clone)]
 pub(crate) enum Stream<'t> {
     /// Fresh arrivals from a clone of the engine RNG.
     Drawn(ArrivalDraws),
     /// A recorded trace's arrivals, in record order.
     Replayed(&'t [RequestRecord]),
+}
+
+impl Stream<'_> {
+    /// Whether any thread can fill any chunk: a filler then steps over
+    /// the chunks other threads filled ([`ArrivalDraws::skip`]). Any
+    /// other stream is filled whole, in order, by one filler.
+    pub(crate) fn fixed_stride(&self) -> bool {
+        matches!(self, Stream::Drawn(draws) if draws.fixed_stride())
+    }
 }
 
 /// One thread's share of filling the tape, or all of it.
@@ -360,6 +341,11 @@ impl Barrier {
         self.notify(state);
     }
 
+    /// Threads that take part in every round.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Threads asleep on the barrier now.
     #[cfg(test)]
     pub(crate) fn sleepers(&self) -> usize {
@@ -389,116 +375,6 @@ impl Drop for HangUpOnDrop<'_> {
     }
 }
 
-/// A sequential world's end of the tape: hands out each epoch, chunk by
-/// chunk, after the barrier round that publishes it, filling it first
-/// when no producer does. Hangs the barrier up when dropped, so a
-/// producer never waits for a simulation thread that stopped.
-pub(crate) struct Reader<'a> {
-    tape: &'a Tape,
-    barrier: HangUpOnDrop<'a>,
-    /// The producer's panic, kept for the simulation thread.
-    failure: &'a Mutex<Option<Box<dyn Any + Send>>>,
-    /// The simulation thread's own filler when no producer draws.
-    filler: Option<Filler<'a>>,
-    /// Epochs past the barrier; the last of them is being read.
-    epochs: u64,
-    /// The next chunk of that epoch to read.
-    chunk: usize,
-    /// Epochs the simulation thread reached the barrier before the
-    /// producer had filled them.
-    pub(crate) waits: u64,
-}
-
-impl<'a> Reader<'a> {
-    /// The next chunk of the stream, in arrival order. Past an epoch's
-    /// last chunk, this fills or waits for the next epoch first; the
-    /// caller has released the chunks it held of the epoch before.
-    ///
-    /// # Panics
-    ///
-    /// Panics past the run's last arrival, and with the producer's panic
-    /// if the producer stopped before filling the next epoch.
-    pub(crate) fn next_chunk(&mut self) -> Arc<Chunk> {
-        if self.chunk == self.tape.buffers[0].len() {
-            let k = self.epochs;
-            assert!(k < self.tape.epochs(), "read past the run's last arrival");
-            self.tape.fill(k, self.filler.as_mut());
-            match self.barrier.0.wait() {
-                Ok(waited) => self.waits += u64::from(waited),
-                Err(HungUp) => {
-                    // Only the producer hangs up while this side still reads.
-                    let panic = self.failure.lock().expect(UNPOISONED).take();
-                    panic::resume_unwind(
-                        panic.expect("a producer that stops early left its panic"),
-                    );
-                }
-            }
-            self.epochs += 1;
-            self.chunk = 0;
-        }
-        self.chunk += 1;
-        self.tape.read_chunk(self.epochs - 1, self.chunk - 1)
-    }
-
-    /// Arrivals on the tape: the run's request count.
-    pub(crate) fn requests(&self) -> u64 {
-        self.tape.requests
-    }
-
-    /// Whether a producer thread fills the tape.
-    pub(crate) fn pipelined(&self) -> bool {
-        self.filler.is_none()
-    }
-}
-
-/// Runs `body` with the tape reader of a sequential run of `requests`
-/// arrivals, filled by `filler` on the thread `drawer` names. A producer
-/// thread is scoped to the call: it has stopped by the time this returns
-/// or unwinds.
-pub(crate) fn drive<R>(
-    filler: Filler<'_>,
-    requests: u64,
-    drawer: Drawer,
-    body: impl for<'s> FnOnce(Reader<'s>) -> R,
-) -> R {
-    let tape = Tape::new(requests, EPOCH);
-    let failure = Mutex::new(None);
-    let reader = |barrier, filler| Reader {
-        tape: &tape,
-        barrier: HangUpOnDrop(barrier),
-        failure: &failure,
-        filler,
-        epochs: 0,
-        chunk: tape.buffers[0].len(),
-        waits: 0,
-    };
-    match drawer {
-        Drawer::Inline => body(reader(&Barrier::new(1), Some(filler))),
-        Drawer::Producer => {
-            let barrier = Barrier::new(2);
-            thread::scope(|scope| {
-                // The producer fills every epoch one round ahead of the
-                // simulation thread, and keeps a panic for it instead of
-                // unwinding into the scope.
-                scope.spawn(|| {
-                    let mut filler = filler;
-                    let fill = AssertUnwindSafe(|| {
-                        (0..tape.epochs()).try_for_each(|k| {
-                            tape.fill(k, Some(&mut filler));
-                            barrier.wait().map(drop)
-                        })
-                    });
-                    if let Err(panic) = panic::catch_unwind(fill) {
-                        *failure.lock().expect(UNPOISONED) = Some(panic);
-                        barrier.hang_up();
-                    }
-                });
-                body(reader(&barrier, None))
-            })
-        }
-    }
-}
-
 /// The message a panic carried, or an empty string.
 #[cfg(test)]
 pub(crate) fn panic_message(panic: Box<dyn Any + Send>) -> String {
@@ -513,6 +389,8 @@ pub(crate) fn panic_message(panic: Box<dyn Any + Send>) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::panic;
+
     use rayon::prelude::*;
     use venice_telemetry::{
         export_attrib_jsonl, export_jsonl, AttribProbe, NoopProbe, Probe, RecordingProbe,
@@ -520,8 +398,11 @@ mod tests {
 
     use super::*;
     use crate::arrival::ArrivalProcess;
-    use crate::engine::{run_full, EngineMetrics, LoadgenConfig, Run};
+    use crate::engine::{run_full, EngineMetrics, LoadgenConfig, Run, Shard, World};
+    use crate::faults::NoFaults;
+    use crate::remote::ScalarCrma;
     use crate::report::LoadReport;
+    use crate::sharded::{drive, Lockstep};
     use crate::telemetry::{tenant_labels, EVENT_KIND_LABELS};
     use crate::tenants::TenantMix;
     use crate::trace::Trace;
@@ -564,6 +445,15 @@ mod tests {
         }
     }
 
+    /// The sequential driver's pace on `threads` threads: at two, a fill
+    /// helper runs beside the world on runs of more than one epoch.
+    fn pace(threads: usize) -> Lockstep {
+        Lockstep {
+            epoch: EPOCH,
+            threads,
+        }
+    }
+
     type Bytes = (String, String, u64, u64);
 
     /// Report JSON, trace JSONL, logical events and fused arrivals.
@@ -576,12 +466,14 @@ mod tests {
         )
     }
 
-    /// A traced run of `config` under `probe` with its arrivals drawn by
-    /// `drawer`, checking the metrics name that drawer.
-    fn run<P: Probe>(config: &LoadgenConfig, probe: P, drawer: Drawer) -> (Bytes, P) {
-        let (report, trace, metrics, probe) = run_full(config, None, true, probe, None, drawer);
-        assert_eq!(metrics.tape_producer, drawer == Drawer::Producer);
-        if drawer == Drawer::Inline {
+    /// A traced run of `config` under `probe` on `threads` threads,
+    /// checking the metrics say whether a fill helper ran.
+    fn run<P: Probe>(config: &LoadgenConfig, probe: P, threads: usize) -> (Bytes, P) {
+        let (report, trace, metrics, probe) =
+            run_full(config, None, true, probe, None, pace(threads));
+        let helper = threads == 2 && config.requests > EPOCH;
+        assert_eq!(metrics.tape_producer, helper);
+        if threads == 1 {
             assert_eq!(metrics.tape_epoch_waits, 0);
         }
         (bytes(&report, &trace, &metrics), probe)
@@ -591,11 +483,11 @@ mod tests {
     fn piped_and_inline_runs_are_identical() {
         for requests in COUNTS {
             for config in [poisson(0x919E, requests), bursty(0x919E, requests)] {
-                let (inline, _) = run(&config, NoopProbe, Drawer::Inline);
-                let (piped, _) = run(&config, NoopProbe, Drawer::Producer);
+                let (inline, _) = run(&config, NoopProbe, 1);
+                let (piped, _) = run(&config, NoopProbe, 2);
                 assert_eq!(piped, inline, "{requests} requests, {:?}", config.arrival);
-                // The builder picks a drawer from the rayon pool; its bytes
-                // are the same either way.
+                // The builder takes its thread count from the rayon pool;
+                // its bytes are the same either way.
                 let out = Run::new(&config).traced().execute();
                 assert_eq!(bytes(&out.report, &out.trace, &out.metrics), inline);
             }
@@ -606,71 +498,72 @@ mod tests {
     fn probed_piped_and_inline_runs_are_identical() {
         let tick = Time::from_ms(5);
         for config in [poisson(0x9B0E, 3_000), bursty(0x9B0E, 3_000)] {
-            let recorded = |drawer| {
-                let (bytes, probe) = run(&config, RecordingProbe::new(tick, 256), drawer);
+            let recorded = |threads| {
+                let (bytes, probe) = run(&config, RecordingProbe::new(tick, 256), threads);
                 let jsonl = export_jsonl("tape", config.seed, &probe, &EVENT_KIND_LABELS);
                 (bytes, jsonl)
             };
-            assert_eq!(recorded(Drawer::Producer), recorded(Drawer::Inline));
-            let attributed = |drawer| {
-                let (bytes, probe) = run(&config, AttribProbe::new(tick, 256), drawer);
+            assert_eq!(recorded(2), recorded(1));
+            let attributed = |threads| {
+                let (bytes, probe) = run(&config, AttribProbe::new(tick, 256), threads);
                 let labels = tenant_labels(&config);
                 let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
                 let runs = [("run", probe.attrib())];
                 let jsonl = export_attrib_jsonl("tape", config.seed, &runs, &labels);
                 (bytes, jsonl)
             };
-            assert_eq!(attributed(Drawer::Producer), attributed(Drawer::Inline));
+            assert_eq!(attributed(2), attributed(1));
         }
     }
 
     #[test]
     fn the_producer_runs_only_off_rayon_workers_on_long_runs() {
-        let long = EPOCH + 1;
-        assert_eq!(Drawer::for_run(EPOCH), Drawer::Inline);
         let spare_core = rayon::current_num_threads() >= 2;
-        let expected = if spare_core {
-            Drawer::Producer
-        } else {
-            Drawer::Inline
+        let helper = |requests| {
+            let config = poisson(0xD4A7, requests);
+            Run::new(&config).execute().metrics.tape_producer
         };
-        assert_eq!(Drawer::for_run(long), expected);
-        let config = poisson(0xD4A7, long);
-        assert_eq!(
-            Run::new(&config).execute().metrics.tape_producer,
-            spare_core
-        );
-        // A row already running on a rayon worker draws its own arrivals.
-        let on_worker: Vec<bool> = vec![config]
-            .into_par_iter()
-            .map(|config| Run::new(&config).execute().metrics.tape_producer)
-            .collect();
+        // One epoch leaves nothing to fill ahead.
+        assert!(!helper(EPOCH));
+        assert_eq!(helper(EPOCH + 1), spare_core);
+        // A row already running on a rayon worker fills its own tape.
+        let on_worker: Vec<bool> = vec![EPOCH + 1].into_par_iter().map(helper).collect();
         assert_eq!(on_worker, vec![false]);
     }
 
-    fn filler(config: &LoadgenConfig) -> Filler<'static> {
-        let draws = ArrivalDraws::new(config);
-        Filler::new(Stream::Drawn(draws), config.nodes())
+    /// A probe that, at the run's first event, waits until another thread
+    /// sleeps on `barrier` and then panics.
+    struct PanicOnceAsleep<'b>(&'b Barrier);
+
+    impl Probe for PanicOnceAsleep<'_> {
+        const ENABLED: bool = true;
+
+        fn on_event(&mut self, _kind: u8, _now: Time) {
+            while self.0.sleepers() == 0 {
+                std::thread::yield_now();
+            }
+            panic!("simulation failed");
+        }
     }
 
     #[test]
     fn a_panicking_simulation_thread_stops_a_sleeping_producer() {
+        // The world's first event fires in epoch 0, while the helper,
+        // having filled epoch 1, sleeps at the next round.
         let config = poisson(0x5EE9, 3 * EPOCH);
+        let (tape, barrier) = (Tape::new(config.requests, EPOCH), Barrier::new(2));
+        let stream = Stream::Drawn(ArrivalDraws::new(&config));
+        let world = || {
+            let probe = PanicOnceAsleep(&barrier);
+            let owned = 0..config.nodes();
+            let requests = config.requests;
+            let world = World::new(&config, false, probe, ScalarCrma, NoFaults, owned, requests);
+            vec![(0, Shard::new(world))]
+        };
         let outcome = panic::catch_unwind(|| {
-            drive(
-                filler(&config),
-                config.requests,
-                Drawer::Producer,
-                |mut reader| {
-                    drop(reader.next_chunk());
-                    // The producer fills the next epoch and sleeps on the
-                    // barrier.
-                    while reader.barrier.0.sleepers() == 0 {
-                        thread::yield_now();
-                    }
-                    panic!("simulation failed");
-                },
-            )
+            drive(&tape, &stream, config.nodes(), &barrier, world, |_| {
+                Vec::new()
+            });
         });
         assert_eq!(panic_message(outcome.unwrap_err()), "simulation failed");
     }
@@ -693,39 +586,55 @@ mod tests {
     #[test]
     fn a_panic_mid_run_surfaces_from_either_drawer() {
         let config = poisson(0x5EEA, 5 * EPOCH);
-        for drawer in [Drawer::Inline, Drawer::Producer] {
+        for threads in [1, 2] {
             let probe = PanicAt {
                 events: 0,
                 limit: 2 * EPOCH,
             };
             let outcome =
-                panic::catch_unwind(|| run_full(&config, None, false, probe, None, drawer));
+                panic::catch_unwind(|| run_full(&config, None, false, probe, None, pace(threads)));
             let Err(panic) = outcome else {
                 panic!("the probe did not panic")
             };
-            assert_eq!(panic_message(panic), "probe gave up", "{drawer:?}");
+            assert_eq!(panic_message(panic), "probe gave up", "{threads} threads");
         }
     }
 
     #[test]
     fn a_producer_panic_reaches_the_simulation_thread() {
         // A mean gap of 4,000 s overflows the picosecond clock after
-        // about 4,600 arrivals, in the third epoch.
-        let config = LoadgenConfig {
+        // about 4,600 arrivals, in the third epoch. Every thread fills a
+        // Poisson tape; the helper alone fills a bursty one.
+        let poisson = LoadgenConfig {
             arrival: ArrivalProcess::OpenPoisson { rate_rps: 2.5e-4 },
             ..poisson(0x0F10, 5 * EPOCH)
         };
-        for drawer in [Drawer::Inline, Drawer::Producer] {
-            let outcome =
-                panic::catch_unwind(|| run_full(&config, None, false, NoopProbe, None, drawer));
-            let Err(panic) = outcome else {
-                panic!("the clock did not overflow")
-            };
-            assert_eq!(
-                panic_message(panic),
-                "simulated time overflow",
-                "{drawer:?}"
-            );
+        let bursty = LoadgenConfig {
+            arrival: ArrivalProcess::Bursty {
+                base_rps: 2.5e-4,
+                burst_rps: 2.5e-4,
+                period: Time::from_ms(20),
+                burst_len: Time::from_ms(5),
+                crowd_users: 4,
+                crowd_share: 0.3,
+            },
+            ..poisson.clone()
+        };
+        for config in [poisson, bursty] {
+            for threads in [1, 2] {
+                let outcome = panic::catch_unwind(|| {
+                    run_full(&config, None, false, NoopProbe, None, pace(threads))
+                });
+                let Err(panic) = outcome else {
+                    panic!("the clock did not overflow")
+                };
+                assert_eq!(
+                    panic_message(panic),
+                    "simulated time overflow",
+                    "{threads} threads, {:?}",
+                    config.arrival
+                );
+            }
         }
     }
 }

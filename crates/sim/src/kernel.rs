@@ -67,8 +67,6 @@ pub struct Scheduler<S, E> {
     executed: u64,
     /// Hard cap on executed events; guards against runaway models.
     event_limit: u64,
-    /// Stop the run loop once the clock passes this point.
-    horizon: Time,
     _state: PhantomData<fn(&mut S)>,
 }
 
@@ -79,7 +77,6 @@ impl<S, E> Scheduler<S, E> {
             queue: EventQueue::new(),
             executed: 0,
             event_limit: u64::MAX,
-            horizon: Time::MAX,
             _state: PhantomData,
         }
     }
@@ -232,13 +229,6 @@ impl<S, E> Kernel<S, E> {
         self
     }
 
-    /// Stops the run loop once the clock would pass `horizon`; pending
-    /// later events are left in the queue.
-    pub fn with_horizon(mut self, horizon: Time) -> Self {
-        self.sched.horizon = horizon;
-        self
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.sched.now()
@@ -317,8 +307,8 @@ impl<S, E> Kernel<S, E> {
 }
 
 impl<S, E: SimEvent<S>> Kernel<S, E> {
-    /// Runs until the queue is empty (or the horizon/event limit is hit).
-    /// Returns the final simulated time.
+    /// Runs until the queue is empty. Returns the final simulated time.
+    /// To stop at an instant instead, use [`run_until`](Kernel::run_until).
     ///
     /// # Panics
     ///
@@ -328,14 +318,13 @@ impl<S, E: SimEvent<S>> Kernel<S, E> {
         self.sched.now
     }
 
-    /// Executes a single event. Returns `false` when the queue is empty or
-    /// the next event lies beyond the horizon.
+    /// Executes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        self.step_until(self.sched.horizon)
+        self.step_until(Time::MAX)
     }
 
     /// Fires every pending event due at or before `at`, in time order,
-    /// then moves the clock to `at`, whatever the horizon. A caller that
+    /// then moves the clock to `at`. A caller that
     /// feeds the world a stream of its own calls this at each item's
     /// instant and then acts through [`parts_mut`](Kernel::parts_mut):
     /// every event due by then, one at `at` itself included, has fired.
@@ -482,13 +471,14 @@ mod tests {
 
     #[test]
     fn horizon_stops_the_loop() {
-        let mut k = Kernel::new(0u32).with_horizon(Time::from_ns(25));
+        let mut k = Kernel::new(0u32);
         for i in 1..=5 {
             k.schedule_event(Time::from_ns(i * 10), CounterEv::Bump(1));
         }
-        k.run();
+        k.run_until(Time::from_ns(25));
         assert_eq!(*k.state(), 2); // events at 10 and 20 only
         assert_eq!(k.pending(), 3);
+        assert_eq!(k.now(), Time::from_ns(25));
     }
 
     #[test]
@@ -527,13 +517,14 @@ mod tests {
 
     #[test]
     fn typed_events_respect_horizon_and_limit() {
-        let mut k: Kernel<u32, CounterEv> = Kernel::new(0).with_horizon(Time::from_ns(10));
+        let mut k: Kernel<u32, CounterEv> = Kernel::new(0).with_event_limit(3);
         for i in 0..5 {
             k.schedule_event(Time::from_ns(i * 5), CounterEv::Bump(1));
         }
-        k.run();
-        assert_eq!(*k.state(), 3); // 0, 5, 10
+        k.run_until(Time::from_ns(10));
+        assert_eq!(*k.state(), 3); // 0, 5, 10: exactly the limit
         assert_eq!(k.pending(), 2);
+        assert_eq!(k.executed(), 3);
     }
 
     #[test]

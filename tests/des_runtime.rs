@@ -71,8 +71,8 @@ fn build() -> Kernel<World, Heartbeat> {
 
 #[test]
 fn heartbeats_establish_liveness_over_simulated_time() {
-    let mut k = build().with_horizon(Time::from_secs(1));
-    k.run();
+    let mut k = build();
+    k.run_until(Time::from_secs(1));
     let w = k.state();
     let now = k.now();
     for a in &w.agents {
@@ -90,8 +90,7 @@ fn heartbeats_establish_liveness_over_simulated_time() {
 fn silent_node_ages_out_of_liveness() {
     let mut k = build();
     k.state_mut().dead_node = Some(NodeId(3));
-    let mut k = k.with_horizon(Time::from_secs(2));
-    k.run();
+    k.run_until(Time::from_secs(2));
     let w = k.state();
     let now = k.now();
     assert!(!w.monitor.node_alive(NodeId(3), now));
@@ -117,8 +116,7 @@ fn silent_node_ages_out_of_liveness() {
 fn link_fault_reaches_the_topology_status_table() {
     let mut k = build();
     k.state_mut().fault_at = Time::from_ms(500);
-    let mut k = k.with_horizon(Time::from_secs(1));
-    k.run();
+    k.run_until(Time::from_secs(1));
     let w = k.state();
     // Node 0's link test toward node 1 fails after the fault.
     assert!(!w.monitor.link_up(NodeId(0), NodeId(1)));
@@ -129,8 +127,8 @@ fn link_fault_reaches_the_topology_status_table() {
 #[test]
 fn deterministic_simulation() {
     let run = || {
-        let mut k = build().with_horizon(Time::from_secs(1));
-        k.run();
+        let mut k = build();
+        k.run_until(Time::from_secs(1));
         (k.executed(), k.now())
     };
     assert_eq!(run(), run());
