@@ -29,6 +29,8 @@
 use venice_lease::Priority;
 use venice_sim::Time;
 
+use crate::trace::RequestOutcome;
+
 /// Admission-control parameters, expressed cluster-wide; the engine
 /// derives per-node controllers from them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,13 +58,36 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Why a request was turned away.
+/// Why a request was lost. Admission turns a request away for the
+/// first two reasons; the engine loses an admitted one for the last two.
+///
+/// The variants come in [`venice_telemetry::attrib::SHED_LABELS`]
+/// order, so `loss as u8` is a probe's shed slot and `loss as usize`
+/// indexes a per-reason counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
+pub enum Loss {
     /// Token bucket empty: offered rate exceeds the policed ceiling.
-    RateLimit,
+    Rate,
     /// The node's (priority-scaled) in-flight cap is exhausted.
     Overload,
+    /// The node's credit backlog overflowed.
+    Backpressure,
+    /// An injected node crash: the serving node fail-stopped with the
+    /// request in its backlog or in service, or every node was down at
+    /// arrival.
+    Crash,
+}
+
+impl Loss {
+    /// The trace outcome of a request lost this way.
+    pub fn outcome(self) -> RequestOutcome {
+        match self {
+            Loss::Rate => RequestOutcome::ShedRate,
+            Loss::Overload => RequestOutcome::ShedOverload,
+            Loss::Backpressure => RequestOutcome::ShedBackpressure,
+            Loss::Crash => RequestOutcome::ShedCrash,
+        }
+    }
 }
 
 /// Admission decision for one arrival.
@@ -70,8 +95,8 @@ pub enum ShedReason {
 pub enum Decision {
     /// Let the request in.
     Admit,
-    /// Turn it away.
-    Shed(ShedReason),
+    /// Turn it away, for [`Loss::Rate`] or [`Loss::Overload`].
+    Shed(Loss),
 }
 
 /// The in-flight capacity share of a tenant sitting at its lease quota —
@@ -154,11 +179,11 @@ impl AdmissionControl {
                 (self.tokens + elapsed * self.config.rate_limit_rps).min(self.config.burst as f64);
             self.last_refill = now;
             if self.tokens < 1.0 {
-                return Decision::Shed(ShedReason::RateLimit);
+                return Decision::Shed(Loss::Rate);
             }
         }
         if self.inflight >= self.cap_for(priority, over_quota) {
-            return Decision::Shed(ShedReason::Overload);
+            return Decision::Shed(Loss::Overload);
         }
         if self.config.rate_limit_rps.is_finite() {
             self.tokens -= 1.0;
@@ -182,6 +207,27 @@ impl AdmissionControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use venice_telemetry::attrib::{SHED_LABELS, SHED_REASONS};
+
+    #[test]
+    fn each_loss_indexes_its_own_shed_label_and_outcome() {
+        let losses = [
+            (Loss::Rate, "rate", RequestOutcome::ShedRate),
+            (Loss::Overload, "overload", RequestOutcome::ShedOverload),
+            (
+                Loss::Backpressure,
+                "backpressure",
+                RequestOutcome::ShedBackpressure,
+            ),
+            (Loss::Crash, "crash", RequestOutcome::ShedCrash),
+        ];
+        assert_eq!(losses.len(), SHED_REASONS);
+        for (slot, (loss, label, outcome)) in losses.into_iter().enumerate() {
+            assert_eq!(loss as usize, slot, "{loss:?}");
+            assert_eq!(SHED_LABELS[loss as usize], label, "{loss:?}");
+            assert_eq!(loss.outcome(), outcome, "{loss:?}");
+        }
+    }
 
     #[test]
     fn unlimited_config_admits_until_inflight_cap() {
@@ -195,7 +241,7 @@ mod tests {
         assert_eq!(ac.on_arrival(t, Priority::High, false), Decision::Admit);
         assert_eq!(
             ac.on_arrival(t, Priority::High, false),
-            Decision::Shed(ShedReason::Overload)
+            Decision::Shed(Loss::Overload)
         );
         ac.on_completion();
         assert_eq!(ac.on_arrival(t, Priority::High, false), Decision::Admit);
@@ -215,7 +261,7 @@ mod tests {
         // Low priority sees a 50% cap (5): already at it, shed.
         assert_eq!(
             ac.on_arrival(t, Priority::Low, false),
-            Decision::Shed(ShedReason::Overload)
+            Decision::Shed(Loss::Overload)
         );
         // Normal (85% -> 8) and High (100% -> 10) still get through.
         assert_eq!(ac.on_arrival(t, Priority::Normal, false), Decision::Admit);
@@ -227,7 +273,7 @@ mod tests {
         // Saturated: even high priority sheds now.
         assert_eq!(
             ac.on_arrival(t, Priority::High, false),
-            Decision::Shed(ShedReason::Overload)
+            Decision::Shed(Loss::Overload)
         );
     }
 
@@ -246,7 +292,7 @@ mod tests {
         // cap (3): already at it, shed.
         assert_eq!(
             ac.on_arrival(t, Priority::High, true),
-            Decision::Shed(ShedReason::Overload)
+            Decision::Shed(Loss::Overload)
         );
         // Low priority within quota (50% -> 5) still gets through.
         assert_eq!(ac.on_arrival(t, Priority::Low, false), Decision::Admit);
@@ -342,7 +388,7 @@ mod tests {
         ac.on_completion();
         assert_eq!(
             ac.on_arrival(Time::from_us(100), Priority::Normal, false),
-            Decision::Shed(ShedReason::RateLimit)
+            Decision::Shed(Loss::Rate)
         );
         // 10 ms at 100 rps buys one token back.
         assert_eq!(

@@ -50,13 +50,13 @@ use venice_fabric::CreditCounter;
 use venice_lease::{LeaseConfig, LeaseManager, NO_TENANT};
 use venice_sim::{Kernel, LogHistogram, QueueStats, Scheduler, SimEvent, SimRng, Time};
 use venice_telemetry::attrib::{
-    StageBreakdown, STAGE_DETOUR, STAGE_ESTABLISH_STALL, STAGE_QUEUE_WAIT, STAGE_SERVICE_LOCAL,
-    STAGE_SERVICE_REMOTE, STAGE_SLOT_WAIT, STAGE_TRANSPORT,
+    StageBreakdown, SHED_REASONS, STAGE_DETOUR, STAGE_ESTABLISH_STALL, STAGE_QUEUE_WAIT,
+    STAGE_SERVICE_LOCAL, STAGE_SERVICE_REMOTE, STAGE_SLOT_WAIT, STAGE_TRANSPORT,
 };
 use venice_telemetry::{NodeGauges, NoopProbe, Probe, SampleRow, TenantCounters};
 use venice_transport::{QpairConfig, QueuePair};
 
-use crate::admission::{AdmissionConfig, AdmissionControl, Decision, ShedReason};
+use crate::admission::{AdmissionConfig, AdmissionControl, Decision, Loss};
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
 use crate::faults::{FaultModel, FaultPlan, NoFaults};
 use crate::remote::{CongestedFabric, RemoteModel, RemoteModelCfg, ScalarCrma};
@@ -72,8 +72,8 @@ mod characterization;
 mod control;
 
 use control::{
-    bootstrap, crash_shed, fault_tick, lease_established, lease_tick, measure_crma,
-    revoke_torndown, ElasticTier, LeaseEstablish, RevokeTeardown,
+    bootstrap, fault_tick, lease_established, lease_tick, measure_crma, revoke_torndown,
+    ElasticTier, LeaseEstablish, RevokeTeardown,
 };
 
 /// Local DRAM miss latency used for the non-borrowed tier.
@@ -340,12 +340,8 @@ struct Stats {
     hist: LogHistogram,
     bytes: u64,
     admitted: u64,
-    shed_rate: u64,
-    shed_overload: u64,
-    shed_backpressure: u64,
-    /// Requests lost to an injected node crash (stays 0 unless a fault
-    /// plan is armed).
-    shed_crash: u64,
+    /// Lost requests per reason, indexed by [`Loss`].
+    lost: [u64; SHED_REASONS],
 }
 
 impl Stats {
@@ -354,11 +350,13 @@ impl Stats {
             hist: LogHistogram::new(),
             bytes: 0,
             admitted: 0,
-            shed_rate: 0,
-            shed_overload: 0,
-            shed_backpressure: 0,
-            shed_crash: 0,
+            lost: [0; SHED_REASONS],
         }
+    }
+
+    /// Requests lost for any reason.
+    fn lost_total(&self) -> u64 {
+        self.lost.iter().sum()
     }
 
     /// Books one completion in a single call: latency into the histogram,
@@ -375,10 +373,15 @@ impl Stats {
         self.hist.merge(&other.hist);
         self.bytes += other.bytes;
         self.admitted += other.admitted;
-        self.shed_rate += other.shed_rate;
-        self.shed_overload += other.shed_overload;
-        self.shed_backpressure += other.shed_backpressure;
-        self.shed_crash += other.shed_crash;
+        for (acc, n) in self.lost.iter_mut().zip(other.lost) {
+            *acc += n;
+        }
+    }
+
+    /// The report row named `name` over a run lasting `duration`.
+    fn report(&self, name: impl Into<String>, duration: Time) -> TenantReport {
+        let lost = self.lost_total();
+        TenantReport::from_stats(name, &self.hist, self.admitted, lost, self.bytes, duration)
     }
 }
 
@@ -584,7 +587,7 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
         let shed = self
             .stats
             .iter()
-            .any(|st| st.shed_rate + st.shed_overload > 0);
+            .any(|st| st.lost[Loss::Rate as usize] + st.lost[Loss::Overload as usize] > 0);
         (partial && shed).then_some(FallbackReason::Shed)
     }
 }
@@ -655,7 +658,7 @@ fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
         .enumerate()
         .map(|(class, st)| TenantCounters {
             admitted: st.admitted,
-            shed: st.shed_rate + st.shed_overload + st.shed_backpressure + st.shed_crash,
+            shed: st.lost_total(),
             denied: w.denied_counts[class],
             quota_bytes: w
                 .elastic
@@ -825,35 +828,27 @@ fn issue_with<P: Probe, M: RemoteModel, F: FaultModel>(
     now: Time,
     entry: TapeEntry,
 ) {
-    let (class, user) = (entry.class as usize, entry.user);
-    let seq = w.issued;
-    w.issued += 1;
+    let class = entry.class as usize;
     let node = route(w, class, entry.node as usize);
+    let mut req = Request {
+        seq: w.issued,
+        class: entry.class,
+        user: entry.user,
+        node: node as u16,
+        arrival: now,
+        service: Time::ZERO,
+        generation: 0,
+    };
+    w.issued += 1;
     // Total outage: every node is down, so the front door itself is
     // gone — the request is a crash loss, not an admission decision.
-    if F::ENABLED && !w.faults.node_up(node as u16) {
-        w.stats[class].shed_crash += 1;
-        if P::ATTRIB {
-            w.probe.on_shed(class as u16, node as u16, 3, now);
-        }
-        record(
-            w,
-            seq,
-            now,
-            class,
-            user,
-            node,
-            RequestOutcome::ShedCrash,
-            Time::ZERO,
-            0,
-        );
+    if F::ENABLED && !w.faults.node_up(req.node) {
+        lose(w, &req, Loss::Crash, now);
         return;
     }
-    let generation = w
-        .elastic
-        .as_ref()
-        .map(|t| t.newest_generation(node))
-        .unwrap_or(0);
+    if let Some(tier) = &w.elastic {
+        req.generation = tier.newest_generation(node);
+    }
     let priority = w.classes[class].priority;
     let over_quota = w
         .elastic
@@ -861,38 +856,7 @@ fn issue_with<P: Probe, M: RemoteModel, F: FaultModel>(
         .map(|t| t.over_quota[class])
         .unwrap_or(false);
     match w.admissions[node].on_arrival(now, priority, over_quota) {
-        Decision::Shed(reason) => {
-            let st = &mut w.stats[class];
-            let outcome = match reason {
-                ShedReason::RateLimit => {
-                    st.shed_rate += 1;
-                    RequestOutcome::ShedRate
-                }
-                ShedReason::Overload => {
-                    st.shed_overload += 1;
-                    RequestOutcome::ShedOverload
-                }
-            };
-            if P::ATTRIB {
-                // Slot order mirrors attrib::SHED_LABELS.
-                let slot = match reason {
-                    ShedReason::RateLimit => 0,
-                    ShedReason::Overload => 1,
-                };
-                w.probe.on_shed(class as u16, node as u16, slot, now);
-            }
-            record(
-                w,
-                seq,
-                now,
-                class,
-                user,
-                node,
-                outcome,
-                Time::ZERO,
-                generation,
-            );
-        }
+        Decision::Shed(loss) => lose(w, &req, loss, now),
         Decision::Admit => {
             w.stats[class].admitted += 1;
             // The compiled model replays service_time() bit-for-bit
@@ -901,15 +865,8 @@ fn issue_with<P: Probe, M: RemoteModel, F: FaultModel>(
             // and is dead code on the no-op path.
             let (service, is_miss) =
                 w.servers[node].service_by_class[class].sample_split(&mut w.service_rng);
-            let slot = w.requests.insert(Request {
-                seq,
-                class: class as u32,
-                user,
-                node: node as u16,
-                arrival: now,
-                service,
-                generation,
-            });
+            req.service = service;
+            let slot = w.requests.insert(req);
             if P::ATTRIB {
                 let remote_ps = w.servers[node].attrib_by_class[class].remote_ps(service, is_miss);
                 if w.attrib.len() <= slot as usize {
@@ -926,29 +883,57 @@ fn issue_with<P: Probe, M: RemoteModel, F: FaultModel>(
     }
 }
 
-/// Appends a trace record if tracing is on.
-#[allow(clippy::too_many_arguments)]
+/// Books `req` as lost to `loss` at `now`: its tenant's counter for the
+/// reason, the probe's shed slot and the trace record. Every lost
+/// request goes through here, whether admission turned it away or the
+/// engine lost it after admission ([`lose_admitted`]).
+fn lose<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    req: &Request,
+    loss: Loss,
+    now: Time,
+) {
+    w.stats[req.class as usize].lost[loss as usize] += 1;
+    if P::ATTRIB {
+        w.probe.on_shed(req.class as u16, req.node, loss as u8, now);
+    }
+    record(w, req, loss.outcome(), Time::ZERO);
+}
+
+/// Loses the admitted request in `slot` to `loss` at `now`: frees the
+/// slot, closes its admission and books the loss ([`lose`]). Shared by a
+/// backlog overflow, a crash's backlog drain and a doomed request's
+/// `Finish`; the caller returns whatever transport credit the request
+/// held.
+fn lose_admitted<P: Probe, M: RemoteModel, F: FaultModel>(
+    w: &mut World<P, M, F>,
+    slot: u32,
+    loss: Loss,
+    now: Time,
+) -> Request {
+    let req = w.requests.take(slot);
+    w.admissions[req.node as usize].on_completion();
+    lose(w, &req, loss, now);
+    req
+}
+
+/// Appends `req`'s trace record if tracing is on.
 fn record<P: Probe, M: RemoteModel, F: FaultModel>(
     w: &mut World<P, M, F>,
-    seq: u64,
-    at: Time,
-    class: usize,
-    user: u64,
-    node: usize,
+    req: &Request,
     outcome: RequestOutcome,
     latency: Time,
-    generation: u64,
 ) {
     if let Some(trace) = &mut w.trace {
         trace.push(RequestRecord {
-            seq,
-            at_ns: at.as_ns(),
-            tenant: class as u32,
-            user,
-            node: node as u16,
+            seq: req.seq,
+            at_ns: req.arrival.as_ns(),
+            tenant: req.class,
+            user: req.user,
+            node: req.node,
             outcome,
             latency_ns: latency.as_ns(),
-            lease_generation: generation,
+            lease_generation: req.generation,
         });
     }
 }
@@ -1021,23 +1006,7 @@ fn dispatch<P: Probe, M: RemoteModel, F: FaultModel>(
         } else {
             // The node is saturated beyond its backlog: drop the
             // request and free its in-flight slot.
-            let req = w.requests.take(slot);
-            w.stats[req.class as usize].shed_backpressure += 1;
-            w.admissions[node].on_completion();
-            if P::ATTRIB {
-                w.probe.on_shed(req.class as u16, node as u16, 2, now);
-            }
-            record(
-                w,
-                req.seq,
-                req.arrival,
-                req.class as usize,
-                req.user,
-                node,
-                RequestOutcome::ShedBackpressure,
-                Time::ZERO,
-                req.generation,
-            );
+            lose_admitted(w, slot, Loss::Backpressure, now);
         }
     }
 }
@@ -1057,7 +1026,7 @@ fn finish<P: Probe, M: RemoteModel, F: FaultModel>(
     // work died with the node.
     if F::ENABLED && w.doomed.get(slot as usize).copied().unwrap_or(false) {
         w.doomed[slot as usize] = false;
-        let req = crash_shed(w, slot, s.now());
+        let req = lose_admitted(w, slot, Loss::Crash, s.now());
         let node = req.node as usize;
         let srv = &mut w.servers[node];
         srv.inflight_by_class[req.class as usize] -= 1;
@@ -1132,17 +1101,7 @@ fn finish<P: Probe, M: RemoteModel, F: FaultModel>(
             StageBreakdown { stage_ps, total_ps },
         );
     }
-    record(
-        w,
-        req.seq,
-        req.arrival,
-        class,
-        req.user,
-        node,
-        RequestOutcome::Completed,
-        latency,
-        req.generation,
-    );
+    record(w, &req, RequestOutcome::Completed, latency);
     w.servers[node].credits.grant(1);
     if let Some(next) = w.pop_backlog(node) {
         dispatch(w, s, next);
@@ -1343,6 +1302,7 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     /// a stack without hot-plug support), or if a replay trace is empty
     /// or names a tenant index outside the configured mix.
     pub fn execute(self) -> RunOutput<P> {
+        validate(self.config);
         if let Some(trace) = self.replay {
             assert!(!trace.is_empty(), "cannot replay an empty trace");
             let classes = self.config.mix.classes.len() as u32;
@@ -1383,9 +1343,10 @@ impl<'c, 't, P: Probe> Run<'c, 't, P> {
     }
 }
 
-/// Rejects an internally inconsistent configuration. Every driver calls
-/// it before any work starts, so a sharded run fails with the sequential
-/// engine's messages.
+/// Rejects an internally inconsistent configuration. [`Run::execute`]
+/// calls it once, before any work starts and beside its replay-trace
+/// checks, so every path of a run, sharded or not, fails with the same
+/// messages.
 ///
 /// # Panics
 ///
@@ -1499,8 +1460,6 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
         owned: Range<u16>,
         requests: u64,
     ) -> Self {
-        validate(config);
-
         // 1–2. Build the cluster, mesh adjacency, and per-node transport.
         //    The per-class request-message latency is precomputed once —
         //    payload sizes are class constants and the latency model is
@@ -1588,7 +1547,7 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
                 (models, remote_leases, borrow_failures) =
                     provision_static(config, &mut cluster, &qpair_lat, &mut remote);
             }
-            (Some(_), _) => unreachable!("validated above"),
+            (Some(_), _) => unreachable!("Run::execute validated the stack"),
         }
 
         // 4. Assemble the per-node servers: QPair credits, service
@@ -1737,7 +1696,6 @@ fn run_typed<P: Probe, M: RemoteModel, F: FaultModel>(
     faults: F,
     pace: Lockstep,
 ) -> (LoadReport, Option<Trace>, EngineMetrics, P) {
-    validate(config);
     let (stream, requests) = match replay_trace {
         Some(trace) => (Stream::Replayed(&trace.records), trace.len() as u64),
         None => (Stream::Drawn(ArrivalDraws::new(config)), config.requests),
@@ -1952,54 +1910,29 @@ pub(crate) fn summarize<P: Probe, M: RemoteModel, F: FaultModel>(
         records.sort_by_key(|r| r.seq);
         Trace { records }
     });
-    let mut total_hist = LogHistogram::new();
-    let mut total_bytes = 0u64;
-    let mut admitted = 0u64;
-    let (mut shed_rate, mut shed_overload, mut shed_backpressure, mut shed_crash) =
-        (0u64, 0u64, 0u64, 0u64);
+    let mut all = Stats::new();
     let mut tenants = Vec::with_capacity(w.classes.len());
     for (class, st) in w.classes.iter().zip(&w.stats) {
-        total_hist.merge(&st.hist);
-        total_bytes += st.bytes;
-        admitted += st.admitted;
-        shed_rate += st.shed_rate;
-        shed_overload += st.shed_overload;
-        shed_backpressure += st.shed_backpressure;
-        shed_crash += st.shed_crash;
-        tenants.push(TenantReport::from_stats(
-            class.name.clone(),
-            &st.hist,
-            st.admitted,
-            st.shed_rate + st.shed_overload + st.shed_backpressure + st.shed_crash,
-            st.bytes,
-            duration,
-        ));
+        all.absorb(st);
+        tenants.push(st.report(class.name.clone(), duration));
     }
-    let total = TenantReport::from_stats(
-        "all",
-        &total_hist,
-        admitted,
-        shed_rate + shed_overload + shed_backpressure + shed_crash,
-        total_bytes,
-        duration,
-    );
     let report = LoadReport {
         mix: config.mix.name.clone(),
         seed: config.seed,
         nodes: w.servers.len() as u16,
         duration,
         issued: w.issued,
-        admitted,
+        admitted: all.admitted,
         completed: w.completed,
-        shed_rate,
-        shed_overload,
-        shed_backpressure,
-        shed_crash,
+        shed_rate: all.lost[Loss::Rate as usize],
+        shed_overload: all.lost[Loss::Overload as usize],
+        shed_backpressure: all.lost[Loss::Backpressure as usize],
+        shed_crash: all.lost[Loss::Crash as usize],
         credit_waits,
         remote_leases: w.remote_leases,
         borrow_failures: w.borrow_failures,
         lease,
-        total,
+        total: all.report("all", duration),
         tenants,
     };
     (report, trace, metrics, w.probe)
@@ -2013,6 +1946,7 @@ mod tests {
     use crate::tape::Filler;
     use crate::tenants::TenantMix;
     use venice_fabric::LinkParams;
+    use venice_telemetry::AttribProbe;
 
     fn small(seed: u64) -> LoadgenConfig {
         LoadgenConfig {
@@ -2066,6 +2000,50 @@ mod tests {
         }
     }
 
+    /// The kernel of one world owning every node of `config` under
+    /// `plan`, handed the whole tape in one chunk and paused just before
+    /// `at`: the arrival loop has issued every arrival before it and
+    /// fired every event before it. Returns the next arrival with it.
+    fn paused_before<P: Probe>(
+        config: &LoadgenConfig,
+        capture: bool,
+        probe: P,
+        plan: FaultPlan,
+        at: Time,
+    ) -> (
+        EngineKernel<P, ScalarCrma, FaultPlan>,
+        Option<(Time, TapeEntry)>,
+    ) {
+        let mut tape = Chunk::default();
+        let draws = Stream::Drawn(ArrivalDraws::new(config));
+        Filler::new(draws, config.nodes()).draw(0..config.requests, &mut tape);
+        let (owned, requests) = (0..config.nodes(), config.requests);
+        let world = World::new(config, capture, probe, ScalarCrma, plan, owned, requests);
+        let mut kernel = start_world(world);
+        kernel.state_mut().feed.chunks.push(Arc::new(tape));
+        let mut next = next_owned_arrival(kernel.state_mut());
+        while let Some(arrival) = next.filter(|&(t, _)| t < at) {
+            issue_arrival(&mut kernel, arrival);
+            next = next_owned_arrival(kernel.state_mut());
+        }
+        kernel.run_until(at - Time::from_ps(1));
+        (kernel, next)
+    }
+
+    /// Runs a kernel paused by [`paused_before`] to the end of its run,
+    /// issuing `next` first.
+    fn resume<P: Probe>(
+        mut kernel: EngineKernel<P, ScalarCrma, FaultPlan>,
+        next: Option<(Time, TapeEntry)>,
+    ) -> (World<P, ScalarCrma, FaultPlan>, EngineMetrics) {
+        if let Some(arrival) = next {
+            issue_arrival(&mut kernel, arrival);
+        }
+        run_arrivals(&mut kernel);
+        kernel.run();
+        finish_world(kernel)
+    }
+
     #[test]
     fn backlog_counters_survive_sheds_and_crash_drains() {
         // The elastic family's bursty traffic with a 16-slot backlog,
@@ -2088,40 +2066,24 @@ mod tests {
             at: crash_at,
             recover_at: Time::from_ms(1_300),
         }]);
-        // The whole tape in one chunk, handed to a world owning every
-        // node.
-        let mut tape = Chunk::default();
-        let draws = Stream::Drawn(ArrivalDraws::new(&config));
-        Filler::new(draws, config.nodes()).draw(0..config.requests, &mut tape);
-        let (owned, requests) = (0..config.nodes(), config.requests);
-        let world = World::new(&config, false, NoopProbe, ScalarCrma, plan, owned, requests);
-        let mut kernel = start_world(world);
-        kernel.state_mut().feed.chunks.push(Arc::new(tape));
-        // The arrival loop, paused at the crash: issue the arrivals
-        // before it, then fire the events before it and at it.
-        let mut next = next_owned_arrival(kernel.state_mut());
-        while let Some(arrival) = next.filter(|&(at, _)| at < crash_at) {
-            issue_arrival(&mut kernel, arrival);
-            next = next_owned_arrival(kernel.state_mut());
-        }
-        kernel.run_until(crash_at - Time::from_ps(1));
+        let (mut kernel, next) = paused_before(&config, false, NoopProbe, plan, crash_at);
         let parked = kernel.state().servers[0].backlog.len();
         assert!(parked > 0, "node 0's backlog is empty at the crash");
         let shed_crash = |w: &World<NoopProbe, ScalarCrma, FaultPlan>| {
-            w.stats.iter().map(|st| st.shed_crash).sum::<u64>()
+            w.stats
+                .iter()
+                .map(|st| st.lost[Loss::Crash as usize])
+                .sum::<u64>()
         };
         let before = shed_crash(kernel.state());
         kernel.run_until(crash_at);
         assert!(kernel.state().servers[0].backlog.is_empty());
         assert!(shed_crash(kernel.state()) >= before + parked as u64);
-        if let Some(arrival) = next {
-            issue_arrival(&mut kernel, arrival);
-        }
-        run_arrivals(&mut kernel);
-        kernel.run();
-        let (w, _) = finish_world(kernel);
+        let (w, _) = resume(kernel, next);
         assert!(
-            w.stats.iter().any(|st| st.shed_backpressure > 0),
+            w.stats
+                .iter()
+                .any(|st| st.lost[Loss::Backpressure as usize] > 0),
             "no backlog overflowed"
         );
         for srv in &w.servers {
@@ -2129,6 +2091,78 @@ mod tests {
             assert!(srv.queued_by_class.iter().all(|&n| n == 0));
             assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
         }
+    }
+
+    #[test]
+    fn report_trace_and_probe_agree_on_every_loss() {
+        // A policed, tightly capped mesh loses requests all four ways:
+        // the rate policer and the in-flight cap turn arrivals away, a
+        // short backlog overflows, and node 0 crashes with requests both
+        // in service and backlogged. The report's counters, the trace's
+        // outcomes and the attribution probe's shed slots are three
+        // ledgers of the same losses; they must agree reason by reason,
+        // per tenant and in total.
+        let crash_at = Time::from_ms(3);
+        let config = LoadgenConfig {
+            arrival: ArrivalProcess::OpenPoisson {
+                rate_rps: 1_000_000.0,
+            },
+            requests: 6_000,
+            admission: AdmissionConfig {
+                rate_limit_rps: 800_000.0,
+                max_inflight: 384,
+                backlog_per_node: 8,
+                ..AdmissionConfig::default()
+            },
+            ..LoadgenConfig::new(0x1055, TenantMix::web_frontend())
+        };
+        let plan = FaultPlan::new(vec![FaultEvent::NodeCrash {
+            node: 0,
+            at: crash_at,
+            recover_at: crash_at + Time::from_ms(2),
+        }]);
+        let probe = AttribProbe::new(Time::from_ms(1), 64);
+        let (kernel, next) = paused_before(&config, true, probe, plan, crash_at);
+        let srv = &kernel.state().servers[0];
+        assert!(
+            !srv.backlog.is_empty(),
+            "node 0 has no backlog at the crash"
+        );
+        assert!(
+            srv.inflight_by_class.iter().sum::<u32>() > 0,
+            "node 0 has nothing in service at the crash"
+        );
+        let (report, trace, _, probe) = summarize(&config, vec![resume(kernel, next)]);
+        let trace = trace.expect("traced");
+        let fold = probe.attrib();
+        let lost = |tenant: Option<u32>, loss: Loss| {
+            let records = trace.records.iter();
+            records
+                .filter(|r| r.outcome == loss.outcome() && tenant.is_none_or(|t| r.tenant == t))
+                .count() as u64
+        };
+        let losses = [
+            (Loss::Rate, report.shed_rate),
+            (Loss::Overload, report.shed_overload),
+            (Loss::Backpressure, report.shed_backpressure),
+            (Loss::Crash, report.shed_crash),
+        ];
+        let tenants = report.tenants.len() as u16;
+        for (loss, reported) in losses {
+            assert!(reported > 0, "nothing lost to {loss:?}");
+            assert_eq!(lost(None, loss), reported, "{loss:?}: trace vs report");
+            let probed: u64 = (0..tenants).map(|t| fold.sheds(t)[loss as usize]).sum();
+            assert_eq!(probed, reported, "{loss:?}: probe vs report");
+        }
+        for (t, row) in report.tenants.iter().enumerate() {
+            let sheds = fold.sheds(t as u16);
+            for (loss, _) in losses {
+                let traced = lost(Some(t as u32), loss);
+                assert_eq!(traced, sheds[loss as usize], "{} {loss:?}", row.tenant);
+            }
+            assert_eq!(sheds.iter().sum::<u64>(), row.shed, "{}", row.tenant);
+        }
+        assert_eq!(report.issued, report.completed + report.shed_total());
     }
 
     #[test]

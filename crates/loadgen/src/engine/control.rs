@@ -14,12 +14,12 @@
 //! | land a chunk (establish completes, or setup) | [`land`] |
 //! | lose a visible chunk (shrink, revoke, crash) | [`lose_chunk`] |
 //! | write off a grant without a teardown | [`write_off`] |
-//! | shed a request to its node's crash | [`crash_shed`] |
 //!
 //! plus [`World::tag_priority`] for the priority a tenant tag carries.
-//! A change to one transition therefore touches one place. As a child
-//! of [`crate::engine`] the module reads the world's private fields
-//! directly.
+//! A change to one transition therefore touches one place. Requests a
+//! crash kills are lost through the engine's one loss path
+//! ([`lose_admitted`]). As a child of [`crate::engine`] the module reads
+//! the world's private fields directly.
 
 use std::mem;
 
@@ -29,10 +29,10 @@ use venice_lease::{LeaseAction, LeaseManager, NodeSignal, Priority};
 use venice_sim::Time;
 use venice_telemetry::{Probe, SpanKind};
 
-use super::{record, EngineEvent, Request, Sched, Server, World, LENDABLE_PER_NODE, NO_TAG};
+use super::{lose_admitted, EngineEvent, Sched, Server, World, LENDABLE_PER_NODE, NO_TAG};
+use crate::admission::Loss;
 use crate::faults::{FaultModel, FaultTransition};
 use crate::remote::RemoteModel;
-use crate::trace::RequestOutcome;
 
 /// Elastic-tier state threaded through lease ticks.
 pub(super) struct ElasticTier {
@@ -674,7 +674,7 @@ fn crash_node<P: Probe, M: RemoteModel, F: FaultModel>(
     // Backlogged requests were admitted but never cleared the credit
     // gate: they die with the node, holding no transport credit.
     while let Some(slot) = w.pop_backlog(node) {
-        crash_shed(w, slot, now);
+        lose_admitted(w, slot, Loss::Crash, now);
     }
     // In-service requests cannot be unscheduled — their Finish events
     // are already in the queue — so they are doomed in place and
@@ -741,37 +741,6 @@ fn crash_node<P: Probe, M: RemoteModel, F: FaultModel>(
             start_grow(w, s, recipient as u16, tag, false, None, generation);
         }
     }
-}
-
-/// Sheds the admitted request in `slot` to its node's crash: frees the
-/// slot, closes its admission, and books and traces it as a crash loss.
-/// Shared by the crash's backlog drain and a doomed request's `Finish`;
-/// the caller returns whatever transport credit the request held.
-pub(super) fn crash_shed<P: Probe, M: RemoteModel, F: FaultModel>(
-    w: &mut World<P, M, F>,
-    slot: u32,
-    now: Time,
-) -> Request {
-    let req = w.requests.take(slot);
-    let class = req.class as usize;
-    let node = req.node as usize;
-    w.stats[class].shed_crash += 1;
-    w.admissions[node].on_completion();
-    if P::ATTRIB {
-        w.probe.on_shed(class as u16, node as u16, 3, now);
-    }
-    record(
-        w,
-        req.seq,
-        req.arrival,
-        class,
-        req.user,
-        node,
-        RequestOutcome::ShedCrash,
-        Time::ZERO,
-        req.generation,
-    );
-    req
 }
 
 /// Reboots `node` empty: the fault span closes, and capacity returns

@@ -118,8 +118,8 @@ use venice_telemetry::{NoopProbe, Probe};
 
 use crate::arrival::ArrivalDraws;
 use crate::engine::{
-    run_full, summarize, validate, EngineMetrics, ExecPath, FallbackReason, IneligibleKind,
-    LoadgenConfig, Shard, World,
+    run_full, summarize, EngineMetrics, ExecPath, FallbackReason, IneligibleKind, LoadgenConfig,
+    Shard, World,
 };
 use crate::faults::{FaultModel, FaultPlan, NoFaults};
 use crate::remote::{RemoteModel, RemoteModelCfg, ScalarCrma};
@@ -207,7 +207,6 @@ fn run_sharded(
     shards: usize,
     pace: Lockstep,
 ) -> Result<(Output, usize), FallbackReason> {
-    validate(config);
     let groups = partition(config.nodes(), shards);
     let width = groups.len();
     if width < 2 {

@@ -61,7 +61,8 @@ pub const STAGE_SERVICE_REMOTE: usize = 6;
 pub const SHED_REASONS: usize = 4;
 
 /// Labels for the shed-reason slots (rate limit, overload,
-/// backpressure, node crash — mirroring the engine's `ShedReason`).
+/// backpressure, node crash), in the variant order of
+/// `venice_loadgen::admission::Loss`, whose unit test pins the match.
 pub const SHED_LABELS: [&str; SHED_REASONS] = ["rate", "overload", "backpressure", "crash"];
 
 /// One completed request's latency, decomposed into stages.
