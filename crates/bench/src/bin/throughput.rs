@@ -11,10 +11,13 @@
 //! trajectory to `BENCH_perf.json`: wall time (best of `--iters`),
 //! events/sec, requests/sec and peak event-queue depth per scenario,
 //! then the sharded kernel's 1/2/4/8-shard curve on the first storm
-//! mix. With a second rayon thread, the engine fills a sequential run's
-//! arrival tape on it, one epoch ahead; each row prints which way its
-//! arrivals were drawn and how many epochs of them the simulation
-//! thread waited for.
+//! mix. Beside each wall time it prints the scenario's set-up time: the
+//! median of one-request runs timed after the timed ones, so a run's
+//! fixed cost (world set-up and report) reads apart from its
+//! per-request cost. With a second rayon thread, the engine fills a
+//! sequential run's arrival tape on it, one epoch ahead; each row prints
+//! which way its arrivals were drawn and how many epochs of them the
+//! simulation thread waited for.
 //!
 //! Two gates ride along:
 //!
@@ -44,6 +47,10 @@ use venice_loadgen::{engine, scenarios, EngineMetrics, ExecPath, LoadgenConfig};
 
 /// Default timing iterations (best-of is kept).
 const DEFAULT_ITERS: u32 = 3;
+
+/// One-request runs timed after a scenario's timed iterations; their
+/// median is the scenario's set-up time.
+const SETUP_REPS: usize = 9;
 
 struct Args {
     out: Option<String>,
@@ -136,14 +143,14 @@ fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64() * 1e3, r)
 }
 
-/// Times `config` through the engine, returning the entry and the
-/// engine's loop counters.
+/// Times `config` through the engine, returning the entry, the
+/// engine's loop counters and the median set-up time in milliseconds.
 fn measure(
     iters: u32,
     family: &str,
     label: &str,
     config: &LoadgenConfig,
-) -> (PerfEntry, EngineMetrics) {
+) -> (PerfEntry, EngineMetrics, f64) {
     let mut wall_ms = f64::INFINITY;
     let mut result = None;
     for _ in 0..iters {
@@ -152,6 +159,15 @@ fn measure(
         result = Some(out);
     }
     let out = result.expect("iters >= 1");
+    // Timed after the timed runs, so they leave those runs' conditions as
+    // they were.
+    let setup = LoadgenConfig {
+        requests: 1,
+        ..config.clone()
+    };
+    let mut setup_ms: Vec<f64> = (0..SETUP_REPS)
+        .map(|_| time_once(|| engine::Run::new(&setup).execute()).0)
+        .collect();
     let metrics = out.metrics;
     let entry = PerfEntry {
         family: family.to_string(),
@@ -163,7 +179,8 @@ fn measure(
         typed_events_per_sec: metrics.events as f64 / (wall_ms / 1e3),
         typed_requests_per_sec: out.report.issued as f64 / (wall_ms / 1e3),
     };
-    (entry, metrics)
+    setup_ms.sort_by(f64::total_cmp);
+    (entry, metrics, setup_ms[setup_ms.len() / 2])
 }
 
 /// Measures the sharded kernel's scaling curve on one storm
@@ -294,7 +311,7 @@ fn main() -> ExitCode {
         if let Some(n) = args.requests {
             config.requests = n;
         }
-        let (entry, metrics) = measure(args.iters, family, label, &config);
+        let (entry, metrics, setup_ms) = measure(args.iters, family, label, &config);
         // A sequential run is the arrival driver at width 1: `helper`
         // when a fill helper thread, which owns no world, filled the tape
         // beside the world, `inline` when the world's own thread filled
@@ -302,7 +319,7 @@ fn main() -> ExitCode {
         // reached first.
         println!(
             "{family:<10} {label:<18} {:>9} req  {:>8.1} ms ({:>5.2} M ev/s)  \
-             peak depth {}  tape {} ({} epoch waits)",
+             set-up {setup_ms:.3} ms  peak depth {}  tape {} ({} epoch waits)",
             entry.requests,
             entry.typed_wall_ms,
             entry.typed_events_per_sec / 1e6,

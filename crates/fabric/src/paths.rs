@@ -2,7 +2,7 @@
 //!
 //! The engine-facing query API of the fabric: [`PathTable::compile`]
 //! walks every (src, dst) pair through the *table-driven* forwarding
-//! path ([`crate::routing::forward_path`] over per-node
+//! path ([`crate::routing::forward_path_with_fallback`] over per-node
 //! [`RoutingTable`]s — the same lookup a real embedded switch performs,
 //! not the closed-form [`Mesh3d::route`]) and flattens the results into
 //! dense arrays of directed-link indices. After compilation every query
@@ -13,12 +13,12 @@
 //! distinct [`LinkId`]s, so per-direction bandwidth accounting (upload
 //! vs download congestion) falls out of indexing alone.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use venice_sim::Time;
 
 use crate::phy::LinkParams;
-use crate::routing::{forward_path, forward_path_with_fallback, RoutingTable};
+use crate::routing::{forward_path_with_fallback, RoutingTable};
 use crate::topology::{Mesh3d, NodeId};
 
 /// Index of one directed link in a [`PathTable`]; assigned densely in
@@ -63,38 +63,16 @@ impl PathTable {
     /// path exceeds `u16::MAX` hops (impossible for a mesh that fits
     /// the node space).
     pub fn compile(mesh: &Mesh3d) -> Self {
-        let n = mesh.len();
-        let nodes = u16::try_from(n).expect("mesh exceeds the u16 NodeId space");
-        let tables: Vec<RoutingTable> = mesh
-            .nodes()
-            .map(|node| RoutingTable::for_mesh(mesh, node))
-            .collect();
-        let mut ids: HashMap<(u16, u16), LinkId> = HashMap::new();
-        let mut link_ends = Vec::new();
-        let mut ranges = Vec::with_capacity(n * n);
-        let mut links = Vec::new();
-        for src in mesh.nodes() {
-            for dst in mesh.nodes() {
-                let off = u32::try_from(links.len()).expect("path table overflow");
-                let mut prev = src;
-                for hop in forward_path(mesh, &tables, src, dst) {
-                    let id = *ids.entry((prev.0, hop.0)).or_insert_with(|| {
-                        link_ends.push((prev, hop));
-                        (link_ends.len() - 1) as LinkId
-                    });
-                    links.push(id);
-                    prev = hop;
-                }
-                let len = u16::try_from(links.len() - off as usize).expect("path too long");
-                ranges.push((off, len));
-            }
-        }
-        PathTable {
+        let nodes = u16::try_from(mesh.len()).expect("mesh exceeds the u16 NodeId space");
+        // With no link down, every pair's first lookup succeeds: each
+        // takes its dimension-ordered route, numbering links as it goes.
+        let empty = PathTable {
             nodes,
-            link_ends,
-            ranges,
-            links,
-        }
+            link_ends: Vec::new(),
+            ranges: Vec::new(),
+            links: Vec::new(),
+        };
+        empty.recompile_with_down(mesh, &[])
     }
 
     /// Recompiles the per-pair routes with the given *directed* links
@@ -132,14 +110,8 @@ impl PathTable {
                 .expect("down link endpoints must be mesh neighbors");
             tables[from.0 as usize].set_link_status(port, false);
         }
-        let mut ids: HashMap<(u16, u16), LinkId> = self
-            .link_ends
-            .iter()
-            .enumerate()
-            .map(|(i, &(a, b))| ((a.0, b.0), i as LinkId))
-            .collect();
-        let mut link_ends = self.link_ends.clone();
-        let mut ranges = Vec::with_capacity(self.ranges.len());
+        let mut ids = LinkIds::new(mesh.len(), self.link_ends.clone());
+        let mut ranges = Vec::with_capacity(mesh.len() * mesh.len());
         let mut links = Vec::new();
         for src in mesh.nodes() {
             for dst in mesh.nodes() {
@@ -150,11 +122,7 @@ impl PathTable {
                     Some(path) => {
                         let mut prev = src;
                         for hop in path {
-                            let id = *ids.entry((prev.0, hop.0)).or_insert_with(|| {
-                                link_ends.push((prev, hop));
-                                (link_ends.len() - 1) as LinkId
-                            });
-                            links.push(id);
+                            links.push(ids.id(prev, hop));
                             prev = hop;
                         }
                     }
@@ -166,7 +134,7 @@ impl PathTable {
         }
         PathTable {
             nodes: self.nodes,
-            link_ends,
+            link_ends: ids.ends,
             ranges,
             links,
         }
@@ -227,6 +195,39 @@ impl PathTable {
             return Time::ZERO;
         }
         params.one_way(wire_bytes) + params.transit(wire_bytes) * u64::from(hops - 1)
+    }
+}
+
+/// Directed-link id assignment of a compile: ids index `ends`, and
+/// `ids[from * nodes + to]` is the id of `from → to`, or [`NO_LINK`]
+/// until a path first crosses it.
+struct LinkIds {
+    nodes: usize,
+    ids: Vec<LinkId>,
+    ends: Vec<(NodeId, NodeId)>,
+}
+
+/// A directed link no compiled path has crossed yet.
+const NO_LINK: LinkId = LinkId::MAX;
+
+impl LinkIds {
+    /// The assignment of `nodes` nodes that already numbers `ends`.
+    fn new(nodes: usize, ends: Vec<(NodeId, NodeId)>) -> Self {
+        let mut ids = vec![NO_LINK; nodes * nodes];
+        for (i, &(from, to)) in ends.iter().enumerate() {
+            ids[from.0 as usize * nodes + to.0 as usize] = i as LinkId;
+        }
+        LinkIds { nodes, ids, ends }
+    }
+
+    /// The id of `from → to`, numbering it next if it has none.
+    fn id(&mut self, from: NodeId, to: NodeId) -> LinkId {
+        let id = &mut self.ids[from.0 as usize * self.nodes + to.0 as usize];
+        if *id == NO_LINK {
+            *id = self.ends.len() as LinkId;
+            self.ends.push((from, to));
+        }
+        *id
     }
 }
 

@@ -5,8 +5,6 @@
 //! also provide the generator that fills the tables for dimension-ordered
 //! mesh routing, and a port-numbering convention for the radix-7 switch.
 
-use std::collections::HashMap;
-
 use crate::topology::{Mesh3d, NodeId};
 
 /// Output port of the embedded switch.
@@ -31,7 +29,7 @@ pub struct RouteEntry {
     pub link_up: bool,
 }
 
-/// Per-node forwarding table keyed by destination node.
+/// Per-node forwarding table indexed by destination node id.
 ///
 /// # Example
 ///
@@ -47,7 +45,9 @@ pub struct RouteEntry {
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     node: NodeId,
-    entries: HashMap<NodeId, RouteEntry>,
+    /// The entry toward each destination id; `None` where no route was
+    /// ever installed.
+    entries: Vec<Option<RouteEntry>>,
 }
 
 impl RoutingTable {
@@ -55,7 +55,7 @@ impl RoutingTable {
     pub fn new(node: NodeId) -> Self {
         RoutingTable {
             node,
-            entries: HashMap::new(),
+            entries: Vec::new(),
         }
     }
 
@@ -66,20 +66,21 @@ impl RoutingTable {
 
     /// Installs or replaces the route toward `dst`.
     pub fn install(&mut self, dst: NodeId, out_port: OutPort) {
-        self.entries.insert(
-            dst,
-            RouteEntry {
-                valid: true,
-                out_port,
-                link_up: true,
-            },
-        );
+        let dst = dst.0 as usize;
+        if self.entries.len() <= dst {
+            self.entries.resize(dst + 1, None);
+        }
+        self.entries[dst] = Some(RouteEntry {
+            valid: true,
+            out_port,
+            link_up: true,
+        });
     }
 
     /// Marks the link behind `port` up or down (driven by the runtime's
     /// heartbeat link tests).
     pub fn set_link_status(&mut self, port: OutPort, up: bool) {
-        for e in self.entries.values_mut() {
+        for e in self.entries.iter_mut().flatten() {
             if e.out_port == port {
                 e.link_up = up;
             }
@@ -88,7 +89,7 @@ impl RoutingTable {
 
     /// Invalidates the route toward `dst`.
     pub fn invalidate(&mut self, dst: NodeId) {
-        if let Some(e) = self.entries.get_mut(&dst) {
+        if let Some(Some(e)) = self.entries.get_mut(dst.0 as usize) {
             e.valid = false;
         }
     }
@@ -97,7 +98,7 @@ impl RoutingTable {
     /// invalidated, or the link is down.
     pub fn lookup(&self, dst: NodeId) -> Option<OutPort> {
         self.entries
-            .get(&dst)
+            .get(dst.0 as usize)?
             .filter(|e| e.valid && e.link_up)
             .map(|e| e.out_port)
     }
@@ -106,7 +107,8 @@ impl RoutingTable {
     /// through reports down: there is no cable there to detour over.
     pub fn port_up(&self, port: OutPort) -> bool {
         self.entries
-            .values()
+            .iter()
+            .flatten()
             .any(|e| e.out_port == port && e.link_up)
     }
 
@@ -145,12 +147,12 @@ impl RoutingTable {
 
     /// Number of installed (valid or not) entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().flatten().count()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.iter().all(Option::is_none)
     }
 
     /// Builds the dimension-ordered (XYZ) routing table of `node` for
@@ -300,6 +302,37 @@ mod tests {
         t.invalidate(NodeId(3));
         assert_eq!(t.lookup(NodeId(3)), None);
         assert_eq!(t.len(), 8);
+    }
+
+    #[test]
+    fn a_reinstalled_route_replaces_the_entry() {
+        let mesh = Mesh3d::prototype();
+        let mut t = RoutingTable::for_mesh(&mesh, NodeId(0));
+        let port = t.lookup(NodeId(1)).unwrap();
+        t.set_link_status(port, false);
+        t.invalidate(NodeId(3));
+        // Re-installing makes the entry valid and its link up again,
+        // on the new port, without adding an entry.
+        t.install(NodeId(1), OutPort(4));
+        t.install(NodeId(3), OutPort(2));
+        assert_eq!(t.lookup(NodeId(1)), Some(OutPort(4)));
+        assert_eq!(t.lookup(NodeId(3)), Some(OutPort(2)));
+        assert_eq!(t.len(), 8);
+    }
+
+    #[test]
+    fn a_sparse_table_reads_only_its_installed_routes() {
+        let mut t = RoutingTable::new(NodeId(2));
+        assert!(t.is_empty());
+        t.install(NodeId(9), OutPort(3));
+        assert_eq!((t.len(), t.is_empty()), (1, false));
+        assert_eq!(t.lookup(NodeId(9)), Some(OutPort(3)));
+        // Ids below and past the installed one read missing.
+        assert_eq!(t.lookup(NodeId(4)), None);
+        assert_eq!(t.lookup(NodeId(200)), None);
+        t.invalidate(NodeId(200));
+        assert!(t.port_up(OutPort(3)));
+        assert!(!t.port_up(OutPort(1)), "no entry routes through port 1");
     }
 
     #[test]

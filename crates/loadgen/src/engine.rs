@@ -211,6 +211,9 @@ struct Request {
     service: Time,
     /// Newest lease generation on the serving node at arrival.
     generation: u64,
+    /// In service on its node at the node's crash: its `Finish` fires
+    /// on schedule but books a crash loss. Only a fault plan sets it.
+    doomed: bool,
 }
 
 /// Free-list slab pooling in-flight [`Request`] state.
@@ -262,14 +265,15 @@ impl RequestSlab {
         self.entries[slot as usize]
     }
 
-    /// Slots currently live (not on the free list) whose request is
-    /// bound to `node`, ascending. Crash path only — O(slab), never on
-    /// the per-request path.
-    fn live_slots_on(&self, node: u16) -> Vec<u32> {
+    /// Dooms every live request (not on the free list) bound to
+    /// `node`. Crash path only — O(slab), never on the per-request path.
+    fn doom_live_on(&mut self, node: u16) {
         let free: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        (0..self.entries.len() as u32)
-            .filter(|slot| !free.contains(slot) && self.entries[*slot as usize].node == node)
-            .collect()
+        for (slot, req) in self.entries.iter_mut().enumerate() {
+            if req.node == node && !free.contains(&(slot as u32)) {
+                req.doomed = true;
+            }
+        }
     }
 }
 
@@ -523,17 +527,13 @@ pub(crate) struct World<P: Probe, M: RemoteModel, F: FaultModel> {
     /// Fabric congestion penalty (ps) charged at dispatch, paralleling
     /// `requests` by slot — a side slab like `attrib`, so the 48-byte
     /// [`Request`] entry is untouched; empty (never allocated) unless
-    /// the congested model is armed.
+    /// the congested model is armed and the probe attributes stages.
     fabric_detour: Vec<u64>,
     /// Fault injection ([`crate::faults::FaultModel`]); [`NoFaults`] on
     /// the default path, where every hook site guarded by `if
     /// F::ENABLED` monomorphizes away and the engine is
     /// instruction-for-instruction the pre-chaos one.
     faults: F,
-    /// Requests in service on a node at its crash instant, paralleling
-    /// `requests` by slot: their `Finish` events fire on schedule but
-    /// account as crash sheds. Empty unless a fault plan is armed.
-    doomed: Vec<bool>,
     /// Monotonic crash counter: the `generation` key of fault spans
     /// (a node can crash more than once; lease generations and crash
     /// ordinals must not collide on one span key).
@@ -838,6 +838,7 @@ fn issue_with<P: Probe, M: RemoteModel, F: FaultModel>(
         arrival: now,
         service: Time::ZERO,
         generation: 0,
+        doomed: false,
     };
     w.issued += 1;
     // Total outage: every node is down, so the front door itself is
@@ -978,10 +979,12 @@ fn dispatch<P: Probe, M: RemoteModel, F: FaultModel>(
             // path, charged exactly once — here, when the request
             // actually dispatches, not when a backlogged one parks.
             let fab = w.remote.charge(now, node, req.class as usize);
-            if w.fabric_detour.len() <= slot as usize {
-                w.fabric_detour.resize(slot as usize + 1, 0);
+            if P::ATTRIB {
+                if w.fabric_detour.len() <= slot as usize {
+                    w.fabric_detour.resize(slot as usize + 1, 0);
+                }
+                w.fabric_detour[slot as usize] = fab.as_ps();
             }
-            w.fabric_detour[slot as usize] = fab.as_ps();
             fab
         } else {
             Time::ZERO
@@ -1024,8 +1027,7 @@ fn finish<P: Probe, M: RemoteModel, F: FaultModel>(
     // crash shed: transport credits return, admission and in-flight
     // ledgers close, and nothing lands in the latency histogram — the
     // work died with the node.
-    if F::ENABLED && w.doomed.get(slot as usize).copied().unwrap_or(false) {
-        w.doomed[slot as usize] = false;
+    if F::ENABLED && w.requests.get(slot).doomed {
         let req = lose_admitted(w, slot, Loss::Crash, s.now());
         let node = req.node as usize;
         let srv = &mut w.servers[node];
@@ -1630,7 +1632,6 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
             remote,
             fabric_detour: Vec::new(),
             faults,
-            doomed: Vec::new(),
             fault_seq: 0,
             node_fault_seq: if F::ENABLED { vec![0; n] } else { Vec::new() },
         };
@@ -1982,6 +1983,13 @@ mod tests {
         assert_eq!(earliest_slot(&[t(3), t(5), t(3), t(3)]), (0, t(3)));
         assert_eq!(earliest_slot(&[t(8), t(8), t(2)]), (2, t(2)));
         assert_eq!(earliest_slot(&[Time::ZERO; 8]), (0, Time::ZERO));
+    }
+
+    #[test]
+    fn a_slab_request_is_48_bytes() {
+        // The slab entry size the `Request`, `ReqAttrib` and
+        // `fabric_detour` docs state.
+        assert_eq!(std::mem::size_of::<Request>(), 48);
     }
 
     /// A congested-fabric variant of [`small`] with a deliberately

@@ -679,12 +679,7 @@ fn crash_node<P: Probe, M: RemoteModel, F: FaultModel>(
     // In-service requests cannot be unscheduled — their Finish events
     // are already in the queue — so they are doomed in place and
     // account as crash sheds when they fire.
-    for slot in w.requests.live_slots_on(node as u16) {
-        if w.doomed.len() <= slot as usize {
-            w.doomed.resize(slot as usize + 1, false);
-        }
-        w.doomed[slot as usize] = true;
-    }
+    w.requests.doom_live_on(node as u16);
     // The reboot clears the machine: whatever occupancy the slots held
     // died with it.
     for t in w.servers[node].slots.iter_mut() {

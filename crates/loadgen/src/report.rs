@@ -110,18 +110,18 @@ impl TenantReport {
         bytes: u64,
         duration: Time,
     ) -> Self {
-        let us = |t: Option<Time>| t.map(|t| t.as_us_f64()).unwrap_or(0.0);
+        let (p50, p95, p99, p999) = hist.tail().unwrap_or_default();
         let secs = duration.as_secs_f64();
         TenantReport {
             tenant: tenant.into(),
             admitted,
             completed: hist.count(),
             shed,
-            mean_us: us(Some(hist.mean())),
-            p50_us: us(hist.quantile(0.50)),
-            p95_us: us(hist.quantile(0.95)),
-            p99_us: us(hist.quantile(0.99)),
-            p999_us: us(hist.quantile(0.999)),
+            mean_us: hist.mean().as_us_f64(),
+            p50_us: p50.as_us_f64(),
+            p95_us: p95.as_us_f64(),
+            p99_us: p99.as_us_f64(),
+            p999_us: p999.as_us_f64(),
             throughput_rps: if secs > 0.0 {
                 hist.count() as f64 / secs
             } else {

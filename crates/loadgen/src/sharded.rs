@@ -573,6 +573,24 @@ mod tests {
     }
 
     #[test]
+    fn a_one_epoch_run_still_shards() {
+        // A run of one epoch or less is still the sharded path, and still
+        // the sequential run's bytes.
+        for requests in [1, EPOCH] {
+            let config = storm_like(0x0E90, TenantMix::messaging(), requests);
+            let seq = Run::new(&config).traced().execute();
+            let out = Run::new(&config).traced().shards(2).execute();
+            assert_eq!(out.exec_path, ExecPath::Sharded { width: 2 }, "{requests}");
+            assert_eq!(
+                bytes(&out.report, &out.trace),
+                bytes(&seq.report, &seq.trace),
+                "{requests}"
+            );
+            assert_eq!(out.metrics.events, seq.metrics.events, "{requests}");
+        }
+    }
+
+    #[test]
     fn admission_pressure_falls_back_to_sequential_identically() {
         // A tiny in-flight cap forces admission sheds, which violate the
         // shards' all-admitted service draws: the builder must fall back

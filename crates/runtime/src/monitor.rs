@@ -111,9 +111,8 @@ impl MonitorNode {
     /// `now`.
     pub fn node_alive(&self, node: NodeId, now: Time) -> bool {
         let window = self.heartbeat_period * self.liveness_multiplier as u64;
-        all_resource_kinds()
-            .into_iter()
-            .filter_map(|k| self.rrt.get(node, k))
+        self.rrt
+            .records_of(node)
             .any(|r| now.saturating_sub(r.reported_at) <= window)
     }
 
@@ -227,14 +226,6 @@ impl MonitorNode {
     pub fn link_up(&self, from: NodeId, to: NodeId) -> bool {
         self.tst.is_up(from, to)
     }
-}
-
-fn all_resource_kinds() -> [ResourceKind; 3] {
-    [
-        ResourceKind::Memory,
-        ResourceKind::Accelerator,
-        ResourceKind::Nic,
-    ]
 }
 
 #[cfg(test)]

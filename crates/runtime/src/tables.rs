@@ -7,13 +7,15 @@
 //!    records"; RRT + RAT give the MN its global view.
 //! 3. The **Topology Status Table** (TST) "tracks fabric link status",
 //!    fed by the agents' per-heartbeat link tests.
-
-use std::collections::HashMap;
+//!
+//! The RRT and TST are indexed by node id: node ids are dense, so a
+//! record is one slice index away and node-ordered reads need no sort.
 
 use venice_fabric::NodeId;
 use venice_sim::Time;
 
-/// What kind of resource a record describes.
+/// What kind of resource a record describes; `kind as usize` is its
+/// slot in a node's RRT row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Lendable memory (bytes).
@@ -39,10 +41,15 @@ pub struct ResourceRecord {
     pub reported_at: Time,
 }
 
+/// Number of [`ResourceKind`]s: the width of one node's RRT row. `Nic`
+/// is the last variant.
+const KINDS: usize = ResourceKind::Nic as usize + 1;
+
 /// The Resource Registration Table.
 #[derive(Debug, Default)]
 pub struct Rrt {
-    records: HashMap<(NodeId, ResourceKind), ResourceRecord>,
+    /// One row per node id, one slot per [`ResourceKind`].
+    records: Vec<[Option<ResourceRecord>; KINDS]>,
 }
 
 impl Rrt {
@@ -53,31 +60,48 @@ impl Rrt {
 
     /// Inserts or refreshes a record (one per node × kind).
     pub fn register(&mut self, record: ResourceRecord) {
-        self.records.insert((record.node, record.kind), record);
+        let node = record.node.0 as usize;
+        if self.records.len() <= node {
+            self.records.resize(node + 1, [None; KINDS]);
+        }
+        self.records[node][record.kind as usize] = Some(record);
     }
 
-    /// Removes a node's records entirely (heartbeat loss).
+    /// Removes a node's records entirely (heartbeat loss), returning how
+    /// many there were.
     pub fn deregister_node(&mut self, node: NodeId) -> usize {
-        let before = self.records.len();
-        self.records.retain(|(n, _), _| *n != node);
-        before - self.records.len()
+        self.records.get_mut(node.0 as usize).map_or(0, |row| {
+            let removed = row.iter().flatten().count();
+            *row = [None; KINDS];
+            removed
+        })
     }
 
     /// Record for `node` × `kind`.
     pub fn get(&self, node: NodeId, kind: ResourceKind) -> Option<&ResourceRecord> {
-        self.records.get(&(node, kind))
+        self.records.get(node.0 as usize)?[kind as usize].as_ref()
     }
 
-    /// All records of `kind` with nonzero free amount.
+    /// Every record `node` has registered, one per kind at most.
+    pub(crate) fn records_of(&self, node: NodeId) -> impl Iterator<Item = &ResourceRecord> {
+        self.records
+            .get(node.0 as usize)
+            .into_iter()
+            .flatten()
+            .flatten()
+    }
+
+    /// All records of `kind` with nonzero free amount, in node order.
     pub fn available(&self, kind: ResourceKind) -> Vec<ResourceRecord> {
-        let mut v: Vec<ResourceRecord> = self
-            .records
-            .values()
-            .filter(|r| r.kind == kind && r.amount > 0)
-            .copied()
-            .collect();
-        v.sort_by_key(|r| r.node);
-        v
+        self.records
+            .iter()
+            .filter_map(|row| row[kind as usize])
+            .filter(|r| r.amount > 0)
+            .collect()
+    }
+
+    fn get_mut(&mut self, node: NodeId, kind: ResourceKind) -> Option<&mut ResourceRecord> {
+        self.records.get_mut(node.0 as usize)?[kind as usize].as_mut()
     }
 
     /// Decrements a record's free amount after a grant commits.
@@ -85,14 +109,14 @@ impl Rrt {
     /// Amounts saturate at zero: the MN's view may already be stale, which
     /// is exactly why grants are confirmed with the donor.
     pub fn consume(&mut self, node: NodeId, kind: ResourceKind, amount: u64) {
-        if let Some(r) = self.records.get_mut(&(node, kind)) {
+        if let Some(r) = self.get_mut(node, kind) {
             r.amount = r.amount.saturating_sub(amount);
         }
     }
 
     /// Returns capacity to a record after a release.
     pub fn restore(&mut self, node: NodeId, kind: ResourceKind, amount: u64) {
-        if let Some(r) = self.records.get_mut(&(node, kind)) {
+        if let Some(r) = self.get_mut(node, kind) {
             r.amount += amount;
         }
     }
@@ -189,10 +213,13 @@ impl Rat {
     }
 }
 
-/// The Topology Status Table: directed link health.
+/// The Topology Status Table: directed link health. A link no test has
+/// reported reads down.
 #[derive(Debug, Default)]
 pub struct Tst {
-    links: HashMap<(NodeId, NodeId), (bool, Time)>,
+    /// Per source node id, the `(to, up, tested at)` entries of the
+    /// links it has tested, in first-report order.
+    links: Vec<Vec<(NodeId, bool, Time)>>,
 }
 
 impl Tst {
@@ -203,25 +230,39 @@ impl Tst {
 
     /// Records a link test result from `from` toward `to`.
     pub fn report(&mut self, from: NodeId, to: NodeId, up: bool, at: Time) {
-        self.links.insert((from, to), (up, at));
+        let from = from.0 as usize;
+        if self.links.len() <= from {
+            self.links.resize(from + 1, Vec::new());
+        }
+        let row = &mut self.links[from];
+        match row.iter_mut().find(|(n, _, _)| *n == to) {
+            Some(entry) => *entry = (to, up, at),
+            None => row.push((to, up, at)),
+        }
+    }
+
+    /// The `(up, tested at)` entry of the link, if it was ever tested.
+    fn entry(&self, from: NodeId, to: NodeId) -> Option<(bool, Time)> {
+        self.links
+            .get(from.0 as usize)?
+            .iter()
+            .find(|(n, _, _)| *n == to)
+            .map(|&(_, up, at)| (up, at))
     }
 
     /// Whether the link is known up.
     pub fn is_up(&self, from: NodeId, to: NodeId) -> bool {
-        self.links
-            .get(&(from, to))
-            .map(|&(up, _)| up)
-            .unwrap_or(false)
+        self.entry(from, to).is_some_and(|(up, _)| up)
     }
 
     /// Last test time, if any.
     pub fn last_tested(&self, from: NodeId, to: NodeId) -> Option<Time> {
-        self.links.get(&(from, to)).map(|&(_, at)| at)
+        self.entry(from, to).map(|(_, at)| at)
     }
 
-    /// Number of down links.
+    /// Number of links last reported down.
     pub fn down_count(&self) -> usize {
-        self.links.values().filter(|&&(up, _)| !up).count()
+        self.links.iter().flatten().filter(|(_, up, _)| !up).count()
     }
 }
 
@@ -279,6 +320,99 @@ mod tests {
         });
         assert_eq!(rrt.deregister_node(NodeId(1)), 2);
         assert!(rrt.available(ResourceKind::Memory).is_empty());
+    }
+
+    #[test]
+    fn rrt_holds_one_record_of_every_kind() {
+        let kinds = [
+            ResourceKind::Memory,
+            ResourceKind::Accelerator,
+            ResourceKind::Nic,
+        ];
+        let mut rrt = Rrt::new();
+        for (amount, kind) in (1..).zip(kinds) {
+            rrt.register(ResourceRecord {
+                kind,
+                ..rec(2, amount)
+            });
+        }
+        for (amount, kind) in (1..).zip(kinds) {
+            assert_eq!(rrt.get(NodeId(2), kind).unwrap().amount, amount);
+        }
+        assert_eq!(rrt.records_of(NodeId(2)).count(), kinds.len());
+        assert_eq!(rrt.deregister_node(NodeId(2)), kinds.len());
+    }
+
+    #[test]
+    fn rrt_available_comes_out_in_node_order() {
+        let mut rrt = Rrt::new();
+        for node in [9u16, 0, 4, 12, 3, 7] {
+            rrt.register(rec(node, u64::from(node) + 1));
+        }
+        rrt.register(ResourceRecord {
+            kind: ResourceKind::Accelerator,
+            ..rec(5, 2)
+        });
+        let nodes: Vec<u16> = rrt
+            .available(ResourceKind::Memory)
+            .iter()
+            .map(|r| r.node.0)
+            .collect();
+        assert_eq!(nodes, [0, 3, 4, 7, 9, 12]);
+        let accel = rrt.available(ResourceKind::Accelerator);
+        assert_eq!(accel.len(), 1);
+        assert_eq!((accel[0].node, accel[0].amount), (NodeId(5), 2));
+        assert!(rrt.available(ResourceKind::Nic).is_empty());
+    }
+
+    #[test]
+    fn rrt_deregister_counts_only_that_nodes_records() {
+        let mut rrt = Rrt::new();
+        rrt.register(rec(2, 10));
+        rrt.register(rec(6, 10));
+        rrt.register(ResourceRecord {
+            kind: ResourceKind::Accelerator,
+            ..rec(6, 1)
+        });
+        assert_eq!(rrt.records_of(NodeId(6)).count(), 2);
+        assert_eq!(rrt.deregister_node(NodeId(6)), 2);
+        assert_eq!(rrt.records_of(NodeId(6)).count(), 0);
+        assert!(rrt.get(NodeId(6), ResourceKind::Accelerator).is_none());
+        // Again, or for a node never registered (inside or past the
+        // table), nothing is removed.
+        assert_eq!(rrt.deregister_node(NodeId(6)), 0);
+        assert_eq!(rrt.deregister_node(NodeId(4)), 0);
+        assert_eq!(rrt.deregister_node(NodeId(60)), 0);
+        assert_eq!(rrt.available(ResourceKind::Memory), [rec(2, 10)]);
+        // Consuming or restoring an absent record is a no-op.
+        rrt.consume(NodeId(6), ResourceKind::Memory, 5);
+        rrt.restore(NodeId(60), ResourceKind::Memory, 5);
+        assert!(rrt.get(NodeId(60), ResourceKind::Memory).is_none());
+    }
+
+    #[test]
+    fn tst_reads_unreported_links_down_and_counts_down_links() {
+        let mut tst = Tst::new();
+        assert_eq!(tst.down_count(), 0);
+        tst.report(NodeId(3), NodeId(1), true, Time::from_secs(1));
+        tst.report(NodeId(3), NodeId(2), false, Time::from_secs(1));
+        tst.report(NodeId(0), NodeId(3), false, Time::from_secs(1));
+        assert_eq!(tst.down_count(), 2);
+        // Never reported: the reverse direction, a node past the table,
+        // and a link of a node with other reports.
+        assert!(!tst.is_up(NodeId(1), NodeId(3)));
+        assert!(!tst.is_up(NodeId(40), NodeId(3)));
+        assert!(!tst.is_up(NodeId(3), NodeId(7)));
+        assert_eq!(tst.last_tested(NodeId(3), NodeId(7)), None);
+        assert_eq!(tst.down_count(), 2, "reads add no entries");
+        // A re-report replaces the entry in place.
+        tst.report(NodeId(3), NodeId(2), true, Time::from_secs(2));
+        assert!(tst.is_up(NodeId(3), NodeId(2)));
+        assert_eq!(
+            tst.last_tested(NodeId(3), NodeId(2)),
+            Some(Time::from_secs(2))
+        );
+        assert_eq!(tst.down_count(), 1);
     }
 
     #[test]

@@ -319,39 +319,56 @@ impl LogHistogram {
     /// exact quantile and overshoots it by at most a `2^-sub_bits`
     /// fraction.
     pub fn quantile(&self, q: f64) -> Option<Time> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(Time::from_ps(self.upper_edge(i)).min(self.max));
-            }
-        }
-        Some(self.max)
+        self.quantiles([q]).map(|[t]| t)
     }
 
     /// Convenience tail summary: (p50, p95, p99, p99.9).
     pub fn tail(&self) -> Option<(Time, Time, Time, Time)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.95)?,
-            self.quantile(0.99)?,
-            self.quantile(0.999)?,
-        ))
+        self.quantiles([0.50, 0.95, 0.99, 0.999])
+            .map(|[p50, p95, p99, p999]| (p50, p95, p99, p999))
     }
 
-    /// Folds `other` into `self` (used to merge per-shard histograms).
+    /// The [`quantile`](Self::quantile) of each of `qs`, ascending, in
+    /// one walk over the occupied buckets `bucket_of(min)..=bucket_of(max)`
+    /// (every sample lies in that range); `None` when empty.
+    fn quantiles<const N: usize>(&self, qs: [f64; N]) -> Option<[Time; N]> {
+        if self.count == 0 {
+            return None;
+        }
+        let targets = qs.map(|q| ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64);
+        let mut out = [self.max; N];
+        let (lo, hi) = (self.bucket_of(self.min), self.bucket_of(self.max));
+        let mut next = 0;
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets[lo..=hi].iter().enumerate() {
+            seen += c;
+            while next < N && seen >= targets[next] {
+                out[next] = Time::from_ps(self.upper_edge(lo + i)).min(self.max);
+                next += 1;
+            }
+            if next == N {
+                break;
+            }
+        }
+        Some(out)
+    }
+
+    /// Folds `other` into `self` (used to merge per-shard histograms),
+    /// adding only `other`'s occupied buckets.
     ///
     /// # Panics
     ///
     /// Panics if the two histograms have different resolutions.
     pub fn merge(&mut self, other: &LogHistogram) {
         assert_eq!(self.sub_bits, other.sub_bits, "resolution mismatch");
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        if other.count == 0 {
+            return;
+        }
+        let (lo, hi) = (other.bucket_of(other.min), other.bucket_of(other.max));
+        for (a, b) in self.buckets[lo..=hi]
+            .iter_mut()
+            .zip(&other.buckets[lo..=hi])
+        {
             *a += b;
         }
         self.count += other.count;
@@ -567,6 +584,117 @@ mod tests {
         assert_eq!(p50, Time::from_ms(3));
         assert_eq!(p999, Time::from_ms(3));
         assert!(p95 <= p99);
+    }
+
+    const QS: [f64; 9] = [0.0, 0.001, 0.25, 0.5, 0.95, 0.99, 0.999, 0.9999, 1.0];
+
+    /// The quantile read without the occupied-range bound: a walk over
+    /// every bucket from the first.
+    fn full_walk_quantile(h: &LogHistogram, q: f64) -> Option<Time> {
+        if h.count == 0 {
+            return None;
+        }
+        let target = ((h.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in h.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return Some(Time::from_ps(h.upper_edge(i)).min(h.max));
+            }
+        }
+        Some(h.max)
+    }
+
+    /// Checks every bounded read of `h` against the full walk.
+    fn assert_reads_match_full_walk(h: &LogHistogram, what: &str) {
+        for q in QS {
+            assert_eq!(h.quantile(q), full_walk_quantile(h, q), "{what}: q={q}");
+        }
+        let full = [0.50, 0.95, 0.99, 0.999].map(|q| full_walk_quantile(h, q));
+        let tail = h.tail();
+        assert_eq!(tail.map(|t| t.0), full[0], "{what}: p50");
+        assert_eq!(tail.map(|t| t.1), full[1], "{what}: p95");
+        assert_eq!(tail.map(|t| t.2), full[2], "{what}: p99");
+        assert_eq!(tail.map(|t| t.3), full[3], "{what}: p99.9");
+    }
+
+    /// Merges `b` into a copy of `a` and checks it against a merge that
+    /// adds every bucket.
+    fn assert_merge_matches_full_walk(a: &LogHistogram, b: &LogHistogram, what: &str) {
+        let mut merged = a.clone();
+        merged.merge(b);
+        let mut want = a.clone();
+        for (x, y) in want.buckets.iter_mut().zip(&b.buckets) {
+            *x += y;
+        }
+        want.count += b.count;
+        want.sum = want.sum.checked_add(b.sum).unwrap_or(Time::MAX);
+        want.min = want.min.min(b.min);
+        want.max = want.max.max(b.max);
+        assert_eq!(merged.buckets, want.buckets, "{what}: buckets");
+        assert_eq!(
+            (merged.count, merged.sum, merged.min, merged.max),
+            (want.count, want.sum, want.min, want.max),
+            "{what}: totals"
+        );
+        assert_reads_match_full_walk(&merged, what);
+    }
+
+    fn recorded(samples: impl IntoIterator<Item = u64>) -> LogHistogram {
+        let mut h = LogHistogram::new();
+        for ps in samples {
+            h.record(Time::from_ps(ps));
+        }
+        h
+    }
+
+    #[test]
+    fn bounded_reads_match_a_full_walk() {
+        let mut rng = crate::rng::SimRng::seed(0x4157);
+        // Seeded samples spread over every power of two, so both ends
+        // of the bucket range are exercised.
+        let mut random = |n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    let bits: u32 = rng.gen_range(0..64);
+                    rng.next_u64() >> bits
+                })
+                .collect()
+        };
+        let cases = [
+            ("empty", Vec::new()),
+            ("one sample", vec![1_234_567]),
+            ("a 0 ps sample", vec![0]),
+            ("0 ps among others", vec![0, 0, 5, 900_000, 3]),
+            ("top block", vec![u64::MAX, u64::MAX - 1, 1 << 63]),
+            ("unit buckets only", (0..100).collect()),
+            ("random 10", random(10)),
+            ("random 1000", random(1000)),
+            ("random 20000", random(20_000)),
+        ];
+        for (what, samples) in &cases {
+            assert_reads_match_full_walk(&recorded(samples.iter().copied()), what);
+        }
+        for (a_what, a) in &cases {
+            for (b_what, b) in &cases {
+                let (a, b) = (recorded(a.iter().copied()), recorded(b.iter().copied()));
+                assert_merge_matches_full_walk(&a, &b, &format!("{a_what} + {b_what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn merging_disjoint_ranges_matches_a_full_walk() {
+        // Microsecond samples and millisecond samples share no bucket;
+        // each side's occupied range lies wholly outside the other's.
+        let low = recorded((1..=500).map(|i| i * 2_000_000));
+        let high = recorded((1..=300).map(|i| i * 7_000_000_000));
+        assert_merge_matches_full_walk(&low, &high, "low + high");
+        assert_merge_matches_full_walk(&high, &low, "high + low");
+        let mut both = low.clone();
+        both.merge(&high);
+        assert_eq!(both.quantile(0.5), low.quantile(0.8));
+        assert_eq!(both.quantile(1.0), high.quantile(1.0));
     }
 
     #[test]
