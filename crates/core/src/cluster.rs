@@ -179,7 +179,7 @@ impl Cluster {
     fn from_mesh(mesh: Mesh3d, memory_bytes: u64, lendable_bytes: u64) -> Self {
         let topology = Topology::Mesh(mesh.clone());
         let monitor = MonitorNode::new(topology.clone(), Box::new(DistancePolicy));
-        let mut nodes = Vec::new();
+        let mut nodes = Vec::with_capacity(mesh.len());
         for id in mesh.nodes() {
             let mut agent = NodeAgent::new(id);
             agent.idle_memory = lendable_bytes.min(memory_bytes);
@@ -232,8 +232,8 @@ impl Cluster {
         self.now += Time::from_ms(100);
         let now = self.now;
         for node in &mut self.nodes {
-            let hb = node.agent.heartbeat(now, |_| true);
-            self.monitor.on_heartbeat(&hb);
+            self.monitor
+                .on_heartbeat(node.agent.heartbeat(now, |_| true));
         }
     }
 
@@ -766,6 +766,25 @@ mod tests {
         assert!(lease.local_base >= 8 << 30, "base {:#x}", lease.local_base);
         assert!(c.memory_consistent());
         c.release(lease).unwrap();
+    }
+
+    #[test]
+    fn every_borrow_sends_one_heartbeat_round() {
+        // Static provisioning's cadence: one round at construction and one
+        // before each borrow, 100 ms apart on the cluster clock.
+        let mut c = Cluster::mesh(4, 2, 2, 1 << 30, 512 << 20);
+        assert_eq!(c.now(), Time::from_ms(100));
+        let mut setup = Time::ZERO;
+        for id in 0..16 {
+            setup += c.borrow_memory(NodeId(id), 256 << 20).unwrap().setup_time;
+        }
+        assert_eq!(c.now(), Time::from_ms(1_700) + setup);
+        for node in &c.nodes {
+            assert_eq!(node.agent.heartbeats_sent(), 17);
+            for &to in &node.agent.neighbors {
+                assert!(c.monitor.link_up(node.agent.node(), to));
+            }
+        }
     }
 
     #[test]

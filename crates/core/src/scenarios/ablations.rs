@@ -59,12 +59,10 @@ pub fn ablation_policy() -> Figure {
         let mut hops = 0.0;
         let mut latency = 0.0;
         for recipient in mesh.nodes() {
-            let cands: Vec<ResourceRecord> = candidates
-                .iter()
-                .filter(|c| c.node != recipient)
-                .copied()
-                .collect();
-            let donor = policy.select(&topo, recipient, &cands).expect("candidates");
+            let mut cands = candidates.iter().filter(|c| c.node != recipient);
+            let donor = policy
+                .select(&topo, recipient, &mut cands)
+                .expect("candidates");
             hops += mesh.hops(recipient, donor) as f64;
             let mut ch = CrmaChannel::new(recipient, CrmaConfig::default());
             ch.map_window(1 << 40, 1 << 26, donor, 0).expect("window");

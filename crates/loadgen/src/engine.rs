@@ -267,10 +267,15 @@ impl RequestSlab {
 
     /// Dooms every live request (not on the free list) bound to
     /// `node`. Crash path only — O(slab), never on the per-request path.
+    #[cold]
+    #[inline(never)]
     fn doom_live_on(&mut self, node: u16) {
-        let free: std::collections::HashSet<u32> = self.free.iter().copied().collect();
-        for (slot, req) in self.entries.iter_mut().enumerate() {
-            if req.node == node && !free.contains(&(slot as u32)) {
+        let mut free = vec![false; self.entries.len()];
+        for &slot in &self.free {
+            free[slot as usize] = true;
+        }
+        for (req, free) in self.entries.iter_mut().zip(free) {
+            if req.node == node && !free {
                 req.doomed = true;
             }
         }
@@ -564,14 +569,17 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
     #[cfg(debug_assertions)]
     fn audit_queued(&self) {
         for (node, srv) in self.servers.iter().enumerate() {
-            let mut recount = vec![0u32; srv.queued_by_class.len()];
-            for &slot in &srv.backlog {
-                recount[self.requests.get(slot).class as usize] += 1;
+            for (class, &queued) in srv.queued_by_class.iter().enumerate() {
+                let recount = srv
+                    .backlog
+                    .iter()
+                    .filter(|&&slot| self.requests.get(slot).class as usize == class)
+                    .count();
+                assert_eq!(
+                    queued as usize, recount,
+                    "node {node}: queued_by_class drifted from its backlog (class {class})"
+                );
             }
-            assert_eq!(
-                srv.queued_by_class, recount,
-                "node {node}: queued_by_class drifted from its backlog"
-            );
         }
     }
 
@@ -1506,7 +1514,7 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
         // 3. Provision the remote tier.
         let mut remote_leases = 0u64;
         let mut borrow_failures = 0u64;
-        let mut models = Vec::with_capacity(n);
+        let models: Vec<NodeModel>;
         let mut elastic: Option<ElasticTier> = None;
         match (&config.lease, config.stack) {
             (Some(lease_config), RemoteStack::VeniceCrma) => {
@@ -1519,17 +1527,16 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
                 } else {
                     lease_config.chunk_bytes * lease_config.max_chunks as u64
                 };
-                for _ in 0..n {
-                    models.push(NodeModel {
-                        local_miss: LOCAL_MISS,
-                        remote_miss: Time::ZERO,
-                        remote_bytes: 0,
-                        full_bytes: full,
-                        lent_bytes: 0,
-                        lendable_bytes: LENDABLE_PER_NODE,
-                        lent_slowdown: lease_config.donor_pressure_slowdown,
-                    });
-                }
+                let empty = NodeModel {
+                    local_miss: LOCAL_MISS,
+                    remote_miss: Time::ZERO,
+                    remote_bytes: 0,
+                    full_bytes: full,
+                    lent_bytes: 0,
+                    lendable_bytes: LENDABLE_PER_NODE,
+                    lent_slowdown: lease_config.donor_pressure_slowdown,
+                };
+                models = vec![empty; n];
                 elastic = Some(ElasticTier {
                     tags: vec![NO_TAG; n],
                     leases: vec![Vec::new(); n],
@@ -1990,6 +1997,32 @@ mod tests {
         // The slab entry size the `Request`, `ReqAttrib` and
         // `fabric_detour` docs state.
         assert_eq!(std::mem::size_of::<Request>(), 48);
+    }
+
+    #[test]
+    fn a_crash_dooms_only_the_live_requests_on_its_node() {
+        let req = |seq: u64, node: u16| Request {
+            seq,
+            class: 0,
+            user: 0,
+            node,
+            arrival: Time::ZERO,
+            service: Time::ZERO,
+            generation: 0,
+            doomed: false,
+        };
+        let mut slab = RequestSlab::new();
+        for (seq, node) in [(0, 1), (1, 2), (2, 1), (3, 1), (4, 2)] {
+            slab.insert(req(seq, node));
+        }
+        // Slot 2 is freed and stays free; slot 0 is freed and reused by
+        // a request on another node.
+        slab.take(2);
+        slab.take(0);
+        assert_eq!(slab.insert(req(5, 2)), 0);
+        slab.doom_live_on(1);
+        let doomed: Vec<bool> = slab.entries.iter().map(|r| r.doomed).collect();
+        assert_eq!(doomed, [false, false, false, true, false]);
     }
 
     /// A congested-fabric variant of [`small`] with a deliberately

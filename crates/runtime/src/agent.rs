@@ -40,6 +40,9 @@ pub struct NodeAgent {
     /// Direct fabric neighbors to link-test.
     pub neighbors: Vec<NodeId>,
     heartbeats_sent: u64,
+    /// The report [`heartbeat`](Self::heartbeat) refills and lends out,
+    /// so a heartbeat after the first allocates nothing.
+    report: Heartbeat,
 }
 
 impl NodeAgent {
@@ -54,6 +57,12 @@ impl NodeAgent {
             idle_nics: 0,
             neighbors: Vec::new(),
             heartbeats_sent: 0,
+            report: Heartbeat {
+                node,
+                at: Time::ZERO,
+                resources: Vec::new(),
+                link_status: Vec::new(),
+            },
         }
     }
 
@@ -69,41 +78,41 @@ impl NodeAgent {
 
     /// Produces the heartbeat due at `now`. `links_up` answers whether the
     /// link to each neighbor currently passes the test (injected by the
-    /// simulation so faults can be modeled).
-    pub fn heartbeat(&mut self, now: Time, links_up: impl Fn(NodeId) -> bool) -> Heartbeat {
+    /// simulation so faults can be modeled). The report is the agent's
+    /// own buffer, refilled in place; it reads as sent until the next
+    /// heartbeat.
+    pub fn heartbeat(&mut self, now: Time, links_up: impl Fn(NodeId) -> bool) -> &Heartbeat {
         self.heartbeats_sent += 1;
-        let mut resources = Vec::new();
-        resources.push(ResourceRecord {
+        let report = &mut self.report;
+        report.at = now;
+        report.resources.clear();
+        let record = |kind, amount, addr| ResourceRecord {
             node: self.node,
-            kind: ResourceKind::Memory,
-            amount: self.idle_memory,
-            addr: self.lendable_base,
+            kind,
+            amount,
+            addr,
             reported_at: now,
-        });
+        };
+        report.resources.push(record(
+            ResourceKind::Memory,
+            self.idle_memory,
+            self.lendable_base,
+        ));
         if self.idle_accelerators > 0 {
-            resources.push(ResourceRecord {
-                node: self.node,
-                kind: ResourceKind::Accelerator,
-                amount: self.idle_accelerators,
-                addr: 0,
-                reported_at: now,
-            });
+            report
+                .resources
+                .push(record(ResourceKind::Accelerator, self.idle_accelerators, 0));
         }
         if self.idle_nics > 0 {
-            resources.push(ResourceRecord {
-                node: self.node,
-                kind: ResourceKind::Nic,
-                amount: self.idle_nics,
-                addr: 0,
-                reported_at: now,
-            });
+            report
+                .resources
+                .push(record(ResourceKind::Nic, self.idle_nics, 0));
         }
-        Heartbeat {
-            node: self.node,
-            at: now,
-            resources,
-            link_status: self.neighbors.iter().map(|&n| (n, links_up(n))).collect(),
-        }
+        report.link_status.clear();
+        report
+            .link_status
+            .extend(self.neighbors.iter().map(|&n| (n, links_up(n))));
+        report
     }
 
     /// Next heartbeat time after `now`.

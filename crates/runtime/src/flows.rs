@@ -64,9 +64,9 @@ impl FlowTiming {
     }
 
     /// Per-step costs for sharing `bytes` (for reports and tests).
-    pub fn step_costs(&self, bytes: u64) -> Vec<(FlowStep, Time)> {
+    pub fn step_costs(&self, bytes: u64) -> [(FlowStep, Time); 7] {
         let gb_scaled = |per_gb: Time| per_gb.scale(bytes as f64 / (1u64 << 30) as f64);
-        vec![
+        [
             (FlowStep::RequestToMn, self.management_rtt),
             (
                 FlowStep::MnToDonor,

@@ -69,6 +69,10 @@ pub struct MonitorNode {
     pub heartbeat_period: Time,
     grants_committed: u64,
     handshake_refusals: u64,
+    /// Donors that refused the current [`request`](Self::request)'s
+    /// handshake; kept across requests so a retry allocates nothing
+    /// after the first.
+    refused: Vec<NodeId>,
 }
 
 impl std::fmt::Debug for MonitorNode {
@@ -84,16 +88,18 @@ impl std::fmt::Debug for MonitorNode {
 impl MonitorNode {
     /// Creates an MN over `topology` with the given donor policy.
     pub fn new(topology: Topology, policy: Box<dyn DonorPolicy>) -> Self {
+        let nodes = topology.len();
         MonitorNode {
             topology,
             policy,
-            rrt: Rrt::new(),
+            rrt: Rrt::with_nodes(nodes),
             rat: Rat::new(),
-            tst: Tst::new(),
+            tst: Tst::with_nodes(nodes),
             liveness_multiplier: 3,
             heartbeat_period: Time::from_ms(100),
             grants_committed: 0,
             handshake_refusals: 0,
+            refused: Vec::new(),
         }
     }
 
@@ -102,9 +108,7 @@ impl MonitorNode {
         for r in &hb.resources {
             self.rrt.register(*r);
         }
-        for &(to, up) in &hb.link_status {
-            self.tst.report(hb.node, to, up, hb.at);
-        }
+        self.tst.report_all(hb.node, &hb.link_status, hb.at);
     }
 
     /// Whether `node` has reported within the liveness window ending at
@@ -156,17 +160,21 @@ impl MonitorNode {
         max_retries: u32,
         mut donor_accepts: impl FnMut(NodeId, u64) -> bool,
     ) -> Result<Grant, AllocError> {
-        let mut excluded: Vec<NodeId> = vec![recipient];
+        self.refused.clear();
         let mut attempts = 0;
         while attempts < max_retries {
-            let candidates: Vec<_> = self
-                .rrt
-                .available(kind)
-                .into_iter()
-                .filter(|r| r.amount >= amount && !excluded.contains(&r.node))
-                .filter(|r| self.node_alive(r.node, now))
-                .collect();
-            let Some(donor) = self.policy.select(&self.topology, recipient, &candidates) else {
+            let pick = {
+                let mut candidates = self
+                    .rrt
+                    .available(kind)
+                    .filter(|r| {
+                        r.amount >= amount && r.node != recipient && !self.refused.contains(&r.node)
+                    })
+                    .filter(|r| self.node_alive(r.node, now));
+                self.policy
+                    .select(&self.topology, recipient, &mut candidates)
+            };
+            let Some(donor) = pick else {
                 return if attempts == 0 {
                     Err(AllocError::NoCapacity)
                 } else {
@@ -175,11 +183,7 @@ impl MonitorNode {
             };
             attempts += 1;
             if donor_accepts(donor, amount) {
-                let addr = candidates
-                    .iter()
-                    .find(|r| r.node == donor)
-                    .map(|r| r.addr)
-                    .unwrap_or(0);
+                let addr = self.rrt.get(donor, kind).map_or(0, |r| r.addr);
                 self.rrt.consume(donor, kind, amount);
                 let id = self.rat.allocate(donor, recipient, kind, amount, addr, now);
                 self.grants_committed += 1;
@@ -195,7 +199,7 @@ impl MonitorNode {
             // and try the next candidate.
             self.handshake_refusals += 1;
             self.rrt.consume(donor, kind, amount);
-            excluded.push(donor);
+            self.refused.push(donor);
         }
         Err(AllocError::RetriesExhausted { attempts })
     }
@@ -233,6 +237,7 @@ mod tests {
     use super::*;
     use crate::agent::NodeAgent;
     use crate::policy::DistancePolicy;
+    use crate::tables::ResourceRecord;
     use venice_fabric::Mesh3d;
 
     fn mn() -> MonitorNode {
@@ -246,7 +251,7 @@ mod tests {
         let mut a = NodeAgent::new(NodeId(node));
         a.idle_memory = idle;
         a.lendable_base = 0xC000_0000;
-        mn.on_heartbeat(&a.heartbeat(at, |_| true));
+        mn.on_heartbeat(a.heartbeat(at, |_| true));
     }
 
     #[test]
@@ -430,12 +435,95 @@ mod tests {
         assert_eq!(g2.donor, NodeId(2));
     }
 
+    /// A heartbeat built as a fresh message, with its own `Vec`s, from
+    /// the agent's current state: what every heartbeat was before agents
+    /// refilled one buffer.
+    fn fresh_heartbeat(a: &NodeAgent, at: Time, links_up: impl Fn(NodeId) -> bool) -> Heartbeat {
+        let record = |kind, amount, addr| ResourceRecord {
+            node: a.node(),
+            kind,
+            amount,
+            addr,
+            reported_at: at,
+        };
+        let mut resources = vec![record(ResourceKind::Memory, a.idle_memory, a.lendable_base)];
+        if a.idle_accelerators > 0 {
+            resources.push(record(ResourceKind::Accelerator, a.idle_accelerators, 0));
+        }
+        if a.idle_nics > 0 {
+            resources.push(record(ResourceKind::Nic, a.idle_nics, 0));
+        }
+        Heartbeat {
+            node: a.node(),
+            at,
+            resources,
+            link_status: a.neighbors.iter().map(|&n| (n, links_up(n))).collect(),
+        }
+    }
+
+    #[test]
+    fn lent_heartbeat_rounds_fill_the_tables_like_fresh_messages() {
+        let mesh = Mesh3d::new(4, 2, 2);
+        let mut lent = MonitorNode::new(Topology::Mesh(mesh.clone()), Box::new(DistancePolicy));
+        let mut fresh = MonitorNode::new(Topology::Mesh(mesh.clone()), Box::new(DistancePolicy));
+        let mut agents: Vec<NodeAgent> = mesh
+            .nodes()
+            .map(|id| {
+                let mut a = NodeAgent::new(id);
+                a.idle_memory = 512 << 20;
+                a.lendable_base = 0x2000_0000;
+                a.idle_accelerators = u64::from(id.0 % 3 == 0) * 2;
+                a.idle_nics = u64::from(id.0 % 4 == 1);
+                a.neighbors = mesh.neighbors(id);
+                a
+            })
+            .collect();
+        let kinds = [
+            ResourceKind::Memory,
+            ResourceKind::Accelerator,
+            ResourceKind::Nic,
+        ];
+        for round in 1..=17u64 {
+            let now = Time::from_ms(100 * round);
+            // The link from node 5 toward node 1 fails its test on odd
+            // rounds, and agents' spare capacity moves between rounds.
+            let links_up =
+                |from: NodeId| move |to: NodeId| !(round % 2 == 1 && from.0 == 5 && to.0 == 1);
+            for a in &mut agents {
+                let want = fresh_heartbeat(a, now, links_up(a.node()));
+                fresh.on_heartbeat(&want);
+                let got = a.heartbeat(now, links_up(a.node()));
+                assert_eq!(*got, want, "round {round}");
+                lent.on_heartbeat(got);
+            }
+            for a in &mut agents {
+                a.idle_memory -= 16 << 20;
+                a.lendable_base += 16 << 20;
+                a.idle_accelerators = (a.idle_accelerators + round) % 3;
+                a.idle_nics = u64::from(a.idle_nics == 0 && round % 5 == 0);
+            }
+            for from in mesh.nodes() {
+                for kind in kinds {
+                    assert_eq!(lent.rrt.get(from, kind), fresh.rrt.get(from, kind));
+                }
+                for to in mesh.nodes() {
+                    assert_eq!(lent.tst.entry(from, to), fresh.tst.entry(from, to));
+                }
+            }
+            assert_eq!(lent.tst.down_count(), fresh.tst.down_count());
+        }
+        assert_eq!(fresh.tst.down_count(), 1, "round 17 failed the link");
+        for a in &agents {
+            assert_eq!(a.heartbeats_sent(), 17);
+        }
+    }
+
     #[test]
     fn heartbeats_update_link_table() {
         let mut m = mn();
         let mut a = NodeAgent::new(NodeId(0));
         a.neighbors = vec![NodeId(1), NodeId(2)];
-        m.on_heartbeat(&a.heartbeat(Time::ZERO, |n| n != NodeId(2)));
+        m.on_heartbeat(a.heartbeat(Time::ZERO, |n| n != NodeId(2)));
         assert!(m.link_up(NodeId(0), NodeId(1)));
         assert!(!m.link_up(NodeId(0), NodeId(2)));
     }

@@ -18,12 +18,13 @@ use crate::tables::ResourceRecord;
 /// cluster can be built on one worker thread and handed back to another.
 pub trait DonorPolicy: Send {
     /// Picks a donor from `candidates` (each with enough free capacity)
-    /// for `recipient`. `None` when the slice is empty.
+    /// for `recipient`. `None` when there are none. The candidates are
+    /// streamed, not collected, so ranking them allocates nothing.
     fn select(
         &self,
         topology: &Topology,
         recipient: NodeId,
-        candidates: &[ResourceRecord],
+        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
     ) -> Option<NodeId>;
 
     /// Policy name for reports.
@@ -40,10 +41,9 @@ impl DonorPolicy for DistancePolicy {
         &self,
         topology: &Topology,
         recipient: NodeId,
-        candidates: &[ResourceRecord],
+        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
     ) -> Option<NodeId> {
         candidates
-            .iter()
             .min_by_key(|r| (topology.distance(recipient, r.node), r.node))
             .map(|r| r.node)
     }
@@ -62,9 +62,9 @@ impl DonorPolicy for FirstFitPolicy {
         &self,
         _topology: &Topology,
         _recipient: NodeId,
-        candidates: &[ResourceRecord],
+        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
     ) -> Option<NodeId> {
-        candidates.iter().map(|r| r.node).min()
+        candidates.map(|r| r.node).min()
     }
 
     fn name(&self) -> &'static str {
@@ -82,10 +82,9 @@ impl DonorPolicy for MostFreePolicy {
         &self,
         topology: &Topology,
         recipient: NodeId,
-        candidates: &[ResourceRecord],
+        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
     ) -> Option<NodeId> {
         candidates
-            .iter()
             .min_by_key(|r| {
                 (
                     std::cmp::Reverse(r.amount),
@@ -127,35 +126,36 @@ mod tests {
         // Node 0's neighbors in the 2x2x2 mesh are 1, 2, 4; node 7 is the
         // far corner.
         let cands = [rec(7, 1 << 30), rec(2, 1 << 30)];
-        let pick = DistancePolicy.select(&mesh(), NodeId(0), &cands);
+        let pick = DistancePolicy.select(&mesh(), NodeId(0), &mut cands.iter());
         assert_eq!(pick, Some(NodeId(2)));
     }
 
     #[test]
     fn distance_tiebreaks_by_id() {
         let cands = [rec(4, 1 << 30), rec(1, 1 << 30), rec(2, 1 << 30)];
-        let pick = DistancePolicy.select(&mesh(), NodeId(0), &cands);
+        let pick = DistancePolicy.select(&mesh(), NodeId(0), &mut cands.iter());
         assert_eq!(pick, Some(NodeId(1)));
     }
 
     #[test]
     fn most_free_prefers_capacity() {
         let cands = [rec(1, 1 << 30), rec(7, 4 << 30)];
-        let pick = MostFreePolicy.select(&mesh(), NodeId(0), &cands);
+        let pick = MostFreePolicy.select(&mesh(), NodeId(0), &mut cands.iter());
         assert_eq!(pick, Some(NodeId(7)));
     }
 
     #[test]
     fn first_fit_ignores_distance() {
         let cands = [rec(7, 1 << 30), rec(5, 1 << 30)];
-        let pick = FirstFitPolicy.select(&mesh(), NodeId(0), &cands);
+        let pick = FirstFitPolicy.select(&mesh(), NodeId(0), &mut cands.iter());
         assert_eq!(pick, Some(NodeId(5)));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
-        assert_eq!(DistancePolicy.select(&mesh(), NodeId(0), &[]), None);
-        assert_eq!(MostFreePolicy.select(&mesh(), NodeId(0), &[]), None);
-        assert_eq!(FirstFitPolicy.select(&mesh(), NodeId(0), &[]), None);
+        let none = std::iter::empty;
+        assert_eq!(DistancePolicy.select(&mesh(), NodeId(0), &mut none()), None);
+        assert_eq!(MostFreePolicy.select(&mesh(), NodeId(0), &mut none()), None);
+        assert_eq!(FirstFitPolicy.select(&mesh(), NodeId(0), &mut none()), None);
     }
 }

@@ -58,6 +58,13 @@ impl Rrt {
         Self::default()
     }
 
+    /// Creates an empty table with a row for each of nodes `0..nodes`.
+    pub fn with_nodes(nodes: usize) -> Self {
+        Rrt {
+            records: vec![[None; KINDS]; nodes],
+        }
+    }
+
     /// Inserts or refreshes a record (one per node × kind).
     pub fn register(&mut self, record: ResourceRecord) {
         let node = record.node.0 as usize;
@@ -92,12 +99,11 @@ impl Rrt {
     }
 
     /// All records of `kind` with nonzero free amount, in node order.
-    pub fn available(&self, kind: ResourceKind) -> Vec<ResourceRecord> {
+    pub fn available(&self, kind: ResourceKind) -> impl Iterator<Item = &ResourceRecord> {
         self.records
             .iter()
-            .filter_map(|row| row[kind as usize])
+            .filter_map(move |row| row[kind as usize].as_ref())
             .filter(|r| r.amount > 0)
-            .collect()
     }
 
     fn get_mut(&mut self, node: NodeId, kind: ResourceKind) -> Option<&mut ResourceRecord> {
@@ -228,6 +234,13 @@ impl Tst {
         Self::default()
     }
 
+    /// Creates an empty table with a row for each of nodes `0..nodes`.
+    pub fn with_nodes(nodes: usize) -> Self {
+        Tst {
+            links: vec![Vec::new(); nodes],
+        }
+    }
+
     /// Records a link test result from `from` toward `to`.
     pub fn report(&mut self, from: NodeId, to: NodeId, up: bool, at: Time) {
         let from = from.0 as usize;
@@ -241,8 +254,26 @@ impl Tst {
         }
     }
 
+    /// Records one heartbeat's link tests from `from`. A row holding
+    /// exactly these links in this order, as every heartbeat after an
+    /// agent's first leaves it, is overwritten in one pass; any other is
+    /// updated link by link through [`report`](Self::report).
+    pub fn report_all(&mut self, from: NodeId, links: &[(NodeId, bool)], at: Time) {
+        if let Some(row) = self.links.get_mut(from.0 as usize) {
+            if row.len() == links.len() && row.iter().zip(links).all(|(e, l)| e.0 == l.0) {
+                for (entry, &(_, up)) in row.iter_mut().zip(links) {
+                    (entry.1, entry.2) = (up, at);
+                }
+                return;
+            }
+        }
+        for &(to, up) in links {
+            self.report(from, to, up, at);
+        }
+    }
+
     /// The `(up, tested at)` entry of the link, if it was ever tested.
-    fn entry(&self, from: NodeId, to: NodeId) -> Option<(bool, Time)> {
+    pub(crate) fn entry(&self, from: NodeId, to: NodeId) -> Option<(bool, Time)> {
         self.links
             .get(from.0 as usize)?
             .iter()
@@ -286,7 +317,7 @@ mod tests {
         rrt.register(rec(1, 100));
         rrt.register(rec(1, 50));
         assert_eq!(rrt.get(NodeId(1), ResourceKind::Memory).unwrap().amount, 50);
-        assert_eq!(rrt.available(ResourceKind::Memory).len(), 1);
+        assert_eq!(rrt.available(ResourceKind::Memory).count(), 1);
     }
 
     #[test]
@@ -296,7 +327,7 @@ mod tests {
         rrt.register(rec(1, 0));
         rrt.register(rec(2, 5));
         let avail = rrt.available(ResourceKind::Memory);
-        let nodes: Vec<u16> = avail.iter().map(|r| r.node.0).collect();
+        let nodes: Vec<u16> = avail.map(|r| r.node.0).collect();
         assert_eq!(nodes, vec![2, 3]);
     }
 
@@ -319,7 +350,7 @@ mod tests {
             ..rec(1, 2)
         });
         assert_eq!(rrt.deregister_node(NodeId(1)), 2);
-        assert!(rrt.available(ResourceKind::Memory).is_empty());
+        assert_eq!(rrt.available(ResourceKind::Memory).next(), None);
     }
 
     #[test]
@@ -355,14 +386,13 @@ mod tests {
         });
         let nodes: Vec<u16> = rrt
             .available(ResourceKind::Memory)
-            .iter()
             .map(|r| r.node.0)
             .collect();
         assert_eq!(nodes, [0, 3, 4, 7, 9, 12]);
-        let accel = rrt.available(ResourceKind::Accelerator);
+        let accel: Vec<_> = rrt.available(ResourceKind::Accelerator).collect();
         assert_eq!(accel.len(), 1);
         assert_eq!((accel[0].node, accel[0].amount), (NodeId(5), 2));
-        assert!(rrt.available(ResourceKind::Nic).is_empty());
+        assert_eq!(rrt.available(ResourceKind::Nic).next(), None);
     }
 
     #[test]
@@ -383,7 +413,7 @@ mod tests {
         assert_eq!(rrt.deregister_node(NodeId(6)), 0);
         assert_eq!(rrt.deregister_node(NodeId(4)), 0);
         assert_eq!(rrt.deregister_node(NodeId(60)), 0);
-        assert_eq!(rrt.available(ResourceKind::Memory), [rec(2, 10)]);
+        assert!(rrt.available(ResourceKind::Memory).eq([&rec(2, 10)]));
         // Consuming or restoring an absent record is a no-op.
         rrt.consume(NodeId(6), ResourceKind::Memory, 5);
         rrt.restore(NodeId(60), ResourceKind::Memory, 5);
@@ -413,6 +443,31 @@ mod tests {
             Some(Time::from_secs(2))
         );
         assert_eq!(tst.down_count(), 1);
+    }
+
+    #[test]
+    fn tst_report_all_matches_link_by_link_reports() {
+        let (a, b, c) = (NodeId(1), NodeId(2), NodeId(3));
+        let rounds: [&[(NodeId, bool)]; 5] = [
+            &[(a, true), (b, false)],
+            // Same links, same order: the one-pass overwrite.
+            &[(a, false), (b, true)],
+            // Reordered, grown, shrunk: link by link.
+            &[(b, false), (a, true)],
+            &[(a, true), (b, true), (c, false)],
+            &[(c, true)],
+        ];
+        let (mut all, mut each) = (Tst::with_nodes(2), Tst::new());
+        for (round, links) in (1..).zip(rounds) {
+            let at = Time::from_ms(round);
+            all.report_all(NodeId(5), links, at);
+            for &(to, up) in links {
+                each.report(NodeId(5), to, up, at);
+            }
+            assert_eq!(all.links.get(5), each.links.get(5), "round {round}");
+        }
+        assert_eq!(all.last_tested(NodeId(5), a), Some(Time::from_ms(4)));
+        assert!(all.is_up(NodeId(5), c));
     }
 
     #[test]

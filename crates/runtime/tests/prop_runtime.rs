@@ -17,7 +17,7 @@ fn monitor_with_capacity(per_node_mb: u64) -> MonitorNode {
         let mut a = NodeAgent::new(id);
         a.idle_memory = per_node_mb << 20;
         a.lendable_base = 0xC000_0000;
-        mn.on_heartbeat(&a.heartbeat(Time::ZERO, |_| true));
+        mn.on_heartbeat(a.heartbeat(Time::ZERO, |_| true));
     }
     mn
 }
@@ -83,7 +83,7 @@ proptest! {
             &FirstFitPolicy,
             &MostFreePolicy,
         ] {
-            let pick = policy.select(&topo, NodeId(recipient), &candidates);
+            let pick = policy.select(&topo, NodeId(recipient), &mut candidates.iter());
             let pick = pick.expect("non-empty candidates");
             prop_assert!(nodes.contains(&pick), "{} picked {pick}", policy.name());
         }
@@ -108,7 +108,7 @@ proptest! {
             })
             .collect();
         prop_assume!(!candidates.is_empty());
-        let pick = DistancePolicy.select(&topo, NodeId(recipient), &candidates).unwrap();
+        let pick = DistancePolicy.select(&topo, NodeId(recipient), &mut candidates.iter()).unwrap();
         let best = candidates
             .iter()
             .map(|c| mesh.hops(NodeId(recipient), c.node))

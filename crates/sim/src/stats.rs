@@ -161,8 +161,12 @@ impl Default for Histogram {
 /// reporting (p99 vs p99.9 can land in the same bucket). `LogHistogram`
 /// subdivides every power-of-two range into `2^sub_bits` linear
 /// sub-buckets, bounding the relative quantile error at `2^-sub_bits`
-/// (&lt; 1 % at the default 7 sub-bits) while keeping memory at a few tens
-/// of kilobytes. Used by `venice-loadgen` for per-tenant p50/p95/p99/p99.9.
+/// (&lt; 1 % at the default 7 sub-bits). Only the occupied bucket range is
+/// stored: an unrecorded histogram holds no heap buffer, and the stored
+/// window grows geometrically in both directions from the first sample
+/// (samples spanning a microsecond to ten milliseconds need about 2,000
+/// of the 7,424 buckets, 16 KB). Used by `venice-loadgen` for per-tenant
+/// p50/p95/p99/p99.9.
 ///
 /// # Example
 ///
@@ -179,7 +183,11 @@ impl Default for Histogram {
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     sub_bits: u32,
-    buckets: Vec<u64>,
+    /// Counts of buckets `base..base + counts.len()`, a window holding
+    /// every recorded sample's bucket; empty until the first sample.
+    counts: Vec<u64>,
+    /// Bucket index of `counts[0]`.
+    base: usize,
     count: u64,
     sum: Time,
     min: Time,
@@ -190,6 +198,10 @@ impl LogHistogram {
     /// Default sub-bucket resolution: 2^7 = 128 linear sub-buckets per
     /// power of two, i.e. ≤ 0.79 % relative error.
     pub const DEFAULT_SUB_BITS: u32 = 7;
+
+    /// Buckets stored once the first sample arrives: one power of two's
+    /// worth at the default resolution.
+    const FIRST_WINDOW: usize = 128;
 
     /// Creates an empty histogram at the default resolution.
     pub fn new() -> Self {
@@ -204,10 +216,10 @@ impl LogHistogram {
     /// Panics if `sub_bits` is not in `[1, 16]`.
     pub fn with_resolution(sub_bits: u32) -> Self {
         assert!((1..=16).contains(&sub_bits), "sub_bits out of range");
-        let blocks = 64 - sub_bits + 1;
         LogHistogram {
             sub_bits,
-            buckets: vec![0; (blocks as usize) << sub_bits],
+            counts: Vec::new(),
+            base: 0,
             count: 0,
             sum: Time::ZERO,
             min: Time::MAX,
@@ -218,7 +230,8 @@ impl LogHistogram {
     /// Number of buckets at this resolution (the exclusive upper bound
     /// of [`bucket_of`](Self::bucket_of)).
     pub fn bucket_len(&self) -> usize {
-        self.buckets.len()
+        let blocks = 64 - self.sub_bits as usize + 1;
+        blocks << self.sub_bits
     }
 
     /// The bucket index `sample` falls into — the same index
@@ -236,7 +249,7 @@ impl LogHistogram {
     ///
     /// Panics if `idx >= self.bucket_len()`.
     pub fn bucket_upper_edge(&self, idx: usize) -> Time {
-        assert!(idx < self.buckets.len(), "bucket index out of range");
+        assert!(idx < self.bucket_len(), "bucket index out of range");
         Time::from_ps(self.upper_edge(idx))
     }
 
@@ -271,11 +284,63 @@ impl LogHistogram {
             .unwrap_or(u64::MAX)
     }
 
+    /// Widens the stored window to hold buckets `lo..=hi`. A window that
+    /// must move at least doubles (the first one holds `FIRST_WINDOW`
+    /// buckets), and its spare room goes to the side that needed it, so
+    /// a histogram reallocates a handful of times at most.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let (old_lo, old_len) = (self.base, self.counts.len());
+        let old_hi = old_lo + old_len;
+        if old_len > 0 && old_lo <= lo && hi < old_hi {
+            return;
+        }
+        let (need_lo, need_hi) = if old_len == 0 {
+            (lo, hi + 1)
+        } else {
+            (lo.min(old_lo), (hi + 1).max(old_hi))
+        };
+        let total = self.bucket_len();
+        let len = (need_hi - need_lo)
+            .max(2 * old_len)
+            .max(Self::FIRST_WINDOW)
+            .min(total);
+        let spare = len - (need_hi - need_lo);
+        // A first window is centred on its sample; a grown one extends
+        // below only when it grew downward.
+        let below = match old_len {
+            0 => spare / 2,
+            _ if need_lo < old_lo => spare,
+            _ => 0,
+        };
+        let base = need_lo.saturating_sub(below).min(total - len);
+        // Grown by reallocation, which can extend the buffer where it lies
+        // instead of leaving the old one behind as a hole; the stored
+        // counts then move up by however far the base moved down.
+        let shift = if old_len == 0 { 0 } else { old_lo - base };
+        self.counts.reserve_exact(len - old_len);
+        self.counts.resize(len, 0);
+        self.counts.copy_within(..old_len, shift);
+        self.counts[..shift].fill(0);
+        self.base = base;
+    }
+
+    /// Counts a sample in bucket `idx`, outside the stored window: the
+    /// out-of-line half of [`record`](Self::record).
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, idx: usize) {
+        self.cover(idx, idx);
+        self.counts[idx - self.base] += 1;
+    }
+
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, sample: Time) {
         let idx = self.index_of(sample.as_ps());
-        self.buckets[idx] += 1;
+        match self.counts.get_mut(idx.wrapping_sub(self.base)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(idx),
+        }
         self.count += 1;
         // Saturate the running sum: extreme samples must not poison the
         // whole histogram (the mean degrades, quantiles stay exact).
@@ -340,7 +405,8 @@ impl LogHistogram {
         let (lo, hi) = (self.bucket_of(self.min), self.bucket_of(self.max));
         let mut next = 0;
         let mut seen = 0u64;
-        for (i, &c) in self.buckets[lo..=hi].iter().enumerate() {
+        let occupied = &self.counts[lo - self.base..=hi - self.base];
+        for (i, &c) in occupied.iter().enumerate() {
             seen += c;
             while next < N && seen >= targets[next] {
                 out[next] = Time::from_ps(self.upper_edge(lo + i)).min(self.max);
@@ -365,10 +431,10 @@ impl LogHistogram {
             return;
         }
         let (lo, hi) = (other.bucket_of(other.min), other.bucket_of(other.max));
-        for (a, b) in self.buckets[lo..=hi]
-            .iter_mut()
-            .zip(&other.buckets[lo..=hi])
-        {
+        self.cover(lo, hi);
+        let mine = &mut self.counts[lo - self.base..=hi - self.base];
+        let theirs = &other.counts[lo - other.base..=hi - other.base];
+        for (a, b) in mine.iter_mut().zip(theirs) {
             *a += b;
         }
         self.count += other.count;
@@ -588,15 +654,23 @@ mod tests {
 
     const QS: [f64; 9] = [0.0, 0.001, 0.25, 0.5, 0.95, 0.99, 0.999, 0.9999, 1.0];
 
+    /// Every one of `h`'s 7,424 bucket counts, stored or not: the dense
+    /// layout the windowed one must read like.
+    fn dense(h: &LogHistogram) -> Vec<u64> {
+        let mut all = vec![0; h.bucket_len()];
+        all[h.base..][..h.counts.len()].copy_from_slice(&h.counts);
+        all
+    }
+
     /// The quantile read without the occupied-range bound: a walk over
-    /// every bucket from the first.
+    /// every dense bucket from the first.
     fn full_walk_quantile(h: &LogHistogram, q: f64) -> Option<Time> {
         if h.count == 0 {
             return None;
         }
         let target = ((h.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, &c) in h.buckets.iter().enumerate() {
+        for (i, c) in dense(h).into_iter().enumerate() {
             seen += c;
             if seen >= target {
                 return Some(Time::from_ps(h.upper_edge(i)).min(h.max));
@@ -619,22 +693,20 @@ mod tests {
     }
 
     /// Merges `b` into a copy of `a` and checks it against a merge that
-    /// adds every bucket.
+    /// adds every dense bucket.
     fn assert_merge_matches_full_walk(a: &LogHistogram, b: &LogHistogram, what: &str) {
         let mut merged = a.clone();
         merged.merge(b);
-        let mut want = a.clone();
-        for (x, y) in want.buckets.iter_mut().zip(&b.buckets) {
-            *x += y;
-        }
-        want.count += b.count;
-        want.sum = want.sum.checked_add(b.sum).unwrap_or(Time::MAX);
-        want.min = want.min.min(b.min);
-        want.max = want.max.max(b.max);
-        assert_eq!(merged.buckets, want.buckets, "{what}: buckets");
+        let want: Vec<u64> = dense(a).iter().zip(dense(b)).map(|(x, y)| x + y).collect();
+        assert_eq!(dense(&merged), want, "{what}: buckets");
         assert_eq!(
             (merged.count, merged.sum, merged.min, merged.max),
-            (want.count, want.sum, want.min, want.max),
+            (
+                a.count + b.count,
+                a.sum.checked_add(b.sum).unwrap_or(Time::MAX),
+                a.min.min(b.min),
+                a.max.max(b.max)
+            ),
             "{what}: totals"
         );
         assert_reads_match_full_walk(&merged, what);
@@ -691,10 +763,88 @@ mod tests {
         let high = recorded((1..=300).map(|i| i * 7_000_000_000));
         assert_merge_matches_full_walk(&low, &high, "low + high");
         assert_merge_matches_full_walk(&high, &low, "high + low");
+        // Stored windows that share no bucket either: the merge widens
+        // the receiving window across the gap.
+        let (tiny, huge) = (recorded([1, 2, 3]), recorded([1 << 62, 3 << 61]));
+        assert!(
+            tiny.base + tiny.counts.len() <= huge.base,
+            "windows are disjoint"
+        );
+        assert_merge_matches_full_walk(&tiny, &huge, "tiny + huge");
+        assert_merge_matches_full_walk(&huge, &tiny, "huge + tiny");
         let mut both = low.clone();
         both.merge(&high);
         assert_eq!(both.quantile(0.5), low.quantile(0.8));
         assert_eq!(both.quantile(1.0), high.quantile(1.0));
+    }
+
+    #[test]
+    fn bucket_len_is_the_full_dense_range() {
+        let h = LogHistogram::new();
+        assert_eq!(h.bucket_len(), 7_424);
+        assert_eq!(h.bucket_of(Time::MAX), 7_423);
+        assert_eq!(h.bucket_upper_edge(7_423), Time::MAX);
+        assert_eq!(LogHistogram::with_resolution(1).bucket_len(), 128);
+    }
+
+    #[test]
+    fn an_unrecorded_histogram_holds_no_heap_buffer() {
+        let mut h = LogHistogram::new();
+        assert_eq!(h.counts.capacity(), 0);
+        h.merge(&LogHistogram::new());
+        assert_eq!(h.counts.capacity(), 0);
+        assert_eq!((h.count(), h.quantile(0.5)), (0, None));
+        let c = h.clone();
+        assert_eq!(c.counts.capacity(), 0);
+        h.record(Time::from_us(3));
+        assert!(h.counts.capacity() > 0 && h.counts.len() < h.bucket_len());
+    }
+
+    #[test]
+    fn a_sample_below_the_stored_range_widens_it_downward() {
+        let mut h = recorded([5_000_000_000]);
+        let (base, len) = (h.base, h.counts.len());
+        assert!(base > 0 && len < h.bucket_len());
+        h.record(Time::from_ps(3));
+        assert!(h.base <= h.bucket_of(Time::from_ps(3)));
+        assert_eq!(h.base + h.counts.len(), base + len, "grew downward only");
+        assert_eq!(dense(&h)[3], 1);
+        assert_eq!(dense(&h).iter().sum::<u64>(), 2);
+        assert_eq!(h.quantile(0.5), Some(Time::from_ps(3)));
+        assert_reads_match_full_walk(&h, "below the range");
+        // Then one above it: both ends now recorded.
+        h.record(Time::from_ps(u64::MAX));
+        assert_eq!(dense(&h)[h.bucket_len() - 1], 1);
+        assert_reads_match_full_walk(&h, "below then above the range");
+    }
+
+    #[test]
+    fn zero_and_top_block_samples_span_the_whole_range() {
+        let h = recorded([0, u64::MAX, 0, 1 << 63, 77]);
+        assert_eq!((h.base, h.counts.len()), (0, h.bucket_len()));
+        assert_eq!(dense(&h)[0], 2);
+        assert_eq!(h.quantile(0.0), Some(Time::ZERO));
+        assert_eq!(h.quantile(1.0), Some(Time::MAX));
+        assert_reads_match_full_walk(&h, "0 ps and top block");
+        let top = recorded([u64::MAX]);
+        assert_eq!(top.base + top.counts.len(), top.bucket_len());
+        assert_reads_match_full_walk(&top, "top block alone");
+    }
+
+    #[test]
+    fn merging_into_an_empty_histogram_copies_the_occupied_range() {
+        for samples in [
+            vec![1_234_567],
+            vec![0, 9, u64::MAX],
+            (1..=400).map(|i| i * 999).collect(),
+        ] {
+            let src = recorded(samples);
+            let mut empty = LogHistogram::new();
+            empty.merge(&src);
+            assert_eq!(dense(&empty), dense(&src));
+            assert_eq!(empty.tail(), src.tail());
+            assert_merge_matches_full_walk(&LogHistogram::new(), &src, "empty + src");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl SimEvent<World> for Heartbeat {
                 let faulty = now >= w.fault_at;
                 let hb =
                     w.agents[idx].heartbeat(now, |to| !(faulty && idx == 0 && to == NodeId(1)));
-                w.monitor.on_heartbeat(&hb);
+                w.monitor.on_heartbeat(hb);
                 idx
             }
         };
