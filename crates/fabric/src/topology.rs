@@ -84,9 +84,10 @@ impl Mesh3d {
     /// Panics if `node` is out of range.
     pub fn coord(&self, node: NodeId) -> Coord {
         assert!((node.0 as usize) < self.len(), "node {node} out of range");
-        // Two divisions: each yields its quotient and remainder at once.
-        let (row, x) = (node.0 / self.dx, node.0 % self.dx);
-        let (z, y) = (row / self.dy, row % self.dy);
+        let n = node.0;
+        let x = n % self.dx;
+        let y = (n / self.dx) % self.dy;
+        let z = n / (self.dx * self.dy);
         Coord { x, y, z }
     }
 

@@ -150,7 +150,7 @@ fn flash_crash_row() -> (LoadgenConfig, FaultPlan) {
 
 #[test]
 fn a_one_request_storm_row_stays_inside_its_allocation_budget() {
-    // Budget: the measured 275 plus about 10%. Before heartbeats
+    // Budget: the measured 272 plus about 10%. Before heartbeats
     // refilled one buffer per agent, histograms stored only their
     // occupied buckets and donor ranking stopped collecting candidate
     // lists, this row made 876 allocations.
@@ -169,7 +169,7 @@ fn a_one_request_storm_row_stays_inside_its_allocation_budget() {
 
 #[test]
 fn a_one_request_lease_fabric_fault_row_stays_inside_its_allocation_budget() {
-    // Budget: the measured 307 plus about 10% (540 before the same
+    // Budget: the measured 306 plus about 10% (540 before the same
     // change).
     const BUDGET: u64 = 338;
     let (config, plan) = flash_crash_row();

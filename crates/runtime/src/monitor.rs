@@ -69,10 +69,6 @@ pub struct MonitorNode {
     pub heartbeat_period: Time,
     grants_committed: u64,
     handshake_refusals: u64,
-    /// Donors that refused the current [`request`](Self::request)'s
-    /// handshake; kept across requests so a retry allocates nothing
-    /// after the first.
-    refused: Vec<NodeId>,
 }
 
 impl std::fmt::Debug for MonitorNode {
@@ -99,7 +95,6 @@ impl MonitorNode {
             heartbeat_period: Time::from_ms(100),
             grants_committed: 0,
             handshake_refusals: 0,
-            refused: Vec::new(),
         }
     }
 
@@ -108,7 +103,9 @@ impl MonitorNode {
         for r in &hb.resources {
             self.rrt.register(*r);
         }
-        self.tst.report_all(hb.node, &hb.link_status, hb.at);
+        for &(to, up) in &hb.link_status {
+            self.tst.report(hb.node, to, up, hb.at);
+        }
     }
 
     /// Whether `node` has reported within the liveness window ending at
@@ -160,7 +157,7 @@ impl MonitorNode {
         max_retries: u32,
         mut donor_accepts: impl FnMut(NodeId, u64) -> bool,
     ) -> Result<Grant, AllocError> {
-        self.refused.clear();
+        let mut refused: Vec<NodeId> = Vec::new();
         let mut attempts = 0;
         while attempts < max_retries {
             let pick = {
@@ -168,7 +165,7 @@ impl MonitorNode {
                     .rrt
                     .available(kind)
                     .filter(|r| {
-                        r.amount >= amount && r.node != recipient && !self.refused.contains(&r.node)
+                        r.amount >= amount && r.node != recipient && !refused.contains(&r.node)
                     })
                     .filter(|r| self.node_alive(r.node, now));
                 self.policy
@@ -199,7 +196,7 @@ impl MonitorNode {
             // and try the next candidate.
             self.handshake_refusals += 1;
             self.rrt.consume(donor, kind, amount);
-            self.refused.push(donor);
+            refused.push(donor);
         }
         Err(AllocError::RetriesExhausted { attempts })
     }

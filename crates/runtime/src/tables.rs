@@ -254,24 +254,6 @@ impl Tst {
         }
     }
 
-    /// Records one heartbeat's link tests from `from`. A row holding
-    /// exactly these links in this order, as every heartbeat after an
-    /// agent's first leaves it, is overwritten in one pass; any other is
-    /// updated link by link through [`report`](Self::report).
-    pub fn report_all(&mut self, from: NodeId, links: &[(NodeId, bool)], at: Time) {
-        if let Some(row) = self.links.get_mut(from.0 as usize) {
-            if row.len() == links.len() && row.iter().zip(links).all(|(e, l)| e.0 == l.0) {
-                for (entry, &(_, up)) in row.iter_mut().zip(links) {
-                    (entry.1, entry.2) = (up, at);
-                }
-                return;
-            }
-        }
-        for &(to, up) in links {
-            self.report(from, to, up, at);
-        }
-    }
-
     /// The `(up, tested at)` entry of the link, if it was ever tested.
     pub(crate) fn entry(&self, from: NodeId, to: NodeId) -> Option<(bool, Time)> {
         self.links
@@ -443,31 +425,6 @@ mod tests {
             Some(Time::from_secs(2))
         );
         assert_eq!(tst.down_count(), 1);
-    }
-
-    #[test]
-    fn tst_report_all_matches_link_by_link_reports() {
-        let (a, b, c) = (NodeId(1), NodeId(2), NodeId(3));
-        let rounds: [&[(NodeId, bool)]; 5] = [
-            &[(a, true), (b, false)],
-            // Same links, same order: the one-pass overwrite.
-            &[(a, false), (b, true)],
-            // Reordered, grown, shrunk: link by link.
-            &[(b, false), (a, true)],
-            &[(a, true), (b, true), (c, false)],
-            &[(c, true)],
-        ];
-        let (mut all, mut each) = (Tst::with_nodes(2), Tst::new());
-        for (round, links) in (1..).zip(rounds) {
-            let at = Time::from_ms(round);
-            all.report_all(NodeId(5), links, at);
-            for &(to, up) in links {
-                each.report(NodeId(5), to, up, at);
-            }
-            assert_eq!(all.links.get(5), each.links.get(5), "round {round}");
-        }
-        assert_eq!(all.last_tested(NodeId(5), a), Some(Time::from_ms(4)));
-        assert!(all.is_up(NodeId(5), c));
     }
 
     #[test]
