@@ -2,7 +2,7 @@
 //!
 //! The engine-facing query API of the fabric: [`PathTable::compile`]
 //! walks every (src, dst) pair through the *table-driven* forwarding
-//! path ([`crate::routing::forward_path_with_fallback`] over per-node
+//! path ([`crate::routing::walk_with_fallback`] over per-node
 //! [`RoutingTable`]s — the same lookup a real embedded switch performs,
 //! not the closed-form [`Mesh3d::route`]) and flattens the results into
 //! dense arrays of directed-link indices. After compilation every query
@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use venice_sim::Time;
 
 use crate::phy::LinkParams;
-use crate::routing::{forward_path_with_fallback, RoutingTable};
+use crate::routing::{walk_with_fallback, RoutingTable};
 use crate::topology::{Mesh3d, NodeId};
 
 /// Index of one directed link in a [`PathTable`]; assigned densely in
@@ -77,7 +77,7 @@ impl PathTable {
 
     /// Recompiles the per-pair routes with the given *directed* links
     /// marked down, detouring over the routing layer's productive
-    /// fallback ([`crate::routing::forward_path_with_fallback`]). A
+    /// fallback ([`crate::routing::walk_with_fallback`]). A
     /// pair the down set cuts along every minimal route takes the
     /// shortest path over up links instead, found by breadth-first
     /// search in [`Mesh3d::neighbors`] order, so the detour is
@@ -116,17 +116,25 @@ impl PathTable {
         for src in mesh.nodes() {
             for dst in mesh.nodes() {
                 let off = u32::try_from(links.len()).expect("path table overflow");
-                let path = forward_path_with_fallback(mesh, &tables, src, dst)
-                    .or_else(|| shortest_up_path(mesh, down, src, dst));
-                match path {
-                    Some(path) => {
-                        let mut prev = src;
-                        for hop in path {
-                            links.push(ids.id(prev, hop));
-                            prev = hop;
+                let mut prev = src;
+                let walked = walk_with_fallback(mesh, &tables, src, dst, |hop| {
+                    links.push(ids.id(prev, hop));
+                    prev = hop;
+                });
+                if !walked {
+                    // The walk's hops lead into the partition; every link
+                    // they crossed was numbered by the original compile.
+                    links.truncate(off as usize);
+                    match shortest_up_path(mesh, down, src, dst) {
+                        Some(path) => {
+                            let mut prev = src;
+                            for hop in path {
+                                links.push(ids.id(prev, hop));
+                                prev = hop;
+                            }
                         }
+                        None => links.extend_from_slice(self.links(src, dst)),
                     }
-                    None => links.extend_from_slice(self.links(src, dst)),
                 }
                 let len = u16::try_from(links.len() - off as usize).expect("path too long");
                 ranges.push((off, len));

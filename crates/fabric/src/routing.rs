@@ -205,19 +205,7 @@ pub fn forward_path(
         let port = tables[cur.0 as usize]
             .lookup(dst)
             .expect("no route installed");
-        assert_ne!(port, LOCAL_PORT, "premature local delivery");
-        let here = mesh.coord(cur);
-        let mut next = here;
-        match port.0 {
-            1 => next.x -= 1,
-            2 => next.x += 1,
-            3 => next.y -= 1,
-            4 => next.y += 1,
-            5 => next.z -= 1,
-            6 => next.z += 1,
-            p => panic!("bad port {p}"),
-        }
-        cur = mesh.node_at(next);
+        cur = step(mesh, cur, port);
         path.push(cur);
     }
     path
@@ -235,25 +223,45 @@ pub fn forward_path_with_fallback(
     dst: NodeId,
 ) -> Option<Vec<NodeId>> {
     let mut path = Vec::new();
+    walk_with_fallback(mesh, tables, src, dst, |hop| path.push(hop)).then_some(path)
+}
+
+/// The walk of [`forward_path_with_fallback`] without the path: calls
+/// `hop` with each node visited after `src`, in order, and returns
+/// whether the walk reached `dst`. On `false` the hops already reported
+/// lead into the partition.
+pub fn walk_with_fallback(
+    mesh: &Mesh3d,
+    tables: &[RoutingTable],
+    src: NodeId,
+    dst: NodeId,
+    mut hop: impl FnMut(NodeId),
+) -> bool {
     let mut cur = src;
     while cur != dst {
-        let port = tables[cur.0 as usize].lookup_with_fallback(mesh, dst)?;
-        assert_ne!(port, LOCAL_PORT, "premature local delivery");
-        let here = mesh.coord(cur);
-        let mut next = here;
-        match port.0 {
-            1 => next.x -= 1,
-            2 => next.x += 1,
-            3 => next.y -= 1,
-            4 => next.y += 1,
-            5 => next.z -= 1,
-            6 => next.z += 1,
-            p => panic!("bad port {p}"),
-        }
-        cur = mesh.node_at(next);
-        path.push(cur);
+        let Some(port) = tables[cur.0 as usize].lookup_with_fallback(mesh, dst) else {
+            return false;
+        };
+        cur = step(mesh, cur, port);
+        hop(cur);
     }
-    Some(path)
+    true
+}
+
+/// The mesh neighbor of `cur` that output `port` leads to.
+fn step(mesh: &Mesh3d, cur: NodeId, port: OutPort) -> NodeId {
+    assert_ne!(port, LOCAL_PORT, "premature local delivery");
+    let mut next = mesh.coord(cur);
+    match port.0 {
+        1 => next.x -= 1,
+        2 => next.x += 1,
+        3 => next.y -= 1,
+        4 => next.y += 1,
+        5 => next.z -= 1,
+        6 => next.z += 1,
+        p => panic!("bad port {p}"),
+    }
+    mesh.node_at(next)
 }
 
 #[cfg(test)]

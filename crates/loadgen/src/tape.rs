@@ -89,8 +89,10 @@ pub(crate) struct Tape {
     chunk: u64,
     /// One slot per chunk, which a filler swaps a chunk into and a world
     /// takes a shared handle from. The barrier separates a buffer's
-    /// writers from its readers, so no lock ever waits.
-    buffers: [Vec<Mutex<Arc<Chunk>>>; 2],
+    /// writers from its readers, so no lock ever waits. A slot holds no
+    /// chunk until its first fill, and none while its arrivals lie past
+    /// the run's end, so a run allocates only the chunks it fills.
+    buffers: [Vec<Mutex<Option<Arc<Chunk>>>>; 2],
     /// The next unclaimed chunk, numbered across epochs.
     next: AtomicU64,
 }
@@ -133,18 +135,23 @@ impl Tape {
             let stop = (start + self.chunk).min((k + 1) * self.epoch);
             let arrivals = start.min(self.requests)..stop.min(self.requests);
             let slot = &self.buffers[k as usize % 2][(ticket % chunks) as usize];
-            // The spare is the chunk this filler swapped out last. A world
-            // still holding it keeps it; the filler then starts a new one.
-            let mut chunk = match filler.spare.take() {
-                Some(spare) if Arc::strong_count(&spare) == 1 => spare,
-                _ => Arc::new(Chunk {
-                    entries: Vec::with_capacity(self.chunk as usize),
-                }),
-            };
-            let unshared = Arc::get_mut(&mut chunk).expect("only this filler holds it");
-            filler.draw(arrivals, unshared);
-            let mut slot = slot.lock().expect(UNPOISONED);
-            filler.spare = Some(std::mem::replace(&mut *slot, chunk));
+            let chunk = (!arrivals.is_empty()).then(|| {
+                // The spare is the chunk this filler swapped out last. A
+                // world still holding it keeps it; the filler then starts
+                // a new one.
+                let mut chunk = match filler.spare.take() {
+                    Some(spare) if Arc::strong_count(&spare) == 1 => spare,
+                    _ => Arc::new(Chunk {
+                        entries: Vec::with_capacity(self.chunk as usize),
+                    }),
+                };
+                let unshared = Arc::get_mut(&mut chunk).expect("only this filler holds it");
+                filler.draw(arrivals, unshared);
+                chunk
+            });
+            if let Some(old) = std::mem::replace(&mut *slot.lock().expect(UNPOISONED), chunk) {
+                filler.spare = Some(old);
+            }
         }
     }
 
@@ -152,7 +159,7 @@ impl Tape {
     pub(crate) fn read(&self, k: u64) -> Vec<Arc<Chunk>> {
         self.buffers[k as usize % 2]
             .iter()
-            .map(|slot| Arc::clone(&slot.lock().expect(UNPOISONED)))
+            .filter_map(|slot| slot.lock().expect(UNPOISONED).clone())
             .collect()
     }
 }
