@@ -184,7 +184,7 @@ impl Cluster {
             let mut agent = NodeAgent::new(id);
             agent.idle_memory = lendable_bytes.min(memory_bytes);
             agent.lendable_base = memory_bytes - agent.idle_memory;
-            agent.neighbors = mesh.neighbors(id);
+            agent.set_neighbors(mesh.neighbors(id));
             nodes.push(Node {
                 memory: AddressSpace::with_memory(id, memory_bytes),
                 agent,
@@ -201,7 +201,7 @@ impl Cluster {
             monitor,
             path: PathModel {
                 topology,
-                ..PathModel::prototype_mesh()
+                ..PathModel::direct_pair()
             },
             flow: FlowTiming::default(),
             now: Time::ZERO,
@@ -227,13 +227,33 @@ impl Cluster {
         self.now
     }
 
-    /// Advances time and delivers one heartbeat round from every agent.
+    /// Advances the clock 100 ms and delivers one heartbeat round from
+    /// every agent, every link testing up.
+    ///
+    /// A round re-registers only what changed: an agent whose spare
+    /// resources moved since its last report, and a node whose Monitor
+    /// Node rows no longer hold that report (a grant, a release or a
+    /// refused handshake changed a record, or the node was evicted).
+    /// Every other node's heartbeat repeats its last report, and the
+    /// Monitor Node stamps it in O(1). The tables, the liveness window
+    /// and each agent's [`heartbeats_sent`](NodeAgent::heartbeats_sent)
+    /// read exactly as after a round of full reports. That holds while
+    /// every heartbeat a node's agent sends reaches the Monitor Node and
+    /// no other source reports for the node.
     pub fn tick_heartbeats(&mut self) {
         self.now += Time::from_ms(100);
         let now = self.now;
         for node in &mut self.nodes {
-            self.monitor
-                .on_heartbeat(node.agent.heartbeat(now, |_| true));
+            let id = node.agent.node();
+            let report = if self.monitor.holds_last_report(id) {
+                node.agent.heartbeat_delta(now)
+            } else {
+                Some(node.agent.heartbeat(now, |_| true))
+            };
+            match report {
+                Some(hb) => self.monitor.on_heartbeat(hb),
+                None => self.monitor.on_repeat_heartbeat(id, now),
+            }
         }
     }
 
@@ -269,10 +289,19 @@ impl Cluster {
     /// this to steer placement by criteria the MN cannot see — e.g.
     /// fabric congestion along the recipient↔donor path.
     ///
+    /// Past one O(1) stamp per node in its heartbeat round, the flow's
+    /// work grows with the recipient's neighborhood, not with the mesh:
+    /// the round re-registers only the agents a previous borrow or
+    /// release changed ([`Cluster::tick_heartbeats`]), and the distance
+    /// policy walks distance shells outward from the recipient and
+    /// stops at the first one holding a candidate.
+    ///
     /// # Errors
     ///
     /// Propagates Monitor-Node allocation failures, hot-remove/hot-plug
-    /// errors, and CRMA window errors (all rolled back on failure).
+    /// errors, and CRMA window errors. A failure leaves nothing behind:
+    /// the donor takes its region back and re-advertises it, the
+    /// recipient unplugs, and the Monitor Node retires the grant.
     pub fn borrow_memory_filtered(
         &mut self,
         recipient: NodeId,
@@ -309,42 +338,27 @@ impl Cluster {
         // ③: donor hot-removes. Align the donated window inside the
         // lendable region.
         let donor_base = grant.addr;
-        if let Err(e) = self
-            .node_mut(grant.donor)?
-            .memory
-            .hot_remove(donor_base, bytes, recipient)
-        {
+        let d = self.node_mut(grant.donor)?;
+        if let Err(e) = d.memory.hot_remove(donor_base, bytes, recipient) {
             self.monitor.release(grant.id);
             return Err(ShareError::Memory(e));
         }
         // The donor now advertises less idle memory.
-        {
-            let donor_node = self.node_mut(grant.donor)?;
-            donor_node.agent.idle_memory = donor_node.agent.idle_memory.saturating_sub(bytes);
-            donor_node.agent.lendable_base += bytes;
-        }
+        let advertised = (d.agent.idle_memory, d.agent.lendable_base);
+        d.agent.idle_memory = d.agent.idle_memory.saturating_sub(bytes);
+        d.agent.lendable_base += bytes;
         // ④: recipient hot-plugs and programs its CRMA window.
-        let local_base = {
-            let r = self.node_mut(recipient)?;
-            let base = r.next_plug_base.next_multiple_of(bytes);
-            r.memory
-                .hot_plug(base, bytes, grant.donor)
-                .map_err(ShareError::Memory)?;
-            r.next_plug_base = base + bytes;
-            base
-        };
-        let window = {
-            let r = self.node_mut(recipient)?;
-            match r
-                .crma
-                .map_window(local_base, bytes, grant.donor, donor_base)
-            {
-                Ok(w) => w,
-                Err(e) => {
-                    r.memory.unplug(local_base).expect("just plugged");
-                    self.monitor.release(grant.id);
-                    return Err(ShareError::Window(e));
-                }
+        let (local_base, window) = match self.plug_window(recipient, bytes, grant.donor, donor_base)
+        {
+            Ok(mapped) => mapped,
+            Err(e) => {
+                // Undo ③: the donor takes its region back and advertises
+                // it again, and the grant is retired.
+                let d = self.node_mut(grant.donor)?;
+                d.memory.reclaim(donor_base).expect("just hot-removed");
+                (d.agent.idle_memory, d.agent.lendable_base) = advertised;
+                self.monitor.release(grant.id);
+                return Err(e);
             }
         };
         let setup_time = self.flow.establish(bytes);
@@ -361,6 +375,34 @@ impl Cluster {
         };
         self.active.push(lease);
         Ok(lease)
+    }
+
+    /// Step ④ of the borrow flow: `recipient` hot-plugs the `bytes` that
+    /// `donor` lends from `donor_base` and maps a CRMA window over them,
+    /// returning the local base and the window. On failure the recipient
+    /// is left as it was.
+    fn plug_window(
+        &mut self,
+        recipient: NodeId,
+        bytes: u64,
+        donor: NodeId,
+        donor_base: u64,
+    ) -> Result<(u64, EntryId), ShareError> {
+        let r = self.node_mut(recipient)?;
+        let base = r.next_plug_base.next_multiple_of(bytes);
+        r.memory
+            .hot_plug(base, bytes, donor)
+            .map_err(ShareError::Memory)?;
+        match r.crma.map_window(base, bytes, donor, donor_base) {
+            Ok(window) => {
+                r.next_plug_base = base + bytes;
+                Ok((base, window))
+            }
+            Err(e) => {
+                r.memory.unplug(base).expect("just plugged");
+                Err(ShareError::Window(e))
+            }
+        }
     }
 
     /// Stop-sharing: tears down `lease` on both sides.
@@ -663,10 +705,12 @@ impl Cluster {
     ///
     /// [`ShareError::NotRemote`] when `addr` is not remote-mapped.
     pub fn crma_read(&mut self, node: NodeId, addr: u64) -> Result<Time, ShareError> {
-        let path = self.path.clone();
-        let n = self.node_mut(node)?;
+        let n = self
+            .nodes
+            .get_mut(node.0 as usize)
+            .ok_or(ShareError::NoSuchNode)?;
         n.crma
-            .read_latency(&path, addr)
+            .read_latency(&self.path, addr)
             .ok_or(ShareError::NotRemote)
     }
 
@@ -781,10 +825,95 @@ mod tests {
         assert_eq!(c.now(), Time::from_ms(1_700) + setup);
         for node in &c.nodes {
             assert_eq!(node.agent.heartbeats_sent(), 17);
-            for &to in &node.agent.neighbors {
+            for &to in node.agent.neighbors() {
                 assert!(c.monitor.link_up(node.agent.node(), to));
             }
         }
+    }
+
+    /// Monitor-Node work of statically provisioning every node of a
+    /// `dx × dy × dz` mesh with one 256 MB borrow: RRT records donor
+    /// selection examined plus heartbeat reports registered.
+    fn provisioning_work(dx: u16, dy: u16, dz: u16) -> u64 {
+        let mut c = Cluster::mesh(dx, dy, dz, 1 << 30, 512 << 20);
+        for id in 0..c.len() as u16 {
+            c.borrow_memory(NodeId(id), 256 << 20).unwrap();
+        }
+        c.monitor.records_examined() + c.monitor.reports_registered()
+    }
+
+    #[test]
+    fn static_provisioning_work_grows_with_the_node_count_not_its_square() {
+        // Four times the nodes: about four times the borrows, each
+        // costing what the recipient's neighborhood costs. Full rounds
+        // and full candidate scans made this about 16x.
+        let small = provisioning_work(4, 2, 2);
+        let large = provisioning_work(4, 4, 4);
+        assert!(large <= 5 * small, "4x4x4: {large}, 4x2x2: {small}");
+    }
+
+    #[test]
+    fn a_borrow_that_cannot_map_its_window_leaves_nothing_behind() {
+        // The recipient's RAMT holds 32 windows: node 0's 33rd borrow is
+        // granted and hot-removed on the donor, then fails at step ④.
+        let mut c = Cluster::mesh(4, 2, 2, 1 << 30, 512 << 20);
+        let leases: Vec<MemoryLease> = (0..32)
+            .map(|_| c.borrow_memory(NodeId(0), 4 << 20).unwrap())
+            .collect();
+        let donor = NodeId(1);
+        assert!(leases.iter().all(|l| l.donor == donor));
+        let before = |c: &Cluster| {
+            let d = &c.nodes[donor.0 as usize];
+            (
+                d.memory.online_bytes(),
+                d.agent.idle_memory,
+                d.agent.lendable_base,
+            )
+        };
+        let was = before(&c);
+        let err = c.borrow_memory(NodeId(0), 4 << 20).unwrap_err();
+        assert_eq!(err, ShareError::Window(venice_transport::RamtError::Full));
+        assert_eq!(
+            before(&c),
+            was,
+            "the donor keeps its region and advertises it"
+        );
+        assert_eq!(c.monitor.grants_committed(), 33);
+        assert_eq!(c.monitor.active_allocations(), 32);
+        assert!(c.memory_consistent());
+        // The next grant from the donor lands right above the 32 live
+        // windows, where the failed one was.
+        c.release(leases[31]).unwrap();
+        let again = c.borrow_memory(NodeId(0), 4 << 20).unwrap();
+        assert_eq!(
+            (again.donor, again.donor_base),
+            (donor, leases[31].donor_base)
+        );
+        assert!(c.memory_consistent());
+    }
+
+    #[test]
+    fn a_borrow_that_cannot_hot_plug_leaves_nothing_behind() {
+        // A region already plugged where node 0's next window would go
+        // makes step ④'s hot-plug fail after the donor hot-removed.
+        let mut c = Cluster::mesh(4, 2, 2, 1 << 30, 512 << 20);
+        let blocker = 1 << 32;
+        c.nodes[0]
+            .memory
+            .hot_plug(blocker, 4 << 20, NodeId(3))
+            .unwrap();
+        let donor = &c.nodes[1];
+        let was = (donor.memory.online_bytes(), donor.agent.idle_memory);
+        let err = c.borrow_memory(NodeId(0), 4 << 20).unwrap_err();
+        assert!(matches!(err, ShareError::Memory(_)), "{err:?}");
+        let donor = &c.nodes[1];
+        assert_eq!((donor.memory.online_bytes(), donor.agent.idle_memory), was);
+        assert_eq!(c.monitor.active_allocations(), 0);
+        c.nodes[0].memory.unplug(blocker).unwrap();
+        assert!(c.memory_consistent());
+        let lease = c.borrow_memory(NodeId(0), 4 << 20).unwrap();
+        assert_eq!(lease.donor, NodeId(1));
+        assert!(c.memory_consistent());
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use venice_fabric::netsim::{FlowSpec, NetworkSim};
 use venice_fabric::{Mesh3d, NodeId};
-use venice_runtime::tables::{ResourceKind, ResourceRecord};
 use venice_runtime::{DistancePolicy, DonorPolicy, FirstFitPolicy, MostFreePolicy};
 use venice_sim::{SimRng, Time};
 use venice_transport::collab::{CreditReturnPath, FlowControlModel};
@@ -33,16 +32,7 @@ pub fn ablation_policy() -> Figure {
     let mesh = Mesh3d::prototype();
     let topo = venice_fabric::topology::Topology::Mesh(mesh.clone());
     // Heterogeneous free capacity: node id * 64 MB spare.
-    let candidates: Vec<ResourceRecord> = mesh
-        .nodes()
-        .map(|n| ResourceRecord {
-            node: n,
-            kind: ResourceKind::Memory,
-            amount: (n.0 as u64 + 1) * (64 << 20),
-            addr: 0,
-            reported_at: Time::ZERO,
-        })
-        .collect();
+    let spare = |n: NodeId| (n.0 as u64 + 1) * (64 << 20);
     let policies: Vec<Box<dyn DonorPolicy>> = vec![
         Box::new(DistancePolicy),
         Box::new(FirstFitPolicy),
@@ -59,9 +49,9 @@ pub fn ablation_policy() -> Figure {
         let mut hops = 0.0;
         let mut latency = 0.0;
         for recipient in mesh.nodes() {
-            let mut cands = candidates.iter().filter(|c| c.node != recipient);
+            let mut free = |n: NodeId| (n != recipient).then(|| spare(n));
             let donor = policy
-                .select(&topo, recipient, &mut cands)
+                .select(&topo, recipient, &mut free)
                 .expect("candidates");
             hops += mesh.hops(recipient, donor) as f64;
             let mut ch = CrmaChannel::new(recipient, CrmaConfig::default());

@@ -6,6 +6,8 @@
 //! three appear here: [`Mesh3d`], [`Topology::StarRouter`], and
 //! [`Topology::Direct`].
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a node in the cluster.
@@ -33,6 +35,10 @@ pub struct Coord {
 
 /// A 3D mesh of nodes, as in the 8-node (2×2×2) prototype.
 ///
+/// Node ids run x-fastest, then y, then z. The mesh keeps each node's
+/// coordinates in a table built once, so coordinate, hop and distance
+/// reads are lookups, not divisions; clones share the table.
+///
 /// # Example
 ///
 /// ```
@@ -41,11 +47,32 @@ pub struct Coord {
 /// assert_eq!(m.hops(NodeId(0), NodeId(7)), 3);
 /// assert_eq!(m.neighbors(NodeId(0)).len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Mesh3d {
     dx: u16,
     dy: u16,
     dz: u16,
+    /// Coordinates of every node, indexed by node id.
+    coords: Arc<[Coord]>,
+}
+
+impl PartialEq for Mesh3d {
+    fn eq(&self, other: &Self) -> bool {
+        // The coordinate table follows from the dimensions.
+        (self.dx, self.dy, self.dz) == (other.dx, other.dy, other.dz)
+    }
+}
+
+impl Eq for Mesh3d {}
+
+impl std::fmt::Debug for Mesh3d {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Mesh3d")
+            .field("dx", &self.dx)
+            .field("dy", &self.dy)
+            .field("dz", &self.dz)
+            .finish()
+    }
 }
 
 impl Mesh3d {
@@ -53,13 +80,27 @@ impl Mesh3d {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if the mesh has more nodes
+    /// than [`NodeId`] can name.
     pub fn new(dx: u16, dy: u16, dz: u16) -> Self {
         assert!(
             dx > 0 && dy > 0 && dz > 0,
             "mesh dimensions must be positive"
         );
-        Mesh3d { dx, dy, dz }
+        let len = dx as usize * dy as usize * dz as usize;
+        assert!(
+            u16::try_from(len).is_ok(),
+            "a {dx}x{dy}x{dz} mesh has more nodes than node ids"
+        );
+        // The only divisions: ids run x-fastest, then y, then z.
+        let coords = (0..len as u16)
+            .map(|n| Coord {
+                x: n % dx,
+                y: n / dx % dy,
+                z: n / dx / dy,
+            })
+            .collect();
+        Mesh3d { dx, dy, dz, coords }
     }
 
     /// The paper's 8-node 2×2×2 prototype mesh.
@@ -83,12 +124,10 @@ impl Mesh3d {
     ///
     /// Panics if `node` is out of range.
     pub fn coord(&self, node: NodeId) -> Coord {
-        assert!((node.0 as usize) < self.len(), "node {node} out of range");
-        let n = node.0;
-        let x = n % self.dx;
-        let y = (n / self.dx) % self.dy;
-        let z = n / (self.dx * self.dy);
-        Coord { x, y, z }
+        match self.coords.get(node.0 as usize) {
+            Some(&c) => c,
+            None => panic!("node {node} out of range"),
+        }
     }
 
     /// Node at coordinates.
@@ -155,6 +194,49 @@ impl Mesh3d {
             out.push(self.node_at(Coord { z: c.z + 1, ..c }));
         }
         out
+    }
+
+    /// Hop count from `center` to the farthest node of the mesh.
+    pub fn max_hops_from(&self, center: NodeId) -> u32 {
+        let c = self.coord(center);
+        let reach = |at: u16, dim: u16| u32::from(at.max(dim - 1 - at));
+        reach(c.x, self.dx) + reach(c.y, self.dy) + reach(c.z, self.dz)
+    }
+
+    /// The lowest-numbered node exactly `hops` hops from `center` that
+    /// satisfies `pred`. The shell is visited in ascending id order and
+    /// the walk stops at the first match, so `pred` sees only the nodes
+    /// up to it.
+    pub fn first_in_shell(
+        &self,
+        center: NodeId,
+        hops: u32,
+        mut pred: impl FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        let c = self.coord(center);
+        let d = i32::try_from(hops).ok()?;
+        // Coordinates within `r` of `at` along an axis of `dim` nodes.
+        let span = |at: u16, r: i32, dim: u16| {
+            (i32::from(at) - r).max(0)..=(i32::from(at) + r).min(i32::from(dim) - 1)
+        };
+        let (dx, dy) = (i32::from(self.dx), i32::from(self.dy));
+        // z outermost, then y, then x: ids come out ascending.
+        for z in span(c.z, d, self.dz) {
+            let ry = d - (z - i32::from(c.z)).abs();
+            for y in span(c.y, ry, self.dy) {
+                let rx = ry - (y - i32::from(c.y)).abs();
+                let row = (z * dy + y) * dx;
+                let x0 = i32::from(c.x);
+                let xs = [x0 - rx, x0 + rx].into_iter().take(1 + usize::from(rx > 0));
+                for x in xs.filter(|x| (0..dx).contains(x)) {
+                    let node = NodeId((row + x) as u16);
+                    if pred(node) {
+                        return Some(node);
+                    }
+                }
+            }
+        }
+        None
     }
 
     /// Iterator over all node ids.
@@ -234,6 +316,37 @@ impl Topology {
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         self.link_hops(a, b)
     }
+
+    /// [`distance`](Self::distance) from `center` to the farthest node.
+    pub fn max_distance(&self, center: NodeId) -> u32 {
+        match self {
+            Topology::Mesh(m) => m.max_hops_from(center),
+            _ if self.len() < 2 => 0,
+            _ => self.link_hops(center, NodeId(u16::from(center.0 == 0))),
+        }
+    }
+
+    /// The lowest-numbered node at [`distance`](Self::distance) exactly
+    /// `d` from `center` that satisfies `pred`, visiting that distance
+    /// shell in ascending id order and stopping at the first match.
+    /// Walking `d` upward from 0 therefore meets nodes in
+    /// `(distance, id)` order.
+    pub fn first_in_shell(
+        &self,
+        center: NodeId,
+        d: u32,
+        mut pred: impl FnMut(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        match self {
+            Topology::Mesh(m) => m.first_in_shell(center, d, pred),
+            _ if d == 0 => Some(center).filter(|&n| pred(n)),
+            // Every other node sits at the one nonzero distance.
+            _ if d == self.max_distance(center) => (0..self.len() as u16)
+                .map(NodeId)
+                .find(|&n| n != center && pred(n)),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -311,6 +424,64 @@ mod tests {
         assert_eq!(t.transit_switches(NodeId(0), NodeId(7)), 2);
         assert_eq!(t.transit_switches(NodeId(0), NodeId(1)), 0);
         assert_eq!(t.distance(NodeId(0), NodeId(7)), 3);
+    }
+
+    #[test]
+    fn coordinate_table_matches_the_id_layout() {
+        let m = Mesh3d::new(5, 3, 2);
+        for n in m.nodes() {
+            let i = n.0;
+            let want = Coord {
+                x: i % 5,
+                y: (i / 5) % 3,
+                z: i / 15,
+            };
+            assert_eq!(m.coord(n), want);
+        }
+        assert_eq!(m, m.clone());
+        assert_ne!(m, Mesh3d::new(5, 3, 1));
+        assert_eq!(format!("{m:?}"), "Mesh3d { dx: 5, dy: 3, dz: 2 }");
+    }
+
+    /// Every topology's shells, walked outward, meet nodes in the
+    /// `(distance, id)` order a full sort gives.
+    #[test]
+    fn shell_walks_meet_nodes_in_distance_then_id_order() {
+        let topologies = [
+            Topology::Mesh(Mesh3d::new(4, 3, 2)),
+            Topology::Mesh(Mesh3d::new(1, 5, 1)),
+            Topology::Mesh(Mesh3d::new(1, 1, 1)),
+            Topology::Direct { nodes: 4 },
+            Topology::StarRouter { nodes: 3 },
+            Topology::Direct { nodes: 1 },
+        ];
+        for t in &topologies {
+            for center in (0..t.len() as u16).map(NodeId) {
+                let mut want: Vec<NodeId> = (0..t.len() as u16).map(NodeId).collect();
+                want.sort_by_key(|&n| (t.distance(center, n), n));
+                let far = t.max_distance(center);
+                assert_eq!(Some(far), want.iter().map(|&n| t.distance(center, n)).max());
+                let mut got = Vec::new();
+                for d in 0..=far + 1 {
+                    // A predicate that refuses everything sees the whole
+                    // shell; one that takes everything stops at its head.
+                    let mut shell = Vec::new();
+                    assert_eq!(
+                        t.first_in_shell(center, d, |n| {
+                            shell.push(n);
+                            false
+                        }),
+                        None
+                    );
+                    assert_eq!(
+                        t.first_in_shell(center, d, |_| true),
+                        shell.first().copied()
+                    );
+                    got.extend(shell);
+                }
+                assert_eq!(got, want, "{t:?} from {center}");
+            }
+        }
     }
 
     #[test]

@@ -1491,7 +1491,7 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
         let neighbors: Vec<Vec<u16>> = cluster
             .nodes
             .iter()
-            .map(|node| node.agent.neighbors.iter().map(|id| id.0).collect())
+            .map(|node| node.agent.neighbors().iter().map(|id| id.0).collect())
             .collect();
         let gateway = NodeId(0);
         let path = cluster.path.clone();

@@ -38,11 +38,25 @@ pub struct NodeAgent {
     /// Idle NIC units.
     pub idle_nics: u64,
     /// Direct fabric neighbors to link-test.
-    pub neighbors: Vec<NodeId>,
+    neighbors: Vec<NodeId>,
     heartbeats_sent: u64,
     /// The report [`heartbeat`](Self::heartbeat) refills and lends out,
     /// so a heartbeat after the first allocates nothing.
     report: Heartbeat,
+    /// The spare resources `report` carries, when every link in it
+    /// tested up and the neighbors are still the ones it tested: a
+    /// heartbeat with the same spare resources and every link up would
+    /// repeat it verbatim (see [`heartbeat_delta`](Self::heartbeat_delta)).
+    repeatable: Option<Spare>,
+}
+
+/// The resource half of a heartbeat: everything it reports but links.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Spare {
+    memory: u64,
+    base: u64,
+    accelerators: u64,
+    nics: u64,
 }
 
 impl NodeAgent {
@@ -63,6 +77,27 @@ impl NodeAgent {
                 resources: Vec::new(),
                 link_status: Vec::new(),
             },
+            repeatable: None,
+        }
+    }
+
+    /// Direct fabric neighbors the agent link-tests.
+    pub fn neighbors(&self) -> &[NodeId] {
+        &self.neighbors
+    }
+
+    /// Sets the neighbors to link-test from the next heartbeat on.
+    pub fn set_neighbors(&mut self, neighbors: Vec<NodeId>) {
+        self.neighbors = neighbors;
+        self.repeatable = None;
+    }
+
+    fn spare(&self) -> Spare {
+        Spare {
+            memory: self.idle_memory,
+            base: self.lendable_base,
+            accelerators: self.idle_accelerators,
+            nics: self.idle_nics,
         }
     }
 
@@ -112,7 +147,26 @@ impl NodeAgent {
         report
             .link_status
             .extend(self.neighbors.iter().map(|&n| (n, links_up(n))));
-        report
+        let all_up = report.link_status.iter().all(|&(_, up)| up);
+        self.repeatable = all_up.then(|| self.spare());
+        &self.report
+    }
+
+    /// The heartbeat due at `now` with every link test passing, or
+    /// `None` when that heartbeat would repeat the last report verbatim
+    /// but for its time: the same spare resources, the same neighbors,
+    /// and every link up then too. Either way it counts as sent; on
+    /// `None` the lent report is left as it was, and the MN stamps the
+    /// repeat ([`MonitorNode::on_repeat_heartbeat`]) instead of
+    /// ingesting it.
+    ///
+    /// [`MonitorNode::on_repeat_heartbeat`]: crate::MonitorNode::on_repeat_heartbeat
+    pub fn heartbeat_delta(&mut self, now: Time) -> Option<&Heartbeat> {
+        if self.repeatable == Some(self.spare()) {
+            self.heartbeats_sent += 1;
+            return None;
+        }
+        Some(self.heartbeat(now, |_| true))
     }
 
     /// Next heartbeat time after `now`.
@@ -130,7 +184,7 @@ mod tests {
         let mut a = NodeAgent::new(NodeId(3));
         a.idle_memory = 512 << 20;
         a.idle_accelerators = 2;
-        a.neighbors = vec![NodeId(1), NodeId(2)];
+        a.set_neighbors(vec![NodeId(1), NodeId(2)]);
         let hb = a.heartbeat(Time::from_secs(1), |_| true);
         assert_eq!(hb.node, NodeId(3));
         assert_eq!(hb.resources.len(), 2);
@@ -151,9 +205,41 @@ mod tests {
     #[test]
     fn link_faults_show_in_report() {
         let mut a = NodeAgent::new(NodeId(0));
-        a.neighbors = vec![NodeId(1), NodeId(2)];
+        a.set_neighbors(vec![NodeId(1), NodeId(2)]);
         let hb = a.heartbeat(Time::ZERO, |n| n != NodeId(2));
         assert_eq!(hb.link_status, vec![(NodeId(1), true), (NodeId(2), false)]);
+    }
+
+    #[test]
+    fn delta_heartbeats_skip_only_verbatim_repeats() {
+        let mut a = NodeAgent::new(NodeId(0));
+        a.idle_memory = 512 << 20;
+        a.set_neighbors(vec![NodeId(1), NodeId(2)]);
+        // Nothing reported yet: the first heartbeat is a full one.
+        assert!(a.heartbeat_delta(Time::from_ms(100)).is_some());
+        assert!(a.heartbeat_delta(Time::from_ms(200)).is_none());
+        // A changed resource field, a reset neighbor list and a report
+        // with a failed link each force a full report once.
+        a.idle_memory -= 1 << 20;
+        let hb = a.heartbeat_delta(Time::from_ms(300)).unwrap();
+        assert_eq!(
+            (hb.at, hb.resources[0].amount),
+            (Time::from_ms(300), 511 << 20)
+        );
+        assert!(a.heartbeat_delta(Time::from_ms(400)).is_none());
+        a.set_neighbors(vec![NodeId(1)]);
+        assert_eq!(
+            a.heartbeat_delta(Time::from_ms(500))
+                .unwrap()
+                .link_status
+                .len(),
+            1
+        );
+        a.heartbeat(Time::from_ms(600), |_| false);
+        let hb = a.heartbeat_delta(Time::from_ms(700)).unwrap();
+        assert_eq!(hb.link_status, vec![(NodeId(1), true)]);
+        assert!(a.heartbeat_delta(Time::from_ms(800)).is_none());
+        assert_eq!(a.heartbeats_sent(), 8);
     }
 
     #[test]

@@ -67,8 +67,17 @@ pub struct MonitorNode {
     pub liveness_multiplier: u32,
     /// Expected heartbeat period.
     pub heartbeat_period: Time,
+    /// Per node id: `Some(at)` while its RRT and TST rows hold exactly
+    /// its last heartbeat's report (see
+    /// [`holds_last_report`](Self::holds_last_report)); every record and
+    /// link of the node then reads as reported at `at`, the time of that
+    /// report or of a later repeat. The stamp is written into the rows
+    /// before anything else changes them.
+    report_at: Vec<Option<Time>>,
     grants_committed: u64,
     handshake_refusals: u64,
+    records_examined: u64,
+    reports_registered: u64,
 }
 
 impl std::fmt::Debug for MonitorNode {
@@ -93,19 +102,88 @@ impl MonitorNode {
             tst: Tst::with_nodes(nodes),
             liveness_multiplier: 3,
             heartbeat_period: Time::from_ms(100),
+            report_at: vec![None; nodes],
             grants_committed: 0,
             handshake_refusals: 0,
+            records_examined: 0,
+            reports_registered: 0,
         }
     }
 
     /// Ingests one heartbeat: refreshes the RRT and TST.
     pub fn on_heartbeat(&mut self, hb: &Heartbeat) {
+        self.reports_registered += 1;
+        self.detach(hb.node);
         for r in &hb.resources {
             self.rrt.register(*r);
         }
         for &(to, up) in &hb.link_status {
             self.tst.report(hb.node, to, up, hb.at);
         }
+        // The rows hold this report alone when they have no record or
+        // link entry it did not write.
+        if self.rrt.records_of(hb.node).count() == hb.resources.len()
+            && self.tst.tested_from(hb.node) == hb.link_status.len()
+        {
+            let i = hb.node.0 as usize;
+            if self.report_at.len() <= i {
+                self.report_at.resize(i + 1, None);
+            }
+            self.report_at[i] = Some(hb.at);
+        }
+    }
+
+    /// Whether `node`'s RRT and TST rows still hold exactly the last
+    /// heartbeat ingested from it: no record or link entry that report
+    /// did not write, and none changed since by a grant, a refused
+    /// handshake, a release or an eviction. A heartbeat from the same
+    /// agent that repeats that report can then be taken by
+    /// [`on_repeat_heartbeat`](Self::on_repeat_heartbeat).
+    pub fn holds_last_report(&self, node: NodeId) -> bool {
+        self.report_at
+            .get(node.0 as usize)
+            .is_some_and(Option::is_some)
+    }
+
+    /// Ingests a heartbeat from `node` at `at` that repeats its last
+    /// report verbatim, as [`holds_last_report`](Self::holds_last_report)
+    /// allows: every record and link entry of the node reads as reported
+    /// again at `at`, exactly as [`on_heartbeat`](Self::on_heartbeat)
+    /// would leave them. It writes one stamp, whatever the node's
+    /// degree.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` does not hold its last report.
+    pub fn on_repeat_heartbeat(&mut self, node: NodeId, at: Time) {
+        let stamp = self
+            .report_at
+            .get_mut(node.0 as usize)
+            .and_then(Option::as_mut);
+        let stamp = stamp.unwrap_or_else(|| panic!("{node} holds no report to repeat"));
+        *stamp = at;
+    }
+
+    /// Before anything changes `node`'s rows: writes its report stamp
+    /// into them, which then no longer hold its last report.
+    fn detach(&mut self, node: NodeId) {
+        if let Some(at) = self
+            .report_at
+            .get_mut(node.0 as usize)
+            .and_then(Option::take)
+        {
+            self.rrt.refresh(node, at);
+            self.tst.retest(node, at);
+        }
+    }
+
+    /// The time `node`'s entry reports as, given the time `at` it holds.
+    fn reported_at(&self, node: NodeId, at: Time) -> Time {
+        self.report_at
+            .get(node.0 as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(at)
     }
 
     /// Whether `node` has reported within the liveness window ending at
@@ -114,12 +192,13 @@ impl MonitorNode {
         let window = self.heartbeat_period * self.liveness_multiplier as u64;
         self.rrt
             .records_of(node)
-            .any(|r| now.saturating_sub(r.reported_at) <= window)
+            .any(|r| now.saturating_sub(self.reported_at(node, r.reported_at)) <= window)
     }
 
     /// Declares `node` dead: removes its RRT records and returns the
     /// allocations that must be torn down (fault handling).
     pub fn evict_node(&mut self, node: NodeId) -> Vec<AllocationRecord> {
+        self.detach(node);
         self.rrt.deregister_node(node);
         let affected: Vec<AllocationRecord> = self
             .rat
@@ -131,6 +210,7 @@ impl MonitorNode {
             self.rat.release(rec.id);
             if rec.donor != node {
                 // Capacity returns to surviving donors.
+                self.detach(rec.donor);
                 self.rrt.restore(rec.donor, rec.kind, rec.amount);
             }
         }
@@ -142,7 +222,9 @@ impl MonitorNode {
     /// `donor_accepts` is the handshake: it is asked whether the chosen
     /// donor can really honor the grant (its true free capacity may be
     /// smaller than the RRT's stale view). Refused donors are skipped and
-    /// the next candidate is tried, up to `max_retries` attempts.
+    /// the next candidate is tried, up to `max_retries` attempts. Each
+    /// attempt's policy looks up only the nodes it ranks (see
+    /// [`records_examined`](Self::records_examined)).
     ///
     /// # Errors
     ///
@@ -160,17 +242,20 @@ impl MonitorNode {
         let mut refused: Vec<NodeId> = Vec::new();
         let mut attempts = 0;
         while attempts < max_retries {
+            let mut examined = 0;
             let pick = {
-                let mut candidates = self
-                    .rrt
-                    .available(kind)
-                    .filter(|r| {
-                        r.amount >= amount && r.node != recipient && !refused.contains(&r.node)
-                    })
-                    .filter(|r| self.node_alive(r.node, now));
-                self.policy
-                    .select(&self.topology, recipient, &mut candidates)
+                let mut free = |node: NodeId| {
+                    examined += 1;
+                    self.rrt
+                        .get(node, kind)
+                        .filter(|r| r.amount > 0 && r.amount >= amount)
+                        .filter(|_| node != recipient && !refused.contains(&node))
+                        .filter(|_| self.node_alive(node, now))
+                        .map(|r| r.amount)
+                };
+                self.policy.select(&self.topology, recipient, &mut free)
             };
+            self.records_examined += examined;
             let Some(donor) = pick else {
                 return if attempts == 0 {
                     Err(AllocError::NoCapacity)
@@ -181,6 +266,7 @@ impl MonitorNode {
             attempts += 1;
             if donor_accepts(donor, amount) {
                 let addr = self.rrt.get(donor, kind).map_or(0, |r| r.addr);
+                self.detach(donor);
                 self.rrt.consume(donor, kind, amount);
                 let id = self.rat.allocate(donor, recipient, kind, amount, addr, now);
                 self.grants_committed += 1;
@@ -195,6 +281,7 @@ impl MonitorNode {
             // Stale record: zero it out so the next heartbeat refreshes it,
             // and try the next candidate.
             self.handshake_refusals += 1;
+            self.detach(donor);
             self.rrt.consume(donor, kind, amount);
             refused.push(donor);
         }
@@ -204,6 +291,7 @@ impl MonitorNode {
     /// Releases a grant (stop-sharing), restoring RRT capacity.
     pub fn release(&mut self, id: u64) -> Option<AllocationRecord> {
         let rec = self.rat.release(id)?;
+        self.detach(rec.donor);
         self.rrt.restore(rec.donor, rec.kind, rec.amount);
         Some(rec)
     }
@@ -216,6 +304,20 @@ impl MonitorNode {
     /// Handshake refusals observed (staleness events).
     pub fn handshake_refusals(&self) -> u64 {
         self.handshake_refusals
+    }
+
+    /// RRT records donor selection has looked up so far: one per node a
+    /// policy asked about, summed over every attempt of every request.
+    pub fn records_examined(&self) -> u64 {
+        self.records_examined
+    }
+
+    /// Heartbeat reports registered so far through
+    /// [`on_heartbeat`](Self::on_heartbeat). Repeats taken by
+    /// [`on_repeat_heartbeat`](Self::on_repeat_heartbeat) register
+    /// nothing and are not counted.
+    pub fn reports_registered(&self) -> u64 {
+        self.reports_registered
     }
 
     /// In-force allocation count.
@@ -454,7 +556,7 @@ mod tests {
             node: a.node(),
             at,
             resources,
-            link_status: a.neighbors.iter().map(|&n| (n, links_up(n))).collect(),
+            link_status: a.neighbors().iter().map(|&n| (n, links_up(n))).collect(),
         }
     }
 
@@ -471,7 +573,7 @@ mod tests {
                 a.lendable_base = 0x2000_0000;
                 a.idle_accelerators = u64::from(id.0 % 3 == 0) * 2;
                 a.idle_nics = u64::from(id.0 % 4 == 1);
-                a.neighbors = mesh.neighbors(id);
+                a.set_neighbors(mesh.neighbors(id));
                 a
             })
             .collect();
@@ -515,11 +617,138 @@ mod tests {
         }
     }
 
+    /// The RRT record of `node` × `kind` as `m` reads it, report stamp
+    /// applied.
+    fn record(m: &MonitorNode, node: NodeId, kind: ResourceKind) -> Option<ResourceRecord> {
+        let r = m.rrt.get(node, kind)?;
+        let reported_at = m.reported_at(node, r.reported_at);
+        Some(ResourceRecord { reported_at, ..*r })
+    }
+
+    /// The TST entry of a link as `m` reads it, report stamp applied.
+    fn link(m: &MonitorNode, from: NodeId, to: NodeId) -> Option<(bool, Time)> {
+        let (up, at) = m.tst.entry(from, to)?;
+        Some((up, m.reported_at(from, at)))
+    }
+
+    /// A round the way the cluster sends it: each node's agent repeats
+    /// its last report whenever both sides allow it.
+    fn delta_round(m: &mut MonitorNode, agents: &mut [NodeAgent], now: Time) {
+        for a in agents {
+            let report = if m.holds_last_report(a.node()) {
+                a.heartbeat_delta(now)
+            } else {
+                Some(a.heartbeat(now, |_| true))
+            };
+            match report {
+                Some(hb) => m.on_heartbeat(hb),
+                None => m.on_repeat_heartbeat(a.node(), now),
+            }
+        }
+    }
+
+    #[test]
+    fn delta_rounds_leave_the_tables_as_full_rounds_do() {
+        let mesh = Mesh3d::new(4, 2, 2);
+        let mn = || MonitorNode::new(Topology::Mesh(mesh.clone()), Box::new(DistancePolicy));
+        let (mut delta, mut full) = (mn(), mn());
+        let mut agents: Vec<NodeAgent> = mesh
+            .nodes()
+            .map(|id| {
+                let mut a = NodeAgent::new(id);
+                a.idle_memory = 256 << 20;
+                a.lendable_base = 0x1000_0000;
+                a.idle_nics = u64::from(id.0 == 9);
+                a.set_neighbors(mesh.neighbors(id));
+                a
+            })
+            .collect();
+        let mut twins = agents.clone();
+        let mut grants = Vec::new();
+        let kinds = [
+            ResourceKind::Memory,
+            ResourceKind::Accelerator,
+            ResourceKind::Nic,
+        ];
+        for round in 1..=40u64 {
+            let now = Time::from_ms(100 * round);
+            // Both sides' agents change alike: a node's spare memory
+            // moves, node 3's accelerators come and go, node 2's
+            // neighbors are reset.
+            for agents in [&mut agents, &mut twins] {
+                agents[(round % 16) as usize].idle_memory -= 1 << 20;
+                agents[3].idle_accelerators = u64::from(round % 7 < 3);
+                if round == 20 {
+                    agents[2].set_neighbors(mesh.neighbors(NodeId(2)));
+                }
+            }
+            delta_round(&mut delta, &mut agents, now);
+            for a in &mut twins {
+                full.on_heartbeat(a.heartbeat(now, |_| true));
+            }
+            assert!(delta.reports_registered() < full.reports_registered() || round == 1);
+            // Out-of-round events hit both sides alike: a beat with a
+            // failed link, an eviction, grants with a refused donor, and
+            // releases.
+            if round % 11 == 0 {
+                let links_up = |to: NodeId| to != NodeId(1);
+                delta.on_heartbeat(agents[5].heartbeat(now, links_up));
+                full.on_heartbeat(twins[5].heartbeat(now, links_up));
+            }
+            if round == 13 {
+                assert_eq!(delta.evict_node(NodeId(6)), full.evict_node(NodeId(6)));
+            }
+            if round % 3 == 0 {
+                // Even-numbered donors refuse the handshake.
+                let recipient = NodeId((round % 16) as u16);
+                let grant = |m: &mut MonitorNode| {
+                    m.request(recipient, ResourceKind::Memory, 8 << 20, now, 4, |d, _| {
+                        d.0 % 2 == 1
+                    })
+                };
+                let g = grant(&mut delta);
+                assert_eq!(g, grant(&mut full));
+                grants.extend(g);
+            }
+            if round % 5 == 0 && !grants.is_empty() {
+                let id = grants.remove(0).id;
+                assert_eq!(delta.release(id), full.release(id));
+            }
+            for from in mesh.nodes() {
+                for kind in kinds {
+                    assert_eq!(record(&delta, from, kind), record(&full, from, kind));
+                    assert_eq!(record(&full, from, kind).as_ref(), full.rrt.get(from, kind));
+                }
+                for to in mesh.nodes() {
+                    assert_eq!(link(&delta, from, to), link(&full, from, to));
+                    assert_eq!(link(&full, from, to), full.tst.entry(from, to));
+                }
+                for later in [now, now + Time::from_ms(250), now + Time::from_ms(301)] {
+                    assert_eq!(delta.node_alive(from, later), full.node_alive(from, later));
+                }
+            }
+            assert_eq!(delta.tst.down_count(), full.tst.down_count());
+            assert_eq!(delta.handshake_refusals(), full.handshake_refusals());
+        }
+        for (a, b) in agents.iter().zip(&twins) {
+            assert_eq!(a.heartbeats_sent(), b.heartbeats_sent());
+        }
+        assert!(full.handshake_refusals() > 0);
+        // Full rounds register 16 reports each, plus the three
+        // out-of-round beats; delta rounds about one per changed node.
+        assert_eq!(full.reports_registered(), 40 * 16 + 3);
+        assert!(
+            delta.reports_registered() < 8 * 40,
+            "{}",
+            delta.reports_registered()
+        );
+    }
+
     #[test]
     fn heartbeats_update_link_table() {
         let mut m = mn();
         let mut a = NodeAgent::new(NodeId(0));
-        a.neighbors = vec![NodeId(1), NodeId(2)];
+        a.set_neighbors(vec![NodeId(1), NodeId(2)]);
         m.on_heartbeat(a.heartbeat(Time::ZERO, |n| n != NodeId(2)));
         assert!(m.link_up(NodeId(0), NodeId(1)));
         assert!(!m.link_up(NodeId(0), NodeId(2)));

@@ -10,29 +10,36 @@
 use venice_fabric::topology::Topology;
 use venice_fabric::NodeId;
 
-use crate::tables::ResourceRecord;
-
-/// Chooses a donor among candidates that can satisfy a request.
+/// Chooses a donor among the nodes that can satisfy a request.
 ///
 /// Policies are plain configuration, so they are `Send`: a composed
 /// cluster can be built on one worker thread and handed back to another.
 pub trait DonorPolicy: Send {
-    /// Picks a donor from `candidates` (each with enough free capacity)
-    /// for `recipient`. `None` when there are none. The candidates are
-    /// streamed, not collected, so ranking them allocates nothing.
+    /// Picks a donor for `recipient`, or `None` when no node qualifies.
+    /// `free(node)` is the node's free amount when it is a candidate
+    /// (capable, live and not yet refused) and `None` otherwise; a
+    /// policy asks only about the nodes it needs, so ranking costs the
+    /// lookups it makes and allocates nothing.
     fn select(
         &self,
         topology: &Topology,
         recipient: NodeId,
-        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
+        free: &mut dyn FnMut(NodeId) -> Option<u64>,
     ) -> Option<NodeId>;
 
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 }
 
+/// Every node id of `topology`, ascending.
+fn node_ids(topology: &Topology) -> impl Iterator<Item = NodeId> {
+    (0..topology.len() as u16).map(NodeId)
+}
+
 /// The prototype's policy: nearest donor by fabric distance, node id as
-/// tiebreak.
+/// tiebreak. It walks distance shells outward from the recipient and
+/// stops at the first shell holding a candidate, so a donor one hop away
+/// costs a handful of lookups however large the mesh.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistancePolicy;
 
@@ -41,11 +48,10 @@ impl DonorPolicy for DistancePolicy {
         &self,
         topology: &Topology,
         recipient: NodeId,
-        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
+        free: &mut dyn FnMut(NodeId) -> Option<u64>,
     ) -> Option<NodeId> {
-        candidates
-            .min_by_key(|r| (topology.distance(recipient, r.node), r.node))
-            .map(|r| r.node)
+        (0..=topology.max_distance(recipient))
+            .find_map(|d| topology.first_in_shell(recipient, d, |n| free(n).is_some()))
     }
 
     fn name(&self) -> &'static str {
@@ -60,11 +66,11 @@ pub struct FirstFitPolicy;
 impl DonorPolicy for FirstFitPolicy {
     fn select(
         &self,
-        _topology: &Topology,
+        topology: &Topology,
         _recipient: NodeId,
-        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
+        free: &mut dyn FnMut(NodeId) -> Option<u64>,
     ) -> Option<NodeId> {
-        candidates.map(|r| r.node).min()
+        node_ids(topology).find(|&n| free(n).is_some())
     }
 
     fn name(&self) -> &'static str {
@@ -82,17 +88,18 @@ impl DonorPolicy for MostFreePolicy {
         &self,
         topology: &Topology,
         recipient: NodeId,
-        candidates: &mut dyn Iterator<Item = &ResourceRecord>,
+        free: &mut dyn FnMut(NodeId) -> Option<u64>,
     ) -> Option<NodeId> {
-        candidates
-            .min_by_key(|r| {
+        node_ids(topology)
+            .filter_map(|n| Some((n, free(n)?)))
+            .min_by_key(|&(n, amount)| {
                 (
-                    std::cmp::Reverse(r.amount),
-                    topology.distance(recipient, r.node),
-                    r.node,
+                    std::cmp::Reverse(amount),
+                    topology.distance(recipient, n),
+                    n,
                 )
             })
-            .map(|r| r.node)
+            .map(|(n, _)| n)
     }
 
     fn name(&self) -> &'static str {
@@ -103,7 +110,7 @@ impl DonorPolicy for MostFreePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::ResourceKind;
+    use crate::tables::{ResourceKind, ResourceRecord};
     use venice_fabric::Mesh3d;
     use venice_sim::Time;
 
@@ -121,41 +128,42 @@ mod tests {
         Topology::Mesh(Mesh3d::prototype())
     }
 
+    /// `policy`'s pick for node 0 among `cands` on the prototype mesh.
+    fn pick(policy: &dyn DonorPolicy, cands: &[ResourceRecord]) -> Option<NodeId> {
+        let mut free = |n| cands.iter().find(|r| r.node == n).map(|r| r.amount);
+        policy.select(&mesh(), NodeId(0), &mut free)
+    }
+
     #[test]
     fn distance_prefers_neighbors() {
         // Node 0's neighbors in the 2x2x2 mesh are 1, 2, 4; node 7 is the
         // far corner.
         let cands = [rec(7, 1 << 30), rec(2, 1 << 30)];
-        let pick = DistancePolicy.select(&mesh(), NodeId(0), &mut cands.iter());
-        assert_eq!(pick, Some(NodeId(2)));
+        assert_eq!(pick(&DistancePolicy, &cands), Some(NodeId(2)));
     }
 
     #[test]
     fn distance_tiebreaks_by_id() {
         let cands = [rec(4, 1 << 30), rec(1, 1 << 30), rec(2, 1 << 30)];
-        let pick = DistancePolicy.select(&mesh(), NodeId(0), &mut cands.iter());
-        assert_eq!(pick, Some(NodeId(1)));
+        assert_eq!(pick(&DistancePolicy, &cands), Some(NodeId(1)));
     }
 
     #[test]
     fn most_free_prefers_capacity() {
         let cands = [rec(1, 1 << 30), rec(7, 4 << 30)];
-        let pick = MostFreePolicy.select(&mesh(), NodeId(0), &mut cands.iter());
-        assert_eq!(pick, Some(NodeId(7)));
+        assert_eq!(pick(&MostFreePolicy, &cands), Some(NodeId(7)));
     }
 
     #[test]
     fn first_fit_ignores_distance() {
         let cands = [rec(7, 1 << 30), rec(5, 1 << 30)];
-        let pick = FirstFitPolicy.select(&mesh(), NodeId(0), &mut cands.iter());
-        assert_eq!(pick, Some(NodeId(5)));
+        assert_eq!(pick(&FirstFitPolicy, &cands), Some(NodeId(5)));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
-        let none = std::iter::empty;
-        assert_eq!(DistancePolicy.select(&mesh(), NodeId(0), &mut none()), None);
-        assert_eq!(MostFreePolicy.select(&mesh(), NodeId(0), &mut none()), None);
-        assert_eq!(FirstFitPolicy.select(&mesh(), NodeId(0), &mut none()), None);
+        assert_eq!(pick(&DistancePolicy, &[]), None);
+        assert_eq!(pick(&MostFreePolicy, &[]), None);
+        assert_eq!(pick(&FirstFitPolicy, &[]), None);
     }
 }

@@ -9,7 +9,7 @@
 //!    fed by the agents' per-heartbeat link tests.
 //!
 //! The RRT and TST are indexed by node id: node ids are dense, so a
-//! record is one slice index away and node-ordered reads need no sort.
+//! record is one slice index away.
 
 use venice_fabric::NodeId;
 use venice_sim::Time;
@@ -98,14 +98,6 @@ impl Rrt {
             .flatten()
     }
 
-    /// All records of `kind` with nonzero free amount, in node order.
-    pub fn available(&self, kind: ResourceKind) -> impl Iterator<Item = &ResourceRecord> {
-        self.records
-            .iter()
-            .filter_map(move |row| row[kind as usize].as_ref())
-            .filter(|r| r.amount > 0)
-    }
-
     fn get_mut(&mut self, node: NodeId, kind: ResourceKind) -> Option<&mut ResourceRecord> {
         self.records.get_mut(node.0 as usize)?[kind as usize].as_mut()
     }
@@ -124,6 +116,15 @@ impl Rrt {
     pub fn restore(&mut self, node: NodeId, kind: ResourceKind, amount: u64) {
         if let Some(r) = self.get_mut(node, kind) {
             r.amount += amount;
+        }
+    }
+
+    /// Re-registers every record of `node` unchanged but for its report
+    /// time, which becomes `at`.
+    pub fn refresh(&mut self, node: NodeId, at: Time) {
+        let row = self.records.get_mut(node.0 as usize).into_iter().flatten();
+        for r in row.flatten() {
+            r.reported_at = at;
         }
     }
 }
@@ -254,6 +255,20 @@ impl Tst {
         }
     }
 
+    /// Re-tests every link `from` has reported, each with its last
+    /// result, at `at`.
+    pub fn retest(&mut self, from: NodeId, at: Time) {
+        let row = self.links.get_mut(from.0 as usize).into_iter().flatten();
+        for entry in row {
+            entry.2 = at;
+        }
+    }
+
+    /// Number of links `from` has reported.
+    pub(crate) fn tested_from(&self, from: NodeId) -> usize {
+        self.links.get(from.0 as usize).map_or(0, Vec::len)
+    }
+
     /// The `(up, tested at)` entry of the link, if it was ever tested.
     pub(crate) fn entry(&self, from: NodeId, to: NodeId) -> Option<(bool, Time)> {
         self.links
@@ -299,18 +314,7 @@ mod tests {
         rrt.register(rec(1, 100));
         rrt.register(rec(1, 50));
         assert_eq!(rrt.get(NodeId(1), ResourceKind::Memory).unwrap().amount, 50);
-        assert_eq!(rrt.available(ResourceKind::Memory).count(), 1);
-    }
-
-    #[test]
-    fn rrt_available_filters_empty_and_sorts() {
-        let mut rrt = Rrt::new();
-        rrt.register(rec(3, 10));
-        rrt.register(rec(1, 0));
-        rrt.register(rec(2, 5));
-        let avail = rrt.available(ResourceKind::Memory);
-        let nodes: Vec<u16> = avail.map(|r| r.node.0).collect();
-        assert_eq!(nodes, vec![2, 3]);
+        assert_eq!(rrt.records_of(NodeId(1)).count(), 1);
     }
 
     #[test]
@@ -332,7 +336,7 @@ mod tests {
             ..rec(1, 2)
         });
         assert_eq!(rrt.deregister_node(NodeId(1)), 2);
-        assert_eq!(rrt.available(ResourceKind::Memory).next(), None);
+        assert_eq!(rrt.records_of(NodeId(1)).next(), None);
     }
 
     #[test]
@@ -357,27 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn rrt_available_comes_out_in_node_order() {
-        let mut rrt = Rrt::new();
-        for node in [9u16, 0, 4, 12, 3, 7] {
-            rrt.register(rec(node, u64::from(node) + 1));
-        }
-        rrt.register(ResourceRecord {
-            kind: ResourceKind::Accelerator,
-            ..rec(5, 2)
-        });
-        let nodes: Vec<u16> = rrt
-            .available(ResourceKind::Memory)
-            .map(|r| r.node.0)
-            .collect();
-        assert_eq!(nodes, [0, 3, 4, 7, 9, 12]);
-        let accel: Vec<_> = rrt.available(ResourceKind::Accelerator).collect();
-        assert_eq!(accel.len(), 1);
-        assert_eq!((accel[0].node, accel[0].amount), (NodeId(5), 2));
-        assert_eq!(rrt.available(ResourceKind::Nic).next(), None);
-    }
-
-    #[test]
     fn rrt_deregister_counts_only_that_nodes_records() {
         let mut rrt = Rrt::new();
         rrt.register(rec(2, 10));
@@ -395,7 +378,7 @@ mod tests {
         assert_eq!(rrt.deregister_node(NodeId(6)), 0);
         assert_eq!(rrt.deregister_node(NodeId(4)), 0);
         assert_eq!(rrt.deregister_node(NodeId(60)), 0);
-        assert!(rrt.available(ResourceKind::Memory).eq([&rec(2, 10)]));
+        assert!(rrt.records_of(NodeId(2)).eq([&rec(2, 10)]));
         // Consuming or restoring an absent record is a no-op.
         rrt.consume(NodeId(6), ResourceKind::Memory, 5);
         rrt.restore(NodeId(60), ResourceKind::Memory, 5);
@@ -425,6 +408,57 @@ mod tests {
             Some(Time::from_secs(2))
         );
         assert_eq!(tst.down_count(), 1);
+    }
+
+    #[test]
+    fn a_retest_restamps_every_link_of_the_row_only() {
+        let mut tst = Tst::with_nodes(2);
+        tst.report(NodeId(1), NodeId(0), true, Time::from_secs(1));
+        tst.report(NodeId(1), NodeId(3), false, Time::from_secs(2));
+        tst.retest(NodeId(1), Time::from_secs(5));
+        tst.retest(NodeId(7), Time::from_secs(5)); // no row: nothing to stamp
+        assert_eq!(
+            tst.entry(NodeId(1), NodeId(0)),
+            Some((true, Time::from_secs(5)))
+        );
+        assert_eq!(
+            tst.entry(NodeId(1), NodeId(3)),
+            Some((false, Time::from_secs(5)))
+        );
+        assert_eq!(tst.entry(NodeId(7), NodeId(1)), None);
+        // A new report leaves the retest time on the row's other links.
+        tst.report(NodeId(1), NodeId(3), true, Time::from_secs(6));
+        assert_eq!(
+            tst.last_tested(NodeId(1), NodeId(0)),
+            Some(Time::from_secs(5))
+        );
+        assert_eq!(
+            tst.last_tested(NodeId(1), NodeId(3)),
+            Some(Time::from_secs(6))
+        );
+        assert_eq!((tst.tested_from(NodeId(1)), tst.down_count()), (2, 0));
+    }
+
+    #[test]
+    fn rrt_refresh_restamps_every_record_of_the_node_only() {
+        let mut rrt = Rrt::new();
+        rrt.register(rec(1, 100));
+        rrt.register(ResourceRecord {
+            kind: ResourceKind::Nic,
+            ..rec(1, 2)
+        });
+        rrt.register(rec(2, 50));
+        rrt.refresh(NodeId(1), Time::from_secs(3));
+        rrt.refresh(NodeId(9), Time::from_secs(3));
+        assert!(rrt
+            .records_of(NodeId(1))
+            .all(|r| r.reported_at == Time::from_secs(3)));
+        assert_eq!(
+            rrt.get(NodeId(1), ResourceKind::Memory).unwrap().amount,
+            100
+        );
+        assert_eq!(rrt.get(NodeId(2), ResourceKind::Memory), Some(&rec(2, 50)));
+        assert_eq!(rrt.records_of(NodeId(9)).count(), 0);
     }
 
     #[test]

@@ -83,7 +83,8 @@ proptest! {
             &FirstFitPolicy,
             &MostFreePolicy,
         ] {
-            let pick = policy.select(&topo, NodeId(recipient), &mut candidates.iter());
+            let mut free = |n| candidates.iter().find(|c| c.node == n).map(|c| c.amount);
+            let pick = policy.select(&topo, NodeId(recipient), &mut free);
             let pick = pick.expect("non-empty candidates");
             prop_assert!(nodes.contains(&pick), "{} picked {pick}", policy.name());
         }
@@ -108,7 +109,8 @@ proptest! {
             })
             .collect();
         prop_assume!(!candidates.is_empty());
-        let pick = DistancePolicy.select(&topo, NodeId(recipient), &mut candidates.iter()).unwrap();
+        let mut free = |n| candidates.iter().find(|c| c.node == n).map(|c| c.amount);
+        let pick = DistancePolicy.select(&topo, NodeId(recipient), &mut free).unwrap();
         let best = candidates
             .iter()
             .map(|c| mesh.hops(NodeId(recipient), c.node))

@@ -7,7 +7,12 @@
 /// Number of worker threads the shim fans out to. Honors
 /// `RAYON_NUM_THREADS` (like upstream rayon's default pool), falling back
 /// to the machine's available parallelism.
+///
+/// The variable is read on every call, so a process can change widths
+/// between calls. The fallback is read once per process: the standard
+/// library reads the cgroup CPU-quota files for it, which allocates.
 pub fn current_num_threads() -> usize {
+    static AVAILABLE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if let Some(n) = std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -16,9 +21,11 @@ pub fn current_num_threads() -> usize {
             return n;
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 thread_local! {

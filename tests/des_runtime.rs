@@ -52,7 +52,7 @@ fn build() -> Kernel<World, Heartbeat> {
             let mut a = NodeAgent::new(id);
             a.idle_memory = 256 << 20;
             a.lendable_base = 768 << 20;
-            a.neighbors = mesh.neighbors(id);
+            a.set_neighbors(mesh.neighbors(id));
             a
         })
         .collect();
