@@ -54,7 +54,7 @@ use venice_telemetry::attrib::{
     STAGE_SERVICE_LOCAL, STAGE_SERVICE_REMOTE, STAGE_SLOT_WAIT, STAGE_TRANSPORT,
 };
 use venice_telemetry::{NodeGauges, NoopProbe, Probe, SampleRow, TenantCounters};
-use venice_transport::{QpairConfig, QueuePair};
+use venice_transport::{PathModel, QpairConfig, QueuePair};
 
 use crate::admission::{AdmissionConfig, AdmissionControl, Decision, Loss};
 use crate::arrival::{ArrivalDraws, ArrivalProcess};
@@ -301,47 +301,106 @@ struct ReqAttrib {
     stalled: bool,
 }
 
-/// Per-node server state.
+/// Per-node server state: only the scalars and the backlog. Every
+/// per-(node, class) and per-(node, slot) value lives in the world's
+/// [`NodeTables`].
 struct Server {
     /// Free receiver credits of the edge-gateway → node QPair
     /// ([`QpairConfig::credits`]): a dispatch takes one and its finish
     /// returns it. The pair's send queue is deeper than its credits, so
     /// credits are the only gate.
     credits: CreditCounter,
-    /// Busy-until time of each service slot.
-    slots: Vec<Time>,
     /// Slab slots of requests waiting for a QPair credit.
     backlog: VecDeque<u32>,
     /// Measured latency context (mutated mid-run by elastic leases).
     model: NodeModel,
     /// Times a request found no credit and had to wait (or was shed).
     credit_waits: u64,
-    /// Dispatched-but-not-finished requests per tenant class; together
-    /// with `queued_by_class` this is the demand signal lease
-    /// attribution reads (the grow trigger counts busy slots, so
-    /// attribution must see in-service work too, not just the backlog).
-    inflight_by_class: Vec<u32>,
-    /// Backlogged requests per tenant class: `backlog` counted by class,
-    /// kept in step at every park and pop so a lease tick reads the
-    /// node's queued demand without touching the backlog or the slab.
-    queued_by_class: Vec<u32>,
-    /// Precomputed gateway→node QPair message latency per tenant class
-    /// (request payload sizes are class constants, and the latency model
-    /// is state-free — hoisting it off the dispatch path is pure
-    /// savings).
-    msg_lat_by_class: Vec<Time>,
-    /// Each tenant class's service model compiled against this node's
-    /// current [`NodeModel`] ([`RequestProfile::compile`]); recompiled
-    /// whenever a lease event moves the node's remote tier.
+}
+
+/// The world's per-node tables, each one flat allocation for the whole
+/// mesh: the per-class tables hold a row of `classes` entries per node
+/// (indexed `node * classes + class`, [`NodeTables::at`]), and
+/// `busy_until` a row of `slots` entries per node.
+struct NodeTables {
+    /// Tenant classes: the row width of the per-class tables.
+    classes: usize,
+    /// Service slots per node: the row width of `busy_until`.
+    slots: usize,
+    /// Gateway→node QPair message latency of each class's request
+    /// (payload sizes are class constants and the latency model is
+    /// state-free, so the dispatch path just indexes it).
+    msg_lat: Vec<Time>,
+    /// Each class's service model compiled against the node's current
+    /// [`NodeModel`] ([`RequestProfile::compile`]); a node's row is
+    /// recompiled whenever a lease event moves its remote tier.
     ///
     /// [`RequestProfile::compile`]: crate::tenants::RequestProfile::compile
-    service_by_class: Vec<CompiledService>,
+    service: Vec<CompiledService>,
     /// Each class's remote-share model compiled against the same
     /// [`NodeModel`] ([`RequestProfile::compile_attrib`]); empty unless
-    /// the probe is enabled, recompiled alongside `service_by_class`.
+    /// the probe is enabled, recompiled alongside `service`.
     ///
     /// [`RequestProfile::compile_attrib`]: crate::tenants::RequestProfile::compile_attrib
-    attrib_by_class: Vec<CompiledAttrib>,
+    attrib: Vec<CompiledAttrib>,
+    /// Dispatched-but-not-finished requests per (node, class); together
+    /// with `queued` this is the demand signal lease attribution reads
+    /// (the grow trigger counts busy slots, so attribution must see
+    /// in-service work too, not just the backlog).
+    inflight: Vec<u32>,
+    /// Backlogged requests per (node, class): each node's backlog counted
+    /// by class, kept in step at every park and pop so a lease tick reads
+    /// the node's queued demand without touching the backlog or the slab.
+    queued: Vec<u32>,
+    /// Busy-until time of each (node, service slot).
+    busy_until: Vec<Time>,
+}
+
+impl NodeTables {
+    /// Index of `(node, class)` in the per-class tables.
+    #[inline]
+    fn at(&self, node: usize, class: usize) -> usize {
+        node * self.classes + class
+    }
+
+    /// `node`'s row of the per-class tables.
+    fn row(&self, node: usize) -> Range<usize> {
+        node * self.classes..(node + 1) * self.classes
+    }
+
+    /// `node`'s service slots.
+    #[inline]
+    fn slots_of(&mut self, node: usize) -> &mut [Time] {
+        &mut self.busy_until[node * self.slots..(node + 1) * self.slots]
+    }
+}
+
+/// Mesh adjacency as one table: node `i`'s neighbors are
+/// `nodes[start[i]..start[i + 1]]`, in the order its agent lists them.
+struct Adjacency {
+    start: Vec<u32>,
+    nodes: Vec<u16>,
+}
+
+impl Adjacency {
+    /// The adjacency the cluster's node agents hold.
+    fn of(cluster: &Cluster) -> Self {
+        let lists = || cluster.nodes.iter().map(|node| node.agent.neighbors());
+        let mut start = Vec::with_capacity(cluster.len() + 1);
+        let mut nodes = Vec::with_capacity(lists().map(<[NodeId]>::len).sum());
+        start.push(0);
+        for list in lists() {
+            nodes.extend(list.iter().map(|id| id.0));
+            start.push(nodes.len() as u32);
+        }
+        Adjacency { start, nodes }
+    }
+
+    /// `node`'s mesh neighbors.
+    #[inline]
+    fn of_node(&self, node: usize) -> &[u16] {
+        &self.nodes[self.start[node] as usize..self.start[node + 1] as usize]
+    }
 }
 
 /// Per-tenant accumulators.
@@ -488,6 +547,8 @@ pub(crate) struct World<P: Probe, M: RemoteModel, F: FaultModel> {
     /// One admission controller per node.
     admissions: Vec<AdmissionControl>,
     servers: Vec<Server>,
+    /// Per-(node, class) and per-(node, slot) state of every server.
+    tables: NodeTables,
     /// Pooled in-flight request state; events carry slots into this.
     requests: RequestSlab,
     stats: Vec<Stats>,
@@ -509,7 +570,7 @@ pub(crate) struct World<P: Probe, M: RemoteModel, F: FaultModel> {
     /// release against the real Monitor-Node flow mid-run.
     cluster: Cluster,
     /// Mesh adjacency (from the node agents) for locality-aware routing.
-    neighbors: Vec<Vec<u16>>,
+    adjacency: Adjacency,
     elastic: Option<ElasticTier>,
     /// Cursor into the lease timeline for incremental per-tenant denial
     /// accounting at probe samples; never advanced on the no-op path.
@@ -554,30 +615,31 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
         self.admissions.iter().map(|a| a.inflight()).sum()
     }
 
-    /// Pops `node`'s oldest backlogged slot, keeping the node's
-    /// `queued_by_class` in step.
+    /// Pops `node`'s oldest backlogged slot, keeping the node's queued
+    /// counts in step.
     #[inline]
     fn pop_backlog(&mut self, node: usize) -> Option<u32> {
-        let srv = &mut self.servers[node];
-        let slot = srv.backlog.pop_front()?;
-        srv.queued_by_class[self.requests.get(slot).class as usize] -= 1;
+        let slot = self.servers[node].backlog.pop_front()?;
+        let at = self.tables.at(node, self.requests.get(slot).class as usize);
+        self.tables.queued[at] -= 1;
         Some(slot)
     }
 
-    /// Asserts that every node's `queued_by_class` equals a recount of
-    /// its backlog. Checked at each lease tick and at run end.
+    /// Asserts that every node's queued counts equal a recount of its
+    /// backlog. Checked at each lease tick and at run end.
     #[cfg(debug_assertions)]
     fn audit_queued(&self) {
         for (node, srv) in self.servers.iter().enumerate() {
-            for (class, &queued) in srv.queued_by_class.iter().enumerate() {
+            for class in 0..self.tables.classes {
                 let recount = srv
                     .backlog
                     .iter()
                     .filter(|&&slot| self.requests.get(slot).class as usize == class)
                     .count();
                 assert_eq!(
-                    queued as usize, recount,
-                    "node {node}: queued_by_class drifted from its backlog (class {class})"
+                    self.tables.queued[self.tables.at(node, class)] as usize,
+                    recount,
+                    "node {node}: queued counts drifted from its backlog (class {class})"
                 );
             }
         }
@@ -633,7 +695,7 @@ fn build_sample<P: Probe, M: RemoteModel, F: FaultModel>(
         .enumerate()
         .map(|(i, srv)| NodeGauges {
             depth: srv.backlog.len() as u32,
-            inflight: srv.inflight_by_class.iter().sum(),
+            inflight: w.tables.inflight[w.tables.row(i)].iter().sum(),
             borrowed: w.cluster.borrowed_bytes_of(NodeId(i as u16)),
             lent: w.cluster.lent_bytes_of(NodeId(i as u16)),
             subleased: w.cluster.subleased_bytes_of(NodeId(i as u16)),
@@ -745,7 +807,7 @@ fn next_owned_arrival<P: Probe, M: RemoteModel, F: FaultModel>(
         feed.seq += 1;
         let node = entry.node as usize;
         if !w.owned.contains(&entry.node) {
-            feed.skip += w.servers[node].service_by_class[entry.class as usize].draws();
+            feed.skip += w.tables.service[w.tables.at(node, entry.class as usize)].draws();
             continue;
         }
         for _ in 0..std::mem::take(&mut feed.skip) {
@@ -801,7 +863,7 @@ fn route<P: Probe, M: RemoteModel, F: FaultModel>(
 ) -> usize {
     let n = w.servers.len();
     if F::ENABLED && !w.faults.node_up(home as u16) {
-        for &nb in &w.neighbors[home] {
+        for &nb in w.adjacency.of_node(home) {
             if w.faults.node_up(nb) {
                 return nb as usize;
             }
@@ -817,7 +879,7 @@ fn route<P: Probe, M: RemoteModel, F: FaultModel>(
     if w.servers[home].model.has_remote() {
         return home;
     }
-    for &nb in &w.neighbors[home] {
+    for &nb in w.adjacency.of_node(home) {
         if (!F::ENABLED || w.faults.node_up(nb)) // never defer onto a dead node
             && tier.tags[nb as usize] == class as u32
             && w.servers[nb as usize].model.has_remote()
@@ -872,12 +934,12 @@ fn issue_with<P: Probe, M: RemoteModel, F: FaultModel>(
             // (same rng draws) without re-deriving the node-state
             // constants per request; the coin branch feeds attribution
             // and is dead code on the no-op path.
-            let (service, is_miss) =
-                w.servers[node].service_by_class[class].sample_split(&mut w.service_rng);
+            let at = w.tables.at(node, class);
+            let (service, is_miss) = w.tables.service[at].sample_split(&mut w.service_rng);
             req.service = service;
             let slot = w.requests.insert(req);
             if P::ATTRIB {
-                let remote_ps = w.servers[node].attrib_by_class[class].remote_ps(service, is_miss);
+                let remote_ps = w.tables.attrib[at].remote_ps(service, is_miss);
                 if w.attrib.len() <= slot as usize {
                     w.attrib.resize(slot as usize + 1, ReqAttrib::default());
                 }
@@ -984,6 +1046,7 @@ fn dispatch<P: Probe, M: RemoteModel, F: FaultModel>(
     let now = s.now();
     let req = *w.requests.get(slot);
     let node = req.node as usize;
+    let at = w.tables.at(node, req.class as usize);
     // One bounds-checked server borrow for the whole hot path (the
     // other touched fields are disjoint, so the borrows coexist).
     let srv = &mut w.servers[node];
@@ -1008,12 +1071,13 @@ fn dispatch<P: Probe, M: RemoteModel, F: FaultModel>(
         } else {
             Time::ZERO
         };
-        let deliver = now + srv.msg_lat_by_class[req.class as usize];
-        let (best_slot, free_at) = earliest_slot(&srv.slots);
+        let deliver = now + w.tables.msg_lat[at];
+        let slots = w.tables.slots_of(node);
+        let (best_slot, free_at) = earliest_slot(slots);
         let start = deliver.max(free_at);
         let comp = start + req.service + fab;
-        srv.slots[best_slot] = comp;
-        srv.inflight_by_class[req.class as usize] += 1;
+        slots[best_slot] = comp;
+        w.tables.inflight[at] += 1;
         s.schedule_event_at(comp, EngineEvent::Finish(slot));
     } else {
         srv.credit_waits += 1;
@@ -1024,7 +1088,7 @@ fn dispatch<P: Probe, M: RemoteModel, F: FaultModel>(
                 w.attrib[slot as usize].stalled = true;
             }
             srv.backlog.push_back(slot);
-            srv.queued_by_class[req.class as usize] += 1;
+            w.tables.queued[at] += 1;
         } else {
             // The node is saturated beyond its backlog: drop the
             // request and free its in-flight slot.
@@ -1049,9 +1113,9 @@ fn finish<P: Probe, M: RemoteModel, F: FaultModel>(
     if F::ENABLED && w.requests.get(slot).doomed {
         let req = lose_admitted(w, slot, Loss::Crash, s.now());
         let node = req.node as usize;
-        let srv = &mut w.servers[node];
-        srv.inflight_by_class[req.class as usize] -= 1;
-        srv.credits.grant(1);
+        let at = w.tables.at(node, req.class as usize);
+        w.tables.inflight[at] -= 1;
+        w.servers[node].credits.grant(1);
         if let Some(next) = w.pop_backlog(node) {
             dispatch(w, s, next);
         }
@@ -1072,7 +1136,8 @@ fn finish<P: Probe, M: RemoteModel, F: FaultModel>(
     }
     let node = req.node as usize;
     w.admissions[node].on_completion();
-    w.servers[node].inflight_by_class[class] -= 1;
+    let at = w.tables.at(node, class);
+    w.tables.inflight[at] -= 1;
     if P::ATTRIB {
         // Telescoping decomposition — every stage is a difference of
         // stamps the engine computed anyway, so the seven stages sum to
@@ -1087,7 +1152,7 @@ fn finish<P: Probe, M: RemoteModel, F: FaultModel>(
         let a = w.attrib[slot as usize];
         let total_ps = latency.as_ps();
         let queue_ps = a.dispatch_at.saturating_sub(req.arrival).as_ps();
-        let transport_ps = w.servers[node].msg_lat_by_class[class].as_ps();
+        let transport_ps = w.tables.msg_lat[at].as_ps();
         let service_ps = req.service.as_ps();
         // Fabric congestion penalty stamped at dispatch (zero unless
         // the congested model is armed); it extends the completion
@@ -1390,79 +1455,130 @@ pub(crate) fn validate(config: &LoadgenConfig) {
     }
 }
 
+/// Values that see a node only through a hop distance, each evaluated
+/// once: [`PerHop::get_or`] evaluates at the first distance asked for
+/// and reads the stored value back after.
+#[derive(Default)]
+struct PerHop<T>(Vec<Option<T>>);
+
+impl<T: Copy> PerHop<T> {
+    /// A memo with room for distances up to `max_hops`.
+    fn up_to(max_hops: u32) -> Self {
+        PerHop(Vec::with_capacity(max_hops as usize + 1))
+    }
+
+    /// The value stored for `hops`, evaluating `eval` if there is none.
+    fn get_or(&mut self, hops: u32, eval: impl FnOnce() -> T) -> T {
+        let hops = hops as usize;
+        if self.0.len() <= hops {
+            self.0.resize(hops + 1, None);
+        }
+        *self.0[hops].get_or_insert_with(eval)
+    }
+}
+
+/// The gateway→node QPair latency of a message of each of `bytes`, for
+/// each of the `n` nodes, as one table indexed `node * bytes.len() + i`.
+/// The latency model sees a node only through its hop distance from the
+/// gateway, so each distance is evaluated once, at the first node that
+/// lies there, and every later node at that distance copies its row.
+fn gateway_latencies(path: &PathModel, qpair: &QpairConfig, n: usize, bytes: &[u64]) -> Vec<Time> {
+    let gateway = NodeId(0);
+    let width = bytes.len();
+    let mut first_at = PerHop::up_to(path.topology.max_distance(gateway));
+    let mut lat = Vec::with_capacity(n * width);
+    for i in 0..n {
+        let node = NodeId(i as u16);
+        let first = first_at.get_or(path.topology.link_hops(gateway, node), || i);
+        if first == i {
+            let mut qp = QueuePair::new(gateway, node, qpair.clone());
+            lat.extend(bytes.iter().map(|&b| {
+                qp.message_latency(path, b)
+                    .expect("payloads fit a QPair message")
+            }));
+        } else {
+            lat.extend_from_within(first * width..(first + 1) * width);
+        }
+    }
+    lat
+}
+
 /// Provisions the remote tier for a **static** (non-elastic) run: the
 /// PR 1 one-shot borrow flow for the Venice stack, or a pre-partitioned
-/// tier at the baseline stack's per-miss cost. Returns the per-node
-/// models plus the `(remote_leases, borrow_failures)` counters.
+/// tier at the baseline stack's per-miss cost, into each server's
+/// model (local-only on entry). Returns the `(remote_leases,
+/// borrow_failures)` counters.
 fn provision_static<M: RemoteModel>(
     config: &LoadgenConfig,
     cluster: &mut Cluster,
-    qpair_lat: &[Time],
+    qpair: &QpairConfig,
     remote: &mut M,
-) -> (Vec<NodeModel>, u64, u64) {
+    servers: &mut [Server],
+) -> (u64, u64) {
     assert!(config.lease.is_none(), "static provisioning only");
+    if config.remote_memory_per_node == 0 {
+        return (0, 0);
+    }
     let n = cluster.len();
     let mut remote_leases = 0u64;
     let mut borrow_failures = 0u64;
-    let mut models = Vec::with_capacity(n);
     match config.stack {
         RemoteStack::VeniceCrma => {
             // Static: the PR 1 one-shot provisioning path. The donor
             // pressure term is a lease-policy knob, so static tiers
             // model lending as free (as they always have).
-            for id in 0..n as u16 {
-                let model = if config.remote_memory_per_node > 0 {
-                    match cluster.borrow_memory(NodeId(id), config.remote_memory_per_node) {
-                        Ok(lease) => {
-                            let lat = measure_crma(cluster, NodeId(id), lease.local_base);
-                            remote_leases += 1;
-                            if M::ENABLED {
-                                remote.set_route(id as usize, Some(lease.donor.0));
-                            }
-                            NodeModel {
-                                local_miss: LOCAL_MISS,
-                                remote_miss: lat,
-                                remote_bytes: lease.bytes,
-                                full_bytes: lease.bytes,
-                                lent_bytes: 0,
-                                lendable_bytes: LENDABLE_PER_NODE,
-                                lent_slowdown: 0.0,
-                            }
-                        }
-                        Err(_) => {
-                            borrow_failures += 1;
-                            NodeModel::local_only(LOCAL_MISS)
-                        }
-                    }
-                } else {
-                    NodeModel::local_only(LOCAL_MISS)
+            //
+            // Each node borrows once, so at its measurement its CRMA
+            // channel holds just the window it mapped, and the measured
+            // (second, translation-warm) read depends on the node only
+            // through its hop distance to the donor: each distance is
+            // measured once. A skipped measurement leaves that node's
+            // TLTLB cold and its read counters at zero; nothing in a
+            // static run reads either again.
+            let mut crma_lat = PerHop::default();
+            for (id, srv) in (0..n as u16).zip(servers) {
+                let Ok(lease) = cluster.borrow_memory(NodeId(id), config.remote_memory_per_node)
+                else {
+                    borrow_failures += 1;
+                    continue;
                 };
-                models.push(model);
+                let hops = cluster.path.topology.link_hops(NodeId(id), lease.donor);
+                let lat =
+                    crma_lat.get_or(hops, || measure_crma(cluster, NodeId(id), lease.local_base));
+                remote_leases += 1;
+                if M::ENABLED {
+                    remote.set_route(id as usize, Some(lease.donor.0));
+                }
+                srv.model = NodeModel {
+                    local_miss: LOCAL_MISS,
+                    remote_miss: lat,
+                    remote_bytes: lease.bytes,
+                    full_bytes: lease.bytes,
+                    lent_bytes: 0,
+                    lendable_bytes: LENDABLE_PER_NODE,
+                    lent_slowdown: 0.0,
+                };
             }
         }
         stack => {
             // A baseline stack: a static remote partition reached through
             // the commodity path's per-miss cost — no Monitor-Node flow,
             // no hot-plug, identical traffic.
-            for &qp_lat in qpair_lat {
-                let model = if config.remote_memory_per_node > 0 {
-                    NodeModel {
-                        local_miss: LOCAL_MISS,
-                        remote_miss: stack.remote_miss(Time::ZERO, qp_lat),
-                        remote_bytes: config.remote_memory_per_node,
-                        full_bytes: config.remote_memory_per_node,
-                        lent_bytes: 0,
-                        lendable_bytes: 0,
-                        lent_slowdown: 0.0,
-                    }
-                } else {
-                    NodeModel::local_only(LOCAL_MISS)
+            let qp_lat = gateway_latencies(&cluster.path, qpair, n, &[64]);
+            for (srv, qp_lat) in servers.iter_mut().zip(qp_lat) {
+                srv.model = NodeModel {
+                    local_miss: LOCAL_MISS,
+                    remote_miss: stack.remote_miss(Time::ZERO, qp_lat),
+                    remote_bytes: config.remote_memory_per_node,
+                    full_bytes: config.remote_memory_per_node,
+                    lent_bytes: 0,
+                    lendable_bytes: 0,
+                    lent_slowdown: 0.0,
                 };
-                models.push(model);
             }
         }
     }
-    (models, remote_leases, borrow_failures)
+    (remote_leases, borrow_failures)
 }
 
 impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
@@ -1488,44 +1604,30 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
         let (dx, dy, dz) = config.mesh;
         let mut cluster = Cluster::mesh(dx, dy, dz, 1 << 30, LENDABLE_PER_NODE);
         let n = cluster.len();
-        let neighbors: Vec<Vec<u16>> = cluster
-            .nodes
-            .iter()
-            .map(|node| node.agent.neighbors().iter().map(|id| id.0).collect())
-            .collect();
-        let gateway = NodeId(0);
-        let path = cluster.path.clone();
-        let mut qpair_lat = Vec::with_capacity(n);
-        let mut msg_lat = Vec::with_capacity(n);
+        let classes = &config.mix.classes;
+        let adjacency = Adjacency::of(&cluster);
         let qpair = QpairConfig::on_chip();
-        for i in 0..n as u16 {
-            let mut qp = QueuePair::new(gateway, NodeId(i), qpair.clone());
-            qpair_lat.push(
-                qp.message_latency(&path, 64)
-                    .expect("64 B control message fits any qpair"),
-            );
-            msg_lat.push(
-                config
-                    .mix
-                    .classes
-                    .iter()
-                    .map(|class| {
-                        qp.message_latency(&path, class.profile.request_bytes())
-                            .expect("request payloads are bounded")
-                    })
-                    .collect::<Vec<Time>>(),
-            );
-        }
+        let req_bytes_by_class: Vec<u64> =
+            classes.iter().map(|c| c.profile.request_bytes()).collect();
+        let msg_lat = gateway_latencies(&cluster.path, &qpair, n, &req_bytes_by_class);
         if F::ENABLED {
             // Sizes liveness state and rejects plans naming nodes outside
             // the mesh, before any event fires.
             faults.init(n as u16);
         }
 
-        // 3. Provision the remote tier.
+        // 3. Provision the remote tier into the per-node servers, which
+        //    start local-only with every QPair credit free.
+        let mut servers: Vec<Server> = (0..n)
+            .map(|_| Server {
+                credits: CreditCounter::new(qpair.credits),
+                backlog: VecDeque::new(),
+                model: NodeModel::local_only(LOCAL_MISS),
+                credit_waits: 0,
+            })
+            .collect();
         let mut remote_leases = 0u64;
         let mut borrow_failures = 0u64;
-        let models: Vec<NodeModel>;
         let mut elastic: Option<ElasticTier> = None;
         match (&config.lease, config.stack) {
             (Some(lease_config), RemoteStack::VeniceCrma) => {
@@ -1547,7 +1649,9 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
                     lendable_bytes: LENDABLE_PER_NODE,
                     lent_slowdown: lease_config.donor_pressure_slowdown,
                 };
-                models = vec![empty; n];
+                for srv in &mut servers {
+                    srv.model = empty;
+                }
                 elastic = Some(ElasticTier {
                     tags: vec![NO_TAG; n],
                     leases: vec![Vec::new(); n],
@@ -1564,45 +1668,38 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
             (None, _) => {
                 // Static provisioning: the one-shot borrow flow for the
                 // Venice stack, or a pre-partitioned baseline tier.
-                (models, remote_leases, borrow_failures) =
-                    provision_static(config, &mut cluster, &qpair_lat, &mut remote);
+                (remote_leases, borrow_failures) =
+                    provision_static(config, &mut cluster, &qpair, &mut remote, &mut servers);
             }
             (Some(_), _) => unreachable!("Run::execute validated the stack"),
         }
 
-        // 4. Assemble the per-node servers: QPair credits, service
-        //    slots, and each tenant class's service model compiled
-        //    against the node's provisioned model.
-        let servers: Vec<Server> = models
-            .iter()
-            .zip(msg_lat)
-            .map(|(model, msg_lat_by_class)| Server {
-                credits: CreditCounter::new(qpair.credits),
-                slots: vec![Time::ZERO; config.per_node_concurrency as usize],
-                backlog: VecDeque::new(),
-                model: *model,
-                credit_waits: 0,
-                inflight_by_class: vec![0; config.mix.classes.len()],
-                queued_by_class: vec![0; config.mix.classes.len()],
-                msg_lat_by_class,
-                service_by_class: config
-                    .mix
-                    .classes
-                    .iter()
-                    .map(|class| class.profile.compile(model))
-                    .collect(),
-                attrib_by_class: if P::ATTRIB {
-                    config
-                        .mix
-                        .classes
+        // 4. Assemble the world's tables: service slots, and each tenant
+        //    class's service model compiled against the node's
+        //    provisioned model.
+        let width = classes.len();
+        let mut service = Vec::with_capacity(n * width);
+        let mut attrib = Vec::with_capacity(if P::ATTRIB { n * width } else { 0 });
+        for model in servers.iter().map(|srv| &srv.model) {
+            service.extend(classes.iter().map(|class| class.profile.compile(model)));
+            if P::ATTRIB {
+                attrib.extend(
+                    classes
                         .iter()
-                        .map(|class| class.profile.compile_attrib(model))
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect();
+                        .map(|class| class.profile.compile_attrib(model)),
+                );
+            }
+        }
+        let tables = NodeTables {
+            classes: width,
+            slots: config.per_node_concurrency as usize,
+            msg_lat,
+            service,
+            attrib,
+            inflight: vec![0; n * width],
+            queued: vec![0; n * width],
+            busy_until: vec![Time::ZERO; n * config.per_node_concurrency as usize],
+        };
         let (_, service_rng) = seed_streams(config.seed);
         let mut w = World {
             owned,
@@ -1616,13 +1713,9 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
                 .map(|_| AdmissionControl::per_node(config.admission, n as u32))
                 .collect(),
             servers,
+            tables,
             requests: RequestSlab::new(),
-            req_bytes_by_class: config
-                .mix
-                .classes
-                .iter()
-                .map(|c| c.profile.request_bytes())
-                .collect(),
+            req_bytes_by_class,
             resp_bytes_by_class: config
                 .mix
                 .classes
@@ -1640,7 +1733,7 @@ impl<P: Probe, M: RemoteModel, F: FaultModel> World<P, M, F> {
             end: Time::ZERO,
             backlog_cap: config.admission.backlog_per_node,
             cluster,
-            neighbors,
+            adjacency,
             elastic,
             denied_scan: 0,
             denied_counts: vec![0; config.mix.classes.len()],
@@ -1994,6 +2087,60 @@ mod tests {
     }
 
     #[test]
+    fn gateway_latencies_match_a_per_node_evaluation() {
+        let cluster = Cluster::mesh(4, 4, 4, 1 << 30, LENDABLE_PER_NODE);
+        let qpair = QpairConfig::on_chip();
+        let bytes = [64, 512, 4_096, 9_000];
+        let table = gateway_latencies(&cluster.path, &qpair, cluster.len(), &bytes);
+        assert_eq!(table.len(), cluster.len() * bytes.len());
+        for node in 0..cluster.len() {
+            let mut qp = QueuePair::new(NodeId(0), NodeId(node as u16), qpair.clone());
+            for (i, &b) in bytes.iter().enumerate() {
+                let lat = qp.message_latency(&cluster.path, b).unwrap();
+                assert_eq!(table[node * bytes.len() + i], lat, "node {node}, {b} B");
+            }
+        }
+    }
+
+    #[test]
+    fn static_crma_latencies_match_a_per_node_measurement() {
+        // Each node borrows a donor's whole lendable pool, so every
+        // donor serves one recipient and the last node finds none.
+        let config = LoadgenConfig {
+            mesh: (3, 3, 1),
+            remote_memory_per_node: LENDABLE_PER_NODE,
+            ..small(1)
+        };
+        let mesh = || Cluster::mesh(3, 3, 1, 1 << 30, LENDABLE_PER_NODE);
+        let mut cluster = mesh();
+        let mut servers: Vec<Server> = (0..cluster.len())
+            .map(|_| Server {
+                credits: CreditCounter::new(1),
+                backlog: VecDeque::new(),
+                model: NodeModel::local_only(LOCAL_MISS),
+                credit_waits: 0,
+            })
+            .collect();
+        let qpair = QpairConfig::on_chip();
+        provision_static(&config, &mut cluster, &qpair, &mut ScalarCrma, &mut servers);
+        let mut fresh = mesh();
+        let mut refused = 0;
+        for (id, srv) in (0..fresh.len() as u16).zip(&servers) {
+            match fresh.borrow_memory(NodeId(id), LENDABLE_PER_NODE) {
+                Ok(lease) => {
+                    let lat = measure_crma(&mut fresh, NodeId(id), lease.local_base);
+                    assert_eq!(srv.model.remote_miss, lat, "node {id}");
+                }
+                Err(_) => {
+                    assert!(!srv.model.has_remote(), "node {id}");
+                    refused += 1;
+                }
+            }
+        }
+        assert_eq!(refused, 1);
+    }
+
+    #[test]
     fn earliest_slot_picks_the_minimum_and_the_lowest_index_on_a_tie() {
         let t = Time::from_ns;
         assert_eq!(earliest_slot(&[t(7)]), (0, t(7)));
@@ -2138,11 +2285,9 @@ mod tests {
                 .any(|st| st.lost[Loss::Backpressure as usize] > 0),
             "no backlog overflowed"
         );
-        for srv in &w.servers {
-            assert!(srv.backlog.is_empty());
-            assert!(srv.queued_by_class.iter().all(|&n| n == 0));
-            assert!(srv.inflight_by_class.iter().all(|&n| n == 0));
-        }
+        assert!(w.servers.iter().all(|srv| srv.backlog.is_empty()));
+        assert!(w.tables.queued.iter().all(|&n| n == 0));
+        assert!(w.tables.inflight.iter().all(|&n| n == 0));
     }
 
     #[test]
@@ -2175,13 +2320,13 @@ mod tests {
         }]);
         let probe = AttribProbe::new(Time::from_ms(1), 64);
         let (kernel, next) = paused_before(&config, true, probe, plan, crash_at);
-        let srv = &kernel.state().servers[0];
+        let w = kernel.state();
         assert!(
-            !srv.backlog.is_empty(),
+            !w.servers[0].backlog.is_empty(),
             "node 0 has no backlog at the crash"
         );
         assert!(
-            srv.inflight_by_class.iter().sum::<u32>() > 0,
+            w.tables.inflight[w.tables.row(0)].iter().sum::<u32>() > 0,
             "node 0 has nothing in service at the crash"
         );
         let (report, trace, _, probe) = summarize(&config, vec![resume(kernel, next)]);

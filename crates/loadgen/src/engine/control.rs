@@ -29,7 +29,7 @@ use venice_lease::{LeaseAction, LeaseManager, NodeSignal, Priority};
 use venice_sim::Time;
 use venice_telemetry::{Probe, SpanKind};
 
-use super::{lose_admitted, EngineEvent, Sched, Server, World, LENDABLE_PER_NODE, NO_TAG};
+use super::{lose_admitted, EngineEvent, NodeTables, Sched, World, LENDABLE_PER_NODE, NO_TAG};
 use crate::admission::Loss;
 use crate::faults::{FaultModel, FaultTransition};
 use crate::remote::RemoteModel;
@@ -433,18 +433,14 @@ fn sync_donor_pressure<P: Probe, M: RemoteModel, F: FaultModel>(
 /// per-request path never re-derives model constants.
 fn recompile_service<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<P, M, F>, node: usize) {
     let model = w.servers[node].model;
-    for (class, slot) in w
-        .classes
-        .iter()
-        .zip(w.servers[node].service_by_class.iter_mut())
-    {
+    let row = w.tables.row(node);
+    for (class, slot) in w.classes.iter().zip(&mut w.tables.service[row.clone()]) {
         *slot = class.profile.compile(&model);
     }
     if P::ATTRIB {
         // The remote share moves with the same node state; keep the
         // attribution model in lockstep with the service model.
-        let srv = &mut w.servers[node];
-        for (class, slot) in w.classes.iter().zip(srv.attrib_by_class.iter_mut()) {
+        for (class, slot) in w.classes.iter().zip(&mut w.tables.attrib[row]) {
             *slot = class.profile.compile_attrib(&model);
         }
     }
@@ -469,17 +465,18 @@ fn sync_fabric_route<P: Probe, M: RemoteModel, F: FaultModel>(w: &mut World<P, M
 }
 
 /// The tenant class with the most queued *and in-service* work on
-/// `srv` (ties to the lowest index), used to attribute a lease to the
+/// `node` (ties to the lowest index), used to attribute a lease to the
 /// tenant driving it. Must mirror the grow trigger's demand signal —
 /// backlog plus busy slots — or grows fired by pure in-service pressure
 /// would have no class to attribute to.
 ///
-/// Reads only the per-class counters (`inflight_by_class` plus
-/// `queued_by_class`), so a tick costs O(classes) per node whatever
-/// the backlog depth.
-fn dominant_class(srv: &Server) -> Option<usize> {
+/// Reads only the node's rows of the per-class counters (`inflight`
+/// plus `queued`), so a tick costs O(classes) per node whatever the
+/// backlog depth.
+fn dominant_class(tables: &NodeTables, node: usize) -> Option<usize> {
     let mut best: Option<(usize, u32)> = None;
-    let counts = srv.inflight_by_class.iter().zip(&srv.queued_by_class);
+    let row = tables.row(node);
+    let counts = tables.inflight[row.clone()].iter().zip(&tables.queued[row]);
     for (class, (&inflight, &queued)) in counts.enumerate() {
         let count = inflight + queued;
         if count > 0 && best.map(|(_, b)| count > b).unwrap_or(true) {
@@ -513,17 +510,27 @@ pub(super) fn lease_tick<P: Probe, M: RemoteModel, F: FaultModel>(
     let mut signals = mem::take(&mut tier.signals);
     let mut lent_bytes = mem::take(&mut tier.lent_bytes);
     signals.clear();
-    signals.extend(w.servers.iter().map(|srv| {
-        let busy = srv.slots.iter().filter(|&&t| t > now).count();
-        let tenant = dominant_class(srv).map(|c| c as u32).unwrap_or(NO_TAG);
-        NodeSignal {
-            depth: (srv.backlog.len() + busy) as u32,
-            lent_chunks: 0,
-            lent_pressure: 0.0,
-            tenant,
-            priority: w.tag_priority(tenant),
-        }
-    }));
+    let tables = &w.tables;
+    let busy_rows = tables.busy_until.chunks_exact(tables.slots);
+    signals.extend(
+        w.servers
+            .iter()
+            .zip(busy_rows)
+            .enumerate()
+            .map(|(node, (srv, slots))| {
+                let busy = slots.iter().filter(|&&t| t > now).count();
+                let tenant = dominant_class(tables, node)
+                    .map(|c| c as u32)
+                    .unwrap_or(NO_TAG);
+                NodeSignal {
+                    depth: (srv.backlog.len() + busy) as u32,
+                    lent_chunks: 0,
+                    lent_pressure: 0.0,
+                    tenant,
+                    priority: w.tag_priority(tenant),
+                }
+            }),
+    );
     // Chunks and bytes each node has lent out, from one pass over the
     // cluster's live ledger (includes grants still in their
     // recipient-side establish flow — the donor's memory is committed
@@ -682,9 +689,7 @@ fn crash_node<P: Probe, M: RemoteModel, F: FaultModel>(
     w.requests.doom_live_on(node as u16);
     // The reboot clears the machine: whatever occupancy the slots held
     // died with it.
-    for t in w.servers[node].slots.iter_mut() {
-        *t = now;
-    }
+    w.tables.slots_of(node).fill(now);
     let Some(tier) = &mut w.elastic else {
         // Static provisioning has no manager to re-establish through:
         // the Venice-stack grants touching the dead node are purged and

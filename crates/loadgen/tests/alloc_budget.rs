@@ -13,6 +13,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use venice::cluster::Cluster;
+use venice::NodeId;
 use venice_fabric::LinkParams;
 use venice_loadgen::engine::Run;
 use venice_loadgen::{
@@ -77,9 +79,14 @@ fn counted(run: impl Fn()) -> u64 {
 /// arrivals and a static 256 MB remote tier borrowed through the
 /// Monitor Node for every node.
 fn storm_row(mix: TenantMix) -> LoadgenConfig {
+    storm_row_on((4, 2, 2), mix)
+}
+
+/// [`storm_row`] on a `mesh` of any size.
+fn storm_row_on(mesh: (u16, u16, u16), mix: TenantMix) -> LoadgenConfig {
     LoadgenConfig {
         seed: 1,
-        mesh: (4, 2, 2),
+        mesh,
         mix,
         arrival: ArrivalProcess::OpenPoisson {
             rate_rps: 120_000.0,
@@ -151,15 +158,15 @@ fn flash_crash_row() -> (LoadgenConfig, FaultPlan) {
 
 #[test]
 fn a_one_request_storm_row_stays_inside_its_allocation_budget() {
-    // Budget: the measured count, 258 with `RAYON_NUM_THREADS` set and
-    // 257 without (reading the variable allocates its value). Before
+    // Budget: the measured count, 167 with `RAYON_NUM_THREADS` set and
+    // 166 without (reading the variable allocates its value). Before
     // heartbeats refilled one buffer per agent, histograms stored only
     // their occupied buckets and donor ranking stopped collecting
-    // candidate lists, this row made 876 allocations, and 275 before
-    // the tape stopped giving every chunk slot an empty placeholder
-    // chunk. The mesh's coordinate table and the Monitor Node's
-    // per-node report flags added one each.
-    const BUDGET: u64 = 258;
+    // candidate lists, this row made 876 allocations, 275 before the
+    // tape stopped giving every chunk slot an empty placeholder chunk,
+    // and 258 before world assembly moved six per-node vectors into
+    // per-world tables.
+    const BUDGET: u64 = 167;
     let config = storm_row(TenantMix::web_frontend());
     let n = counted(|| {
         let out = Run::new(&config).execute();
@@ -174,12 +181,13 @@ fn a_one_request_storm_row_stays_inside_its_allocation_budget() {
 
 #[test]
 fn a_one_request_lease_fabric_fault_row_stays_inside_its_allocation_budget() {
-    // Budget: the measured count, 237 with `RAYON_NUM_THREADS` set and
-    // 236 without (540 before the same change, and 309 before the tape
+    // Budget: the measured count, 193 with `RAYON_NUM_THREADS` set and
+    // 192 without (540 before the same change, 309 before the tape
     // placeholders went and the path compiler stopped collecting one
-    // path `Vec` per node pair). The fabric model builds a second mesh,
-    // so the coordinate tables add two.
-    const BUDGET: u64 = 237;
+    // path `Vec` per node pair, and 237 before the per-world tables).
+    // The fabric model builds a second mesh, so the coordinate tables
+    // add two.
+    const BUDGET: u64 = 193;
     let (config, plan) = flash_crash_row();
     let n = counted(|| {
         let out = Run::new(&config).faults(plan.clone()).execute();
@@ -189,5 +197,50 @@ fn a_one_request_lease_fabric_fault_row_stays_inside_its_allocation_budget() {
     assert!(
         n <= BUDGET,
         "lease/fabric/fault row made {n} allocations, budget {BUDGET}"
+    );
+}
+
+#[test]
+fn a_larger_mesh_adds_only_the_clusters_own_per_node_allocations() {
+    // Per node, the cluster allocates its address space's region list,
+    // its agent's neighbor list and heartbeat report buffers, its CRMA
+    // channel's RAMT and TLTLB, and its Monitor Node rows (the TST row
+    // among them); the Monitor Node's node-indexed tables grow with the
+    // mesh too. A
+    // 4×4×4 mesh built and provisioned with one borrow per node makes
+    // 404 allocations more than a 4×2×2 mesh (about 8.4 per node), so
+    // the budget is 9 per node. World assembly builds per-world tables,
+    // so the rest of the run adds none.
+    const PER_NODE: u64 = 9;
+    let run = |mesh| {
+        let config = storm_row_on(mesh, TenantMix::web_frontend());
+        counted(move || {
+            let out = Run::new(&config).execute();
+            assert_eq!(out.report.issued, 1);
+        })
+    };
+    let cluster = |(dx, dy, dz)| {
+        counted(move || {
+            let mut cluster = Cluster::mesh(dx, dy, dz, 1 << 30, 512 << 20);
+            for id in 0..cluster.len() as u16 {
+                cluster
+                    .borrow_memory(NodeId(id), 256 << 20)
+                    .expect("every node finds a donor");
+            }
+        })
+    };
+    let (small, large) = ((4, 2, 2), (4, 4, 4));
+    let added_nodes = 64 - 16;
+    let added = run(large) - run(small);
+    let cluster_added = cluster(large) - cluster(small);
+    eprintln!("4x4x4 over 4x2x2: run +{added}, cluster alone +{cluster_added}");
+    assert!(
+        added <= added_nodes * PER_NODE,
+        "48 more nodes added {added} allocations, budget {}",
+        added_nodes * PER_NODE
+    );
+    assert_eq!(
+        added, cluster_added,
+        "the run grows by more than the cluster it builds"
     );
 }

@@ -8,8 +8,8 @@
 //! We do not have that hardware, so every experiment in this repository runs
 //! on top of this crate: a small, deterministic discrete-event simulator
 //! (DES) with explicit simulated time, a stable event queue, seeded
-//! randomness, and the measurement utilities (counters, histograms,
-//! throughput meters, rate limiters) the evaluation harness needs.
+//! randomness, and the measurement utilities (a log-bucketed latency
+//! histogram, a token-bucket rate limiter) the evaluation harness needs.
 //!
 //! Events are **typed**: a plain enum implementing [`SimEvent`],
 //! scheduled by value with zero heap allocation (see [`kernel`]).
@@ -53,6 +53,6 @@ pub use kernel::{Kernel, Scheduler, SimEvent};
 pub use queue::{EventQueue, QueueStats};
 pub use rate::TokenBucket;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, LogHistogram, ThroughputMeter};
+pub use stats::LogHistogram;
 pub use time::Time;
 pub use timeline::Timeline;

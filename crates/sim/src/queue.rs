@@ -329,6 +329,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the next event without removing it.
+    #[inline]
     pub fn peek_time(&self) -> Option<Time> {
         self.run.last().map(|&(k, _)| time_of(k))
     }

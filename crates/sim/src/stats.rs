@@ -1,165 +1,15 @@
-//! Measurement utilities: counters, latency histograms, throughput meters.
+//! Measurement utilities: the log-bucketed latency histogram.
 //!
-//! The paper reports normalized execution times, bandwidth utilization, and
-//! miss rates; these types collect the underlying samples inside the
-//! simulator so the figure harness can compute the same summaries.
+//! Latency quantiles (p50 to p99.9 per tenant) are read from samples
+//! collected inside the simulator.
 
 use crate::time::Time;
 
-/// A monotonically increasing named counter.
-///
-/// # Example
-///
-/// ```
-/// use venice_sim::Counter;
-/// let mut c = Counter::new("packets");
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: &'static str,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter with a display name.
-    pub fn new(name: &'static str) -> Self {
-        Counter { name, value: 0 }
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Counter name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-impl std::fmt::Display for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
-/// Latency histogram with power-of-two nanosecond buckets plus exact
-/// min/max/mean tracking.
-///
-/// Bucketing is only used for percentile estimates; means are exact.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>, // bucket i counts samples in [2^i, 2^(i+1)) ns
-    count: u64,
-    sum: Time,
-    min: Time,
-    max: Time,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-            sum: Time::ZERO,
-            min: Time::MAX,
-            max: Time::ZERO,
-        }
-    }
-
-    /// Records one latency sample.
-    #[inline]
-    pub fn record(&mut self, sample: Time) {
-        let ns = sample.as_ns();
-        let idx = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx.min(63)] += 1;
-        self.count += 1;
-        self.sum += sample;
-        if sample < self.min {
-            self.min = sample;
-        }
-        if sample > self.max {
-            self.max = sample;
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact mean of samples, or `Time::ZERO` when empty.
-    pub fn mean(&self) -> Time {
-        if self.count == 0 {
-            Time::ZERO
-        } else {
-            self.sum / self.count
-        }
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<Time> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<Time> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Approximate percentile (0.0–1.0) using bucket upper bounds.
-    pub fn percentile(&self, p: f64) -> Option<Time> {
-        if self.count == 0 {
-            return None;
-        }
-        let p = p.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * p).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(Time::from_ns(1 << (i + 1)));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Total of all samples.
-    pub fn sum(&self) -> Time {
-        self.sum
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// HDR-style log-bucketed latency histogram with bounded relative error.
 ///
-/// The original [`Histogram`] uses plain power-of-two buckets, which is
-/// fine for the paper's coarse figures but far too lossy for tail-latency
-/// reporting (p99 vs p99.9 can land in the same bucket). `LogHistogram`
-/// subdivides every power-of-two range into `2^sub_bits` linear
+/// Plain power-of-two buckets are far too lossy for tail-latency
+/// reporting (p99 vs p99.9 can land in the same bucket), so
+/// `LogHistogram` subdivides every power-of-two range into `2^sub_bits` linear
 /// sub-buckets, bounding the relative quantile error at `2^-sub_bits`
 /// (&lt; 1 % at the default 7 sub-bits). Only the occupied bucket range is
 /// stored: an unrecorded histogram holds no heap buffer, and the stored
@@ -454,100 +304,9 @@ impl Default for LogHistogram {
     }
 }
 
-/// Measures achieved throughput: bytes moved over a time window.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    first: Option<Time>,
-    last: Time,
-}
-
-impl ThroughputMeter {
-    /// Creates an idle meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` delivered at simulated time `at`.
-    pub fn record(&mut self, at: Time, bytes: u64) {
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
-        self.bytes += bytes;
-        if at > self.last {
-            self.last = at;
-        }
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Achieved goodput in gigabits per second over the observation window
-    /// `[first_record, end]`. Returns 0 when no data or zero-length window.
-    pub fn gbps(&self, end: Time) -> f64 {
-        let Some(first) = self.first else { return 0.0 };
-        let window = end.saturating_sub(first);
-        if window == Time::ZERO {
-            return 0.0;
-        }
-        (self.bytes as f64 * 8.0) / window.as_secs_f64() / 1e9
-    }
-
-    /// Utilization fraction against a nominal link rate.
-    pub fn utilization(&self, end: Time, link_gbps: f64) -> f64 {
-        if link_gbps <= 0.0 {
-            return 0.0;
-        }
-        (self.gbps(end) / link_gbps).clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "x=10");
-    }
-
-    #[test]
-    fn histogram_mean_min_max() {
-        let mut h = Histogram::new();
-        for ns in [100u64, 200, 300] {
-            h.record(Time::from_ns(ns));
-        }
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.mean(), Time::from_ns(200));
-        assert_eq!(h.min(), Some(Time::from_ns(100)));
-        assert_eq!(h.max(), Some(Time::from_ns(300)));
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), Time::ZERO);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.percentile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_percentile_is_monotone() {
-        let mut h = Histogram::new();
-        for i in 1..=1000u64 {
-            h.record(Time::from_ns(i));
-        }
-        let p50 = h.percentile(0.5).unwrap();
-        let p99 = h.percentile(0.99).unwrap();
-        assert!(p50 <= p99);
-        assert!(p99 <= Time::from_ns(2048));
-    }
 
     #[test]
     fn log_histogram_is_exact_below_subbucket_range() {
@@ -845,22 +604,5 @@ mod tests {
             assert_eq!(empty.tail(), src.tail());
             assert_merge_matches_full_walk(&LogHistogram::new(), &src, "empty + src");
         }
-    }
-
-    #[test]
-    fn throughput_matches_hand_computation() {
-        let mut m = ThroughputMeter::new();
-        m.record(Time::ZERO, 0);
-        // 1 GB over 1 s = 8 Gbps.
-        m.record(Time::from_secs(1), 1_000_000_000);
-        let g = m.gbps(Time::from_secs(1));
-        assert!((g - 8.0).abs() < 1e-9, "got {g}");
-        assert!((m.utilization(Time::from_secs(1), 10.0) - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_empty_is_zero() {
-        let m = ThroughputMeter::new();
-        assert_eq!(m.gbps(Time::from_secs(1)), 0.0);
     }
 }
