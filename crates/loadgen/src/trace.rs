@@ -78,12 +78,12 @@ impl Trace {
     /// Panics if serialization fails (plain data; cannot fail in
     /// practice).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for r in &self.records {
-            out.push_str(&serde_json::to_string(r).expect("record serializes"));
-            out.push('\n');
+            serde_json::to_writer(&mut out, r).expect("record serializes");
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("JSON text is UTF-8")
     }
 
     /// Parses a JSON-lines trace (blank lines ignored).

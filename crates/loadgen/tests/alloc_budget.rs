@@ -1,7 +1,8 @@
 //! Allocation budget of world set-up: a one-request run is almost all
 //! set-up (cluster, Monitor Node tables, provisioning, servers, stats and
 //! the report), so counting the heap allocations it makes pins how much
-//! of that set-up goes through the allocator.
+//! of that set-up goes through the allocator. A last test holds writing
+//! a run's report as JSON to its output buffer alone.
 //!
 //! The counter is a thread-local tally kept by a wrapping global
 //! allocator, so only allocations made on the test's own thread count. A
@@ -242,5 +243,51 @@ fn a_larger_mesh_adds_only_the_clusters_own_per_node_allocations() {
     assert_eq!(
         added, cluster_added,
         "the run grows by more than the cluster it builds"
+    );
+}
+
+/// The [`flash_crash_row`] report after `requests` requests, with its
+/// lease event count.
+fn flash_crash_report(requests: u64) -> (venice_loadgen::LoadReport, usize) {
+    let (mut config, plan) = flash_crash_row();
+    config.requests = requests;
+    let report = Run::new(&config).faults(plan).execute().report;
+    let events = report.lease.events.len();
+    (report, events)
+}
+
+#[test]
+fn serializing_a_report_allocates_only_its_output_buffer() {
+    // Writing JSON text goes straight into the output, so a report costs
+    // no allocation per lease event (through a `Value` tree it cost about
+    // 23). `to_writer` into a buffer with room allocates nothing;
+    // `to_string` allocates only its output `String`: 128 bytes, then one
+    // doubling at a time.
+    let mut events_seen = Vec::new();
+    for requests in [40_000, 120_000] {
+        let (report, events) = flash_crash_report(requests);
+        let len = serde_json::to_string(&report).unwrap().len();
+        let mut buf = Vec::with_capacity(len);
+        let into_buffer = allocations_of(|| serde_json::to_writer(&mut buf, &report).unwrap());
+        assert_eq!(buf.len(), len);
+        let doublings = (len.div_ceil(128)).next_power_of_two().trailing_zeros() as u64;
+        let to_string = allocations_of(|| {
+            serde_json::to_string(&report).unwrap();
+        });
+        eprintln!(
+            "{requests} requests: {events} lease events, {len} bytes, \
+             to_writer {into_buffer} and to_string {to_string} allocations"
+        );
+        assert_eq!(into_buffer, 0, "to_writer into a sized buffer allocated");
+        assert!(
+            to_string <= 1 + doublings,
+            "to_string made {to_string} allocations for {len} bytes, budget {}",
+            1 + doublings
+        );
+        events_seen.push(events);
+    }
+    assert!(
+        events_seen[0] >= 100 && events_seen[1] > 2 * events_seen[0],
+        "the rows log too few lease events: {events_seen:?}"
     );
 }

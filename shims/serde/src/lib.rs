@@ -1,15 +1,18 @@
 //! Offline shim of `serde`, built because this workspace cannot reach
-//! crates.io. Instead of upstream's visitor architecture it uses a simple
-//! JSON-shaped [`Value`] tree: `Serialize` lowers a type into a `Value`,
-//! `Deserialize` raises one back. `serde_json` (also shimmed) renders and
-//! parses that tree. The `derive` feature re-exports derive macros from
+//! crates.io. Instead of upstream's visitor architecture it has two small
+//! halves. `Serialize` writes a type straight to JSON text through a
+//! [`Writer`], with no intermediate tree. `Deserialize` raises a type
+//! from a JSON-shaped [`Value`] tree, which `serde_json` (also shimmed)
+//! parses. The `derive` feature re-exports derive macros from
 //! `serde_derive` that target these traits, so the workspace's
 //! `#[derive(Serialize, Deserialize)]` usage compiles unchanged.
+
+use std::fmt::{self, Write as _};
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// A JSON-shaped data-model value.
+/// A parsed JSON value, the input of [`Deserialize`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -59,10 +62,188 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can be lowered into a [`Value`].
+/// JSON text output: the sink that text is appended to, plus the indent
+/// and nesting level that pretty output needs.
+///
+/// Writes to the sink cannot fail from the writer's point of view: a
+/// sink that can fail (an I/O adapter) keeps its first error itself and
+/// refuses later writes.
+pub struct Writer<'a> {
+    out: &'a mut dyn fmt::Write,
+    /// Spaces per nesting level; 0 writes compact JSON.
+    indent: usize,
+    /// Arrays and objects open around the write position.
+    level: usize,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer appending to `out`: compact when `indent` is 0, and
+    /// otherwise one element per line, `indent` spaces per level.
+    pub fn new(out: &'a mut dyn fmt::Write, indent: usize) -> Self {
+        Writer {
+            out,
+            indent,
+            level: 0,
+        }
+    }
+
+    fn raw(&mut self, s: &str) {
+        let _ = self.out.write_str(s);
+    }
+
+    /// A line break and the current level's indent; nothing in compact
+    /// output.
+    fn newline(&mut self) {
+        if self.indent > 0 {
+            let _ = write!(self.out, "\n{:1$}", "", self.indent * self.level);
+        }
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.raw("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.raw(if b { "true" } else { "false" });
+    }
+
+    /// Writes an unsigned integer, exactly.
+    pub fn u64(&mut self, n: u64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// Writes a signed integer, exactly.
+    pub fn i64(&mut self, n: i64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// Writes a float as Rust's shortest round-trip `{x}` text, with `.0`
+    /// appended when that text has no `.` or exponent, so the value reads
+    /// back as a float. JSON has no NaN or infinity: those write `null`,
+    /// as upstream's lossy writers do.
+    pub fn f64(&mut self, x: f64) {
+        if !x.is_finite() {
+            return self.null();
+        }
+        let mut text = FloatText {
+            out: &mut *self.out,
+            marked: false,
+        };
+        let _ = write!(text, "{x}");
+        if !text.marked {
+            self.raw(".0");
+        }
+    }
+
+    /// Writes a string literal, escaping `"`, `\` and control characters.
+    pub fn str(&mut self, s: &str) {
+        self.raw("\"");
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            // Every escaped byte is ASCII, so both ends of the run before
+            // it fall on character boundaries.
+            self.raw(&s[start..i]);
+            start = i + 1;
+            match b {
+                b'"' => self.raw("\\\""),
+                b'\\' => self.raw("\\\\"),
+                b'\n' => self.raw("\\n"),
+                b'\r' => self.raw("\\r"),
+                b'\t' => self.raw("\\t"),
+                _ => {
+                    let _ = write!(self.out, "\\u{b:04x}");
+                }
+            }
+        }
+        self.raw(&s[start..]);
+        self.raw("\"");
+    }
+
+    /// Opens an array; write its elements with [`Compound::element`].
+    pub fn array(&mut self) -> Compound<'_, 'a> {
+        self.open("[", "]")
+    }
+
+    /// Opens an object; write its fields with [`Compound::field`].
+    pub fn object(&mut self) -> Compound<'_, 'a> {
+        self.open("{", "}")
+    }
+
+    fn open(&mut self, open: &str, close: &'static str) -> Compound<'_, 'a> {
+        self.raw(open);
+        self.level += 1;
+        Compound {
+            w: self,
+            close,
+            empty: true,
+        }
+    }
+}
+
+/// Forwards a float's text to the sink and notes whether it carries a
+/// `.` or an exponent.
+struct FloatText<'s> {
+    out: &'s mut dyn fmt::Write,
+    marked: bool,
+}
+
+impl fmt::Write for FloatText<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.marked |= s.bytes().any(|b| matches!(b, b'.' | b'e' | b'E'));
+        self.out.write_str(s)
+    }
+}
+
+/// An open array or object. Empty ones close as `[]` and `{}`, in
+/// compact and in pretty output alike.
+pub struct Compound<'w, 'a> {
+    w: &'w mut Writer<'a>,
+    close: &'static str,
+    empty: bool,
+}
+
+impl Compound<'_, '_> {
+    /// Writes the next array element.
+    pub fn element<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.next();
+        value.serialize(self.w);
+    }
+
+    /// Writes the next object field.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.next();
+        self.w.str(key);
+        self.w.raw(if self.w.indent > 0 { ": " } else { ":" });
+        value.serialize(self.w);
+    }
+
+    fn next(&mut self) {
+        if !self.empty {
+            self.w.raw(",");
+        }
+        self.empty = false;
+        self.w.newline();
+    }
+
+    /// Closes the array or object.
+    pub fn end(self) {
+        self.w.level -= 1;
+        if !self.empty {
+            self.w.newline();
+        }
+        self.w.raw(self.close);
+    }
+}
+
+/// Types that can be written as JSON text.
 pub trait Serialize {
-    /// Lowers `self` into the data model.
-    fn to_value(&self) -> Value;
+    /// Writes `self` to `w` as one JSON value.
+    fn serialize(&self, w: &mut Writer<'_>);
 }
 
 /// Types that can be raised from a [`Value`].
@@ -82,7 +263,7 @@ pub fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
 macro_rules! impl_serde_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::U64(*self as u64) }
+            fn serialize(&self, w: &mut Writer<'_>) { w.u64(*self as u64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -102,7 +283,7 @@ impl_serde_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::I64(*self as i64) }
+            fn serialize(&self, w: &mut Writer<'_>) { w.i64(*self as i64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -120,8 +301,8 @@ macro_rules! impl_serde_int {
 impl_serde_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.f64(*self);
     }
 }
 
@@ -137,8 +318,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.f64(*self as f64);
     }
 }
 
@@ -149,8 +330,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.bool(*self);
     }
 }
 
@@ -164,8 +345,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self);
     }
 }
 
@@ -179,14 +360,8 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for &str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        w.str(self);
     }
 }
 
@@ -203,9 +378,19 @@ impl Deserialize for &'static str {
     }
 }
 
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let mut array = w.array();
+        for item in self {
+            array.element(item);
+        }
+        array.end();
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, w: &mut Writer<'_>) {
+        self.as_slice().serialize(w);
     }
 }
 
@@ -219,10 +404,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer<'_>) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.serialize(w),
+            None => w.null(),
         }
     }
 }
@@ -236,15 +421,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
-impl<T: Serialize> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (*self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+impl<T: Serialize + ?Sized> Serialize for &T {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        (**self).serialize(w);
     }
 }
 
@@ -252,26 +431,40 @@ impl<T: Serialize> Serialize for [T] {
 mod tests {
     use super::*;
 
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.serialize(&mut Writer::new(&mut out, 0));
+        out
+    }
+
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()), Ok(42));
-        assert_eq!(i64::from_value(&(-7i64).to_value()), Ok(-7));
-        assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
+        assert_eq!(json(&42u64), "42");
+        assert_eq!(u64::from_value(&Value::U64(42)), Ok(42));
+        assert_eq!(json(&-7i64), "-7");
+        assert_eq!(i64::from_value(&Value::I64(-7)), Ok(-7));
+        assert_eq!(json(&1.5f64), "1.5");
+        assert_eq!(json(&2.0f32), "2.0");
+        assert_eq!(f64::from_value(&Value::F64(1.5)), Ok(1.5));
+        assert_eq!(json("hi"), "\"hi\"");
         assert_eq!(
-            String::from_value(&"hi".to_string().to_value()),
+            String::from_value(&Value::Str("hi".into())),
             Ok("hi".to_string())
         );
+        assert_eq!(json(&vec![1u32, 2]), "[1,2]");
         assert_eq!(
-            Vec::<u32>::from_value(&vec![1u32, 2].to_value()),
+            Vec::<u32>::from_value(&Value::Array(vec![Value::U64(1), Value::U64(2)])),
             Ok(vec![1, 2])
         );
+        assert_eq!(json(&None::<u8>), "null");
         assert_eq!(Option::<u8>::from_value(&Value::Null), Ok(None));
     }
 
     #[test]
     fn exact_u64_survives() {
         let big = u64::MAX - 3;
-        assert_eq!(u64::from_value(&big.to_value()), Ok(big));
+        assert_eq!(json(&big), big.to_string());
+        assert_eq!(u64::from_value(&Value::U64(big)), Ok(big));
     }
 
     #[test]

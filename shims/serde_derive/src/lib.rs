@@ -6,6 +6,12 @@
 //! with named fields, tuple structs, and enums with unit variants — and
 //! fails with a `compile_error!` on anything else (generics, data-carrying
 //! enum variants) so unsupported usage is loud, not silently wrong.
+//!
+//! `Serialize` impls write JSON text field by field through
+//! `serde::Writer`: a named struct as an object, a one-field tuple struct
+//! as its field, a wider tuple struct as an array and a unit variant as
+//! its name. `Deserialize` impls read the same shapes back from a parsed
+//! `serde::Value`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -92,22 +98,17 @@ fn tuple_arity(group: &proc_macro::Group) -> usize {
     }
     let mut depth = 0i32;
     let mut arity = 1;
-    let mut trailing_comma = false;
     for (idx, t) in tokens.iter().enumerate() {
         match t {
             TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
             TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
-            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 => {
-                if idx == tokens.len() - 1 {
-                    trailing_comma = true;
-                } else {
-                    arity += 1;
-                }
+            // A trailing comma adds no field.
+            TokenTree::Punct(p) if p.as_char() == ',' && depth == 0 && idx + 1 < tokens.len() => {
+                arity += 1
             }
             _ => {}
         }
     }
-    let _ = trailing_comma;
     arity
 }
 
@@ -183,6 +184,16 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
     }
 }
 
+/// Statements that open an array or object (`open` is `array` or
+/// `object`) on the writer `w`, run `writes` (one statement per element
+/// or field, on the open compound `c`) and close it.
+fn compound(open: &str, writes: &[String]) -> String {
+    if writes.is_empty() {
+        return format!("w.{open}().end();");
+    }
+    format!("let mut c = w.{open}();\n{}\nc.end();", writes.join("\n"))
+}
+
 /// Derives the shim's `serde::Serialize`.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
@@ -190,57 +201,39 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let body = match &shape {
+    let (name, body) = match &shape {
         Shape::Named(name, fields) => {
-            let pairs: Vec<String> = fields
+            let writes: Vec<String> = fields
                 .iter()
-                .map(|f| format!("({f:?}.to_string(), serde::Serialize::to_value(&self.{f}))"))
+                .map(|f| format!("c.field({f:?}, &self.{f});"))
                 .collect();
-            format!(
-                "impl serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> serde::Value {{\n\
-                         serde::Value::Object(vec![{}])\n\
-                     }}\n\
-                 }}",
-                pairs.join(", ")
-            )
+            (name, compound("object", &writes))
         }
-        Shape::Tuple(name, 1) => format!(
-            "impl serde::Serialize for {name} {{\n\
-                 fn to_value(&self) -> serde::Value {{\n\
-                     serde::Serialize::to_value(&self.0)\n\
-                 }}\n\
-             }}"
-        ),
+        Shape::Tuple(name, 1) => (name, "serde::Serialize::serialize(&self.0, w);".to_string()),
         Shape::Tuple(name, n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!(
-                "impl serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> serde::Value {{\n\
-                         serde::Value::Array(vec![{}])\n\
-                     }}\n\
-                 }}",
-                items.join(", ")
-            )
+            let writes: Vec<String> = (0..*n).map(|i| format!("c.element(&self.{i});")).collect();
+            (name, compound("array", &writes))
         }
         Shape::UnitEnum(name, variants) => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|v| format!("{name}::{v} => serde::Value::Str({v:?}.to_string())"))
+                .map(|v| format!("{name}::{v} => {v:?}"))
                 .collect();
-            format!(
-                "impl serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> serde::Value {{\n\
-                         match self {{ {} }}\n\
-                     }}\n\
-                 }}",
-                arms.join(", ")
+            (
+                name,
+                format!("w.str(match self {{ {} }});", arms.join(", ")),
             )
         }
     };
-    body.parse().unwrap()
+    format!(
+        "impl serde::Serialize for {name} {{\n\
+             fn serialize(&self, w: &mut serde::Writer<'_>) {{\n\
+                 {body}\n\
+             }}\n\
+         }}"
+    )
+    .parse()
+    .unwrap()
 }
 
 /// Derives the shim's `serde::Deserialize`.

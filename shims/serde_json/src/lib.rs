@@ -1,10 +1,17 @@
-//! Offline shim of `serde_json`: renders and parses the `serde` shim's
-//! [`Value`] tree. Supports everything the workspace round-trips — objects,
-//! arrays, strings with escapes, exact u64/i64, and f64 — plus pretty
-//! printing for the figure JSON artifacts.
+//! Offline shim of `serde_json`. Writing is the `serde` shim's job:
+//! [`to_string`], [`to_string_pretty`] and [`to_writer`] hand a
+//! `serde::Writer` to the value's `Serialize` impl, which writes JSON text
+//! straight into the output. Reading parses text into the `serde` shim's
+//! [`Value`] tree and raises the target type from it. Supports everything
+//! the workspace round-trips — objects, arrays, strings with escapes,
+//! exact u64/i64, and f64 — plus pretty printing for the figure JSON
+//! artifacts.
+
+use std::fmt;
+use std::io;
 
 pub use serde::Value;
-use serde::{DeError, Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Writer};
 
 /// Serialization/deserialization error.
 #[derive(Debug)]
@@ -26,16 +33,55 @@ impl From<DeError> for Error {
 
 /// Serializes `value` to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(write_string(value, 0))
 }
 
 /// Serializes `value` to human-readable JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(write_string(value, 2))
+}
+
+fn write_string<T: Serialize + ?Sized>(value: &T, indent: usize) -> String {
+    let mut out = String::with_capacity(128);
+    value.serialize(&mut Writer::new(&mut out, indent));
+    out
+}
+
+/// Serializes `value` as compact JSON into `writer`, with no intermediate
+/// buffer: a `Vec<u8>` grows in place.
+///
+/// # Errors
+///
+/// Returns the writer's first I/O error; nothing is written after it.
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(writer: W, value: &T) -> Result<(), Error> {
+    let mut sink = IoSink {
+        inner: writer,
+        error: None,
+    };
+    value.serialize(&mut Writer::new(&mut sink, 0));
+    match sink.error {
+        Some(e) => Err(Error(e.to_string())),
+        None => Ok(()),
+    }
+}
+
+/// Text sink over an `io::Write` that keeps the first error and refuses
+/// every write after it.
+struct IoSink<W> {
+    inner: W,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoSink<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.error.is_some() {
+            return Err(fmt::Error);
+        }
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.error = Some(e);
+            fmt::Error
+        })
+    }
 }
 
 /// Parses a value of type `T` from JSON text.
@@ -51,92 +97,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(T::from_value(&v)?)
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_f64(x: f64, out: &mut String) {
-    if x.is_finite() {
-        let s = format!("{x}");
-        out.push_str(&s);
-        // Keep round-tripped floats recognizable as floats.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            out.push_str(".0");
-        }
-    } else {
-        // JSON has no Inf/NaN; emit null like upstream's lossy writers.
-        out.push_str("null");
-    }
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize) {
-    let (nl, pad, pad_in) = match indent {
-        Some(n) => ("\n", " ".repeat(n * level), " ".repeat(n * (level + 1))),
-        None => ("", String::new(), String::new()),
-    };
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => write_f64(*x, out),
-        Value::Str(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                write_value(item, out, indent, level + 1);
-            }
-            out.push_str(nl);
-            out.push_str(&pad);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                write_escaped(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, level + 1);
-            }
-            out.push_str(nl);
-            out.push_str(&pad);
-            out.push('}');
-        }
-    }
 }
 
 struct Parser<'a> {
@@ -343,9 +303,212 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Mode {
+        Fast,
+        Slow,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Id(u32);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Pair(i64, f64, Mode);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Empty {}
+
+    /// Every edge the writer has: escapes, float text, integer extremes,
+    /// empty and nested arrays and objects, `None`, and each derived shape.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Fixture {
+        text: Vec<String>,
+        floats: Vec<f64>,
+        non_finite: Vec<Option<f64>>,
+        big: u64,
+        small: i64,
+        empty: Vec<u32>,
+        nested: Vec<Vec<u8>>,
+        none: Option<u8>,
+        some: Option<String>,
+        mode: Mode,
+        id: Id,
+        pair: Pair,
+        unit: Empty,
+        units: Vec<Empty>,
+    }
+
+    fn fixture() -> Fixture {
+        Fixture {
+            text: vec![
+                "quote \" backslash \\ newline \n tab \t cr \r".to_string(),
+                "ctl \u{0} \u{1} \u{8} \u{c} \u{1f} del \u{7f}".to_string(),
+                "non-ascii é ü 漢字 🦀".to_string(),
+                String::new(),
+            ],
+            floats: vec![3.0, -2.5, 1e-7, 5e-324, 1e300, f64::MAX, -0.0, 0.1 + 0.2],
+            non_finite: vec![
+                Some(f64::NAN),
+                Some(f64::INFINITY),
+                Some(f64::NEG_INFINITY),
+                None,
+            ],
+            big: u64::MAX,
+            small: i64::MIN,
+            empty: vec![],
+            nested: vec![vec![1, 2], vec![], vec![255]],
+            none: None,
+            some: Some("x".to_string()),
+            mode: Mode::Slow,
+            id: Id(7),
+            pair: Pair(-3, 0.5, Mode::Fast),
+            unit: Empty {},
+            units: vec![Empty {}, Empty {}],
+        }
+    }
+
+    /// The fixture's compact text, as the `Value`-tree writer that came
+    /// before the direct writer rendered it.
+    const COMPACT: &str = "{\"text\":[\"quote \\\" backslash \\\\ newline \\n tab \\t cr \\r\",\"ctl \\u0000 \\u0001 \\u0008 \\u000c \\u001f del \u{7f}\",\"non-ascii é ü 漢字 🦀\",\"\"],\"floats\":[3.0,-2.5,0.0000001,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000.0,179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000.0,-0.0,0.30000000000000004],\"non_finite\":[null,null,null,null],\"big\":18446744073709551615,\"small\":-9223372036854775808,\"empty\":[],\"nested\":[[1,2],[],[255]],\"none\":null,\"some\":\"x\",\"mode\":\"Slow\",\"id\":7,\"pair\":[-3,0.5,\"Fast\"],\"unit\":{},\"units\":[{},{}]}";
+
+    /// The fixture's pretty text from the same writer, line by line.
+    const PRETTY: &[&str] = &[
+    "{",
+    "  \"text\": [",
+    "    \"quote \\\" backslash \\\\ newline \\n tab \\t cr \\r\",",
+    "    \"ctl \\u0000 \\u0001 \\u0008 \\u000c \\u001f del \u{7f}\",",
+    "    \"non-ascii é ü 漢字 🦀\",",
+    "    \"\"",
+    "  ],",
+    "  \"floats\": [",
+    "    3.0,",
+    "    -2.5,",
+    "    0.0000001,",
+    "    0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,",
+    "    1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000.0,",
+    "    179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000.0,",
+    "    -0.0,",
+    "    0.30000000000000004",
+    "  ],",
+    "  \"non_finite\": [",
+    "    null,",
+    "    null,",
+    "    null,",
+    "    null",
+    "  ],",
+    "  \"big\": 18446744073709551615,",
+    "  \"small\": -9223372036854775808,",
+    "  \"empty\": [],",
+    "  \"nested\": [",
+    "    [",
+    "      1,",
+    "      2",
+    "    ],",
+    "    [],",
+    "    [",
+    "      255",
+    "    ]",
+    "  ],",
+    "  \"none\": null,",
+    "  \"some\": \"x\",",
+    "  \"mode\": \"Slow\",",
+    "  \"id\": 7,",
+    "  \"pair\": [",
+    "    -3,",
+    "    0.5,",
+    "    \"Fast\"",
+    "  ],",
+    "  \"unit\": {},",
+    "  \"units\": [",
+    "    {},",
+    "    {}",
+    "  ]",
+    "}",
+    ];
+
+    #[test]
+    fn fixture_compact_text_is_unchanged() {
+        assert_eq!(to_string(&fixture()).unwrap(), COMPACT);
+    }
+
+    #[test]
+    fn fixture_pretty_text_is_unchanged() {
+        assert_eq!(to_string_pretty(&fixture()).unwrap(), PRETTY.join("\n"));
+    }
+
+    #[test]
+    fn fixture_round_trips_through_from_str() {
+        let pretty = PRETTY.join("\n");
+        for text in [COMPACT, pretty.as_str()] {
+            let back: Fixture = from_str(text).unwrap();
+            // Non-finite floats read back as `None`, so compare the
+            // rewritten text rather than the values.
+            assert_eq!(back.non_finite, vec![None; 4]);
+            assert_eq!(to_string(&back).unwrap(), COMPACT);
+            let f = fixture();
+            assert_eq!(
+                (&back.text, back.big, back.small),
+                (&f.text, f.big, f.small)
+            );
+            assert_eq!(
+                back.floats.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                f.floats.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn to_writer_appends_the_compact_text() {
+        let mut buf = b"head ".to_vec();
+        to_writer(&mut buf, &fixture()).unwrap();
+        assert_eq!(buf, format!("head {COMPACT}").into_bytes());
+    }
+
+    #[test]
+    fn to_writer_reports_the_first_io_error() {
+        struct Full(usize);
+        impl io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.0 < buf.len() {
+                    return Err(io::Error::new(io::ErrorKind::WriteZero, "full"));
+                }
+                self.0 -= buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = to_writer(Full(10), &fixture()).unwrap_err();
+        assert!(err.to_string().contains("full"), "{err}");
+    }
+
+    #[derive(Serialize)]
+    struct Xs(u64, f64, Option<u8>);
+
+    #[derive(Serialize)]
+    struct Nested {
+        name: String,
+        xs: Xs,
+        ok: bool,
+        neg: i64,
+    }
 
     #[test]
     fn round_trips_nested_values() {
+        let nested = Nested {
+            name: "p99 \"tail\"\n".into(),
+            xs: Xs(u64::MAX, 1.25, None),
+            ok: true,
+            neg: -42,
+        };
+        let compact = to_string(&nested).unwrap();
+        let mut p = Parser {
+            bytes: compact.as_bytes(),
+            pos: 0,
+        };
         let v = Value::Object(vec![
             ("name".into(), Value::Str("p99 \"tail\"\n".into())),
             (
@@ -355,15 +518,6 @@ mod tests {
             ("ok".into(), Value::Bool(true)),
             ("neg".into(), Value::I64(-42)),
         ]);
-        let compact = {
-            let mut s = String::new();
-            write_value(&v, &mut s, None, 0);
-            s
-        };
-        let mut p = Parser {
-            bytes: compact.as_bytes(),
-            pos: 0,
-        };
         assert_eq!(p.value().unwrap(), v);
     }
 
