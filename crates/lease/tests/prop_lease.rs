@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use venice_lease::{
-    LeaseAction, LeaseConfig, LeaseEventKind, LeaseManager, NodeSignal, Priority, Timeline,
-    NO_TENANT,
+    LeaseAction, LeaseConfig, LeaseEvent, LeaseEventKind, LeaseManager, NodeSignal, Priority,
+    Timeline, NO_NODE, NO_TENANT,
 };
 use venice_sim::Time;
 
@@ -524,6 +524,164 @@ proptest! {
         }
         prop_assert_eq!(subleased, m.subleased_bytes());
         prop_assert_eq!(m.subleases() - m.sublease_returns(), subleased / chunk);
+    }
+}
+
+/// Timeline events of the kinds `pick` selects.
+fn count(m: &LeaseManager, pick: impl Fn(&LeaseEvent) -> bool) -> u64 {
+    m.timeline().iter().filter(|(_, e)| pick(e)).count() as u64
+}
+
+/// Tenant attribution drawn from a step word: three quota'd tenants
+/// and the unattributed bucket.
+fn tenant_of(word: u64) -> u32 {
+    [0, 1, 2, NO_TENANT][(word % 4) as usize]
+}
+
+proptest! {
+    /// Every ledger edge, driven directly in random order: grows
+    /// (reactive and predictive, attributed or not), market subleases,
+    /// shrinks, revokes and failovers of any held chunk, cluster
+    /// denials, surrendered revokes, and ticks whose over-quota grows
+    /// are refused. After every step the ten counter getters equal the
+    /// timeline's events counted by kind — `grows` with predictive
+    /// grows, `shrinks` with sublease returns, `sublease_returns` as
+    /// every close of a market chunk — and each new event carries the
+    /// donor and lessor its kind promises: a donor on revokes, failovers
+    /// and surrendered revokes only, a lessor on market opens and closes
+    /// only.
+    #[test]
+    fn counters_and_event_fields_follow_the_timeline(
+        steps in prop::collection::vec((0u8..8, any::<u64>()), 1..160),
+    ) {
+        const NODES: u16 = 4;
+        let config = LeaseConfig {
+            min_chunks: 0,
+            max_chunks: 64,
+            grow_cooldown_ticks: 1,
+            ..LeaseConfig::default()
+        };
+        let chunk = config.chunk_bytes;
+        let mut m = LeaseManager::with_quotas(config, NODES, vec![chunk, 2 * chunk, u64::MAX]);
+        // Held chunks: (generation, node, tenant, lessor when market).
+        let mut held: Vec<(u64, u16, u32, u32)> = Vec::new();
+        for (step, &(op, word)) in steps.iter().enumerate() {
+            let now = Time::from_us(step as u64);
+            let node = (word % NODES as u64) as u16;
+            let tenant = tenant_of(word >> 8);
+            let other = ((word >> 24) % NODES as u64) as u16;
+            let before = m.timeline().len();
+            // The one event the step must log: (kind, node, donor,
+            // tenant, lessor); `None` for a skipped close or a tick.
+            let expect = match op {
+                0 => {
+                    let predictive = (word >> 16) & 1 == 1;
+                    let g = m.confirm_grow(now, node, tenant, predictive, Priority::Normal);
+                    held.push((g, node, tenant, NO_TENANT));
+                    let kind = if predictive {
+                        LeaseEventKind::GrewPredictive
+                    } else {
+                        LeaseEventKind::Grew
+                    };
+                    Some((kind, node, NO_NODE, tenant, NO_TENANT))
+                }
+                1 => {
+                    let mut lessor = ((word >> 16) % 3) as u32;
+                    if lessor == tenant {
+                        lessor = (lessor + 1) % 3;
+                    }
+                    let g = m.confirm_sublease(now, node, tenant, lessor, Priority::Normal);
+                    held.push((g, node, tenant, lessor));
+                    Some((LeaseEventKind::Subleased, node, NO_NODE, tenant, lessor))
+                }
+                2..=4 if !held.is_empty() => {
+                    let (g, holder, user, lessor) = held.remove((word >> 32) as usize % held.len());
+                    let kind = match op {
+                        2 => {
+                            m.confirm_shrink(now, holder, g, Priority::Normal);
+                            if lessor == NO_TENANT {
+                                LeaseEventKind::Shrank
+                            } else {
+                                LeaseEventKind::SubleaseReturned
+                            }
+                        }
+                        3 => {
+                            m.confirm_revoke(now, other, holder, g, Priority::Normal);
+                            LeaseEventKind::Revoked
+                        }
+                        _ => {
+                            m.confirm_failover(now, other, holder, g, Priority::Normal);
+                            LeaseEventKind::FailedOver
+                        }
+                    };
+                    let donor = if op == 2 { NO_NODE } else { other };
+                    prop_assert_eq!(m.timeline().last().unwrap().1.generation, g);
+                    Some((kind, holder, donor, user, lessor))
+                }
+                2..=4 => None,
+                5 => {
+                    m.deny_grow(now, node, tenant, Priority::Normal);
+                    Some((LeaseEventKind::Denied, node, NO_NODE, tenant, NO_TENANT))
+                }
+                6 => {
+                    m.deny_revoke(now, node, Priority::Normal);
+                    Some((LeaseEventKind::RevokeDenied, node, node, NO_TENANT, NO_TENANT))
+                }
+                _ => {
+                    // Pressure on every node, each driven by a drawn
+                    // tenant: over-quota grows are refused on the
+                    // timeline; the actions themselves stay unapplied.
+                    let signals: Vec<NodeSignal> = (0..NODES)
+                        .map(|i| NodeSignal {
+                            depth: config.high_watermark,
+                            tenant: tenant_of(word >> (8 * i)),
+                            ..NodeSignal::depth(0)
+                        })
+                        .collect();
+                    m.tick(now, &signals);
+                    for (_, e) in &m.timeline().events()[before..] {
+                        prop_assert_eq!(e.kind, LeaseEventKind::QuotaDenied);
+                        prop_assert_eq!(e.donor, NO_NODE);
+                        prop_assert_eq!(e.lessor, NO_TENANT);
+                        prop_assert_eq!(e.tenant, signals[e.node as usize].tenant);
+                    }
+                    None
+                }
+            };
+            if let Some((kind, node, donor, tenant, lessor)) = expect {
+                prop_assert_eq!(m.timeline().len(), before + 1);
+                let e = m.timeline().last().unwrap().1;
+                prop_assert_eq!(
+                    (e.kind, e.node, e.donor, e.tenant, e.lessor),
+                    (kind, node, donor, tenant, lessor),
+                    "step {} ({}, {:#x})",
+                    step,
+                    op,
+                    word
+                );
+            } else if op != 7 {
+                prop_assert_eq!(m.timeline().len(), before);
+            }
+            use LeaseEventKind::*;
+            let kinds = |ks: &[LeaseEventKind]| count(&m, |e| ks.contains(&e.kind));
+            prop_assert_eq!(m.grows(), kinds(&[Grew, GrewPredictive]));
+            prop_assert_eq!(m.predictive_grows(), kinds(&[GrewPredictive]));
+            prop_assert_eq!(m.shrinks(), kinds(&[Shrank, SubleaseReturned]));
+            prop_assert_eq!(m.revokes(), kinds(&[Revoked]));
+            prop_assert_eq!(m.failovers(), kinds(&[FailedOver]));
+            prop_assert_eq!(m.revoke_denials(), kinds(&[RevokeDenied]));
+            prop_assert_eq!(m.denials(), kinds(&[Denied]));
+            prop_assert_eq!(m.quota_denials(), kinds(&[QuotaDenied]));
+            prop_assert_eq!(m.subleases(), kinds(&[Subleased]));
+            prop_assert_eq!(
+                m.sublease_returns(),
+                count(&m, |e| e.kind.closes_chunk() && e.lessor != NO_TENANT)
+            );
+            for n in 0..NODES {
+                let live = held.iter().filter(|c| c.1 == n).count() as u32;
+                prop_assert_eq!(m.chunks(n), live);
+            }
+        }
     }
 }
 
