@@ -69,6 +69,18 @@
 //! each one. Every decision lands on a [`venice_sim::Timeline`] of
 //! [`LeaseEvent`]s, so same-seed runs can assert bit-identical lease
 //! histories at any thread count.
+//!
+//! Each ledger edge is written once. Every confirm and deny calls one of
+//! three private helpers, and each builds the one [`LeaseEvent`] its edge
+//! logs: `open_chunk` for [`LeaseManager::confirm_grow`] and
+//! [`LeaseManager::confirm_sublease`] (a plain grow is the tenant paying
+//! for itself), `close_chunk` for [`LeaseManager::confirm_shrink`],
+//! [`LeaseManager::confirm_revoke`] and [`LeaseManager::confirm_failover`],
+//! and `refuse` for [`LeaseManager::deny_grow`],
+//! [`LeaseManager::deny_revoke`] and the quota refusals a tick logs. The
+//! manager keeps no per-kind counters: [`LeaseManager::grows`] through
+//! [`LeaseManager::sublease_returns`] count the timeline's events by
+//! kind.
 
 pub mod config;
 pub mod manager;

@@ -11,7 +11,9 @@
 //! which is when capacity accounting and the event timeline advance.
 //! Keeping decision and application separate makes the control loop
 //! testable in isolation and keeps every decision on one auditable
-//! timeline.
+//! timeline. Each ledger edge has one body: `open_chunk` opens a chunk,
+//! `close_chunk` closes one, and `refuse` logs a refusal; the counters
+//! read the timeline they write.
 //!
 //! Three decision families run per tick:
 //!
@@ -43,7 +45,8 @@ use crate::config::{LeaseConfig, Priority};
 pub const NO_TENANT: u32 = u32::MAX;
 
 /// Sentinel node id carried by [`LeaseEvent::donor`] on every event kind
-/// except [`LeaseEventKind::Revoked`].
+/// except [`LeaseEventKind::Revoked`], [`LeaseEventKind::FailedOver`] and
+/// [`LeaseEventKind::RevokeDenied`].
 pub const NO_NODE: u16 = u16::MAX;
 
 /// One node's demand/pressure observation for a control tick.
@@ -145,9 +148,10 @@ pub enum LeaseEventKind {
     /// [`LeaseEvent::lessor`]'s idle headroom instead of refused.
     Subleased,
     /// A subleased chunk was released by its calm recipient; the
-    /// lessor's quota headroom is repaid. (A *revoked* subleased chunk
-    /// stays [`LeaseEventKind::Revoked`] — the `lessor` field on the
-    /// event marks the repayment.)
+    /// lessor's quota headroom is repaid. (A *revoked* or *failed-over*
+    /// subleased chunk stays [`LeaseEventKind::Revoked`] /
+    /// [`LeaseEventKind::FailedOver`] — the `lessor` field on the event
+    /// marks the repayment.)
     SubleaseReturned,
     /// A chunk was lost to a node crash (its donor — or the holding
     /// recipient itself — died): the ledgers unwound without a teardown
@@ -196,8 +200,12 @@ pub struct LeaseEvent {
     pub at: Time,
     /// The node whose chunk count changed (the recipient, for revokes).
     pub node: u16,
-    /// The lending node that demanded the chunk back
-    /// ([`LeaseEventKind::Revoked`] only; [`NO_NODE`] otherwise).
+    /// The lending node behind a close or a refused reclaim: the donor
+    /// that demanded the chunk back ([`LeaseEventKind::Revoked`]), the
+    /// lease's donor when a crash lost it ([`LeaseEventKind::FailedOver`]),
+    /// or the donor whose demand found nothing reclaimable
+    /// ([`LeaseEventKind::RevokeDenied`], equal to `node`). [`NO_NODE`]
+    /// on every other kind.
     pub donor: u16,
     /// What happened.
     pub kind: LeaseEventKind,
@@ -220,7 +228,8 @@ pub struct LeaseEvent {
     /// that differs from `tenant` — i.e. the chunk was matched on the
     /// sublease market ([`LeaseEventKind::Subleased`], and the return
     /// half on [`LeaseEventKind::SubleaseReturned`] /
-    /// [`LeaseEventKind::Revoked`]). [`NO_TENANT`] on every
+    /// [`LeaseEventKind::Revoked`] / [`LeaseEventKind::FailedOver`]).
+    /// [`NO_TENANT`] on every
     /// self-charged event. Replaying `(kind, tenant, lessor)` over the
     /// timeline reconstructs the per-tenant *charged* ledger, which the
     /// quota property test pins against the quotas at every event.
@@ -346,16 +355,6 @@ pub struct LeaseManager {
     subleased_bytes: u64,
     tick: u64,
     generation: u64,
-    grows: u64,
-    predictive_grows: u64,
-    shrinks: u64,
-    revokes: u64,
-    failovers: u64,
-    revoke_denials: u64,
-    denials: u64,
-    quota_denials: u64,
-    subleases: u64,
-    sublease_returns: u64,
     total_bytes: u64,
     peak_bytes: u64,
     /// Time-weighted byte integral for mean-provisioning accounting.
@@ -396,16 +395,6 @@ impl LeaseManager {
             subleased_bytes: 0,
             tick: 0,
             generation: 0,
-            grows: 0,
-            predictive_grows: 0,
-            shrinks: 0,
-            revokes: 0,
-            failovers: 0,
-            revoke_denials: 0,
-            denials: 0,
-            quota_denials: 0,
-            subleases: 0,
-            sublease_returns: 0,
             total_bytes: 0,
             peak_bytes: 0,
             byte_ps_integral: 0,
@@ -507,12 +496,7 @@ impl LeaseManager {
                     // a denied (or quota-refused) grow also backs off
                     // instead of hammering every tick.
                     node.last_grow_tick = Some(tick);
-                    let already = promised
-                        .iter()
-                        .find(|&&(t, _)| t == sig.tenant)
-                        .map(|&(_, b)| b)
-                        .unwrap_or(0);
-                    if self.quota_blocks_with(sig.tenant, already) {
+                    if self.quota_blocks_with(sig.tenant, promised_to(&promised, sig.tenant)) {
                         // Over own quota: match against another tenant's
                         // idle headroom (market armed), else refuse.
                         let lessor = if config.sublease_market {
@@ -522,10 +506,7 @@ impl LeaseManager {
                         };
                         match lessor {
                             Some(lessor) => {
-                                match promised.iter_mut().find(|(t, _)| *t == lessor) {
-                                    Some((_, b)) => *b += config.chunk_bytes,
-                                    None => promised.push((lessor, config.chunk_bytes)),
-                                }
+                                promise(&mut promised, lessor, config.chunk_bytes);
                                 actions.push(LeaseAction::Sublease {
                                     node: i as u16,
                                     lessor,
@@ -537,10 +518,7 @@ impl LeaseManager {
                         }
                     } else {
                         if sig.tenant != NO_TENANT {
-                            match promised.iter_mut().find(|(t, _)| *t == sig.tenant) {
-                                Some((_, b)) => *b += config.chunk_bytes,
-                                None => promised.push((sig.tenant, config.chunk_bytes)),
-                            }
+                            promise(&mut promised, sig.tenant, config.chunk_bytes);
                         }
                         actions.push(LeaseAction::Grow {
                             node: i as u16,
@@ -590,22 +568,14 @@ impl LeaseManager {
             }
         }
         for (node, tenant, priority) in quota_refusals {
-            self.quota_denials += 1;
-            let chunks_after = self.nodes[node as usize].chunks.len() as u32;
-            let tenant_bytes_after = self.bucket(tenant);
-            self.log(LeaseEvent {
-                at: now,
+            self.refuse(
+                now,
                 node,
-                donor: NO_NODE,
-                kind: LeaseEventKind::QuotaDenied,
-                chunks_after,
-                generation: 0,
-                total_bytes_after: self.total_bytes,
+                NO_NODE,
                 tenant,
-                tenant_bytes_after,
-                lessor: NO_TENANT,
+                LeaseEventKind::QuotaDenied,
                 priority,
-            });
+            );
         }
         actions
     }
@@ -641,14 +611,9 @@ impl LeaseManager {
             if l == tenant || self.quotas[l as usize] == u64::MAX {
                 continue;
             }
-            let reserved = promised
-                .iter()
-                .find(|&&(t, _)| t == l)
-                .map(|&(_, b)| b)
-                .unwrap_or(0);
             let headroom = self.quotas[l as usize]
                 .saturating_sub(self.charged(l))
-                .saturating_sub(reserved);
+                .saturating_sub(promised_to(promised, l));
             if headroom >= chunk && best.map(|(_, h)| headroom > h).unwrap_or(true) {
                 best = Some((l, headroom));
             }
@@ -667,41 +632,12 @@ impl LeaseManager {
         predictive: bool,
         priority: Priority,
     ) -> u64 {
-        self.integrate(now);
-        self.generation += 1;
-        let generation = self.generation;
-        let n = &mut self.nodes[node as usize];
-        n.chunks.push(Chunk {
-            generation,
-            tenant,
-            lessor: tenant,
-        });
-        let chunks_after = n.chunks.len() as u32;
-        self.grows += 1;
         let kind = if predictive {
-            self.predictive_grows += 1;
             LeaseEventKind::GrewPredictive
         } else {
             LeaseEventKind::Grew
         };
-        self.total_bytes += self.config.chunk_bytes;
-        self.peak_bytes = self.peak_bytes.max(self.total_bytes);
-        let tenant_bytes_after = self.bucket_add(tenant, self.config.chunk_bytes);
-        self.charged_add(tenant, self.config.chunk_bytes);
-        self.log(LeaseEvent {
-            at: now,
-            node,
-            donor: NO_NODE,
-            kind,
-            chunks_after,
-            generation,
-            total_bytes_after: self.total_bytes,
-            tenant,
-            tenant_bytes_after,
-            lessor: NO_TENANT,
-            priority,
-        });
-        generation
+        self.open_chunk(now, node, tenant, tenant, kind, priority)
     }
 
     /// Records a successful market-matched grow of `node` at `now`: the
@@ -723,56 +659,13 @@ impl LeaseManager {
     ) -> u64 {
         assert_ne!(lessor, tenant, "self-sublease is a plain grow");
         assert_ne!(lessor, NO_TENANT, "sublease needs a real lessor");
-        self.integrate(now);
-        self.generation += 1;
-        let generation = self.generation;
-        let n = &mut self.nodes[node as usize];
-        n.chunks.push(Chunk {
-            generation,
-            tenant,
-            lessor,
-        });
-        let chunks_after = n.chunks.len() as u32;
-        self.subleases += 1;
-        self.total_bytes += self.config.chunk_bytes;
-        self.peak_bytes = self.peak_bytes.max(self.total_bytes);
-        self.subleased_bytes += self.config.chunk_bytes;
-        let tenant_bytes_after = self.bucket_add(tenant, self.config.chunk_bytes);
-        self.charged_add(lessor, self.config.chunk_bytes);
-        self.log(LeaseEvent {
-            at: now,
-            node,
-            donor: NO_NODE,
-            kind: LeaseEventKind::Subleased,
-            chunks_after,
-            generation,
-            total_bytes_after: self.total_bytes,
-            tenant,
-            tenant_bytes_after,
-            lessor,
-            priority,
-        });
-        generation
+        let kind = LeaseEventKind::Subleased;
+        self.open_chunk(now, node, tenant, lessor, kind, priority)
     }
 
     /// Records a grow refused by the cluster (donor capacity exhausted).
     pub fn deny_grow(&mut self, now: Time, node: u16, tenant: u32, priority: Priority) {
-        self.denials += 1;
-        let chunks_after = self.nodes[node as usize].chunks.len() as u32;
-        let tenant_bytes_after = self.bucket(tenant);
-        self.log(LeaseEvent {
-            at: now,
-            node,
-            donor: NO_NODE,
-            kind: LeaseEventKind::Denied,
-            chunks_after,
-            generation: 0,
-            total_bytes_after: self.total_bytes,
-            tenant,
-            tenant_bytes_after,
-            lessor: NO_TENANT,
-            priority,
-        });
+        self.refuse(now, node, NO_NODE, tenant, LeaseEventKind::Denied, priority);
     }
 
     /// Records a successful release of `node`'s lease `generation` at
@@ -783,49 +676,16 @@ impl LeaseManager {
     /// lease, not the manager's top of stack — a positional pop here
     /// would repay the wrong tenant and panic the later revoke confirm.
     /// Strictly LIFO callers can pass
-    /// [`LeaseManager::newest_generation`].
+    /// [`LeaseManager::newest_generation`]. Releasing a market-matched
+    /// chunk logs [`LeaseEventKind::SubleaseReturned`].
     ///
     /// # Panics
     ///
     /// Panics if the node holds no chunk of that generation (accounting
     /// bug in the caller).
     pub fn confirm_shrink(&mut self, now: Time, node: u16, generation: u64, priority: Priority) {
-        self.integrate(now);
-        let n = &mut self.nodes[node as usize];
-        let idx = n
-            .chunks
-            .iter()
-            .position(|c| c.generation == generation)
-            .expect("shrink of a generation the node does not hold");
-        let chunk = n.chunks.remove(idx);
-        let chunks_after = n.chunks.len() as u32;
-        self.shrinks += 1;
-        self.total_bytes -= self.config.chunk_bytes;
-        let tenant_bytes_after = self.bucket_sub(chunk.tenant, self.config.chunk_bytes);
-        self.charged_sub(chunk.lessor, self.config.chunk_bytes);
-        // Releasing a market-matched chunk repays the lessor's headroom:
-        // the event kind says so, and the `lessor` field names them.
-        let subleased = chunk.lessor != chunk.tenant;
-        let kind = if subleased {
-            self.sublease_returns += 1;
-            self.subleased_bytes -= self.config.chunk_bytes;
-            LeaseEventKind::SubleaseReturned
-        } else {
-            LeaseEventKind::Shrank
-        };
-        self.log(LeaseEvent {
-            at: now,
-            node,
-            donor: NO_NODE,
-            kind,
-            chunks_after,
-            generation: chunk.generation,
-            total_bytes_after: self.total_bytes,
-            tenant: chunk.tenant,
-            tenant_bytes_after,
-            lessor: if subleased { chunk.lessor } else { NO_TENANT },
-            priority,
-        });
+        let kind = LeaseEventKind::Shrank;
+        self.close_chunk(now, NO_NODE, node, generation, kind, priority);
     }
 
     /// Records `donor`'s revoke demand that found nothing reclaimable —
@@ -834,28 +694,17 @@ impl LeaseManager {
     /// without this record a pressured donor's wait would be invisible
     /// on the timeline.
     pub fn deny_revoke(&mut self, now: Time, donor: u16, priority: Priority) {
-        self.revoke_denials += 1;
-        let chunks_after = self.nodes[donor as usize].chunks.len() as u32;
-        self.log(LeaseEvent {
-            at: now,
-            node: donor,
-            donor,
-            kind: LeaseEventKind::RevokeDenied,
-            chunks_after,
-            generation: 0,
-            total_bytes_after: self.total_bytes,
-            tenant: NO_TENANT,
-            tenant_bytes_after: self.unattributed_bytes,
-            lessor: NO_TENANT,
-            priority,
-        });
+        let kind = LeaseEventKind::RevokeDenied;
+        self.refuse(now, donor, donor, NO_TENANT, kind, priority);
     }
 
     /// Records `donor`'s successful revoke of the lease `generation` held
     /// by `recipient` at `now`. Unlike a shrink, the revoked chunk may
     /// sit anywhere in the recipient's stack — the donor demands *its*
     /// newest lent chunk, which is not necessarily the recipient's
-    /// newest borrow.
+    /// newest borrow. A revoked market chunk also repays its lessor; the
+    /// kind stays `Revoked` (the donor's demand is the story) and the
+    /// `lessor` field carries the repayment.
     ///
     /// # Panics
     ///
@@ -869,40 +718,8 @@ impl LeaseManager {
         generation: u64,
         priority: Priority,
     ) {
-        self.integrate(now);
-        let n = &mut self.nodes[recipient as usize];
-        let idx = n
-            .chunks
-            .iter()
-            .position(|c| c.generation == generation)
-            .expect("revoke of a generation the recipient does not hold");
-        let chunk = n.chunks.remove(idx);
-        let chunks_after = n.chunks.len() as u32;
-        self.revokes += 1;
-        self.total_bytes -= self.config.chunk_bytes;
-        let tenant_bytes_after = self.bucket_sub(chunk.tenant, self.config.chunk_bytes);
-        self.charged_sub(chunk.lessor, self.config.chunk_bytes);
-        // A revoked market chunk also repays its lessor; the kind stays
-        // `Revoked` (the donor's demand is the story) and the `lessor`
-        // field carries the repayment.
-        let subleased = chunk.lessor != chunk.tenant;
-        if subleased {
-            self.sublease_returns += 1;
-            self.subleased_bytes -= self.config.chunk_bytes;
-        }
-        self.log(LeaseEvent {
-            at: now,
-            node: recipient,
-            donor,
-            kind: LeaseEventKind::Revoked,
-            chunks_after,
-            generation,
-            total_bytes_after: self.total_bytes,
-            tenant: chunk.tenant,
-            tenant_bytes_after,
-            lessor: if subleased { chunk.lessor } else { NO_TENANT },
-            priority,
-        });
+        let kind = LeaseEventKind::Revoked;
+        self.close_chunk(now, donor, recipient, generation, kind, priority);
     }
 
     /// Records the crash-driven loss of the chunk `generation` held by
@@ -929,35 +746,139 @@ impl LeaseManager {
         generation: u64,
         priority: Priority,
     ) {
+        let kind = LeaseEventKind::FailedOver;
+        self.close_chunk(now, donor, recipient, generation, kind, priority);
+    }
+
+    /// The open edge of every lease: pushes a fresh generation onto
+    /// `node`'s stack serving `tenant` and charged against `lessor`
+    /// (`lessor == tenant` for a plain grow, anything else is a market
+    /// sublease), moves the byte ledgers and logs `kind`. Returns the
+    /// new generation.
+    fn open_chunk(
+        &mut self,
+        now: Time,
+        node: u16,
+        tenant: u32,
+        lessor: u32,
+        kind: LeaseEventKind,
+        priority: Priority,
+    ) -> u64 {
+        self.integrate(now);
+        self.generation += 1;
+        let generation = self.generation;
+        let chunk = self.config.chunk_bytes;
+        let n = &mut self.nodes[node as usize];
+        n.chunks.push(Chunk {
+            generation,
+            tenant,
+            lessor,
+        });
+        let chunks_after = n.chunks.len() as u32;
+        self.total_bytes += chunk;
+        self.peak_bytes = self.peak_bytes.max(self.total_bytes);
+        let market = lessor != tenant;
+        if market {
+            self.subleased_bytes += chunk;
+        }
+        let tenant_bytes_after = self.bucket_add(tenant, chunk);
+        self.charged_add(lessor, chunk);
+        self.log(LeaseEvent {
+            at: now,
+            node,
+            donor: NO_NODE,
+            kind,
+            chunks_after,
+            generation,
+            total_bytes_after: self.total_bytes,
+            tenant,
+            tenant_bytes_after,
+            lessor: if market { lessor } else { NO_TENANT },
+            priority,
+        });
+        generation
+    }
+
+    /// The close edge of every lease: removes `generation` from
+    /// `recipient`'s stack wherever it sits, repays its tenant and its
+    /// payer (the lessor, for a market chunk) and logs `kind` with
+    /// `donor` ([`NO_NODE`] for a shrink). A shrink of a market chunk
+    /// logs [`LeaseEventKind::SubleaseReturned`] instead of `Shrank`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recipient` holds no chunk of that generation.
+    fn close_chunk(
+        &mut self,
+        now: Time,
+        donor: u16,
+        recipient: u16,
+        generation: u64,
+        kind: LeaseEventKind,
+        priority: Priority,
+    ) {
         self.integrate(now);
         let n = &mut self.nodes[recipient as usize];
         let idx = n
             .chunks
             .iter()
             .position(|c| c.generation == generation)
-            .expect("failover of a generation the recipient does not hold");
-        let chunk = n.chunks.remove(idx);
+            .expect("close of a generation the recipient does not hold");
+        let Chunk { tenant, lessor, .. } = n.chunks.remove(idx);
         let chunks_after = n.chunks.len() as u32;
-        self.failovers += 1;
-        self.total_bytes -= self.config.chunk_bytes;
-        let tenant_bytes_after = self.bucket_sub(chunk.tenant, self.config.chunk_bytes);
-        self.charged_sub(chunk.lessor, self.config.chunk_bytes);
-        let subleased = chunk.lessor != chunk.tenant;
-        if subleased {
-            self.sublease_returns += 1;
-            self.subleased_bytes -= self.config.chunk_bytes;
+        let chunk = self.config.chunk_bytes;
+        self.total_bytes -= chunk;
+        let tenant_bytes_after = self.bucket_sub(tenant, chunk);
+        self.charged_sub(lessor, chunk);
+        let market = lessor != tenant;
+        if market {
+            self.subleased_bytes -= chunk;
         }
+        let kind = match kind {
+            LeaseEventKind::Shrank if market => LeaseEventKind::SubleaseReturned,
+            kind => kind,
+        };
         self.log(LeaseEvent {
             at: now,
             node: recipient,
             donor,
-            kind: LeaseEventKind::FailedOver,
+            kind,
             chunks_after,
             generation,
             total_bytes_after: self.total_bytes,
-            tenant: chunk.tenant,
+            tenant,
             tenant_bytes_after,
-            lessor: if subleased { chunk.lessor } else { NO_TENANT },
+            lessor: if market { lessor } else { NO_TENANT },
+            priority,
+        });
+    }
+
+    /// Every refusal: logs `kind` for `node` attributed to `tenant` with
+    /// every ledger unchanged (generation 0, no lessor) — cluster-denied
+    /// grows, quota-refused grows, and surrendered revokes (whose `donor`
+    /// is the node itself).
+    fn refuse(
+        &mut self,
+        now: Time,
+        node: u16,
+        donor: u16,
+        tenant: u32,
+        kind: LeaseEventKind,
+        priority: Priority,
+    ) {
+        let chunks_after = self.nodes[node as usize].chunks.len() as u32;
+        let tenant_bytes_after = self.bucket(tenant);
+        self.log(LeaseEvent {
+            at: now,
+            node,
+            donor,
+            kind,
+            chunks_after,
+            generation: 0,
+            total_bytes_after: self.total_bytes,
+            tenant,
+            tenant_bytes_after,
+            lessor: NO_TENANT,
             priority,
         });
     }
@@ -1127,58 +1048,74 @@ impl LeaseManager {
         (integral / end.as_ps() as u128) as u64
     }
 
+    /// Timeline events `pick` selects: every counter below reads the
+    /// timeline instead of keeping its own tally.
+    fn count(&self, pick: impl Fn(&LeaseEvent) -> bool) -> u64 {
+        self.timeline.iter().filter(|(_, e)| pick(e)).count() as u64
+    }
+
     /// Successful grows so far (predictive ones included).
     pub fn grows(&self) -> u64 {
-        self.grows
+        self.count(|e| {
+            matches!(
+                e.kind,
+                LeaseEventKind::Grew | LeaseEventKind::GrewPredictive
+            )
+        })
     }
 
     /// Grows fired by the slope predictor before the watermark tripped.
     pub fn predictive_grows(&self) -> u64 {
-        self.predictive_grows
+        self.count(|e| e.kind == LeaseEventKind::GrewPredictive)
     }
 
-    /// Successful shrinks so far.
+    /// Successful shrinks so far (sublease returns included).
     pub fn shrinks(&self) -> u64 {
-        self.shrinks
+        self.count(|e| {
+            matches!(
+                e.kind,
+                LeaseEventKind::Shrank | LeaseEventKind::SubleaseReturned
+            )
+        })
     }
 
     /// Successful donor-demanded revokes so far.
     pub fn revokes(&self) -> u64 {
-        self.revokes
+        self.count(|e| e.kind == LeaseEventKind::Revoked)
     }
 
     /// Chunks lost to node crashes so far (confirmed failovers).
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.count(|e| e.kind == LeaseEventKind::FailedOver)
     }
 
     /// Revoke demands that found nothing reclaimable so far.
     pub fn revoke_denials(&self) -> u64 {
-        self.revoke_denials
+        self.count(|e| e.kind == LeaseEventKind::RevokeDenied)
     }
 
     /// Cluster-refused grows so far.
     pub fn denials(&self) -> u64 {
-        self.denials
+        self.count(|e| e.kind == LeaseEventKind::Denied)
     }
 
     /// Quota-refused grows so far. With the market armed these are the
     /// refusals *no lessor* could absorb — the matched ones are counted
     /// by [`LeaseManager::subleases`] instead.
     pub fn quota_denials(&self) -> u64 {
-        self.quota_denials
+        self.count(|e| e.kind == LeaseEventKind::QuotaDenied)
     }
 
     /// Market-matched grows so far (quota refusals converted into
     /// subleases).
     pub fn subleases(&self) -> u64 {
-        self.subleases
+        self.count(|e| e.kind == LeaseEventKind::Subleased)
     }
 
-    /// Subleased chunks returned so far (calm releases *and* donor
-    /// revokes of market chunks — both repay the lessor).
+    /// Subleased chunks returned so far: calm releases, donor revokes
+    /// and crash failovers of market chunks — each repays the lessor.
     pub fn sublease_returns(&self) -> u64 {
-        self.sublease_returns
+        self.count(|e| e.kind.closes_chunk() && e.lessor != NO_TENANT)
     }
 
     /// Nodes that ever reported chunks lent out in a tick signal, in
@@ -1195,6 +1132,24 @@ impl LeaseManager {
     /// The full decision timeline.
     pub fn timeline(&self) -> &Timeline<LeaseEvent> {
         &self.timeline
+    }
+}
+
+/// Bytes this tick's earlier decisions already promised against
+/// `tenant`'s quota.
+fn promised_to(promised: &[(u32, u64)], tenant: u32) -> u64 {
+    promised
+        .iter()
+        .find(|&&(t, _)| t == tenant)
+        .map_or(0, |&(_, b)| b)
+}
+
+/// Promises `bytes` more against `tenant`'s quota for the rest of the
+/// tick.
+fn promise(promised: &mut Vec<(u32, u64)>, tenant: u32, bytes: u64) {
+    match promised.iter_mut().find(|(t, _)| *t == tenant) {
+        Some((_, b)) => *b += bytes,
+        None => promised.push((tenant, bytes)),
     }
 }
 
@@ -1821,6 +1776,7 @@ mod tests {
             RevokeDenied,
             Subleased,
             SubleaseReturned,
+            FailedOver,
         ] {
             let classes = [kind.opens_chunk(), kind.closes_chunk(), kind.is_denial()];
             assert_eq!(
