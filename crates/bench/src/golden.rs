@@ -306,7 +306,7 @@ pub fn corpus() -> Result<String, String> {
         stacks: vec![RemoteStack::VeniceCrma, RemoteStack::Sonuma],
         requests_per_point: 1_500,
     };
-    for (i, config) in sweep.configs().iter().enumerate() {
+    for (i, (_, config, _)) in sweep.rows().iter().enumerate() {
         at_both_widths(&format!("sweep point {i}"), |w| {
             Run::new(config).shards(w).execute()
         })?;

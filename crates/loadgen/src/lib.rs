@@ -101,7 +101,7 @@ pub use faults::{FaultEvent, FaultModel, FaultPlan, NoFaults};
 pub use remote::{FabricParams, PlacementPolicy, RemoteModelCfg};
 pub use report::{LeaseSummary, LoadReport, TenantReport};
 pub use stacks::RemoteStack;
-pub use sweep::{SweepPoint, SweepSpec};
+pub use sweep::SweepSpec;
 pub use tenants::{RequestProfile, TenantClass, TenantMix};
 pub use trace::{RequestOutcome, RequestRecord, Trace};
 

@@ -13,8 +13,9 @@
 //! once in [`FAMILIES`]. [`run_rows`] executes any family's rows on rayon
 //! and returns them in row order, so the `figures`, `determinism`,
 //! `throughput`, `profile`, and `explain` bins iterate or look up this
-//! one table. The rate sweep keeps [`sweep::figures`]: its grid is not a
-//! list of rows.
+//! one table. The rate sweep runs through [`run_rows`] too, but keeps
+//! [`sweep::figures`]: its figure ids follow its grid's meshes, so it is
+//! not a fixed [`Family`].
 
 use rayon::prelude::*;
 use venice::Figure;

@@ -1,17 +1,17 @@
 //! Parallel configuration sweeps.
 //!
 //! A [`SweepSpec`] spans a grid of (mesh size × tenant mix × arrival
-//! rate × remote stack); [`run_sweep`] fans the grid over rayon and
-//! returns one [`SweepPoint`] per cell. Determinism at any thread count
-//! comes from two properties: every point derives its own seed purely
-//! from the spec seed and the point's grid index, and results are
-//! collected in grid order — never in completion order.
+//! rate × remote stack) and yields one [`Row`] per cell; [`figures`]
+//! runs them through [`run_rows`] like any figure family's rows.
+//! Determinism at any thread count comes from two properties: every
+//! point derives its own seed purely from the spec seed and the point's
+//! grid index, and rows come back in grid order — never in completion
+//! order.
 
-use rayon::prelude::*;
 use venice::{Figure, Series};
 
-use crate::engine::{self, LoadgenConfig};
-use crate::report::LoadReport;
+use crate::engine::LoadgenConfig;
+use crate::scenarios::{run_rows, Row};
 use crate::stacks::RemoteStack;
 use crate::tenants::TenantMix;
 use crate::ArrivalProcess;
@@ -57,12 +57,13 @@ impl SweepSpec {
             .collect()
     }
 
-    /// Expands the grid into per-point configurations, in grid order
-    /// (mesh-major, then mix, then rate, then stack). Every stack in one
-    /// (mesh, mix, rate) cell shares that cell's seed, so stack-vs-stack
-    /// series really do run the identical arrival stream — the seed is
-    /// derived from the *traffic* cell, never the stack dimension.
-    pub fn configs(&self) -> Vec<LoadgenConfig> {
+    /// Expands the grid into one row per point, in grid order
+    /// (mesh-major, then mix, then rate, then stack), labelled by mix
+    /// name and untraced, with no fault plan. Every stack in one (mesh,
+    /// mix, rate) cell shares that cell's seed, so stack-vs-stack series
+    /// really do run the identical arrival stream — the seed is derived
+    /// from the *traffic* cell, never the stack dimension.
+    pub fn rows(&self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.len());
         let mut cell = 0u64;
         for &mesh in &self.meshes {
@@ -71,13 +72,14 @@ impl SweepSpec {
                     let seed = point_seed(self.seed, cell);
                     cell += 1;
                     for &stack in &self.stacks {
-                        out.push(LoadgenConfig {
+                        let config = LoadgenConfig {
                             mesh,
                             arrival: ArrivalProcess::OpenPoisson { rate_rps },
                             requests: self.requests_per_point,
                             stack,
                             ..LoadgenConfig::new(seed, mix.clone())
-                        });
+                        };
+                        out.push((mix.name.clone(), config, None));
                     }
                 }
             }
@@ -103,46 +105,12 @@ fn point_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One completed grid cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Mesh dimensions of the cell.
-    pub mesh: (u16, u16, u16),
-    /// Mix name.
-    pub mix: String,
-    /// Offered rate.
-    pub rate_rps: f64,
-    /// Remote stack of the cell.
-    pub stack: RemoteStack,
-    /// The run's report.
-    pub report: LoadReport,
-}
-
-/// Runs every grid point in parallel; the result vector is in grid order.
-pub fn run_sweep(spec: &SweepSpec) -> Vec<SweepPoint> {
-    spec.configs()
-        .into_par_iter()
-        .map(|config| {
-            let ArrivalProcess::OpenPoisson { rate_rps } = config.arrival else {
-                unreachable!("sweep configs are open-loop");
-            };
-            SweepPoint {
-                mesh: config.mesh,
-                mix: config.mix.name.clone(),
-                rate_rps,
-                stack: config.stack,
-                report: engine::Run::new(&config).execute().report,
-            }
-        })
-        .collect()
-}
-
 /// Runs the sweep and renders it as `Figure`s: for every mesh size, a p99
 /// figure and a goodput figure over the rate axis, one series per
 /// (mix × stack) combination (the stack suffix is dropped when the sweep
 /// covers only one stack).
 pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
-    let points = run_sweep(spec);
+    let runs = run_rows(spec.rows(), false);
     let columns: Vec<String> = spec
         .rates_rps
         .iter()
@@ -173,19 +141,19 @@ pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
         .with_columns(columns.clone());
         for mix in &spec.mixes {
             for &stack in &spec.stacks {
-                let rows: Vec<&SweepPoint> = points
+                let cell: Vec<_> = runs
                     .iter()
-                    .filter(|p| p.mesh == mesh && p.mix == mix.name && p.stack == stack)
+                    .filter(|r| r.config.mesh == mesh && r.label == mix.name)
+                    .filter(|r| r.config.stack == stack)
+                    .map(|r| &r.report.total)
                     .collect();
                 p99.add_measured(Series::new(
                     label(mix, stack),
-                    rows.iter()
-                        .map(|p| p.report.total.p99_us / 1_000.0)
-                        .collect(),
+                    cell.iter().map(|t| t.p99_us / 1_000.0).collect(),
                 ));
                 tput.add_measured(Series::new(
                     label(mix, stack),
-                    rows.iter().map(|p| p.report.total.throughput_rps).collect(),
+                    cell.iter().map(|t| t.throughput_rps).collect(),
                 ));
             }
         }
@@ -215,8 +183,8 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_runs() {
-        let a = run_sweep(&tiny_spec());
-        let b = run_sweep(&tiny_spec());
+        let a = run_rows(tiny_spec().rows(), false);
+        let b = run_rows(tiny_spec().rows(), false);
         assert_eq!(a, b);
         assert_eq!(a.len(), 4);
     }
@@ -256,10 +224,10 @@ mod tests {
         assert_eq!(spec.len(), 2);
         // Both stacks of one traffic cell share the cell seed, so they
         // run the identical arrival stream.
-        let configs = spec.configs();
-        assert_eq!(configs[0].seed, configs[1].seed);
-        let points = run_sweep(&spec);
-        assert_eq!(points[0].report.issued, points[1].report.issued);
+        let rows = spec.rows();
+        assert_eq!(rows[0].1.seed, rows[1].1.seed);
+        let runs = run_rows(rows, false);
+        assert_eq!(runs[0].report.issued, runs[1].report.issued);
         let figs = figures(&spec);
         let labels: Vec<&str> = figs[0].measured.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, vec!["messaging (venice)", "messaging (swap-eth)"]);
