@@ -11,9 +11,7 @@
 //! which is when capacity accounting and the event timeline advance.
 //! Keeping decision and application separate makes the control loop
 //! testable in isolation and keeps every decision on one auditable
-//! timeline. Each ledger edge has one body: `open_chunk` opens a chunk,
-//! `close_chunk` closes one, and `refuse` logs a refusal; the counters
-//! read the timeline they write.
+//! timeline.
 //!
 //! Three decision families run per tick:
 //!
@@ -229,10 +227,10 @@ pub struct LeaseEvent {
     /// sublease market ([`LeaseEventKind::Subleased`], and the return
     /// half on [`LeaseEventKind::SubleaseReturned`] /
     /// [`LeaseEventKind::Revoked`] / [`LeaseEventKind::FailedOver`]).
-    /// [`NO_TENANT`] on every
-    /// self-charged event. Replaying `(kind, tenant, lessor)` over the
-    /// timeline reconstructs the per-tenant *charged* ledger, which the
-    /// quota property test pins against the quotas at every event.
+    /// [`NO_TENANT`] on every self-charged event. Replaying `(kind,
+    /// tenant, lessor)` over the timeline reconstructs the per-tenant
+    /// *charged* ledger, which the quota property test pins against the
+    /// quotas at every event.
     pub lessor: u32,
     /// Priority of the tenant whose backlog drove the decision.
     pub priority: Priority,
@@ -567,15 +565,9 @@ impl LeaseManager {
                 }
             }
         }
+        let kind = LeaseEventKind::QuotaDenied;
         for (node, tenant, priority) in quota_refusals {
-            self.refuse(
-                now,
-                node,
-                NO_NODE,
-                tenant,
-                LeaseEventKind::QuotaDenied,
-                priority,
-            );
+            self.refuse(now, node, NO_NODE, tenant, kind, priority);
         }
         actions
     }

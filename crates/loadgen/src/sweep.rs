@@ -141,7 +141,8 @@ pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
         .with_columns(columns.clone());
         for mix in &spec.mixes {
             for &stack in &spec.stacks {
-                let cell: Vec<_> = runs
+                // One total per rate, in grid order.
+                let totals: Vec<_> = runs
                     .iter()
                     .filter(|r| r.config.mesh == mesh && r.label == mix.name)
                     .filter(|r| r.config.stack == stack)
@@ -149,11 +150,11 @@ pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
                     .collect();
                 p99.add_measured(Series::new(
                     label(mix, stack),
-                    cell.iter().map(|t| t.p99_us / 1_000.0).collect(),
+                    totals.iter().map(|t| t.p99_us / 1_000.0).collect(),
                 ));
                 tput.add_measured(Series::new(
                     label(mix, stack),
-                    cell.iter().map(|t| t.throughput_rps).collect(),
+                    totals.iter().map(|t| t.throughput_rps).collect(),
                 ));
             }
         }
