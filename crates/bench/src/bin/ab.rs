@@ -28,6 +28,7 @@
 use std::process::{Command, ExitCode};
 
 use serde::{DeError, Deserialize, Value};
+use venice_bench::{median, quartiles};
 
 /// The compared metrics, with whether lower is better.
 const COMPARED: [(&str, bool); 6] = [
@@ -175,38 +176,6 @@ fn execute(bin: &str, workload: &str, seed: u64, seconds: f64) -> Result<Run, St
         ));
     }
     parse(&String::from_utf8_lossy(&out.stdout)).map_err(|e| format!("{bin}: {e}"))
-}
-
-fn sorted(values: &[f64]) -> Vec<f64> {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    v
-}
-
-fn median(values: &[f64]) -> f64 {
-    let v = sorted(values);
-    match v.len() {
-        0 => f64::NAN,
-        n if n % 2 == 1 => v[n / 2],
-        n => (v[n / 2 - 1] + v[n / 2]) / 2.0,
-    }
-}
-
-/// First and third quartiles by the exclusive method, as perfbench
-/// reports its own.
-fn quartiles(values: &[f64]) -> (f64, f64) {
-    let v = sorted(values);
-    if v.len() < 2 {
-        let x = v.first().copied().unwrap_or(f64::NAN);
-        return (x, x);
-    }
-    let m = v.len() + 1;
-    let cut = |i: usize| {
-        let j = (i * m / 4).clamp(1, v.len() - 1);
-        let delta = (i * m) as f64 / 4.0 - j as f64;
-        v[j - 1] + (v[j] - v[j - 1]) * delta
-    };
-    (cut(1), cut(3))
 }
 
 /// `v` to five significant digits.

@@ -46,6 +46,7 @@
 use std::process::ExitCode;
 use std::thread;
 
+use venice_bench::median;
 use venice_loadgen::telemetry::EVENT_KIND_LABELS;
 use venice_loadgen::{engine, scenarios, FaultPlan, LoadgenConfig};
 use venice_sim::Time;
@@ -154,21 +155,6 @@ fn start_run<'c>(config: &'c LoadgenConfig, plan: &Option<FaultPlan>) -> engine:
     run
 }
 
-/// The median of `xs` (the mean of the middle two for an even count).
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let mid = xs.len() / 2;
-    if xs.len().is_multiple_of(2) {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    } else {
-        xs[mid]
-    }
-}
-
 /// Where the calling thread's on-CPU time is read from.
 const SCHEDSTAT: &str = "/proc/thread-self/schedstat";
 
@@ -268,14 +254,15 @@ fn main() -> ExitCode {
             noop_json.len()
         );
         if timed {
-            let ratio = median(cpu.iter().map(|(noop, probed)| probed / noop).collect());
+            let ratios: Vec<f64> = cpu.iter().map(|(noop, probed)| probed / noop).collect();
+            let ratio = median(&ratios);
             let overhead_pct = (ratio - 1.0) * 100.0;
             worst_overhead_pct = worst_overhead_pct.max(overhead_pct);
             println!(
                 "timing: median on-CPU no-op {:.1} ms, probed {:.1} ms, per-pair ratio \
                  {ratio:.3} (overhead {overhead_pct:+.1}%, median of {iters} pairs)",
-                median(cpu.iter().map(|c| c.0).collect()),
-                median(cpu.iter().map(|c| c.1).collect()),
+                median(&cpu.iter().map(|c| c.0).collect::<Vec<_>>()),
+                median(&cpu.iter().map(|c| c.1).collect::<Vec<_>>()),
             );
         }
         println!();

@@ -41,7 +41,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use venice_bench::{
-    validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V3, SCALING_WIDTHS,
+    median, validate_perf, PerfEntry, PerfReport, ScalingEntry, PERF_SCHEMA_V3, SCALING_WIDTHS,
 };
 use venice_loadgen::{engine, scenarios, EngineMetrics, ExecPath, LoadgenConfig};
 
@@ -165,7 +165,7 @@ fn measure(
         requests: 1,
         ..config.clone()
     };
-    let mut setup_ms: Vec<f64> = (0..SETUP_REPS)
+    let setup_ms: Vec<f64> = (0..SETUP_REPS)
         .map(|_| time_once(|| engine::Run::new(&setup).execute()).0)
         .collect();
     let metrics = out.metrics;
@@ -179,8 +179,7 @@ fn measure(
         typed_events_per_sec: metrics.events as f64 / (wall_ms / 1e3),
         typed_requests_per_sec: out.report.issued as f64 / (wall_ms / 1e3),
     };
-    setup_ms.sort_by(f64::total_cmp);
-    (entry, metrics, setup_ms[setup_ms.len() / 2])
+    (entry, metrics, median(&setup_ms))
 }
 
 /// Measures the sharded kernel's scaling curve on one storm

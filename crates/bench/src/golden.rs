@@ -33,18 +33,18 @@
 //! A change to the engine's bytes is therefore a reviewed diff of the
 //! corpus.
 
-use std::fmt::Write as _;
-
 use proptest::{Strategy, TestRng};
 use rayon::prelude::*;
-use venice_loadgen::scenarios;
+use serde::Compound;
+use venice_loadgen::scenarios::{self, RowRun};
 use venice_loadgen::sweep::{self, SweepSpec};
 use venice_loadgen::trace::fnv1a;
 use venice_loadgen::{
     ArrivalProcess, ExecPath, FaultPlan, LeaseConfig, LoadgenConfig, RemoteStack, Run, RunOutput,
-    TenantMix, Trace,
+    TenantMix,
 };
 use venice_sim::Time;
+use venice_telemetry::jsonl_line;
 
 /// Seed of every registry row in the corpus (distinct from every
 /// published figure seed).
@@ -61,10 +61,34 @@ fn hex(hash: u64) -> String {
     format!("0x{hash:016x}")
 }
 
+/// The opening fields of a run line, which no other line shares.
+#[derive(Debug)]
+enum Key {
+    /// A registry row.
+    Family { family: &'static str, row: String },
+    /// A configuration of a case stream or a fixed list.
+    Generated { kind: &'static str, case: u64 },
+}
+
+impl Key {
+    fn write(&self, o: &mut Compound<'_, '_>) {
+        match self {
+            Key::Family { family, row } => {
+                o.field("kind", "family");
+                o.field("family", *family);
+                o.field("row", row);
+            }
+            Key::Generated { kind, case } => {
+                o.field("kind", *kind);
+                o.field("case", case);
+            }
+        }
+    }
+}
+
 /// One run line of the corpus, before it ran.
 struct Entry {
-    /// The line's opening fields, which no other line shares.
-    key: String,
+    key: Key,
     config: LoadgenConfig,
     plan: Option<FaultPlan>,
     /// Whether the line also pins the replay of the run's own trace.
@@ -74,9 +98,9 @@ struct Entry {
 }
 
 impl Entry {
-    fn generated(kind: &str, case: u64, config: LoadgenConfig, replay: bool) -> Self {
+    fn generated(kind: &'static str, case: u64, config: LoadgenConfig, replay: bool) -> Self {
         Entry {
-            key: format!("\"kind\":\"{kind}\",\"case\":{case}"),
+            key: Key::Generated { kind, case },
             config,
             plan: None,
             replay,
@@ -85,66 +109,67 @@ impl Entry {
     }
 
     fn line(&self) -> Result<String, String> {
-        let (out, trace, path) = at_both_widths(&self.key, |w| {
+        let (out, pinned, path) = at_both_widths(&format!("{:?}", self.key), |w| {
             let mut run = Run::new(&self.config).traced().shards(w);
             if let Some(plan) = &self.plan {
                 run = run.faults(plan.clone());
             }
             run.execute()
         })?;
-        let (trace_fnv, records) = out.trace.expect("corpus runs are traced");
-        let mut line = format!(
-            "{{{},{},\"exec_path\":\"{path:?}\",\"events\":{},\"latency_ps\":{},\
-             \"trace_records\":{records},\"trace_fnv\":\"{}\"",
-            self.key,
-            params(&self.config),
-            out.events,
-            out.latency_ps,
-            hex(trace_fnv)
-        );
-        if self.replay {
-            let trace = trace.expect("corpus runs are traced");
-            let (replayed, _, _) = at_both_widths(&format!("{} replay", self.key), |w| {
-                Run::new(&self.config).replay(&trace).shards(w).execute()
+        let (trace_fnv, records) = pinned.trace.expect("corpus runs are traced");
+        let replayed = if self.replay {
+            let trace = out.trace.as_ref().expect("corpus runs are traced");
+            let (_, replayed, _) = at_both_widths(&format!("{:?} replay", self.key), |w| {
+                Run::new(&self.config).replay(trace).shards(w).execute()
             })?;
-            let hash = hex(fnv1a(replayed.report.as_bytes()));
-            write!(
-                line,
-                ",\"replay_events\":{},\"replay_latency_ps\":{},\"replay_report_fnv\":\"{hash}\"",
-                replayed.events, replayed.latency_ps
-            )
-            .expect("a String takes any write");
-        }
-        if self.full_report {
-            write!(line, ",\"report\":{}}}", out.report).expect("a String takes any write");
+            Some(replayed)
         } else {
-            let hash = hex(fnv1a(out.report.as_bytes()));
-            write!(line, ",\"report_fnv\":\"{hash}\"}}").expect("a String takes any write");
-        }
+            None
+        };
+        let mut line = String::new();
+        jsonl_line(&mut line, |o| {
+            self.key.write(o);
+            params(&self.config, o);
+            o.field("exec_path", &format!("{path:?}"));
+            o.field("events", &pinned.events);
+            o.field("latency_ps", &pinned.latency_ps);
+            o.field("trace_records", &records);
+            o.field("trace_fnv", &hex(trace_fnv));
+            if let Some(replayed) = &replayed {
+                o.field("replay_events", &replayed.events);
+                o.field("replay_latency_ps", &replayed.latency_ps);
+                o.field("replay_report_fnv", &hex(fnv1a(replayed.report.as_bytes())));
+            }
+            if self.full_report {
+                o.field("report", &out.report);
+            } else {
+                o.field("report_fnv", &hex(fnv1a(pinned.report.as_bytes())));
+            }
+        });
         Ok(line)
     }
 }
 
-/// The seed, mix, request count and arrival parameters of `config`.
-fn params(config: &LoadgenConfig) -> String {
-    let arrival = match config.arrival {
-        ArrivalProcess::OpenPoisson { rate_rps } => format!("\"rate_rps\":{rate_rps:?}"),
+/// Writes the seed, mix, request count and arrival parameters of
+/// `config`.
+fn params(config: &LoadgenConfig, o: &mut Compound<'_, '_>) {
+    o.field("seed", &config.seed);
+    o.field("mix", &config.mix.name);
+    o.field("requests", &config.requests);
+    match config.arrival {
+        ArrivalProcess::OpenPoisson { rate_rps } => o.field("rate_rps", &rate_rps),
         ArrivalProcess::Bursty {
             base_rps,
             burst_rps,
             crowd_share,
             ..
-        } => format!(
-            "\"base_rps\":{base_rps:?},\"burst_rps\":{burst_rps:?},\"crowd_share\":{crowd_share:?}"
-        ),
-    };
-    format!(
-        "\"seed\":{},\"mix\":\"{}\",\"requests\":{},{arrival},\"lease\":{}",
-        config.seed,
-        config.mix.name,
-        config.requests,
-        config.lease.is_some()
-    )
+        } => {
+            o.field("base_rps", &base_rps);
+            o.field("burst_rps", &burst_rps);
+            o.field("crowd_share", &crowd_share);
+        }
+    }
+    o.field("lease", &config.lease.is_some());
 }
 
 /// What a run produced, reduced to the bytes the corpus pins.
@@ -159,12 +184,12 @@ struct Pinned {
 }
 
 /// Runs `run` at one shard and at `SHARD_WIDTH` shards. Returns the
-/// one-shard output, its trace, and the wider run's execution path, or
-/// an error naming `what` if the two outputs differ.
+/// one-shard output and its pinned bytes, and the wider run's execution
+/// path, or an error naming `what` if the two outputs differ.
 fn at_both_widths(
     what: &str,
     run: impl Fn(usize) -> RunOutput,
-) -> Result<(Pinned, Option<Trace>, ExecPath), String> {
+) -> Result<(RunOutput, Pinned, ExecPath), String> {
     let pin = |out: &RunOutput| Pinned {
         report: serde_json::to_string(&out.report).expect("report serializes"),
         trace: out
@@ -183,7 +208,7 @@ fn at_both_widths(
             wide.exec_path
         ));
     }
-    Ok((pinned, one.trace, wide.exec_path))
+    Ok((one, pinned, wide.exec_path))
 }
 
 /// Open-loop Poisson runs: any seed, mix and rate. The strategies and
@@ -235,10 +260,10 @@ fn entries() -> Vec<Entry> {
     for family in scenarios::FAMILIES {
         for (label, config, plan) in family.rows_at(GATE_SEED, family.gate_requests) {
             entries.push(Entry {
-                key: format!(
-                    "\"kind\":\"family\",\"family\":\"{}\",\"row\":\"{label}\"",
-                    family.id
-                ),
+                key: Key::Family {
+                    family: family.id,
+                    row: label,
+                },
                 config,
                 plan,
                 replay: false,
@@ -296,7 +321,6 @@ pub fn corpus() -> Result<String, String> {
     let mut corpus = String::new();
     for line in lines {
         corpus.push_str(&line?);
-        corpus.push('\n');
     }
     let sweep = SweepSpec {
         seed: GATE_SEED,
@@ -306,14 +330,24 @@ pub fn corpus() -> Result<String, String> {
         stacks: vec![RemoteStack::VeniceCrma, RemoteStack::Sonuma],
         requests_per_point: 1_500,
     };
-    for (i, (_, config, _)) in sweep.rows().iter().enumerate() {
-        at_both_widths(&format!("sweep point {i}"), |w| {
-            Run::new(config).shards(w).execute()
+    // The figures are built from the one-shard runs of the width
+    // check, so every sweep point runs twice in all.
+    let mut runs = Vec::new();
+    for (i, (label, config, _)) in sweep.rows().into_iter().enumerate() {
+        let (one, _, _) = at_both_widths(&format!("sweep point {i}"), |w| {
+            Run::new(&config).shards(w).execute()
         })?;
+        runs.push(RowRun {
+            label,
+            config,
+            report: one.report,
+            trace: one.trace,
+        });
     }
-    let figures = serde_json::to_string(&sweep::figures(&sweep)).expect("figures serialize");
-    writeln!(corpus, "{{\"kind\":\"sweep\",\"figures\":{figures}}}")
-        .expect("a String takes any write");
+    jsonl_line(&mut corpus, |o| {
+        o.field("kind", "sweep");
+        o.field("figures", &sweep::figures(&sweep, &runs));
+    });
     Ok(corpus)
 }
 

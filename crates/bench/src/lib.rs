@@ -8,6 +8,7 @@
 //! the scenario generators and the hot substrate paths.
 
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use venice::Figure;
 
 pub mod golden;
@@ -260,41 +261,15 @@ pub fn validate_figures(figures: &[Figure]) -> Vec<String> {
 /// Schema tag of each block in `BENCH_telemetry.jsonl`.
 pub const TELEMETRY_SCHEMA: &str = "venice-telemetry-v2";
 
-/// Extracts the bare integer value of `"key":<digits>` from a
-/// hand-formatted JSONL line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Parses one JSONL line; a line that is not JSON reads as `null`, which
+/// has no fields.
+fn parse_line(line: &str) -> Value {
+    serde_json::from_str(line).unwrap_or(Value::Null)
 }
 
-/// Extracts the integer array value of `"key":[..]` from a
-/// hand-formatted JSONL line.
-fn field_u64s(line: &str, key: &str) -> Option<Vec<u64>> {
-    let pat = format!("\"{key}\":[");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let body = &rest[..rest.find(']')?];
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|x| x.parse().ok()).collect()
-}
-
-/// The `"kind"` discriminant of a hand-formatted JSONL line.
-fn line_kind(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("{\"kind\":\"")?;
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts the string value of `"key":"<value>"` from a hand-formatted
-/// JSONL line.
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    Some(&rest[..rest.find('"')?])
+/// The top-level field `key` of a parsed line, if it holds a `T`.
+fn field<T: Deserialize>(line: &Value, key: &str) -> Option<T> {
+    T::from_value(line.get(key)?).ok()
 }
 
 /// The span-label vocabulary of `venice-telemetry-v2`: the three lease
@@ -318,20 +293,18 @@ pub fn validate_telemetry(jsonl: &str) -> Vec<String> {
     let mut open: Option<(usize, u64, u64, u64)> = None;
     for (no, line) in jsonl.lines().enumerate() {
         let lineno = no + 1;
-        let Some(kind) = line_kind(line) else {
+        let line = parse_line(line);
+        let Some(kind) = field::<String>(&line, "kind") else {
             problems.push(format!("line {lineno}: not a kind-tagged object"));
             continue;
         };
-        if !line.ends_with('}') {
-            problems.push(format!("line {lineno}: unterminated object"));
-        }
-        match (kind, &mut open) {
+        match (kind.as_str(), &mut open) {
             ("header", Some(_)) => {
                 problems.push(format!("line {lineno}: header inside an open block"));
                 open = Some((lineno, 0, 0, 0));
             }
             ("header", None) => {
-                if !line.contains(&format!("\"schema\":\"{TELEMETRY_SCHEMA}\"")) {
+                if field::<String>(&line, "schema").as_deref() != Some(TELEMETRY_SCHEMA) {
                     problems.push(format!(
                         "line {lineno}: header schema is not {TELEMETRY_SCHEMA}"
                     ));
@@ -345,11 +318,11 @@ pub fn validate_telemetry(jsonl: &str) -> Vec<String> {
             ("sample", Some((_, samples, _, _))) => *samples += 1,
             ("span", Some((_, _, spans, _))) => {
                 *spans += 1;
-                match field_str(line, "span") {
+                match field::<String>(&line, "span").as_deref() {
                     Some(label) if SPAN_LABELS.contains(&label) => {
                         if matches!(label, "fault" | "failover")
-                            && (field_u64(line, "node").is_none()
-                                || field_u64(line, "start_ps").is_none())
+                            && (field::<u64>(&line, "node").is_none()
+                                || field::<u64>(&line, "start_ps").is_none())
                         {
                             problems.push(format!(
                                 "line {lineno}: {label} span is missing node/start_ps"
@@ -368,13 +341,13 @@ pub fn validate_telemetry(jsonl: &str) -> Vec<String> {
                         "block at line {header}: {counters} counters lines (want 1)"
                     ));
                 }
-                if field_u64(line, "samples") != Some(*samples) {
+                if field::<u64>(&line, "samples") != Some(*samples) {
                     problems.push(format!(
                         "line {lineno}: end.samples disagrees with {samples} sample line(s)"
                     ));
                 }
-                let span_total = field_u64(line, "spans_closed")
-                    .zip(field_u64(line, "spans_open"))
+                let span_total = field::<u64>(&line, "spans_closed")
+                    .zip(field::<u64>(&line, "spans_open"))
                     .map(|(c, o)| c + o);
                 if span_total != Some(*spans) {
                     problems.push(format!(
@@ -415,21 +388,18 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
             return problems;
         }
         Some((_, line)) => {
-            if line_kind(line) != Some("header") {
+            let line = parse_line(line);
+            if field::<String>(&line, "kind").as_deref() != Some("header") {
                 problems.push("line 1: artifact must open with a header".to_string());
             }
-            if !line.contains(&format!(
-                "\"schema\":\"{}\"",
-                venice_telemetry::ATTRIB_SCHEMA
-            )) {
-                problems.push(format!(
-                    "line 1: header schema is not {}",
-                    venice_telemetry::ATTRIB_SCHEMA
-                ));
+            let schema = venice_telemetry::ATTRIB_SCHEMA;
+            if field::<String>(&line, "schema").as_deref() != Some(schema) {
+                problems.push(format!("line 1: header schema is not {schema}"));
             }
             // The stages array must name the full stage vocabulary.
+            let stages = field::<Vec<String>>(&line, "stages").unwrap_or_default();
             for label in venice_telemetry::STAGE_LABELS {
-                if !line.contains(&format!("\"{label}\"")) {
+                if !stages.iter().any(|s| s == label) {
                     problems.push(format!("line 1: header is missing stage `{label}`"));
                 }
             }
@@ -442,10 +412,14 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
             problems.push(format!("line {lineno}: content after the end line"));
             break;
         }
-        match line_kind(line) {
+        let line = parse_line(line);
+        match field::<String>(&line, "kind").as_deref() {
             Some("cell") => {
                 cells += 1;
-                match (field_u64s(line, "stage_ps"), field_u64(line, "total_ps")) {
+                match (
+                    field::<Vec<u64>>(&line, "stage_ps"),
+                    field::<u64>(&line, "total_ps"),
+                ) {
                     (Some(stages), Some(total)) => {
                         if stages.iter().sum::<u64>() != total {
                             problems.push(format!(
@@ -462,7 +436,7 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
             }
             Some("tenant") => {
                 tenants += 1;
-                if field_u64s(line, "tail_stage_ps")
+                if field::<Vec<u64>>(&line, "tail_stage_ps")
                     .map(|v| v.len() != venice_telemetry::STAGES)
                     .unwrap_or(true)
                 {
@@ -471,12 +445,12 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
             }
             Some("shed") | Some("diff") => {}
             Some("end") => {
-                if field_u64(line, "cells") != Some(cells) {
+                if field::<u64>(&line, "cells") != Some(cells) {
                     problems.push(format!(
                         "line {lineno}: end.cells disagrees with {cells} cell line(s)"
                     ));
                 }
-                if field_u64(line, "tenants") != Some(tenants) {
+                if field::<u64>(&line, "tenants") != Some(tenants) {
                     problems.push(format!(
                         "line {lineno}: end.tenants disagrees with {tenants} tenant line(s)"
                     ));
@@ -502,6 +476,41 @@ pub fn select(figures: Vec<Figure>, ids: &[String]) -> Vec<Figure> {
         .into_iter()
         .filter(|f| ids.iter().any(|id| id.eq_ignore_ascii_case(&f.id)))
         .collect()
+}
+
+/// `values` in ascending order.
+fn sorted(values: &[f64]) -> Vec<f64> {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    v
+}
+
+/// The median of `values` (the mean of the middle two for an even
+/// count; NaN when empty).
+pub fn median(values: &[f64]) -> f64 {
+    let v = sorted(values);
+    match v.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => v[n / 2],
+        n => (v[n / 2 - 1] + v[n / 2]) / 2.0,
+    }
+}
+
+/// First and third quartiles by the exclusive method, as perfbench
+/// reports its own.
+pub fn quartiles(values: &[f64]) -> (f64, f64) {
+    let v = sorted(values);
+    if v.len() < 2 {
+        let x = v.first().copied().unwrap_or(f64::NAN);
+        return (x, x);
+    }
+    let m = v.len() + 1;
+    let cut = |i: usize| {
+        let j = (i * m / 4).clamp(1, v.len() - 1);
+        let delta = (i * m) as f64 / 4.0 - j as f64;
+        v[j - 1] + (v[j] - v[j - 1]) * delta
+    };
+    (cut(1), cut(3))
 }
 
 #[cfg(test)]
@@ -530,7 +539,8 @@ mod tests {
             stacks: vec![venice_loadgen::RemoteStack::VeniceCrma],
             requests_per_point: 500,
         };
-        let figs = venice_loadgen::sweep::figures(&spec);
+        let runs = venice_loadgen::scenarios::run_rows(spec.rows(), false);
+        let figs = venice_loadgen::sweep::figures(&spec, &runs);
         let text = render_all(&figs);
         for f in &figs {
             assert!(text.contains(&f.id), "missing {}", f.id);
@@ -614,6 +624,88 @@ mod tests {
             .any(|p| p.contains("no end line")));
         let no_tenant = artifact.replacen("\"kind\":\"tenant\"", "\"kind\":\"tenantX\"", 1);
         assert!(!validate_attrib(&no_tenant).is_empty());
+    }
+
+    /// A small probed run's telemetry artifact and its attribution fold,
+    /// with the run's tenant labels.
+    fn probed_run(scenario: &str) -> (String, venice_telemetry::AttribFold, Vec<String>) {
+        let config = venice_loadgen::LoadgenConfig {
+            requests: 1_500,
+            ..venice_loadgen::LoadgenConfig::new(7, venice_loadgen::TenantMix::messaging())
+        };
+        let run = || venice_loadgen::engine::Run::new(&config);
+        let tick = venice_sim::Time::from_ms(2);
+        let telemetry = run().recording(tick, 64).execute().artifact_jsonl(scenario);
+        let fold = run().attrib(tick, 64).execute().attrib_fold();
+        (
+            telemetry,
+            fold,
+            venice_loadgen::telemetry::tenant_labels(&config),
+        )
+    }
+
+    #[test]
+    fn labels_that_need_escaping_export_and_validate() {
+        let scenario = "quote\" and \\ backslash";
+        let (telemetry, fold, _) = probed_run(scenario);
+        assert_eq!(validate_telemetry(&telemetry), Vec::<String>::new());
+        let header: Value = serde_json::from_str(telemetry.lines().next().unwrap()).unwrap();
+        assert_eq!(
+            field::<String>(&header, "scenario").as_deref(),
+            Some(scenario)
+        );
+
+        let runs = ["run \"a\"", "run \\b"];
+        let tenants = ["kv \"hot\"", "web\\static"];
+        let attrib = venice_telemetry::export_attrib_jsonl(
+            scenario,
+            7,
+            &[(runs[0], &fold), (runs[1], &fold)],
+            &tenants,
+        );
+        assert_eq!(validate_attrib(&attrib), Vec::<String>::new());
+        let lines: Vec<Value> = attrib
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(field::<Vec<String>>(&lines[0], "runs").unwrap(), runs);
+        let tenant = lines
+            .iter()
+            .find(|l| field::<String>(l, "kind").as_deref() == Some("tenant"))
+            .unwrap();
+        assert_eq!(field::<String>(tenant, "run").as_deref(), Some(runs[0]));
+        assert!(tenants.contains(&field::<String>(tenant, "tenant").unwrap().as_str()));
+    }
+
+    #[test]
+    fn validators_read_top_level_fields_only() {
+        // The same key names nested in an object before the real fields
+        // must not shadow them.
+        let (telemetry, fold, labels) = probed_run("unit");
+        let nested = telemetry.replace(
+            "{\"kind\":\"end\",",
+            "{\"kind\":\"end\",\"note\":{\"samples\":0,\"spans_open\":99},",
+        );
+        assert_ne!(nested, telemetry);
+        assert_eq!(validate_telemetry(&nested), Vec::<String>::new());
+
+        let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+        let stage = venice_telemetry::STAGE_LABELS[0];
+        let attrib = venice_telemetry::export_attrib_jsonl("unit", 7, &[(stage, &fold)], &labels);
+        let nested = attrib.replace(
+            "{\"kind\":\"cell\",",
+            "{\"kind\":\"cell\",\"note\":{\"stage_ps\":[1],\"total_ps\":0},",
+        );
+        assert_ne!(nested, attrib);
+        assert_eq!(validate_attrib(&nested), Vec::<String>::new());
+        // A stage label that appears only as a string value elsewhere in
+        // the header (here, the run label) is still missing from the
+        // stages array.
+        let dropped = attrib.replacen(&format!("\"stages\":[\"{stage}\","), "\"stages\":[", 1);
+        assert_ne!(dropped, attrib);
+        assert!(validate_attrib(&dropped)
+            .iter()
+            .any(|p| p.contains(&format!("missing stage `{stage}`"))));
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn selected(ids: &[String]) -> Vec<&'static Family> {
 pub fn figures(ids: &[String]) -> Vec<Figure> {
     let spec = default_sweep();
     let mut out = if wants(ids, &spec.figure_ids()) {
-        sweep::figures(&spec)
+        sweep::figures(&spec, &run_rows(spec.rows(), false))
     } else {
         Vec::new()
     };

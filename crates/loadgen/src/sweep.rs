@@ -1,8 +1,9 @@
 //! Parallel configuration sweeps.
 //!
 //! A [`SweepSpec`] spans a grid of (mesh size × tenant mix × arrival
-//! rate × remote stack) and yields one [`Row`] per cell; [`figures`]
-//! runs them through [`run_rows`] like any figure family's rows.
+//! rate × remote stack) and yields one [`Row`] per cell, run through
+//! [`run_rows`](crate::scenarios::run_rows) like any figure family's
+//! rows; [`figures`] builds the sweep's figures from the finished rows.
 //! Determinism at any thread count comes from two properties: every
 //! point derives its own seed purely from the spec seed and the point's
 //! grid index, and rows come back in grid order — never in completion
@@ -11,7 +12,7 @@
 use venice::{Figure, Series};
 
 use crate::engine::LoadgenConfig;
-use crate::scenarios::{run_rows, Row};
+use crate::scenarios::{Row, RowRun};
 use crate::stacks::RemoteStack;
 use crate::tenants::TenantMix;
 use crate::ArrivalProcess;
@@ -105,12 +106,12 @@ fn point_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs the sweep and renders it as `Figure`s: for every mesh size, a p99
-/// figure and a goodput figure over the rate axis, one series per
-/// (mix × stack) combination (the stack suffix is dropped when the sweep
-/// covers only one stack).
-pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
-    let runs = run_rows(spec.rows(), false);
+/// Renders the sweep's finished rows (`runs`, as
+/// [`run_rows`](crate::scenarios::run_rows) returns [`SweepSpec::rows`]) as `Figure`s: for every mesh size, a p99 figure
+/// and a goodput figure over the rate axis, one series per (mix × stack)
+/// combination (the stack suffix is dropped when the sweep covers only
+/// one stack).
+pub fn figures(spec: &SweepSpec, runs: &[RowRun]) -> Vec<Figure> {
     let columns: Vec<String> = spec
         .rates_rps
         .iter()
@@ -170,6 +171,7 @@ pub fn figures(spec: &SweepSpec) -> Vec<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::run_rows;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -200,7 +202,8 @@ mod tests {
 
     #[test]
     fn figures_have_grid_shape() {
-        let figs = figures(&tiny_spec());
+        let spec = tiny_spec();
+        let figs = figures(&spec, &run_rows(spec.rows(), false));
         assert_eq!(figs.len(), 2); // p99 + tput for the single mesh
         let ids: Vec<&str> = figs.iter().map(|f| f.id.as_str()).collect();
         assert_eq!(ids, tiny_spec().figure_ids());
@@ -229,7 +232,7 @@ mod tests {
         assert_eq!(rows[0].1.seed, rows[1].1.seed);
         let runs = run_rows(rows, false);
         assert_eq!(runs[0].report.issued, runs[1].report.issued);
-        let figs = figures(&spec);
+        let figs = figures(&spec, &runs);
         let labels: Vec<&str> = figs[0].measured.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(labels, vec!["messaging (venice)", "messaging (swap-eth)"]);
     }

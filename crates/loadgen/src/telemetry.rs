@@ -64,10 +64,6 @@ impl<'c, 't> Run<'c, 't, NoopProbe> {
 impl RunOutput<RecordingProbe> {
     /// Renders the run's `venice-telemetry-v2` JSONL artifact named
     /// `scenario`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scenario` needs JSON escaping.
     pub fn artifact_jsonl(&self, scenario: &str) -> String {
         export_jsonl(scenario, self.report.seed, &self.probe, &EVENT_KIND_LABELS)
     }

@@ -74,10 +74,10 @@ fn figures_are_thread_count_independent_at_any_rayon_width() {
     // RAYON_NUM_THREADS on every parallel call, so each set_var below
     // really does change the fan-out width of the next run.
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = sweep::figures(&spec);
+    let single = sweep::figures(&spec, &scenarios::run_rows(spec.rows(), false));
     let elastic_single = elastic::FAMILY.run(7, 6_000);
     std::env::set_var("RAYON_NUM_THREADS", "8");
-    let many = sweep::figures(&spec);
+    let many = sweep::figures(&spec, &scenarios::run_rows(spec.rows(), false));
     let elastic_many = elastic::FAMILY.run(7, 6_000);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(single, many, "sweep output depends on thread count");

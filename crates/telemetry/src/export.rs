@@ -1,9 +1,10 @@
 //! The `venice-telemetry-v2` JSONL artifact.
 //!
-//! One JSON object per line, hand-formatted with fixed key order and
-//! integer-only values so the artifact is byte-identical whenever the
-//! probe's contents are — the determinism gates `cmp` these files
-//! across rayon widths. Line kinds, in emission order:
+//! One JSON object per line, written by `serde::Writer` with fixed key
+//! order and integer-only values so the artifact is byte-identical
+//! whenever the probe's contents are — the determinism gates `cmp`
+//! these files across rayon widths; `venice-bench`'s validators read
+//! them back with `serde_json`. Line kinds, in emission order:
 //!
 //! 1. `header` — schema id, scenario, seed, tick, ring shape.
 //! 2. `counters` — per-kind event counts and attributed sim time,
@@ -13,171 +14,169 @@
 //!    spans (null `end_ps`) in key order.
 //! 5. `end` — retention summary (rows kept/dropped, span counts).
 
-use std::fmt::Write as _;
+use serde::{Compound, Serialize, Writer};
+use venice_sim::QueueStats;
 
 use crate::probe::RecordingProbe;
+use crate::series::{LinkGauge, NodeGauges, TenantCounters};
+
+/// Appends one compact JSON object, whose fields `fields` writes, to
+/// `out` as a JSONL line. Every committed JSONL artifact is written
+/// through it.
+pub fn jsonl_line(out: &mut String, fields: impl FnOnce(&mut Compound<'_, '_>)) {
+    let mut w = Writer::new(out, 0);
+    let mut object = w.object();
+    fields(&mut object);
+    object.end();
+    out.push('\n');
+}
+
+/// One event-kind slot of the `counters` line.
+struct EventCount<'a> {
+    label: &'a str,
+    count: u64,
+    time_ps: u64,
+}
+
+impl Serialize for EventCount<'_> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let mut o = w.object();
+        o.field("label", self.label);
+        o.field("count", &self.count);
+        o.field("time_ps", &self.time_ps);
+        o.end();
+    }
+}
+
+/// The `queue` object of the `counters` line.
+struct Queue<'a>(&'a QueueStats);
+
+impl Serialize for Queue<'_> {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let q = self.0;
+        let mut o = w.object();
+        o.field("near_hits", &q.near_hits);
+        o.field("heap_pushes", &q.heap_pushes);
+        o.field("near_spills", &q.near_spills);
+        o.field("near_pops", &q.near_pops);
+        o.field("heap_pops", &q.heap_pops);
+        o.field("sifts", &q.sifts());
+        o.end();
+    }
+}
+
+impl Serialize for NodeGauges {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let mut o = w.object();
+        o.field("depth", &self.depth);
+        o.field("inflight", &self.inflight);
+        o.field("borrowed", &self.borrowed);
+        o.field("lent", &self.lent);
+        o.field("subleased", &self.subleased);
+        o.end();
+    }
+}
+
+impl Serialize for TenantCounters {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let mut o = w.object();
+        o.field("admitted", &self.admitted);
+        o.field("shed", &self.shed);
+        o.field("denied", &self.denied);
+        o.field("quota_bytes", &self.quota_bytes);
+        o.end();
+    }
+}
+
+impl Serialize for LinkGauge {
+    fn serialize(&self, w: &mut Writer<'_>) {
+        let mut o = w.object();
+        o.field("src", &self.src);
+        o.field("dst", &self.dst);
+        o.field("bytes", &self.bytes);
+        o.end();
+    }
+}
 
 /// Renders `probe` into the `venice-telemetry-v2` JSONL artifact.
 ///
 /// `labels` names the engine's event-kind slots; slots at or past
 /// `labels.len()` with zero counts are omitted.
-///
-/// # Panics
-///
-/// Panics if `scenario` needs JSON escaping — artifact names are plain
-/// identifiers by construction.
 pub fn export_jsonl(scenario: &str, seed: u64, probe: &RecordingProbe, labels: &[&str]) -> String {
-    assert!(
-        scenario
-            .chars()
-            .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'),
-        "scenario name must not need JSON escaping: {scenario:?}"
-    );
     let mut out = String::new();
     let series = probe.series();
-    writeln!(
-        out,
-        "{{\"kind\":\"header\",\"schema\":\"venice-telemetry-v2\",\"scenario\":\"{}\",\"seed\":{},\"tick_ps\":{},\"ring_cap\":{}}}",
-        scenario,
-        seed,
-        series.tick().as_ps(),
-        series.cap()
-    )
-    .unwrap();
+    jsonl_line(&mut out, |o| {
+        o.field("kind", "header");
+        o.field("schema", "venice-telemetry-v2");
+        o.field("scenario", scenario);
+        o.field("seed", &seed);
+        o.field("tick_ps", &series.tick().as_ps());
+        o.field("ring_cap", &series.cap());
+    });
 
-    let mut events = String::new();
-    for (slot, (&count, &time_ps)) in probe
+    let events: Vec<EventCount> = probe
         .events_by_kind()
         .iter()
         .zip(probe.time_by_kind_ps())
         .enumerate()
-    {
-        let label = labels.get(slot).copied();
-        if count == 0 && label.is_none() {
-            continue;
-        }
-        if !events.is_empty() {
-            events.push(',');
-        }
-        let label = label.unwrap_or("other");
-        write!(
-            events,
-            "{{\"label\":\"{label}\",\"count\":{count},\"time_ps\":{time_ps}}}"
-        )
-        .unwrap();
-    }
-    let q = probe.queue_stats();
+        .filter_map(|(slot, (&count, &time_ps))| {
+            let label = labels.get(slot).copied();
+            (count != 0 || label.is_some()).then(|| EventCount {
+                label: label.unwrap_or("other"),
+                count,
+                time_ps,
+            })
+        })
+        .collect();
     let (slab_live, slab_cap) = probe.slab();
-    writeln!(
-        out,
-        "{{\"kind\":\"counters\",\"events\":[{}],\"fused\":{},\"queue\":{{\"near_hits\":{},\"heap_pushes\":{},\"near_spills\":{},\"near_pops\":{},\"heap_pops\":{},\"sifts\":{}}},\"slab_live\":{},\"slab_cap\":{},\"peak_depth\":{}}}",
-        events,
-        probe.fused(),
-        q.near_hits,
-        q.heap_pushes,
-        q.near_spills,
-        q.near_pops,
-        q.heap_pops,
-        q.sifts(),
-        slab_live,
-        slab_cap,
-        probe.peak_depth()
-    )
-    .unwrap();
+    jsonl_line(&mut out, |o| {
+        o.field("kind", "counters");
+        o.field("events", &events);
+        o.field("fused", &probe.fused());
+        o.field("queue", &Queue(&probe.queue_stats()));
+        o.field("slab_live", &slab_live);
+        o.field("slab_cap", &slab_cap);
+        o.field("peak_depth", &probe.peak_depth());
+    });
 
     for (at, row) in series.rows() {
-        let mut nodes = String::new();
-        for g in &row.nodes {
-            if !nodes.is_empty() {
-                nodes.push(',');
+        jsonl_line(&mut out, |o| {
+            o.field("kind", "sample");
+            o.field("t_ps", &at.as_ps());
+            o.field("pending", &row.pending_events);
+            o.field("slab_live", &row.slab_live);
+            o.field("nodes", &row.nodes);
+            o.field("tenants", &row.tenants);
+            // The links section exists only on congested-fabric runs:
+            // scalar-model samples carry no link gauges, and omitting
+            // the key entirely keeps their artifacts byte-identical to
+            // the pre-congestion format.
+            if !row.links.is_empty() {
+                o.field("links", &row.links);
             }
-            write!(
-                nodes,
-                "{{\"depth\":{},\"inflight\":{},\"borrowed\":{},\"lent\":{},\"subleased\":{}}}",
-                g.depth, g.inflight, g.borrowed, g.lent, g.subleased
-            )
-            .unwrap();
-        }
-        let mut tenants = String::new();
-        for t in &row.tenants {
-            if !tenants.is_empty() {
-                tenants.push(',');
-            }
-            write!(
-                tenants,
-                "{{\"admitted\":{},\"shed\":{},\"denied\":{},\"quota_bytes\":{}}}",
-                t.admitted, t.shed, t.denied, t.quota_bytes
-            )
-            .unwrap();
-        }
-        // The links section exists only on congested-fabric runs:
-        // scalar-model samples carry no link gauges, and omitting the
-        // key entirely keeps their artifacts byte-identical to the
-        // pre-congestion format.
-        let mut links = String::new();
-        for l in &row.links {
-            if links.is_empty() {
-                links.push_str(",\"links\":[");
-            } else {
-                links.push(',');
-            }
-            write!(
-                links,
-                "{{\"src\":{},\"dst\":{},\"bytes\":{}}}",
-                l.src, l.dst, l.bytes
-            )
-            .unwrap();
-        }
-        if !links.is_empty() {
-            links.push(']');
-        }
-        writeln!(
-            out,
-            "{{\"kind\":\"sample\",\"t_ps\":{},\"pending\":{},\"slab_live\":{},\"nodes\":[{}],\"tenants\":[{}]{}}}",
-            at.as_ps(),
-            row.pending_events,
-            row.slab_live,
-            nodes,
-            tenants,
-            links
-        )
-        .unwrap();
+        });
     }
 
     let spans = probe.spans();
-    for (_, span) in spans.closed().iter() {
-        writeln!(
-            out,
-            "{{\"kind\":\"span\",\"span\":\"{}\",\"node\":{},\"gen\":{},\"start_ps\":{},\"end_ps\":{}}}",
-            span.kind.label(),
-            span.node,
-            span.generation,
-            span.start.as_ps(),
-            span.end.expect("closed span has an end").as_ps()
-        )
-        .unwrap();
-    }
-    for span in spans.open_spans() {
-        writeln!(
-            out,
-            "{{\"kind\":\"span\",\"span\":\"{}\",\"node\":{},\"gen\":{},\"start_ps\":{},\"end_ps\":null}}",
-            span.kind.label(),
-            span.node,
-            span.generation,
-            span.start.as_ps()
-        )
-        .unwrap();
+    let closed = spans.closed().iter().map(|(_, span)| *span);
+    for span in closed.chain(spans.open_spans()) {
+        jsonl_line(&mut out, |o| {
+            o.field("kind", "span");
+            o.field("span", span.kind.label());
+            o.field("node", &span.node);
+            o.field("gen", &span.generation);
+            o.field("start_ps", &span.start.as_ps());
+            o.field("end_ps", &span.end.map(|end| end.as_ps()));
+        });
     }
 
-    writeln!(
-        out,
-        "{{\"kind\":\"end\",\"samples\":{},\"dropped\":{},\"spans_closed\":{},\"spans_open\":{}}}",
-        series.len(),
-        series.dropped(),
-        spans.closed().len(),
-        spans.open_len()
-    )
-    .unwrap();
+    jsonl_line(&mut out, |o| {
+        o.field("kind", "end");
+        o.field("samples", &series.len());
+        o.field("dropped", &series.dropped());
+        o.field("spans_closed", &spans.closed().len());
+        o.field("spans_open", &spans.open_len());
+    });
     out
 }
 

@@ -49,7 +49,7 @@ pub mod series;
 pub mod spans;
 
 pub use attrib::{AttribFold, StageBreakdown, TenantSummary, STAGES, STAGE_LABELS};
-pub use export::export_jsonl;
+pub use export::{export_jsonl, jsonl_line};
 pub use probe::{AttribProbe, NoopProbe, Probe, RecordingProbe};
 pub use profile::render_profile;
 pub use report::{diff_tenants, export_attrib_jsonl, render_explain, TenantDiff, ATTRIB_SCHEMA};

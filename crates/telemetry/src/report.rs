@@ -2,9 +2,10 @@
 //! report.
 //!
 //! Like `venice-telemetry-v2` ([`crate::export_jsonl`]), the artifact
-//! is hand-formatted with fixed key order and integer-only values, so
-//! identical folds render byte-identically at any thread count. Line
-//! kinds, in emission order:
+//! is written by `serde::Writer` with fixed key order and integer-only
+//! values, so identical folds render byte-identically at any thread
+//! count, and read back with `serde_json`. Line kinds, in emission
+//! order:
 //!
 //! 1. `header` — schema id, scenario, seed, the stage-label vector,
 //!    and the run labels in emission order.
@@ -21,6 +22,7 @@
 use std::fmt::Write as _;
 
 use crate::attrib::{AttribFold, TenantSummary, SHED_LABELS, STAGES, STAGE_LABELS};
+use crate::export::jsonl_line;
 
 /// Schema identifier of the attribution artifact.
 pub const ATTRIB_SCHEMA: &str = "venice-attrib-v1";
@@ -131,16 +133,6 @@ fn tenant_label(labels: &[&str], t: u16) -> String {
         .unwrap_or_else(|| t.to_string())
 }
 
-/// Asserts `s` needs no JSON escaping (artifact labels are plain
-/// identifiers by construction).
-fn assert_plain(s: &str) {
-    assert!(
-        s.chars()
-            .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\'),
-        "label must not need JSON escaping: {s:?}"
-    );
-}
-
 /// Renders one or more labeled folds (plus, for exactly two, their
 /// differential) into the `venice-attrib-v1` JSONL artifact.
 ///
@@ -149,8 +141,7 @@ fn assert_plain(s: &str) {
 ///
 /// # Panics
 ///
-/// Panics if `scenario`, a run label, or a tenant label needs JSON
-/// escaping, or if `runs` is empty.
+/// Panics if `runs` is empty.
 pub fn export_attrib_jsonl(
     scenario: &str,
     seed: u64,
@@ -158,65 +149,45 @@ pub fn export_attrib_jsonl(
     tenant_labels: &[&str],
 ) -> String {
     assert!(!runs.is_empty(), "need at least one run");
-    assert_plain(scenario);
-    for (label, _) in runs {
-        assert_plain(label);
-    }
-    for label in tenant_labels {
-        assert_plain(label);
-    }
     let mut out = String::new();
-    let stages = STAGE_LABELS
-        .iter()
-        .map(|l| format!("\"{l}\""))
-        .collect::<Vec<_>>()
-        .join(",");
-    let run_names = runs
-        .iter()
-        .map(|(l, _)| format!("\"{l}\""))
-        .collect::<Vec<_>>()
-        .join(",");
-    writeln!(
-        out,
-        "{{\"kind\":\"header\",\"schema\":\"{ATTRIB_SCHEMA}\",\"scenario\":\"{scenario}\",\"seed\":{seed},\"stages\":[{stages}],\"runs\":[{run_names}]}}"
-    )
-    .unwrap();
+    let run_names: Vec<&str> = runs.iter().map(|&(label, _)| label).collect();
+    jsonl_line(&mut out, |o| {
+        o.field("kind", "header");
+        o.field("schema", ATTRIB_SCHEMA);
+        o.field("scenario", scenario);
+        o.field("seed", &seed);
+        o.field("stages", &STAGE_LABELS[..]);
+        o.field("runs", &run_names);
+    });
 
-    let fmt_u64s = |xs: &[u64]| {
-        xs.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
     let mut cell_lines = 0usize;
     let mut tenant_lines = 0usize;
-    for (label, fold) in runs {
+    for &(label, fold) in runs {
         for (t, node, cell) in fold.cells() {
-            writeln!(
-                out,
-                "{{\"kind\":\"cell\",\"run\":\"{label}\",\"tenant\":\"{}\",\"node\":{node},\"count\":{},\"stage_ps\":[{}],\"total_ps\":{}}}",
-                tenant_label(tenant_labels, t),
-                cell.count,
-                fmt_u64s(&cell.stage_ps),
-                cell.total_ps
-            )
-            .unwrap();
+            jsonl_line(&mut out, |o| {
+                o.field("kind", "cell");
+                o.field("run", label);
+                o.field("tenant", &tenant_label(tenant_labels, t));
+                o.field("node", &node);
+                o.field("count", &cell.count);
+                o.field("stage_ps", &cell.stage_ps[..]);
+                o.field("total_ps", &cell.total_ps);
+            });
             cell_lines += 1;
         }
         for s in fold.tenant_summaries() {
-            writeln!(
-                out,
-                "{{\"kind\":\"tenant\",\"run\":\"{label}\",\"tenant\":\"{}\",\"count\":{},\"p50_ps\":{},\"p99_ps\":{},\"tail_count\":{},\"tail_stage_ps\":[{}],\"dominant\":\"{}\",\"dominant_share_pm\":{}}}",
-                tenant_label(tenant_labels, s.tenant),
-                s.count,
-                s.p50.as_ps(),
-                s.p99.as_ps(),
-                s.tail_count,
-                fmt_u64s(&s.tail_stage_ps),
-                STAGE_LABELS[s.dominant_tail_stage],
-                s.dominant_share_pm()
-            )
-            .unwrap();
+            jsonl_line(&mut out, |o| {
+                o.field("kind", "tenant");
+                o.field("run", label);
+                o.field("tenant", &tenant_label(tenant_labels, s.tenant));
+                o.field("count", &s.count);
+                o.field("p50_ps", &s.p50.as_ps());
+                o.field("p99_ps", &s.p99.as_ps());
+                o.field("tail_count", &s.tail_count);
+                o.field("tail_stage_ps", &s.tail_stage_ps[..]);
+                o.field("dominant", STAGE_LABELS[s.dominant_tail_stage]);
+                o.field("dominant_share_pm", &s.dominant_share_pm());
+            });
             tenant_lines += 1;
         }
         for t in 0..fold.tenant_len() as u16 {
@@ -224,49 +195,40 @@ pub fn export_attrib_jsonl(
             if sheds.iter().all(|&s| s == 0) {
                 continue;
             }
-            let mut reasons = String::new();
-            for (label, count) in SHED_LABELS.iter().zip(sheds) {
-                write!(reasons, ",\"{label}\":{count}").unwrap();
-            }
-            writeln!(
-                out,
-                "{{\"kind\":\"shed\",\"run\":\"{label}\",\"tenant\":\"{}\"{}}}",
-                tenant_label(tenant_labels, t),
-                reasons
-            )
-            .unwrap();
+            jsonl_line(&mut out, |o| {
+                o.field("kind", "shed");
+                o.field("run", label);
+                o.field("tenant", &tenant_label(tenant_labels, t));
+                for (reason, count) in SHED_LABELS.iter().zip(sheds) {
+                    o.field(reason, &count);
+                }
+            });
         }
     }
 
     if let [(base_label, base), (cand_label, cand)] = runs {
         for d in diff_tenants(base, cand) {
-            let deltas = d
-                .tail_mean_delta_ps
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            writeln!(
-                out,
-                "{{\"kind\":\"diff\",\"base\":\"{base_label}\",\"cand\":\"{cand_label}\",\"tenant\":\"{}\",\"base_p99_ps\":{},\"cand_p99_ps\":{},\"p99_delta_ps\":{},\"tail_mean_delta_ps\":[{}],\"dominant\":\"{}\",\"dominant_share_pm\":{}}}",
-                tenant_label(tenant_labels, d.tenant),
-                d.base_p99_ps,
-                d.cand_p99_ps,
-                d.p99_delta_ps(),
-                deltas,
-                STAGE_LABELS[d.dominant_stage],
-                d.dominant_share_pm
-            )
-            .unwrap();
+            jsonl_line(&mut out, |o| {
+                o.field("kind", "diff");
+                o.field("base", base_label);
+                o.field("cand", cand_label);
+                o.field("tenant", &tenant_label(tenant_labels, d.tenant));
+                o.field("base_p99_ps", &d.base_p99_ps);
+                o.field("cand_p99_ps", &d.cand_p99_ps);
+                o.field("p99_delta_ps", &d.p99_delta_ps());
+                o.field("tail_mean_delta_ps", &d.tail_mean_delta_ps[..]);
+                o.field("dominant", STAGE_LABELS[d.dominant_stage]);
+                o.field("dominant_share_pm", &d.dominant_share_pm);
+            });
         }
     }
 
-    writeln!(
-        out,
-        "{{\"kind\":\"end\",\"runs\":{},\"cells\":{cell_lines},\"tenants\":{tenant_lines}}}",
-        runs.len()
-    )
-    .unwrap();
+    jsonl_line(&mut out, |o| {
+        o.field("kind", "end");
+        o.field("runs", &runs.len());
+        o.field("cells", &cell_lines);
+        o.field("tenants", &tenant_lines);
+    });
     out
 }
 

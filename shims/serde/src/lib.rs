@@ -43,6 +43,12 @@ impl Value {
     }
 }
 
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(v.clone())
+    }
+}
+
 /// Deserialization error (wrong shape, missing field, parse failure).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeError(pub String);
