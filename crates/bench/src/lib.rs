@@ -7,7 +7,7 @@
 //! JSON for EXPERIMENTS.md. The Criterion benches under `benches/` time
 //! the scenario generators and the hot substrate paths.
 
-use serde::{Deserialize, Serialize};
+use serde::{field, Deserialize, Serialize};
 use serde_json::Value;
 use venice::Figure;
 
@@ -267,11 +267,6 @@ fn parse_line(line: &str) -> Value {
     serde_json::from_str(line).unwrap_or(Value::Null)
 }
 
-/// The top-level field `key` of a parsed line, if it holds a `T`.
-fn field<T: Deserialize>(line: &Value, key: &str) -> Option<T> {
-    T::from_value(line.get(key)?).ok()
-}
-
 /// The span-label vocabulary of `venice-telemetry-v2`: the three lease
 /// lifecycle phases plus the fault-injection pair (outage windows and
 /// lease failovers).
@@ -294,7 +289,7 @@ pub fn validate_telemetry(jsonl: &str) -> Vec<String> {
     for (no, line) in jsonl.lines().enumerate() {
         let lineno = no + 1;
         let line = parse_line(line);
-        let Some(kind) = field::<String>(&line, "kind") else {
+        let Ok(kind) = field::<String>(&line, "kind") else {
             problems.push(format!("line {lineno}: not a kind-tagged object"));
             continue;
         };
@@ -304,7 +299,7 @@ pub fn validate_telemetry(jsonl: &str) -> Vec<String> {
                 open = Some((lineno, 0, 0, 0));
             }
             ("header", None) => {
-                if field::<String>(&line, "schema").as_deref() != Some(TELEMETRY_SCHEMA) {
+                if field::<String>(&line, "schema").as_deref() != Ok(TELEMETRY_SCHEMA) {
                     problems.push(format!(
                         "line {lineno}: header schema is not {TELEMETRY_SCHEMA}"
                     ));
@@ -319,20 +314,20 @@ pub fn validate_telemetry(jsonl: &str) -> Vec<String> {
             ("span", Some((_, _, spans, _))) => {
                 *spans += 1;
                 match field::<String>(&line, "span").as_deref() {
-                    Some(label) if SPAN_LABELS.contains(&label) => {
+                    Ok(label) if SPAN_LABELS.contains(&label) => {
                         if matches!(label, "fault" | "failover")
-                            && (field::<u64>(&line, "node").is_none()
-                                || field::<u64>(&line, "start_ps").is_none())
+                            && (field::<u64>(&line, "node").is_err()
+                                || field::<u64>(&line, "start_ps").is_err())
                         {
                             problems.push(format!(
                                 "line {lineno}: {label} span is missing node/start_ps"
                             ));
                         }
                     }
-                    Some(label) => {
+                    Ok(label) => {
                         problems.push(format!("line {lineno}: unknown span label `{label}`"));
                     }
-                    None => problems.push(format!("line {lineno}: span line has no label")),
+                    Err(_) => problems.push(format!("line {lineno}: span line has no label")),
                 }
             }
             ("end", Some((header, samples, spans, counters))) => {
@@ -341,13 +336,14 @@ pub fn validate_telemetry(jsonl: &str) -> Vec<String> {
                         "block at line {header}: {counters} counters lines (want 1)"
                     ));
                 }
-                if field::<u64>(&line, "samples") != Some(*samples) {
+                if field::<u64>(&line, "samples") != Ok(*samples) {
                     problems.push(format!(
                         "line {lineno}: end.samples disagrees with {samples} sample line(s)"
                     ));
                 }
                 let span_total = field::<u64>(&line, "spans_closed")
-                    .zip(field::<u64>(&line, "spans_open"))
+                    .ok()
+                    .zip(field::<u64>(&line, "spans_open").ok())
                     .map(|(c, o)| c + o);
                 if span_total != Some(*spans) {
                     problems.push(format!(
@@ -389,11 +385,11 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
         }
         Some((_, line)) => {
             let line = parse_line(line);
-            if field::<String>(&line, "kind").as_deref() != Some("header") {
+            if field::<String>(&line, "kind").as_deref() != Ok("header") {
                 problems.push("line 1: artifact must open with a header".to_string());
             }
             let schema = venice_telemetry::ATTRIB_SCHEMA;
-            if field::<String>(&line, "schema").as_deref() != Some(schema) {
+            if field::<String>(&line, "schema").as_deref() != Ok(schema) {
                 problems.push(format!("line 1: header schema is not {schema}"));
             }
             // The stages array must name the full stage vocabulary.
@@ -414,13 +410,13 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
         }
         let line = parse_line(line);
         match field::<String>(&line, "kind").as_deref() {
-            Some("cell") => {
+            Ok("cell") => {
                 cells += 1;
                 match (
                     field::<Vec<u64>>(&line, "stage_ps"),
                     field::<u64>(&line, "total_ps"),
                 ) {
-                    (Some(stages), Some(total)) => {
+                    (Ok(stages), Ok(total)) => {
                         if stages.iter().sum::<u64>() != total {
                             problems.push(format!(
                                 "line {lineno}: cell stage_ps do not sum to total_ps"
@@ -434,7 +430,7 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
                     _ => problems.push(format!("line {lineno}: cell is missing stage fields")),
                 }
             }
-            Some("tenant") => {
+            Ok("tenant") => {
                 tenants += 1;
                 if field::<Vec<u64>>(&line, "tail_stage_ps")
                     .map(|v| v.len() != venice_telemetry::STAGES)
@@ -443,21 +439,21 @@ pub fn validate_attrib(jsonl: &str) -> Vec<String> {
                     problems.push(format!("line {lineno}: tenant tail_stage_ps malformed"));
                 }
             }
-            Some("shed") | Some("diff") => {}
-            Some("end") => {
-                if field::<u64>(&line, "cells") != Some(cells) {
+            Ok("shed") | Ok("diff") => {}
+            Ok("end") => {
+                if field::<u64>(&line, "cells") != Ok(cells) {
                     problems.push(format!(
                         "line {lineno}: end.cells disagrees with {cells} cell line(s)"
                     ));
                 }
-                if field::<u64>(&line, "tenants") != Some(tenants) {
+                if field::<u64>(&line, "tenants") != Ok(tenants) {
                     problems.push(format!(
                         "line {lineno}: end.tenants disagrees with {tenants} tenant line(s)"
                     ));
                 }
                 ended = true;
             }
-            Some("header") => problems.push(format!("line {lineno}: second header")),
+            Ok("header") => problems.push(format!("line {lineno}: second header")),
             _ => problems.push(format!("line {lineno}: unknown or malformed line")),
         }
     }
@@ -652,7 +648,7 @@ mod tests {
         let header: Value = serde_json::from_str(telemetry.lines().next().unwrap()).unwrap();
         assert_eq!(
             field::<String>(&header, "scenario").as_deref(),
-            Some(scenario)
+            Ok(scenario)
         );
 
         let runs = ["run \"a\"", "run \\b"];
@@ -671,9 +667,9 @@ mod tests {
         assert_eq!(field::<Vec<String>>(&lines[0], "runs").unwrap(), runs);
         let tenant = lines
             .iter()
-            .find(|l| field::<String>(l, "kind").as_deref() == Some("tenant"))
+            .find(|l| field::<String>(l, "kind").as_deref() == Ok("tenant"))
             .unwrap();
-        assert_eq!(field::<String>(tenant, "run").as_deref(), Some(runs[0]));
+        assert_eq!(field::<String>(tenant, "run").as_deref(), Ok(runs[0]));
         assert!(tenants.contains(&field::<String>(tenant, "tenant").unwrap().as_str()));
     }
 
